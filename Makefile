@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json vet fmt-check serve-smoke fault-smoke drift-smoke compile-smoke fleet-smoke wire-smoke sched-smoke autoopt-smoke all
+.PHONY: build test race bench bench-smoke bench-json bench-test vet fmt-check serve-smoke fault-smoke drift-smoke compile-smoke fleet-smoke wire-smoke sched-smoke autoopt-smoke all
 
 all: build test
 
@@ -36,15 +36,24 @@ bench-smoke:
 
 # Machine-readable numbers for the evaluation/serving path: run the
 # engine and daemon benchmarks a few iterations each and convert the
-# output to BENCH_eval.json via cmd/benchjson. Short -benchtime keeps the
-# target cheap enough for CI; it tracks trends, not microseconds.
+# output to BENCH_eval.json via cmd/benchjson (-benchmem: it lifts B/op
+# and allocs/op into the metrics, so allocation claims have a number).
+# Short -benchtime keeps the target cheap enough for CI; it tracks trends,
+# not microseconds.
 bench-json:
 	$(GO) test -run '^$$' \
 		-bench 'BenchmarkEvalParallel$$|BenchmarkDaemonEval$$|BenchmarkEvalLayerCache$$|BenchmarkDaemonBatch$$|BenchmarkDriftDetect$$|BenchmarkRecalibrate$$|BenchmarkEvalCompiled$$|BenchmarkEvalInterpreted$$|BenchmarkFleetEval$$|BenchmarkFleetBatch$$|BenchmarkWireCodec$$|BenchmarkMemoHitBinary$$|BenchmarkWarmRestart$$|BenchmarkSchedRound$$|BenchmarkSchedPlacementBatch$$|BenchmarkOptimizeSweep$$' \
-		-benchtime=3x . > .bench_eval.out
+		-benchtime=3x -benchmem . > .bench_eval.out
 	$(GO) run ./cmd/benchjson -o BENCH_eval.json < .bench_eval.out
 	@rm -f .bench_eval.out
 	@echo "wrote BENCH_eval.json"
+
+# The serving benchmark (bench/, BENCHMARK.json) is a nested module, so
+# `go test ./...` at the root neither builds nor tests it; this does. The
+# same environment as bench/run.sh keeps it off the network and out of any
+# enclosing workspace.
+bench-test:
+	cd bench && GOTOOLCHAIN=local GOWORK=off $(GO) test ./...
 
 # End-to-end daemon self-test: eid serves on a loopback port, registers
 # the Fig. 1 mlservice interface over the wire, queries it (the repeat

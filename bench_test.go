@@ -282,6 +282,7 @@ func BenchmarkEvalParallel(b *testing.B) {
 		b.Run(pc.name, func(b *testing.B) {
 			opts := core.MonteCarlo(samples, 7)
 			opts.Parallelism = pc.par
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := iface.Eval("handle", args, opts); err != nil {

@@ -84,18 +84,24 @@ func (e ECV) validate() error {
 	return nil
 }
 
-// sample draws one value from the ECV's distribution.
-func (e ECV) sample(rng *rand.Rand) Value {
+// drawPoint draws the index of one support point of dist. It consumes
+// exactly one rng.Float64() and scans the whole distribution,
+// zero-probability points included, so that a draw the accumulated
+// rounding leaves unclaimed falls to the last point.
+func drawPoint(dist []Weighted, rng *rand.Rand) int {
 	u := rng.Float64()
 	acc := 0.0
-	for _, w := range e.Dist {
-		acc += w.P
+	for x := range dist {
+		acc += dist[x].P
 		if u < acc {
-			return w.V
+			return x
 		}
 	}
-	return e.Dist[len(e.Dist)-1].V
+	return len(dist) - 1
 }
+
+// sample draws one value from the ECV's distribution.
+func (e ECV) sample(rng *rand.Rand) Value { return e.Dist[drawPoint(e.Dist, rng)].V }
 
 // WithProb returns a copy of the ECV with the probability of boolean true
 // replaced by p; it panics if the ECV is not boolean. This is how resource

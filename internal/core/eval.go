@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"energyclarity/internal/energy"
@@ -113,7 +112,10 @@ type EvalOptions struct {
 	// args, and the ECV values reaching that subtree. Cached results are
 	// the exact scalars the bodies returned, so the resulting Dist is
 	// bit-identical with the cache warm, cold, or absent. The same
-	// LayerCache may be shared by concurrent Evals over any interfaces.
+	// LayerCache may be shared by concurrent Evals over any interfaces;
+	// sharing across Evals is all it buys, since one Eval runs each
+	// assignment at most once (beyond EnumLimit, where Monte Carlo runs a
+	// body per sample, repeated draws do hit it).
 	//
 	// A method the optimizing compiler accepts (see RegisterCompiler) runs
 	// as one flat program with every sub-call inlined; such an evaluation
@@ -156,6 +158,7 @@ func Fail(err error) {
 
 // Call is the evaluation context passed to a method Body: its arguments,
 // the ECV assignment in effect, and access to bound lower-level interfaces.
+// What a Body reads through its Call is all it may depend on (see Body).
 type Call struct {
 	iface  *Interface
 	path   string // qualified binding path of iface within the root
@@ -326,10 +329,12 @@ func (c *Call) run(iface *Interface, path string, m *Method, args []Value) energ
 
 // evalOnce runs one method evaluation under a complete assignment,
 // converting Body panics to errors. With a layer cache attached (ev !=
-// nil), the whole-tree result under this assignment is itself memoized —
-// in Monte Carlo mode repeated draws of the same joint assignment become
-// cache hits, and in any mode the work is shared with other Evals whose
-// assignments coincide.
+// nil), the whole-tree result under this assignment is itself memoized, so
+// the work is shared with every other Eval — any mode, seed or stack —
+// whose assignments coincide. Within one Eval no assignment repeats:
+// enumeration visits each once, and Monte Carlo over a space that fits
+// EnumLimit runs each assignment it drew once, so the layer sees a handful
+// of lookups per Eval there, not one per sample.
 func (i *Interface) evalOnce(m *Method, args []Value, assign map[string]Value, ev *layerEval) (j energy.Joules, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -368,9 +373,9 @@ func (i *Interface) Eval(method string, args []Value, opts EvalOptions) (energy.
 
 // EvalCtx is Eval bounded by a context: cancelling ctx stops the
 // evaluation promptly — parallel Monte Carlo and enumeration workers poll
-// between individual samples, so an abandoned request releases its workers
-// within one sample's work, not after finishing its shard — and EvalCtx
-// returns ctx.Err(). Cancellation never corrupts shared state: scratch
+// between individual body runs, so an abandoned request releases its
+// workers within one run's work, not after finishing its shard — and
+// EvalCtx returns ctx.Err(). Cancellation never corrupts shared state: scratch
 // buffers are returned and a shared LayerCache only ever holds fully
 // computed sub-results, so a later identical Eval is bit-identical to one
 // that was never cancelled.
@@ -437,7 +442,8 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 		return energy.Point(float64(j)), nil
 	}
 
-	// Joint assignment space size for the free ECVs.
+	// Joint assignment space size for the free ECVs (every support point of
+	// every Dist, zero-probability ones included).
 	space := 1
 	exceeded := false
 	for _, q := range free {
@@ -448,33 +454,123 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 		}
 	}
 
-	useMC := opts.Mode == ModeMonteCarlo || exceeded
-	if useMC {
+	switch {
+	case exceeded:
 		return i.evalMonteCarlo(ctx, m, args, base, free, opts, ev, spec)
+	case opts.Mode == ModeMonteCarlo:
+		return i.evalMonteCarloDistinct(ctx, m, args, base, free, opts, ev, spec)
+	default:
+		return i.evalEnumerate(ctx, m, args, base, free, opts, ev, spec)
 	}
-	return i.evalEnumerate(ctx, m, args, base, free, opts, ev, spec)
 }
 
-// enumChunkSize is the number of assignments one enumeration work unit
-// covers. Chunks are contiguous index ranges, so the (values, probs)
-// vectors come out in the same lexicographic order as a sequential walk.
+// enumChunkSize is the number of assignments one evaluation work unit
+// covers. Chunks are contiguous ranges of points, so results land in the
+// same order as a sequential walk.
 const enumChunkSize = 32
 
-// freeDim is one free ECV's materialized support (zero-probability points
-// dropped) plus its row-major stride in the joint assignment space.
+// freeDim is one free ECV as a dimension of a row-major assignment space:
+// its position among the Eval's free ECVs, the support points that span
+// the dimension, and its stride.
 type freeDim struct {
+	k      int
 	qn     string
 	ws     []Weighted
 	stride int
 }
 
+// setStrides lays dims out row-major (the first dimension is the most
+// significant digit) and returns the size of the space they span.
+func setStrides(dims []freeDim) int {
+	total := 1
+	for d := len(dims) - 1; d >= 0; d-- {
+		dims[d].stride = total
+		total *= len(dims[d].ws)
+	}
+	return total
+}
+
+// observedDims returns the dimensions a body run can tell apart, laid out
+// as a space of their own: all of dims for the interpreter, which may read
+// any ECV, and spec.Deps for a compiled program. Points of the full space
+// that differ only in unobserved ECVs share one body run — a method
+// depending on no free ECV runs exactly once whatever the space size.
+func observedDims(dims []freeDim, spec SpecializedProgram) (obs []freeDim, size int) {
+	if spec == nil {
+		return dims, setStrides(dims)
+	}
+	deps := spec.Deps()
+	obs = make([]freeDim, len(deps))
+	for j, k := range deps {
+		obs[j] = dims[k]
+	}
+	return obs, setStrides(obs)
+}
+
+// evalPoints runs the method body once for each element of out and stores
+// the result there: out[p] is the value at index idxs[p] of the space dims
+// span, or at index p when idxs is nil (out then covers the whole space).
+// It is the one place enumeration and Monte Carlo turn assignment indexes
+// into values: through spec when the method compiled (dims are then its
+// Deps), through the interpreter and the layer cache otherwise. Chunks of
+// points fan out over runUnits, so the first error wins and a cancelled
+// ctx stops the workers between two body runs.
+func (i *Interface) evalPoints(ctx context.Context, m *Method, args []Value, base map[string]Value, nFree int,
+	dims []freeDim, idxs []int, out []float64, opts EvalOptions, ev *layerEval, spec SpecializedProgram) error {
+
+	n := len(out)
+	nChunks := (n + enumChunkSize - 1) / enumChunkSize
+	return runUnits(ctx, nChunks, opts.parallelism(), func(chunk int, g *evalGroup) error {
+		var vals []Value
+		var assign map[string]Value
+		if spec != nil {
+			vals = make([]Value, nFree)
+		} else {
+			assign = make(map[string]Value, len(base)+len(dims))
+			for k, v := range base {
+				assign[k] = v
+			}
+		}
+		lo := chunk * enumChunkSize
+		hi := min(lo+enumChunkSize, n)
+		for p := lo; p < hi; p++ {
+			if g.cancelled() {
+				return nil
+			}
+			idx := p
+			if idxs != nil {
+				idx = idxs[p]
+			}
+			for d := range dims {
+				dim := &dims[d]
+				v := dim.ws[(idx/dim.stride)%len(dim.ws)].V
+				if spec != nil {
+					vals[dim.k] = v
+				} else {
+					assign[dim.qn] = v
+				}
+			}
+			var err error
+			if spec != nil {
+				out[p], err = spec.Run(vals)
+			} else {
+				var j energy.Joules
+				j, err = i.evalOnce(m, args, assign, ev)
+				out[p] = float64(j)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 func (i *Interface) evalEnumerate(ctx context.Context, m *Method, args []Value, base map[string]Value,
 	free []QualifiedECV, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
 
-	// Materialize the free dimensions with zero-probability support points
-	// dropped, and the row-major strides over the product space (the first
-	// free ECV is the most significant digit, matching the recursive-walk
-	// order this replaced).
+	// The joint space: every free ECV with its zero-probability support
+	// points dropped, the first ECV the most significant digit.
 	dims := make([]freeDim, len(free))
 	for k, q := range free {
 		ws := make([]Weighted, 0, len(q.ECV.Dist))
@@ -483,28 +579,67 @@ func (i *Interface) evalEnumerate(ctx context.Context, m *Method, args []Value, 
 				ws = append(ws, w)
 			}
 		}
-		dims[k] = freeDim{qn: q.QualifiedName(), ws: ws}
+		dims[k] = freeDim{k: k, qn: q.QualifiedName(), ws: ws}
 	}
-	total := 1
-	for k := len(dims) - 1; k >= 0; k-- {
-		dims[k].stride = total
-		total *= len(dims[k].ws)
-	}
+	total := setStrides(dims)
 
 	values := energy.BorrowScratch(total)
 	probs := energy.BorrowScratch(total)
 	defer energy.ReturnScratch(values)
 	defer energy.ReturnScratch(probs)
 
-	var err error
+	// One body run per point of the observed space. The interpreter observes
+	// the whole space, so its results land in values directly; a compiled
+	// program's table is replicated over the dimensions it cannot see.
+	obs, table := dims, values
+	filled := false
 	if spec != nil {
-		err = i.enumerateCompiled(ctx, spec, dims, total, len(free), values, probs, opts)
-	} else {
-		err = i.enumerateInterpreted(ctx, m, args, base, dims, total, values, probs, opts, ev)
+		var size int
+		obs, size = observedDims(dims, spec)
+		table = energy.BorrowScratch(size)
+		defer energy.ReturnScratch(table)
+		dimVals := make([][]Value, len(obs))
+		for j := range obs {
+			vs := make([]Value, len(obs[j].ws))
+			for x, w := range obs[j].ws {
+				vs[x] = w.V
+			}
+			dimVals[j] = vs
+		}
+		var err error
+		if filled, err = spec.FillTable(dimVals, table); err != nil {
+			return energy.Dist{}, err
+		}
 	}
-	if err != nil {
-		return energy.Dist{}, err
+	if !filled {
+		if err := i.evalPoints(ctx, m, args, base, len(free), obs, nil, table, opts, ev, spec); err != nil {
+			return energy.Dist{}, err
+		}
 	}
+
+	// Probability products, multiplied in dims order at every index, and
+	// the replication of a compiled table over the full space.
+	for idx := 0; idx < total; idx++ {
+		if idx%enumChunkSize == 0 {
+			if err := ctx.Err(); err != nil {
+				return energy.Dist{}, err
+			}
+		}
+		p := 1.0
+		for k := range dims {
+			p *= dims[k].ws[(idx/dims[k].stride)%len(dims[k].ws)].P
+		}
+		probs[idx] = p
+		if spec != nil {
+			at := 0
+			for j := range obs {
+				full := &dims[obs[j].k]
+				at += ((idx / full.stride) % len(full.ws)) * obs[j].stride
+			}
+			values[idx] = table[at]
+		}
+	}
+
 	full := energy.Categorical(values, probs)
 	switch opts.Mode {
 	case ModeWorstCase:
@@ -516,132 +651,87 @@ func (i *Interface) evalEnumerate(ctx context.Context, m *Method, args []Value, 
 	}
 }
 
-// enumerateInterpreted is the reference enumeration: one interpreter run
-// per joint assignment, chunked over workers by contiguous index ranges.
-func (i *Interface) enumerateInterpreted(ctx context.Context, m *Method, args []Value, base map[string]Value,
-	dims []freeDim, total int, values, probs []float64, opts EvalOptions, ev *layerEval) error {
-
-	nChunks := (total + enumChunkSize - 1) / enumChunkSize
-	return runUnits(ctx, nChunks, opts.parallelism(), func(chunk int, g *evalGroup) error {
-		assign := make(map[string]Value, len(base)+len(dims))
-		for k, v := range base {
-			assign[k] = v
-		}
-		lo := chunk * enumChunkSize
-		hi := lo + enumChunkSize
-		if hi > total {
-			hi = total
-		}
-		for idx := lo; idx < hi; idx++ {
-			if g.cancelled() {
-				return nil
-			}
-			p := 1.0
-			for k := range dims {
-				w := dims[k].ws[(idx/dims[k].stride)%len(dims[k].ws)]
-				assign[dims[k].qn] = w.V
-				p *= w.P
-			}
-			j, err := i.evalOnce(m, args, assign, ev)
-			if err != nil {
-				return err
-			}
-			values[idx] = float64(j)
-			probs[idx] = p
-		}
-		return nil
-	})
-}
-
-// enumerateCompiled enumerates through a specialized program. The program
-// is evaluated only over the sub-space of ECVs it can observe (spec.Deps):
-// results for assignments that differ only in unobserved ECVs are shared
-// by index projection, so a method depending on none of the free ECVs runs
-// exactly once regardless of the joint space size. Per projected index the
-// program executes the same instructions on the same inputs as a full
-// per-assignment run, and the probability products iterate all dims in the
-// same order as the interpreted path, so (values, probs) — and therefore
-// the Categorical built from them — are bit-identical.
-func (i *Interface) enumerateCompiled(ctx context.Context, spec SpecializedProgram,
-	dims []freeDim, total, nFree int, values, probs []float64, opts EvalOptions) error {
-
-	deps := spec.Deps()
-	// Projected dimensions: support values and row-major strides over the
-	// dependent sub-space, in deps order (deps is sorted, so relative
-	// significance matches the full space).
-	dimVals := make([][]Value, len(deps))
-	pstride := make([]int, len(deps))
-	ptotal := 1
-	for j := len(deps) - 1; j >= 0; j-- {
-		d := deps[j]
-		vs := make([]Value, len(dims[d].ws))
-		for x, w := range dims[d].ws {
-			vs[x] = w.V
-		}
-		dimVals[j] = vs
-		pstride[j] = ptotal
-		ptotal *= len(vs)
-	}
-
-	ptable := energy.BorrowScratch(ptotal)
-	defer energy.ReturnScratch(ptable)
-	ok, err := spec.FillTable(dimVals, ptable)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		vals := make([]Value, nFree)
-		for pidx := 0; pidx < ptotal; pidx++ {
-			if pidx%enumChunkSize == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			for j, d := range deps {
-				vals[d] = dimVals[j][(pidx/pstride[j])%len(dimVals[j])]
-			}
-			v, err := spec.Run(vals)
-			if err != nil {
-				return err
-			}
-			ptable[pidx] = v
-		}
-	}
-
-	// Expand the projected table over the full joint space and fill the
-	// probability products (same multiply order as the interpreted path).
-	nChunks := (total + enumChunkSize - 1) / enumChunkSize
-	return runUnits(ctx, nChunks, opts.parallelism(), func(chunk int, g *evalGroup) error {
-		lo := chunk * enumChunkSize
-		hi := lo + enumChunkSize
-		if hi > total {
-			hi = total
-		}
-		for idx := lo; idx < hi; idx++ {
-			if g.cancelled() {
-				return nil
-			}
-			p := 1.0
-			for k := range dims {
-				p *= dims[k].ws[(idx/dims[k].stride)%len(dims[k].ws)].P
-			}
-			pidx := 0
-			for j, d := range deps {
-				pidx += ((idx / dims[d].stride) % len(dims[d].ws)) * pstride[j]
-			}
-			values[idx] = ptable[pidx]
-			probs[idx] = p
-		}
-		return nil
-	})
-}
-
 // mcShardSize is the number of samples one Monte Carlo shard draws from
 // its own RNG stream. The shard layout depends only on opts.Samples, so
 // the sample multiset — and therefore the resulting Dist — is identical
 // no matter how many workers execute the shards.
 const mcShardSize = 64
 
+// evalMonteCarloDistinct is Monte Carlo over a joint space that fits
+// EnumLimit: draw, evaluate distinct, count. Every shard consumes its RNG
+// stream exactly as the per-sample loop in evalMonteCarlo does — one draw
+// per free ECV per sample, in order — but records which point of the
+// observed space the sample fell on instead of running the body. A body
+// is a pure function of (args, assignment), so one run per point that was
+// drawn, weighted by its hit count, is the same sample multiset and
+// energy.Empirical turns it into the same Dist, bit for bit.
+func (i *Interface) evalMonteCarloDistinct(ctx context.Context, m *Method, args []Value, base map[string]Value,
+	free []QualifiedECV, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
+
+	dims := make([]freeDim, len(free))
+	for k, q := range free {
+		dims[k] = freeDim{k: k, qn: q.QualifiedName(), ws: q.ECV.Dist}
+	}
+	obs, size := observedDims(dims, spec)
+	// strides[k] is free ECV k's stride in the observed space, 0 when the
+	// body cannot see it: its draw is consumed and changes no index.
+	strides := make([]int, len(free))
+	for j := range obs {
+		strides[obs[j].k] = obs[j].stride
+	}
+
+	samples := opts.Samples
+	distinct := min(samples, size)
+	ints := energy.BorrowInts(samples + size + 2*distinct)
+	defer energy.ReturnInts(ints)
+	drawn := ints[:samples]                    // per sample: the point it fell on
+	seen := ints[samples : samples+size]       // per point: 1 + its position in points, 0 = not drawn
+	points := ints[samples+size:][:0:distinct] // the points drawn, in first-drawn order
+	counts := ints[samples+size+distinct:][:0:distinct]
+
+	nShards := (samples + mcShardSize - 1) / mcShardSize
+	err := runUnits(ctx, nShards, opts.parallelism(), func(shard int, g *evalGroup) error {
+		rng := borrowRNG(shardSeed(opts.Seed, shard))
+		defer rngPool.Put(rng)
+		lo := shard * mcShardSize
+		hi := min(lo+mcShardSize, samples)
+		for s := lo; s < hi; s++ {
+			idx := 0
+			for k := range dims {
+				idx += drawPoint(dims[k].ws, rng) * strides[k]
+			}
+			drawn[s] = idx
+		}
+		return nil
+	})
+	if err != nil {
+		return energy.Dist{}, err
+	}
+
+	// First-drawn order keeps the sequential path's error the one the first
+	// failing sample would have raised.
+	clear(seen)
+	for _, idx := range drawn {
+		if seen[idx] == 0 {
+			points = append(points, idx)
+			counts = append(counts, 0)
+			seen[idx] = len(points)
+		}
+		counts[seen[idx]-1]++
+	}
+
+	values := energy.BorrowScratch(len(points))
+	defer energy.ReturnScratch(values)
+	if err := i.evalPoints(ctx, m, args, base, len(free), obs, points, values, opts, ev, spec); err != nil {
+		return energy.Dist{}, err
+	}
+	return energy.Empirical(values, counts), nil
+}
+
+// evalMonteCarlo runs the body once per sample. It serves joint spaces
+// beyond EnumLimit, where too few samples coincide for a table of distinct
+// assignments to pay: ModeMonteCarlo there, and the estimates the exact
+// modes fall back to.
 func (i *Interface) evalMonteCarlo(ctx context.Context, m *Method, args []Value, base map[string]Value,
 	free []QualifiedECV, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
 
@@ -657,7 +747,8 @@ func (i *Interface) evalMonteCarlo(ctx context.Context, m *Method, args []Value,
 
 	nShards := (samples + mcShardSize - 1) / mcShardSize
 	err := runUnits(ctx, nShards, opts.parallelism(), func(shard int, g *evalGroup) error {
-		rng := rand.New(rand.NewSource(shardSeed(opts.Seed, shard)))
+		rng := borrowRNG(shardSeed(opts.Seed, shard))
+		defer rngPool.Put(rng)
 		lo := shard * mcShardSize
 		hi := lo + mcShardSize
 		if hi > samples {

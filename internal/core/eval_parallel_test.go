@@ -155,7 +155,11 @@ func TestEvalEnumerateSkipsZeroProbability(t *testing.T) {
 
 // TestEvalErrorCancelsRemainingShards: when a worker's evalOnce fails, the
 // other shards must be cancelled promptly (first-error-wins) instead of
-// completing all samples.
+// completing all samples. The body is deliberately impure — it fails on
+// its fifth run whatever the assignment — so the test holds the engine to
+// the per-sample loop (EnumLimit 1 puts the 2-point space beyond it),
+// where runs count samples; TestDistinctPassFirstErrorWins is its twin for
+// the tabulated path.
 func TestEvalErrorCancelsRemainingShards(t *testing.T) {
 	const samples = 200000
 	var evals atomic.Int64
@@ -168,6 +172,7 @@ func TestEvalErrorCancelsRemainingShards(t *testing.T) {
 			return 1
 		}})
 	opts := MonteCarlo(samples, 11)
+	opts.EnumLimit = 1
 	opts.Parallelism = 4
 	_, err := iface.Eval("e", nil, opts)
 	if err == nil {

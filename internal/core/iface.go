@@ -14,6 +14,15 @@ import (
 // given the ECV assignment carried by the Call, and returns the energy the
 // implementation would consume for the Call's arguments.
 //
+// A Body must be a pure function of the Call's arguments and the ECV values
+// it reads: the same inputs give the same joules, or the same failure, and
+// nothing outside the Call may influence or record the run. The engine
+// relies on it (DESIGN.md §11): the layer cache and the daemon's memo
+// replay earlier results, a compiled program skips ECVs the body cannot
+// observe, and Monte Carlo runs the body once per distinct assignment it
+// drew, not once per sample — so how often, in what order and on which
+// goroutine a Body runs is unspecified.
+//
 // Bodies use the panicking helpers on Call (Num, ECVBool, E, ...) for
 // concision; Interface.Eval recovers those panics into errors, following the
 // regexp-package pattern — panics never escape the package boundary.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -73,6 +74,8 @@ func allModesOpts() []EvalOptions {
 	}
 }
 
+// bitIdentical fails unless a and b agree in every bit of every support
+// point and probability (so −0 and +0 differ).
 func bitIdentical(t *testing.T, a, b energy.Dist, what string) {
 	t.Helper()
 	as, bs := a.Support(), b.Support()
@@ -81,7 +84,7 @@ func bitIdentical(t *testing.T, a, b energy.Dist, what string) {
 		t.Fatalf("%s: support sizes differ: %d vs %d", what, len(as), len(bs))
 	}
 	for i := range as {
-		if as[i] != bs[i] || ap[i] != bp[i] {
+		if math.Float64bits(as[i]) != math.Float64bits(bs[i]) || math.Float64bits(ap[i]) != math.Float64bits(bp[i]) {
 			t.Fatalf("%s: point %d differs: (%v,%v) vs (%v,%v)", what, i, as[i], ap[i], bs[i], bp[i])
 		}
 	}

@@ -2,14 +2,15 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // This file holds the worker-pool plumbing shared by the parallel
-// evaluation paths (evalMonteCarlo, evalEnumerate). Evaluation fans out
-// over fixed-size units of work (RNG shards, enumeration chunks); the
+// evaluation paths (the Monte Carlo shards, evalPoints). Evaluation fans
+// out over fixed-size units of work (RNG shards, chunks of points); the
 // decomposition into units is a function of the options alone — never of
 // the worker count — so results are bit-identical at any parallelism.
 
@@ -129,4 +130,17 @@ func shardSeed(seed int64, shard int) int64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
+}
+
+// rngPool recycles the per-shard generators: a rand.Rand carries a 4.9 KB
+// source, and an evaluation seeds one per 64 samples.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// borrowRNG returns a generator positioned at the start of seed's stream —
+// the stream rand.New(rand.NewSource(seed)) yields, since Seed resets the
+// whole source state. Hand it back with rngPool.Put.
+func borrowRNG(seed int64) *rand.Rand {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
 }

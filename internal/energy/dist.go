@@ -101,6 +101,66 @@ func Categorical(values, probs []float64) Dist {
 	return d
 }
 
+// Empirical returns the distribution of a sample given as (value, count)
+// pairs: counts[i] of the N = Σcounts observations equal values[i]. The
+// result is bit-identical to Categorical over the expanded sample — every
+// observation its own entry with probability 1/N — because it repeats that
+// call's float operations: the normalising total is 1/N summed N times,
+// and each support point's mass is (1/N)/total added once per observation.
+// Only the sort shrinks, from N entries to len(values). Values may repeat
+// across pairs; non-positive counts are skipped. One exception to bit
+// identity: when −0 and +0 both occur they merge into one point whose sign
+// is whichever the sort put first, here as in Categorical.
+func Empirical(values []float64, counts []int) Dist {
+	if len(values) != len(counts) {
+		panic("energy: Empirical values/counts length mismatch")
+	}
+	type vc struct {
+		x float64
+		c int
+	}
+	items := make([]vc, 0, len(values))
+	n := 0
+	for i, v := range values {
+		if counts[i] <= 0 {
+			continue
+		}
+		if math.IsNaN(v) {
+			panic("energy: Empirical value is NaN")
+		}
+		items = append(items, vc{v, counts[i]})
+		n += counts[i]
+	}
+	if n == 0 {
+		panic("energy: Empirical with no observations")
+	}
+	p := 1.0 / float64(n)
+	total := 0.0
+	for k := 0; k < n; k++ {
+		total += p
+	}
+	q := p / total
+	sort.Slice(items, func(i, j int) bool { return items[i].x < items[j].x })
+	d := Dist{
+		xs: make([]float64, 0, len(items)),
+		ps: make([]float64, 0, len(items)),
+	}
+	for _, it := range items {
+		last := len(d.xs) - 1
+		if last < 0 || d.xs[last] != it.x {
+			d.xs = append(d.xs, it.x)
+			d.ps = append(d.ps, 0) // 0 + q is q exactly
+			last++
+		}
+		mass := d.ps[last]
+		for c := it.c; c > 0; c-- {
+			mass += q
+		}
+		d.ps[last] = mass
+	}
+	return d
+}
+
 // UniformOver returns the uniform distribution over the given values.
 func UniformOver(values ...float64) Dist {
 	probs := make([]float64, len(values))

@@ -1,6 +1,9 @@
 package energy
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Fast kernels behind the Dist combinators. The public semantics live in
 // dist.go; this file holds the sorted-merge convolution, the k-way mixture
@@ -16,12 +19,22 @@ var (
 	intPool = sync.Pool{New: func() interface{} { s := make([]int, 0, 256); return &s }}
 )
 
+// scratchOut counts buffers borrowed and not yet returned.
+var scratchOut atomic.Int64
+
+// ScratchOutstanding returns how many scratch buffers are borrowed and not
+// yet returned. A function that releases its scratch on every path —
+// errors and cancellation included — leaves it where it found it, which is
+// what leak tests assert.
+func ScratchOutstanding() int64 { return scratchOut.Load() }
+
 // BorrowScratch returns a length-n float64 scratch buffer from a shared
 // pool. The buffer contents are unspecified; callers must fully overwrite
 // the slots they read. Return it with ReturnScratch when done — after any
 // consumer (e.g. Categorical) has copied out of it, since returned buffers
 // are reused concurrently. Safe for concurrent use.
 func BorrowScratch(n int) []float64 {
+	scratchOut.Add(1)
 	p := f64Pool.Get().(*[]float64)
 	if cap(*p) < n {
 		*p = make([]float64, n)
@@ -34,9 +47,12 @@ func BorrowScratch(n int) []float64 {
 func ReturnScratch(buf []float64) {
 	buf = buf[:0]
 	f64Pool.Put(&buf)
+	scratchOut.Add(-1)
 }
 
-func borrowInts(n int) []int {
+// BorrowInts is BorrowScratch for ints; pair it with ReturnInts.
+func BorrowInts(n int) []int {
+	scratchOut.Add(1)
 	p := intPool.Get().(*[]int)
 	if cap(*p) < n {
 		*p = make([]int, n)
@@ -44,9 +60,11 @@ func borrowInts(n int) []int {
 	return (*p)[:n]
 }
 
-func returnInts(s []int) {
+// ReturnInts gives a buffer obtained from BorrowInts back to the pool.
+func ReturnInts(s []int) {
 	s = s[:0]
 	intPool.Put(&s)
+	scratchOut.Add(-1)
 }
 
 // --- sorted-merge convolution ---
@@ -68,11 +86,11 @@ func convolve(a, b Dist) Dist {
 	// Lane state: jj[i] is lane i's cursor into b. The heap is keyed by the
 	// lane's current sum; initial keys a.xs[i]+b.xs[0] are already sorted
 	// (a.xs is increasing), so the array is born a valid heap.
-	jj := borrowInts(n)
-	lane := borrowInts(n)
+	jj := BorrowInts(n)
+	lane := BorrowInts(n)
 	key := BorrowScratch(n)
-	defer returnInts(jj)
-	defer returnInts(lane)
+	defer ReturnInts(jj)
+	defer ReturnInts(lane)
 	defer ReturnScratch(key)
 	for i := 0; i < n; i++ {
 		jj[i] = 0
@@ -146,11 +164,11 @@ func mergeComponents(w []float64, comps []Dist) Dist {
 		}
 		total += len(laneXS[i])
 	}
-	jj := borrowInts(k)
-	lane := borrowInts(k)
+	jj := BorrowInts(k)
+	lane := BorrowInts(k)
 	key := BorrowScratch(k)
-	defer returnInts(jj)
-	defer returnInts(lane)
+	defer ReturnInts(jj)
+	defer ReturnInts(lane)
 	defer ReturnScratch(key)
 	size := 0
 	for i := 0; i < k; i++ {
@@ -222,12 +240,12 @@ func compactMerge(xs, ps []float64, limit int) ([]float64, []float64) {
 	if limit <= 2 {
 		return compactToExtremes(xs, ps, limit)
 	}
-	prev := borrowInts(n)
-	next := borrowInts(n)
-	ver := borrowInts(n) // -1 = merged away; else bumped when the value changes
-	defer returnInts(prev)
-	defer returnInts(next)
-	defer returnInts(ver)
+	prev := BorrowInts(n)
+	next := BorrowInts(n)
+	ver := BorrowInts(n) // -1 = merged away; else bumped when the value changes
+	defer ReturnInts(prev)
+	defer ReturnInts(next)
+	defer ReturnInts(ver)
 	for i := 0; i < n; i++ {
 		prev[i], next[i], ver[i] = i-1, i+1, 0
 	}

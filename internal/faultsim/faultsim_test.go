@@ -260,8 +260,10 @@ func TestFlakyListenerConcurrentAcceptPartition(t *testing.T) {
 	url := "http://" + inner.Addr().String()
 
 	stop := make(chan struct{})
+	flipperDone := make(chan struct{})
 	var flips atomic.Int64
 	go func() {
+		defer close(flipperDone)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -295,6 +297,9 @@ func TestFlakyListenerConcurrentAcceptPartition(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
+	// The flipper may be past its stop check and about to partition once
+	// more; heal only after it has exited, or that flip lands after the heal.
+	<-flipperDone
 	fl.Partition(false)
 
 	if flips.Load() < 2 {
@@ -303,9 +308,16 @@ func TestFlakyListenerConcurrentAcceptPartition(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Error("no request ever succeeded through the flapping listener")
 	}
-	resp, err := get(t, &http.Client{Timeout: 2 * time.Second}, url)
+	// Healed, the listener still drops every 7th connection by design, and
+	// the probe's fresh connection can be that one: a failure is the
+	// partition's only if the next connection fails too.
+	c := &http.Client{Timeout: 2 * time.Second}
+	resp, err := get(t, c, url)
 	if err != nil {
-		t.Fatalf("request after final heal failed: %v", err)
+		resp, err = get(t, c, url)
+	}
+	if err != nil {
+		t.Fatalf("request after final heal failed twice: %v", err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()

@@ -82,6 +82,20 @@ func checkBitIdentity(t *testing.T, iface *core.Interface, method string, args [
 	if !distBitsEqual(compiled, want) {
 		t.Fatalf("mode %v: compiled %v != interpreted %v", opts.Mode, compiled, want)
 	}
+	if opts.Mode != core.ModeMonteCarlo {
+		return
+	}
+	// Monte Carlo tabulates distinct assignments while the joint space fits
+	// EnumLimit; the interpreter's one-body-run-per-sample loop beyond it
+	// must give the same Dist.
+	interp.EnumLimit = 1
+	perSample, err := iface.Eval(method, args, interp)
+	if err != nil {
+		t.Fatalf("per-sample interpreted: %v", err)
+	}
+	if !distBitsEqual(compiled, perSample) {
+		t.Fatalf("monte-carlo: tabulated compiled %v != per-sample interpreted %v", compiled, perSample)
+	}
 }
 
 const fig1Src = `
