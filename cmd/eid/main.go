@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -194,7 +193,7 @@ func run(args []string, out io.Writer) error {
 // server shuts down once they have. Split from run (with an injectable
 // signal channel) so the drain path is testable without real signals.
 func serve(srv *eisvc.Server, ln net.Listener, drainTimeout time.Duration, sig <-chan os.Signal, out io.Writer) error {
-	hs := &http.Server{Handler: srv}
+	hs := eisvc.NewHTTPServer(srv)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -343,15 +342,13 @@ func runDriftSmoke(srv *eisvc.Server, rig *experiments.Rig, out io.Writer) error
 // and Monte Carlo modes (the second ask must be a memo hit), and checks
 // the stats endpoint — any non-200 fails the run.
 func runSmoke(srv *eisvc.Server, out io.Writer) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, stop, err := eisvc.ServeLoopback(srv)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
+	defer stop()
 
-	c := eisvc.NewClient("http://" + ln.Addr().String())
+	c := eisvc.NewClient(base)
 	c.ID = "serve-smoke"
 	c.Deadline = 10 * time.Second
 
@@ -390,7 +387,7 @@ func runSmoke(srv *eisvc.Server, out io.Writer) error {
 	// The binary codec must interoperate with the JSON path bit for bit:
 	// the same ask through a binary client is memo-served with the exact
 	// distribution the JSON client got.
-	bc := eisvc.NewClient("http://" + ln.Addr().String())
+	bc := eisvc.NewClient(base)
 	bc.ID = "serve-smoke-bin"
 	bc.Binary = true
 	bd, bresp, err := bc.Eval("ml_webservice", "handle", args, mc)
@@ -546,15 +543,13 @@ func checkOptimizeStats(st *eisvc.StatsResponse, cold, again *eisvc.OptimizeResp
 // loopback listener over the binary wire, plus the stats consistency
 // check, as a standalone exit-code drill.
 func runOptimizeDrill(srv *eisvc.Server, out io.Writer) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, stop, err := eisvc.ServeLoopback(srv)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
+	defer stop()
 
-	c := eisvc.NewClient("http://" + ln.Addr().String())
+	c := eisvc.NewClient(base)
 	c.ID = "optimize-drill"
 	c.Binary = true
 	c.Deadline = 30 * time.Second

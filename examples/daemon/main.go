@@ -13,8 +13,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/eisvc"
@@ -47,15 +45,13 @@ interface audio_pipeline "frame pipeline with a silence detector" {
 func main() {
 	// Serve on a loopback port. `go run ./cmd/eid` does exactly this, plus
 	// flags for workers, queue depth, memo capacity, and deadlines.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, stop, err := eisvc.ServeLoopback(eisvc.NewServer(eisvc.Config{}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: eisvc.NewServer(eisvc.Config{})}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
+	defer stop()
 
-	c := eisvc.NewClient("http://" + ln.Addr().String())
+	c := eisvc.NewClient(base)
 	c.ID = "quickstart" // names this client in the daemon's energy ledger
 
 	// ① The program exports its energy interfaces to the resource manager.

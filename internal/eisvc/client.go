@@ -80,11 +80,11 @@ type Client struct {
 	// delay for idempotent calls still in flight — the classic
 	// tail-latency hedge. The first answer wins; the loser is cancelled.
 	Hedge time.Duration
-	// Binary switches the hot-path calls (Eval, EvalBatch, CacheLookup)
-	// to the length-prefixed binary codec: the request body is sent as
-	// BinaryContentType and the same is offered in Accept. Requires a
-	// daemon that speaks the codec; everything else (register, stats,
-	// drift, ...) stays on the JSON debug path regardless.
+	// Binary switches the endpoint-table calls (Eval, EvalBatch,
+	// CacheLookup, Optimize) to the length-prefixed binary codec: the
+	// request body is sent as BinaryContentType and the same is offered in
+	// Accept. Requires a daemon that speaks the codec; everything else
+	// (register, stats, drift, ...) stays on the JSON debug path regardless.
 	Binary bool
 
 	retries   atomic.Uint64
@@ -182,12 +182,11 @@ func (c *Client) Counters() Counters {
 }
 
 // exchange performs exactly one HTTP round trip and returns the response
-// body in a pooled buffer (the caller decodes and releases it) plus
-// whether the response came back in the binary codec. The body is always
-// read to completion (and the error path decoded from it), so the
-// underlying connection is reusable whether or not the caller wants the
-// payload.
-func (c *Client) exchange(ctx context.Context, method, path string, payload []byte, ctype, accept string, attempt int, hedge bool) (*bytes.Buffer, bool, error) {
+// body in a pooled buffer (the caller decodes and releases it) plus the
+// Content-Type the response came back in. The body is always read to
+// completion (and the error path decoded from it), so the underlying
+// connection is reusable whether or not the caller wants the payload.
+func (c *Client) exchange(ctx context.Context, method, path string, payload []byte, ctype, accept string, attempt int, hedge bool) (*bytes.Buffer, string, error) {
 	if c.Timeout >= 0 {
 		timeout := c.Timeout
 		if timeout == 0 {
@@ -203,12 +202,9 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return nil, false, err
+		return nil, "", err
 	}
 	if payload != nil {
-		if ctype == "" {
-			ctype = "application/json"
-		}
 		req.Header.Set("Content-Type", ctype)
 	}
 	if accept != "" {
@@ -225,7 +221,7 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, false, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	buf := GetBuffer()
@@ -246,13 +242,13 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 		if apiErr.Shed() {
 			c.shed.Add(1)
 		}
-		return nil, false, apiErr
+		return nil, "", apiErr
 	}
 	if err != nil {
 		PutBuffer(buf)
-		return nil, false, err
+		return nil, "", err
 	}
-	return buf, IsBinaryContentType(resp.Header.Get("Content-Type")), nil
+	return buf, resp.Header.Get("Content-Type"), nil
 }
 
 // attempt is one try of the retry loop: a plain exchange, or — for
@@ -261,23 +257,23 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 // and the loser is cancelled; when the primary fails before the hedge
 // launches there is nothing worth hedging (the retry loop backs off
 // instead), and when both fail the first error is returned.
-func (c *Client) attempt(ctx context.Context, method, path string, payload []byte, ctype, accept string, attempt int, idempotent bool) (*bytes.Buffer, bool, error) {
+func (c *Client) attempt(ctx context.Context, method, path string, payload []byte, ctype, accept string, attempt int, idempotent bool) (*bytes.Buffer, string, error) {
 	if c.Hedge <= 0 || !idempotent {
 		return c.exchange(ctx, method, path, payload, ctype, accept, attempt, false)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // aborts the loser once a winner returns
 	type result struct {
-		buf    *bytes.Buffer
-		binary bool
-		err    error
-		hedge  bool
+		buf   *bytes.Buffer
+		ctype string
+		err   error
+		hedge bool
 	}
 	ch := make(chan result, 2)
 	run := func(hedge bool) {
 		go func() {
-			buf, binary, err := c.exchange(hctx, method, path, payload, ctype, accept, attempt, hedge)
-			ch <- result{buf, binary, err, hedge}
+			buf, answered, err := c.exchange(hctx, method, path, payload, ctype, accept, attempt, hedge)
+			ch <- result{buf, answered, err, hedge}
 		}()
 	}
 	run(false)
@@ -301,7 +297,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 				// A losing sibling still in flight delivers to the buffered
 				// channel and its buffer is simply collected by the GC; only
 				// the winner's buffer returns to the caller (and the pool).
-				return r.buf, r.binary, nil
+				return r.buf, r.ctype, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
@@ -310,9 +306,9 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 				continue // the sibling may still succeed
 			}
 			if !hedged {
-				return nil, false, r.err // primary failed before the hedge fired
+				return nil, "", r.err // primary failed before the hedge fired
 			}
-			return nil, false, firstErr
+			return nil, "", firstErr
 		}
 	}
 }
@@ -326,14 +322,15 @@ func retryAfterOf(err error) time.Duration {
 	return 0
 }
 
-// do is the request engine behind every client method: attempt up to
-// Retry.MaxAttempts times (idempotent requests only), sleeping
-// exponential-backoff-with-full-jitter delays between attempts and
-// honoring the server's Retry-After floor. payload must stay valid for
-// the whole call (every attempt re-reads it); decode, when non-nil, runs
-// on the winning response body before its pooled buffer is released, so
-// it must copy anything it keeps — both codec paths do.
-func (c *Client) do(ctx context.Context, method, path string, payload []byte, ctype, accept string, decode func(data []byte, binary bool) error, idempotent bool) error {
+// do is the request engine behind every client method (reached through
+// Endpoint.call and callJSON): attempt up to Retry.MaxAttempts times
+// (idempotent requests only), sleeping exponential-backoff-with-full-
+// jitter delays between attempts and honoring the server's Retry-After
+// floor. payload must stay valid for the whole call (every attempt
+// re-reads it). The winning response body comes back in a pooled buffer
+// with its Content-Type; the caller decodes — copying anything it keeps,
+// as both codec paths do — and releases it with PutBuffer.
+func (c *Client) do(ctx context.Context, method, path string, payload []byte, ctype, accept string, idempotent bool) (*bytes.Buffer, string, error) {
 	attempts := 1
 	if idempotent {
 		attempts = c.Retry.attempts()
@@ -346,66 +343,24 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, ct
 			select {
 			case <-time.After(delay):
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, "", ctx.Err()
 			}
 		}
-		buf, binary, err := c.attempt(ctx, method, path, payload, ctype, accept, attempt, idempotent)
+		buf, answered, err := c.attempt(ctx, method, path, payload, ctype, accept, attempt, idempotent)
 		if err == nil {
-			if decode == nil {
-				PutBuffer(buf)
-				return nil
-			}
-			derr := decode(buf.Bytes(), binary)
-			PutBuffer(buf)
-			return derr
+			return buf, answered, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
 			// The caller's context expired: its error, not the attempt's,
 			// is what the caller should see.
-			return err
+			return nil, "", err
 		}
 		if attempt == attempts || c.Retry == nil || !c.Retry.shouldRetry(err) {
-			return err
+			return nil, "", err
 		}
 	}
-	return lastErr
-}
-
-// doCtx is the JSON spelling of do: marshal the body once, unmarshal
-// the answer into out. The payload buffer is deliberately NOT pooled:
-// an abandoned hedge or retry attempt's transport goroutine can still
-// be reading the request body after do returns, so recycling its
-// backing array would hand racing bytes to the next request. The GC
-// collects it once the last transport reference drops.
-func (c *Client) doCtx(ctx context.Context, method, path string, body, out any, idempotent bool) error {
-	var payload []byte
-	if body != nil {
-		var pb bytes.Buffer
-		if err := json.NewEncoder(&pb).Encode(body); err != nil {
-			return err
-		}
-		payload = pb.Bytes()
-	}
-	var decode func(data []byte, binary bool) error
-	if out != nil {
-		decode = func(data []byte, _ bool) error { return json.Unmarshal(data, out) }
-	}
-	return c.do(ctx, method, path, payload, "application/json", "", decode, idempotent)
-}
-
-// doBin is the binary spelling of do for the hot-path endpoints: encode
-// fills the request buffer with a binary frame, decode parses the
-// response by the codec the server actually chose (binary when our
-// Accept was honored; JSON from a daemon that pre-dates the codec).
-// Like doCtx, the payload buffer is not pooled: an abandoned hedge or
-// retry may still be streaming it when do returns.
-func (c *Client) doBin(ctx context.Context, path string, encode func(*bytes.Buffer) error, decode func(data []byte, binary bool) error, idempotent bool) error {
-	var pb bytes.Buffer
-	if err := encode(&pb); err != nil {
-		return err
-	}
-	return c.do(ctx, http.MethodPost, path, pb.Bytes(), BinaryContentType, BinaryContentType, decode, idempotent)
+	return nil, "", lastErr
 }
 
 // Health checks the daemon is up.
@@ -413,7 +368,8 @@ func (c *Client) Health() error { return c.HealthCtx(context.Background()) }
 
 // HealthCtx is Health bounded by ctx.
 func (c *Client) HealthCtx(ctx context.Context) error {
-	return c.doCtx(ctx, http.MethodGet, "/healthz", nil, nil, true)
+	_, err := callJSON[struct{}](ctx, c, http.MethodGet, "/healthz", nil, true)
+	return err
 }
 
 // Healthz fetches the typed readiness probe: whether the daemon is
@@ -424,11 +380,7 @@ func (c *Client) Healthz() (*HealthzResponse, error) {
 
 // HealthzCtx is Healthz bounded by ctx.
 func (c *Client) HealthzCtx(ctx context.Context) (*HealthzResponse, error) {
-	var resp HealthzResponse
-	if err := c.doCtx(ctx, http.MethodGet, "/v1/healthz", nil, &resp, true); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return callJSON[HealthzResponse](ctx, c, http.MethodGet, "/v1/healthz", nil, true)
 }
 
 // Drift fetches the drift monitor's state and the calibration generation
@@ -439,11 +391,7 @@ func (c *Client) Drift() (*DriftResponse, error) {
 
 // DriftCtx is Drift bounded by ctx.
 func (c *Client) DriftCtx(ctx context.Context) (*DriftResponse, error) {
-	var resp DriftResponse
-	if err := c.doCtx(ctx, http.MethodGet, "/v1/drift", nil, &resp, true); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return callJSON[DriftResponse](ctx, c, http.MethodGet, "/v1/drift", nil, true)
 }
 
 // Register uploads an EIL source file and returns the registered
@@ -454,8 +402,8 @@ func (c *Client) Register(source string) ([]InterfaceInfo, error) {
 
 // RegisterCtx is Register bounded by ctx.
 func (c *Client) RegisterCtx(ctx context.Context, source string) ([]InterfaceInfo, error) {
-	var resp RegisterResponse
-	if err := c.doCtx(ctx, http.MethodPost, "/v1/register", RegisterRequest{Source: source}, &resp, false); err != nil {
+	resp, err := callJSON[RegisterResponse](ctx, c, http.MethodPost, "/v1/register", RegisterRequest{Source: source}, false)
+	if err != nil {
 		return nil, err
 	}
 	return resp.Registered, nil
@@ -468,10 +416,10 @@ func (c *Client) Interfaces() ([]InterfaceInfo, error) {
 
 // InterfacesCtx is Interfaces bounded by ctx.
 func (c *Client) InterfacesCtx(ctx context.Context) ([]InterfaceInfo, error) {
-	var resp struct {
+	resp, err := callJSON[struct {
 		Interfaces []InterfaceInfo `json:"interfaces"`
-	}
-	if err := c.doCtx(ctx, http.MethodGet, "/v1/interfaces", nil, &resp, true); err != nil {
+	}](ctx, c, http.MethodGet, "/v1/interfaces", nil, true)
+	if err != nil {
 		return nil, err
 	}
 	return resp.Interfaces, nil
@@ -484,8 +432,8 @@ func (c *Client) Source(name string) (string, error) {
 
 // SourceCtx is Source bounded by ctx.
 func (c *Client) SourceCtx(ctx context.Context, name string) (string, error) {
-	var resp SourceResponse
-	if err := c.doCtx(ctx, http.MethodGet, "/v1/interfaces/"+name+"/source", nil, &resp, true); err != nil {
+	resp, err := callJSON[SourceResponse](ctx, c, http.MethodGet, "/v1/interfaces/"+name+"/source", nil, true)
+	if err != nil {
 		return "", err
 	}
 	return resp.Source, nil
@@ -500,9 +448,8 @@ func (c *Client) Rebind(name, path, target string) (uint64, error) {
 
 // RebindCtx is Rebind bounded by ctx.
 func (c *Client) RebindCtx(ctx context.Context, name, path, target string) (uint64, error) {
-	var resp RebindResponse
-	err := c.doCtx(ctx, http.MethodPost, "/v1/rebind",
-		RebindRequest{Interface: name, Path: path, Target: target}, &resp, false)
+	resp, err := callJSON[RebindResponse](ctx, c, http.MethodPost, "/v1/rebind",
+		RebindRequest{Interface: name, Path: path, Target: target}, false)
 	if err != nil {
 		return 0, err
 	}
@@ -523,25 +470,7 @@ func (c *Client) Eval(name, method string, args []core.Value, opts core.EvalOpti
 func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.Value, opts core.EvalOptions) (energy.Dist, *EvalResponse, error) {
 	req := c.EvalRequestFor(name, method, args, opts)
 	req.DeadlineMs = int(c.Deadline / time.Millisecond)
-	var resp EvalResponse
-	var err error
-	if c.Binary {
-		err = c.doBin(ctx, "/v1/eval",
-			func(pb *bytes.Buffer) error { return EncodeEvalRequest(pb, &req) },
-			func(data []byte, binary bool) error {
-				if !binary {
-					return json.Unmarshal(data, &resp)
-				}
-				r, derr := DecodeEvalResponse(data)
-				if derr != nil {
-					return derr
-				}
-				resp = *r
-				return nil
-			}, true)
-	} else {
-		err = c.doCtx(ctx, http.MethodPost, "/v1/eval", req, &resp, true)
-	}
+	resp, err := EvalEndpoint.call(ctx, c, &req)
 	if err != nil {
 		return energy.Dist{}, nil, err
 	}
@@ -549,7 +478,7 @@ func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.V
 	if err != nil {
 		return energy.Dist{}, nil, fmt.Errorf("eisvc: malformed distribution from daemon: %w", err)
 	}
-	return d, &resp, nil
+	return d, resp, nil
 }
 
 // EvalBatch submits a slice of wire-level eval requests in one round trip
@@ -573,26 +502,7 @@ func (c *Client) EvalBatchCtx(ctx context.Context, reqs []EvalRequest) ([]BatchE
 			reqs[i].DeadlineMs = int(c.Deadline / time.Millisecond)
 		}
 	}
-	var resp BatchEvalResponse
-	var err error
-	if c.Binary {
-		breq := BatchEvalRequest{Requests: reqs}
-		err = c.doBin(ctx, "/v1/evalbatch",
-			func(pb *bytes.Buffer) error { return EncodeBatchEvalRequest(pb, &breq) },
-			func(data []byte, binary bool) error {
-				if !binary {
-					return json.Unmarshal(data, &resp)
-				}
-				r, derr := DecodeBatchEvalResponse(data)
-				if derr != nil {
-					return derr
-				}
-				resp = *r
-				return nil
-			}, true)
-	} else {
-		err = c.doCtx(ctx, http.MethodPost, "/v1/evalbatch", BatchEvalRequest{Requests: reqs}, &resp, true)
-	}
+	resp, err := EvalBatchEndpoint.call(ctx, c, &BatchEvalRequest{Requests: reqs})
 	if err != nil {
 		return nil, err
 	}
@@ -637,26 +547,7 @@ func (c *Client) CacheLookup(key string) (energy.Dist, bool, error) {
 // dedicated client with a short Timeout and no retry policy — a slow
 // peer must cost less than evaluating locally.
 func (c *Client) CacheLookupCtx(ctx context.Context, key string) (energy.Dist, bool, error) {
-	var resp CacheLookupResponse
-	var err error
-	if c.Binary {
-		req := CacheLookupRequest{Key: key}
-		err = c.doBin(ctx, "/v1/cachelookup",
-			func(pb *bytes.Buffer) error { return EncodeCacheLookupRequest(pb, &req) },
-			func(data []byte, binary bool) error {
-				if !binary {
-					return json.Unmarshal(data, &resp)
-				}
-				r, derr := DecodeCacheLookupResponse(data)
-				if derr != nil {
-					return derr
-				}
-				resp = *r
-				return nil
-			}, true)
-	} else {
-		err = c.doCtx(ctx, http.MethodPost, "/v1/cachelookup", CacheLookupRequest{Key: key}, &resp, true)
-	}
+	resp, err := CacheLookupEndpoint.call(ctx, c, &CacheLookupRequest{Key: key})
 	if err != nil {
 		return energy.Dist{}, false, err
 	}
@@ -677,9 +568,5 @@ func (c *Client) Stats() (*StatsResponse, error) {
 
 // StatsCtx is Stats bounded by ctx.
 func (c *Client) StatsCtx(ctx context.Context) (*StatsResponse, error) {
-	var resp StatsResponse
-	if err := c.doCtx(ctx, http.MethodGet, "/v1/stats", nil, &resp, true); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return callJSON[StatsResponse](ctx, c, http.MethodGet, "/v1/stats", nil, true)
 }

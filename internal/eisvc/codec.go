@@ -28,7 +28,9 @@ import (
 // as BinaryContentType and offers the same in Accept; the server decodes
 // by Content-Type and answers binary only when Accept asks for it.
 // Errors are always JSON (ErrorResponse) — the debug path must stay
-// readable exactly when something went wrong.
+// readable exactly when something went wrong. This file is only the
+// byte layouts; which codec a given body is in, and which the caller
+// wants back, is decided in endpoint.go.
 
 // BinaryContentType is the negotiated media type of the binary codec.
 const BinaryContentType = "application/x-eisvc-bin"
@@ -403,9 +405,7 @@ func (d *bdec) wireDist() WireDist {
 }
 
 // evalRequestBody encodes the request payload without the frame header,
-// shared by the single and batch encodings. The interface name comes
-// first so the fleet router can route a frame after decoding only a
-// short prefix.
+// shared by the single and batch encodings.
 func (e *benc) evalRequestBody(req *EvalRequest) error {
 	e.str(req.Interface)
 	e.str(req.Method)
@@ -480,19 +480,6 @@ func DecodeEvalRequest(data []byte) (*EvalRequest, error) {
 		return nil, err
 	}
 	return &req, nil
-}
-
-// BinaryRequestInterface peeks the interface name out of a binary
-// eval-request frame without decoding the rest — the fleet router's
-// routing key for verbatim passthrough.
-func BinaryRequestInterface(data []byte) (string, bool) {
-	d := &bdec{data: data}
-	d.header(kindEvalRequest)
-	name := d.str()
-	if d.err != nil {
-		return "", false
-	}
-	return name, true
 }
 
 // Response flag bits.
@@ -753,9 +740,7 @@ func (d *bdec) optimizePoint() OptimizePoint {
 	return p
 }
 
-// EncodeOptimizeRequest appends the binary frame for req to buf. The
-// interface name comes first so the fleet router can route the frame
-// after decoding only a short prefix (BinaryOptimizeInterface).
+// EncodeOptimizeRequest appends the binary frame for req to buf.
 func EncodeOptimizeRequest(buf *bytes.Buffer, req *OptimizeRequest) error {
 	e := &benc{buf: buf}
 	e.header(kindOptimizeRequest)
@@ -795,19 +780,6 @@ func DecodeOptimizeRequest(data []byte) (*OptimizeRequest, error) {
 		return nil, err
 	}
 	return &req, nil
-}
-
-// BinaryOptimizeInterface peeks the interface name out of a binary
-// optimize-request frame without decoding the rest — the fleet router's
-// routing key for verbatim passthrough.
-func BinaryOptimizeInterface(data []byte) (string, bool) {
-	d := &bdec{data: data}
-	d.header(kindOptimizeRequest)
-	name := d.str()
-	if d.err != nil {
-		return "", false
-	}
-	return name, true
 }
 
 // Optimize-response flag bits (which optional points are present).

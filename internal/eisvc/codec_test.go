@@ -72,9 +72,6 @@ func TestCodecEvalRequestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(req, got) {
 		t.Fatalf("round trip mismatch:\n in  %#v\n out %#v", req, got)
 	}
-	if name, ok := BinaryRequestInterface(buf.Bytes()); !ok || name != "mlservice" {
-		t.Fatalf("BinaryRequestInterface = %q, %v", name, ok)
-	}
 }
 
 func TestCodecEvalRequestDeterministic(t *testing.T) {
@@ -245,9 +242,6 @@ func TestCodecOptimizeRequestRoundTrip(t *testing.T) {
 			if got.Knobs[i].Name != req.Knobs[i].Name || !bitsEqual(got.Knobs[i].Values, req.Knobs[i].Values) {
 				t.Fatalf("knob %d not bit-identical: %#v", i, got.Knobs[i])
 			}
-		}
-		if name, ok := BinaryOptimizeInterface(buf.Bytes()); !ok || name != req.Interface {
-			t.Fatalf("BinaryOptimizeInterface = %q, %v", name, ok)
 		}
 		var again bytes.Buffer
 		if err := EncodeOptimizeRequest(&again, got); err != nil || !bytes.Equal(buf.Bytes(), again.Bytes()) {

@@ -102,11 +102,7 @@ func (s *Server) InstallCalibration(stack, path, device string, dev *core.Interf
 	if err != nil {
 		return 0, err
 	}
-	if s.layer != nil {
-		// Rebind clones the path with fresh interface versions, so old
-		// layer-cache entries are unreachable; record the event.
-		s.layer.NoteInvalidation()
-	}
+	s.noteInvalidation()
 	return version, nil
 }
 
@@ -128,7 +124,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		resp.Recalibrating = ctl.Recalibrating()
 		resp.Generation = ctl.Status().Generations
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleDrift serves the drift monitor's state and the calibration
@@ -136,7 +132,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 	ctl := s.DriftController()
 	if ctl == nil {
-		writeError(w, http.StatusNotFound, "drift monitoring not enabled")
+		WriteError(w, http.StatusNotFound, "drift monitoring not enabled")
 		return
 	}
 	st := ctl.Status()
@@ -179,5 +175,5 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 			Time:       g.Time,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

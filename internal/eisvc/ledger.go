@@ -53,17 +53,16 @@ func (l *Ledger) Record(client, iface string, d energy.Dist, cached bool) {
 
 // Snapshot returns copies of both attribution maps.
 func (l *Ledger) Snapshot() (clients, ifaces map[string]LedgerEntry) {
+	copyOf := func(m map[string]*LedgerEntry) map[string]LedgerEntry {
+		out := make(map[string]LedgerEntry, len(m))
+		for k, e := range m {
+			out[k] = *e
+		}
+		return out
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	clients = make(map[string]LedgerEntry, len(l.byClient))
-	for k, e := range l.byClient {
-		clients[k] = *e
-	}
-	ifaces = make(map[string]LedgerEntry, len(l.byIface))
-	for k, e := range l.byIface {
-		ifaces[k] = *e
-	}
-	return clients, ifaces
+	return copyOf(l.byClient), copyOf(l.byIface)
 }
 
 // latencies tracks request latency: exact count/mean/max over the

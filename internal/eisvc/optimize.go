@@ -1,9 +1,7 @@
 package eisvc
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -21,35 +19,9 @@ import (
 // sweep cannot bypass the worker-slot bounds. The frontier itself is
 // pure math over the samples; with the engine bit-deterministic at any
 // parallelism, so is the sweep digest.
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.optimizeRequests.Add(1)
-	s.noteResilience(r)
-	release, admitted := s.beginEval()
-	if !admitted {
-		s.shedForDrain(w)
-		return
-	}
-	defer release()
-	var req OptimizeRequest
-	if binaryRequest(r) {
-		ok := readBody(w, r, func(data []byte) error {
-			rq, err := DecodeOptimizeRequest(data)
-			if err != nil {
-				return err
-			}
-			req = *rq
-			return nil
-		})
-		if !ok {
-			return
-		}
-	} else if !decodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) handleOptimize(r *http.Request, req *OptimizeRequest) (*OptimizeResponse, error) {
 	if req.EnergyMethod == "" || req.LatencyMethod == "" {
-		writeError(w, http.StatusBadRequest, "optimize: energy_method and latency_method are required")
-		return
+		return nil, reject(http.StatusBadRequest, "optimize: energy_method and latency_method are required")
 	}
 	if req.Mode == "" {
 		req.Mode = core.ModeExpected.String()
@@ -64,10 +36,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		Seed:      req.Seed,
 		EnumLimit: req.EnumLimit,
 	}
-	iface, version, _, opts, status, msg := s.checkEvalRequest(&probe)
-	if status != 0 {
-		writeError(w, status, "%s", msg)
-		return
+	iface, version, _, opts, rej := s.checkEvalRequest(&probe)
+	if rej != nil {
+		return nil, rej
 	}
 	space := make(autoopt.Space, len(req.Knobs))
 	for i, k := range req.Knobs {
@@ -78,25 +49,22 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		maxConfigs = autoopt.DefaultMaxConfigs
 	}
 	if err := space.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "optimize: %v", err)
-		return
+		return nil, reject(http.StatusBadRequest, "optimize: %v", err)
 	}
 	if n := space.Size(); n > maxConfigs {
-		writeError(w, http.StatusBadRequest, "optimize: knob space has %d configurations, cap is %d", n, maxConfigs)
-		return
+		return nil, reject(http.StatusBadRequest, "optimize: knob space has %d configurations, cap is %d", n, maxConfigs)
 	}
 
 	spec := autoopt.Spec{Space: space, SLOMs: req.SLOMs, MaxConfigs: maxConfigs}
 	wait := s.deadlineFor(&EvalRequest{DeadlineMs: req.DeadlineMs})
-	res, err := autoopt.Sweep(r.Context(), spec, s.sweepEvaluator(&req, version, iface, opts, wait))
+	res, err := autoopt.Sweep(r.Context(), spec, s.sweepEvaluator(req, version, iface, opts, wait))
 	if err != nil {
-		writeEvalError(w, err)
-		return
+		return nil, err
 	}
 	s.optimizeEvals.Add(uint64(res.Evals))
 	s.optimizeMemoServed.Add(uint64(res.MemoServed))
 
-	resp := OptimizeResponse{
+	return &OptimizeResponse{
 		Interface:   req.Interface,
 		Version:     version,
 		Mode:        opts.Mode.String(),
@@ -113,13 +81,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		MaxPerf:     wirePoint(res.MaxPerf),
 		SavingsFrac: res.SavingsFrac,
 		Node:        s.cfg.NodeID,
-	}
-	s.lat.observe(float64(time.Since(start)) / float64(time.Millisecond))
-	if wantsBinary(r) {
-		writeBin(w, http.StatusOK, func(buf *bytes.Buffer) error { return EncodeOptimizeResponse(buf, &resp) })
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	}, nil
 }
 
 // sweepEvaluator resolves grid configurations concurrently — up to the
@@ -145,10 +107,7 @@ func (s *Server) sweepEvaluator(req *OptimizeRequest, version uint64, iface *cor
 			go func(i int, cfg []float64) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				args := make([]core.Value, len(cfg))
-				for j, v := range cfg {
-					args[j] = core.Num(v)
-				}
+				args := numArgs(cfg)
 				evalOne := func(method string) (evalOutcome, bool, error) {
 					key := memoKey(req.Interface, version, method, args, opts)
 					o, coalesced, err := s.evalShared(ctx, wait, key, iface, method, args, opts)
@@ -191,6 +150,15 @@ func (s *Server) sweepEvaluator(req *OptimizeRequest, version uint64, iface *cor
 	}
 }
 
+// numArgs turns one grid configuration into evaluation arguments.
+func numArgs(cfg []float64) []core.Value {
+	args := make([]core.Value, len(cfg))
+	for j, v := range cfg {
+		args[j] = core.Num(v)
+	}
+	return args
+}
+
 func wirePoints(pts []autoopt.Point) []OptimizePoint {
 	out := make([]OptimizePoint, len(pts))
 	for i, p := range pts {
@@ -229,29 +197,7 @@ func (c *Client) OptimizeCtx(ctx context.Context, req OptimizeRequest) (*Optimiz
 	case req.DeadlineMs == 0 && c.Deadline > 0:
 		req.DeadlineMs = int(c.Deadline / time.Millisecond)
 	}
-	var resp OptimizeResponse
-	var err error
-	if c.Binary {
-		err = c.doBin(ctx, "/v1/optimize",
-			func(pb *bytes.Buffer) error { return EncodeOptimizeRequest(pb, &req) },
-			func(data []byte, binary bool) error {
-				if !binary {
-					return json.Unmarshal(data, &resp)
-				}
-				r, derr := DecodeOptimizeResponse(data)
-				if derr != nil {
-					return derr
-				}
-				resp = *r
-				return nil
-			}, true)
-	} else {
-		err = c.doCtx(ctx, http.MethodPost, "/v1/optimize", req, &resp, true)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return OptimizeEndpoint.call(ctx, c, &req)
 }
 
 // DefaultSweepBatch chunks BatchEvaluator's /v1/evalbatch queries.
@@ -275,10 +221,7 @@ func (c *Client) BatchEvaluator(name, energyMethod, latencyMethod string, opts c
 		out := make([]autoopt.Sample, len(grid))
 		reqs := make([]EvalRequest, 0, 2*len(grid))
 		for _, cfg := range grid {
-			args := make([]core.Value, len(cfg))
-			for j, v := range cfg {
-				args[j] = core.Num(v)
-			}
+			args := numArgs(cfg)
 			reqs = append(reqs,
 				c.EvalRequestFor(name, energyMethod, args, opts),
 				c.EvalRequestFor(name, latencyMethod, args, opts))

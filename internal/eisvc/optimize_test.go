@@ -217,7 +217,7 @@ func TestOptimizeRetriesShed(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/optimize" && n.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "0")
-			writeError(w, http.StatusServiceUnavailable, "shedding")
+			WriteError(w, http.StatusServiceUnavailable, "shedding")
 			return
 		}
 		srv.ServeHTTP(w, r)

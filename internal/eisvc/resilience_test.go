@@ -55,10 +55,10 @@ func TestClientRetriesShed(t *testing.T) {
 		mu.Unlock()
 		if n.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "0")
-			writeError(w, http.StatusServiceUnavailable, "shedding")
+			WriteError(w, http.StatusServiceUnavailable, "shedding")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	}))
 	defer ts.Close()
 
@@ -86,7 +86,7 @@ func TestClientRetryExhaustion(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		n.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue full")
+		WriteError(w, http.StatusTooManyRequests, "queue full")
 	}))
 	defer ts.Close()
 
@@ -111,7 +111,7 @@ func TestClientNeverRetriesMutations(t *testing.T) {
 	var n atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		n.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "shedding")
+		WriteError(w, http.StatusServiceUnavailable, "shedding")
 	}))
 	defer ts.Close()
 
@@ -156,7 +156,7 @@ func TestClientHedging(t *testing.T) {
 			<-r.Context().Done() // primary hangs until cancelled
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	}))
 	defer ts.Close()
 

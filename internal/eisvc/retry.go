@@ -61,26 +61,24 @@ func RetryPolicyFromEnv() *RetryPolicy {
 			p.MaxAttempts = n
 		}
 	}
-	if v := os.Getenv(EnvRetryBase); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			p.BaseDelay = d
-		}
+	if d := envDuration(EnvRetryBase); d > 0 {
+		p.BaseDelay = d
 	}
-	if v := os.Getenv(EnvRetryMaxDelay); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			p.MaxDelay = d
-		}
+	if d := envDuration(EnvRetryMaxDelay); d > 0 {
+		p.MaxDelay = d
 	}
 	return p
 }
 
 // HedgeFromEnv returns the EISVC_HEDGE_AFTER duration, or 0 (hedging off)
 // when unset or malformed.
-func HedgeFromEnv() time.Duration {
-	if v := os.Getenv(EnvHedgeAfter); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			return d
-		}
+func HedgeFromEnv() time.Duration { return envDuration(EnvHedgeAfter) }
+
+// envDuration reads a positive Go duration from the environment; unset,
+// malformed and non-positive values are all 0.
+func envDuration(name string) time.Duration {
+	if d, err := time.ParseDuration(os.Getenv(name)); err == nil && d > 0 {
+		return d
 	}
 	return 0
 }

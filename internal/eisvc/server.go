@@ -1,7 +1,6 @@
 package eisvc
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,34 +60,25 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueLimit <= 0 {
-		c.QueueLimit = 64
-	}
-	if c.MemoCapacity <= 0 {
-		c.MemoCapacity = 1024
-	}
+	defaultTo(&c.Workers, runtime.GOMAXPROCS(0))
+	defaultTo(&c.QueueLimit, 64)
+	defaultTo(&c.MemoCapacity, 1024)
 	if c.NoMemo {
 		c.MemoCapacity = 0
 	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 5 * time.Second
-	}
-	if c.MaxSamples <= 0 {
-		c.MaxSamples = 1 << 20
-	}
-	if c.MaxEnumLimit <= 0 {
-		c.MaxEnumLimit = 1 << 20
-	}
-	if c.LayerCapacity <= 0 {
-		c.LayerCapacity = core.DefaultLayerCapacity
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1024
-	}
+	defaultTo(&c.DefaultDeadline, 5*time.Second)
+	defaultTo(&c.MaxSamples, 1<<20)
+	defaultTo(&c.MaxEnumLimit, 1<<20)
+	defaultTo(&c.LayerCapacity, core.DefaultLayerCapacity)
+	defaultTo(&c.MaxBatch, 1024)
 	return c
+}
+
+// defaultTo fills an unset (zero or negative) knob with its default.
+func defaultTo[T int | time.Duration](knob *T, def T) {
+	if *knob <= 0 {
+		*knob = def
+	}
 }
 
 // Server is the energy-interface daemon: an http.Handler exposing the
@@ -176,10 +165,13 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/interfaces/{name}", s.handleDescribe)
 	s.mux.HandleFunc("GET /v1/interfaces/{name}/source", s.handleSource)
 	s.mux.HandleFunc("POST /v1/rebind", s.handleRebind)
-	s.mux.HandleFunc("POST /v1/eval", s.handleEval)
-	s.mux.HandleFunc("POST /v1/evalbatch", s.handleEvalBatch)
-	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	s.mux.HandleFunc("POST /v1/cachelookup", s.handleCacheLookup)
+	serve(s, EvalEndpoint, &s.evalRequests, s.handleEval)
+	serve(s, EvalBatchEndpoint, &s.batchRequests, s.handleEvalBatch)
+	serve(s, OptimizeEndpoint, &s.optimizeRequests, s.handleOptimize)
+	// A memo probe is not evaluation work: it is uncounted here, takes no
+	// part in drain accounting, and so keeps answering while the node
+	// drains (see handleCacheLookup).
+	serve(s, CacheLookupEndpoint, nil, s.handleCacheLookup)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	return s
 }
@@ -198,10 +190,21 @@ func (s *Server) NodeID() string { return s.cfg.NodeID }
 // so entries keyed by the old versions are unreachable.
 func (s *Server) ApplyRegistrySnapshot(snap RegistrySnapshot) int {
 	applied := s.reg.ApplySnapshot(snap)
-	if applied > 0 && s.layer != nil {
-		s.layer.NoteInvalidation()
+	if applied > 0 {
+		s.noteInvalidation()
 	}
 	return applied
+}
+
+// noteInvalidation records that the registry just handed out fresh
+// interface versions — a re-registration versions the whole stack, a
+// rebind clones only the rebound path — so layer-cache entries keyed by
+// the old versions are unreachable (an implicit invalidation), while
+// entries for untouched sibling subtrees stay live.
+func (s *Server) noteInvalidation() {
+	if s.layer != nil {
+		s.layer.NoteInvalidation()
+	}
 }
 
 // PeerLookup asks the rest of the fleet for a memoized answer by its
@@ -227,23 +230,27 @@ func (s *Server) SetPeerLookup(fn PeerLookup) {
 
 // beginEval admits one evaluation request into the drain accounting; it
 // returns false when the server is draining (the caller must shed with
-// 503) and otherwise a release that must run when the request finishes.
-func (s *Server) beginEval() (release func(), ok bool) {
+// 503), and otherwise settle(-1) must run when the request finishes.
+func (s *Server) beginEval() bool {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	if s.draining {
-		return nil, false
+		return false
 	}
 	s.inflight++
-	return func() {
-		s.drainMu.Lock()
-		s.inflight--
-		settled := s.draining && s.inflight == 0
-		s.drainMu.Unlock()
-		if settled {
-			s.idleOnce.Do(func() { close(s.idle) })
-		}
-	}, true
+	return true
+}
+
+// settle adjusts the in-flight count by delta and closes idle once a
+// draining server has nothing left in flight.
+func (s *Server) settle(delta int) {
+	s.drainMu.Lock()
+	s.inflight += delta
+	settled := s.draining && s.inflight == 0
+	s.drainMu.Unlock()
+	if settled {
+		s.idleOnce.Do(func() { close(s.idle) })
+	}
 }
 
 // BeginDrain stops admitting evaluation work: /v1/eval and /v1/evalbatch
@@ -254,11 +261,8 @@ func (s *Server) beginEval() (release func(), ok bool) {
 func (s *Server) BeginDrain() {
 	s.drainMu.Lock()
 	s.draining = true
-	settled := s.inflight == 0
 	s.drainMu.Unlock()
-	if settled {
-		s.idleOnce.Do(func() { close(s.idle) })
-	}
+	s.settle(0)
 }
 
 // Drain begins draining (if not already) and blocks until every in-flight
@@ -295,7 +299,7 @@ func (s *Server) InFlight() int {
 func (s *Server) shedForDrain(w http.ResponseWriter) {
 	s.shedDraining.Add(1)
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, "eisvc: draining — not admitting new evaluations")
+	WriteError(w, http.StatusServiceUnavailable, "eisvc: draining — not admitting new evaluations")
 }
 
 // noteResilience aggregates the client-reported retry/hedge headers so
@@ -320,77 +324,70 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// serve registers one endpoint-table entry on the mux: read (bounded,
+// decoded by Content-Type) → handle → write (encoded per Accept), a
+// handler error going out through evalStatus. A non-nil counter marks an
+// evaluation route and adds what all of those share: count the request,
+// note its resilience headers, pass the drain gate (503 once draining),
+// and record the latency of every answered request.
+func serve[Req, Resp any](s *Server, ep *Endpoint[Req, Resp], counter *atomic.Uint64, handle func(*http.Request, *Req) (*Resp, error)) {
+	s.mux.HandleFunc("POST "+ep.Path, func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		if counter != nil {
+			counter.Add(1)
+			s.noteResilience(r)
+			if !s.beginEval() {
+				s.shedForDrain(w)
+				return
+			}
+			defer s.settle(-1)
+		}
+		req := ep.Read(w, r)
+		if req == nil {
+			return
+		}
+		resp, err := handle(r, req)
+		if err != nil {
+			writeEvalError(w, err)
+			return
+		}
+		if counter != nil {
+			s.lat.observe(float64(time.Since(start)) / float64(time.Millisecond))
+		}
+		ep.Write(w, r, resp)
+	})
+}
+
 // --- helpers ---
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	// Encode through a pooled buffer: one reusable allocation instead of
-	// the encoder's per-call growth, and an exact Content-Length.
+// WriteJSON answers with v as JSON. It encodes through a pooled buffer:
+// one reusable allocation instead of the encoder's per-call growth, and
+// an exact Content-Length.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	writeBody(w, status, jsonContentType, buf)
 }
 
-// writeBin answers with a binary frame produced by encode. Encoding
-// failures (an unsupported value type snuck into a payload) fall back to
-// a JSON 500 — the error path stays human-readable.
-func writeBin(w http.ResponseWriter, status int, encode func(*bytes.Buffer) error) {
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	if err := encode(buf); err != nil {
-		writeError(w, http.StatusInternalServerError, "binary encode: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", BinaryContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+// WriteError answers with the JSON ErrorResponse every non-2xx carries.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// binaryRequest reports whether the request body is a binary frame.
-func binaryRequest(r *http.Request) bool {
-	return IsBinaryContentType(r.Header.Get("Content-Type"))
-}
-
-// wantsBinary reports whether the client asked for a binary answer. The
-// check is a substring match so a multi-valued Accept ("application/
-// x-eisvc-bin, application/json") negotiates correctly.
-func wantsBinary(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), BinaryContentType)
-}
-
-// readBody drains the request body through a pooled buffer and hands the
-// bytes to decode; whatever decode keeps must be a copy (the binary
-// decoders copy everything). A false return means the 400 was written.
-func readBody(w http.ResponseWriter, r *http.Request, decode func(data []byte) error) bool {
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return false
-	}
-	if err := decode(buf.Bytes()); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
+// decodeJSON reads a JSON-only request (register, rebind) through the
+// same bounded reader as the negotiated routes.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	if !ReadBody(w, r, buf) {
+		return false
+	}
+	if err := decodeStrictJSON(buf.Bytes(), v); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
@@ -407,7 +404,7 @@ func clientID(r *http.Request) string {
 // --- handlers ---
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "interfaces": s.reg.Len()})
+	WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "interfaces": s.reg.Len()})
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -416,41 +413,37 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Source == "" {
-		writeError(w, http.StatusBadRequest, "empty source")
+		WriteError(w, http.StatusBadRequest, "empty source")
 		return
 	}
 	names, err := s.reg.RegisterSource(req.Source)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "register: %v", err)
+		WriteError(w, http.StatusUnprocessableEntity, "register: %v", err)
 		return
 	}
-	if s.layer != nil {
-		// Re-registration gives the stack fresh interface versions; old
-		// layer-cache entries become unreachable (implicit invalidation).
-		s.layer.NoteInvalidation()
-	}
+	s.noteInvalidation()
 	resp := RegisterResponse{}
 	for _, name := range names {
 		iface, version, _ := s.reg.Get(name)
 		resp.Registered = append(resp.Registered, infoFor(name, version, iface, false))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"interfaces": s.reg.List()})
+	WriteJSON(w, http.StatusOK, map[string]any{"interfaces": s.reg.List()})
 }
 
 func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	iface, version, ok := s.reg.Get(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no interface %q", name)
+		WriteError(w, http.StatusNotFound, "no interface %q", name)
 		return
 	}
 	_, native, _ := s.reg.Source(name)
 	info := infoFor(name, version, iface, native)
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"interface": info,
 		"describe":  iface.Describe(),
 	})
@@ -460,14 +453,14 @@ func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	src, native, ok := s.reg.Source(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no interface %q", name)
+		WriteError(w, http.StatusNotFound, "no interface %q", name)
 		return
 	}
 	if native {
-		writeError(w, http.StatusNotFound, "interface %q is native (built in Go); no EIL source", name)
+		WriteError(w, http.StatusNotFound, "interface %q is native (built in Go); no EIL source", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, SourceResponse{Name: name, Source: src})
+	WriteJSON(w, http.StatusOK, SourceResponse{Name: name, Source: src})
 }
 
 func (s *Server) handleRebind(w http.ResponseWriter, r *http.Request) {
@@ -481,15 +474,11 @@ func (s *Server) handleRebind(w http.ResponseWriter, r *http.Request) {
 		if _, _, ok := s.reg.Get(req.Interface); !ok {
 			status = http.StatusNotFound
 		}
-		writeError(w, status, "rebind: %v", err)
+		WriteError(w, status, "rebind: %v", err)
 		return
 	}
-	if s.layer != nil {
-		// The rebind clone carries fresh versions along the rebound path;
-		// entries for the untouched sibling subtrees stay live.
-		s.layer.NoteInvalidation()
-	}
-	writeJSON(w, http.StatusOK, RebindResponse{Interface: req.Interface, Version: version})
+	s.noteInvalidation()
+	WriteJSON(w, http.StatusOK, RebindResponse{Interface: req.Interface, Version: version})
 }
 
 // evalOutcome is what one coalesced evaluation produces: the distribution
@@ -565,32 +554,34 @@ func (s *Server) evalShared(ctx context.Context, wait time.Duration, key string,
 	return out, coalesced, err
 }
 
-// evalFailed wraps an Interface.Eval error so writeEvalError can tell a
+// evalFailed wraps an Interface.Eval error so evalStatus can tell a
 // malformed-evaluation failure (422) from admission shedding (429/503).
 type evalFailed struct{ err error }
 
 func (e *evalFailed) Error() string { return e.err.Error() }
 func (e *evalFailed) Unwrap() error { return e.err }
 
-// writeEvalError maps an evalShared error onto the wire.
-func writeEvalError(w http.ResponseWriter, err error) {
-	var ef *evalFailed
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, ErrDeadline), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.As(err, &ef):
-		writeError(w, http.StatusUnprocessableEntity, "eval: %v", ef.err)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	}
+// rejection is a request the handler refuses before evaluating anything:
+// a cap exceeded, a malformed field, an unknown interface.
+type rejection struct {
+	status int
+	msg    string
 }
 
-// evalStatus is writeEvalError's status mapping, for per-item batch errors.
+func (e *rejection) Error() string { return e.msg }
+
+func reject(status int, format string, args ...any) *rejection {
+	return &rejection{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+// evalStatus maps a handler error onto its HTTP status, for whole
+// responses (writeEvalError) and per-item batch errors alike.
 func evalStatus(err error) int {
 	var ef *evalFailed
+	var rej *rejection
 	switch {
+	case errors.As(err, &rej):
+		return rej.status
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDeadline), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -602,31 +593,41 @@ func evalStatus(err error) int {
 	}
 }
 
+// writeEvalError answers a failed request. An evaluation failure is
+// reported as such, without whatever context wrapped it on the way up.
+func writeEvalError(w http.ResponseWriter, err error) {
+	var ef *evalFailed
+	if errors.As(err, &ef) {
+		WriteError(w, evalStatus(err), "eval: %v", ef.err)
+		return
+	}
+	WriteError(w, evalStatus(err), "%v", err)
+}
+
 // checkEvalRequest validates caps and converts the wire request; it
-// returns the parsed pieces or a (status, message) rejection.
-func (s *Server) checkEvalRequest(req *EvalRequest) (iface *core.Interface, version uint64, args []core.Value, opts core.EvalOptions, status int, errMsg string) {
+// returns the parsed pieces or the rejection to answer with.
+func (s *Server) checkEvalRequest(req *EvalRequest) (iface *core.Interface, version uint64, args []core.Value, opts core.EvalOptions, rej *rejection) {
 	if req.Samples > s.cfg.MaxSamples {
-		return nil, 0, nil, core.EvalOptions{}, http.StatusBadRequest,
-			fmt.Sprintf("samples %d exceeds server cap %d", req.Samples, s.cfg.MaxSamples)
+		return nil, 0, nil, core.EvalOptions{}, reject(http.StatusBadRequest,
+			"samples %d exceeds server cap %d", req.Samples, s.cfg.MaxSamples)
 	}
 	if req.EnumLimit > s.cfg.MaxEnumLimit {
-		return nil, 0, nil, core.EvalOptions{}, http.StatusBadRequest,
-			fmt.Sprintf("enum_limit %d exceeds server cap %d", req.EnumLimit, s.cfg.MaxEnumLimit)
+		return nil, 0, nil, core.EvalOptions{}, reject(http.StatusBadRequest,
+			"enum_limit %d exceeds server cap %d", req.EnumLimit, s.cfg.MaxEnumLimit)
 	}
 	opts, err := req.Options()
 	if err != nil {
-		return nil, 0, nil, core.EvalOptions{}, http.StatusBadRequest, err.Error()
+		return nil, 0, nil, core.EvalOptions{}, reject(http.StatusBadRequest, "%v", err)
 	}
 	args, err = argsFromJSON(req.Args)
 	if err != nil {
-		return nil, 0, nil, core.EvalOptions{}, http.StatusBadRequest, err.Error()
+		return nil, 0, nil, core.EvalOptions{}, reject(http.StatusBadRequest, "%v", err)
 	}
 	iface, version, ok := s.reg.Get(req.Interface)
 	if !ok {
-		return nil, 0, nil, core.EvalOptions{}, http.StatusNotFound,
-			fmt.Sprintf("no interface %q", req.Interface)
+		return nil, 0, nil, core.EvalOptions{}, reject(http.StatusNotFound, "no interface %q", req.Interface)
 	}
-	return iface, version, args, opts, 0, ""
+	return iface, version, args, opts, nil
 }
 
 // deadlineFor returns the queue-wait bound for a request. DeadlineMs <= 0
@@ -639,45 +640,18 @@ func (s *Server) deadlineFor(req *EvalRequest) time.Duration {
 	return s.cfg.DefaultDeadline
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.evalRequests.Add(1)
-	s.noteResilience(r)
-	release, admitted := s.beginEval()
-	if !admitted {
-		s.shedForDrain(w)
-		return
+func (s *Server) handleEval(r *http.Request, req *EvalRequest) (*EvalResponse, error) {
+	iface, version, args, opts, rej := s.checkEvalRequest(req)
+	if rej != nil {
+		return nil, rej
 	}
-	defer release()
-	var req EvalRequest
-	if binaryRequest(r) {
-		ok := readBody(w, r, func(data []byte) error {
-			rq, err := DecodeEvalRequest(data)
-			if err != nil {
-				return err
-			}
-			req = *rq
-			return nil
-		})
-		if !ok {
-			return
-		}
-	} else if !decodeJSON(w, r, &req) {
-		return
-	}
-	iface, version, args, opts, status, msg := s.checkEvalRequest(&req)
-	if status != 0 {
-		writeError(w, status, "%s", msg)
-		return
-	}
-
 	key := memoKey(req.Interface, version, req.Method, args, opts)
-	out, coalesced, err := s.evalShared(r.Context(), s.deadlineFor(&req), key, iface, req.Method, args, opts)
+	out, coalesced, err := s.evalShared(r.Context(), s.deadlineFor(req), key, iface, req.Method, args, opts)
 	if err != nil {
-		writeEvalError(w, err)
-		return
+		return nil, err
 	}
-	resp := EvalResponse{
+	s.ledger.Record(clientID(r), req.Interface, out.dist, out.memoHit || coalesced)
+	return &EvalResponse{
 		Interface: req.Interface,
 		Version:   version,
 		Method:    req.Method,
@@ -687,14 +661,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		Coalesced: coalesced,
 		Peer:      out.peer,
 		Node:      s.cfg.NodeID,
-	}
-	s.ledger.Record(clientID(r), req.Interface, out.dist, out.memoHit || coalesced)
-	s.lat.observe(float64(time.Since(start)) / float64(time.Millisecond))
-	if wantsBinary(r) {
-		writeBin(w, http.StatusOK, func(buf *bytes.Buffer) error { return EncodeEvalResponse(buf, &resp) })
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	}, nil
 }
 
 // handleEvalBatch evaluates a slice of requests in one round trip. Items
@@ -703,101 +670,61 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 // each under the normal admission discipline (so a batch cannot bypass the
 // worker-slot and queue bounds; it can only stop paying for duplicates).
 // Item failures are per-item: a bad or shed item does not fail the batch.
-func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.batchRequests.Add(1)
-	s.noteResilience(r)
-	release, admitted := s.beginEval()
-	if !admitted {
-		s.shedForDrain(w)
-		return
-	}
-	defer release()
-	var req BatchEvalRequest
-	if binaryRequest(r) {
-		ok := readBody(w, r, func(data []byte) error {
-			rq, err := DecodeBatchEvalRequest(data)
-			if err != nil {
-				return err
-			}
-			req = *rq
-			return nil
-		})
-		if !ok {
-			return
-		}
-	} else if !decodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*BatchEvalResponse, error) {
 	if len(req.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
+		return nil, reject(http.StatusBadRequest, "empty batch")
 	}
 	if len(req.Requests) > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d exceeds server cap %d", len(req.Requests), s.cfg.MaxBatch)
-		return
+		return nil, reject(http.StatusBadRequest, "batch of %d exceeds server cap %d", len(req.Requests), s.cfg.MaxBatch)
 	}
 	s.batchItems.Add(uint64(len(req.Requests)))
 
-	type parsedItem struct {
-		iface   *core.Interface
-		version uint64
-		args    []core.Value
-		opts    core.EvalOptions
-		key     string
-	}
-	items := make([]BatchEvalItem, len(req.Requests))
-	parsed := make([]parsedItem, len(req.Requests))
-	// first maps a memo key to the first item index that produced it; later
-	// items with the same key share that item's evaluation.
-	first := map[string]int{}
-	for i := range req.Requests {
-		it := &req.Requests[i]
-		items[i] = BatchEvalItem{Interface: it.Interface, Method: it.Method}
-		iface, version, args, opts, status, msg := s.checkEvalRequest(it)
-		if status != 0 {
-			items[i].Status, items[i].Error = status, msg
-			continue
-		}
-		p := parsedItem{iface: iface, version: version, args: args, opts: opts}
-		p.key = memoKey(it.Interface, version, it.Method, args, opts)
-		parsed[i] = p
-		items[i].Version = version
-		items[i].Mode = opts.Mode.String()
-		if j, dup := first[p.key]; dup {
-			items[i].Deduped = true
-			parsed[i].key = parsed[j].key // same key; marker only
-		} else {
-			first[p.key] = i
-		}
-	}
-
-	// Evaluate each distinct key once, concurrently. evalShared also
-	// coalesces with in-flight singles and other batches.
+	// Evaluate each distinct key once, concurrently; evalShared also
+	// coalesces with in-flight singles and other batches. shared[i] is the
+	// evaluation item i rides on — its own, or for a duplicate the one the
+	// key's first item started — and nil for a rejected item.
 	type keyResult struct {
 		out       evalOutcome
 		coalesced bool
 		err       error
 	}
-	results := make(map[string]*keyResult, len(first))
+	items := make([]BatchEvalItem, len(req.Requests))
+	shared := make([]*keyResult, len(req.Requests))
+	byKey := map[string]*keyResult{}
 	var wg sync.WaitGroup
-	for key, i := range first {
-		kr := &keyResult{}
-		results[key] = kr
-		wg.Add(1)
-		go func(key string, it *EvalRequest, p parsedItem, kr *keyResult) {
-			defer wg.Done()
-			kr.out, kr.coalesced, kr.err = s.evalShared(r.Context(), s.deadlineFor(it), key, p.iface, it.Method, p.args, p.opts)
-		}(key, &req.Requests[i], parsed[i], kr)
+	for i := range req.Requests {
+		it := &req.Requests[i]
+		items[i] = BatchEvalItem{Interface: it.Interface, Method: it.Method}
+		iface, version, args, opts, rej := s.checkEvalRequest(it)
+		if rej != nil {
+			items[i].Status, items[i].Error = rej.status, rej.msg
+			continue
+		}
+		items[i].Version = version
+		items[i].Mode = opts.Mode.String()
+		key := memoKey(it.Interface, version, it.Method, args, opts)
+		kr, dup := byKey[key]
+		if dup {
+			items[i].Deduped = true
+		} else {
+			kr = &keyResult{}
+			byKey[key] = kr
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				kr.out, kr.coalesced, kr.err = s.evalShared(r.Context(), s.deadlineFor(it), key, iface, it.Method, args, opts)
+			}()
+		}
+		shared[i] = kr
 	}
 	wg.Wait()
 
 	who := clientID(r)
 	for i := range items {
-		if items[i].Error != "" {
+		kr := shared[i]
+		if kr == nil {
 			continue
 		}
-		kr := results[parsed[i].key]
 		if kr.err != nil {
 			items[i].Status, items[i].Error = evalStatus(kr.err), kr.err.Error()
 			continue
@@ -811,14 +738,7 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		s.ledger.Record(who, items[i].Interface, kr.out.dist,
 			kr.out.memoHit || kr.coalesced || items[i].Deduped)
 	}
-	s.lat.observe(float64(time.Since(start)) / float64(time.Millisecond))
-	if wantsBinary(r) {
-		writeBin(w, http.StatusOK, func(buf *bytes.Buffer) error {
-			return EncodeBatchEvalResponse(buf, &BatchEvalResponse{Results: items})
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, BatchEvalResponse{Results: items})
+	return &BatchEvalResponse{Results: items}, nil
 }
 
 // handleCacheLookup answers a fleet peer's memo probe. It is a pure read
@@ -827,41 +747,19 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 // node drains: a draining node stops taking eval work but keeps donating
 // its warm cache until it is torn down (that is what makes rebalancing
 // free for warm keys).
-func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
-	var req CacheLookupRequest
-	if binaryRequest(r) {
-		ok := readBody(w, r, func(data []byte) error {
-			rq, err := DecodeCacheLookupRequest(data)
-			if err != nil {
-				return err
-			}
-			req = *rq
-			return nil
-		})
-		if !ok {
-			return
-		}
-	} else if !decodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) handleCacheLookup(_ *http.Request, req *CacheLookupRequest) (*CacheLookupResponse, error) {
 	if req.Key == "" {
-		writeError(w, http.StatusBadRequest, "empty key")
-		return
+		return nil, reject(http.StatusBadRequest, "empty key")
 	}
 	s.peerServed.Add(1)
-	d, hit := s.memo.Get(req.Key)
-	resp := CacheLookupResponse{Key: req.Key, Node: s.cfg.NodeID}
-	if hit {
+	resp := &CacheLookupResponse{Key: req.Key, Node: s.cfg.NodeID}
+	if d, hit := s.memo.Get(req.Key); hit {
 		s.peerServedHits.Add(1)
 		resp.Found = true
 		wd := ToWire(d)
 		resp.Dist = &wd
 	}
-	if wantsBinary(r) {
-		writeBin(w, http.StatusOK, func(buf *bytes.Buffer) error { return EncodeCacheLookupResponse(buf, &resp) })
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -921,9 +819,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.DriftSteps = s.driftSteps.Load()
 		resp.DriftStepErrors = s.driftErrors.Load()
 	}
-	if total := hits + misses; total > 0 {
-		resp.MemoHitRate = float64(hits) / float64(total)
-	}
 	if s.layer != nil {
 		ls := s.layer.Stats()
 		resp.LayerEnabled = true
@@ -932,13 +827,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.LayerEvictions = ls.Evictions
 		resp.LayerLen = ls.Len
 		resp.LayerInvalidations = ls.Invalidations
-		if total := ls.Hits + ls.Misses; total > 0 {
-			resp.LayerHitRate = float64(ls.Hits) / float64(total)
-		}
 	}
+	resp.deriveHitRates()
 	for _, e := range clients {
 		resp.AttribJ += e.MeanJ
 		resp.AttribP99J += e.P99J
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

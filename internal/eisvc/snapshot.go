@@ -136,18 +136,16 @@ func (s *Server) SaveCacheSnapshot(path string) error {
 	if err != nil {
 		return fmt.Errorf("eisvc: snapshot: %w", err)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("eisvc: snapshot: write: %w", err)
+	_, err = tmp.Write(buf.Bytes())
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("eisvc: snapshot: close: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("eisvc: snapshot: rename: %w", err)
+		return fmt.Errorf("eisvc: snapshot: %w", err) // the os error names the step
 	}
 	return nil
 }

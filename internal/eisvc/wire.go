@@ -2,6 +2,7 @@ package eisvc
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"energyclarity/internal/core"
@@ -166,22 +167,22 @@ type BatchEvalResponse struct {
 
 // LatencyStats summarizes request latencies (memo hits included).
 type LatencyStats struct {
-	Count  uint64  `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MaxMs  float64 `json:"max_ms"`
+	Count  uint64  `json:"count" fold:"sum"`
+	MeanMs float64 `json:"mean_ms" fold:"derived"`
+	P50Ms  float64 `json:"p50_ms" fold:"max"`
+	P99Ms  float64 `json:"p99_ms" fold:"max"`
+	MaxMs  float64 `json:"max_ms" fold:"max"`
 }
 
 // LedgerEntry aggregates the energy a client (or an interface) had
 // evaluated on its behalf: sums over the returned distributions' mean,
 // p99, and worst-case joules.
 type LedgerEntry struct {
-	Requests uint64  `json:"requests"`
-	MemoHits uint64  `json:"memo_hits"`
-	MeanJ    float64 `json:"mean_j"`
-	P99J     float64 `json:"p99_j"`
-	WorstJ   float64 `json:"worst_j"`
+	Requests uint64  `json:"requests" fold:"sum"`
+	MemoHits uint64  `json:"memo_hits" fold:"sum"`
+	MeanJ    float64 `json:"mean_j" fold:"sum"`
+	P99J     float64 `json:"p99_j" fold:"sum"`
+	WorstJ   float64 `json:"worst_j" fold:"sum"`
 }
 
 // CacheLookupRequest is a fleet peer's memo probe (POST /v1/cachelookup):
@@ -272,94 +273,168 @@ type OptimizeResponse struct {
 	Node        string          `json:"node,omitempty"`
 }
 
-// StatsResponse is the /v1/stats payload.
+// StatsResponse is the /v1/stats payload. Each field's fold tag says how
+// the fleet aggregate combines it across nodes (see Fold), so a new
+// counter brings its fold rule with it and the router needs no edit.
 type StatsResponse struct {
 	// NodeID names this daemon in a fleet ("" standalone).
-	NodeID string `json:"node_id,omitempty"`
+	NodeID string `json:"node_id,omitempty" fold:"node"`
 
-	Interfaces int `json:"interfaces"`
+	Interfaces int `json:"interfaces" fold:"max"`
 
-	EvalRequests  uint64  `json:"eval_requests"`
-	Evaluations   uint64  `json:"evaluations"` // actual Interface.Eval runs
-	MemoHits      uint64  `json:"memo_hits"`
-	MemoMisses    uint64  `json:"memo_misses"`
-	MemoEvictions uint64  `json:"memo_evictions"`
-	MemoLen       int     `json:"memo_len"`
-	MemoHitRate   float64 `json:"memo_hit_rate"`
+	EvalRequests  uint64  `json:"eval_requests" fold:"sum"`
+	Evaluations   uint64  `json:"evaluations" fold:"sum"` // actual Interface.Eval runs
+	MemoHits      uint64  `json:"memo_hits" fold:"sum"`
+	MemoMisses    uint64  `json:"memo_misses" fold:"sum"`
+	MemoEvictions uint64  `json:"memo_evictions" fold:"sum"`
+	MemoLen       int     `json:"memo_len" fold:"sum"`
+	MemoHitRate   float64 `json:"memo_hit_rate" fold:"derived"`
 
 	// Compositional layer cache (per-sub-interface results shared across
 	// evaluations; see core.LayerCache).
-	LayerEnabled       bool    `json:"layer_enabled"`
-	LayerHits          uint64  `json:"layer_hits"`
-	LayerMisses        uint64  `json:"layer_misses"`
-	LayerEvictions     uint64  `json:"layer_evictions"`
-	LayerLen           int     `json:"layer_len"`
-	LayerInvalidations uint64  `json:"layer_invalidations"`
-	LayerHitRate       float64 `json:"layer_hit_rate"`
+	LayerEnabled       bool    `json:"layer_enabled" fold:"or"`
+	LayerHits          uint64  `json:"layer_hits" fold:"sum"`
+	LayerMisses        uint64  `json:"layer_misses" fold:"sum"`
+	LayerEvictions     uint64  `json:"layer_evictions" fold:"sum"`
+	LayerLen           int     `json:"layer_len" fold:"sum"`
+	LayerInvalidations uint64  `json:"layer_invalidations" fold:"sum"`
+	LayerHitRate       float64 `json:"layer_hit_rate" fold:"derived"`
 
 	// Coalesced counts requests that joined an identical in-flight
 	// evaluation; BatchRequests/BatchItems count /v1/evalbatch traffic.
-	Coalesced     uint64 `json:"coalesced"`
-	BatchRequests uint64 `json:"batch_requests"`
-	BatchItems    uint64 `json:"batch_items"`
+	Coalesced     uint64 `json:"coalesced" fold:"sum"`
+	BatchRequests uint64 `json:"batch_requests" fold:"sum"`
+	BatchItems    uint64 `json:"batch_items" fold:"sum"`
 
 	// Auto-optimizer (POST /v1/optimize): sweeps served, evaluations
 	// those sweeps issued, and how many of them a cache answered.
-	OptimizeRequests   uint64 `json:"optimize_requests"`
-	OptimizeEvals      uint64 `json:"optimize_evals"`
-	OptimizeMemoServed uint64 `json:"optimize_memo_served"`
+	OptimizeRequests   uint64 `json:"optimize_requests" fold:"sum"`
+	OptimizeEvals      uint64 `json:"optimize_evals" fold:"sum"`
+	OptimizeMemoServed uint64 `json:"optimize_memo_served" fold:"sum"`
 
 	// Peer cache forwarding: lookups this node issued to the fleet on memo
 	// misses (hits/misses), and /v1/cachelookup probes it answered for
 	// other nodes (served, of which served_hits found a warm entry).
-	PeerHits       uint64 `json:"peer_hits,omitempty"`
-	PeerMisses     uint64 `json:"peer_misses,omitempty"`
-	PeerServed     uint64 `json:"peer_served,omitempty"`
-	PeerServedHits uint64 `json:"peer_served_hits,omitempty"`
+	PeerHits       uint64 `json:"peer_hits,omitempty" fold:"sum"`
+	PeerMisses     uint64 `json:"peer_misses,omitempty" fold:"sum"`
+	PeerServed     uint64 `json:"peer_served,omitempty" fold:"sum"`
+	PeerServedHits uint64 `json:"peer_served_hits,omitempty" fold:"sum"`
 
 	// Optimizing EIL compiler (internal/opt), process-wide counters from
 	// core.ReadProgramStats: methods compiled to flat instruction
 	// programs, interpreter fallbacks (declined methods/specializations),
 	// and evaluations served through compiled programs.
-	CompiledPrograms uint64 `json:"compiled_programs"`
-	CompileFallbacks uint64 `json:"compile_fallbacks"`
-	CompiledEvals    uint64 `json:"compiled_evals"`
+	CompiledPrograms uint64 `json:"compiled_programs" fold:"node"`
+	CompileFallbacks uint64 `json:"compile_fallbacks" fold:"node"`
+	CompiledEvals    uint64 `json:"compiled_evals" fold:"node"`
 
-	ShedQueueFull uint64 `json:"shed_queue_full"` // rejected with 429
-	ShedDeadline  uint64 `json:"shed_deadline"`   // rejected with 503
-	QueueDepth    int    `json:"queue_depth"`
-	PeakQueue     int    `json:"peak_queue"`
-	Workers       int    `json:"workers"`
-	QueueLimit    int    `json:"queue_limit"`
+	ShedQueueFull uint64 `json:"shed_queue_full" fold:"sum"` // rejected with 429
+	ShedDeadline  uint64 `json:"shed_deadline" fold:"sum"`   // rejected with 503
+	QueueDepth    int    `json:"queue_depth" fold:"sum"`
+	PeakQueue     int    `json:"peak_queue" fold:"max"`
+	Workers       int    `json:"workers" fold:"sum"`
+	QueueLimit    int    `json:"queue_limit" fold:"sum"`
 
 	// Resilience: drain state plus fleet retry/hedge behavior as reported
 	// by clients through the X-Eisvc-Attempt / X-Eisvc-Hedge headers.
-	Draining        bool   `json:"draining"`
-	InFlight        int    `json:"in_flight"`
-	ShedDraining    uint64 `json:"shed_draining"` // rejected with 503 while draining
-	RetriedRequests uint64 `json:"retried_requests"`
-	RetryAttempts   uint64 `json:"retry_attempts"` // extra attempts beyond the first
-	HedgedRequests  uint64 `json:"hedged_requests"`
+	Draining        bool   `json:"draining" fold:"node"`
+	InFlight        int    `json:"in_flight" fold:"sum"`
+	ShedDraining    uint64 `json:"shed_draining" fold:"sum"` // rejected with 503 while draining
+	RetriedRequests uint64 `json:"retried_requests" fold:"sum"`
+	RetryAttempts   uint64 `json:"retry_attempts" fold:"sum"` // extra attempts beyond the first
+	HedgedRequests  uint64 `json:"hedged_requests" fold:"sum"`
 
 	// Continuous calibration (populated when a drift controller is
 	// attached; see GET /v1/drift for the full registry).
-	DriftEnabled    bool   `json:"drift_enabled"`
-	DriftState      string `json:"drift_state,omitempty"`
-	DriftSamples    int    `json:"drift_samples,omitempty"`
-	DriftDetections int    `json:"drift_detections,omitempty"`
-	DriftEnergyBugs int    `json:"drift_energy_bugs,omitempty"`
-	DriftGeneration int    `json:"drift_generation,omitempty"` // installed generations
-	RecalInProgress bool   `json:"recal_in_progress,omitempty"`
-	Recalibrations  uint64 `json:"recalibrations,omitempty"` // completed by the loop
-	DriftSteps      uint64 `json:"drift_steps,omitempty"`
-	DriftStepErrors uint64 `json:"drift_step_errors,omitempty"`
+	DriftEnabled    bool   `json:"drift_enabled" fold:"node"`
+	DriftState      string `json:"drift_state,omitempty" fold:"node"`
+	DriftSamples    int    `json:"drift_samples,omitempty" fold:"node"`
+	DriftDetections int    `json:"drift_detections,omitempty" fold:"node"`
+	DriftEnergyBugs int    `json:"drift_energy_bugs,omitempty" fold:"node"`
+	DriftGeneration int    `json:"drift_generation,omitempty" fold:"node"` // installed generations
+	RecalInProgress bool   `json:"recal_in_progress,omitempty" fold:"node"`
+	Recalibrations  uint64 `json:"recalibrations,omitempty" fold:"node"` // completed by the loop
+	DriftSteps      uint64 `json:"drift_steps,omitempty" fold:"node"`
+	DriftStepErrors uint64 `json:"drift_step_errors,omitempty" fold:"node"`
 
-	Latency LatencyStats `json:"latency"`
+	Latency LatencyStats `json:"latency" fold:"fields"`
 
-	Clients    map[string]LedgerEntry `json:"clients"`
-	ByIface    map[string]LedgerEntry `json:"by_interface"`
-	AttribJ    float64                `json:"attributed_mean_j"` // sum over clients
-	AttribP99J float64                `json:"attributed_p99_j"`
+	Clients    map[string]LedgerEntry `json:"clients" fold:"perkey"`
+	ByIface    map[string]LedgerEntry `json:"by_interface" fold:"perkey"`
+	AttribJ    float64                `json:"attributed_mean_j" fold:"sum"` // sum over clients
+	AttribP99J float64                `json:"attributed_p99_j" fold:"sum"`
+
+	// latWeightedMs is Fold's running Σ mean·count behind the aggregate's
+	// count-weighted Latency.MeanMs; it never travels.
+	latWeightedMs float64
+}
+
+// Fold adds one node's stats into the fleet aggregate a, field by field
+// per the fold tags: "sum" and "max" combine numbers, "or" booleans,
+// "fields" recurses into a nested struct, "perkey" merges a ledger map
+// by folding the entries under each key, "node" marks a fact about one
+// node or process that has no fleet-wide reading (it stays zero in the
+// aggregate; read it from per_node), and "derived" fields are recomputed
+// below from the folded ones. The latency percentiles merge as a max
+// over nodes — an upper bound, not a percentile of the union.
+func (a *StatsResponse) Fold(st *StatsResponse) {
+	foldFields(reflect.ValueOf(a).Elem(), reflect.ValueOf(st).Elem())
+	a.latWeightedMs += st.Latency.MeanMs * float64(st.Latency.Count)
+	if a.Latency.Count > 0 {
+		a.Latency.MeanMs = a.latWeightedMs / float64(a.Latency.Count)
+	}
+	a.deriveHitRates()
+}
+
+// deriveHitRates recomputes the hit-rate fields from the hit and miss
+// counters, for one node's report and for the folded aggregate alike.
+func (a *StatsResponse) deriveHitRates() {
+	if total := a.MemoHits + a.MemoMisses; total > 0 {
+		a.MemoHitRate = float64(a.MemoHits) / float64(total)
+	}
+	if total := a.LayerHits + a.LayerMisses; total > 0 {
+		a.LayerHitRate = float64(a.LayerHits) / float64(total)
+	}
+}
+
+func sumOrMax[T int64 | uint64 | float64](rule string, a, b T) T {
+	if rule == "max" {
+		return max(a, b)
+	}
+	return a + b
+}
+
+func foldFields(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		d, s := dst.Field(i), src.Field(i)
+		switch rule := dst.Type().Field(i).Tag.Get("fold"); rule {
+		case "sum", "max":
+			switch d.Kind() {
+			case reflect.Int:
+				d.SetInt(sumOrMax(rule, d.Int(), s.Int()))
+			case reflect.Uint64:
+				d.SetUint(sumOrMax(rule, d.Uint(), s.Uint()))
+			case reflect.Float64:
+				d.SetFloat(sumOrMax(rule, d.Float(), s.Float()))
+			}
+		case "or":
+			d.SetBool(d.Bool() || s.Bool())
+		case "fields":
+			foldFields(d, s)
+		case "perkey":
+			if d.IsNil() {
+				d.Set(reflect.MakeMap(d.Type()))
+			}
+			for it := s.MapRange(); it.Next(); {
+				entry := reflect.New(d.Type().Elem()).Elem()
+				if cur := d.MapIndex(it.Key()); cur.IsValid() {
+					entry.Set(cur)
+				}
+				foldFields(entry, it.Value())
+				d.SetMapIndex(it.Key(), entry)
+			}
+		}
+	}
 }
 
 // HealthzResponse is the GET /v1/healthz payload: the typed readiness

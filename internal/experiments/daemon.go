@@ -4,15 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/eisvc"
-	"energyclarity/internal/mlservice"
-	"energyclarity/internal/nn"
 )
 
 // E11 is the daemon-serving experiment: the Fig. 1 mlservice stack is
@@ -86,30 +82,8 @@ func (r *E11Result) Table() *Table {
 // Fig. 1 cnn_forward seeded and the paper-verbatim mlservice source
 // registered over the wire. Callers must call the returned shutdown func.
 func e11Daemon(cfg eisvc.Config) (base string, shutdown func(), err error) {
-	rig, err := Rig4090()
-	if err != nil {
-		return "", nil, err
-	}
-	cnn, err := nn.CNNEnergyInterface(nn.Fig1CNN(), rig.Spec, rig.Coef.HardwareInterface())
-	if err != nil {
-		return "", nil, err
-	}
-	srv := eisvc.NewServer(cfg)
-	if _, err := srv.Registry().RegisterInterface("cnn_forward", cnn); err != nil {
-		return "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: srv}
-	go func() { _ = hs.Serve(ln) }()
-	base = "http://" + ln.Addr().String()
-	if _, err := eisvc.NewClient(base).Register(mlservice.Fig1EIL); err != nil {
-		hs.Close()
-		return "", nil, err
-	}
-	return base, func() { hs.Close() }, nil
+	_, base, shutdown, err = e13Daemon(cfg)
+	return base, shutdown, err
 }
 
 // e11Request builds request class k: the Fig. 1 record shape with a

@@ -216,7 +216,7 @@ func e16NodeStats(f *fleet.Fleet) (evals, peerHits uint64) {
 }
 
 // E16Fleet runs the fleet experiment. short shrinks every phase for
-// `go test -short` / make fleet-smoke.
+// `go test -short`.
 func E16Fleet(short bool) (*E16Result, error) {
 	classes, trace, clients := 192, 576, 32
 	service := 30 * time.Millisecond

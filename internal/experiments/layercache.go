@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
 	"sort"
 	"time"
 
@@ -128,13 +126,7 @@ func e12Daemon(cfg eisvc.Config) (base string, shutdown func(), err error) {
 			return "", nil, err
 		}
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: srv}
-	go func() { _ = hs.Serve(ln) }()
-	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
+	return eisvc.ServeLoopback(srv)
 }
 
 // e12Class decodes class k into its service name and eval arguments.

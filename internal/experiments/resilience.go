@@ -121,8 +121,8 @@ func (r *E13Result) Table() *Table {
 	return t
 }
 
-// e13Daemon is e11Daemon with the server handle exposed, for the drain
-// probe.
+// e13Daemon is e11Daemon's body, with the server handle exposed for the
+// drain probe.
 func e13Daemon(cfg eisvc.Config) (srv *eisvc.Server, base string, shutdown func(), err error) {
 	rig, err := Rig4090()
 	if err != nil {
@@ -136,18 +136,15 @@ func e13Daemon(cfg eisvc.Config) (srv *eisvc.Server, base string, shutdown func(
 	if _, err := srv.Registry().RegisterInterface("cnn_forward", cnn); err != nil {
 		return nil, "", nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, shutdown, err = eisvc.ServeLoopback(srv)
 	if err != nil {
 		return nil, "", nil, err
 	}
-	hs := &http.Server{Handler: srv}
-	go func() { _ = hs.Serve(ln) }()
-	base = "http://" + ln.Addr().String()
 	if _, err := eisvc.NewClient(base).Register(mlservice.Fig1EIL); err != nil {
-		hs.Close()
+		shutdown()
 		return nil, "", nil, err
 	}
-	return srv, base, func() { hs.Close() }, nil
+	return srv, base, shutdown, nil
 }
 
 // e13Retry is the trace clients' policy: fast and persistent, so the
@@ -162,7 +159,7 @@ func e13Retry(seed int64) *eisvc.RetryPolicy {
 }
 
 // E13Resilience runs the faulted trace and the cancellation and drain
-// probes. short shrinks the trace for `go test -short` / make fault-smoke.
+// probes. short shrinks the trace for `go test -short`.
 func E13Resilience(short bool) (*E13Result, error) {
 	clients, perClient, distinct, heavy := e13Clients, e13PerClient, e13Distinct, e13HeavySize
 	if short {

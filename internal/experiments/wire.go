@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -115,13 +113,8 @@ func e17Daemon() (*eisvc.Server, string, func(), error) {
 	if _, err := srv.Registry().RegisterSource(e17EIL); err != nil {
 		return nil, "", nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", nil, err
-	}
-	hs := &http.Server{Handler: srv}
-	go func() { _ = hs.Serve(ln) }()
-	return srv, "http://" + ln.Addr().String(), func() { _ = hs.Close() }, nil
+	base, stop, err := eisvc.ServeLoopback(srv)
+	return srv, base, stop, err
 }
 
 // e17TimeHits measures the mean per-request latency of reps warm evals.
@@ -142,7 +135,7 @@ func e17TimeHits(c *eisvc.Client, reps int) (energy.Dist, float64, error) {
 }
 
 // E17Wire runs the wire experiment. short shrinks both phases for
-// `go test -short` / make wire-smoke.
+// `go test -short`.
 func E17Wire(short bool) (*E17Result, error) {
 	reps, distinct := e17Reps, e17Distinct
 	if short {

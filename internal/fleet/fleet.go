@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"energyclarity/internal/core"
@@ -71,7 +71,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type nodeState int
+type nodeState = int32
 
 const (
 	stateLive nodeState = iota
@@ -87,37 +87,19 @@ type Node struct {
 	URL    string
 
 	ln   *faultsim.FlakyListener
-	hs   *http.Server
+	stop func()        // closes the listener and connections, waits for the serve loop
 	peer *eisvc.Client // short-timeout, no-retry client for cache probes
-	done chan struct{} // closed when the HTTP server loop exits
 
-	mu    sync.Mutex
-	state nodeState
-}
-
-func (n *Node) setState(s nodeState) {
-	n.mu.Lock()
-	n.state = s
-	n.mu.Unlock()
-}
-
-func (n *Node) getState() nodeState {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.state
+	state atomic.Int32 // a nodeState
 }
 
 // Live reports whether the node is accepting evaluation work.
-func (n *Node) Live() bool { return n.getState() == stateLive }
+func (n *Node) Live() bool { return n.state.Load() == stateLive }
 
 // reachable nodes answer HTTP at all: live ones serve everything,
 // draining ones still serve reads — including cache probes, which is
 // what makes drain-rebalancing free for warm keys.
-func (n *Node) reachable() bool { return n.getState() != stateDead }
-
-// Partition cuts (true) or heals (false) the network in front of this
-// node. See faultsim.FlakyListener.Partition.
-func (n *Node) Partition(cut bool) { n.ln.Partition(cut) }
+func (n *Node) reachable() bool { return n.state.Load() != stateDead }
 
 // Fleet is a sharded, replicated cluster of eisvc daemons. Construct
 // with New, seed interfaces (SeedInterface / RegisterSource), and front
@@ -170,8 +152,6 @@ func (f *Fleet) startNode(id string) (*Node, error) {
 		Server: srv,
 		URL:    "http://" + ln.Addr().String(),
 		ln:     fl,
-		hs:     &http.Server{Handler: srv},
-		done:   make(chan struct{}),
 	}
 	n.peer = eisvc.NewClient(n.URL).TuneTransport(eisvc.TransportTuning{})
 	n.peer.ID = "fleet-peer"
@@ -187,10 +167,7 @@ func (f *Fleet) startNode(id string) (*Node, error) {
 		// snapshot layer guarantees a rejected file installs nothing.
 		_, _, _ = srv.LoadCacheSnapshot(path)
 	}
-	go func() {
-		_ = n.hs.Serve(fl)
-		close(n.done)
-	}()
+	n.stop = eisvc.ServeOn(fl, srv)
 	return n, nil
 }
 
@@ -228,40 +205,20 @@ func (f *Fleet) SaveCacheSnapshots() error {
 // old shards directly — KillNode deliberately leaves the corpse's ring
 // points in place so the restart owns exactly what the crash dropped.
 func (f *Fleet) RestartNode(id string) (*Node, error) {
-	f.mu.RLock()
-	old, ok := f.nodes[id]
-	f.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("fleet: no node %s", id)
-	}
-	if old.getState() != stateDead {
-		return nil, fmt.Errorf("fleet: node %s is not dead", id)
-	}
-	n, err := f.startNode(id)
+	old, err := f.mustNode(id)
 	if err != nil {
 		return nil, err
 	}
-	if src := f.anyReachable(); src != nil {
-		n.Server.ApplyRegistrySnapshot(src.Server.Registry().Snapshot())
+	if old.state.Load() != stateDead {
+		return nil, fmt.Errorf("fleet: node %s is not dead", id)
 	}
-	f.mu.Lock()
-	f.nodes[id] = n
-	f.ring.Add(id) // idempotent: a no-op here unless the node had been removed
-	f.mu.Unlock()
-	return n, nil
+	return f.join(id) // ring.Add is a no-op unless the node had been removed
 }
 
-// AddNode boots a fresh daemon, replicates the current registry into it,
-// and then joins it to the ring — in that order, so the node never owns
-// a shard it cannot serve. The keys that move to it are cold there but
-// warm on their previous owners; the peer cache path makes the handoff
-// an O(keys-moved) set of sub-millisecond probes instead of a re-trace.
-func (f *Fleet) AddNode() (*Node, error) {
-	f.mu.Lock()
-	f.nextID++
-	id := "node-" + strconv.Itoa(f.nextID)
-	f.mu.Unlock()
-
+// join boots daemon id, replicates the current registry into it, and
+// then puts it on the ring — in that order, so the node never owns a
+// shard it cannot serve.
+func (f *Fleet) join(id string) (*Node, error) {
 	n, err := f.startNode(id)
 	if err != nil {
 		return nil, err
@@ -276,22 +233,42 @@ func (f *Fleet) AddNode() (*Node, error) {
 	return n, nil
 }
 
+// mustNode returns a node by ID, or the error every membership
+// operation gives for an unknown one.
+func (f *Fleet) mustNode(id string) (*Node, error) {
+	if n, ok := f.Node(id); ok {
+		return n, nil
+	}
+	return nil, fmt.Errorf("fleet: no node %s", id)
+}
+
+// AddNode boots a fresh daemon and joins it to the fleet (see join). The
+// keys that move to it are cold there but warm on their previous owners;
+// the peer cache path makes the handoff an O(keys-moved) set of
+// sub-millisecond probes instead of a re-trace.
+func (f *Fleet) AddNode() (*Node, error) {
+	f.mu.Lock()
+	f.nextID++
+	id := "node-" + strconv.Itoa(f.nextID)
+	f.mu.Unlock()
+	return f.join(id)
+}
+
 // DrainNode removes the node from the ring (its shards re-home to ring
 // neighbors immediately) and gracefully drains it: in-flight evaluations
 // finish, new evaluation work is shed, but the process stays up and
 // keeps answering /v1/cachelookup — donating its warm memo to the nodes
 // that inherited its shards until RemoveNode tears it down.
 func (f *Fleet) DrainNode(ctx context.Context, id string) error {
-	f.mu.Lock()
-	n, ok := f.nodes[id]
-	if !ok {
-		f.mu.Unlock()
-		return fmt.Errorf("fleet: no node %s", id)
+	n, err := f.mustNode(id)
+	if err != nil {
+		return err
 	}
+	f.mu.Lock()
 	f.ring.Remove(id)
 	f.mu.Unlock()
-	n.setState(stateDraining)
-	err := n.Server.Drain(ctx)
+	n.state.Store(stateDraining)
+	err = n.Server.Drain(ctx)
 	if path := f.snapshotPath(id); path != "" {
 		// The on-drain snapshot: the drained node's warm memo persists so a
 		// later restart (or an operator re-adding the box) starts warm.
@@ -308,16 +285,13 @@ func (f *Fleet) DrainNode(ctx context.Context, id string) error {
 // fails over to the replica, which is exactly the fault the replication
 // factor exists for.
 func (f *Fleet) KillNode(id string) error {
-	f.mu.RLock()
-	n, ok := f.nodes[id]
-	f.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("fleet: no node %s", id)
+	n, err := f.mustNode(id)
+	if err != nil {
+		return err
 	}
-	n.setState(stateDead)
-	err := n.hs.Close()
-	<-n.done
-	return err
+	n.state.Store(stateDead)
+	n.stop()
+	return nil
 }
 
 // RemoveNode drains the node (bounded by ctx) and then stops it and
@@ -332,9 +306,8 @@ func (f *Fleet) RemoveNode(ctx context.Context, id string) error {
 	if !ok {
 		return fmt.Errorf("fleet: no node %s", id)
 	}
-	n.setState(stateDead)
-	_ = n.hs.Close()
-	<-n.done
+	n.state.Store(stateDead)
+	n.stop()
 	return drainErr
 }
 
@@ -343,13 +316,11 @@ func (f *Fleet) RemoveNode(ctx context.Context, id string) error {
 // node looks exactly like a network-partitioned peer — alive, burning
 // CPU, unreachable.
 func (f *Fleet) PartitionNode(id string, cut bool) error {
-	f.mu.RLock()
-	n, ok := f.nodes[id]
-	f.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("fleet: no node %s", id)
+	n, err := f.mustNode(id)
+	if err != nil {
+		return err
 	}
-	n.Partition(cut)
+	n.ln.Partition(cut) // see faultsim.FlakyListener.Partition
 	return nil
 }
 
@@ -395,7 +366,7 @@ func (f *Fleet) OwnersOf(stack string) []string {
 func (f *Fleet) anyReachable() *Node {
 	var fallback *Node
 	for _, n := range f.Nodes() {
-		switch n.getState() {
+		switch n.state.Load() {
 		case stateLive:
 			return n
 		case stateDraining:
@@ -466,18 +437,14 @@ func (f *Fleet) RegisterSource(src string) ([]string, error) {
 
 // Close stops every node abruptly. The fleet is unusable afterwards.
 func (f *Fleet) Close() {
+	nodes := f.Nodes()
 	f.mu.Lock()
-	nodes := make([]*Node, 0, len(f.nodes))
-	for _, n := range f.nodes {
-		nodes = append(nodes, n)
-	}
 	f.nodes = map[string]*Node{}
 	f.ring = NewRing(f.cfg.VirtualNodes)
 	f.mu.Unlock()
 	for _, n := range nodes {
-		n.setState(stateDead)
-		_ = n.hs.Close()
-		<-n.done
+		n.state.Store(stateDead)
+		n.stop()
 	}
 }
 
@@ -493,21 +460,17 @@ func (f *Fleet) peerLookupFor(id string) eisvc.PeerLookup {
 		f.mu.RLock()
 		owners := f.ring.Lookup(stack, f.cfg.Replication)
 		f.mu.RUnlock()
-		probed := map[string]bool{id: true}
-		for _, owner := range owners {
-			if probed[owner] {
-				continue
-			}
-			probed[owner] = true
-			if d, ok := f.probe(ctx, owner, key); ok {
-				return d, true
-			}
-		}
+		order := owners
 		for _, n := range f.Nodes() {
-			if probed[n.ID] {
+			order = append(order, n.ID)
+		}
+		probed := map[string]bool{id: true}
+		for _, target := range order {
+			if probed[target] {
 				continue
 			}
-			if d, ok := f.probe(ctx, n.ID, key); ok {
+			probed[target] = true
+			if d, ok := f.probe(ctx, target, key); ok {
 				return d, true
 			}
 		}
@@ -517,17 +480,12 @@ func (f *Fleet) peerLookupFor(id string) eisvc.PeerLookup {
 
 // probe asks one node for a memoized answer; all failures are misses.
 func (f *Fleet) probe(ctx context.Context, id, key string) (energy.Dist, bool) {
-	f.mu.RLock()
-	n, ok := f.nodes[id]
-	f.mu.RUnlock()
+	n, ok := f.Node(id)
 	if !ok || !n.reachable() {
 		return energy.Dist{}, false
 	}
 	cctx, cancel := context.WithTimeout(ctx, f.cfg.PeerTimeout)
 	defer cancel()
-	d, hit, err := n.peer.CacheLookupCtx(cctx, key)
-	if err != nil || !hit {
-		return energy.Dist{}, false
-	}
-	return d, true
+	d, hit, _ := n.peer.CacheLookupCtx(cctx, key) // an error comes with hit == false
+	return d, hit
 }

@@ -148,6 +148,28 @@ func TestFleetRoutingAndReplication(t *testing.T) {
 	if fs.Aggregate.EvalRequests < 4 {
 		t.Errorf("aggregate eval_requests = %d, want >= 4", fs.Aggregate.EvalRequests)
 	}
+
+	// The aggregate's ledger must balance: the joules it attributes are
+	// attributed to somebody. One client and one interface made all the
+	// traffic, and Fold adds nodes in Nodes() order, so every sum below
+	// accumulates the same terms in the same order and == is exact.
+	var byClient, byIface, byNode float64
+	for _, e := range fs.Aggregate.Clients {
+		byClient += e.MeanJ
+	}
+	for _, e := range fs.Aggregate.ByIface {
+		byIface += e.MeanJ
+	}
+	for _, n := range f.Nodes() {
+		byNode += fs.PerNode[n.ID].AttribJ
+	}
+	if agg := fs.Aggregate.AttribJ; agg <= 0 || byClient != agg || byIface != agg || byNode != agg {
+		t.Errorf("aggregate ledger does not balance: attributed %v J, clients sum to %v, interfaces to %v, nodes to %v",
+			agg, byClient, byIface, byNode)
+	}
+	if e := fs.Aggregate.ByIface["ml_webservice"]; e.Requests != 4 {
+		t.Errorf("aggregate by_interface[ml_webservice].requests = %d, want 4", e.Requests)
+	}
 }
 
 // TestFleetPeerForwarding: a node that never evaluated a key answers it
@@ -239,7 +261,7 @@ func TestFleetJoinDrainRebalance(t *testing.T) {
 	}
 }
 
-// TestFleetKillMidTraceSmoke is the CI fleet-smoke gate: a 3-node fleet
+// TestFleetKillMidTraceSmoke is the CI fleet gate: a 3-node fleet
 // serving a concurrent Zipf trace loses one node mid-trace. Every
 // request must still succeed (zero lost after router failover + client
 // retries) with answers bit-identical to a single-node reference.

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -48,10 +49,10 @@ func NewRouter(f *Fleet) *Router {
 
 // RouterCounters is a snapshot of the router's routing counters.
 type RouterCounters struct {
-	Routed       uint64
-	Failovers    uint64
-	Exhausted    uint64
-	AffinityHits uint64
+	Routed       uint64 `json:"routed"`
+	Failovers    uint64 `json:"failovers"`
+	Exhausted    uint64 `json:"exhausted"`
+	AffinityHits uint64 `json:"affinity_hits"`
 }
 
 // Counters returns the router's routing counters.
@@ -66,17 +67,18 @@ func (rt *Router) Counters() RouterCounters {
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method == http.MethodPost && r.URL.Path == "/v1/eval":
-		rt.handleEval(w, r)
-	case r.Method == http.MethodPost && r.URL.Path == "/v1/evalbatch":
+	post := r.Method == http.MethodPost
+	switch path := r.URL.Path; {
+	case post && path == eisvc.EvalEndpoint.Path:
+		routeKeyed(rt, w, r, eisvc.EvalEndpoint, evalKey)
+	case post && path == eisvc.EvalBatchEndpoint.Path:
 		rt.handleEvalBatch(w, r)
-	case r.Method == http.MethodPost && r.URL.Path == "/v1/optimize":
-		rt.handleOptimize(w, r)
-	case r.Method == http.MethodPost && (r.URL.Path == "/v1/register" || r.URL.Path == "/v1/rebind"):
+	case post && path == eisvc.OptimizeEndpoint.Path:
+		routeKeyed(rt, w, r, eisvc.OptimizeEndpoint, optimizeKey)
+	case post && (path == "/v1/register" || path == "/v1/rebind"):
 		rt.handleMutate(w, r)
-	case r.Method == http.MethodGet && r.URL.Path == "/v1/stats":
-		rt.handleStats(w, r)
+	case r.Method == http.MethodGet && path == "/v1/stats":
+		eisvc.WriteJSON(w, http.StatusOK, rt.Stats(r.Context()))
 	default:
 		// Reads (healthz, interfaces, drift, cachelookup, ...) are served
 		// identically by every node thanks to registry replication.
@@ -123,11 +125,12 @@ func shedFailover(status int) bool {
 	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
 }
 
-// tryCandidates forwards body to each candidate in order until one
-// yields a non-shed response; onServed (optional) learns which node
-// answered before the response relays. It returns false when every
-// candidate failed at the transport level or shed.
-func (rt *Router) tryCandidates(w http.ResponseWriter, r *http.Request, body []byte, candidates []*Node, onServed func(n *Node)) bool {
+// tryCandidates forwards body to each candidate in order until answer
+// accepts a response (answer owns its body and must close it). A shed
+// response moves on without being offered, except from the last
+// candidate — there the shed is the best answer the fleet has. A false
+// return means every candidate was dead, shedding, or declined.
+func (rt *Router) tryCandidates(r *http.Request, body []byte, candidates []*Node, answer func(n *Node, resp *http.Response) bool) bool {
 	for i, n := range candidates {
 		if i > 0 {
 			rt.failovers.Add(1)
@@ -140,11 +143,9 @@ func (rt *Router) tryCandidates(w http.ResponseWriter, r *http.Request, body []b
 			resp.Body.Close()
 			continue
 		}
-		if onServed != nil && resp.StatusCode/100 == 2 {
-			onServed(n)
+		if answer(n, resp) {
+			return true
 		}
-		relay(w, resp)
-		return true
 	}
 	return false
 }
@@ -155,27 +156,21 @@ func (rt *Router) tryCandidates(w http.ResponseWriter, r *http.Request, body []b
 // fleet is healing (a kill's replacement replica warms in milliseconds).
 func (rt *Router) writeExhausted(w http.ResponseWriter, what string) {
 	rt.exhausted.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(eisvc.ErrorResponse{Error: "fleet: no node could serve " + what})
+	eisvc.WriteError(w, http.StatusServiceUnavailable, "fleet: no node could serve %s", what)
 }
 
-// candidatesFor orders the nodes to try for one evaluation: the stack's
-// ring owners first — rotated by the request hash, so a hot stack's
-// traffic spreads over all R replicas instead of hammering the primary —
-// then every other live node as a last resort.
-func (rt *Router) candidatesFor(stack string, spread uint64) []*Node {
-	owners := rt.f.OwnersOf(stack)
+// candidates orders the nodes to try: the preferred IDs that are live,
+// starting from prefer[spread mod len] and wrapping, then every other live
+// node as a last resort.
+func (rt *Router) candidates(prefer []string, spread uint64) []*Node {
 	var out []*Node
 	seen := map[string]bool{}
-	if len(owners) > 0 {
-		rot := int(spread % uint64(len(owners)))
-		for i := range owners {
-			id := owners[(rot+i)%len(owners)]
-			if n, ok := rt.f.Node(id); ok && n.Live() {
-				seen[id] = true
-				out = append(out, n)
-			}
+	n := uint64(len(prefer))
+	for i := range prefer {
+		id := prefer[(spread%n+uint64(i))%n]
+		if n, ok := rt.f.Node(id); ok && n.Live() {
+			seen[id] = true
+			out = append(out, n)
 		}
 	}
 	for _, n := range rt.f.LiveNodes() {
@@ -184,6 +179,14 @@ func (rt *Router) candidatesFor(stack string, spread uint64) []*Node {
 		}
 	}
 	return out
+}
+
+// candidatesFor orders the nodes to try for one evaluation: the stack's
+// ring owners first — rotated by the request hash, so a hot stack's
+// traffic spreads over all R replicas instead of hammering the primary —
+// then every other live node.
+func (rt *Router) candidatesFor(stack string, spread uint64) []*Node {
+	return rt.candidates(rt.f.OwnersOf(stack), spread)
 }
 
 // spreadHash fingerprints one evaluation request so repeated identical
@@ -211,32 +214,39 @@ func spreadHash(req *eisvc.EvalRequest) uint64 {
 
 // --- handlers ---
 
-func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
+// routeKeyed serves a route whose whole request goes to one node chosen
+// by a key of the decoded request. The body is decoded once, for
+// placement only, and the caller's exact bytes are forwarded: both codecs
+// decode to the same Go value shapes, so the key functions agree and a
+// mixed JSON/binary client population still lands identical requests on
+// the same replica. A body that does not decode is the router's 400.
+func routeKeyed[Req, Resp any](rt *Router, w http.ResponseWriter, r *http.Request, ep *eisvc.Endpoint[Req, Resp], keyOf func(*Req) (stack string, spread uint64)) {
 	rt.routed.Add(1)
-	body, err := io.ReadAll(r.Body)
+	// Not pooled: an abandoned forward's transport goroutine may still be
+	// reading these bytes after the walk has moved on.
+	var body bytes.Buffer
+	if !eisvc.ReadBody(w, r, &body) {
+		return
+	}
+	req, err := ep.Request.Decode(r.Header.Get("Content-Type"), body.Bytes())
 	if err != nil {
-		rt.badRequest(w, "read body: %v", err)
+		eisvc.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	// Binary bodies route without re-encoding: decode once for placement,
-	// then forward the client's exact bytes. The decoded request carries
-	// the same Go value shapes as a JSON decode, so spreadHash agrees
-	// across codecs and a mixed JSON/binary client population still lands
-	// identical requests on the same replica.
-	var req eisvc.EvalRequest
-	if eisvc.IsBinaryContentType(r.Header.Get("Content-Type")) {
-		rq, err := eisvc.DecodeEvalRequest(body)
-		if err != nil {
-			rt.badRequest(w, "bad binary request body: %v", err)
-			return
-		}
-		req = *rq
-	} else if err := json.Unmarshal(body, &req); err != nil {
-		rt.badRequest(w, "bad request body: %v", err)
-		return
-	}
+	stack, spread := keyOf(req)
+	rt.routeAffine(w, r, body.Bytes(), stack, spread, strings.TrimPrefix(ep.Path, "/v1/")+" of "+stack)
+}
 
-	rt.routeAffine(w, r, body, req.Interface, spreadHash(&req), "eval of "+req.Interface)
+func evalKey(req *eisvc.EvalRequest) (string, uint64) { return req.Interface, spreadHash(req) }
+
+// optimizeKey routes a whole auto-optimizer sweep to one node — the
+// stack's owner under the sweep fingerprint — so a repeat sweep lands
+// where its per-evaluation memos are warm. A dead or shedding owner
+// fails over like an eval; sweeps are deterministic, so the failover
+// node fits a bit-identical frontier (a cold cache costs time, never
+// correctness).
+func optimizeKey(req *eisvc.OptimizeRequest) (string, uint64) {
+	return req.Interface, optimizeSpread(req)
 }
 
 // routeAffine forwards one request whose answer benefits from memo
@@ -259,43 +269,19 @@ func (rt *Router) routeAffine(w http.ResponseWriter, r *http.Request, body []byt
 			}
 		}
 	}
-	ok := rt.tryCandidates(w, r, body, cands, func(n *Node) {
-		if affKnown && n.ID == affID {
-			rt.affinityHits.Add(1)
+	ok := rt.tryCandidates(r, body, cands, func(n *Node, resp *http.Response) bool {
+		if resp.StatusCode/100 == 2 {
+			if affKnown && n.ID == affID {
+				rt.affinityHits.Add(1)
+			}
+			rt.aff.put(affKey, n.ID)
 		}
-		rt.aff.put(affKey, n.ID)
+		relay(w, resp)
+		return true
 	})
 	if !ok {
 		rt.writeExhausted(w, what)
 	}
-}
-
-// handleOptimize routes a whole auto-optimizer sweep to one node — the
-// stack's owner under the sweep fingerprint — so a repeat sweep lands
-// where its per-evaluation memos are warm. A dead or shedding owner
-// fails over like an eval; sweeps are deterministic, so the failover
-// node fits a bit-identical frontier (a cold cache costs time, never
-// correctness).
-func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	rt.routed.Add(1)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		rt.badRequest(w, "read body: %v", err)
-		return
-	}
-	var req eisvc.OptimizeRequest
-	if eisvc.IsBinaryContentType(r.Header.Get("Content-Type")) {
-		rq, err := eisvc.DecodeOptimizeRequest(body)
-		if err != nil {
-			rt.badRequest(w, "bad binary request body: %v", err)
-			return
-		}
-		req = *rq
-	} else if err := json.Unmarshal(body, &req); err != nil {
-		rt.badRequest(w, "bad request body: %v", err)
-		return
-	}
-	rt.routeAffine(w, r, body, req.Interface, optimizeSpread(&req), "optimize of "+req.Interface)
 }
 
 // optimizeSpread fingerprints a sweep the way spreadHash fingerprints
@@ -326,28 +312,13 @@ func optimizeSpread(req *eisvc.OptimizeRequest) uint64 {
 // not errors.
 func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	rt.routed.Add(1)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		rt.badRequest(w, "read body: %v", err)
-		return
-	}
-	// Sub-batches re-encode in the inbound codec, so binary clients stay
-	// binary hop to hop and JSON clients stay debuggable end to end.
-	binary := eisvc.IsBinaryContentType(r.Header.Get("Content-Type"))
-	var req eisvc.BatchEvalRequest
-	if binary {
-		rq, err := eisvc.DecodeBatchEvalRequest(raw)
-		if err != nil {
-			rt.badRequest(w, "bad binary request body: %v", err)
-			return
-		}
-		req = *rq
-	} else if err := json.Unmarshal(raw, &req); err != nil {
-		rt.badRequest(w, "bad request body: %v", err)
+	ep := eisvc.EvalBatchEndpoint
+	req := ep.Read(w, r)
+	if req == nil {
 		return
 	}
 	if len(req.Requests) == 0 {
-		rt.badRequest(w, "empty batch")
+		eisvc.WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 
@@ -363,6 +334,9 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		groups[pref] = append(groups[pref], i)
 	}
 
+	// Sub-batches re-encode in the inbound codec, so binary clients stay
+	// binary hop to hop and JSON clients stay debuggable end to end.
+	codec := r.Header.Get("Content-Type")
 	results := make([]eisvc.BatchEvalItem, len(req.Requests))
 	var wg sync.WaitGroup
 	for pref, idxs := range groups {
@@ -373,102 +347,42 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			for j, i := range idxs {
 				sub.Requests[j] = req.Requests[i]
 			}
-			var body []byte
-			if binary {
-				buf := eisvc.GetBuffer()
-				defer eisvc.PutBuffer(buf)
-				if err := eisvc.EncodeBatchEvalRequest(buf, &sub); err != nil {
-					rt.failGroup(results, idxs, &req, "encode sub-batch: "+err.Error())
-					return
-				}
-				body = buf.Bytes()
-			} else {
-				b, err := json.Marshal(sub)
-				if err != nil {
-					rt.failGroup(results, idxs, &req, "marshal sub-batch: "+err.Error())
-					return
-				}
-				body = b
-			}
-			items, ok := rt.forwardBatch(r, pref, body, len(idxs))
-			if !ok {
-				rt.exhausted.Add(1)
-				rt.failGroup(results, idxs, &req, "fleet: no node could serve batch")
+			var body bytes.Buffer // unpooled, like routeKeyed's
+			if err := ep.Request.Encode(&body, codec, &sub); err != nil {
+				failGroup(results, idxs, req, "encode sub-batch: "+err.Error())
 				return
 			}
-			for j, i := range idxs {
-				results[i] = items[j]
+			// The preferred node first, then every other live node; a node
+			// whose answer does not decode to one result per item is
+			// skipped like a dead one.
+			ok := rt.tryCandidates(r, body.Bytes(), rt.candidates([]string{pref}, 0), func(_ *Node, resp *http.Response) bool {
+				data, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode/100 != 2 {
+					return false
+				}
+				out, err := ep.Response.Decode(resp.Header.Get("Content-Type"), data)
+				if err != nil || len(out.Results) != len(idxs) {
+					return false
+				}
+				for j, i := range idxs {
+					results[i] = out.Results[j]
+				}
+				return true
+			})
+			if !ok {
+				rt.exhausted.Add(1)
+				failGroup(results, idxs, req, "fleet: no node could serve batch")
 			}
 		}(pref, idxs)
 	}
 	wg.Wait()
-	out := eisvc.BatchEvalResponse{Results: results}
-	if eisvc.IsBinaryContentType(r.Header.Get("Accept")) {
-		buf := eisvc.GetBuffer()
-		defer eisvc.PutBuffer(buf)
-		if err := eisvc.EncodeBatchEvalResponse(buf, &out); err == nil {
-			w.Header().Set("Content-Type", eisvc.BinaryContentType)
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(buf.Bytes())
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// forwardBatch sends one sub-batch to its preferred node, failing over
-// to every other live node. It returns ok=false when no node answered.
-func (rt *Router) forwardBatch(r *http.Request, pref string, body []byte, want int) ([]eisvc.BatchEvalItem, bool) {
-	var candidates []*Node
-	seen := map[string]bool{}
-	if n, ok := rt.f.Node(pref); ok && n.Live() {
-		candidates = append(candidates, n)
-		seen[pref] = true
-	}
-	for _, n := range rt.f.LiveNodes() {
-		if !seen[n.ID] {
-			candidates = append(candidates, n)
-		}
-	}
-	for i, n := range candidates {
-		if i > 0 {
-			rt.failovers.Add(1)
-		}
-		resp, err := rt.forward(r.Context(), n, r, body)
-		if err != nil {
-			continue
-		}
-		if shedFailover(resp.StatusCode) {
-			resp.Body.Close()
-			continue
-		}
-		data, err := io.ReadAll(resp.Body)
-		ctype := resp.Header.Get("Content-Type")
-		resp.Body.Close()
-		if err != nil || resp.StatusCode/100 != 2 {
-			continue
-		}
-		var out eisvc.BatchEvalResponse
-		if eisvc.IsBinaryContentType(ctype) {
-			dec, err := eisvc.DecodeBatchEvalResponse(data)
-			if err != nil {
-				continue
-			}
-			out = *dec
-		} else if json.Unmarshal(data, &out) != nil {
-			continue
-		}
-		if len(out.Results) != want {
-			continue
-		}
-		return out.Results, true
-	}
-	return nil, false
+	ep.Write(w, r, &eisvc.BatchEvalResponse{Results: results})
 }
 
 // failGroup marks every item of a failed sub-batch as 503 so callers can
 // retry item-by-item.
-func (rt *Router) failGroup(results []eisvc.BatchEvalItem, idxs []int, req *eisvc.BatchEvalRequest, msg string) {
+func failGroup(results []eisvc.BatchEvalItem, idxs []int, req *eisvc.BatchEvalRequest, msg string) {
 	for _, i := range idxs {
 		results[i] = eisvc.BatchEvalItem{
 			Interface: req.Requests[i].Interface,
@@ -484,9 +398,8 @@ func (rt *Router) failGroup(results []eisvc.BatchEvalItem, idxs []int, req *eisv
 // answering, so a client that mutates and immediately evaluates sees its
 // write no matter which node the evaluation routes to.
 func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		rt.badRequest(w, "read body: %v", err)
+	var body bytes.Buffer
+	if !eisvc.ReadBody(w, r, &body) {
 		return
 	}
 	rt.f.mutMu.Lock()
@@ -496,7 +409,7 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		rt.writeExhausted(w, r.URL.Path)
 		return
 	}
-	resp, err := rt.forward(r.Context(), p, r, body)
+	resp, err := rt.forward(r.Context(), p, r, body.Bytes())
 	if err != nil {
 		rt.writeExhausted(w, r.URL.Path)
 		return
@@ -509,35 +422,17 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 // forwardToAnyLive serves reads: any live node answers identically.
 func (rt *Router) forwardToAnyLive(w http.ResponseWriter, r *http.Request) {
-	var body []byte
-	if r.Body != nil {
-		b, err := io.ReadAll(r.Body)
-		if err != nil {
-			rt.badRequest(w, "read body: %v", err)
-			return
-		}
-		body = b
-	}
-	for _, n := range rt.f.LiveNodes() {
-		resp, err := rt.forward(r.Context(), n, r, body)
-		if err != nil {
-			rt.failovers.Add(1)
-			continue
-		}
-		relay(w, resp)
+	var body bytes.Buffer
+	if !eisvc.ReadBody(w, r, &body) {
 		return
 	}
-	rt.writeExhausted(w, r.URL.Path)
-}
-
-func (rt *Router) badRequest(w http.ResponseWriter, format string, args ...any) {
-	writeJSON(w, http.StatusBadRequest, eisvc.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	ok := rt.tryCandidates(r, body.Bytes(), rt.f.LiveNodes(), func(_ *Node, resp *http.Response) bool {
+		relay(w, resp)
+		return true
+	})
+	if !ok {
+		rt.writeExhausted(w, r.URL.Path)
+	}
 }
 
 // --- fleet stats ---
@@ -550,34 +445,22 @@ type FleetStats struct {
 	LiveNodes   int `json:"live_nodes"`
 	Replication int `json:"replication"`
 
-	Routed       uint64 `json:"routed"`
-	Failovers    uint64 `json:"failovers"`
-	Exhausted    uint64 `json:"exhausted"`
-	AffinityHits uint64 `json:"affinity_hits"`
+	RouterCounters
 
 	Aggregate eisvc.StatsResponse             `json:"aggregate"`
 	PerNode   map[string]*eisvc.StatsResponse `json:"per_node"`
-}
-
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Stats(r.Context()))
 }
 
 // Stats gathers per-node stats and folds them into a fleet aggregate.
 // Unreachable nodes are skipped (they still count in Nodes).
 func (rt *Router) Stats(ctx context.Context) *FleetStats {
 	nodes := rt.f.Nodes()
-	c := rt.Counters()
 	fs := &FleetStats{
-		Nodes:        len(nodes),
-		Replication:  rt.f.cfg.Replication,
-		Routed:       c.Routed,
-		Failovers:    c.Failovers,
-		Exhausted:    c.Exhausted,
-		AffinityHits: c.AffinityHits,
-		PerNode:      map[string]*eisvc.StatsResponse{},
+		Nodes:          len(nodes),
+		Replication:    rt.f.cfg.Replication,
+		RouterCounters: rt.Counters(),
+		PerNode:        map[string]*eisvc.StatsResponse{},
 	}
-	var latWeighted float64
 	for _, n := range nodes {
 		if n.Live() {
 			fs.LiveNodes++
@@ -590,67 +473,7 @@ func (rt *Router) Stats(ctx context.Context) *FleetStats {
 			continue
 		}
 		fs.PerNode[n.ID] = st
-		agg := &fs.Aggregate
-		if st.Interfaces > agg.Interfaces {
-			agg.Interfaces = st.Interfaces
-		}
-		agg.EvalRequests += st.EvalRequests
-		agg.Evaluations += st.Evaluations
-		agg.MemoHits += st.MemoHits
-		agg.MemoMisses += st.MemoMisses
-		agg.MemoEvictions += st.MemoEvictions
-		agg.MemoLen += st.MemoLen
-		agg.Coalesced += st.Coalesced
-		agg.BatchRequests += st.BatchRequests
-		agg.BatchItems += st.BatchItems
-		agg.OptimizeRequests += st.OptimizeRequests
-		agg.OptimizeEvals += st.OptimizeEvals
-		agg.OptimizeMemoServed += st.OptimizeMemoServed
-		agg.PeerHits += st.PeerHits
-		agg.PeerMisses += st.PeerMisses
-		agg.PeerServed += st.PeerServed
-		agg.PeerServedHits += st.PeerServedHits
-		agg.LayerEnabled = agg.LayerEnabled || st.LayerEnabled
-		agg.LayerHits += st.LayerHits
-		agg.LayerMisses += st.LayerMisses
-		agg.LayerEvictions += st.LayerEvictions
-		agg.LayerLen += st.LayerLen
-		agg.LayerInvalidations += st.LayerInvalidations
-		agg.ShedQueueFull += st.ShedQueueFull
-		agg.ShedDeadline += st.ShedDeadline
-		agg.ShedDraining += st.ShedDraining
-		agg.QueueDepth += st.QueueDepth
-		if st.PeakQueue > agg.PeakQueue {
-			agg.PeakQueue = st.PeakQueue
-		}
-		agg.Workers += st.Workers
-		agg.QueueLimit += st.QueueLimit
-		agg.InFlight += st.InFlight
-		agg.RetriedRequests += st.RetriedRequests
-		agg.RetryAttempts += st.RetryAttempts
-		agg.HedgedRequests += st.HedgedRequests
-		agg.AttribJ += st.AttribJ
-		agg.AttribP99J += st.AttribP99J
-		agg.Latency.Count += st.Latency.Count
-		latWeighted += st.Latency.MeanMs * float64(st.Latency.Count)
-		if st.Latency.P50Ms > agg.Latency.P50Ms {
-			agg.Latency.P50Ms = st.Latency.P50Ms
-		}
-		if st.Latency.P99Ms > agg.Latency.P99Ms {
-			agg.Latency.P99Ms = st.Latency.P99Ms
-		}
-		if st.Latency.MaxMs > agg.Latency.MaxMs {
-			agg.Latency.MaxMs = st.Latency.MaxMs
-		}
-	}
-	if fs.Aggregate.Latency.Count > 0 {
-		fs.Aggregate.Latency.MeanMs = latWeighted / float64(fs.Aggregate.Latency.Count)
-	}
-	if total := fs.Aggregate.MemoHits + fs.Aggregate.MemoMisses; total > 0 {
-		fs.Aggregate.MemoHitRate = float64(fs.Aggregate.MemoHits) / float64(total)
-	}
-	if total := fs.Aggregate.LayerHits + fs.Aggregate.LayerMisses; total > 0 {
-		fs.Aggregate.LayerHitRate = float64(fs.Aggregate.LayerHits) / float64(total)
+		fs.Aggregate.Fold(st)
 	}
 	return fs
 }
@@ -667,15 +490,5 @@ func (f *Fleet) StartRouter(addr string) (*Router, string, func(), error) {
 		return nil, "", nil, fmt.Errorf("fleet: router: %w", err)
 	}
 	rt := NewRouter(f)
-	hs := &http.Server{Handler: rt}
-	done := make(chan struct{})
-	go func() {
-		_ = hs.Serve(ln)
-		close(done)
-	}()
-	shutdown := func() {
-		_ = hs.Close()
-		<-done
-	}
-	return rt, "http://" + ln.Addr().String(), shutdown, nil
+	return rt, "http://" + ln.Addr().String(), eisvc.ServeOn(ln, rt), nil
 }
