@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json bench-test vet fmt-check smoke all
+.PHONY: build test race fuzz-smoke bench bench-smoke bench-json bench-test vet fmt-check smoke all
 
 all: build test
 
@@ -25,6 +25,16 @@ fmt-check:
 # merging anything that touches them.
 race:
 	$(GO) test -race ./...
+
+# `go test` only replays a fuzz target's seed corpus; this gives each one
+# ten seconds of actual fuzzing (one target and one package per run, as
+# -fuzz requires). A crasher lands in the package's testdata/fuzz/ —
+# commit it: it is the regression seed every later `go test` replays.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s ./internal/eisvc
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/eil
+	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime=10s ./internal/eil
+	$(GO) test -run '^$$' -fuzz '^FuzzCompileDifferential$$' -fuzztime=10s ./internal/opt
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -655,17 +655,21 @@ func gpt2EILBench(b *testing.B) *core.Interface {
 	return stack
 }
 
-// benchEvalStack runs the full GPT-2 EIL stack through every mode, cold
-// and warm. Cold rebuilds the interface tree each iteration (Rebind
+// benchEvalStack runs the full GPT-2 EIL stack through every mode: cold,
+// warm and unique. Cold rebuilds the interface tree each iteration (Rebind
 // clones with fresh versions and an empty program cache), so the compiled
 // path pays lowering, folding, specialization, and emission inside the
-// measurement; warm reuses the tree, so compiled evaluations hit the
-// cached specialized program. The interpreter keeps no per-tree state, so
-// its cold and warm numbers only differ by the Rebind clone itself.
+// measurement; warm reuses the tree and the arguments; unique reuses the
+// tree and asks about a prompt length it has never seen — what a resource
+// manager does, and what the serving benchmark's cold_exact sends. On a
+// warm tree both bind the cached program, so they differ only in what the
+// argument costs the VM. The interpreter keeps no per-tree state, so its
+// numbers only differ by the Rebind clone itself.
 func benchEvalStack(b *testing.B, interpret bool) {
 	stack := gpt2EILBench(b)
 	hw := stack.Binding("hw")
 	args := []core.Value{core.Num(64), core.Num(8)}
+	asked := 0 // persists across the harness's calibration reruns
 	for _, m := range evalBenchModes() {
 		opts := m.opts
 		opts.Interpret = interpret
@@ -687,6 +691,20 @@ func benchEvalStack(b *testing.B, interpret bool) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := stack.Eval("generate", args, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("unique/"+m.name, func(b *testing.B) {
+			if _, err := stack.Eval("generate", args, opts); err != nil {
+				b.Fatal(err)
+			}
+			fresh := []core.Value{args[0], args[1]}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				asked++
+				fresh[0] = core.Num(64 + float64(asked)/(1<<24))
+				if _, err := stack.Eval("generate", fresh, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,10 +18,12 @@
 // docs/AUTOOPT.md).
 //
 // -dump prints the optimizing compiler's pipeline for the method before
-// the result: the lowered (fully inlined) IR, the constant-folded IR, the
-// IR specialized for the given arguments, and the flat instruction
-// listing with its register constants, ECV dependencies, and hoisted
-// prefix (see internal/opt and docs/EIL.md).
+// the result: the lowered (fully inlined) IR, the constant-folded IR, each
+// parameter's classification (data, or control and why), the IR
+// specialized for the given arguments (data arguments stay arg<i>), and
+// the flat instruction listing with its register constants, argument
+// registers, ECV dependencies, and hoisted prefix (see internal/opt and
+// docs/EIL.md).
 //
 // Modes take the spellings core.Mode.String emits — expected, worst-case,
 // best-case, fixed, monte-carlo — plus the short aliases worst and best;

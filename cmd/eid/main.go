@@ -441,6 +441,28 @@ interface accel_math {
 	if _, _, err := c.Eval("accel_math", "f", []core.Value{core.Num(64)}, core.Expected()); err != nil {
 		return fmt.Errorf("smoke eval (pure EIL): %w", err)
 	}
+	// n only meets arithmetic, so the program emitted for 64 serves every
+	// other n: a sweep of new arguments runs compiled and emits nothing.
+	const sweep = 8
+	unswept, err := c.Stats()
+	if err != nil {
+		return fmt.Errorf("smoke stats: %w", err)
+	}
+	for n := 1; n <= sweep; n++ {
+		if _, _, err := c.Eval("accel_math", "f", []core.Value{core.Num(64.5 + float64(n))}, core.Expected()); err != nil {
+			return fmt.Errorf("smoke eval (pure EIL, n=%d): %w", n, err)
+		}
+	}
+	swept, err := c.Stats()
+	if err != nil {
+		return fmt.Errorf("smoke stats: %w", err)
+	}
+	if got := swept.CompiledEvals - unswept.CompiledEvals; got != sweep {
+		return fmt.Errorf("smoke: %d unique-argument evals counted %d compiled_evals", sweep, got)
+	}
+	if got := swept.Specializations - unswept.Specializations; got != 0 {
+		return fmt.Errorf("smoke: %d unique data arguments emitted code %d times (specializations), want 0", sweep, got)
+	}
 
 	// Auto-optimizer: sweep the MoE stack's knob space through POST
 	// /v1/optimize and pin the repeat-sweep contract.
@@ -462,8 +484,8 @@ interface accel_math {
 	if st.CompiledPrograms+st.CompileFallbacks == 0 {
 		return fmt.Errorf("smoke: EIL evaluations reached neither the compiler nor its fallback")
 	}
-	fmt.Fprintf(out, "eid: serve-smoke ok — %d evals, %d memo hit(s), %d layer hit(s), %d compiled program(s), %d compiled eval(s), %d fallback(s), %.4g J attributed to %q\n",
-		st.EvalRequests, st.MemoHits, st.LayerHits, st.CompiledPrograms, st.CompiledEvals, st.CompileFallbacks, st.AttribJ, c.ID)
+	fmt.Fprintf(out, "eid: serve-smoke ok — %d evals, %d memo hit(s), %d layer hit(s), %d compiled program(s), %d compiled eval(s) from %d specialization(s), %d fallback(s), %.4g J attributed to %q\n",
+		st.EvalRequests, st.MemoHits, st.LayerHits, st.CompiledPrograms, st.CompiledEvals, st.Specializations, st.CompileFallbacks, st.AttribJ, c.ID)
 	return nil
 }
 

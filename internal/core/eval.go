@@ -422,6 +422,9 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 	// interpreter fallback; both paths produce bit-identical Dists, so the
 	// choice is invisible to callers.
 	spec := i.specializeFor(method, opts, args, base, free)
+	if spec != nil {
+		defer spec.Release()
+	}
 
 	if opts.Mode == ModeFixed {
 		if len(free) > 0 {

@@ -163,6 +163,8 @@ func (p *fakeProgram) Specialize(args []Value, pinned map[string]Value, free []Q
 
 func (s *fakeSpec) Deps() []int { return s.deps }
 
+func (s *fakeSpec) Release() {}
+
 func (s *fakeSpec) Run(vals []Value) (float64, error) {
 	assign := map[string]Value{}
 	for k, v := range s.pinned {

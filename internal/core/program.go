@@ -23,19 +23,24 @@ import (
 // tree, produced by a registered MethodCompiler. It is immutable and safe
 // for concurrent use.
 type CompiledProgram interface {
-	// Specialize partially evaluates the program for concrete arguments
-	// and pinned ECV values (partial evaluation: args and pinned ECV reads
-	// become immediates, dead branches drop, loop bounds become static).
-	// free lists the unpinned ECVs in evaluation order; the returned
-	// program's Run takes values aligned with that order. Specialize
-	// returns ok=false when the residual program is outside the compiled
-	// subset (e.g. a loop bound still dynamic, or a statically detectable
-	// fuel overrun) — the caller then falls back to the interpreter.
+	// Specialize returns the program bound to one Eval's arguments and
+	// pinned ECV values. The expensive half — partial evaluation (pinned
+	// ECV reads and the arguments that steer control flow become
+	// immediates, dead branches drop, loop bounds become static) and code
+	// emission — is the implementation's to cache across Evals; binding
+	// the remaining arguments is per call. free lists the unpinned ECVs in
+	// evaluation order — always the tree's transitive ECVs minus the
+	// pinned ones — and the returned program's Run takes values aligned
+	// with that order. Specialize returns ok=false when the residual
+	// program is outside the compiled subset (e.g. a loop bound still
+	// dynamic, or a statically detectable fuel overrun) — the caller then
+	// falls back to the interpreter.
 	Specialize(args []Value, pinned map[string]Value, free []QualifiedECV) (SpecializedProgram, bool)
 }
 
-// SpecializedProgram evaluates a method under assignments of its free
-// ECVs. Implementations are safe for concurrent Run calls.
+// SpecializedProgram evaluates a method, for the arguments it was bound
+// to, under assignments of its free ECVs. Implementations are safe for
+// concurrent Run calls.
 type SpecializedProgram interface {
 	// Run evaluates under one complete free-ECV assignment; vals is
 	// aligned with the free slice passed to Specialize (slots for ECVs
@@ -53,6 +58,9 @@ type SpecializedProgram interface {
 	// iterates with Run. The values written are bit-identical to per-index
 	// Run calls.
 	FillTable(dims [][]Value, out []float64) (ok bool, err error)
+	// Release hands the program's per-Eval state back for reuse. EvalCtx
+	// calls it once, when it returns; the program must not be used after.
+	Release()
 }
 
 // MethodCompiler compiles one method of the tree rooted at root. A nil
@@ -86,13 +94,24 @@ type ProgramStats struct {
 	CompileFallbacks uint64
 	// CompiledEvals counts Evals served through a compiled program.
 	CompiledEvals uint64
+	// Specializations counts the times a compiled program emitted code
+	// for a new specialization. It moves with distinct (control-argument,
+	// pinned-ECV) shapes, not with Evals: on a warm node it should be
+	// flat, and one that climbs with CompiledEvals is churning its
+	// specialization caches.
+	Specializations uint64
 }
 
 var progStats struct {
 	compiled  atomic.Uint64
 	fallbacks atomic.Uint64
 	evals     atomic.Uint64
+	specs     atomic.Uint64
 }
+
+// CountSpecialization records one code emission; the registered compiler
+// calls it.
+func CountSpecialization() { progStats.specs.Add(1) }
 
 // ReadProgramStats returns a snapshot of the compiled-evaluation counters.
 func ReadProgramStats() ProgramStats {
@@ -100,6 +119,7 @@ func ReadProgramStats() ProgramStats {
 		CompiledPrograms: progStats.compiled.Load(),
 		CompileFallbacks: progStats.fallbacks.Load(),
 		CompiledEvals:    progStats.evals.Load(),
+		Specializations:  progStats.specs.Load(),
 	}
 }
 
@@ -152,7 +172,8 @@ func (i *Interface) compiledFor(method string) CompiledProgram {
 }
 
 // specializeFor runs compilation + specialization for one Eval and counts
-// the outcome. A nil return means interpreter fallback.
+// the outcome. A nil return means interpreter fallback; a non-nil program
+// is the caller's to Release.
 func (i *Interface) specializeFor(method string, opts EvalOptions, args []Value,
 	base map[string]Value, free []QualifiedECV) SpecializedProgram {
 	if opts.Interpret {

@@ -800,6 +800,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.CompiledPrograms = ps.CompiledPrograms
 	resp.CompileFallbacks = ps.CompileFallbacks
 	resp.CompiledEvals = ps.CompiledEvals
+	resp.Specializations = ps.Specializations
 	resp.Draining = s.Draining()
 	resp.InFlight = s.InFlight()
 	resp.ShedDraining = s.shedDraining.Load()

@@ -10,10 +10,12 @@ import (
 )
 
 // DumpMethod renders the compilation pipeline for one method, pass by
-// pass: the lowered (fully inlined) IR, the constant-folded IR, the IR
-// specialized for the given arguments with every ECV free, and the final
-// instruction listing with its register constants and dependency set.
-// Methods outside the compiled subset report the decline instead.
+// pass: the lowered (fully inlined) IR, the constant-folded IR, what the
+// dependence pass decided about each parameter, the IR specialized for
+// the given arguments with every ECV free (control arguments folded in,
+// data arguments left as arg<i>), and the final instruction listing with
+// its register constants, argument registers and dependency set. Methods
+// outside the compiled subset report the decline instead.
 func DumpMethod(root *core.Interface, method string, args []core.Value) (string, error) {
 	m := root.Method(method)
 	if m == nil {
@@ -28,53 +30,45 @@ func DumpMethod(root *core.Interface, method string, args []core.Value) (string,
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: lowered (inlined) ==\n", method)
-	lw := &lowerer{}
-	irArgs := make([]irExpr, len(fn.Params))
-	for i := range irArgs {
-		irArgs[i] = irArg{i: i}
-	}
-	blk, err := lw.lowerMethod(root, "", fn, irArgs, 0)
-	if err != nil {
+	declined := func(err error) (string, error) {
 		fmt.Fprintf(&b, "declined: %v\n", err)
 		return b.String(), nil
+	}
+	fmt.Fprintf(&b, "== %s: lowered (inlined) ==\n", method)
+	blk, err := lowerSource(root, fn)
+	if err != nil {
+		return declined(err)
 	}
 	writeStmts(&b, blk.stmts, 1)
 
 	fmt.Fprintf(&b, "\n== %s: folded ==\n", method)
-	fc := &foldCtx{consts: map[*irSlot]irConst{}}
-	folded := &irBlock{stmts: fc.foldStmts(blk.stmts), w0: blk.w0}
+	folded := foldLiterals(blk)
 	writeStmts(&b, folded.stmts, 1)
+
+	p := newProgram(method, len(fn.Params), folded)
+	fmt.Fprintf(&b, "\n== %s: parameters ==\n", method)
+	for i, name := range fn.Params {
+		fmt.Fprintf(&b, "  arg%d %s: %s\n", i, name, p.params[i])
+	}
+	if len(fn.Params) == 0 {
+		fmt.Fprintf(&b, "  none\n")
+	}
 
 	fmt.Fprintf(&b, "\n== %s: specialized (all ECVs free) ==\n", method)
 	free := root.TransitiveECVs()
-	freeIdx := make(map[string]int, len(free))
-	for i, q := range free {
-		freeIdx[q.QualifiedName()] = i
-	}
-	sc := &foldCtx{subst: true, args: args, pinned: map[string]core.Value{},
-		freeIdx: freeIdx, consts: map[*irSlot]irConst{}}
-	spec := &irBlock{stmts: sc.foldStmts(cloneStmts(folded.stmts, map[*irSlot]*irSlot{})), w0: folded.w0}
-	if sc.err != nil {
-		fmt.Fprintf(&b, "declined: %v\n", sc.err)
-		return b.String(), nil
+	spec, err := p.partialEval(args, nil, free)
+	if err != nil {
+		return declined(err)
 	}
 	writeStmts(&b, spec.stmts, 1)
 
 	fmt.Fprintf(&b, "\n== %s: code ==\n", method)
-	bound, err := boundStmts(spec.stmts)
-	if err != nil {
-		fmt.Fprintf(&b, "declined: %v\n", err)
-		return b.String(), nil
-	}
-	if satAdd(spec.w0, bound) >= int64(eil.DefaultFuel) {
-		fmt.Fprintf(&b, "declined: static step bound %d exceeds fuel budget %d\n", bound, eil.DefaultFuel)
-		return b.String(), nil
+	if err := checkFuel(spec); err != nil {
+		return declined(err)
 	}
 	code, deps, err := emitProgram(spec, method)
 	if err != nil {
-		fmt.Fprintf(&b, "declined: %v\n", err)
-		return b.String(), nil
+		return declined(err)
 	}
 	writeCode(&b, code, deps, free)
 	return b.String(), nil
@@ -164,6 +158,12 @@ func exprString(e irExpr) string {
 func writeCode(b *strings.Builder, p *progCode, deps map[int]bool, free []core.QualifiedECV) {
 	fmt.Fprintf(b, "registers: %d float, %d bool, %d value\n",
 		len(p.initF), len(p.initB), len(p.initV))
+	if len(p.args) > 0 {
+		fmt.Fprintf(b, "arguments (written per request):\n")
+		for _, a := range p.args {
+			fmt.Fprintf(b, "  f%d = arg%d\n", a.reg, a.i)
+		}
+	}
 	if len(p.constsF) > 0 {
 		fmt.Fprintf(b, "float constants:\n")
 		for _, c := range p.constsF {
@@ -196,7 +196,7 @@ func writeCode(b *strings.Builder, p *progCode, deps map[int]bool, free []core.Q
 		}
 		fmt.Fprintf(b, "deps: %s\n", strings.Join(names, ", "))
 	}
-	fmt.Fprintf(b, "prefix: %d of %d instructions run once per specialization\n",
+	fmt.Fprintf(b, "prefix: %d of %d instructions run once per request, at bind\n",
 		prefixLen(p.code), len(p.code))
 	for pc, in := range p.code {
 		fmt.Fprintf(b, "%4d  %-9s", pc, opNames[in.Op])

@@ -60,6 +60,8 @@ func typeOfWalk(e irExpr, changed *bool) irType {
 	switch x := e.(type) {
 	case irConst:
 		return kindType(x.v)
+	case irArg:
+		return tNum // only a num stays symbolic (Program.symbolic)
 	case irVar:
 		return x.slot.t
 	case irECV:
@@ -209,6 +211,7 @@ type emitter struct {
 	fconst     map[uint64]int32 // Float64bits key: -0 and NaN handled exactly
 	bconst     map[bool]int32
 	vconst     map[string]int32 // Value.Key()
+	argReg     map[int]int32    // symbolic argument -> its float register
 	nameIdx    map[string]int32
 	msgIdx     map[string]int32
 	deps       map[int]bool
@@ -226,6 +229,7 @@ func emitProgram(blk *irBlock, method string) (*progCode, map[int]bool, error) {
 		fconst:  map[uint64]int32{},
 		bconst:  map[bool]int32{},
 		vconst:  map[string]int32{},
+		argReg:  map[int]int32{},
 		nameIdx: map[string]int32{},
 		msgIdx:  map[string]int32{},
 		deps:    map[int]bool{},
@@ -407,6 +411,14 @@ func (em *emitter) emitExpr(e irExpr) (int32, irType, error) {
 	case irConst:
 		r, t := em.constReg(x.v)
 		return r, t, nil
+	case irArg:
+		r, ok := em.argReg[x.i]
+		if !ok {
+			r = em.allocF()
+			em.argReg[x.i] = r
+			em.p.args = append(em.p.args, argReg{reg: r, i: x.i})
+		}
+		return r, tNum, nil
 	case irVar:
 		return em.slotReg(x.slot), x.slot.t, nil
 	case irFree:
@@ -641,12 +653,21 @@ func (em *emitter) emitStmts(stmts []irStmt) error {
 	for _, st := range stmts {
 		switch s := st.(type) {
 		case *irLet:
-			if _, ok := constOf(s.init); ok && !s.slot.mutated {
-				continue // constant-propagated: every read already folded
+			if _, ok := propagated(s.init); ok && !s.slot.mutated {
+				continue // propagated: every read already folded
 			}
+			nF := em.nF
 			r, t, err := em.emitExpr(s.init)
 			if err != nil {
 				return err
+			}
+			if !s.slot.mutated && t == tNum && s.slot.t == tNum && r >= nF {
+				// The init landed in a register this expression allocated
+				// and nothing else writes; a never-reassigned slot can
+				// simply be that register. With argument arithmetic left
+				// to the VM these copies were a quarter of its work.
+				s.slot.reg = r
+				continue
 			}
 			em.emit(movOp(s.slot.t), em.slotReg(s.slot), em.coerce(r, t, s.slot.t), 0)
 		case *irAssign:

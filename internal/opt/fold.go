@@ -8,10 +8,11 @@ import (
 )
 
 // foldCtx parameterizes the combined substitution + constant-folding pass.
-// At compile time (subst == false) only literal constants fold; at
-// specialization time arguments and pinned ECVs substitute to constants
-// first, which is what makes partial evaluation collapse whole method
-// bodies.
+// At compile time (prog == nil) only literal constants fold; at
+// specialization time pinned ECVs and the arguments prog does not keep
+// symbolic substitute to constants first, which is what makes partial
+// evaluation collapse whole method bodies. A symbolic argument stays an
+// irArg: every node it reaches survives for the VM to compute per request.
 //
 // Folding delegates every actual computation to the interpreter's own
 // evaluators (eil.ApplyBinary, eil.CallBuiltin, core.Value accessors), so
@@ -20,12 +21,53 @@ import (
 // emitted program then produces the same runtime error the interpreter
 // would — dead-branch elimination may legitimately remove it first.
 type foldCtx struct {
-	subst   bool
+	prog    *Program // non-nil at specialization time: substitute args and pinned
 	args    []core.Value
 	pinned  map[string]core.Value
 	freeIdx map[string]int
-	consts  map[*irSlot]irConst // immutable slots with constant inits
-	err     error               // sticky decline (unknown free ECV)
+	props   map[*irSlot]irExpr // immutable slots bound to a constant, an argument or another such slot
+	err     error              // sticky decline (unknown free ECV)
+
+	// private, when non-nil, makes the fold's output own its slots: every
+	// slot is replaced by a copy on first sight. The fold rebuilds every
+	// node that holds one, so a specialization — whose emit pass writes
+	// slot types and registers — shares nothing mutable with the program's
+	// IR or with a concurrent specialization.
+	private map[*irSlot]*irSlot
+}
+
+func (f *foldCtx) slot(s *irSlot) *irSlot {
+	if f.private == nil {
+		return s
+	}
+	c, ok := f.private[s]
+	if !ok {
+		c = &irSlot{name: s.name, id: s.id, mutated: s.mutated, t: s.t, reg: -1}
+		f.private[s] = c
+	}
+	return c
+}
+
+// propagated returns what a read of an immutable slot bound to init folds
+// to: a constant, an argument read, or a read of another immutable slot —
+// none can change between the binding and the read (a loop that rebinds
+// the other slot rebinds this one after it). Either way the read stays
+// one interpreter step.
+func propagated(init irExpr) (irExpr, bool) {
+	for {
+		switch x := init.(type) {
+		case irConst:
+			return irConst{v: x.v, w: 1}, true
+		case irArg:
+			return x, true
+		case irVar:
+			return x, !x.slot.mutated
+		case *irSteps:
+			init = x.x
+		default:
+			return nil, false
+		}
+	}
 }
 
 func (f *foldCtx) foldStmts(stmts []irStmt) []irStmt {
@@ -34,16 +76,16 @@ func (f *foldCtx) foldStmts(stmts []irStmt) []irStmt {
 		switch s := st.(type) {
 		case *irLet:
 			init := f.foldExpr(s.init)
-			if v, ok := constOf(init); ok && !s.slot.mutated {
-				f.consts[s.slot] = irConst{v: v, w: 1}
+			if p, ok := propagated(init); ok && !s.slot.mutated {
+				f.props[s.slot] = p
 			}
-			out[i] = &irLet{slot: s.slot, init: init, noStep: s.noStep}
+			out[i] = &irLet{slot: f.slot(s.slot), init: init, noStep: s.noStep}
 		case *irAssign:
-			out[i] = &irAssign{slot: s.slot, x: f.foldExpr(s.x)}
+			out[i] = &irAssign{slot: f.slot(s.slot), x: f.foldExpr(s.x)}
 		case *irIf:
 			out[i] = &irIf{cond: f.foldExpr(s.cond), then: f.foldStmts(s.then), els: f.foldStmts(s.els)}
 		case *irFor:
-			out[i] = &irFor{slot: s.slot, from: f.foldExpr(s.from), to: f.foldExpr(s.to), body: f.foldStmts(s.body)}
+			out[i] = &irFor{slot: f.slot(s.slot), from: f.foldExpr(s.from), to: f.foldExpr(s.to), body: f.foldStmts(s.body)}
 		case *irReturn:
 			out[i] = &irReturn{x: f.foldExpr(s.x)}
 		default:
@@ -58,18 +100,18 @@ func (f *foldCtx) foldExpr(e irExpr) irExpr {
 	case irConst:
 		return x
 	case irArg:
-		if f.subst {
+		if f.prog != nil && !f.prog.symbolic(x.i, f.args) {
 			// An argument read is an Ident evaluation: one step.
 			return irConst{v: f.args[x.i], w: 1}
 		}
 		return x
 	case irVar:
-		if c, ok := f.consts[x.slot]; ok {
-			return c
+		if p, ok := f.props[x.slot]; ok {
+			return p
 		}
-		return x
+		return irVar{slot: f.slot(x.slot)}
 	case irECV:
-		if !f.subst {
+		if f.prog == nil {
 			return x
 		}
 		if v, ok := f.pinned[x.qn]; ok {

@@ -7,12 +7,19 @@
 //	lower      — resolve names, inline every Self/E call (cycle- and
 //	             depth-guarded), producing a single tree IR per method
 //	fold       — constant folding and bit-exact arithmetic simplification
-//	specialize — partial evaluation for one Eval's arguments and pinned
-//	             ECVs: both become immediates, dead branches drop, loop
-//	             bounds become static, and the residual program's
-//	             interpreter step count is bounded against eil.DefaultFuel
+//	classify   — one dependence pass decides, per parameter, whether its
+//	             value can reach control flow or a non-num (control) or
+//	             only flows through arithmetic into the result (data)
+//	specialize — partial evaluation for one Eval's control arguments and
+//	             pinned ECVs: both become immediates, dead branches drop,
+//	             loop bounds become static, and the residual program's
+//	             interpreter step count is bounded against eil.DefaultFuel;
+//	             data arguments stay symbolic
 //	emit       — flat []Instr over three register banks (floats, bools,
-//	             values) with jump-based control flow
+//	             values) with jump-based control flow; each symbolic
+//	             argument gets a float register
+//	bind       — per request: write the data arguments into a register
+//	             file and run the assignment-independent prefix once
 //
 // Compiled evaluation is bit-identical to the tree-walking interpreter:
 // folding reuses the interpreter's own evaluators (eil.ApplyBinary,
@@ -88,8 +95,11 @@ type irConst struct {
 	w int64 // steps of the subtree this constant folded from
 }
 
-// irArg is a read of method argument i; it exists only between lowering
-// and specialization (arguments substitute to constants).
+// irArg is a read of method argument i. Specialization substitutes a
+// constant for it, or — for a data parameter the request passed a num for
+// (Program.symbolic) — leaves it for the emitter, which gives it a float
+// register written at bind time. Like a constant it never changes during
+// an evaluation.
 type irArg struct{ i int }
 
 type irVar struct{ slot *irSlot }

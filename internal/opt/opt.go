@@ -2,10 +2,10 @@ package opt
 
 import (
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
-	"sync/atomic"
 
+	"energyclarity/internal/cache"
 	"energyclarity/internal/core"
 	"energyclarity/internal/eil"
 )
@@ -17,27 +17,53 @@ func init() {
 	core.RegisterCompiler(CompileMethod)
 }
 
-// maxSpecCache bounds the per-program specialization cache. Beyond it,
-// specializations still compile — they are just not retained, so a daemon
-// sweeping unbounded argument spaces cannot grow memory without limit.
-const maxSpecCache = 1024
+// specCacheSize bounds each program's specialization cache. An entry is
+// keyed by the control arguments and the pinned ECV values — data
+// arguments are bound per request and never reach the key — so the live
+// key space is a handful of loop bounds, DVFS levels and pinned shapes;
+// beyond the bound the least recently used specialization is re-emitted
+// on its next use.
+const specCacheSize = 128
 
 // Program is a compiled method: the folded IR after lowering and
-// inlining, specialized on demand for each Eval's arguments and pinned
-// ECVs. It implements core.CompiledProgram and is safe for concurrent use
-// (the IR is immutable after compilation; specializations clone the slot
-// metadata they mutate).
+// inlining, specialized on demand for each distinct tuple of control
+// arguments and pinned ECVs, and bound per Eval to the request's data
+// arguments. It implements core.CompiledProgram and is safe for
+// concurrent use (the IR is immutable after compilation; a specialization
+// folds it into a copy with slots of its own).
 type Program struct {
-	method  string
-	nParams int
-	ir      *irBlock
+	method string
+	ir     *irBlock
+	params []paramUse // one per parameter
 
-	specs  sync.Map // cache key -> *specEntry
-	nSpecs atomic.Int64
+	mu    sync.Mutex
+	specs *cache.Store[*specEntry]
 }
 
+// specEntry is one cache slot. once makes concurrent requests for a new
+// key emit its code exactly once; code stays nil for a declined
+// specialization, so the fallback is not re-analyzed on every Eval.
 type specEntry struct {
-	spec core.SpecializedProgram // nil records a declined specialization
+	once sync.Once
+	code *specCode
+}
+
+// lowerSource lowers one EIL method of root with every reachable callee
+// inlined and its parameters as irArg reads.
+func lowerSource(root *core.Interface, fn *eil.FuncDecl) (*irBlock, error) {
+	args := make([]irExpr, len(fn.Params))
+	for i := range args {
+		args[i] = irArg{i: i}
+	}
+	return (&lowerer{}).lowerMethod(root, "", fn, args, 0)
+}
+
+// foldLiterals is the compile-time constant folding pass: literal
+// arithmetic collapses here; argument- and ECV-dependent folding waits for
+// specialization.
+func foldLiterals(blk *irBlock) *irBlock {
+	fc := &foldCtx{props: map[*irSlot]irExpr{}}
+	return &irBlock{stmts: fc.foldStmts(blk.stmts), w0: blk.w0}
 }
 
 // CompileMethod compiles one method of the tree rooted at root. It is the
@@ -54,189 +80,144 @@ func CompileMethod(root *core.Interface, method string) (core.CompiledProgram, e
 	if !ok || fn == nil {
 		return nil, nil
 	}
-	lw := &lowerer{}
-	args := make([]irExpr, len(fn.Params))
-	for i := range args {
-		args[i] = irArg{i: i}
-	}
-	blk, err := lw.lowerMethod(root, "", fn, args, 0)
+	blk, err := lowerSource(root, fn)
 	if err != nil {
 		if _, declined := err.(*declineError); declined {
 			return nil, nil
 		}
 		return nil, err
 	}
-	// Compile-time constant folding: literal arithmetic collapses here;
-	// argument- and ECV-dependent folding waits for specialization.
-	fc := &foldCtx{consts: map[*irSlot]irConst{}}
-	folded := fc.foldStmts(blk.stmts)
-	if fc.err != nil {
-		return nil, nil
-	}
-	return &Program{
-		method:  method,
-		nParams: len(fn.Params),
-		ir:      &irBlock{stmts: folded, w0: blk.w0},
-	}, nil
+	return newProgram(method, len(fn.Params), foldLiterals(blk)), nil
 }
 
-// Specialize partially evaluates the program for concrete arguments and
-// pinned ECVs, emits flat code, and caches the result keyed by the exact
-// (args, pinned, free) shape. ok=false declines to the interpreter.
+func newProgram(method string, nParams int, ir *irBlock) *Program {
+	return &Program{
+		method: method,
+		ir:     ir,
+		params: classifyParams(ir, nParams),
+		specs:  cache.NewStore[*specEntry](specCacheSize),
+	}
+}
+
+// symbolic reports whether argument i stays a runtime register for this
+// request: its parameter is data and the request passed a num. It is the
+// one decision both the cache key and the fold read, so a non-num passed
+// for a data parameter keys and folds by value like a control argument.
+func (p *Program) symbolic(i int, args []core.Value) bool {
+	return p.params[i] == useData && args[i].Kind() == core.KindNum
+}
+
+// Specialize returns the program bound to one request. The emitted code is
+// looked up (or partially evaluated and emitted, once) under the control
+// arguments and pinned ECV values; binding then writes the data arguments
+// into a pooled register file and runs the assignment-independent prefix.
+// free must be the tree's transitive ECVs minus the pinned ones, in
+// order — it is a function of pinned, which is why it is not part of the
+// key. ok=false declines to the interpreter.
 func (p *Program) Specialize(args []core.Value, pinned map[string]core.Value, free []core.QualifiedECV) (core.SpecializedProgram, bool) {
 	// The interpreter rejects argument-count mismatches at runtime (except
 	// for zero-parameter methods, which accept anything); decline and let
 	// it produce that error.
-	if p.nParams != 0 && len(args) != p.nParams {
+	if len(p.params) != 0 && len(args) != len(p.params) {
 		return nil, false
 	}
-	key := specKey(args, pinned, free)
-	if e, ok := p.specs.Load(key); ok {
-		ent := e.(*specEntry)
-		return ent.spec, ent.spec != nil
+	var buf [128]byte
+	key := p.appendKey(buf[:0], args, pinned)
+	p.mu.Lock()
+	ent, ok := p.specs.Get(string(key))
+	if !ok {
+		ent = &specEntry{}
+		p.specs.Put(string(key), ent)
 	}
-	spec := p.specialize(args, pinned, free)
-	if p.nSpecs.Load() < maxSpecCache {
-		if _, loaded := p.specs.LoadOrStore(key, &specEntry{spec: spec}); !loaded {
-			p.nSpecs.Add(1)
-		}
+	p.mu.Unlock()
+	ent.once.Do(func() { ent.code = p.specialize(args, pinned, free) })
+	if ent.code == nil {
+		return nil, false
 	}
-	return spec, spec != nil
+	return ent.code.bind(args), true
 }
 
-func (p *Program) specialize(args []core.Value, pinned map[string]core.Value, free []core.QualifiedECV) core.SpecializedProgram {
-	freeIdx := make(map[string]int, len(free))
-	for i, q := range free {
-		freeIdx[q.QualifiedName()] = i
+// specialize emits the code for one cache key, or nil to decline.
+func (p *Program) specialize(args []core.Value, pinned map[string]core.Value, free []core.QualifiedECV) *specCode {
+	blk, err := p.partialEval(args, pinned, free)
+	if err == nil {
+		err = checkFuel(blk)
 	}
-	fc := &foldCtx{
-		subst:   true,
-		args:    args,
-		pinned:  pinned,
-		freeIdx: freeIdx,
-		consts:  map[*irSlot]irConst{},
-	}
-	blk := &irBlock{stmts: cloneStmts(p.ir.stmts, map[*irSlot]*irSlot{}), w0: p.ir.w0}
-	blk = &irBlock{stmts: fc.foldStmts(blk.stmts), w0: blk.w0}
-	if fc.err != nil {
-		return nil
-	}
-	// Fuel check: the residual program's interpreter step bound must stay
-	// under the budget, or the interpreter could return ErrFuelExhausted
-	// where the compiled program would happily keep running.
-	bound, err := boundStmts(blk.stmts)
-	if err != nil || satAdd(blk.w0, bound) >= int64(eil.DefaultFuel) {
+	if err != nil {
 		return nil
 	}
 	code, deps, err := emitProgram(blk, p.method)
 	if err != nil {
 		return nil
 	}
-	return newSpecialized(code, deps, len(free))
+	core.CountSpecialization()
+	return newSpecCode(code, deps, len(free))
 }
 
-// cloneStmts deep-copies the IR so concurrent specializations (and the
-// emit pass, which mutates slot types and registers) never share slots.
-func cloneStmts(stmts []irStmt, slots map[*irSlot]*irSlot) []irStmt {
-	out := make([]irStmt, len(stmts))
-	for i, st := range stmts {
-		switch s := st.(type) {
-		case *irLet:
-			out[i] = &irLet{slot: cloneSlot(s.slot, slots), init: cloneExpr(s.init, slots), noStep: s.noStep}
-		case *irAssign:
-			out[i] = &irAssign{slot: cloneSlot(s.slot, slots), x: cloneExpr(s.x, slots)}
-		case *irIf:
-			out[i] = &irIf{cond: cloneExpr(s.cond, slots), then: cloneStmts(s.then, slots), els: cloneStmts(s.els, slots)}
-		case *irFor:
-			out[i] = &irFor{slot: cloneSlot(s.slot, slots), from: cloneExpr(s.from, slots), to: cloneExpr(s.to, slots), body: cloneStmts(s.body, slots)}
-		case *irReturn:
-			out[i] = &irReturn{x: cloneExpr(s.x, slots)}
-		default:
-			out[i] = st
-		}
+// partialEval folds the program into a private copy for one cache key:
+// control arguments and pinned ECVs become constants, unpinned ECV reads
+// resolve to their index in free, symbolic arguments stay irArg.
+func (p *Program) partialEval(args []core.Value, pinned map[string]core.Value, free []core.QualifiedECV) (*irBlock, error) {
+	freeIdx := make(map[string]int, len(free))
+	for i, q := range free {
+		freeIdx[q.QualifiedName()] = i
 	}
-	return out
+	fc := &foldCtx{
+		prog:    p,
+		args:    args,
+		pinned:  pinned,
+		freeIdx: freeIdx,
+		props:   map[*irSlot]irExpr{},
+		private: map[*irSlot]*irSlot{},
+	}
+	return &irBlock{stmts: fc.foldStmts(p.ir.stmts), w0: p.ir.w0}, fc.err
 }
 
-func cloneSlot(s *irSlot, slots map[*irSlot]*irSlot) *irSlot {
-	if c, ok := slots[s]; ok {
-		return c
+// checkFuel declines a residual program whose interpreter step bound
+// reaches the budget: the interpreter could return ErrFuelExhausted where
+// the compiled program would happily keep running. The bound is the same
+// number for every value of a symbolic argument — an irArg weighs what
+// the constant it replaces would, and only constant conditions and loop
+// trip counts make the bound value-dependent, both control by
+// construction.
+func checkFuel(blk *irBlock) error {
+	bound, err := boundStmts(blk.stmts)
+	if err != nil {
+		return err
 	}
-	c := &irSlot{name: s.name, id: s.id, mutated: s.mutated, t: s.t, reg: -1}
-	slots[s] = c
-	return c
+	if total := satAdd(blk.w0, bound); total >= int64(eil.DefaultFuel) {
+		return decline("static step bound %d exceeds fuel budget %d", total, eil.DefaultFuel)
+	}
+	return nil
 }
 
-func cloneExpr(e irExpr, slots map[*irSlot]*irSlot) irExpr {
-	switch x := e.(type) {
-	case irConst, irArg, irECV, irFree:
-		return x
-	case irVar:
-		return irVar{slot: cloneSlot(x.slot, slots)}
-	case *irUnary:
-		return &irUnary{op: x.op, x: cloneExpr(x.x, slots)}
-	case *irBinary:
-		return &irBinary{op: x.op, x: cloneExpr(x.x, slots), y: cloneExpr(x.y, slots)}
-	case *irCond:
-		return &irCond{cond: cloneExpr(x.cond, slots), then: cloneExpr(x.then, slots), els: cloneExpr(x.els, slots)}
-	case *irCall:
-		args := make([]irExpr, len(x.args))
-		for i, a := range x.args {
-			args[i] = cloneExpr(a, slots)
+// appendKey appends the cache key of one request: each argument by value,
+// or by the bare fact that it is a num when it stays symbolic, then the
+// pinned assignments sorted by name.
+func (p *Program) appendKey(key []byte, args []core.Value, pinned map[string]core.Value) []byte {
+	for i := range p.params {
+		if p.symbolic(i, args) {
+			key = append(key, '#')
+		} else if n, ok := args[i].AsNum(); ok {
+			key = strconv.AppendFloat(append(key, 'N'), n, 'g', -1, 64) // Value.Key, without its builder
+		} else {
+			key = append(key, args[i].Key()...)
 		}
-		return &irCall{name: x.name, args: args}
-	case *irField:
-		return &irField{x: cloneExpr(x.x, slots), name: x.name}
-	case *irIndex:
-		return &irIndex{x: cloneExpr(x.x, slots), i: cloneExpr(x.i, slots)}
-	case *irRecord:
-		vals := make([]irExpr, len(x.vals))
-		for i, v := range x.vals {
-			vals[i] = cloneExpr(v, slots)
-		}
-		return &irRecord{names: x.names, vals: vals}
-	case *irList:
-		elems := make([]irExpr, len(x.elems))
-		for i, el := range x.elems {
-			elems[i] = cloneExpr(el, slots)
-		}
-		return &irList{elems: elems}
-	case *irBlock:
-		return &irBlock{stmts: cloneStmts(x.stmts, slots), w0: x.w0}
-	case *irSteps:
-		return &irSteps{x: cloneExpr(x.x, slots), extra: x.extra}
-	default:
-		return e
+		key = append(key, 0)
 	}
-}
-
-// specKey builds the deterministic cache key for one specialization
-// shape: argument values, pinned assignments (sorted), and the free-ECV
-// order the emitted loads index into.
-func specKey(args []core.Value, pinned map[string]core.Value, free []core.QualifiedECV) string {
-	var b strings.Builder
-	for _, a := range args {
-		b.WriteString(a.Key())
-		b.WriteByte(0)
+	if len(pinned) == 0 {
+		return key
 	}
-	b.WriteByte(1)
-	if len(pinned) > 0 {
-		keys := make([]string, 0, len(pinned))
-		for k := range pinned {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b.WriteString(k)
-			b.WriteByte(2)
-			b.WriteString(pinned[k].Key())
-			b.WriteByte(0)
-		}
+	names := make([]string, 0, len(pinned))
+	for k := range pinned {
+		names = append(names, k)
 	}
-	b.WriteByte(1)
-	for _, q := range free {
-		b.WriteString(q.QualifiedName())
-		b.WriteByte(0)
+	sort.Strings(names)
+	for _, k := range names {
+		key = append(key, 1)
+		key = append(key, k...)
+		key = append(key, 2)
+		key = append(key, pinned[k].Key()...)
 	}
-	return b.String()
+	return key
 }

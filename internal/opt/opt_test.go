@@ -2,10 +2,10 @@ package opt
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"energyclarity/internal/core"
@@ -188,6 +188,22 @@ func TestProgramStatsCount(t *testing.T) {
 	if after.CompiledEvals == before.CompiledEvals {
 		t.Fatal("expected a compiled eval to be counted")
 	}
+	if after.Specializations != before.Specializations+1 {
+		t.Fatalf("first eval emitted code %d times, want 1", after.Specializations-before.Specializations)
+	}
+	// A sweep over a data argument is served by the code already emitted.
+	for n := 1; n <= 50; n++ {
+		if _, err := iface.Binding("accel").Eval("conv2d", []core.Value{core.Num(float64(n) + 0.5)}, core.Expected()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swept := core.ReadProgramStats()
+	if got := swept.CompiledEvals - after.CompiledEvals; got != 50 {
+		t.Fatalf("sweep counted %d compiled evals, want 50", got)
+	}
+	if got := swept.Specializations - after.Specializations; got != 1 {
+		t.Fatalf("50 unique data arguments emitted code %d times, want 1", got)
+	}
 }
 
 // A method whose callee is Go-native cannot be inlined; evaluation must
@@ -343,97 +359,6 @@ func TestRuntimeErrorPresenceAgrees(t *testing.T) {
 	}
 }
 
-// randProgram generates a random but well-formed EIL interface: nested
-// lets, conditionals on a boolean ECV, a bounded accumulation loop, and
-// arithmetic over parameters, prior locals and a numeric ECV.
-func randProgram(rng *rand.Rand) string {
-	var b strings.Builder
-	b.WriteString("interface r {\n")
-	b.WriteString("  ecv flip: bernoulli(0.4)\n")
-	b.WriteString("  ecv load: choice { 1: 0.5, 2: 0.25, 4: 0.25 }\n")
-
-	scope := []string{"n", "load"}
-	expr := func(depth int) string { return randExpr(rng, scope, depth) }
-
-	b.WriteString("  func f(n) {\n")
-	nLets := 1 + rng.Intn(3)
-	for i := 0; i < nLets; i++ {
-		name := fmt.Sprintf("v%d", i)
-		fmt.Fprintf(&b, "    let %s = %s\n", name, expr(2))
-		scope = append(scope, name)
-	}
-	if rng.Intn(2) == 0 {
-		tgt := scope[2+rng.Intn(nLets)]
-		fmt.Fprintf(&b, "    if flip {\n      %s = %s\n    }\n", tgt, expr(2))
-	}
-	fmt.Fprintf(&b, "    let acc = 0\n")
-	loopScope := append(append([]string(nil), scope...), "i")
-	fmt.Fprintf(&b, "    for i in 0 .. %d {\n      acc = acc + %s\n    }\n",
-		1+rng.Intn(5), randExpr(rng, loopScope, 2))
-	if rng.Intn(3) == 0 {
-		fmt.Fprintf(&b, "    if flip && acc > %d {\n      return %s\n    }\n",
-			rng.Intn(10), expr(1))
-	}
-	fmt.Fprintf(&b, "    return acc + %s\n  }\n}\n", expr(2))
-	return b.String()
-}
-
-func randExpr(rng *rand.Rand, scope []string, depth int) string {
-	if depth <= 0 || rng.Intn(3) == 0 {
-		switch rng.Intn(3) {
-		case 0:
-			return fmt.Sprintf("%d", rng.Intn(9))
-		case 1:
-			return "0.5"
-		default:
-			return scope[rng.Intn(len(scope))]
-		}
-	}
-	a := randExpr(rng, scope, depth-1)
-	c := randExpr(rng, scope, depth-1)
-	switch rng.Intn(7) {
-	case 0:
-		return fmt.Sprintf("(%s + %s)", a, c)
-	case 1:
-		return fmt.Sprintf("(%s - %s)", a, c)
-	case 2:
-		return fmt.Sprintf("(%s * %s)", a, c)
-	case 3:
-		return fmt.Sprintf("min(%s, %s)", a, c)
-	case 4:
-		return fmt.Sprintf("max(%s, %s)", a, c)
-	case 5:
-		return fmt.Sprintf("abs(%s)", a)
-	default:
-		return fmt.Sprintf("(%s / (abs(%s) + 1))", a, c)
-	}
-}
-
-func TestRandomProgramsBitIdentity(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		src := randProgram(rng)
-		iface, err := eil.CompileOne(src, nil)
-		if err != nil {
-			t.Fatalf("seed %d: generated invalid EIL: %v\n%s", seed, err, src)
-		}
-		args := []core.Value{core.Num(float64(rng.Intn(20)))}
-		for _, opts := range allModeOpts(iface, seed) {
-			compiled, cerr := iface.Eval("f", args, opts)
-			interp := opts
-			interp.Interpret = true
-			want, ierr := iface.Eval("f", args, interp)
-			if (cerr != nil) != (ierr != nil) {
-				t.Fatalf("seed %d mode %v: compiled err %v vs interpreted err %v\n%s",
-					seed, opts.Mode, cerr, ierr, src)
-			}
-			if cerr == nil && !distBitsEqual(compiled, want) {
-				t.Fatalf("seed %d mode %v: %v != %v\n%s", seed, opts.Mode, compiled, want, src)
-			}
-		}
-	}
-}
-
 func TestRandomFixedAssignments(t *testing.T) {
 	iface := compileEIL(t, fig1Src)
 	args := []core.Value{fig1Request()}
@@ -468,30 +393,127 @@ func TestDumpMethodListsPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"lowered (inlined)", "folded", "specialized", "code", "deps:"} {
+	for _, want := range []string{"lowered (inlined)", "folded", "parameters ==\n  arg0 request: control (non-num use)",
+		"specialized", "code", "deps:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
 	}
 }
 
+// Two requests that differ only in a data argument bind the same emitted
+// program: code is emitted once, each bind answers for its own argument,
+// and a control argument or an arity mismatch still goes its own way.
 func TestSpecializationCacheReuse(t *testing.T) {
-	iface := compileEIL(t, fig1Src)
-	prog, err := CompileMethod(iface, "handle")
+	iface := compileEIL(t, `interface t {
+	  ecv hot: bernoulli(0.5)
+	  func f(n, reps) {
+	    let total = 0
+	    for i in 0 .. reps { total = total + n * 3 }
+	    if hot { return total * 2 }
+	    return total
+	  }
+	}`)
+	prog, err := CompileMethod(iface, "f")
 	if err != nil || prog == nil {
 		t.Fatalf("CompileMethod: %v", err)
 	}
 	p := prog.(*Program)
-	args := []core.Value{fig1Request()}
-	free := iface.TransitiveECVs()
-	s1, ok1 := p.Specialize(args, nil, free)
-	s2, ok2 := p.Specialize(args, nil, free)
-	if !ok1 || !ok2 || s1 != s2 {
-		t.Fatal("identical specializations not cached")
+	if p.params[0] != useData || p.params[1] != useLoopBound {
+		t.Fatalf("params = %v, want [data, control (loop bound)]", p.params)
 	}
-	s3, ok3 := p.Specialize([]core.Value{fig1Request(), fig1Request()}, nil, free)
-	if ok3 || s3 != nil {
+	free := iface.TransitiveECVs()
+	hot := []core.Value{core.Bool(true)}
+	bind := func(n, reps float64) *bound {
+		t.Helper()
+		s, ok := p.Specialize([]core.Value{core.Num(n), core.Num(reps)}, nil, free)
+		if !ok {
+			t.Fatalf("f(%v, %v) declined", n, reps)
+		}
+		return s.(*bound)
+	}
+	before := core.ReadProgramStats().Specializations
+	s1, s2 := bind(5, 2), bind(7.5, 2)
+	if s1 == s2 || s1.specCode != s2.specCode {
+		t.Fatal("binds differing in a data argument must be distinct and share one emitted program")
+	}
+	if got := core.ReadProgramStats().Specializations - before; got != 1 {
+		t.Fatalf("emitted code %d times for one control tuple, want 1", got)
+	}
+	// Both binds are live at once: neither may see the other's argument.
+	for _, c := range []struct {
+		s    *bound
+		want float64
+	}{{s1, 5 * 3 * 2 * 2}, {s2, 7.5 * 3 * 2 * 2}} {
+		if got, err := c.s.Run(hot); err != nil || got != c.want {
+			t.Fatalf("Run = %v, %v; want %v", got, err, c.want)
+		}
+	}
+	s1.Release()
+	s2.Release()
+	if s3 := bind(5, 3); s3.specCode == s1.specCode {
+		t.Fatal("a different loop bound must not share code")
+	}
+	if got := core.ReadProgramStats().Specializations - before; got != 2 {
+		t.Fatalf("emitted code %d times for two control tuples, want 2", got)
+	}
+	// A non-num passed for the data parameter folds by value, as a control
+	// argument would: its own entry, and the runtime error is the VM's.
+	sb, ok := p.Specialize([]core.Value{core.Bool(true), core.Num(2)}, nil, free)
+	if !ok || sb.(*bound).specCode == s1.specCode {
+		t.Fatal("a bool for a data parameter must specialize by value")
+	}
+	if _, err := sb.Run(hot); err == nil {
+		t.Fatal("bool * 3 must fail at run time")
+	}
+	if s, ok := p.Specialize([]core.Value{core.Num(1)}, nil, free); ok || s != nil {
 		t.Fatal("arity mismatch must decline to the interpreter")
+	}
+}
+
+// The specialization cache is an LRU: once more control tuples than it
+// holds have gone by, the recent ones are still cached and an evicted one
+// is cached again on its next use — not re-emitted on every request.
+func TestSpecializationCacheIsLRU(t *testing.T) {
+	iface := compileEIL(t, `interface t {
+	  func f(reps) {
+	    let total = 0
+	    for i in 0 .. reps { total = total + i }
+	    return total
+	  }
+	}`)
+	prog, err := CompileMethod(iface, "f")
+	if err != nil || prog == nil {
+		t.Fatalf("CompileMethod: %v", err)
+	}
+	p := prog.(*Program)
+	emitted := func(reps int) uint64 {
+		t.Helper()
+		before := core.ReadProgramStats().Specializations
+		s, ok := p.Specialize([]core.Value{core.Int(reps)}, nil, nil)
+		if !ok {
+			t.Fatalf("f(%d) declined", reps)
+		}
+		s.Release()
+		if n := p.specs.Len(); n > specCacheSize {
+			t.Fatalf("cache holds %d entries, bound is %d", n, specCacheSize)
+		}
+		return core.ReadProgramStats().Specializations - before
+	}
+	const tuples = specCacheSize + 40
+	for reps := 0; reps < tuples; reps++ {
+		if emitted(reps) != 1 {
+			t.Fatalf("first use of reps=%d did not emit code", reps)
+		}
+	}
+	if emitted(tuples-1) != 0 {
+		t.Fatal("the most recent tuple was not cached")
+	}
+	if emitted(0) != 1 {
+		t.Fatal("the oldest tuple should have been evicted")
+	}
+	if emitted(0) != 0 {
+		t.Fatal("a re-requested tuple must be cached again")
 	}
 }
 
@@ -530,6 +552,153 @@ func TestFuelBoundDeclines(t *testing.T) {
 	}`)
 	for _, opts := range allModeOpts(ok, 21) {
 		checkBitIdentity(t, ok, "f", nil, opts)
+	}
+}
+
+// A loop bounded by a parameter makes that parameter control: each trip
+// count is its own specialization, and the fuel verdict — which trip
+// counts compile and which decline to the interpreter — sits exactly where
+// it did when every argument folded, whatever the data argument is.
+func TestParameterBoundedLoop(t *testing.T) {
+	iface := compileEIL(t, `interface t {
+	  func spin(n, x) {
+	    let acc = 0
+	    for i in 0 .. n { acc = acc + x * 2 }
+	    return acc
+	  }
+	}`)
+	prog, err := CompileMethod(iface, "spin")
+	if err != nil || prog == nil {
+		t.Fatalf("CompileMethod: prog=%v err=%v", prog, err)
+	}
+	// 7 interpreter steps per trip against a budget of 1,000,000.
+	const lastCompiled = 142855
+	for _, x := range []float64{1.5, -3, 1e300} {
+		for n, want := range map[int]bool{3: true, lastCompiled: true, lastCompiled + 1: false, 2000000: false} {
+			spec, ok := prog.Specialize([]core.Value{core.Int(n), core.Num(x)}, nil, nil)
+			if ok != want {
+				t.Fatalf("spin(%d, %v): compiled=%v, want %v", n, x, ok, want)
+			}
+			if ok {
+				spec.Release()
+			}
+		}
+	}
+	before := core.ReadProgramStats().Specializations
+	for _, args := range [][]core.Value{
+		{core.Num(3), core.Num(1.5)}, {core.Num(3), core.Num(-8)}, {core.Num(4), core.Num(1.5)},
+		{core.Num(2.5), core.Num(1.5)}, {core.Num(-1), core.Num(1.5)}, {core.Bool(true), core.Num(1.5)},
+	} {
+		for _, opts := range allModeOpts(iface, 41) {
+			checkBitIdentity(t, iface, "spin", args, opts)
+		}
+	}
+	// Four trip counts (3, 4, 2.5, -1) compiled, once each across x and the
+	// five modes; the bool bound declined.
+	if got := core.ReadProgramStats().Specializations - before; got != 4 {
+		t.Fatalf("emitted code %d times, want 4", got)
+	}
+}
+
+// Concurrent Evals bind the same cached programs to different data
+// arguments at once, and the first of them emit two specializations side
+// by side; every answer must be the sequential one. Run under -race this
+// is the check that neither a bound register file nor the slots an
+// emission writes are ever shared.
+func TestConcurrentBindsShareCode(t *testing.T) {
+	stack, err := nn.GPT2EILStack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 8, 6
+	args := func(w, r int) []core.Value {
+		return []core.Value{core.Num(float64(16 + 7*w + r)), core.Num(float64(2 + 2*(w%2)))}
+	}
+	want := make([][]energy.Dist, workers)
+	for w := range want {
+		want[w] = make([]energy.Dist, rounds)
+		for r := range want[w] {
+			opts := core.Expected()
+			opts.Interpret = true
+			if want[w][r], err = stack.Eval("generate", args(w, r), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Compile the method first, on another control tuple: core compiles a
+	// method per racing first Eval, and each program has its own cache.
+	if _, err := stack.Eval("generate", []core.Value{core.Num(16), core.Num(3)}, core.Expected()); err != nil {
+		t.Fatal(err)
+	}
+	before := core.ReadProgramStats().Specializations
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got, err := stack.Eval("generate", args(w, r), core.Expected())
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", w, r, err)
+					return
+				}
+				if !distBitsEqual(got, want[w][r]) {
+					t.Errorf("worker %d round %d: %v != %v", w, r, got, want[w][r])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := core.ReadProgramStats().Specializations - before; got != 2 {
+		t.Fatalf("%d concurrent evals of two control tuples emitted code %d times, want 2", workers*rounds, got)
+	}
+}
+
+// Binding a cached program to a new data argument is the per-request cost
+// of the compiled path: the key is built on the stack and the register
+// file comes from the specialization's pool, so on the five methods the
+// serving benchmark asks unique questions of it stays within the budget of
+// three allocations for the key and two for the bound.
+func TestBindAllocs(t *testing.T) {
+	gpt2, err := nn.GPT2EILStack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moe, err := nn.MoEEILStack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		iface  *core.Interface
+		method string
+		rest   []core.Value
+	}{
+		{gpt2, "generate", []core.Value{core.Num(6)}},
+		{gpt2, "layer_decode", nil},
+		{gpt2, "decode_token", nil},
+		{moe, "energy", []core.Value{core.Num(2), core.Num(4)}},
+		{moe, "latency", []core.Value{core.Num(2), core.Num(4)}},
+	} {
+		prog, err := CompileMethod(c.iface, c.method)
+		if err != nil || prog == nil {
+			t.Fatalf("%s: CompileMethod: prog=%v err=%v", c.method, prog, err)
+		}
+		free := c.iface.TransitiveECVs()
+		args := append([]core.Value{core.Nil()}, c.rest...)
+		n := 0.0
+		allocs := testing.AllocsPerRun(200, func() {
+			n++
+			args[0] = core.Num(16 + n/1024)
+			spec, ok := prog.Specialize(args, nil, free)
+			if !ok {
+				t.Fatalf("%s declined", c.method)
+			}
+			spec.Release()
+		})
+		if allocs > 5 {
+			t.Errorf("%s: %.1f allocs per bind, want <= 5", c.method, allocs)
+		}
 	}
 }
 

@@ -86,8 +86,8 @@ var opNames = [...]string{
 }
 
 // progCode is one emitted program: the instruction stream plus its
-// constant-initialized register banks and string pools. It is immutable
-// after emission and shared by every Run.
+// constant-initialized register banks, argument registers and string
+// pools. It is immutable after emission and shared by every Run.
 type progCode struct {
 	code   []Instr
 	initF  []float64 // initial float bank (constants baked in)
@@ -98,10 +98,18 @@ type progCode struct {
 	aux    []int32  // operand lists for record/list construction
 	method string   // for error prefixes
 
+	args []argReg // the float registers bind writes
+
 	// disassembly metadata: which registers hold which constants
 	constsF []constReg[float64]
 	constsB []constReg[bool]
 	constsV []constReg[core.Value]
+}
+
+// argReg says float register reg holds symbolic argument i.
+type argReg struct {
+	reg int32
+	i   int
 }
 
 type constReg[T any] struct {
@@ -365,95 +373,105 @@ func prefixLen(code []Instr) int32 {
 	}
 }
 
-// specialized is the SpecializedProgram implementation: one emitted
-// program plus its dependency set and the lazily computed post-prefix
-// register snapshot. Safe for concurrent Run calls.
-type specialized struct {
+// specCode is one cached specialization: the emitted program with its
+// dependency set and prefix boundary. It is immutable and shared by every
+// request with the same control arguments and pinned ECVs; what a request
+// owns is a bound, taken from the pool here and handed back by Release.
+type specCode struct {
 	p         *progCode
 	deps      []int
 	nFree     int
 	prefixEnd int32
 
-	once    sync.Once
-	snap    regFile // registers after the assignment-independent prefix
-	snapErr error
-	// constResult memoizes the single result of a program with no free-ECV
-	// dependence at all — the fully collapsed case: the whole evaluation
-	// is the prefix.
-	isConst     bool
-	constResult float64
-
-	pool sync.Pool
+	bounds  sync.Pool // *bound
+	scratch sync.Pool // *regFile, one per in-flight Run
 }
 
-func newSpecialized(p *progCode, deps map[int]bool, nFree int) *specialized {
+func newSpecCode(p *progCode, deps map[int]bool, nFree int) *specCode {
 	ds := make([]int, 0, len(deps))
 	for d := range deps {
 		ds = append(ds, d)
 	}
 	sort.Ints(ds)
-	s := &specialized{p: p, deps: ds, nFree: nFree, isConst: len(ds) == 0}
-	s.prefixEnd = prefixLen(p.code)
-	s.pool.New = func() any {
-		return &regFile{
-			f: make([]float64, len(p.initF)),
-			b: make([]bool, len(p.initB)),
-			v: make([]core.Value, len(p.initV)),
-		}
-	}
+	s := &specCode{p: p, deps: ds, nFree: nFree, prefixEnd: prefixLen(p.code)}
+	s.bounds.New = func() any { return &bound{specCode: s, snap: p.newRegFile()} }
+	s.scratch.New = func() any { rf := p.newRegFile(); return &rf }
 	return s
 }
 
-func (s *specialized) Deps() []int { return s.deps }
-
-// ensurePrefix runs the assignment-independent prologue once. For a
-// program with no dependencies this is the entire evaluation and the
-// result is memoized; otherwise the register file snapshot seeds every
-// subsequent Run.
-func (s *specialized) ensurePrefix() {
-	s.once.Do(func() {
-		rf := &regFile{
-			f: append([]float64(nil), s.p.initF...),
-			b: append([]bool(nil), s.p.initB...),
-			v: append([]core.Value(nil), s.p.initV...),
-		}
-		if s.isConst {
-			s.constResult, s.snapErr = s.p.exec(rf, nil, 0, -1)
-			return
-		}
-		_, s.snapErr = s.p.exec(rf, nil, 0, s.prefixEnd)
-		s.snap = *rf
-	})
+func (p *progCode) newRegFile() regFile {
+	return regFile{
+		f: make([]float64, len(p.initF)),
+		b: make([]bool, len(p.initB)),
+		v: make([]core.Value, len(p.initV)),
+	}
 }
 
-func (s *specialized) Run(vals []core.Value) (float64, error) {
-	s.ensurePrefix()
-	if s.snapErr != nil {
-		return 0, s.snapErr
+func (rf *regFile) copyFrom(src *regFile) {
+	copy(rf.f, src.f)
+	copy(rf.b, src.b)
+	copy(rf.v, src.v)
+}
+
+// bound is a specCode bound to one request's data arguments: the
+// core.SpecializedProgram an Eval runs. snap holds the registers after the
+// assignment-independent prefix and seeds every Run; a program with no
+// free-ECV dependence at all is fully collapsed — the prefix is the whole
+// evaluation and result its answer. Safe for concurrent Run calls until
+// Release.
+type bound struct {
+	*specCode
+	snap   regFile
+	err    error // raised by the prefix: every assignment would raise it
+	result float64
+}
+
+// bind starts from the constant-initialized banks, writes each symbolic
+// argument into its register and runs the prefix once for this request.
+func (s *specCode) bind(args []core.Value) *bound {
+	b := s.bounds.Get().(*bound)
+	b.snap.copyFrom(&regFile{f: s.p.initF, b: s.p.initB, v: s.p.initV})
+	for _, a := range s.p.args {
+		b.snap.f[a.reg], _ = args[a.i].AsNum()
 	}
-	if s.isConst {
-		return s.constResult, nil
+	if len(s.deps) == 0 {
+		b.result, b.err = s.p.exec(&b.snap, nil, 0, -1)
+	} else {
+		_, b.err = s.p.exec(&b.snap, nil, 0, s.prefixEnd)
 	}
-	rf := s.pool.Get().(*regFile)
-	copy(rf.f, s.snap.f)
-	copy(rf.b, s.snap.b)
-	copy(rf.v, s.snap.v)
-	res, err := s.p.exec(rf, vals, s.prefixEnd, -1)
-	s.pool.Put(rf)
+	return b
+}
+
+// Release returns the register file to the specialization's pool; the
+// bound must not be used afterwards.
+func (b *bound) Release() { b.bounds.Put(b) }
+
+func (b *bound) Deps() []int { return b.deps }
+
+func (b *bound) Run(vals []core.Value) (float64, error) {
+	if b.err != nil {
+		return 0, b.err
+	}
+	if len(b.deps) == 0 {
+		return b.result, nil
+	}
+	rf := b.scratch.Get().(*regFile)
+	rf.copyFrom(&b.snap)
+	res, err := b.p.exec(rf, vals, b.prefixEnd, -1)
+	b.scratch.Put(rf)
 	return res, err
 }
 
-// FillTable bulk-evaluates the dependent sub-space: the shared prefix runs
-// once, then only the suffix re-executes per projected assignment. Values
-// are bit-identical to per-index Run calls by construction.
-func (s *specialized) FillTable(dims [][]core.Value, out []float64) (bool, error) {
-	s.ensurePrefix()
-	if s.snapErr != nil {
-		return true, s.snapErr
+// FillTable bulk-evaluates the dependent sub-space: the shared prefix ran
+// at bind time, so only the suffix re-executes per projected assignment.
+// Values are bit-identical to per-index Run calls by construction.
+func (b *bound) FillTable(dims [][]core.Value, out []float64) (bool, error) {
+	if b.err != nil {
+		return true, b.err
 	}
-	if s.isConst {
+	if len(b.deps) == 0 {
 		for i := range out {
-			out[i] = s.constResult
+			out[i] = b.result
 		}
 		return true, nil
 	}
@@ -465,19 +483,17 @@ func (s *specialized) FillTable(dims [][]core.Value, out []float64) (bool, error
 		total *= len(dims[j])
 	}
 	if total > len(out) {
-		return true, s.p.errf("internal: table size %d exceeds buffer %d", total, len(out))
+		return true, b.p.errf("internal: table size %d exceeds buffer %d", total, len(out))
 	}
-	vals := make([]core.Value, s.nFree)
-	rf := s.pool.Get().(*regFile)
-	defer s.pool.Put(rf)
+	vals := make([]core.Value, b.nFree)
+	rf := b.scratch.Get().(*regFile)
+	defer b.scratch.Put(rf)
 	for idx := 0; idx < total; idx++ {
-		for j, d := range s.deps {
+		for j, d := range b.deps {
 			vals[d] = dims[j][(idx/strides[j])%len(dims[j])]
 		}
-		copy(rf.f, s.snap.f)
-		copy(rf.b, s.snap.b)
-		copy(rf.v, s.snap.v)
-		res, err := s.p.exec(rf, vals, s.prefixEnd, -1)
+		rf.copyFrom(&b.snap)
+		res, err := b.p.exec(rf, vals, b.prefixEnd, -1)
 		if err != nil {
 			return true, err
 		}
