@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench bench-smoke bench-json bench-test vet fmt-check smoke all
+.PHONY: build test race test-repeat fuzz-smoke bench bench-smoke bench-json bench-test vet fmt-check smoke all
 
 all: build test
 
@@ -25,6 +25,14 @@ fmt-check:
 # merging anything that touches them.
 race:
 	$(GO) test -race ./...
+
+# The tests that have flaked before, repeated: the E12-E17 shape tests
+# (a stopwatch assertion creeping back in fails one run in a few, not
+# every run) and the fleet package (probe ordering, kill and partition
+# traces). A flake shows up here as a red step, not as one red run in six.
+test-repeat:
+	$(GO) test -count=10 -run 'TestE1[2-7]' ./internal/experiments
+	$(GO) test -count=5 ./internal/fleet
 
 # `go test` only replays a fuzz target's seed corpus; this gives each one
 # ten seconds of actual fuzzing (one target and one package per run, as

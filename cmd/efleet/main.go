@@ -360,7 +360,7 @@ func runSmoke(f *fleet.Fleet, out io.Writer) error {
 	defer cancel()
 	fs := rt.Stats(ctx)
 	rc := rt.Counters()
-	fmt.Fprintf(out, "efleet: fleet-smoke ok — %d/%d answered bit-identically after killing %s; %d live node(s), %d failover(s), %d client retries, %d eval(s), %d memo hit(s), %d peer hit(s)\n",
+	fmt.Fprintf(out, "efleet: fleet-smoke ok — %d/%d answered bit-identically after killing %s; %d live node(s), %d failover(s), %d client retries, %d eval(s), %d memo hit(s), %d peer hit(s, counted per key)\n",
 		total, total, victim, fs.LiveNodes, rc.Failovers, retries,
 		fs.Aggregate.Evaluations, fs.Aggregate.MemoHits, fs.Aggregate.PeerHits)
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 )
 
@@ -137,38 +138,55 @@ func (i *Interface) subtreeFold() uint64 {
 }
 
 // progEntry caches one method's compiled program for one subtree fold.
-// prog == nil records a declined compilation, so fallback methods are not
-// re-analyzed on every Eval.
+// once makes the compilation happen exactly once however many first Evals
+// race for it; prog == nil afterwards records a declined compilation, so
+// fallback methods are not re-analyzed on every Eval.
 type progEntry struct {
 	fold uint64
+	once sync.Once
 	prog CompiledProgram
 }
 
 // compiledFor returns the compiled program for the named method, compiling
-// (or recompiling, after a version change) on demand. It returns nil when
-// no compiler is registered or the method is outside the compiled subset.
+// (or recompiling, after a version change) on demand — once per (method,
+// fold): racing first Evals install one entry and all but the first wait
+// for its compilation, so they share one program and the specialization
+// cache inside it. It returns nil when no compiler is registered or the
+// method is outside the compiled subset.
 func (i *Interface) compiledFor(method string) CompiledProgram {
 	cp := methodCompiler.Load()
 	if cp == nil {
 		return nil
 	}
 	fold := i.subtreeFold()
-	if e, ok := i.progs.Load(method); ok {
-		if ent := e.(*progEntry); ent.fold == fold {
-			return ent.prog
+	var ent *progEntry
+	for ent == nil {
+		e, ok := i.progs.Load(method)
+		if ok && e.(*progEntry).fold == fold {
+			ent = e.(*progEntry)
+			break
+		}
+		// At most one entry per method: a stale fold's is replaced. Losing
+		// either race means someone else installed an entry; look again.
+		fresh := &progEntry{fold: fold}
+		if ok {
+			if i.progs.CompareAndSwap(method, e, fresh) {
+				ent = fresh
+			}
+		} else if _, loaded := i.progs.LoadOrStore(method, fresh); !loaded {
+			ent = fresh
 		}
 	}
-	prog, err := (*cp)(i, method)
-	if err != nil || prog == nil {
-		prog = nil
-		progStats.fallbacks.Add(1)
-	} else {
+	ent.once.Do(func() {
+		prog, err := (*cp)(i, method)
+		if err != nil || prog == nil {
+			progStats.fallbacks.Add(1)
+			return
+		}
 		progStats.compiled.Add(1)
-	}
-	// Keep at most one entry per method: a concurrent racer compiled the
-	// same (method, fold) and either store is equally valid.
-	i.progs.Store(method, &progEntry{fold: fold, prog: prog})
-	return prog
+		ent.prog = prog
+	})
+	return ent.prog
 }
 
 // specializeFor runs compilation + specialization for one Eval and counts

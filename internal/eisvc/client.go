@@ -536,29 +536,37 @@ func (c *Client) EvalRequestFor(name, method string, args []core.Value, opts cor
 	return req
 }
 
-// CacheLookup probes the daemon's memo for an exact canonical key; found
-// is false on a clean miss (err covers transport/API failures only).
-func (c *Client) CacheLookup(key string) (energy.Dist, bool, error) {
-	return c.CacheLookupCtx(context.Background(), key)
+// CacheLookup probes the daemon's memo for exact canonical keys and
+// returns one answer per key, in order; a clean miss is an answer that is
+// not Found (err covers transport/API failures and malformed answers).
+func (c *Client) CacheLookup(keys ...string) ([]PeerAnswer, error) {
+	return c.CacheLookupCtx(context.Background(), keys)
 }
 
 // CacheLookupCtx is CacheLookup bounded by ctx. Fleet peer forwarding
 // calls this on the evaluation critical path, so callers typically use a
 // dedicated client with a short Timeout and no retry policy — a slow
 // peer must cost less than evaluating locally.
-func (c *Client) CacheLookupCtx(ctx context.Context, key string) (energy.Dist, bool, error) {
-	resp, err := CacheLookupEndpoint.call(ctx, c, &CacheLookupRequest{Key: key})
+func (c *Client) CacheLookupCtx(ctx context.Context, keys []string) ([]PeerAnswer, error) {
+	resp, err := CacheLookupEndpoint.call(ctx, c, &CacheLookupRequest{Keys: keys})
 	if err != nil {
-		return energy.Dist{}, false, err
+		return nil, err
 	}
-	if !resp.Found || resp.Dist == nil {
-		return energy.Dist{}, false, nil
+	if len(resp.Results) != len(keys) {
+		return nil, fmt.Errorf("eisvc: probe returned %d results for %d keys", len(resp.Results), len(keys))
 	}
-	d, err := resp.Dist.Dist()
-	if err != nil {
-		return energy.Dist{}, false, fmt.Errorf("eisvc: malformed distribution from peer: %w", err)
+	answers := make([]PeerAnswer, len(keys))
+	for i, r := range resp.Results {
+		if !r.Found || r.Dist == nil {
+			continue
+		}
+		d, err := r.Dist.Dist()
+		if err != nil {
+			return nil, fmt.Errorf("eisvc: malformed distribution from peer: %w", err)
+		}
+		answers[i] = PeerAnswer{Dist: d, Found: true}
 	}
-	return d, true, nil
+	return answers, nil
 }
 
 // Stats fetches the daemon's serving metrics and energy ledger.

@@ -229,6 +229,47 @@ func TestEvalBatchCaps(t *testing.T) {
 	}
 }
 
+// TestWarmBatchAllocs pins the all-hit batch path as a count. 256 items
+// over 64 distinct warm keys, binary, through the loopback transport
+// (client encode and decode included): the handler reads each distinct
+// key's memo entry inline and starts no goroutine, so the whole exchange
+// must stay at least 2 allocations per distinct key under the 8,896
+// allocations the previous handler — a goroutine and a result record per
+// distinct key, to discover they were all hits — made here.
+func TestWarmBatchAllocs(t *testing.T) {
+	const items, distinct, parent = 256, 64, 8896
+	srv := NewServer(Config{})
+	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient("http://loopback")
+	c.SetTransport(NewLoopbackTransport(srv))
+	c.Binary = true
+	reqs := make([]EvalRequest, items)
+	for i := range reqs {
+		arg := core.Record(map[string]core.Value{"pixels": core.Num(float64(1024 + i%distinct)), "zeros": core.Num(0)})
+		reqs[i] = c.EvalRequestFor("ml_webservice", "handle", []core.Value{arg}, core.Expected())
+	}
+	if _, err := c.EvalBatch(reqs); err != nil { // warm every key
+		t.Fatal(err)
+	}
+	before := srv.evaluations.Load()
+	allocs := testing.AllocsPerRun(20, func() {
+		got, err := c.EvalBatch(reqs)
+		if err != nil || len(got) != items || !got[items-1].Cached {
+			t.Fatalf("warm batch: %d items, err %v", len(got), err)
+		}
+	})
+	if srv.evaluations.Load() != before {
+		t.Fatal("warm batch evaluated")
+	}
+	t.Logf("warm %d-item batch over %d keys: %.0f allocs (parent %d)", items, distinct, allocs, parent)
+	if allocs > parent-2*distinct && !raceEnabled {
+		t.Errorf("warm batch made %.0f allocations, want <= %d (2 per distinct key under the parent's %d)",
+			allocs, parent-2*distinct, parent)
+	}
+}
+
 // hybridLayerEIL is ml_webservice with its accelerator binding resolved
 // against a Go-native interface seeded in the server registry. The native
 // bodies have no EIL source to inline, so the optimizing compiler declines

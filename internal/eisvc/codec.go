@@ -2,6 +2,7 @@ package eisvc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -36,7 +37,11 @@ import (
 const BinaryContentType = "application/x-eisvc-bin"
 
 // binVersion is the codec format version carried in the magic header.
-// Bump it on any layout change; decoders reject other versions.
+// Bump it on any layout change a stored file or a foreign client could
+// meet; decoders reject other versions. (The two cache-probe kinds became
+// key lists without a bump: only same-build fleet peers exchange them,
+// and a frame in the other layout fails to decode — a failed probe is a
+// miss.)
 const binVersion = 1
 
 // binMagic prefixes every binary message and snapshot file.
@@ -121,11 +126,19 @@ func (e *benc) str(s string) {
 	e.buf.WriteString(s)
 }
 
+// floats writes a length-prefixed vector in one piece: the buffer grows
+// once and the elements are stored straight into its tail.
 func (e *benc) floats(xs []float64) {
 	e.u32(uint32(len(xs)))
-	for _, x := range xs {
-		e.f64(x)
+	b := e.buf.AvailableBuffer()
+	if n := 8 * len(xs); cap(b) < n {
+		e.buf.Grow(n)
+		b = e.buf.AvailableBuffer()
 	}
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	e.buf.Write(b)
 }
 
 func (e *benc) header(kind byte) {
@@ -291,8 +304,10 @@ func (d *bdec) floats() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
+	b := d.data[d.off : d.off+8*n] // count(8) checked that n elements remain
+	d.off += 8 * n
 	for i := range out {
-		out[i] = d.f64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
@@ -648,7 +663,10 @@ func DecodeBatchEvalResponse(data []byte) (*BatchEvalResponse, error) {
 func EncodeCacheLookupRequest(buf *bytes.Buffer, req *CacheLookupRequest) error {
 	e := &benc{buf: buf}
 	e.header(kindCacheLookupRequest)
-	e.str(req.Key)
+	e.u32(uint32(len(req.Keys)))
+	for _, k := range req.Keys {
+		e.str(k)
+	}
 	return nil
 }
 
@@ -656,7 +674,14 @@ func EncodeCacheLookupRequest(buf *bytes.Buffer, req *CacheLookupRequest) error 
 func DecodeCacheLookupRequest(data []byte) (*CacheLookupRequest, error) {
 	d := &bdec{data: data}
 	d.header(kindCacheLookupRequest)
-	req := CacheLookupRequest{Key: d.str()}
+	var req CacheLookupRequest
+	// Each key costs at least its length prefix.
+	if n := d.count(4); d.err == nil && n > 0 {
+		req.Keys = make([]string, n)
+		for i := range req.Keys {
+			req.Keys[i] = d.str()
+		}
+	}
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -667,18 +692,21 @@ func DecodeCacheLookupRequest(data []byte) (*CacheLookupRequest, error) {
 func EncodeCacheLookupResponse(buf *bytes.Buffer, resp *CacheLookupResponse) error {
 	e := &benc{buf: buf}
 	e.header(kindCacheLookupResponse)
-	e.str(resp.Key)
 	e.str(resp.Node)
-	var flags byte
-	if resp.Found {
-		flags |= flagCached
-	}
-	if resp.Dist != nil {
-		flags |= flagHasDist
-	}
-	e.u8(flags)
-	if resp.Dist != nil {
-		e.wireDist(resp.Dist)
+	e.u32(uint32(len(resp.Results)))
+	for i := range resp.Results {
+		r := &resp.Results[i]
+		var flags byte
+		if r.Found {
+			flags |= flagCached
+		}
+		if r.Dist != nil {
+			flags |= flagHasDist
+		}
+		e.u8(flags)
+		if r.Dist != nil {
+			e.wireDist(r.Dist)
+		}
 	}
 	return nil
 }
@@ -688,13 +716,18 @@ func DecodeCacheLookupResponse(data []byte) (*CacheLookupResponse, error) {
 	d := &bdec{data: data}
 	d.header(kindCacheLookupResponse)
 	var resp CacheLookupResponse
-	resp.Key = d.str()
 	resp.Node = d.str()
-	flags := d.u8()
-	resp.Found = flags&flagCached != 0
-	if flags&flagHasDist != 0 {
-		w := d.wireDist()
-		resp.Dist = &w
+	// Each result costs at least its flag byte.
+	if n := d.count(1); d.err == nil && n > 0 {
+		resp.Results = make([]CacheLookupResult, n)
+		for i := range resp.Results {
+			flags := d.u8()
+			resp.Results[i].Found = flags&flagCached != 0
+			if flags&flagHasDist != 0 {
+				w := d.wireDist()
+				resp.Results[i].Dist = &w
+			}
+		}
 	}
 	if err := d.done(); err != nil {
 		return nil, err

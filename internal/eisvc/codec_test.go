@@ -2,6 +2,7 @@ package eisvc
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -160,35 +161,86 @@ func TestCodecBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// lookupKeys makes n distinct canonical-looking memo keys.
+func lookupKeys(n int) []string {
+	var keys []string
+	for i := 0; i < n; i++ {
+		keys = append(keys, fmt.Sprintf("mlservice@3|handle_request|m4|s4096|l0|r1|A[n%d;]|F{}", i))
+	}
+	return keys
+}
+
+// lookupResults makes n probe results: found(i) says which carry wd.
+func lookupResults(n int, wd *WireDist, found func(i int) bool) []CacheLookupResult {
+	var out []CacheLookupResult
+	for i := 0; i < n; i++ {
+		r := CacheLookupResult{}
+		if found(i) {
+			r = CacheLookupResult{Found: true, Dist: wd}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestCodecCacheLookupRoundTrip: the multi-key probe frames survive both
+// codecs for 0, 1 and 300 keys, all-miss, all-hit and mixed.
 func TestCodecCacheLookupRoundTrip(t *testing.T) {
-	req := &CacheLookupRequest{Key: "mlservice@3|handle_request|m4|s4096|l0|r1|A[n3;]|F{}"}
-	var buf bytes.Buffer
-	if err := EncodeCacheLookupRequest(&buf, req); err != nil {
-		t.Fatal(err)
+	wd := testWireDist(t)
+	shapes := map[string]func(int) bool{
+		"all-miss": func(int) bool { return false },
+		"all-hit":  func(int) bool { return true },
+		"mixed":    func(i int) bool { return i%3 == 1 },
 	}
-	gotReq, err := DecodeCacheLookupRequest(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(req, gotReq) {
-		t.Fatalf("cache request mismatch: %#v", gotReq)
+	ep := CacheLookupEndpoint
+	for _, contentType := range []string{BinaryContentType, jsonContentType} {
+		for _, n := range []int{0, 1, 300} {
+			req := &CacheLookupRequest{Keys: lookupKeys(n)}
+			var buf bytes.Buffer
+			if err := ep.Request.Encode(&buf, contentType, req); err != nil {
+				t.Fatal(err)
+			}
+			gotReq, err := ep.Request.Decode(contentType, buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(req, gotReq) {
+				t.Fatalf("%s: %d-key request mismatch: %#v", contentType, n, gotReq)
+			}
+			for shape, found := range shapes {
+				resp := &CacheLookupResponse{Results: lookupResults(n, &wd, found), Node: "node-1"}
+				buf.Reset()
+				if err := ep.Response.Encode(&buf, contentType, resp); err != nil {
+					t.Fatal(err)
+				}
+				got, err := ep.Response.Decode(contentType, buf.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(resp, got) {
+					t.Fatalf("%s: %d-key %s response mismatch:\n in  %#v\n out %#v", contentType, n, shape, resp, got)
+				}
+			}
+		}
 	}
 
-	wd := testWireDist(t)
-	for _, resp := range []*CacheLookupResponse{
-		{Key: req.Key, Found: true, Dist: &wd, Node: "node-1"},
-		{Key: req.Key, Found: false, Node: "node-2"},
-	} {
-		buf.Reset()
-		if err := EncodeCacheLookupResponse(&buf, resp); err != nil {
-			t.Fatal(err)
+	// Every strict prefix of a multi-key frame is an error, never a panic.
+	var buf bytes.Buffer
+	if err := EncodeCacheLookupRequest(&buf, &CacheLookupRequest{Keys: lookupKeys(3)}); err != nil {
+		t.Fatal(err)
+	}
+	for n, full := 0, buf.Bytes(); n < len(full); n++ {
+		if _, err := DecodeCacheLookupRequest(full[:n]); err == nil {
+			t.Fatalf("request truncation to %d/%d bytes decoded without error", n, len(full))
 		}
-		got, err := DecodeCacheLookupResponse(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(resp, got) {
-			t.Fatalf("cache response mismatch:\n in  %#v\n out %#v", resp, got)
+	}
+	buf.Reset()
+	if err := EncodeCacheLookupResponse(&buf, &CacheLookupResponse{Results: lookupResults(3, &wd, shapes["mixed"])}); err != nil {
+		t.Fatal(err)
+	}
+	for n, full := 0, buf.Bytes(); n < len(full); n++ {
+		if _, err := DecodeCacheLookupResponse(full[:n]); err == nil {
+			t.Fatalf("response truncation to %d/%d bytes decoded without error", n, len(full))
 		}
 	}
 }
@@ -389,7 +441,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 	seed(func(b *bytes.Buffer) error {
 		w := WireDist{Support: []float64{math.Copysign(0, -1)}, Probs: []float64{1}}
-		return EncodeCacheLookupResponse(b, &CacheLookupResponse{Key: "k", Found: true, Dist: &w})
+		return EncodeCacheLookupResponse(b, &CacheLookupResponse{
+			Results: []CacheLookupResult{{Found: true, Dist: &w}, {}, {Found: true, Dist: &w}}, Node: "node-1"})
+	})
+	seed(func(b *bytes.Buffer) error { return EncodeCacheLookupResponse(b, &CacheLookupResponse{}) })
+	seed(func(b *bytes.Buffer) error { return EncodeCacheLookupRequest(b, &CacheLookupRequest{}) })
+	seed(func(b *bytes.Buffer) error {
+		return EncodeCacheLookupRequest(b, &CacheLookupRequest{Keys: lookupKeys(1)})
+	})
+	seed(func(b *bytes.Buffer) error {
+		return EncodeCacheLookupRequest(b, &CacheLookupRequest{Keys: lookupKeys(300)})
 	})
 	seed(func(b *bytes.Buffer) error {
 		return EncodeCacheSnapshot(b, &CacheSnapshot{
@@ -453,10 +514,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatalf("re-encode of decoded batch response failed: %v", err)
 			}
 		}
+		if cq, err := DecodeCacheLookupRequest(data); err == nil {
+			var buf bytes.Buffer
+			if err := EncodeCacheLookupRequest(&buf, cq); err != nil || !bytes.Equal(buf.Bytes(), data) {
+				t.Fatalf("cache request encoding not canonical: %v", err)
+			}
+		}
 		if cr, err := DecodeCacheLookupResponse(data); err == nil {
 			var buf bytes.Buffer
 			if err := EncodeCacheLookupResponse(&buf, cr); err != nil {
 				t.Fatalf("re-encode of decoded cache response failed: %v", err)
+			}
+			cr2, err := DecodeCacheLookupResponse(buf.Bytes())
+			if err != nil || len(cr2.Results) != len(cr.Results) {
+				t.Fatalf("cache response round trip changed the result count: %v", err)
 			}
 		}
 		if or, err := DecodeOptimizeRequest(data); err == nil {

@@ -2,6 +2,7 @@ package eisvc
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"energyclarity/internal/core"
-	"energyclarity/internal/energy"
 )
 
 // TestRegistrySnapshotMerge: a snapshot replays a registry's entries and
@@ -146,23 +146,20 @@ func TestCacheLookupEndpoint(t *testing.T) {
 		t.Fatalf("KeyStack(%q) = %q", key, got)
 	}
 
-	d, hit, err := c.CacheLookup(key)
+	// One probe, three keys: the answers come back in key order.
+	got, err := c.CacheLookup(key+"|cold", key, key+"|colder")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
-		t.Fatal("warm key missed")
+	if len(got) != 3 || got[0].Found || !got[1].Found || got[2].Found {
+		t.Fatalf("mixed probe answered %+v, want only the middle key found", got)
 	}
-	sameDist(t, "cachelookup", d, want)
-
-	if _, hit, err := c.CacheLookup(key + "|cold"); err != nil || hit {
-		t.Fatalf("cold key: hit=%v err=%v, want miss", hit, err)
-	}
+	sameDist(t, "cachelookup", got[1].Dist, want)
 
 	// A draining node keeps donating its cache.
 	srv.BeginDrain()
-	if _, hit, err := c.CacheLookup(key); err != nil || !hit {
-		t.Fatalf("draining node: hit=%v err=%v, want hit", hit, err)
+	if got, err := c.CacheLookup(key); err != nil || !got[0].Found {
+		t.Fatalf("draining node: %+v err=%v, want hit", got, err)
 	}
 	st, err := c.Stats()
 	if err != nil {
@@ -171,8 +168,47 @@ func TestCacheLookupEndpoint(t *testing.T) {
 	if st.NodeID != "node-7" {
 		t.Errorf("stats node_id = %q, want node-7", st.NodeID)
 	}
-	if st.PeerServed != 3 || st.PeerServedHits != 2 {
-		t.Errorf("peer_served=%d (want 3), peer_served_hits=%d (want 2)", st.PeerServed, st.PeerServedHits)
+	// The counters are per key, not per request.
+	if st.PeerServed != 4 || st.PeerServedHits != 2 {
+		t.Errorf("peer_served=%d (want 4), peer_served_hits=%d (want 2)", st.PeerServed, st.PeerServedHits)
+	}
+}
+
+// TestCacheLookupBounds: a probe is remote input. More keys than MaxBatch,
+// an empty key and an empty list are each a 400 in both codecs, and a
+// response whose result count differs from the request's is an error at
+// the client, not a panic.
+func TestCacheLookupBounds(t *testing.T) {
+	_, c, done := newTestDaemon(t, Config{MaxBatch: 4})
+	defer done()
+	for _, binary := range []bool{false, true} {
+		c.Binary = binary
+		for name, keys := range map[string][]string{
+			"over MaxBatch": {"a", "b", "c", "d", "e"},
+			"empty key":     {"a", "", "c"},
+			"empty list":    nil,
+		} {
+			_, err := c.CacheLookup(keys...)
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+				t.Errorf("binary=%v %s: err = %v, want 400", binary, name, err)
+			}
+		}
+		if got, err := c.CacheLookup("a", "b", "c", "d"); err != nil || len(got) != 4 {
+			t.Errorf("binary=%v: MaxBatch keys: %d answers, err=%v", binary, len(got), err)
+		}
+	}
+
+	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		CacheLookupEndpoint.Write(w, r, &CacheLookupResponse{Results: make([]CacheLookupResult, 1)})
+	}))
+	defer short.Close()
+	for _, binary := range []bool{false, true} {
+		sc := NewClient(short.URL)
+		sc.Binary = binary
+		if got, err := sc.CacheLookup("a", "b"); err == nil {
+			t.Errorf("binary=%v: 1 result for 2 keys accepted: %+v", binary, got)
+		}
 	}
 }
 
@@ -191,9 +227,12 @@ func TestPeerLookupServesFleet(t *testing.T) {
 	if applied := srvB.ApplyRegistrySnapshot(srvA.Registry().Snapshot()); applied != 2 {
 		t.Fatalf("replicated %d entries, want 2", applied)
 	}
-	srvB.SetPeerLookup(func(ctx context.Context, key string) (energy.Dist, bool) {
-		d, ok, err := cA.CacheLookupCtx(ctx, key)
-		return d, err == nil && ok
+	srvB.SetPeerLookup(func(ctx context.Context, keys []string) []PeerAnswer {
+		answers, err := cA.CacheLookupCtx(ctx, keys)
+		if err != nil {
+			return make([]PeerAnswer, len(keys))
+		}
+		return answers
 	})
 
 	opts := core.EvalOptions{Mode: core.ModeMonteCarlo, Samples: 256, Seed: 11}

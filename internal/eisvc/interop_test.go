@@ -156,27 +156,26 @@ var interopCases = map[string]func(t *testing.T, f front, version uint64) []byte
 			})
 	},
 	eisvc.CacheLookupEndpoint.Path: func(t *testing.T, f front, version uint64) []byte {
-		var frames []byte
 		hit := eisvc.MemoKey("ml_webservice", version, "handle", interopArgs, core.Expected())
-		for _, key := range []string{hit, "no-such-key"} {
-			frames = append(frames, exercise(t, f, eisvc.CacheLookupEndpoint, &eisvc.CacheLookupRequest{Key: key},
-				func(r *eisvc.CacheLookupResponse) {
-					if r.Found != (key == hit) {
-						t.Fatalf("cache lookup of %q: found=%v", key, r.Found)
+		keys := []string{hit, "no-such-key"}
+		return exercise(t, f, eisvc.CacheLookupEndpoint, &eisvc.CacheLookupRequest{Keys: keys},
+			func(r *eisvc.CacheLookupResponse) {
+				if len(r.Results) != 2 || !r.Results[0].Found || r.Results[1].Found {
+					t.Fatalf("cache lookup of %q answered %+v", keys, r.Results)
+				}
+				r.Node = ""
+			},
+			func(c *eisvc.Client) (*eisvc.CacheLookupResponse, error) {
+				answers, err := c.CacheLookup(keys...)
+				resp := &eisvc.CacheLookupResponse{Results: make([]eisvc.CacheLookupResult, len(answers))}
+				for i, a := range answers {
+					if a.Found {
+						wd := eisvc.ToWire(a.Dist)
+						resp.Results[i] = eisvc.CacheLookupResult{Found: true, Dist: &wd}
 					}
-					r.Node = ""
-				},
-				func(c *eisvc.Client) (*eisvc.CacheLookupResponse, error) {
-					d, found, err := c.CacheLookup(key)
-					resp := &eisvc.CacheLookupResponse{Key: key, Found: found}
-					if found {
-						wd := eisvc.ToWire(d)
-						resp.Dist = &wd
-					}
-					return resp, err
-				})...)
-		}
-		return frames
+				}
+				return resp, err
+			})
 	},
 	eisvc.OptimizeEndpoint.Path: func(t *testing.T, f front, _ uint64) []byte {
 		req := eisvc.OptTestRequest()

@@ -207,12 +207,21 @@ func (s *Server) noteInvalidation() {
 	}
 }
 
-// PeerLookup asks the rest of the fleet for a memoized answer by its
-// canonical memo key. It must return (dist, true) only on an exact hit;
-// errors and misses are both "false". Implementations should bound their
-// own time (the fleet router uses a short per-peer timeout) — the lookup
-// runs on the singleflight leader's critical path.
-type PeerLookup func(ctx context.Context, key string) (energy.Dist, bool)
+// PeerAnswer is what the fleet holds for one probed key: Dist is set iff
+// Found.
+type PeerAnswer struct {
+	Dist  energy.Dist
+	Found bool
+}
+
+// PeerLookup asks the rest of the fleet for memoized answers by their
+// canonical memo keys — every key a batch missed locally in one call, a
+// single eval's miss as a list of one. It returns one answer per key, in
+// order, Found only on an exact hit; errors and misses are both "not
+// found". Implementations should bound their own time (the fleet uses a
+// short per-request timeout): the caller evaluates nothing until the
+// lookup returns.
+type PeerLookup func(ctx context.Context, keys []string) []PeerAnswer
 
 // SetPeerLookup installs (or, with nil, removes) the fleet peer-cache
 // hook. When set, a memo miss consults peers before paying for a local
@@ -490,14 +499,44 @@ type evalOutcome struct {
 	peer    bool
 }
 
-// evalShared resolves one canonicalized evaluation. All evaluation paths
-// (/v1/eval, /v1/evalbatch) funnel through here, so the discipline is
-// uniform: memo lookup, then a singleflight keyed by the memo key — N
-// concurrent identical misses run exactly one Eval — whose leader
-// re-checks the memo (a flight that finished between our miss and the
-// flight forming already published its answer), wins a worker slot under
-// the usual admission rules, evaluates with the layer cache attached, and
-// publishes to the memo.
+// probePeers hands keys — local memo misses — to the fleet hook in one
+// call, installs what the fleet held in the local memo (so each key
+// crosses the fleet at most once per node) and counts hits and misses per
+// key.
+func (s *Server) probePeers(ctx context.Context, lookup PeerLookup, keys []string) []PeerAnswer {
+	answers := lookup(ctx, keys)
+	hits := 0
+	for i := range answers {
+		if answers[i].Found {
+			s.memo.Put(keys[i], answers[i].Dist)
+			hits++
+		}
+	}
+	s.peerHits.Add(uint64(hits))
+	s.peerMisses.Add(uint64(len(keys) - hits))
+	return answers
+}
+
+// evalShared resolves one canonicalized evaluation: the memo, and on a
+// miss evalMiss with peer probing on. /v1/eval and the optimize sweep
+// come through here; a batch reads the memo and probes the fleet for all
+// of its keys at once and enters at evalMiss.
+func (s *Server) evalShared(ctx context.Context, wait time.Duration, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions) (out evalOutcome, coalesced bool, err error) {
+	if d, hit := s.memo.Get(key); hit {
+		return evalOutcome{dist: d, memoHit: true}, false, nil
+	}
+	return s.evalMiss(ctx, wait, key, iface, method, args, opts, s.peerLookup.Load())
+}
+
+// evalMiss resolves a key the memo did not hold. Every evaluation path
+// funnels through here, so the discipline is uniform: a singleflight
+// keyed by the memo key — N concurrent identical misses run exactly one
+// Eval — whose leader re-checks the memo (a flight that finished between
+// the caller's miss and the flight forming already published its answer),
+// asks the fleet through probe when it is not nil (a batch passes nil: it
+// has already asked, for all of its misses together), wins a worker slot under the usual admission
+// rules, evaluates with the layer cache attached, and publishes to the
+// memo.
 //
 // ctx is the request's own context; it cancels the running evaluation
 // when the client disconnects, so an abandoned request frees its worker
@@ -506,10 +545,7 @@ type evalOutcome struct {
 // evaluation is bounded by the samples/enum caps (and by ctx), not by the
 // queue deadline. A cancelled coalesced leader fails its followers too
 // (they see context.Canceled as a 503 and may retry).
-func (s *Server) evalShared(ctx context.Context, wait time.Duration, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions) (out evalOutcome, coalesced bool, err error) {
-	if d, hit := s.memo.Get(key); hit {
-		return evalOutcome{dist: d, memoHit: true}, false, nil
-	}
+func (s *Server) evalMiss(ctx context.Context, wait time.Duration, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions, probe *PeerLookup) (out evalOutcome, coalesced bool, err error) {
 	waitCtx, cancel := context.WithTimeout(ctx, wait)
 	defer cancel()
 	out, coalesced, err = s.flight.Do(waitCtx, key, func() (evalOutcome, error) {
@@ -523,13 +559,10 @@ func (s *Server) evalShared(ctx context.Context, wait time.Duration, key string,
 		// worker slot. The distribution travels bit-exactly (WireDist
 		// round-trips through energy.FromSorted), so a peer answer is
 		// indistinguishable from a local one.
-		if pl := s.peerLookup.Load(); pl != nil {
-			if d, hit := (*pl)(waitCtx, key); hit {
-				s.peerHits.Add(1)
-				s.memo.Put(key, d)
-				return evalOutcome{dist: d, memoHit: true, peer: true}, nil
+		if probe != nil {
+			if a := s.probePeers(waitCtx, *probe, []string{key}); a[0].Found {
+				return evalOutcome{dist: a[0].Dist, memoHit: true, peer: true}, nil
 			}
-			s.peerMisses.Add(1)
 		}
 		release, err := s.adm.acquire(waitCtx)
 		if err != nil {
@@ -664,12 +697,15 @@ func (s *Server) handleEval(r *http.Request, req *EvalRequest) (*EvalResponse, e
 	}, nil
 }
 
-// handleEvalBatch evaluates a slice of requests in one round trip. Items
-// that canonicalize to the same memo key are deduplicated — one evaluation
-// serves all of them — and the distinct residuals evaluate concurrently,
-// each under the normal admission discipline (so a batch cannot bypass the
-// worker-slot and queue bounds; it can only stop paying for duplicates).
-// Item failures are per-item: a bad or shed item does not fail the batch.
+// handleEvalBatch evaluates a slice of requests in one round trip, in
+// three phases. (1) Every item is canonicalized and its memo key read
+// inline; items that canonicalize to the same key are deduplicated — one
+// answer serves all of them. (2) The keys the memo did not hold go to the
+// fleet hook together, once. (3) What neither the memo nor a peer held
+// evaluates concurrently, each key under the normal singleflight and
+// admission discipline (so a batch cannot bypass the worker-slot and
+// queue bounds; it can only stop paying for duplicates). Item failures
+// are per-item: a bad or shed item does not fail the batch.
 func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*BatchEvalResponse, error) {
 	if len(req.Requests) == 0 {
 		return nil, reject(http.StatusBadRequest, "empty batch")
@@ -679,22 +715,32 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 	}
 	s.batchItems.Add(uint64(len(req.Requests)))
 
-	// Evaluate each distinct key once, concurrently; evalShared also
-	// coalesces with in-flight singles and other batches. shared[i] is the
-	// evaluation item i rides on — its own, or for a duplicate the one the
-	// key's first item started — and nil for a rejected item.
+	// results holds one entry per distinct key; shared[i] is the index of
+	// the entry item i rides on — its own, or for a duplicate the one the
+	// key's first item made — and -1 for a rejected item. cold is what an
+	// entry the memo missed needs to evaluate; coldKeys[j] is cold[j]'s key.
 	type keyResult struct {
 		out       evalOutcome
 		coalesced bool
 		err       error
 	}
+	type coldKey struct {
+		result int
+		it     *EvalRequest
+		iface  *core.Interface
+		args   []core.Value
+		opts   core.EvalOptions
+	}
 	items := make([]BatchEvalItem, len(req.Requests))
-	shared := make([]*keyResult, len(req.Requests))
-	byKey := map[string]*keyResult{}
-	var wg sync.WaitGroup
+	shared := make([]int, len(req.Requests))
+	results := make([]keyResult, 0, len(req.Requests))
+	byKey := make(map[string]int, len(req.Requests))
+	var cold []coldKey
+	var coldKeys []string
 	for i := range req.Requests {
 		it := &req.Requests[i]
 		items[i] = BatchEvalItem{Interface: it.Interface, Method: it.Method}
+		shared[i] = -1
 		iface, version, args, opts, rej := s.checkEvalRequest(it)
 		if rej != nil {
 			items[i].Status, items[i].Error = rej.status, rej.msg
@@ -703,28 +749,48 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		items[i].Version = version
 		items[i].Mode = opts.Mode.String()
 		key := memoKey(it.Interface, version, it.Method, args, opts)
-		kr, dup := byKey[key]
+		k, dup := byKey[key]
 		if dup {
 			items[i].Deduped = true
 		} else {
-			kr = &keyResult{}
-			byKey[key] = kr
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				kr.out, kr.coalesced, kr.err = s.evalShared(r.Context(), s.deadlineFor(it), key, iface, it.Method, args, opts)
-			}()
+			k = len(results)
+			byKey[key] = k
+			results = append(results, keyResult{})
+			if d, hit := s.memo.Get(key); hit {
+				results[k].out = evalOutcome{dist: d, memoHit: true}
+			} else {
+				cold = append(cold, coldKey{k, it, iface, args, opts})
+				coldKeys = append(coldKeys, key)
+			}
 		}
-		shared[i] = kr
+		shared[i] = k
+	}
+
+	var answers []PeerAnswer // nil standalone: every cold key evaluates
+	if lookup := s.peerLookup.Load(); lookup != nil && len(cold) > 0 {
+		answers = s.probePeers(r.Context(), *lookup, coldKeys)
+	}
+	var wg sync.WaitGroup
+	for j := range cold {
+		c, kr := &cold[j], &results[cold[j].result]
+		if answers != nil && answers[j].Found {
+			kr.out = evalOutcome{dist: answers[j].Dist, memoHit: true, peer: true}
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			kr.out, kr.coalesced, kr.err = s.evalMiss(r.Context(), s.deadlineFor(c.it), coldKeys[j], c.iface, c.it.Method, c.args, c.opts, nil)
+		}()
 	}
 	wg.Wait()
 
 	who := clientID(r)
 	for i := range items {
-		kr := shared[i]
-		if kr == nil {
+		if shared[i] < 0 {
 			continue
 		}
+		kr := &results[shared[i]]
 		if kr.err != nil {
 			items[i].Status, items[i].Error = evalStatus(kr.err), kr.err.Error()
 			continue
@@ -746,19 +812,39 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 // stays cheap under fan-out and, deliberately, keeps working while the
 // node drains: a draining node stops taking eval work but keeps donating
 // its warm cache until it is torn down (that is what makes rebalancing
-// free for warm keys).
+// free for warm keys). A probe is remote input: its key count is capped
+// like a batch's, and the answer stops carrying distributions once its
+// binary frame would pass MaxBodyBytes — the keys past that point answer
+// as misses, which is always a safe answer (the asker evaluates).
 func (s *Server) handleCacheLookup(_ *http.Request, req *CacheLookupRequest) (*CacheLookupResponse, error) {
-	if req.Key == "" {
-		return nil, reject(http.StatusBadRequest, "empty key")
+	if len(req.Keys) == 0 {
+		return nil, reject(http.StatusBadRequest, "empty key list")
 	}
-	s.peerServed.Add(1)
-	resp := &CacheLookupResponse{Key: req.Key, Node: s.cfg.NodeID}
-	if d, hit := s.memo.Get(req.Key); hit {
-		s.peerServedHits.Add(1)
-		resp.Found = true
+	if len(req.Keys) > s.cfg.MaxBatch {
+		return nil, reject(http.StatusBadRequest, "probe of %d keys exceeds server cap %d", len(req.Keys), s.cfg.MaxBatch)
+	}
+	for _, key := range req.Keys {
+		if key == "" {
+			return nil, reject(http.StatusBadRequest, "empty key")
+		}
+	}
+	resp := &CacheLookupResponse{Results: make([]CacheLookupResult, len(req.Keys)), Node: s.cfg.NodeID}
+	// Frame overhead: header, node, result count, a flag byte per key.
+	budget, hits := MaxBodyBytes-(13+len(s.cfg.NodeID)+len(req.Keys)), 0
+	for i, key := range req.Keys {
+		d, hit := s.memo.Get(key)
+		if !hit {
+			continue
+		}
 		wd := ToWire(d)
-		resp.Dist = &wd
+		if budget -= 8 * (len(wd.Support) + len(wd.Probs) + 6); budget < 0 {
+			break
+		}
+		resp.Results[i] = CacheLookupResult{Found: true, Dist: &wd}
+		hits++
 	}
+	s.peerServed.Add(uint64(len(req.Keys)))
+	s.peerServedHits.Add(uint64(hits))
 	return resp, nil
 }
 

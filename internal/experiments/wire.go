@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"energyclarity/internal/core"
@@ -51,13 +52,17 @@ interface e17_service {
 // E17Result carries both phases.
 type E17Result struct {
 	// Phase 1: interop + memo-hit latency.
-	Reps              int
-	JSONMicros        float64 // JSON over TCP, per memo hit
-	BinMicros         float64 // binary over TCP
-	LoopMicros        float64 // binary over the in-process loopback transport
-	JSONBytes         int     // encoded eval-response size
-	BinBytes          int
-	InteropMismatches int
+	Reps       int
+	JSONMicros float64 // JSON over TCP, per memo hit
+	BinMicros  float64 // binary over TCP
+	LoopMicros float64 // binary over the in-process loopback transport
+	JSONBytes  int     // encoded eval-response size
+	BinBytes   int
+	// Heap allocations per memo hit on each path, client and server
+	// together (they share the process): the counted form of the three
+	// latencies, which a loaded box cannot reorder.
+	JSONAllocs, BinAllocs, LoopAllocs float64
+	InteropMismatches                 int
 
 	// Phase 2: warm restart from snapshot.
 	Distinct         int
@@ -93,6 +98,8 @@ func (r *E17Result) Table() *Table {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("latency: mean over %d memo hits of one warm request; all three paths bit-identical", r.Reps),
+		fmt.Sprintf("allocations per memo hit, client and server together: %.0f JSON / TCP, %.0f binary / TCP, %.0f binary / loopback",
+			r.JSONAllocs, r.BinAllocs, r.LoopAllocs),
 		fmt.Sprintf("restart: killed and restarted %s; its snapshot restored %d memo entries", r.Restarted, r.SnapshotMemo),
 		"the replay after restart re-evaluated nothing: every answer came from the restored memo, a peer cache, or the router's memo affinity")
 	return t
@@ -117,21 +124,25 @@ func e17Daemon() (*eisvc.Server, string, func(), error) {
 	return srv, base, stop, err
 }
 
-// e17TimeHits measures the mean per-request latency of reps warm evals.
-func e17TimeHits(c *eisvc.Client, reps int) (energy.Dist, float64, error) {
-	var last energy.Dist
+// e17TimeHits measures the mean per-request latency of reps warm evals
+// and the heap allocations per request the process made meanwhile.
+func e17TimeHits(c *eisvc.Client, reps int) (last energy.Dist, micros, allocs float64, err error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for i := 0; i < reps; i++ {
 		d, resp, err := c.Eval("e17_service", "handle", e17Args(0), e17Opts)
 		if err != nil {
-			return energy.Dist{}, 0, err
+			return energy.Dist{}, 0, 0, err
 		}
 		if !resp.Cached {
-			return energy.Dist{}, 0, fmt.Errorf("warm request was not memo-served")
+			return energy.Dist{}, 0, 0, fmt.Errorf("warm request was not memo-served")
 		}
 		last = d
 	}
-	return last, float64(time.Since(start).Microseconds()) / float64(reps), nil
+	micros = float64(time.Since(start).Microseconds()) / float64(reps)
+	runtime.ReadMemStats(&after)
+	return last, micros, float64(after.Mallocs-before.Mallocs) / float64(reps), nil
 }
 
 // E17Wire runs the wire experiment. short shrinks both phases for
@@ -165,15 +176,15 @@ func E17Wire(short bool) (*E17Result, error) {
 		return nil, fmt.Errorf("e17 warmup: %w", err)
 	}
 	for _, p := range []struct {
-		c  *eisvc.Client
-		at *float64
-	}{{jsonC, &res.JSONMicros}, {binC, &res.BinMicros}, {loopC, &res.LoopMicros}} {
-		d, micros, err := e17TimeHits(p.c, reps)
+		c          *eisvc.Client
+		at, allocs *float64
+	}{{jsonC, &res.JSONMicros, &res.JSONAllocs}, {binC, &res.BinMicros, &res.BinAllocs}, {loopC, &res.LoopMicros, &res.LoopAllocs}} {
+		d, micros, allocs, err := e17TimeHits(p.c, reps)
 		if err != nil {
 			shutdown()
 			return nil, fmt.Errorf("e17 timing (%s): %w", p.c.ID, err)
 		}
-		*p.at = micros
+		*p.at, *p.allocs = micros, allocs
 		if !d.Equal(ref, 0) {
 			res.InteropMismatches++
 		}

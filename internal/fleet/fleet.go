@@ -13,7 +13,6 @@ import (
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/eisvc"
-	"energyclarity/internal/energy"
 	"energyclarity/internal/faultsim"
 )
 
@@ -448,44 +447,95 @@ func (f *Fleet) Close() {
 	}
 }
 
-// peerLookupFor builds node id's fleet-cache hook: on a local memo miss,
-// probe the stack's other ring owners first (they are where the key is
-// warm by construction), then any other reachable node (which is where
-// warm entries live right after a drain or membership change). First hit
-// wins; every probe is bounded by PeerTimeout, so a dead or partitioned
-// peer costs one short timeout, not a stall.
+// peerLookupFor builds node id's fleet-cache hook. Each key missed
+// locally is looked for at the stack's other ring owners first (they are
+// where the key is warm by construction), then at every other reachable
+// node (which is where warm entries live right after a drain or
+// membership change); first hit wins. The probes leave in rounds: round r
+// sends every key still missing to its r-th target, one request per
+// distinct target, so a batch costs at most (peers × rounds) requests
+// however many keys it missed. Every request is bounded by PeerTimeout
+// and a failed one is a miss for the keys it carried, so a dead or
+// partitioned peer costs a batch one short timeout, not a stall.
 func (f *Fleet) peerLookupFor(id string) eisvc.PeerLookup {
-	return func(ctx context.Context, key string) (energy.Dist, bool) {
-		stack := eisvc.KeyStack(key)
-		f.mu.RLock()
-		owners := f.ring.Lookup(stack, f.cfg.Replication)
-		f.mu.RUnlock()
-		order := owners
-		for _, n := range f.Nodes() {
-			order = append(order, n.ID)
-		}
-		probed := map[string]bool{id: true}
-		for _, target := range order {
-			if probed[target] {
-				continue
+	return func(ctx context.Context, keys []string) []eisvc.PeerAnswer {
+		answers := make([]eisvc.PeerAnswer, len(keys))
+		// A key's probe order is a function of its stack alone.
+		byStack := map[string][]*Node{}
+		order := make([][]*Node, len(keys))
+		rounds := 0
+		for i, key := range keys {
+			stack := eisvc.KeyStack(key)
+			targets, ok := byStack[stack]
+			if !ok {
+				targets = f.probeOrder(id, stack)
+				byStack[stack] = targets
 			}
-			probed[target] = true
-			if d, ok := f.probe(ctx, target, key); ok {
-				return d, true
+			order[i] = targets
+			rounds = max(rounds, len(targets))
+		}
+		for r := 0; r < rounds; r++ {
+			var targets []*Node
+			missing := map[*Node][]int{} // target -> indexes into keys
+			for i := range keys {
+				if answers[i].Found || r >= len(order[i]) {
+					continue
+				}
+				n := order[i][r]
+				if _, seen := missing[n]; !seen {
+					targets = append(targets, n)
+				}
+				missing[n] = append(missing[n], i)
+			}
+			for _, n := range targets {
+				f.probe(ctx, n, keys, missing[n], answers)
 			}
 		}
-		return energy.Dist{}, false
+		return answers
 	}
 }
 
-// probe asks one node for a memoized answer; all failures are misses.
-func (f *Fleet) probe(ctx context.Context, id, key string) (energy.Dist, bool) {
-	n, ok := f.Node(id)
-	if !ok || !n.reachable() {
-		return energy.Dist{}, false
+// probeOrder lists the nodes node id asks about a key of stack, in order:
+// the stack's ring owners, then every other node by ID; itself, repeats
+// and unreachable nodes left out.
+func (f *Fleet) probeOrder(id, stack string) []*Node {
+	nodes := f.Nodes()
+	byID := make(map[string]*Node, len(nodes))
+	for _, n := range nodes {
+		byID[n.ID] = n
+	}
+	var order []*Node
+	take := func(target string) {
+		if n := byID[target]; n != nil && target != id && n.reachable() {
+			order = append(order, n)
+		}
+		delete(byID, target)
+	}
+	for _, owner := range f.OwnersOf(stack) {
+		take(owner)
+	}
+	for _, n := range nodes {
+		take(n.ID)
+	}
+	return order
+}
+
+// probe asks node n for the keys at idx in one request and files what it
+// held under answers; any failure is a miss for all of them.
+func (f *Fleet) probe(ctx context.Context, n *Node, keys []string, idx []int, answers []eisvc.PeerAnswer) {
+	ask := make([]string, len(idx))
+	for j, i := range idx {
+		ask[j] = keys[i]
 	}
 	cctx, cancel := context.WithTimeout(ctx, f.cfg.PeerTimeout)
 	defer cancel()
-	d, hit, _ := n.peer.CacheLookupCtx(cctx, key) // an error comes with hit == false
-	return d, hit
+	got, err := n.peer.CacheLookupCtx(cctx, ask)
+	if err != nil {
+		return
+	}
+	for j, i := range idx {
+		if got[j].Found {
+			answers[i] = got[j]
+		}
+	}
 }

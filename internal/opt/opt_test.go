@@ -625,11 +625,8 @@ func TestConcurrentBindsShareCode(t *testing.T) {
 			}
 		}
 	}
-	// Compile the method first, on another control tuple: core compiles a
-	// method per racing first Eval, and each program has its own cache.
-	if _, err := stack.Eval("generate", []core.Value{core.Num(16), core.Num(3)}, core.Expected()); err != nil {
-		t.Fatal(err)
-	}
+	// No warm-up: the racing first Evals compile the method once (see
+	// TestRacingFirstEvalsCompileOnce) and share its specialization cache.
 	before := core.ReadProgramStats().Specializations
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -652,6 +649,63 @@ func TestConcurrentBindsShareCode(t *testing.T) {
 	wg.Wait()
 	if got := core.ReadProgramStats().Specializations - before; got != 2 {
 		t.Fatalf("%d concurrent evals of two control tuples emitted code %d times, want 2", workers*rounds, got)
+	}
+}
+
+// The first Evals of a method race when a batch brings N cold keys of a
+// freshly registered or rebound stack. The method compiles once per
+// (method, subtree fold) and every racer binds the one program, so its
+// specialization cache fills once: 32 goroutines, one compilation, one
+// emission.
+func TestRacingFirstEvalsCompileOnce(t *testing.T) {
+	stack, err := nn.GPT2EILStack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := eil.Compile(nn.GPT2EIL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := stack.Rebind("hw", other["device_hw"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const method = "generate"
+	args := []core.Value{core.Num(64), core.Num(8)}
+	opts := core.Expected()
+	opts.Interpret = true
+	want, err := re.Eval(method, args, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := core.ReadProgramStats()
+	const racers = 32
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < racers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got, err := re.Eval(method, args, core.Expected())
+			if err != nil {
+				t.Error(err)
+			} else if !distBitsEqual(got, want) {
+				t.Errorf("racing eval answered %v, want %v", got, want)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	after := core.ReadProgramStats()
+	if got := after.CompiledPrograms - before.CompiledPrograms; got != 1 {
+		t.Errorf("%d racing first evals compiled the method %d times, want 1", racers, got)
+	}
+	if got := after.Specializations - before.Specializations; got != 1 {
+		t.Errorf("%d racing first evals emitted code %d times, want 1", racers, got)
+	}
+	if got := after.CompiledEvals - before.CompiledEvals; got != racers {
+		t.Errorf("%d of %d evals went through the compiled program", got, racers)
 	}
 }
 
