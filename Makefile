@@ -40,6 +40,7 @@ test-repeat:
 # commit it: it is the regression seed every later `go test` replays.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s ./internal/eisvc
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameWalk$$' -fuzztime=10s ./internal/eisvc
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/eil
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime=10s ./internal/eil
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileDifferential$$' -fuzztime=10s ./internal/opt

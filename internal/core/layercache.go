@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"energyclarity/internal/cache"
@@ -153,23 +152,17 @@ type layerDesc struct {
 
 // key renders the cache key for invoking method with args under assign.
 func (d *layerDesc) key(method string, args []Value, assign map[string]Value) string {
-	var b strings.Builder
-	b.Grow(len(d.prefix) + len(method) + 8*len(args) + 4*len(d.ecvs) + 8)
-	b.WriteString(d.prefix)
-	b.WriteByte('|')
-	b.WriteString(method)
-	b.WriteString("|A")
+	var buf [256]byte
+	b := append(append(buf[:0], d.prefix...), '|')
+	b = append(append(b, method...), "|A"...)
 	for _, a := range args {
-		a.writeKey(&b)
-		b.WriteByte(';')
+		b = append(a.AppendKey(b), ';')
 	}
-	b.WriteString("|E")
+	b = append(b, "|E"...)
 	for _, qn := range d.ecvs {
-		v := assign[qn]
-		v.writeKey(&b)
-		b.WriteByte(';')
+		b = append(assign[qn].AppendKey(b), ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // evalContext builds the per-Eval descriptor table for the tree rooted at

@@ -201,47 +201,42 @@ func (v Value) Equal(o Value) bool {
 // memoization). Distinct values produce distinct keys for the supported
 // kinds, assuming strings contain no NUL bytes.
 func (v Value) Key() string {
-	var b strings.Builder
-	v.writeKey(&b)
-	return b.String()
+	var buf [64]byte
+	return string(v.AppendKey(buf[:0]))
 }
 
-func (v Value) writeKey(b *strings.Builder) {
+// AppendKey appends Key's bytes to dst and returns the extended slice, for
+// callers composing a larger key in a buffer of their own.
+func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNil:
-		b.WriteString("_")
+		dst = append(dst, '_')
 	case KindBool:
 		if v.b {
-			b.WriteString("T")
+			dst = append(dst, 'T')
 		} else {
-			b.WriteString("F")
+			dst = append(dst, 'F')
 		}
 	case KindNum:
-		b.WriteString("N")
-		b.WriteString(strconv.FormatFloat(v.n, 'g', -1, 64))
+		dst = strconv.AppendFloat(append(dst, 'N'), v.n, 'g', -1, 64)
 	case KindStr:
-		b.WriteString("S")
-		b.WriteString(strconv.Itoa(len(v.s)))
-		b.WriteString(":")
-		b.WriteString(v.s)
+		dst = strconv.AppendInt(append(dst, 'S'), int64(len(v.s)), 10)
+		dst = append(append(dst, ':'), v.s...)
 	case KindRecord:
-		b.WriteString("R{")
+		dst = append(dst, "R{"...)
 		for _, k := range v.FieldNames() {
-			b.WriteString(k)
-			b.WriteString("=")
-			f := v.rec[k]
-			f.writeKey(b)
-			b.WriteString(";")
+			dst = append(append(dst, k...), '=')
+			dst = append(v.rec[k].AppendKey(dst), ';')
 		}
-		b.WriteString("}")
+		dst = append(dst, '}')
 	case KindList:
-		b.WriteString("L[")
+		dst = append(dst, "L["...)
 		for _, e := range v.list {
-			e.writeKey(b)
-			b.WriteString(";")
+			dst = append(e.AppendKey(dst), ';')
 		}
-		b.WriteString("]")
+		dst = append(dst, ']')
 	}
+	return dst
 }
 
 // String renders the value for diagnostics.

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -162,5 +166,104 @@ func TestFieldNames(t *testing.T) {
 	}
 	if Num(1).FieldNames() != nil {
 		t.Error("FieldNames on non-record should be nil")
+	}
+}
+
+// referenceWriteKey is Value.writeKey as it stood before AppendKey replaced
+// it, verbatim. Memo keys are built from these bytes, peers exchange them
+// and snapshots persist them, so AppendKey must reproduce them exactly.
+func referenceWriteKey(v Value, b *strings.Builder) {
+	switch v.kind {
+	case KindNil:
+		b.WriteString("_")
+	case KindBool:
+		if v.b {
+			b.WriteString("T")
+		} else {
+			b.WriteString("F")
+		}
+	case KindNum:
+		b.WriteString("N")
+		b.WriteString(strconv.FormatFloat(v.n, 'g', -1, 64))
+	case KindStr:
+		b.WriteString("S")
+		b.WriteString(strconv.Itoa(len(v.s)))
+		b.WriteString(":")
+		b.WriteString(v.s)
+	case KindRecord:
+		b.WriteString("R{")
+		for _, k := range v.FieldNames() {
+			b.WriteString(k)
+			b.WriteString("=")
+			f := v.rec[k]
+			referenceWriteKey(f, b)
+			b.WriteString(";")
+		}
+		b.WriteString("}")
+	case KindList:
+		b.WriteString("L[")
+		for _, e := range v.list {
+			referenceWriteKey(e, b)
+			b.WriteString(";")
+		}
+		b.WriteString("]")
+	}
+}
+
+// randValue draws a value of every kind, nested up to depth, including
+// the floats whose formatting is easiest to get wrong.
+func randValue(r *rand.Rand, depth int) Value {
+	kinds := 6
+	if depth <= 0 {
+		kinds = 4
+	}
+	switch r.Intn(kinds) {
+	case 0:
+		return Nil()
+	case 1:
+		return Bool(r.Intn(2) == 0)
+	case 2:
+		odd := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e21, 1e-7, 5e-324, math.MaxFloat64, 307200}
+		if r.Intn(2) == 0 {
+			return Num(odd[r.Intn(len(odd))])
+		}
+		return Num(math.Float64frombits(r.Uint64()))
+	case 3:
+		b := make([]byte, r.Intn(80))
+		r.Read(b)
+		return Str(string(b))
+	case 4:
+		items := make([]Value, r.Intn(4))
+		for i := range items {
+			items[i] = randValue(r, depth-1)
+		}
+		return List(items...)
+	default:
+		rec := map[string]Value{}
+		for i := r.Intn(4); i > 0; i-- {
+			rec["f"+strconv.Itoa(r.Intn(100))] = randValue(r, depth-1)
+		}
+		return Record(rec)
+	}
+}
+
+func TestAppendKeyMatchesReference(t *testing.T) {
+	check := func(v Value) bool {
+		var b strings.Builder
+		referenceWriteKey(v, &b)
+		want := b.String()
+		// Appending must extend, never rewrite, what the buffer holds.
+		return v.Key() == want && string(v.AppendKey([]byte("pre|"))) == "pre|"+want
+	}
+	for _, v := range []Value{
+		Nil(), Bool(true), Bool(false), Num(0), Num(-1.5), Num(1e300), Str(""), Str(strings.Repeat("x", 200)),
+		List(), Record(nil), List(List(Num(1)), Record(map[string]Value{"b": Str("S1:"), "a": List()})),
+	} {
+		if !check(v) {
+			t.Errorf("Key of %v differs from the reference", v)
+		}
+	}
+	if err := quick.Check(func(seed int64) bool { return check(randValue(rand.New(rand.NewSource(seed)), 3)) }, nil); err != nil {
+		t.Error(err)
 	}
 }

@@ -231,13 +231,15 @@ func TestEvalBatchCaps(t *testing.T) {
 
 // TestWarmBatchAllocs pins the all-hit batch path as a count. 256 items
 // over 64 distinct warm keys, binary, through the loopback transport
-// (client encode and decode included): the handler reads each distinct
-// key's memo entry inline and starts no goroutine, so the whole exchange
-// must stay at least 2 allocations per distinct key under the 8,896
-// allocations the previous handler — a goroutine and a result record per
-// distinct key, to discover they were all hits — made here.
+// (client encode and decode included). Measured 3,975 allocations, 15.5
+// an item; the bound leaves 3% for toolchain drift. What the figure
+// holds in place, each of which alone breaks it: the handler reads each
+// distinct key's memo entry inline and starts no goroutine (8,896 →
+// 8,763); memo keys are appended into one buffer and become a string
+// once per distinct key, and both batch decoders share the interface,
+// method, mode and record-key strings the items repeat (8,763 → 3,975).
 func TestWarmBatchAllocs(t *testing.T) {
-	const items, distinct, parent = 256, 64, 8896
+	const items, distinct, bound = 256, 64, 4100
 	srv := NewServer(Config{})
 	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
 		t.Fatal(err)
@@ -263,10 +265,9 @@ func TestWarmBatchAllocs(t *testing.T) {
 	if srv.evaluations.Load() != before {
 		t.Fatal("warm batch evaluated")
 	}
-	t.Logf("warm %d-item batch over %d keys: %.0f allocs (parent %d)", items, distinct, allocs, parent)
-	if allocs > parent-2*distinct && !raceEnabled {
-		t.Errorf("warm batch made %.0f allocations, want <= %d (2 per distinct key under the parent's %d)",
-			allocs, parent-2*distinct, parent)
+	t.Logf("warm %d-item batch over %d keys: %.0f allocs", items, distinct, allocs)
+	if allocs > bound && !raceEnabled {
+		t.Errorf("warm batch made %.0f allocations, want <= %d", allocs, bound)
 	}
 }
 

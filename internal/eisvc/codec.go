@@ -217,6 +217,8 @@ type bdec struct {
 	data []byte
 	off  int
 	err  error
+	// intern, when non-nil, shares the strings a batch repeats (see name).
+	intern map[string]string
 }
 
 func (d *bdec) fail(format string, args ...any) {
@@ -288,14 +290,57 @@ func (d *bdec) count(min int) int {
 	return n
 }
 
-func (d *bdec) str() string {
+// strBytes reads a length-prefixed string without copying it: the result
+// aliases the frame and is valid only as long as the frame is.
+func (d *bdec) strBytes() []byte {
 	n := d.count(1)
 	if d.err != nil {
-		return ""
+		return nil
 	}
-	s := string(d.data[d.off : d.off+n]) // copies; frame buffer is pooled
+	b := d.data[d.off : d.off+n]
 	d.off += n
+	return b
+}
+
+func (d *bdec) str() string { return string(d.strBytes()) } // copies; frame buffer is pooled
+
+// Bounds of a batch decode's intern table: a hostile frame can pin at
+// most maxInternEntries * maxInternLen bytes through it, for the life of
+// one decode.
+const (
+	maxInternEntries = 64
+	maxInternLen     = 64
+)
+
+// name reads a string that the items of a batch repeat — interface,
+// method, mode, record and fixed-ECV keys: 256 items drawn from three
+// stacks share one copy of each instead of allocating 256. The single-
+// message decoders leave intern nil, and name is str.
+func (d *bdec) name() string {
+	b := d.strBytes()
+	if d.intern == nil || len(b) > maxInternLen {
+		return string(b)
+	}
+	if s, ok := d.intern[string(b)]; ok { // no allocation: the conversion is a lookup key only
+		return s
+	}
+	s := string(b)
+	if len(d.intern) < maxInternEntries {
+		d.intern[s] = s
+	}
 	return s
+}
+
+// skip advances past n bytes a walker has no use for.
+func (d *bdec) skip(n int) {
+	if d.err != nil {
+		return
+	}
+	if d.remaining() < n {
+		d.fail("truncated at byte %d", d.off)
+		return
+	}
+	d.off += n
 }
 
 func (d *bdec) floats() []float64 {
@@ -352,7 +397,7 @@ func (d *bdec) value(depth int) any {
 		}
 		out := make(map[string]any, n)
 		for i := 0; i < n; i++ {
-			k := d.str()
+			k := d.name()
 			out[k] = d.value(depth + 1)
 		}
 		return out
@@ -455,9 +500,9 @@ func (e *benc) evalRequestBody(req *EvalRequest) error {
 
 func (d *bdec) evalRequestBody() EvalRequest {
 	var req EvalRequest
-	req.Interface = d.str()
-	req.Method = d.str()
-	req.Mode = d.str()
+	req.Interface = d.name()
+	req.Method = d.name()
+	req.Mode = d.name()
 	req.Samples = int(d.i64())
 	req.Seed = d.i64()
 	req.EnumLimit = int(d.i64())
@@ -472,7 +517,7 @@ func (d *bdec) evalRequestBody() EvalRequest {
 	if n := d.count(2); d.err == nil && n > 0 {
 		req.Fixed = make(map[string]any, n)
 		for i := 0; i < n; i++ {
-			k := d.str()
+			k := d.name()
 			req.Fixed[k] = d.value(0)
 		}
 	}
@@ -551,11 +596,36 @@ func DecodeEvalResponse(data []byte) (*EvalResponse, error) {
 	return &resp, nil
 }
 
+// The least a batch item can occupy — its fixed-width fields and empty
+// length prefixes — is what a batch's item count is checked against, so a
+// corrupt count cannot drive an allocation larger than the frame itself
+// justifies. The decoders and the walkers share the bounds.
+const (
+	minRequestItemBytes  = 3*4 + 5*8 + 2*4 // three strings, five i64s, two counts
+	minResponseItemBytes = 4*4 + 8 + 4 + 1 // four strings, version, status, flags
+)
+
+// BeginBatchEvalRequest appends the part of a batch-request frame that
+// precedes its n items. Items carry no cross-item state, so the frame is
+// this followed by the items' encodings, whoever wrote them.
+func BeginBatchEvalRequest(buf *bytes.Buffer, n int) { beginBatch(buf, kindBatchRequest, n) }
+
+// BeginBatchEvalResponse is BeginBatchEvalRequest for the answer frame.
+func BeginBatchEvalResponse(buf *bytes.Buffer, n int) { beginBatch(buf, kindBatchResponse, n) }
+
+func beginBatch(buf *bytes.Buffer, kind byte, n int) {
+	e := &benc{buf: buf}
+	e.header(kind)
+	e.u32(uint32(n))
+}
+
+// BatchHeaderLen is how many bytes the two Begin functions append.
+const BatchHeaderLen = len(binMagic) + 1 + 4
+
 // EncodeBatchEvalRequest appends the binary frame for req to buf.
 func EncodeBatchEvalRequest(buf *bytes.Buffer, req *BatchEvalRequest) error {
+	BeginBatchEvalRequest(buf, len(req.Requests))
 	e := &benc{buf: buf}
-	e.header(kindBatchRequest)
-	e.u32(uint32(len(req.Requests)))
 	for i := range req.Requests {
 		if err := e.evalRequestBody(&req.Requests[i]); err != nil {
 			return err
@@ -566,11 +636,10 @@ func EncodeBatchEvalRequest(buf *bytes.Buffer, req *BatchEvalRequest) error {
 
 // DecodeBatchEvalRequest parses a binary batch-request frame.
 func DecodeBatchEvalRequest(data []byte) (*BatchEvalRequest, error) {
-	d := &bdec{data: data}
+	d := &bdec{data: data, intern: map[string]string{}}
 	d.header(kindBatchRequest)
 	var req BatchEvalRequest
-	// Each item costs at least the 8 fixed i64/str-length fields.
-	if n := d.count(8); d.err == nil && n > 0 {
+	if n := d.count(minRequestItemBytes); d.err == nil && n > 0 {
 		req.Requests = make([]EvalRequest, n)
 		for i := range req.Requests {
 			req.Requests[i] = d.evalRequestBody()
@@ -613,10 +682,10 @@ func (e *benc) batchItem(it *BatchEvalItem) {
 
 func (d *bdec) batchItem() BatchEvalItem {
 	var it BatchEvalItem
-	it.Interface = d.str()
+	it.Interface = d.name()
 	it.Version = d.u64()
-	it.Method = d.str()
-	it.Mode = d.str()
+	it.Method = d.name()
+	it.Mode = d.name()
 	it.Status = int(d.u32())
 	it.Error = d.str()
 	flags := d.u8()
@@ -633,9 +702,8 @@ func (d *bdec) batchItem() BatchEvalItem {
 
 // EncodeBatchEvalResponse appends the binary frame for resp to buf.
 func EncodeBatchEvalResponse(buf *bytes.Buffer, resp *BatchEvalResponse) error {
+	BeginBatchEvalResponse(buf, len(resp.Results))
 	e := &benc{buf: buf}
-	e.header(kindBatchResponse)
-	e.u32(uint32(len(resp.Results)))
 	for i := range resp.Results {
 		e.batchItem(&resp.Results[i])
 	}
@@ -644,10 +712,10 @@ func EncodeBatchEvalResponse(buf *bytes.Buffer, resp *BatchEvalResponse) error {
 
 // DecodeBatchEvalResponse parses a binary batch-response frame.
 func DecodeBatchEvalResponse(data []byte) (*BatchEvalResponse, error) {
-	d := &bdec{data: data}
+	d := &bdec{data: data, intern: map[string]string{}}
 	d.header(kindBatchResponse)
 	var resp BatchEvalResponse
-	if n := d.count(8); d.err == nil && n > 0 {
+	if n := d.count(minResponseItemBytes); d.err == nil && n > 0 {
 		resp.Results = make([]BatchEvalItem, n)
 		for i := range resp.Results {
 			resp.Results[i] = d.batchItem()
@@ -657,6 +725,187 @@ func DecodeBatchEvalResponse(data []byte) (*BatchEvalResponse, error) {
 		return nil, err
 	}
 	return &resp, nil
+}
+
+// --- frame walkers ---
+//
+// The fleet router forwards evaluation traffic it never needs as Go
+// values: it must know where each batch item starts and ends, which stack
+// it names and which replica it should warm — nothing else. The walkers
+// answer that from the frame itself, through the same bdec primitives as
+// the decoders (the same magic, kind, count, nesting-depth, unknown-tag
+// and trailing-byte rules), so a walker accepts exactly the frames the
+// matching Decode function accepts and allocates nothing per item.
+// FuzzFrameWalk holds the two to that.
+
+// FrameItem is one item of a walked frame: its byte range, and — aliasing
+// the frame, so valid only while the frame is — the interface name it
+// starts with.
+type FrameItem struct {
+	Off, End  int // the item is frame[Off:End]
+	Interface []byte
+	// Spread fingerprints a request item so that identical requests pick
+	// the same replica of their stack while distinct ones fan over all of
+	// them; zero for answer items. It is FNV-1a, finished like Hash64,
+	// over these bytes of the item in wire order: the method and mode
+	// strings with their length prefixes, the 8 seed bytes, and everything
+	// from the argument count to the item's end (the args and fixed
+	// sections). samples, enum_limit, parallelism and deadline_ms are left
+	// out: they do not change which memo entry answers. EncodeEvalRequest
+	// is canonical, so requests that decode alike fingerprint alike in
+	// either codec, alone or inside a batch.
+	Spread uint64
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvFold[B string | []byte](h uint64, b B) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// fnvFinish is the splitmix64 finalizer.
+func fnvFinish(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
+
+// Hash64 is FNV-1a with a splitmix64 finalizer. FNV alone clusters badly
+// for short suffix-varying strings (node-1#0, node-1#1, ...); the
+// finalizer's avalanche spreads them uniformly.
+func Hash64(s string) uint64 { return fnvFinish(fnvFold(fnvOffset, s)) }
+
+// skipValue is value without the materialising.
+func (d *bdec) skipValue(depth int) {
+	if d.err != nil {
+		return
+	}
+	if depth > maxValueDepth {
+		d.fail("value nesting exceeds %d", maxValueDepth)
+		return
+	}
+	switch tag := d.u8(); tag {
+	case tagNil, tagFalse, tagTrue:
+	case tagNum:
+		d.skip(8)
+	case tagStr:
+		d.strBytes()
+	case tagList:
+		for n := d.count(1); n > 0 && d.err == nil; n-- {
+			d.skipValue(depth + 1)
+		}
+	case tagRecord:
+		for n := d.count(2); n > 0 && d.err == nil; n-- {
+			d.strBytes()
+			d.skipValue(depth + 1)
+		}
+	default:
+		d.fail("unknown value tag %d", tag)
+	}
+}
+
+func (d *bdec) skipFloats() { d.skip(8 * d.count(8)) }
+
+// walkRequestItem is evalRequestBody without the materialising.
+func (d *bdec) walkRequestItem() FrameItem {
+	it := FrameItem{Off: d.off}
+	it.Interface = d.strBytes()
+	mark := d.off
+	d.strBytes() // method
+	d.strBytes() // mode
+	h := fnvFold(fnvOffset, d.data[mark:d.off])
+	d.skip(8) // samples
+	mark = d.off
+	d.skip(8) // seed
+	h = fnvFold(h, d.data[mark:d.off])
+	d.skip(3 * 8) // enum_limit, parallelism, deadline_ms
+	mark = d.off
+	for n := d.count(1); n > 0 && d.err == nil; n-- {
+		d.skipValue(0)
+	}
+	for n := d.count(2); n > 0 && d.err == nil; n-- {
+		d.strBytes()
+		d.skipValue(0)
+	}
+	it.Spread = fnvFinish(fnvFold(h, d.data[mark:d.off]))
+	it.End = d.off
+	return it
+}
+
+// walkResponseItem is batchItem without the materialising.
+func (d *bdec) walkResponseItem() FrameItem {
+	it := FrameItem{Off: d.off}
+	it.Interface = d.strBytes()
+	d.skip(8)    // version
+	d.strBytes() // method
+	d.strBytes() // mode
+	d.skip(4)    // status
+	d.strBytes() // error
+	if d.u8()&flagHasDist != 0 {
+		d.skipFloats()
+		d.skipFloats()
+		d.skip(5 * 8) // mean, std, min, max, p99
+	}
+	it.End = d.off
+	return it
+}
+
+// walkBatch walks a frame of the given batch kind.
+func walkBatch(frame []byte, kind byte, minItem int, item func(*bdec) FrameItem) ([]FrameItem, error) {
+	d := &bdec{data: frame}
+	d.header(kind)
+	var items []FrameItem
+	if n := d.count(minItem); d.err == nil && n > 0 {
+		items = make([]FrameItem, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			items[i] = item(d)
+		}
+	}
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return items, nil
+}
+
+// WalkEvalRequest walks a binary eval-request frame.
+func WalkEvalRequest(frame []byte) (FrameItem, error) {
+	d := &bdec{data: frame}
+	d.header(kindEvalRequest)
+	it := d.walkRequestItem()
+	return it, d.done()
+}
+
+// WalkBatchEvalRequest walks a binary batch-request frame: one FrameItem
+// per request, in order. The ranges tile the frame after its
+// BatchHeaderLen-byte head, and any of them, concatenated in any order
+// after BeginBatchEvalRequest, are the frame of that batch.
+func WalkBatchEvalRequest(frame []byte) ([]FrameItem, error) {
+	return walkBatch(frame, kindBatchRequest, minRequestItemBytes, (*bdec).walkRequestItem)
+}
+
+// WalkBatchEvalResponse is WalkBatchEvalRequest for the answer frame
+// (Begin with BeginBatchEvalResponse; Spread is zero).
+func WalkBatchEvalResponse(frame []byte) ([]FrameItem, error) {
+	return walkBatch(frame, kindBatchResponse, minResponseItemBytes, (*bdec).walkResponseItem)
+}
+
+// AppendBatchEvalError appends to an answer frame the item that refuses
+// one request item (a range WalkBatchEvalRequest yielded) with status and
+// msg, naming the interface and method the request named.
+func AppendBatchEvalError(buf *bytes.Buffer, reqItem []byte, status int, msg string) {
+	d := &bdec{data: reqItem}
+	it := BatchEvalItem{Interface: d.str(), Method: d.str(), Status: status, Error: msg}
+	(&benc{buf: buf}).batchItem(&it)
 }
 
 // EncodeCacheLookupRequest appends the binary frame for req to buf.

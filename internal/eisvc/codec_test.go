@@ -414,11 +414,9 @@ func TestCodecTruncation(t *testing.T) {
 	}
 }
 
-// FuzzCodecRoundTrip drives the decoders with arbitrary bytes (they must
-// error or round-trip cleanly, never panic) and, when the input happens
-// to parse, asserts decode→encode→decode is bit-identical — the
-// canonical-form property the router's verbatim passthrough relies on.
-func FuzzCodecRoundTrip(f *testing.F) {
+// addCodecSeeds gives a fuzz target one well-formed frame of every kind
+// plus a few malformed heads.
+func addCodecSeeds(f *testing.F) {
 	seed := func(enc func(*bytes.Buffer) error) {
 		var buf bytes.Buffer
 		if err := enc(&buf); err == nil {
@@ -473,7 +471,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(binMagic[:])
 	f.Add(append(append([]byte{}, binMagic[:]...), kindSnapshot, 0xff, 0xff, 0xff, 0xff))
+}
 
+// FuzzCodecRoundTrip drives the decoders with arbitrary bytes (they must
+// error or round-trip cleanly, never panic) and, when the input happens
+// to parse, asserts decode→encode→decode is bit-identical — the
+// canonical-form property the router's verbatim passthrough relies on.
+func FuzzCodecRoundTrip(f *testing.F) {
+	addCodecSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := DecodeEvalRequest(data); err == nil {
 			var buf bytes.Buffer

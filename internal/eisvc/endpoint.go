@@ -94,6 +94,26 @@ func (c *Codec[T]) Decode(contentType string, body []byte) (*T, error) {
 	return v, nil
 }
 
+// Frame returns body as a binary frame, for a caller that switches frames
+// instead of decoding them (the fleet router): a binary body is returned
+// as it came; a JSON one is decoded — strictly, for a request — and
+// re-encoded into scratch, whose bytes the result then aliases. The
+// re-encoding is the canonical one, so what a walker reads off it agrees
+// with what it reads off a binary caller's own frame.
+func (c *Codec[T]) Frame(scratch *bytes.Buffer, contentType string, body []byte) ([]byte, error) {
+	if IsBinaryContentType(contentType) {
+		return body, nil
+	}
+	v, err := c.Decode(contentType, body)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.encode(scratch, v); err != nil {
+		return nil, err
+	}
+	return scratch.Bytes(), nil
+}
+
 func decodeStrictJSON(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -150,7 +170,7 @@ func (e *Endpoint[Req, Resp]) Read(w http.ResponseWriter, r *http.Request) *Req 
 // something went wrong.
 func (e *Endpoint[Req, Resp]) Write(w http.ResponseWriter, r *http.Request, resp *Resp) {
 	contentType := jsonContentType
-	if strings.Contains(r.Header.Get("Accept"), BinaryContentType) {
+	if AcceptsBinary(r) {
 		contentType = BinaryContentType
 	}
 	buf := GetBuffer()
@@ -160,6 +180,28 @@ func (e *Endpoint[Req, Resp]) Write(w http.ResponseWriter, r *http.Request, resp
 		return
 	}
 	writeBody(w, http.StatusOK, contentType, buf)
+}
+
+// AcceptsBinary reports whether the caller's Accept asks for the binary
+// codec.
+func AcceptsBinary(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), BinaryContentType)
+}
+
+// WriteFrame answers 200 with an answer already in its binary frame: as
+// it is to a caller that accepts binary, decoded and written as JSON to
+// one that does not.
+func (e *Endpoint[Req, Resp]) WriteFrame(w http.ResponseWriter, r *http.Request, frame *bytes.Buffer) {
+	if AcceptsBinary(r) {
+		writeBody(w, http.StatusOK, BinaryContentType, frame)
+		return
+	}
+	resp, err := e.Response.decode(frame.Bytes())
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "decode response: %v", err)
+		return
+	}
+	e.Write(w, r, resp)
 }
 
 // writeBody sends an encoded body with an exact Content-Length.

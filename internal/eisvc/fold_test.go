@@ -143,6 +143,16 @@ func TestStatsFold(t *testing.T) {
 	}
 	check("", reflect.ValueOf(agg), reflect.ValueOf(a), reflect.ValueOf(b))
 
+	// The compiler's four counters describe a process, which several nodes
+	// may share: summing specializations tripled it on an in-process
+	// 3-node fleet. None of them enters the aggregate.
+	if a.Specializations == 0 || b.Specializations == 0 {
+		t.Fatal("fixture does not exercise specializations")
+	}
+	if agg.Specializations != 0 || agg.CompiledEvals != 0 || agg.CompiledPrograms != 0 || agg.CompileFallbacks != 0 {
+		t.Errorf("aggregate carries process-wide compiler counters: %d specializations, %d compiled evals", agg.Specializations, agg.CompiledEvals)
+	}
+
 	if want := float64(agg.MemoHits) / float64(agg.MemoHits+agg.MemoMisses); agg.MemoHitRate != want {
 		t.Errorf("MemoHitRate = %v, want %v", agg.MemoHitRate, want)
 	}

@@ -120,6 +120,14 @@ func KeyStack(key string) string {
 //     limit). The seed stays in the key for the enumeration modes because
 //     they fall back to Monte Carlo beyond EnumLimit.
 func memoKey(name string, version uint64, method string, args []core.Value, opts core.EvalOptions) string {
+	var buf [192]byte
+	return string(appendMemoKey(buf[:0], name, version, method, args, opts))
+}
+
+// appendMemoKey appends memoKey's bytes to dst, for a caller that builds
+// many keys in one buffer (a batch). Peers exchange these keys and
+// snapshots persist them: their bytes are a wire format.
+func appendMemoKey(dst []byte, name string, version uint64, method string, args []core.Value, opts core.EvalOptions) []byte {
 	samples := opts.Samples
 	if samples <= 0 {
 		samples = core.DefaultSamples
@@ -136,26 +144,17 @@ func memoKey(name string, version uint64, method string, args []core.Value, opts
 		enumLimit = 0
 	}
 
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('@')
-	b.WriteString(strconv.FormatUint(version, 10))
-	b.WriteByte('|')
-	b.WriteString(method)
-	b.WriteString("|m")
-	b.WriteString(strconv.Itoa(int(opts.Mode)))
-	b.WriteString("|s")
-	b.WriteString(strconv.Itoa(samples))
-	b.WriteString("|l")
-	b.WriteString(strconv.Itoa(enumLimit))
-	b.WriteString("|r")
-	b.WriteString(strconv.FormatInt(seed, 10))
-	b.WriteString("|A[")
+	dst = append(append(dst, name...), '@')
+	dst = append(strconv.AppendUint(dst, version, 10), '|')
+	dst = append(append(dst, method...), "|m"...)
+	dst = append(strconv.AppendInt(dst, int64(opts.Mode), 10), "|s"...)
+	dst = append(strconv.AppendInt(dst, int64(samples), 10), "|l"...)
+	dst = append(strconv.AppendInt(dst, int64(enumLimit), 10), "|r"...)
+	dst = append(strconv.AppendInt(dst, seed, 10), "|A["...)
 	for _, a := range args {
-		b.WriteString(a.Key())
-		b.WriteByte(';')
+		dst = append(a.AppendKey(dst), ';')
 	}
-	b.WriteString("]|F{")
+	dst = append(dst, "]|F{"...)
 	if len(opts.Fixed) > 0 {
 		names := make([]string, 0, len(opts.Fixed))
 		for qn := range opts.Fixed {
@@ -163,12 +162,9 @@ func memoKey(name string, version uint64, method string, args []core.Value, opts
 		}
 		sort.Strings(names)
 		for _, qn := range names {
-			b.WriteString(qn)
-			b.WriteByte('=')
-			b.WriteString(opts.Fixed[qn].Key())
-			b.WriteByte(';')
+			dst = append(append(dst, qn...), '=')
+			dst = append(opts.Fixed[qn].AppendKey(dst), ';')
 		}
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }

@@ -737,6 +737,10 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 	byKey := make(map[string]int, len(req.Requests))
 	var cold []coldKey
 	var coldKeys []string
+	// One buffer canonicalizes every item; a key becomes a string only the
+	// first time the batch sees it (a duplicate's lookup converts nothing).
+	var keyArr [192]byte
+	keyBuf := keyArr[:0]
 	for i := range req.Requests {
 		it := &req.Requests[i]
 		items[i] = BatchEvalItem{Interface: it.Interface, Method: it.Method}
@@ -748,11 +752,12 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		}
 		items[i].Version = version
 		items[i].Mode = opts.Mode.String()
-		key := memoKey(it.Interface, version, it.Method, args, opts)
-		k, dup := byKey[key]
+		keyBuf = appendMemoKey(keyBuf[:0], it.Interface, version, it.Method, args, opts)
+		k, dup := byKey[string(keyBuf)]
 		if dup {
 			items[i].Deduped = true
 		} else {
+			key := string(keyBuf)
 			k = len(results)
 			byKey[key] = k
 			results = append(results, keyResult{})

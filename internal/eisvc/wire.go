@@ -333,13 +333,14 @@ type StatsResponse struct {
 	// evaluations served through compiled programs, and the times a
 	// program emitted code for a new specialization. On a warm node
 	// specializations is flat while compiled_evals climbs; if the two climb
-	// together the node is churning its specialization caches. It sums
-	// over a fleet of processes (nodes sharing one process each report the
-	// process's count).
+	// together the node is churning its specialization caches. All four
+	// describe a process, not a node — nodes sharing a process each report
+	// the process's count — so none of them is folded into a fleet
+	// aggregate; read them per node.
 	CompiledPrograms uint64 `json:"compiled_programs" fold:"node"`
 	CompileFallbacks uint64 `json:"compile_fallbacks" fold:"node"`
 	CompiledEvals    uint64 `json:"compiled_evals" fold:"node"`
-	Specializations  uint64 `json:"specializations" fold:"sum"`
+	Specializations  uint64 `json:"specializations" fold:"node"`
 
 	ShedQueueFull uint64 `json:"shed_queue_full" fold:"sum"` // rejected with 429
 	ShedDeadline  uint64 `json:"shed_deadline" fold:"sum"`   // rejected with 503

@@ -1,7 +1,11 @@
 package eisvc
 
 import (
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"energyclarity/internal/core"
 )
@@ -86,5 +90,111 @@ func TestMemoKeyCanonicalization(t *testing.T) {
 	other := []core.Value{core.Record(map[string]core.Value{"n": core.Num(6)})}
 	if memoKey("i", 1, "m", args, c) == memoKey("i", 1, "m", other, c) {
 		t.Error("args did not split the memo key")
+	}
+}
+
+// referenceMemoKey is memoKey as it stood before appendMemoKey replaced its
+// strings.Builder, verbatim. Peers exchange memo keys over /v1/cachelookup
+// and snapshots persist them, so a build that spelled them differently
+// would miss on every probe from the other build and load no snapshot.
+// (core's TestAppendKeyMatchesReference pins the Value.Key half.)
+func referenceMemoKey(name string, version uint64, method string, args []core.Value, opts core.EvalOptions) string {
+	samples := opts.Samples
+	if samples <= 0 {
+		samples = core.DefaultSamples
+	}
+	enumLimit := opts.EnumLimit
+	if enumLimit <= 0 {
+		enumLimit = core.DefaultEnumLimit
+	}
+	seed := opts.Seed
+	switch opts.Mode {
+	case core.ModeFixed:
+		samples, enumLimit, seed = 0, 0, 0
+	case core.ModeMonteCarlo:
+		enumLimit = 0
+	}
+
+	var b strings.Builder
+	b.WriteString(name)
+	b.WriteByte('@')
+	b.WriteString(strconv.FormatUint(version, 10))
+	b.WriteByte('|')
+	b.WriteString(method)
+	b.WriteString("|m")
+	b.WriteString(strconv.Itoa(int(opts.Mode)))
+	b.WriteString("|s")
+	b.WriteString(strconv.Itoa(samples))
+	b.WriteString("|l")
+	b.WriteString(strconv.Itoa(enumLimit))
+	b.WriteString("|r")
+	b.WriteString(strconv.FormatInt(seed, 10))
+	b.WriteString("|A[")
+	for _, a := range args {
+		b.WriteString(a.Key())
+		b.WriteByte(';')
+	}
+	b.WriteString("]|F{")
+	if len(opts.Fixed) > 0 {
+		names := make([]string, 0, len(opts.Fixed))
+		for qn := range opts.Fixed {
+			names = append(names, qn)
+		}
+		sort.Strings(names)
+		for _, qn := range names {
+			b.WriteString(qn)
+			b.WriteByte('=')
+			b.WriteString(opts.Fixed[qn].Key())
+			b.WriteByte(';')
+		}
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+func TestMemoKeyBytesUnchanged(t *testing.T) {
+	modes := []core.Mode{core.ModeExpected, core.ModeWorstCase, core.ModeBestCase, core.ModeFixed, core.ModeMonteCarlo}
+	check := func(name, method string, version uint64, nums []float64, strs []string, mode uint8, samples, enumLimit int, seed int64, pinned []string) bool {
+		var args []core.Value
+		rec := map[string]core.Value{}
+		for i, n := range nums {
+			args = append(args, core.Num(n))
+			rec["n"+strconv.Itoa(i)] = core.Num(n)
+		}
+		for _, s := range strs {
+			args = append(args, core.Str(s), core.List(core.Str(s), core.Bool(len(s)%2 == 0), core.Nil()))
+		}
+		args = append(args, core.Record(rec))
+		opts := core.EvalOptions{Mode: modes[int(mode)%len(modes)], Samples: samples, EnumLimit: enumLimit, Seed: seed}
+		for i, qn := range pinned {
+			if opts.Fixed == nil {
+				opts.Fixed = map[string]core.Value{}
+			}
+			opts.Fixed[qn] = args[i%len(args)]
+		}
+		want := referenceMemoKey(name, version, method, args, opts)
+		// The appended form must extend what the buffer already holds: a
+		// batch builds every item's key in one buffer.
+		return memoKey(name, version, method, args, opts) == want &&
+			string(appendMemoKey([]byte("pre"), name, version, method, args, opts)) == "pre"+want
+	}
+	long := strings.Repeat("stack", 60) // past memoKey's stack buffer
+	for _, c := range []struct {
+		name, method string
+		nums         []float64
+		strs, pinned []string
+	}{
+		{"i", "m", nil, nil, nil},
+		{"ml_webservice", "handle", []float64{307200, 0.5, -2.5, 1e21}, []string{"rgb", ""}, []string{"request_hit", "local_cache_hit"}},
+		{long, long, []float64{1}, []string{long}, []string{long}},
+	} {
+		for mode := range modes {
+			if !check(c.name, c.method, 7, c.nums, c.strs, uint8(mode), 512, 0, 42, c.pinned) {
+				t.Errorf("memo key of %s.%s (mode %d) differs from the reference", c.name[:1], c.method[:1], mode)
+			}
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
 	}
 }

@@ -9,6 +9,8 @@ package fleet
 import (
 	"sort"
 	"strconv"
+
+	"energyclarity/internal/eisvc"
 )
 
 // DefaultVirtualNodes is how many ring points each node projects. More
@@ -43,27 +45,6 @@ func NewRing(vnodes int) *Ring {
 	return &Ring{vnodes: vnodes, nodes: map[string]bool{}}
 }
 
-// hash64 is FNV-1a with a splitmix64 finalizer. FNV alone clusters badly
-// for short suffix-varying strings (node-1#0, node-1#1, ...); the
-// finalizer's avalanche spreads the points uniformly around the circle.
-func hash64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // Add inserts a node's virtual points. Adding an existing node is a no-op.
 func (r *Ring) Add(node string) {
 	if r.nodes[node] {
@@ -71,7 +52,7 @@ func (r *Ring) Add(node string) {
 	}
 	r.nodes[node] = true
 	for i := 0; i < r.vnodes; i++ {
-		r.points = append(r.points, ringPoint{hash: hash64(node + "#" + strconv.Itoa(i)), node: node})
+		r.points = append(r.points, ringPoint{hash: eisvc.Hash64(node + "#" + strconv.Itoa(i)), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
@@ -119,7 +100,7 @@ func (r *Ring) Lookup(key string, n int) []string {
 	if n > len(r.nodes) {
 		n = len(r.nodes)
 	}
-	h := hash64(key)
+	h := eisvc.Hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]string, 0, n)
 	seen := make(map[string]bool, n)

@@ -70,11 +70,11 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	post := r.Method == http.MethodPost
 	switch path := r.URL.Path; {
 	case post && path == eisvc.EvalEndpoint.Path:
-		routeKeyed(rt, w, r, eisvc.EvalEndpoint, evalKey)
+		rt.routeKeyed(w, r, evalKey)
 	case post && path == eisvc.EvalBatchEndpoint.Path:
 		rt.handleEvalBatch(w, r)
 	case post && path == eisvc.OptimizeEndpoint.Path:
-		routeKeyed(rt, w, r, eisvc.OptimizeEndpoint, optimizeKey)
+		rt.routeKeyed(w, r, optimizeKey)
 	case post && (path == "/v1/register" || path == "/v1/rebind"):
 		rt.handleMutate(w, r)
 	case r.Method == http.MethodGet && path == "/v1/stats":
@@ -189,38 +189,13 @@ func (rt *Router) candidatesFor(stack string, spread uint64) []*Node {
 	return rt.candidates(rt.f.OwnersOf(stack), spread)
 }
 
-// spreadHash fingerprints one evaluation request so repeated identical
-// requests land on the same replica (maximizing memo locality) while
-// distinct requests for the same stack spread across its owners.
-func spreadHash(req *eisvc.EvalRequest) uint64 {
-	var b bytes.Buffer
-	b.WriteString(req.Method)
-	b.WriteByte('|')
-	b.WriteString(req.Mode)
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(req.Seed, 10))
-	b.WriteByte('|')
-	// encoding/json sorts map keys, so identical args marshal identically.
-	if raw, err := json.Marshal(req.Args); err == nil {
-		b.Write(raw)
-	}
-	if len(req.Fixed) > 0 {
-		if raw, err := json.Marshal(req.Fixed); err == nil {
-			b.Write(raw)
-		}
-	}
-	return hash64(b.String())
-}
-
 // --- handlers ---
 
 // routeKeyed serves a route whose whole request goes to one node chosen
-// by a key of the decoded request. The body is decoded once, for
-// placement only, and the caller's exact bytes are forwarded: both codecs
-// decode to the same Go value shapes, so the key functions agree and a
-// mixed JSON/binary client population still lands identical requests on
-// the same replica. A body that does not decode is the router's 400.
-func routeKeyed[Req, Resp any](rt *Router, w http.ResponseWriter, r *http.Request, ep *eisvc.Endpoint[Req, Resp], keyOf func(*Req) (stack string, spread uint64)) {
+// by a key read off its body. The body is read for placement only and the
+// caller's exact bytes are forwarded. A body keyOf rejects is the router's
+// own 400.
+func (rt *Router) routeKeyed(w http.ResponseWriter, r *http.Request, keyOf func(contentType string, body []byte) (stack string, spread uint64, err error)) {
 	rt.routed.Add(1)
 	// Not pooled: an abandoned forward's transport goroutine may still be
 	// reading these bytes after the walk has moved on.
@@ -228,25 +203,45 @@ func routeKeyed[Req, Resp any](rt *Router, w http.ResponseWriter, r *http.Reques
 	if !eisvc.ReadBody(w, r, &body) {
 		return
 	}
-	req, err := ep.Request.Decode(r.Header.Get("Content-Type"), body.Bytes())
+	stack, spread, err := keyOf(r.Header.Get("Content-Type"), body.Bytes())
 	if err != nil {
 		eisvc.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	stack, spread := keyOf(req)
-	rt.routeAffine(w, r, body.Bytes(), stack, spread, strings.TrimPrefix(ep.Path, "/v1/")+" of "+stack)
+	rt.routeAffine(w, r, body.Bytes(), stack, spread)
 }
 
-func evalKey(req *eisvc.EvalRequest) (string, uint64) { return req.Interface, spreadHash(req) }
+// evalKey reads an evaluation's placement off its frame without decoding
+// it: the walker's spread fingerprint is the one definition of where a
+// request goes, alone or as a batch item. A JSON body is decoded strictly
+// (unknown fields are this router's 400, as they are a node's) and
+// re-encoded only to be fingerprinted; both codecs decode to the same Go
+// values and the encoding is canonical, so a mixed JSON/binary client
+// population still lands identical requests on the same replica.
+func evalKey(contentType string, body []byte) (string, uint64, error) {
+	scratch := eisvc.GetBuffer()
+	defer eisvc.PutBuffer(scratch)
+	frame, err := eisvc.EvalEndpoint.Request.Frame(scratch, contentType, body)
+	if err != nil {
+		return "", 0, err
+	}
+	it, err := eisvc.WalkEvalRequest(frame)
+	return string(it.Interface), it.Spread, err
+}
 
 // optimizeKey routes a whole auto-optimizer sweep to one node — the
 // stack's owner under the sweep fingerprint — so a repeat sweep lands
 // where its per-evaluation memos are warm. A dead or shedding owner
 // fails over like an eval; sweeps are deterministic, so the failover
 // node fits a bit-identical frontier (a cold cache costs time, never
-// correctness).
-func optimizeKey(req *eisvc.OptimizeRequest) (string, uint64) {
-	return req.Interface, optimizeSpread(req)
+// correctness). One sweep stands for thousands of evals and its key needs
+// the knob table, so this route decodes.
+func optimizeKey(contentType string, body []byte) (string, uint64, error) {
+	req, err := eisvc.OptimizeEndpoint.Request.Decode(contentType, body)
+	if err != nil {
+		return "", 0, err
+	}
+	return req.Interface, optimizeSpread(req), nil
 }
 
 // routeAffine forwards one request whose answer benefits from memo
@@ -254,9 +249,9 @@ func optimizeKey(req *eisvc.OptimizeRequest) (string, uint64) {
 // except that the node which last served this exact fingerprint — its
 // memo is warm — goes first regardless of ring order. Failover follows
 // the usual candidate walk.
-func (rt *Router) routeAffine(w http.ResponseWriter, r *http.Request, body []byte, stack string, spread uint64, what string) {
+func (rt *Router) routeAffine(w http.ResponseWriter, r *http.Request, body []byte, stack string, spread uint64) {
 	cands := rt.candidatesFor(stack, spread)
-	affKey := hash64(stack) ^ spread
+	affKey := eisvc.Hash64(stack) ^ spread
 	affID, affKnown := rt.aff.get(affKey)
 	if affKnown {
 		for i, n := range cands {
@@ -280,14 +275,14 @@ func (rt *Router) routeAffine(w http.ResponseWriter, r *http.Request, body []byt
 		return true
 	})
 	if !ok {
-		rt.writeExhausted(w, what)
+		rt.writeExhausted(w, strings.TrimPrefix(r.URL.Path, "/v1/")+" of "+stack)
 	}
 }
 
-// optimizeSpread fingerprints a sweep the way spreadHash fingerprints
-// an eval: identical sweeps land on the same replica, distinct sweeps
-// over the same stack spread across its owners. The binary decoder
-// yields the same field values as a JSON decode, so codecs agree.
+// optimizeSpread fingerprints a sweep the way FrameItem.Spread
+// fingerprints an eval: identical sweeps land on the same replica,
+// distinct sweeps over the same stack spread across its owners. The binary
+// decoder yields the same field values as a JSON decode, so codecs agree.
 func optimizeSpread(req *eisvc.OptimizeRequest) uint64 {
 	var b bytes.Buffer
 	b.WriteString(req.EnergyMethod)
@@ -302,94 +297,156 @@ func optimizeSpread(req *eisvc.OptimizeRequest) uint64 {
 	if raw, err := json.Marshal(req.Knobs); err == nil {
 		b.Write(raw)
 	}
-	return hash64(b.String())
+	return eisvc.Hash64(b.String())
 }
 
-// handleEvalBatch splits a batch by each item's preferred node and
-// forwards the sub-batches concurrently, stitching results back in
-// request order. A sub-batch whose preferred node fails retries on the
-// shared candidate list, so a mid-batch node kill surfaces as latency,
-// not errors.
+// handleEvalBatch switches a batch's frames: it walks the request frame
+// once, cuts each preferred node's sub-batch out of it as header + count
+// + the items' own bytes, forwards the sub-batches concurrently, and
+// stitches the nodes' answer items back in request order the same way.
+// No item is decoded in either direction. A sub-batch whose preferred
+// node fails retries on the shared candidate list, so a mid-batch node
+// kill surfaces as latency, not errors. JSON lives at the edge only: a
+// JSON batch is transcoded to the frame on the way in, a JSON Accept gets
+// the stitched frame decoded on the way out, and the hop to the nodes is
+// always binary.
 func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	rt.routed.Add(1)
 	ep := eisvc.EvalBatchEndpoint
-	req := ep.Read(w, r)
-	if req == nil {
+	in, scratch, out := eisvc.GetBuffer(), eisvc.GetBuffer(), eisvc.GetBuffer()
+	defer eisvc.PutBuffer(in)
+	defer eisvc.PutBuffer(scratch)
+	defer eisvc.PutBuffer(out)
+	if !eisvc.ReadBody(w, r, in) {
 		return
 	}
-	if len(req.Requests) == 0 {
+	frame, err := ep.Request.Frame(scratch, r.Header.Get("Content-Type"), in.Bytes())
+	var items []eisvc.FrameItem
+	if err == nil {
+		items, err = eisvc.WalkBatchEvalRequest(frame)
+	}
+	if err != nil {
+		eisvc.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	if len(items) == 0 {
 		eisvc.WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 
-	// Group item indices by preferred node ID. Items for unknown stacks or
-	// an empty ring fall into the "" group and ride with any live node.
-	groups := map[string][]int{}
-	for i := range req.Requests {
-		it := &req.Requests[i]
-		pref := ""
-		if owners := rt.f.OwnersOf(it.Interface); len(owners) > 0 {
-			pref = owners[spreadHash(it)%uint64(len(owners))]
+	// Group item indices by preferred node ID, asking the ring once per
+	// distinct stack. Items for unknown stacks or an empty ring fall into
+	// the "" group and ride with any live node.
+	type subBatch struct {
+		idxs []int
+		size int // bytes of the items
+	}
+	owners := map[string][]string{}
+	groups := map[string]*subBatch{}
+	for i := range items {
+		own, seen := owners[string(items[i].Interface)]
+		if !seen {
+			stack := string(items[i].Interface)
+			own = rt.f.OwnersOf(stack)
+			owners[stack] = own
 		}
-		groups[pref] = append(groups[pref], i)
+		pref := ""
+		if len(own) > 0 {
+			pref = own[items[i].Spread%uint64(len(own))]
+		}
+		g := groups[pref]
+		if g == nil {
+			g = &subBatch{}
+			groups[pref] = g
+		}
+		g.idxs = append(g.idxs, i)
+		g.size += items[i].End - items[i].Off
 	}
 
-	// Sub-batches re-encode in the inbound codec, so binary clients stay
-	// binary hop to hop and JSON clients stay debuggable end to end.
-	codec := r.Header.Get("Content-Type")
-	results := make([]eisvc.BatchEvalItem, len(req.Requests))
+	// answers[i] is item i's answer, a range of the frame its node sent;
+	// nil while no node has answered for it.
+	answers := make([][]byte, len(items))
+	hop := binaryHop(r)
 	var wg sync.WaitGroup
-	for pref, idxs := range groups {
+	for pref, g := range groups {
 		wg.Add(1)
-		go func(pref string, idxs []int) {
+		go func() {
 			defer wg.Done()
-			sub := eisvc.BatchEvalRequest{Requests: make([]eisvc.EvalRequest, len(idxs))}
-			for j, i := range idxs {
-				sub.Requests[j] = req.Requests[i]
-			}
-			var body bytes.Buffer // unpooled, like routeKeyed's
-			if err := ep.Request.Encode(&body, codec, &sub); err != nil {
-				failGroup(results, idxs, req, "encode sub-batch: "+err.Error())
-				return
+			// Unpooled, like routeKeyed's, and exactly sized.
+			body := bytes.NewBuffer(make([]byte, 0, eisvc.BatchHeaderLen+g.size))
+			eisvc.BeginBatchEvalRequest(body, len(g.idxs))
+			for _, i := range g.idxs {
+				body.Write(frame[items[i].Off:items[i].End])
 			}
 			// The preferred node first, then every other live node; a node
-			// whose answer does not decode to one result per item is
-			// skipped like a dead one.
-			ok := rt.tryCandidates(r, body.Bytes(), rt.candidates([]string{pref}, 0), func(_ *Node, resp *http.Response) bool {
-				data, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode/100 != 2 {
+			// whose answer is not a well-formed frame of one item per
+			// request is skipped like a dead one.
+			ok := rt.tryCandidates(hop, body.Bytes(), rt.candidates([]string{pref}, 0), func(_ *Node, resp *http.Response) bool {
+				data, err := readAnswer(resp)
+				if err != nil {
 					return false
 				}
-				out, err := ep.Response.Decode(resp.Header.Get("Content-Type"), data)
-				if err != nil || len(out.Results) != len(idxs) {
+				got, err := eisvc.WalkBatchEvalResponse(data)
+				if err != nil || len(got) != len(g.idxs) {
 					return false
 				}
-				for j, i := range idxs {
-					results[i] = out.Results[j]
+				for j, i := range g.idxs {
+					answers[i] = data[got[j].Off:got[j].End]
 				}
 				return true
 			})
 			if !ok {
 				rt.exhausted.Add(1)
-				failGroup(results, idxs, req, "fleet: no node could serve batch")
 			}
-		}(pref, idxs)
+		}()
 	}
 	wg.Wait()
-	ep.Write(w, r, &eisvc.BatchEvalResponse{Results: results})
+
+	// An item nobody answered is a 503 of its own, so callers can retry
+	// item by item; these are the only items the router ever encodes.
+	eisvc.BeginBatchEvalResponse(out, len(items))
+	for i, a := range answers {
+		if a != nil {
+			out.Write(a)
+			continue
+		}
+		eisvc.AppendBatchEvalError(out, frame[items[i].Off:items[i].End],
+			http.StatusServiceUnavailable, "fleet: no node could serve batch")
+	}
+	ep.WriteFrame(w, r, out)
 }
 
-// failGroup marks every item of a failed sub-batch as 503 so callers can
-// retry item-by-item.
-func failGroup(results []eisvc.BatchEvalItem, idxs []int, req *eisvc.BatchEvalRequest, msg string) {
-	for _, i := range idxs {
-		results[i] = eisvc.BatchEvalItem{
-			Interface: req.Requests[i].Interface,
-			Method:    req.Requests[i].Method,
-			Status:    http.StatusServiceUnavailable,
-			Error:     msg,
-		}
+// binaryHop returns r as forward should see it for a hop that is binary
+// both ways: r itself when the caller already speaks binary both ways, a
+// copy with the two codec headers rewritten otherwise.
+func binaryHop(r *http.Request) *http.Request {
+	if eisvc.IsBinaryContentType(r.Header.Get("Content-Type")) && eisvc.AcceptsBinary(r) {
+		return r
+	}
+	hop := r.Clone(r.Context())
+	hop.Header.Set("Content-Type", eisvc.BinaryContentType)
+	hop.Header.Set("Accept", eisvc.BinaryContentType)
+	return hop
+}
+
+// readAnswer reads a node's 2xx answer into one exactly-sized slice (every
+// node answer carries a Content-Length), up to MaxBodyBytes and no
+// further. Deliberately not a pooled buffer: every buffer in the shared
+// pool would grow to the largest answer that ever passed through it, and
+// a few dozen are in circulation (ROADMAP direction 1 has the numbers).
+func readAnswer(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	switch n := resp.ContentLength; {
+	case resp.StatusCode/100 != 2 || n > eisvc.MaxBodyBytes:
+		return nil, fmt.Errorf("fleet: node answered %d with %d bytes", resp.StatusCode, n)
+	case n >= 0:
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	default:
+		// No length: read to the cap. A longer answer is cut there, and a
+		// cut frame fails the walk.
+		return io.ReadAll(io.LimitReader(resp.Body, eisvc.MaxBodyBytes))
 	}
 }
 

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 
 	"energyclarity/internal/cache"
@@ -198,10 +197,8 @@ func (p *Program) appendKey(key []byte, args []core.Value, pinned map[string]cor
 	for i := range p.params {
 		if p.symbolic(i, args) {
 			key = append(key, '#')
-		} else if n, ok := args[i].AsNum(); ok {
-			key = strconv.AppendFloat(append(key, 'N'), n, 'g', -1, 64) // Value.Key, without its builder
 		} else {
-			key = append(key, args[i].Key()...)
+			key = args[i].AppendKey(key)
 		}
 		key = append(key, 0)
 	}
@@ -217,7 +214,7 @@ func (p *Program) appendKey(key []byte, args []core.Value, pinned map[string]cor
 		key = append(key, 1)
 		key = append(key, k...)
 		key = append(key, 2)
-		key = append(key, pinned[k].Key()...)
+		key = pinned[k].AppendKey(key)
 	}
 	return key
 }
