@@ -28,11 +28,15 @@ race:
 
 # The tests that have flaked before, repeated: the E12-E17 shape tests
 # (a stopwatch assertion creeping back in fails one run in a few, not
-# every run) and the fleet package (probe ordering, kill and partition
-# traces). A flake shows up here as a red step, not as one red run in six.
+# every run), the fleet package (probe ordering, kill and partition
+# traces), and the two eisvc tests that depend on the runtime's mood — an
+# exact allocation count, and 32 responses encoding from one shared memo
+# entry at once. A flake shows up here as a red step, not as one red run
+# in six.
 test-repeat:
 	$(GO) test -count=10 -run 'TestE1[2-7]' ./internal/experiments
 	$(GO) test -count=5 ./internal/fleet
+	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestMemoSharesWireForm' ./internal/eisvc
 
 # `go test` only replays a fuzz target's seed corpus; this gives each one
 # ten seconds of actual fuzzing (one target and one package per run, as

@@ -412,11 +412,6 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 		}
 	}
 
-	var ev *layerEval
-	if opts.Layer != nil {
-		ev = opts.Layer.evalContext(i)
-	}
-
 	// Compiled-program path: compile (or fetch from the fold-keyed cache)
 	// and specialize for this Eval's args and pinned ECVs. A nil spec means
 	// interpreter fallback; both paths produce bit-identical Dists, so the
@@ -424,6 +419,12 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 	spec := i.specializeFor(method, opts, args, base, free)
 	if spec != nil {
 		defer spec.Release()
+	}
+	// Only the interpreter reads the layer cache, so only it pays for the
+	// descriptor table (a walk of the whole tree).
+	var ev *layerEval
+	if spec == nil && opts.Layer != nil {
+		ev = opts.Layer.evalContext(i)
 	}
 
 	if opts.Mode == ModeFixed {
@@ -620,27 +621,11 @@ func (i *Interface) evalEnumerate(ctx context.Context, m *Method, args []Value, 
 		}
 	}
 
-	// Probability products, multiplied in dims order at every index, and
-	// the replication of a compiled table over the full space.
-	for idx := 0; idx < total; idx++ {
-		if idx%enumChunkSize == 0 {
-			if err := ctx.Err(); err != nil {
-				return energy.Dist{}, err
-			}
-		}
-		p := 1.0
-		for k := range dims {
-			p *= dims[k].ws[(idx/dims[k].stride)%len(dims[k].ws)].P
-		}
-		probs[idx] = p
-		if spec != nil {
-			at := 0
-			for j := range obs {
-				full := &dims[obs[j].k]
-				at += ((idx / full.stride) % len(full.ws)) * obs[j].stride
-			}
-			values[idx] = table[at]
-		}
+	if spec == nil {
+		table = nil // values is already the full space
+	}
+	if err := fillJoint(ctx, dims, obs, table, values, probs); err != nil {
+		return energy.Dist{}, err
 	}
 
 	full := energy.Categorical(values, probs)
@@ -652,6 +637,81 @@ func (i *Interface) evalEnumerate(ctx context.Context, m *Method, args []Value, 
 	default:
 		return full, nil
 	}
+}
+
+// fillJoint writes every point of the space dims span, in index order:
+// probs[idx] is the point's probability — its digits' P multiplied in dims
+// order, starting from 1 — and, when table is not nil, values[idx] is the
+// entry table (laid out over obs, a subset of dims) holds for the point's
+// observed digits: a compiled table replicated over the dimensions the
+// program cannot see.
+//
+// The digits are kept as an odometer, last dimension fastest, rather than
+// derived from idx by a division and a remainder per dimension per point.
+// Each wheel carries the product over the dimensions before it; a step
+// recomputes the products only from the most significant digit that moved,
+// and each is still 1·P₀·P₁·… multiplied left to right, so a point's
+// probability is the bits the per-point loop produced. at is the table
+// index, moved by a digit's stride in obs (0 for an unobserved dimension)
+// as the digit moves.
+func fillJoint(ctx context.Context, dims, obs []freeDim, table, values, probs []float64) error {
+	n := len(dims)
+	if len(probs) == 0 {
+		return nil
+	}
+	type wheel struct {
+		digit, step int
+		pre         float64 // product of P over the dimensions before this one
+	}
+	var few [8]wheel
+	wheels := few[:]
+	if n > len(few) {
+		wheels = make([]wheel, n)
+	}
+	wheels = wheels[:n]
+	for j := range obs {
+		wheels[obs[j].k].step = obs[j].stride
+	}
+	// carry recomputes the products from dimension k on — the ones before
+	// it did not move — and returns the whole point's.
+	carry := func(k int) float64 {
+		p := 1.0
+		if k > 0 {
+			p = wheels[k].pre
+		}
+		for ; k < n; k++ {
+			wheels[k].pre = p
+			p *= dims[k].ws[wheels[k].digit].P
+		}
+		return p
+	}
+	p, at := carry(0), 0
+	for idx := range probs {
+		if idx%enumChunkSize == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		probs[idx] = p
+		if table != nil {
+			values[idx] = table[at]
+		}
+		k := n - 1
+		for ; k >= 0; k-- {
+			w := &wheels[k]
+			w.digit++
+			at += w.step
+			if w.digit < len(dims[k].ws) {
+				break
+			}
+			at -= w.digit * w.step
+			w.digit = 0
+		}
+		if k >= 0 {
+			p = carry(k)
+		}
+	}
+	return nil
 }
 
 // mcShardSize is the number of samples one Monte Carlo shard draws from

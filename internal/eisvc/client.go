@@ -513,27 +513,20 @@ func (c *Client) EvalBatchCtx(ctx context.Context, reqs []EvalRequest) ([]BatchE
 }
 
 // EvalRequestFor builds the wire request Eval would send, for use with
-// EvalBatch.
+// EvalBatch. The request holds args and opts.Fixed as they are — no copy —
+// so they must not change until it has been sent.
 func (c *Client) EvalRequestFor(name, method string, args []core.Value, opts core.EvalOptions) EvalRequest {
-	req := EvalRequest{
+	return EvalRequest{
 		Interface:   name,
 		Method:      method,
+		Args:        args,
 		Mode:        opts.Mode.String(),
 		Samples:     opts.Samples,
 		Seed:        opts.Seed,
 		EnumLimit:   opts.EnumLimit,
 		Parallelism: opts.Parallelism,
+		Fixed:       opts.Fixed,
 	}
-	for _, a := range args {
-		req.Args = append(req.Args, ValueToJSON(a))
-	}
-	if len(opts.Fixed) > 0 {
-		req.Fixed = make(map[string]any, len(opts.Fixed))
-		for qn, v := range opts.Fixed {
-			req.Fixed[qn] = ValueToJSON(v)
-		}
-	}
-	return req
 }
 
 // CacheLookup probes the daemon's memo for exact canonical keys and

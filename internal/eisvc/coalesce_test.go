@@ -231,15 +231,22 @@ func TestEvalBatchCaps(t *testing.T) {
 
 // TestWarmBatchAllocs pins the all-hit batch path as a count. 256 items
 // over 64 distinct warm keys, binary, through the loopback transport
-// (client encode and decode included). Measured 3,975 allocations, 15.5
+// (client encode and decode included). Measured 1,928 allocations, 7.5
 // an item; the bound leaves 3% for toolchain drift. What the figure
 // holds in place, each of which alone breaks it: the handler reads each
 // distinct key's memo entry inline and starts no goroutine (8,896 →
 // 8,763); memo keys are appended into one buffer and become a string
 // once per distinct key, and both batch decoders share the interface,
-// method, mode and record-key strings the items repeat (8,763 → 3,975).
+// method, mode and record-key strings the items repeat (8,763 → 3,975);
+// arguments are decoded straight into core.Values, a hit is answered
+// with the *WireDist its memo entry holds, which also feeds the ledger
+// (3,975 → 2,183), and the client decodes a batch's WireDist structs
+// into one array (2,183 → 1,928). What is left per item, by profile: the
+// answer's two float vectors on the client; the argument slice and the
+// record's map (two allocations, in core.Record) on the server; and the
+// record's sorted field names, once to encode it and once to key it.
 func TestWarmBatchAllocs(t *testing.T) {
-	const items, distinct, bound = 256, 64, 4100
+	const items, distinct, bound = 256, 64, 1990
 	srv := NewServer(Config{})
 	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
 		t.Fatal(err)

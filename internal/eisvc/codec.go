@@ -7,6 +7,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"energyclarity/internal/core"
 )
 
 // The binary wire protocol. JSON (wire.go) is the debug path: every
@@ -146,7 +148,8 @@ func (e *benc) header(kind byte) {
 	e.u8(kind)
 }
 
-// Value tag bytes for the plain JSON data model.
+// Value tag bytes, one per core.Value kind (booleans carry their value in
+// the tag).
 const (
 	tagNil byte = iota
 	tagFalse
@@ -157,54 +160,43 @@ const (
 	tagRecord
 )
 
-// value encodes one JSON-model value (what EvalRequest.Args and .Fixed
-// hold after either a JSON decode or a binary decode). Record keys are
-// written in sorted order so the encoding is deterministic.
-func (e *benc) value(v any) error {
-	switch x := v.(type) {
-	case nil:
+// value encodes one core.Value (what EvalRequest.Args and .Fixed hold).
+// Record keys are written in sorted order so the encoding is deterministic.
+func (e *benc) value(v core.Value) {
+	switch v.Kind() {
+	case core.KindNil:
 		e.u8(tagNil)
-	case bool:
-		if x {
+	case core.KindBool:
+		if b, _ := v.AsBool(); b {
 			e.u8(tagTrue)
 		} else {
 			e.u8(tagFalse)
 		}
-	case float64:
+	case core.KindNum:
+		n, _ := v.AsNum()
 		e.u8(tagNum)
-		e.f64(x)
-	case int:
-		e.u8(tagNum)
-		e.f64(float64(x))
-	case string:
+		e.f64(n)
+	case core.KindStr:
+		s, _ := v.AsStr()
 		e.u8(tagStr)
-		e.str(x)
-	case []any:
+		e.str(s)
+	case core.KindList:
 		e.u8(tagList)
-		e.u32(uint32(len(x)))
-		for _, item := range x {
-			if err := e.value(item); err != nil {
-				return err
-			}
+		e.u32(uint32(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			item, _ := v.Index(i)
+			e.value(item)
 		}
-	case map[string]any:
+	case core.KindRecord:
+		names := v.FieldNames() // sorted
 		e.u8(tagRecord)
-		e.u32(uint32(len(x)))
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		e.u32(uint32(len(names)))
+		for _, k := range names {
+			f, _ := v.Field(k)
 			e.str(k)
-			if err := e.value(x[k]); err != nil {
-				return err
-			}
+			e.value(f)
 		}
-	default:
-		return fmt.Errorf("eisvc: binary codec: unsupported value of type %T", v)
 	}
-	return nil
 }
 
 // --- decoder ---
@@ -361,50 +353,49 @@ func (d *bdec) floats() []float64 {
 // the stack through recursive lists/records.
 const maxValueDepth = 64
 
-func (d *bdec) value(depth int) any {
+func (d *bdec) value(depth int) core.Value {
 	if d.err != nil {
-		return nil
+		return core.Nil()
 	}
 	if depth > maxValueDepth {
 		d.fail("value nesting exceeds %d", maxValueDepth)
-		return nil
+		return core.Nil()
 	}
 	switch tag := d.u8(); tag {
 	case tagNil:
-		return nil
 	case tagFalse:
-		return false
+		return core.Bool(false)
 	case tagTrue:
-		return true
+		return core.Bool(true)
 	case tagNum:
-		return d.f64()
+		return core.Num(d.f64())
 	case tagStr:
-		return d.str()
+		return core.Str(d.str())
 	case tagList:
 		n := d.count(1)
-		if d.err != nil || n == 0 {
-			return []any(nil)
+		if d.err != nil {
+			return core.Nil()
 		}
-		out := make([]any, n)
-		for i := range out {
-			out[i] = d.value(depth + 1)
+		items := make([]core.Value, n)
+		for i := range items {
+			items[i] = d.value(depth + 1)
 		}
-		return out
+		return core.List(items...)
 	case tagRecord:
 		n := d.count(2)
 		if d.err != nil {
-			return nil
+			return core.Nil()
 		}
-		out := make(map[string]any, n)
+		fields := make(map[string]core.Value, n)
 		for i := 0; i < n; i++ {
 			k := d.name()
-			out[k] = d.value(depth + 1)
+			fields[k] = d.value(depth + 1)
 		}
-		return out
+		return core.Record(fields)
 	default:
 		d.fail("unknown value tag %d", tag)
-		return nil
 	}
+	return core.Nil()
 }
 
 // header consumes and validates the frame magic and kind byte.
@@ -466,7 +457,7 @@ func (d *bdec) wireDist() WireDist {
 
 // evalRequestBody encodes the request payload without the frame header,
 // shared by the single and batch encodings.
-func (e *benc) evalRequestBody(req *EvalRequest) error {
+func (e *benc) evalRequestBody(req *EvalRequest) {
 	e.str(req.Interface)
 	e.str(req.Method)
 	e.str(req.Mode)
@@ -477,9 +468,7 @@ func (e *benc) evalRequestBody(req *EvalRequest) error {
 	e.i64(int64(req.DeadlineMs))
 	e.u32(uint32(len(req.Args)))
 	for _, a := range req.Args {
-		if err := e.value(a); err != nil {
-			return err
-		}
+		e.value(a)
 	}
 	e.u32(uint32(len(req.Fixed)))
 	if len(req.Fixed) > 0 {
@@ -490,12 +479,9 @@ func (e *benc) evalRequestBody(req *EvalRequest) error {
 		sort.Strings(keys)
 		for _, k := range keys {
 			e.str(k)
-			if err := e.value(req.Fixed[k]); err != nil {
-				return err
-			}
+			e.value(req.Fixed[k])
 		}
 	}
-	return nil
 }
 
 func (d *bdec) evalRequestBody() EvalRequest {
@@ -509,13 +495,13 @@ func (d *bdec) evalRequestBody() EvalRequest {
 	req.Parallelism = int(d.i64())
 	req.DeadlineMs = int(d.i64())
 	if n := d.count(1); d.err == nil && n > 0 {
-		req.Args = make([]any, n)
+		req.Args = make(Args, n)
 		for i := range req.Args {
 			req.Args[i] = d.value(0)
 		}
 	}
 	if n := d.count(2); d.err == nil && n > 0 {
-		req.Fixed = make(map[string]any, n)
+		req.Fixed = make(Fixed, n)
 		for i := 0; i < n; i++ {
 			k := d.name()
 			req.Fixed[k] = d.value(0)
@@ -528,7 +514,8 @@ func (d *bdec) evalRequestBody() EvalRequest {
 func EncodeEvalRequest(buf *bytes.Buffer, req *EvalRequest) error {
 	e := &benc{buf: buf}
 	e.header(kindEvalRequest)
-	return e.evalRequestBody(req)
+	e.evalRequestBody(req)
+	return nil
 }
 
 // DecodeEvalRequest parses a binary eval-request frame.
@@ -627,9 +614,7 @@ func EncodeBatchEvalRequest(buf *bytes.Buffer, req *BatchEvalRequest) error {
 	BeginBatchEvalRequest(buf, len(req.Requests))
 	e := &benc{buf: buf}
 	for i := range req.Requests {
-		if err := e.evalRequestBody(&req.Requests[i]); err != nil {
-			return err
-		}
+		e.evalRequestBody(&req.Requests[i])
 	}
 	return nil
 }
@@ -680,7 +665,9 @@ func (e *benc) batchItem(it *BatchEvalItem) {
 	}
 }
 
-func (d *bdec) batchItem() BatchEvalItem {
+// batchItem decodes one answer item; its distribution, if it has one, goes
+// into *dist and the item points there.
+func (d *bdec) batchItem(dist *WireDist) BatchEvalItem {
 	var it BatchEvalItem
 	it.Interface = d.name()
 	it.Version = d.u64()
@@ -694,8 +681,8 @@ func (d *bdec) batchItem() BatchEvalItem {
 	it.Peer = flags&flagPeer != 0
 	it.Deduped = flags&flagDeduped != 0
 	if flags&flagHasDist != 0 {
-		w := d.wireDist()
-		it.Dist = &w
+		*dist = d.wireDist()
+		it.Dist = dist
 	}
 	return it
 }
@@ -710,15 +697,21 @@ func EncodeBatchEvalResponse(buf *bytes.Buffer, resp *BatchEvalResponse) error {
 	return nil
 }
 
-// DecodeBatchEvalResponse parses a binary batch-response frame.
+// DecodeBatchEvalResponse parses a binary batch-response frame. The items'
+// WireDist structs share one array: a caller that keeps one item's Dist
+// pointer keeps 88 bytes an item of the batch. The float vectors are not
+// pooled the same way — one backing array would let a single kept answer
+// pin every vector of its batch (≈ 450 KB for 256 items) — so each is its
+// own allocation.
 func DecodeBatchEvalResponse(data []byte) (*BatchEvalResponse, error) {
 	d := &bdec{data: data, intern: map[string]string{}}
 	d.header(kindBatchResponse)
 	var resp BatchEvalResponse
 	if n := d.count(minResponseItemBytes); d.err == nil && n > 0 {
 		resp.Results = make([]BatchEvalItem, n)
+		dists := make([]WireDist, n)
 		for i := range resp.Results {
-			resp.Results[i] = d.batchItem()
+			resp.Results[i] = d.batchItem(&dists[i])
 		}
 	}
 	if err := d.done(); err != nil {

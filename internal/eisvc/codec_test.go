@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"energyclarity/internal/core"
 	"energyclarity/internal/energy"
 )
 
@@ -38,15 +39,17 @@ func bitsEqual(a, b []float64) bool {
 
 func testEvalRequest() *EvalRequest {
 	return &EvalRequest{
-		Interface:   "mlservice",
-		Method:      "handle_request",
-		Args:        []any{float64(3), "gpu", true, nil, []any{1.5, "x"}, map[string]any{"b": 2.0, "a": []any{false}}},
+		Interface: "mlservice",
+		Method:    "handle_request",
+		Args: Args{core.Num(3), core.Str("gpu"), core.Bool(true), core.Nil(),
+			core.List(core.Num(1.5), core.Str("x")),
+			core.Record(map[string]core.Value{"b": core.Num(2), "a": core.List(core.Bool(false))})},
 		Mode:        "monte-carlo",
 		Samples:     4096,
 		Seed:        -7,
 		EnumLimit:   512,
 		Parallelism: 8,
-		Fixed:       map[string]any{"cpu.freq": 2.1, "gpu.mem": "hbm"},
+		Fixed:       Fixed{"cpu.freq": core.Num(2.1), "gpu.mem": core.Str("hbm")},
 		DeadlineMs:  250,
 	}
 }

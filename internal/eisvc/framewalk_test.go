@@ -5,6 +5,8 @@ import (
 	"math"
 	"net/http"
 	"testing"
+
+	"energyclarity/internal/core"
 )
 
 // walkBatchRequests is a three-item batch with everything an item can
@@ -260,11 +262,11 @@ func TestFrameWalkTruncation(t *testing.T) {
 	}
 	// Nesting is bounded where the decoder bounds it.
 	deep := &EvalRequest{Interface: "s", Method: "m"}
-	var v any = 1.0
+	v := core.Num(1)
 	for i := 0; i <= maxValueDepth+1; i++ {
-		v = []any{v}
+		v = core.List(v)
 	}
-	deep.Args = []any{v}
+	deep.Args = Args{v}
 	frame := mustEncode(t, func(b *bytes.Buffer) error { return EncodeEvalRequest(b, deep) })
 	_, decErr := DecodeEvalRequest(frame)
 	_, walkErr := WalkEvalRequest(frame)
@@ -335,8 +337,8 @@ func TestBatchDecodeInterning(t *testing.T) {
 	for i := 0; i < 3*maxInternEntries; i++ {
 		name := "stack" + string(rune('a'+i%26)) + string(rune('a'+i/26))
 		breq.Requests = append(breq.Requests,
-			EvalRequest{Interface: name, Method: long, Mode: "expected", Fixed: map[string]any{name: 1.0}},
-			EvalRequest{Interface: "hot", Method: "m", Mode: "expected", Args: []any{map[string]any{"pixels": float64(i)}}})
+			EvalRequest{Interface: name, Method: long, Mode: "expected", Fixed: Fixed{name: core.Num(1)}},
+			EvalRequest{Interface: "hot", Method: "m", Mode: "expected", Args: Args{core.Record(map[string]core.Value{"pixels": core.Int(i)})}})
 	}
 	frame := mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, &breq) })
 	got, err := DecodeBatchEvalRequest(frame)

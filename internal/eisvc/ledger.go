@@ -14,11 +14,21 @@ import (
 // per-request energy-attribution concern of serving systems ("The Energy
 // Blind Spot"): who asked for how many joules of evaluated work, kept as
 // a first-class serving metric.
+//
+// A client names itself, so the client map is remote input: it holds at
+// most maxLedgerClients distinct ids, and every id that arrives after that
+// is attributed to the one overflowClient row — nothing is dropped, so the
+// client rows still sum to the interface rows and to the node's total.
 type Ledger struct {
 	mu       sync.Mutex
 	byClient map[string]*LedgerEntry
 	byIface  map[string]*LedgerEntry
 }
+
+const (
+	maxLedgerClients = 1024
+	overflowClient   = "(other)"
+)
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
@@ -30,13 +40,22 @@ func NewLedger() *Ledger {
 
 // Record attributes one answered evaluation.
 func (l *Ledger) Record(client, iface string, d energy.Dist, cached bool) {
-	mean, p99, worst := d.Mean(), d.Quantile(0.99), d.Max()
-	add := func(m map[string]*LedgerEntry, key string) {
-		e := m[key]
-		if e == nil {
-			e = &LedgerEntry{}
-			m[key] = e
+	l.record(client, iface, d.Mean(), d.Quantile(0.99), d.Max(), cached)
+}
+
+// record is Record for a caller that already holds the three numbers (the
+// server reads them off the answer's wire form).
+func (l *Ledger) record(client, iface string, mean, p99, worst float64, cached bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	c := l.byClient[client]
+	if c == nil {
+		if len(l.byClient) >= maxLedgerClients {
+			client = overflowClient
 		}
+		c = ledgerRow(l.byClient, client)
+	}
+	for _, e := range [2]*LedgerEntry{c, ledgerRow(l.byIface, iface)} {
 		e.Requests++
 		if cached {
 			e.MemoHits++
@@ -45,10 +64,16 @@ func (l *Ledger) Record(client, iface string, d energy.Dist, cached bool) {
 		e.P99J += p99
 		e.WorstJ += worst
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	add(l.byClient, client)
-	add(l.byIface, iface)
+}
+
+// ledgerRow returns m's row for key, adding an empty one if there is none.
+func ledgerRow(m map[string]*LedgerEntry, key string) *LedgerEntry {
+	e := m[key]
+	if e == nil {
+		e = &LedgerEntry{}
+		m[key] = e
+	}
+	return e
 }
 
 // Snapshot returns copies of both attribution maps.

@@ -16,27 +16,60 @@ import (
 // concurrent handlers share it safely.
 type Memo struct {
 	mu    sync.Mutex
-	store *cache.Store[energy.Dist]
+	store *cache.Store[memoEntry]
+}
+
+// memoEntry is one cached answer in both forms it is used in: the Dist,
+// and the wire form every hit is sent in, built once when the entry is
+// made. wire's vectors are dist's own (energy.Dist.View) and its statistics
+// are dist's, so the two cannot disagree; a Dist is immutable and nobody
+// writes through wire, which is what lets any number of concurrent
+// responses encode from the one *WireDist.
+type memoEntry struct {
+	dist energy.Dist
+	wire *WireDist
+}
+
+func newMemoEntry(d energy.Dist) memoEntry {
+	w := &WireDist{Mean: d.Mean(), Std: d.Std(), Min: d.Min(), Max: d.Max(), P99: d.Quantile(0.99)}
+	w.Support, w.Probs = d.View()
+	return memoEntry{dist: d, wire: w}
 }
 
 // NewMemo returns a memo cache bounded to capacity entries; capacity 0
 // disables memoization.
 func NewMemo(capacity int) *Memo {
-	return &Memo{store: cache.NewStore[energy.Dist](capacity)}
+	return &Memo{store: cache.NewStore[memoEntry](capacity)}
 }
 
 // Get returns the cached distribution for key.
 func (m *Memo) Get(key string) (energy.Dist, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.store.Get(key)
+	e, ok := m.store.Get(key)
+	return e.dist, ok
+}
+
+// wire returns the cached answer for key in its shared wire form (nil on a
+// miss): read-only, valid for as long as the caller holds it.
+func (m *Memo) wire(key string) *WireDist {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, _ := m.store.Get(key)
+	return e.wire
 }
 
 // Put caches the distribution for key.
-func (m *Memo) Put(key string, d energy.Dist) {
+func (m *Memo) Put(key string, d energy.Dist) { m.put(key, d) }
+
+// put is Put handing back the wire form it built, which answers the request
+// that produced d whether or not the memo keeps an entry (capacity 0).
+func (m *Memo) put(key string, d energy.Dist) *WireDist {
+	e := newMemoEntry(d)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.store.Put(key, d)
+	m.store.Put(key, e)
+	return e.wire
 }
 
 // Stats returns the memo counters and current size.
@@ -63,8 +96,8 @@ func (m *Memo) Entries() []MemoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]MemoEntry, 0, m.store.Len())
-	m.store.Each(func(key string, d energy.Dist) bool {
-		out = append(out, MemoEntry{Key: key, Support: d.Support(), Probs: d.Probs()})
+	m.store.Each(func(key string, e memoEntry) bool {
+		out = append(out, MemoEntry{Key: key, Support: e.dist.Support(), Probs: e.dist.Probs()})
 		return true
 	})
 	return out
@@ -85,7 +118,7 @@ func (m *Memo) Restore(entries []MemoEntry) int {
 		if err != nil || e.Key == "" {
 			continue
 		}
-		m.store.Put(e.Key, d)
+		m.store.Put(e.Key, newMemoEntry(d))
 		installed++
 	}
 	return installed

@@ -36,7 +36,7 @@ func (s *Server) handleOptimize(r *http.Request, req *OptimizeRequest) (*Optimiz
 		Seed:      req.Seed,
 		EnumLimit: req.EnumLimit,
 	}
-	iface, version, _, opts, rej := s.checkEvalRequest(&probe)
+	iface, version, opts, rej := s.checkEvalRequest(&probe)
 	if rej != nil {
 		return nil, rej
 	}
@@ -127,8 +127,8 @@ func (s *Server) sweepEvaluator(req *OptimizeRequest, version uint64, iface *cor
 					return
 				}
 				sample := autoopt.Sample{
-					EnergyJ:   eo.dist.Mean(),
-					LatencyMs: lo.dist.Quantile(0.99),
+					EnergyJ:   eo.wire.Mean,
+					LatencyMs: lo.wire.P99,
 					Evals:     2,
 				}
 				if eServed {

@@ -490,11 +490,12 @@ func (s *Server) handleRebind(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, RebindResponse{Interface: req.Interface, Version: version})
 }
 
-// evalOutcome is what one coalesced evaluation produces: the distribution
+// evalOutcome is what one coalesced evaluation produces: the answer, in
+// the wire form its memo entry holds (shared and read-only, see memoEntry),
 // and whether it was resolved without running Eval locally — from the
 // memo, or (peer) from another fleet node's warm cache.
 type evalOutcome struct {
-	dist    energy.Dist
+	wire    *WireDist
 	memoHit bool
 	peer    bool
 }
@@ -502,30 +503,33 @@ type evalOutcome struct {
 // probePeers hands keys — local memo misses — to the fleet hook in one
 // call, installs what the fleet held in the local memo (so each key
 // crosses the fleet at most once per node) and counts hits and misses per
-// key.
-func (s *Server) probePeers(ctx context.Context, lookup PeerLookup, keys []string) []PeerAnswer {
-	answers := lookup(ctx, keys)
+// key. It returns one answer per key, nil where no peer held it.
+func (s *Server) probePeers(ctx context.Context, lookup PeerLookup, keys []string) []*WireDist {
+	found := make([]*WireDist, len(keys))
 	hits := 0
-	for i := range answers {
-		if answers[i].Found {
-			s.memo.Put(keys[i], answers[i].Dist)
+	for i, a := range lookup(ctx, keys) {
+		if a.Found {
+			found[i] = s.memo.put(keys[i], a.Dist)
 			hits++
 		}
 	}
 	s.peerHits.Add(uint64(hits))
 	s.peerMisses.Add(uint64(len(keys) - hits))
-	return answers
+	return found
 }
 
 // evalShared resolves one canonicalized evaluation: the memo, and on a
-// miss evalMiss with peer probing on. /v1/eval and the optimize sweep
-// come through here; a batch reads the memo and probes the fleet for all
-// of its keys at once and enters at evalMiss.
+// miss evalMiss with peer probing on, waiting at most wait for a flight or
+// a worker slot. /v1/eval and the optimize sweep come through here; a
+// batch reads the memo and probes the fleet for all of its keys at once
+// and enters at evalMiss.
 func (s *Server) evalShared(ctx context.Context, wait time.Duration, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions) (out evalOutcome, coalesced bool, err error) {
-	if d, hit := s.memo.Get(key); hit {
-		return evalOutcome{dist: d, memoHit: true}, false, nil
+	if w := s.memo.wire(key); w != nil {
+		return evalOutcome{wire: w, memoHit: true}, false, nil
 	}
-	return s.evalMiss(ctx, wait, key, iface, method, args, opts, s.peerLookup.Load())
+	waitCtx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
+	return s.evalMiss(ctx, waitCtx, key, iface, method, args, opts, s.peerLookup.Load())
 }
 
 // evalMiss resolves a key the memo did not hold. Every evaluation path
@@ -534,23 +538,23 @@ func (s *Server) evalShared(ctx context.Context, wait time.Duration, key string,
 // Eval — whose leader re-checks the memo (a flight that finished between
 // the caller's miss and the flight forming already published its answer),
 // asks the fleet through probe when it is not nil (a batch passes nil: it
-// has already asked, for all of its misses together), wins a worker slot under the usual admission
-// rules, evaluates with the layer cache attached, and publishes to the
-// memo.
+// has already asked, for all of its misses together), wins a worker slot
+// under the usual admission rules, evaluates with the layer cache attached,
+// and publishes to the memo.
 //
 // ctx is the request's own context; it cancels the running evaluation
 // when the client disconnects, so an abandoned request frees its worker
-// slot within one shard chunk instead of burning it to completion. wait
-// additionally bounds the flight and queue waits only — once running, an
-// evaluation is bounded by the samples/enum caps (and by ctx), not by the
-// queue deadline. A cancelled coalesced leader fails its followers too
-// (they see context.Canceled as a 503 and may retry).
-func (s *Server) evalMiss(ctx context.Context, wait time.Duration, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions, probe *PeerLookup) (out evalOutcome, coalesced bool, err error) {
-	waitCtx, cancel := context.WithTimeout(ctx, wait)
-	defer cancel()
+// slot within one shard chunk instead of burning it to completion. waitCtx
+// — ctx plus the request's queue deadline — additionally bounds the flight
+// and queue waits only: once running, an evaluation is bounded by the
+// samples/enum caps (and by ctx), not by the queue deadline. The caller
+// makes and cancels waitCtx, so the cold keys of one batch wait under one
+// timer instead of one each. A cancelled coalesced leader fails its
+// followers too (they see context.Canceled as a 503 and may retry).
+func (s *Server) evalMiss(ctx, waitCtx context.Context, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions, probe *PeerLookup) (out evalOutcome, coalesced bool, err error) {
 	out, coalesced, err = s.flight.Do(waitCtx, key, func() (evalOutcome, error) {
-		if d, hit := s.memo.Get(key); hit {
-			return evalOutcome{dist: d, memoHit: true}, nil
+		if w := s.memo.wire(key); w != nil {
+			return evalOutcome{wire: w, memoHit: true}, nil
 		}
 		// Fleet peer forwarding: before paying for a local evaluation, ask
 		// whether another node already holds this key warm. Running here —
@@ -560,8 +564,8 @@ func (s *Server) evalMiss(ctx context.Context, wait time.Duration, key string, i
 		// round-trips through energy.FromSorted), so a peer answer is
 		// indistinguishable from a local one.
 		if probe != nil {
-			if a := s.probePeers(waitCtx, *probe, []string{key}); a[0].Found {
-				return evalOutcome{dist: a[0].Dist, memoHit: true, peer: true}, nil
+			if w := s.probePeers(waitCtx, *probe, []string{key})[0]; w != nil {
+				return evalOutcome{wire: w, memoHit: true, peer: true}, nil
 			}
 		}
 		release, err := s.adm.acquire(waitCtx)
@@ -578,8 +582,7 @@ func (s *Server) evalMiss(ctx context.Context, wait time.Duration, key string, i
 			}
 			return evalOutcome{}, &evalFailed{err: evalErr}
 		}
-		s.memo.Put(key, d)
-		return evalOutcome{dist: d}, nil
+		return evalOutcome{wire: s.memo.put(key, d)}, nil
 	})
 	if coalesced {
 		s.coalesced.Add(1)
@@ -637,30 +640,27 @@ func writeEvalError(w http.ResponseWriter, err error) {
 	WriteError(w, evalStatus(err), "%v", err)
 }
 
-// checkEvalRequest validates caps and converts the wire request; it
-// returns the parsed pieces or the rejection to answer with.
-func (s *Server) checkEvalRequest(req *EvalRequest) (iface *core.Interface, version uint64, args []core.Value, opts core.EvalOptions, rej *rejection) {
+// checkEvalRequest validates caps, parses the mode and resolves the
+// interface; it returns those pieces or the rejection to answer with. The
+// arguments need nothing: req.Args is what the engine takes.
+func (s *Server) checkEvalRequest(req *EvalRequest) (iface *core.Interface, version uint64, opts core.EvalOptions, rej *rejection) {
 	if req.Samples > s.cfg.MaxSamples {
-		return nil, 0, nil, core.EvalOptions{}, reject(http.StatusBadRequest,
+		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest,
 			"samples %d exceeds server cap %d", req.Samples, s.cfg.MaxSamples)
 	}
 	if req.EnumLimit > s.cfg.MaxEnumLimit {
-		return nil, 0, nil, core.EvalOptions{}, reject(http.StatusBadRequest,
+		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest,
 			"enum_limit %d exceeds server cap %d", req.EnumLimit, s.cfg.MaxEnumLimit)
 	}
 	opts, err := req.Options()
 	if err != nil {
-		return nil, 0, nil, core.EvalOptions{}, reject(http.StatusBadRequest, "%v", err)
-	}
-	args, err = argsFromJSON(req.Args)
-	if err != nil {
-		return nil, 0, nil, core.EvalOptions{}, reject(http.StatusBadRequest, "%v", err)
+		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest, "%v", err)
 	}
 	iface, version, ok := s.reg.Get(req.Interface)
 	if !ok {
-		return nil, 0, nil, core.EvalOptions{}, reject(http.StatusNotFound, "no interface %q", req.Interface)
+		return nil, 0, core.EvalOptions{}, reject(http.StatusNotFound, "no interface %q", req.Interface)
 	}
-	return iface, version, args, opts, nil
+	return iface, version, opts, nil
 }
 
 // deadlineFor returns the queue-wait bound for a request. DeadlineMs <= 0
@@ -674,22 +674,23 @@ func (s *Server) deadlineFor(req *EvalRequest) time.Duration {
 }
 
 func (s *Server) handleEval(r *http.Request, req *EvalRequest) (*EvalResponse, error) {
-	iface, version, args, opts, rej := s.checkEvalRequest(req)
+	iface, version, opts, rej := s.checkEvalRequest(req)
 	if rej != nil {
 		return nil, rej
 	}
-	key := memoKey(req.Interface, version, req.Method, args, opts)
-	out, coalesced, err := s.evalShared(r.Context(), s.deadlineFor(req), key, iface, req.Method, args, opts)
+	key := memoKey(req.Interface, version, req.Method, req.Args, opts)
+	out, coalesced, err := s.evalShared(r.Context(), s.deadlineFor(req), key, iface, req.Method, req.Args, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.ledger.Record(clientID(r), req.Interface, out.dist, out.memoHit || coalesced)
+	w := out.wire
+	s.ledger.record(clientID(r), req.Interface, w.Mean, w.P99, w.Max, out.memoHit || coalesced)
 	return &EvalResponse{
 		Interface: req.Interface,
 		Version:   version,
 		Method:    req.Method,
 		Mode:      opts.Mode.String(),
-		Dist:      ToWire(out.dist),
+		Dist:      *w, // the vectors stay the memo entry's: read-only
 		Cached:    out.memoHit,
 		Coalesced: coalesced,
 		Peer:      out.peer,
@@ -728,7 +729,6 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		result int
 		it     *EvalRequest
 		iface  *core.Interface
-		args   []core.Value
 		opts   core.EvalOptions
 	}
 	items := make([]BatchEvalItem, len(req.Requests))
@@ -745,14 +745,14 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		it := &req.Requests[i]
 		items[i] = BatchEvalItem{Interface: it.Interface, Method: it.Method}
 		shared[i] = -1
-		iface, version, args, opts, rej := s.checkEvalRequest(it)
+		iface, version, opts, rej := s.checkEvalRequest(it)
 		if rej != nil {
 			items[i].Status, items[i].Error = rej.status, rej.msg
 			continue
 		}
 		items[i].Version = version
 		items[i].Mode = opts.Mode.String()
-		keyBuf = appendMemoKey(keyBuf[:0], it.Interface, version, it.Method, args, opts)
+		keyBuf = appendMemoKey(keyBuf[:0], it.Interface, version, it.Method, it.Args, opts)
 		k, dup := byKey[string(keyBuf)]
 		if dup {
 			items[i].Deduped = true
@@ -761,31 +761,45 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 			k = len(results)
 			byKey[key] = k
 			results = append(results, keyResult{})
-			if d, hit := s.memo.Get(key); hit {
-				results[k].out = evalOutcome{dist: d, memoHit: true}
+			if w := s.memo.wire(key); w != nil {
+				results[k].out = evalOutcome{wire: w, memoHit: true}
 			} else {
-				cold = append(cold, coldKey{k, it, iface, args, opts})
+				cold = append(cold, coldKey{k, it, iface, opts})
 				coldKeys = append(coldKeys, key)
 			}
 		}
 		shared[i] = k
 	}
 
-	var answers []PeerAnswer // nil standalone: every cold key evaluates
+	var found []*WireDist // nil standalone: every cold key evaluates
 	if lookup := s.peerLookup.Load(); lookup != nil && len(cold) > 0 {
-		answers = s.probePeers(r.Context(), *lookup, coldKeys)
+		found = s.probePeers(r.Context(), *lookup, coldKeys)
 	}
+	// The cold keys wait for a flight or a worker slot under one context per
+	// distinct queue deadline — one, unless items carry their own.
+	var waits map[time.Duration]context.Context
 	var wg sync.WaitGroup
 	for j := range cold {
 		c, kr := &cold[j], &results[cold[j].result]
-		if answers != nil && answers[j].Found {
-			kr.out = evalOutcome{dist: answers[j].Dist, memoHit: true, peer: true}
+		if found != nil && found[j] != nil {
+			kr.out = evalOutcome{wire: found[j], memoHit: true, peer: true}
 			continue
+		}
+		wait := s.deadlineFor(c.it)
+		waitCtx := waits[wait]
+		if waitCtx == nil {
+			var cancel context.CancelFunc
+			waitCtx, cancel = context.WithTimeout(r.Context(), wait)
+			defer cancel()
+			if waits == nil {
+				waits = map[time.Duration]context.Context{}
+			}
+			waits[wait] = waitCtx
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kr.out, kr.coalesced, kr.err = s.evalMiss(r.Context(), s.deadlineFor(c.it), coldKeys[j], c.iface, c.it.Method, c.args, c.opts, nil)
+			kr.out, kr.coalesced, kr.err = s.evalMiss(r.Context(), waitCtx, coldKeys[j], c.iface, c.it.Method, c.it.Args, c.opts, nil)
 		}()
 	}
 	wg.Wait()
@@ -800,13 +814,13 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 			items[i].Status, items[i].Error = evalStatus(kr.err), kr.err.Error()
 			continue
 		}
+		w := kr.out.wire
 		items[i].Status = http.StatusOK
-		d := ToWire(kr.out.dist)
-		items[i].Dist = &d
+		items[i].Dist = w
 		items[i].Cached = kr.out.memoHit
 		items[i].Coalesced = kr.coalesced
 		items[i].Peer = kr.out.peer
-		s.ledger.Record(who, items[i].Interface, kr.out.dist,
+		s.ledger.record(who, items[i].Interface, w.Mean, w.P99, w.Max,
 			kr.out.memoHit || kr.coalesced || items[i].Deduped)
 	}
 	return &BatchEvalResponse{Results: items}, nil
@@ -837,15 +851,14 @@ func (s *Server) handleCacheLookup(_ *http.Request, req *CacheLookupRequest) (*C
 	// Frame overhead: header, node, result count, a flag byte per key.
 	budget, hits := MaxBodyBytes-(13+len(s.cfg.NodeID)+len(req.Keys)), 0
 	for i, key := range req.Keys {
-		d, hit := s.memo.Get(key)
-		if !hit {
+		w := s.memo.wire(key)
+		if w == nil {
 			continue
 		}
-		wd := ToWire(d)
-		if budget -= 8 * (len(wd.Support) + len(wd.Probs) + 6); budget < 0 {
+		if budget -= 8 * (len(w.Support) + len(w.Probs) + 6); budget < 0 {
 			break
 		}
-		resp.Results[i] = CacheLookupResult{Found: true, Dist: &wd}
+		resp.Results[i] = CacheLookupResult{Found: true, Dist: w}
 		hits++
 	}
 	s.peerServed.Add(uint64(len(req.Keys)))

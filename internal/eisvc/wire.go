@@ -1,7 +1,7 @@
 package eisvc
 
 import (
-	"fmt"
+	"encoding/json"
 	"reflect"
 	"sort"
 
@@ -60,19 +60,20 @@ type RebindResponse struct {
 
 // EvalRequest asks the daemon to evaluate one energy method. Mode takes
 // the spellings core.Mode.String emits ("expected", "worst-case",
-// "best-case", "fixed", "monte-carlo"). Args and Fixed values use the
-// plain JSON data model: numbers, booleans, strings, objects (records),
-// and arrays (lists).
+// "best-case", "fixed", "monte-carlo"). Args and Fixed hold core.Values —
+// the form the engine evaluates — from the moment a request is decoded or
+// built; in JSON text they read as the plain JSON data model: numbers,
+// booleans, strings, objects (records), and arrays (lists).
 type EvalRequest struct {
-	Interface   string         `json:"interface"`
-	Method      string         `json:"method"`
-	Args        []any          `json:"args,omitempty"`
-	Mode        string         `json:"mode"`
-	Samples     int            `json:"samples,omitempty"`
-	Seed        int64          `json:"seed,omitempty"`
-	EnumLimit   int            `json:"enum_limit,omitempty"`
-	Parallelism int            `json:"parallelism,omitempty"`
-	Fixed       map[string]any `json:"fixed,omitempty"`
+	Interface   string `json:"interface"`
+	Method      string `json:"method"`
+	Args        Args   `json:"args,omitempty"`
+	Mode        string `json:"mode"`
+	Samples     int    `json:"samples,omitempty"`
+	Seed        int64  `json:"seed,omitempty"`
+	EnumLimit   int    `json:"enum_limit,omitempty"`
+	Parallelism int    `json:"parallelism,omitempty"`
+	Fixed       Fixed  `json:"fixed,omitempty"`
 	// DeadlineMs bounds how long the request may wait for a worker slot
 	// before the daemon sheds it with 503; 0 uses the server default. A
 	// negative value is the client-side NoDeadline sentinel — Client
@@ -94,7 +95,9 @@ type WireDist struct {
 	P99     float64   `json:"p99"`
 }
 
-// ToWire converts a distribution for transport.
+// ToWire converts a distribution for transport. The result is the
+// caller's own: its vectors are copies. The daemon does not answer through
+// here — a memo entry holds the wire form its hits are sent in (memoEntry).
 func ToWire(d energy.Dist) WireDist {
 	return WireDist{
 		Support: d.Support(),
@@ -523,12 +526,68 @@ type ErrorResponse struct {
 
 // --- Value <-> JSON conversion ---
 
-// ValueToJSON maps a core.Value onto the plain JSON data model: records
+// Args is an evaluation's argument vector. Its JSON methods are the only
+// place (with Fixed's) where the plain JSON data model meets core.Value:
+// JSON is an edge translation, not a form requests are held in.
+type Args []core.Value
+
+// Fixed pins ECVs, by qualified name, to values (EvalOptions.Fixed).
+type Fixed map[string]core.Value
+
+// MarshalJSON writes the arguments as a JSON array.
+func (a Args) MarshalJSON() ([]byte, error) {
+	arr := make([]any, len(a))
+	for i, v := range a {
+		arr[i] = valueToJSON(v)
+	}
+	return json.Marshal(arr)
+}
+
+// UnmarshalJSON reads a JSON array of arguments.
+func (a *Args) UnmarshalJSON(data []byte) error {
+	var raw []any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	*a = nil
+	if len(raw) > 0 {
+		*a = make(Args, len(raw))
+	}
+	for i, r := range raw {
+		(*a)[i] = valueFromJSON(r)
+	}
+	return nil
+}
+
+// MarshalJSON writes the pinned ECVs as a JSON object.
+func (f Fixed) MarshalJSON() ([]byte, error) {
+	obj := make(map[string]any, len(f))
+	for k, v := range f {
+		obj[k] = valueToJSON(v)
+	}
+	return json.Marshal(obj)
+}
+
+// UnmarshalJSON reads a JSON object of pinned ECVs.
+func (f *Fixed) UnmarshalJSON(data []byte) error {
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	*f = nil
+	if len(raw) > 0 {
+		*f = make(Fixed, len(raw))
+	}
+	for k, r := range raw {
+		(*f)[k] = valueFromJSON(r)
+	}
+	return nil
+}
+
+// valueToJSON maps a core.Value onto the plain JSON data model: records
 // become objects, lists become arrays.
-func ValueToJSON(v core.Value) any {
+func valueToJSON(v core.Value) any {
 	switch v.Kind() {
-	case core.KindNil:
-		return nil
 	case core.KindBool:
 		b, _ := v.AsBool()
 		return b
@@ -542,87 +601,44 @@ func ValueToJSON(v core.Value) any {
 		obj := map[string]any{}
 		for _, name := range v.FieldNames() {
 			f, _ := v.Field(name)
-			obj[name] = ValueToJSON(f)
+			obj[name] = valueToJSON(f)
 		}
 		return obj
 	case core.KindList:
 		arr := make([]any, v.Len())
 		for i := range arr {
 			e, _ := v.Index(i)
-			arr[i] = ValueToJSON(e)
+			arr[i] = valueToJSON(e)
 		}
 		return arr
 	}
 	return nil
 }
 
-// ValueFromJSON maps a decoded JSON value (as produced by encoding/json
-// into any) onto a core.Value.
-func ValueFromJSON(r any) (core.Value, error) {
+// valueFromJSON maps a value encoding/json decoded into an any onto a
+// core.Value; the decoder produces nothing outside the cases below.
+func valueFromJSON(r any) core.Value {
 	switch x := r.(type) {
-	case nil:
-		return core.Nil(), nil
 	case bool:
-		return core.Bool(x), nil
+		return core.Bool(x)
 	case float64:
-		return core.Num(x), nil
+		return core.Num(x)
 	case string:
-		return core.Str(x), nil
+		return core.Str(x)
 	case []any:
 		items := make([]core.Value, len(x))
 		for i, e := range x {
-			v, err := ValueFromJSON(e)
-			if err != nil {
-				return core.Value{}, err
-			}
-			items[i] = v
+			items[i] = valueFromJSON(e)
 		}
-		return core.List(items...), nil
+		return core.List(items...)
 	case map[string]any:
 		fields := make(map[string]core.Value, len(x))
 		for k, e := range x {
-			v, err := ValueFromJSON(e)
-			if err != nil {
-				return core.Value{}, err
-			}
-			fields[k] = v
+			fields[k] = valueFromJSON(e)
 		}
-		return core.Record(fields), nil
-	default:
-		return core.Value{}, fmt.Errorf("eisvc: unsupported JSON value of type %T", r)
+		return core.Record(fields)
 	}
-}
-
-// argsFromJSON converts a JSON args array.
-func argsFromJSON(raw []any) ([]core.Value, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	out := make([]core.Value, len(raw))
-	for i, r := range raw {
-		v, err := ValueFromJSON(r)
-		if err != nil {
-			return nil, fmt.Errorf("arg %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// fixedFromJSON converts a JSON fixed-ECV map.
-func fixedFromJSON(raw map[string]any) (map[string]core.Value, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]core.Value, len(raw))
-	for k, r := range raw {
-		v, err := ValueFromJSON(r)
-		if err != nil {
-			return nil, fmt.Errorf("fixed %q: %w", k, err)
-		}
-		out[k] = v
-	}
-	return out, nil
+	return core.Nil()
 }
 
 // Options converts the request into core.EvalOptions. The mode string is
@@ -633,13 +649,9 @@ func (req *EvalRequest) Options() (core.EvalOptions, error) {
 	if err != nil {
 		return core.EvalOptions{}, err
 	}
-	fixed, err := fixedFromJSON(req.Fixed)
-	if err != nil {
-		return core.EvalOptions{}, err
-	}
 	return core.EvalOptions{
 		Mode:        mode,
-		Fixed:       fixed,
+		Fixed:       req.Fixed,
 		EnumLimit:   req.EnumLimit,
 		Samples:     req.Samples,
 		Seed:        req.Seed,

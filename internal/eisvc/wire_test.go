@@ -1,6 +1,7 @@
 package eisvc
 
 import (
+	"encoding/json"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,17 +25,24 @@ func TestValueJSONRoundTrip(t *testing.T) {
 			"tags":   core.List(core.Str("a"), core.Str("b")),
 		}),
 	}
+	// Through the request's two JSON edges, as an argument and as a pinned ECV.
 	for _, v := range vals {
-		got, err := ValueFromJSON(ValueToJSON(v))
+		text, err := json.Marshal(EvalRequest{Args: Args{v}, Fixed: Fixed{"ecv": v}})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		if !got.Equal(v) {
-			t.Errorf("round trip %v -> %v", v, got)
+		var got EvalRequest
+		if err := decodeStrictJSON(text, &got); err != nil {
+			t.Fatalf("%v: %s: %v", v, text, err)
+		}
+		if len(got.Args) != 1 || !got.Args[0].Equal(v) || !got.Fixed["ecv"].Equal(v) {
+			t.Errorf("round trip %v -> %s -> args %v, fixed %v", v, text, got.Args, got.Fixed)
 		}
 	}
-	if _, err := ValueFromJSON(make(chan int)); err == nil {
-		t.Error("non-JSON type accepted")
+	for _, bad := range []string{`{"args":{"a":1}}`, `{"args":3}`, `{"fixed":[1]}`, `{"fixed":"x"}`} {
+		if err := decodeStrictJSON([]byte(bad), new(EvalRequest)); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -84,7 +85,7 @@ func Categorical(values, probs []float64) Dist {
 		}
 		items = append(items, wp{v, probs[i] / total})
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].x < items[j].x })
+	slices.SortFunc(items, func(a, b wp) int { return cmpValue(a.x, b.x) })
 	d := Dist{
 		xs: make([]float64, 0, len(items)),
 		ps: make([]float64, 0, len(items)),
@@ -99,6 +100,24 @@ func Categorical(values, probs []float64) Dist {
 		d.ps = append(d.ps, it.p)
 	}
 	return d
+}
+
+// cmpValue is the three-way order Categorical and Empirical sort their
+// points by. The sort is not stable, and Categorical adds the masses of
+// equal values in the order the sort leaves them, so which permutation of
+// ties comes out is part of the result's bits. slices.SortFunc over this
+// and sort.Slice over a.x < b.x — what the constructors used before, at
+// three times the cost for its reflection-based swaps — are the same
+// generated pdqsort asking the same questions, so they leave the same
+// permutation; TestSortPermutationMatchesSortSlice holds them to it.
+func cmpValue(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // Empirical returns the distribution of a sample given as (value, count)
@@ -140,7 +159,7 @@ func Empirical(values []float64, counts []int) Dist {
 		total += p
 	}
 	q := p / total
-	sort.Slice(items, func(i, j int) bool { return items[i].x < items[j].x })
+	slices.SortFunc(items, func(a, b vc) int { return cmpValue(a.x, b.x) })
 	d := Dist{
 		xs: make([]float64, 0, len(items)),
 		ps: make([]float64, 0, len(items)),
@@ -225,6 +244,13 @@ func (d Dist) Probs() []float64 {
 	copy(out, d.ps)
 	return out
 }
+
+// View returns the support and probability vectors themselves, not copies:
+// what Support and Probs return, without the two allocations. The slices
+// are d's own storage and read-only by contract — a Dist is immutable and
+// every holder of a view relies on that — so a caller that wants vectors it
+// may write to takes Support and Probs instead.
+func (d Dist) View() (support, probs []float64) { return d.xs, d.ps }
 
 // Prob returns the probability mass at x (0 if x is not in the support).
 func (d Dist) Prob(x float64) float64 {

@@ -636,7 +636,9 @@ func TestE17WireShape(t *testing.T) {
 	}
 	// Counted, not timed (the table prints the µs; bench/ judges timing by
 	// paired runs): each path is cheaper than the last in allocations per
-	// memo hit. Measured 162 / 142 / 76.
+	// memo hit. Measured 161 / 126 / 60 (156 / 136 / 70 before a hit was
+	// answered with its memo entry's wire form and arguments stayed
+	// core.Values; the JSON path pays 5 for its two edge translations).
 	if res.BinAllocs >= res.JSONAllocs {
 		t.Errorf("binary memo hit (%.1f allocs) not cheaper than JSON (%.1f allocs)", res.BinAllocs, res.JSONAllocs)
 	}

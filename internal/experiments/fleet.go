@@ -353,7 +353,7 @@ func (r *E16Result) batchAndRebalance(classes, batches, senders int) error {
 					reqs[i] = eisvc.EvalRequest{
 						Interface: e16StackFor(k),
 						Method:    "infer",
-						Args:      []any{float64(k)},
+						Args:      eisvc.Args{core.Int(k)},
 						Mode:      core.ModeExpected.String(),
 					}
 				}

@@ -128,7 +128,7 @@ func newSwitchFixture(t *testing.T) *switchFixture {
 	for i := 0; i < switchItems; i++ {
 		fx.reqs = append(fx.reqs, eisvc.EvalRequest{
 			Interface: fmt.Sprintf("svc_%d", i%3), Method: "price", Mode: "expected",
-			Args: []any{float64(i), map[string]any{"pixels": float64(i)}},
+			Args: eisvc.Args{core.Int(i), core.Record(map[string]core.Value{"pixels": core.Int(i)})},
 		})
 		fx.want = append(fx.want, eisvc.BatchEvalItem{
 			Interface: fx.reqs[i].Interface, Version: 1, Method: "price", Mode: "expected", Status: http.StatusOK,
@@ -234,15 +234,15 @@ func TestRouterSwitchesFramesCountedNotTimed(t *testing.T) {
 	}
 
 	// The single-eval route reads its placement off the frame too: a
-	// request whose argument is a list of 512 numbers costs a decode at
-	// least 512 boxed floats, and the route nothing per element.
+	// request whose argument is a list of 512 strings costs a decode at
+	// least 512 string copies, and the route nothing per element.
 	var big eisvc.EvalRequest
 	big.Interface, big.Method, big.Mode = "svc_0", "price", "expected"
-	list := make([]any, 512)
+	list := make([]core.Value, 512)
 	for i := range list {
-		list[i] = float64(i)
+		list[i] = core.Str(fmt.Sprint("tag", i))
 	}
-	big.Args = []any{list}
+	big.Args = eisvc.Args{core.List(list...)}
 	var single bytes.Buffer
 	if err := eisvc.EncodeEvalRequest(&single, &big); err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestRouterSwitchesFramesCountedNotTimed(t *testing.T) {
 			t.Fatalf("single eval: status %d, %d bytes relayed of %d", rec.Code, rec.Body.Len(), single.Len())
 		}
 	})
-	t.Logf("single eval with a 512-number argument: %.0f allocations", allocs)
+	t.Logf("single eval with a 512-string argument: %.0f allocations", allocs)
 	if allocs > 256 && !raceEnabled {
 		t.Errorf("routing one eval with a 512-element argument made %.0f allocations: the route decoded it", allocs)
 	}

@@ -26,7 +26,7 @@ func TestLevelEnumerationAgreesWithSched(t *testing.T) {
 		if costLevels[r.Interface] == nil {
 			costLevels[r.Interface] = map[int]int{}
 		}
-		costLevels[r.Interface][int(r.Args[1].(float64))]++
+		costLevels[r.Interface][int(argNum(&r, 1))]++
 	}
 	// rankCandidates (interface policy): one candidate per shared index.
 	uc := unitCosts{perCycle: map[string][]float64{}, idle: map[string]float64{}}

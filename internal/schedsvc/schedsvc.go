@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"sort"
 
+	"energyclarity/internal/core"
 	"energyclarity/internal/eisvc"
 	"energyclarity/internal/energy"
 	"energyclarity/internal/sched"
@@ -348,7 +349,7 @@ func (s *Scheduler) DemandRequests(q int) []eisvc.EvalRequest {
 		reqs = append(reqs, eisvc.EvalRequest{
 			Interface: TaskInterfaceName(k.class),
 			Method:    "demand_cycles",
-			Args:      []any{float64(k.p)},
+			Args:      eisvc.Args{core.Int(k.p)},
 			Mode:      "expected",
 		})
 	}
@@ -356,7 +357,7 @@ func (s *Scheduler) DemandRequests(q int) []eisvc.EvalRequest {
 		if reqs[i].Interface != reqs[j].Interface {
 			return reqs[i].Interface < reqs[j].Interface
 		}
-		return reqs[i].Args[0].(float64) < reqs[j].Args[0].(float64)
+		return argNum(&reqs[i], 0) < argNum(&reqs[j], 0)
 	})
 	return reqs
 }
@@ -403,7 +404,7 @@ func (s *Scheduler) fetchDemands(ctx context.Context, q int, st *FleetStats) ([]
 	}
 	byKey := map[string]float64{}
 	for i, r := range reqs {
-		byKey[r.Interface+"/"+fmt.Sprint(r.Args[0])] = means[i]
+		byKey[r.Interface+"/"+fmt.Sprint(argNum(&reqs[i], 0))] = means[i]
 	}
 	out := make([]float64, len(s.groups))
 	for i, g := range s.groups {
@@ -416,6 +417,12 @@ func (s *Scheduler) fetchDemands(ctx context.Context, q int, st *FleetStats) ([]
 		out[i] = d * (1 + s.cfg.Margin)
 	}
 	return out, nil
+}
+
+// argNum reads numeric argument i of a request this package built.
+func argNum(r *eisvc.EvalRequest, i int) float64 {
+	n, _ := r.Args[i].AsNum()
+	return n
 }
 
 // CostRequests returns the canonical candidate-pricing batch: for every
@@ -434,7 +441,7 @@ func (s *Scheduler) CostRequests() []eisvc.EvalRequest {
 			reqs = append(reqs, eisvc.EvalRequest{
 				Interface: name,
 				Method:    "cost",
-				Args:      []any{nc.Levels[l].CyclesPerSec * s.cfg.RoundSeconds, float64(l)},
+				Args:      eisvc.Args{core.Num(nc.Levels[l].CyclesPerSec * s.cfg.RoundSeconds), core.Int(l)},
 				Mode:      "expected",
 			})
 		}
@@ -446,7 +453,7 @@ func (s *Scheduler) CostRequests() []eisvc.EvalRequest {
 		if reqs[i].Method != reqs[j].Method {
 			return reqs[i].Method < reqs[j].Method
 		}
-		return reqs[i].Args[1].(float64) < reqs[j].Args[1].(float64)
+		return argNum(&reqs[i], 1) < argNum(&reqs[j], 1)
 	})
 	return reqs
 }
@@ -483,7 +490,7 @@ func (s *Scheduler) fetchCosts(ctx context.Context, st *FleetStats) (unitCosts, 
 			continue
 		}
 		nc := byIface[r.Interface]
-		l := int(r.Args[1].(float64))
+		l := int(argNum(&reqs[i], 1))
 		cap := nc.Levels[l].CyclesPerSec * s.cfg.RoundSeconds
 		// Busy-round joules minus the idle floor, per executed cycle.
 		uc.perCycle[nc.Name][l] = (means[i] - uc.idle[nc.Name]) / cap
