@@ -364,7 +364,7 @@ func BenchmarkDaemonEval(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			seed++
-			_, resp, err := c.Eval("ml_webservice", "handle", args, core.MonteCarlo(samples, seed))
+			_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, core.MonteCarlo(samples, seed))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -375,12 +375,12 @@ func BenchmarkDaemonEval(b *testing.B) {
 	})
 	b.Run("memo-hit", func(b *testing.B) {
 		opts := core.MonteCarlo(samples, 7)
-		if _, _, err := c.Eval("ml_webservice", "handle", args, opts); err != nil {
+		if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts); err != nil {
 			b.Fatal(err) // warm the memo
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, resp, err := c.Eval("ml_webservice", "handle", args, opts)
+			_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -475,7 +475,7 @@ func BenchmarkDaemonBatch(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, o := range iterOpts() {
-				if _, _, err := c.Eval("ml_webservice", "handle", args, o); err != nil {
+				if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, o); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -483,7 +483,7 @@ func BenchmarkDaemonBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			items, err := c.EvalBatch(build())
+			items, err := c.EvalBatchCtx(context.Background(), build())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -752,12 +752,12 @@ func BenchmarkFleetEval(b *testing.B) {
 	b.Run("router-memo-hit", func(b *testing.B) {
 		c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
 		opts := core.MonteCarlo(samples, 7)
-		if _, _, err := c.Eval("ml_webservice", "handle", args, opts); err != nil {
+		if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts); err != nil {
 			b.Fatal(err) // warm the owner's memo
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, resp, err := c.Eval("ml_webservice", "handle", args, opts)
+			_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -773,10 +773,10 @@ func BenchmarkFleetEval(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			seed++
 			opts := core.MonteCarlo(samples, seed)
-			if _, _, err := warm.Eval("ml_webservice", "handle", args, opts); err != nil {
+			if _, _, err := warm.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts); err != nil {
 				b.Fatal(err)
 			}
-			_, resp, err := cold.Eval("ml_webservice", "handle", args, opts)
+			_, resp, err := cold.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -823,7 +823,7 @@ func BenchmarkFleetBatch(b *testing.B) {
 					core.MonteCarlo(samples, seed*classes+int64(k))))
 			}
 		}
-		items, err := c.EvalBatch(reqs)
+		items, err := c.EvalBatchCtx(context.Background(), reqs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -895,13 +895,13 @@ func BenchmarkMemoHitBinary(b *testing.B) {
 	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
 	args := []core.Value{img}
 	opts := core.MonteCarlo(samples, 7)
-	if _, _, err := eisvc.NewClient(ts.URL).Eval("ml_webservice", "handle", args, opts); err != nil {
+	if _, _, err := eisvc.NewClient(ts.URL).EvalCtx(context.Background(), "ml_webservice", "handle", args, opts); err != nil {
 		b.Fatal(err) // warm the memo
 	}
 	run := func(b *testing.B, c *eisvc.Client) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, resp, err := c.Eval("ml_webservice", "handle", args, opts)
+			_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -942,7 +942,7 @@ func BenchmarkWarmRestart(b *testing.B) {
 		img := core.Record(map[string]core.Value{
 			"pixels": core.Num(1e6), "zeros": core.Num(float64(100 * (k + 1))),
 		})
-		if _, _, err := c.Eval("ml_webservice", "handle", []core.Value{img}, core.MonteCarlo(1024, 7)); err != nil {
+		if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", []core.Value{img}, core.MonteCarlo(1024, 7)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1096,7 +1096,7 @@ func BenchmarkSchedPlacementBatch(b *testing.B) {
 	client := s.Client()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		items, err := client.EvalBatch(reqs)
+		items, err := client.EvalBatchCtx(context.Background(), reqs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1146,7 +1146,7 @@ func BenchmarkOptimizeSweep(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			seed++
-			res, err := c.Optimize(benchOptimizeRequest(seed))
+			res, err := c.OptimizeCtx(context.Background(), benchOptimizeRequest(seed))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1157,13 +1157,13 @@ func BenchmarkOptimizeSweep(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		req := benchOptimizeRequest(-1)
-		first, err := c.Optimize(req) // prime the memo
+		first, err := c.OptimizeCtx(context.Background(), req) // prime the memo
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := c.Optimize(req)
+			res, err := c.OptimizeCtx(context.Background(), req)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -292,7 +292,7 @@ func runSmoke(f *fleet.Fleet, out io.Writer) error {
 	warm := eisvc.NewClient(base)
 	warm.ID = "fleet-smoke-warm"
 	for k := 0; k < classes; k++ {
-		d, _, err := warm.Eval("ml_webservice", "handle", smokeRequest(k), opts)
+		d, _, err := warm.EvalCtx(context.Background(), "ml_webservice", "handle", smokeRequest(k), opts)
 		if err != nil {
 			return fmt.Errorf("smoke reference class %d: %w", k, err)
 		}
@@ -328,7 +328,7 @@ func runSmoke(f *fleet.Fleet, out io.Writer) error {
 					killOnce.Do(func() { _ = f.KillNode(victim) })
 				}
 				k := int(zipf.Uint64())
-				d, _, err := c.Eval("ml_webservice", "handle", smokeRequest(k), opts)
+				d, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", smokeRequest(k), opts)
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"strings"
 	"syscall"
@@ -42,7 +43,7 @@ func TestServeDrainsOnSignal(t *testing.T) {
 	defer stop()
 
 	c := eisvc.NewClient(base)
-	if err := c.Health(); err != nil {
+	if err := c.HealthCtx(context.Background()); err != nil {
 		t.Fatalf("router not healthy: %v", err)
 	}
 

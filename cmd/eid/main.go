@@ -352,7 +352,7 @@ func runSmoke(srv *eisvc.Server, out io.Writer) error {
 	c.ID = "serve-smoke"
 	c.Deadline = 10 * time.Second
 
-	infos, err := c.Register(mlservice.Fig1EIL)
+	infos, err := c.RegisterCtx(context.Background(), mlservice.Fig1EIL)
 	if err != nil {
 		return fmt.Errorf("smoke register: %w", err)
 	}
@@ -364,19 +364,19 @@ func runSmoke(srv *eisvc.Server, out io.Writer) error {
 		"zeros":  core.Num(3e4),
 	})
 	args := []core.Value{req}
-	d, _, err := c.Eval("ml_webservice", "handle", args, core.Expected())
+	d, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, core.Expected())
 	if err != nil {
 		return fmt.Errorf("smoke eval (expected): %w", err)
 	}
 	fmt.Fprintf(out, "eid: E[handle] = %.6g J over %d support points\n", d.Mean(), d.Len())
 
 	mc := core.MonteCarlo(2048, 7)
-	if _, resp, err := c.Eval("ml_webservice", "handle", args, mc); err != nil {
+	if _, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, mc); err != nil {
 		return fmt.Errorf("smoke eval (monte-carlo): %w", err)
 	} else if resp.Cached {
 		return fmt.Errorf("smoke: first monte-carlo eval claimed a memo hit")
 	}
-	dmc, resp, err := c.Eval("ml_webservice", "handle", args, mc)
+	dmc, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, mc)
 	if err != nil {
 		return fmt.Errorf("smoke eval (repeat): %w", err)
 	}
@@ -390,7 +390,7 @@ func runSmoke(srv *eisvc.Server, out io.Writer) error {
 	bc := eisvc.NewClient(base)
 	bc.ID = "serve-smoke-bin"
 	bc.Binary = true
-	bd, bresp, err := bc.Eval("ml_webservice", "handle", args, mc)
+	bd, bresp, err := bc.EvalCtx(context.Background(), "ml_webservice", "handle", args, mc)
 	if err != nil {
 		return fmt.Errorf("smoke eval (binary): %w", err)
 	}
@@ -409,7 +409,7 @@ func runSmoke(srv *eisvc.Server, out io.Writer) error {
 		c.EvalRequestFor("ml_webservice", "handle", args, core.Expected()),
 		c.EvalRequestFor("ml_webservice", "handle", args, core.WorstCase()),
 	}
-	items, err := c.EvalBatch(batch)
+	items, err := c.EvalBatchCtx(context.Background(), batch)
 	if err != nil {
 		return fmt.Errorf("smoke evalbatch: %w", err)
 	}
@@ -435,25 +435,25 @@ interface accel_math {
     return e
   }
 }`
-	if _, err := c.Register(pureEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), pureEIL); err != nil {
 		return fmt.Errorf("smoke register (pure EIL): %w", err)
 	}
-	if _, _, err := c.Eval("accel_math", "f", []core.Value{core.Num(64)}, core.Expected()); err != nil {
+	if _, _, err := c.EvalCtx(context.Background(), "accel_math", "f", []core.Value{core.Num(64)}, core.Expected()); err != nil {
 		return fmt.Errorf("smoke eval (pure EIL): %w", err)
 	}
 	// n only meets arithmetic, so the program emitted for 64 serves every
 	// other n: a sweep of new arguments runs compiled and emits nothing.
 	const sweep = 8
-	unswept, err := c.Stats()
+	unswept, err := c.StatsCtx(context.Background())
 	if err != nil {
 		return fmt.Errorf("smoke stats: %w", err)
 	}
 	for n := 1; n <= sweep; n++ {
-		if _, _, err := c.Eval("accel_math", "f", []core.Value{core.Num(64.5 + float64(n))}, core.Expected()); err != nil {
+		if _, _, err := c.EvalCtx(context.Background(), "accel_math", "f", []core.Value{core.Num(64.5 + float64(n))}, core.Expected()); err != nil {
 			return fmt.Errorf("smoke eval (pure EIL, n=%d): %w", n, err)
 		}
 	}
-	swept, err := c.Stats()
+	swept, err := c.StatsCtx(context.Background())
 	if err != nil {
 		return fmt.Errorf("smoke stats: %w", err)
 	}
@@ -471,7 +471,7 @@ interface accel_math {
 		return err
 	}
 
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		return fmt.Errorf("smoke stats: %w", err)
 	}
@@ -511,11 +511,11 @@ func drillOptimizeRequest() eisvc.OptimizeRequest {
 // the cold sweep must produce a frontier with an SLO pick that saves
 // energy, the repeat must be bit-identical and entirely memo-served.
 func optimizeDrill(c *eisvc.Client, out io.Writer) (cold, again *eisvc.OptimizeResponse, err error) {
-	if _, err := c.Register(nn.MoEEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), nn.MoEEIL); err != nil {
 		return nil, nil, fmt.Errorf("optimize register: %w", err)
 	}
 	req := drillOptimizeRequest()
-	cold, err = c.Optimize(req)
+	cold, err = c.OptimizeCtx(context.Background(), req)
 	if err != nil {
 		return nil, nil, fmt.Errorf("optimize sweep: %w", err)
 	}
@@ -529,7 +529,7 @@ func optimizeDrill(c *eisvc.Client, out io.Writer) (cold, again *eisvc.OptimizeR
 	if cold.SavingsFrac <= 0 {
 		return nil, nil, fmt.Errorf("optimize: SLO pick saves nothing: %+v", cold)
 	}
-	again, err = c.Optimize(req)
+	again, err = c.OptimizeCtx(context.Background(), req)
 	if err != nil {
 		return nil, nil, fmt.Errorf("optimize repeat: %w", err)
 	}
@@ -579,7 +579,7 @@ func runOptimizeDrill(srv *eisvc.Server, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		return fmt.Errorf("optimize stats: %w", err)
 	}

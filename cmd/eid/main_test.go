@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"net"
 	"os"
 	"strings"
@@ -44,7 +45,7 @@ func TestServeDrainsOnSignal(t *testing.T) {
 	c := eisvc.NewClient("http://" + ln.Addr().String())
 	deadline := time.Now().Add(5 * time.Second)
 	for { // wait until the daemon reports ready through the typed probe
-		if hz, err := c.Healthz(); err == nil {
+		if hz, err := c.HealthzCtx(context.Background()); err == nil {
 			if !hz.Ready || hz.Draining {
 				t.Fatalf("fresh daemon healthz = %+v, want ready", hz)
 			}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,9 +54,12 @@ func main() {
 
 	c := eisvc.NewClient(base)
 	c.ID = "quickstart" // names this client in the daemon's energy ledger
+	// Every client call takes a context; cancelling it abandons the request
+	// and the daemon cancels the evaluation.
+	ctx := context.Background()
 
 	// ① The program exports its energy interfaces to the resource manager.
-	infos, err := c.Register(stack)
+	infos, err := c.RegisterCtx(ctx, stack)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,14 +71,14 @@ func main() {
 	// ② The resource manager queries them. The answer is an exact
 	// distribution, bit-identical to a local Interface.Eval.
 	args := []core.Value{core.Num(4096)}
-	d, _, err := c.Eval("audio_pipeline", "process_frame", args, core.Expected())
+	d, _, err := c.EvalCtx(ctx, "audio_pipeline", "process_frame", args, core.Expected())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("E[process_frame(4096)] = %s  (p99 %.3g J)\n", d, d.Quantile(0.99))
 
 	// ③ Asking again is a memo hit: no re-evaluation, one HTTP round-trip.
-	_, resp, err := c.Eval("audio_pipeline", "process_frame", args, core.Expected())
+	_, resp, err := c.EvalCtx(ctx, "audio_pipeline", "process_frame", args, core.Expected())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,17 +86,17 @@ func main() {
 
 	// ④ Hardware changes: rebind just the bottom layer. The interface gets
 	// a fresh version, so every memoized answer for the old one is dead.
-	if _, err := c.Rebind("audio_pipeline", "dsp", "dsp_v2"); err != nil {
+	if _, err := c.RebindCtx(ctx, "audio_pipeline", "dsp", "dsp_v2"); err != nil {
 		log.Fatal(err)
 	}
-	d2, resp, err := c.Eval("audio_pipeline", "process_frame", args, core.Expected())
+	d2, resp, err := c.EvalCtx(ctx, "audio_pipeline", "process_frame", args, core.Expected())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after rebind to dsp_v2: %s  (cached=%v)\n", d2, resp.Cached)
 
 	// The daemon attributes every evaluated joule to the asking client.
-	st, err := c.Stats()
+	st, err := c.StatsCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,6 +21,14 @@ func Print(f *File) string {
 	return b.String()
 }
 
+// quote writes s as an EIL string literal. The lexer knows only the \n,
+// \t, \" and \\ escapes and takes every other byte as itself, so those
+// four are all that is escaped (strconv.Quote's \x, \u and \r would not
+// parse back).
+func quote(s string) string { return `"` + quoter.Replace(s) + `"` }
+
+var quoter = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
+
 // PrintInterface renders one interface declaration.
 func PrintInterface(id *InterfaceDecl) string {
 	var b strings.Builder
@@ -31,13 +39,13 @@ func PrintInterface(id *InterfaceDecl) string {
 func printInterface(b *strings.Builder, id *InterfaceDecl) {
 	fmt.Fprintf(b, "interface %s", id.Name)
 	if id.Doc != "" {
-		fmt.Fprintf(b, " %s", strconv.Quote(id.Doc))
+		fmt.Fprintf(b, " %s", quote(id.Doc))
 	}
 	b.WriteString(" {\n")
 	for _, e := range id.ECVs {
 		fmt.Fprintf(b, "  ecv %s: %s", e.Name, distString(e.Dist))
 		if e.Doc != "" {
-			fmt.Fprintf(b, " %s", strconv.Quote(e.Doc))
+			fmt.Fprintf(b, " %s", quote(e.Doc))
 		}
 		b.WriteByte('\n')
 	}
@@ -47,7 +55,7 @@ func printInterface(b *strings.Builder, id *InterfaceDecl) {
 	for _, fn := range id.Funcs {
 		fmt.Fprintf(b, "  func %s(%s)", fn.Name, strings.Join(fn.Params, ", "))
 		if fn.Doc != "" {
-			fmt.Fprintf(b, " %s", strconv.Quote(fn.Doc))
+			fmt.Fprintf(b, " %s", quote(fn.Doc))
 		}
 		b.WriteByte(' ')
 		printBlock(b, fn.Body, 1)
@@ -189,7 +197,7 @@ func printExpr(b *strings.Builder, e Expr, parentPrec int) {
 	case *BoolLit:
 		b.WriteString(strconv.FormatBool(x.Val))
 	case *StrLit:
-		b.WriteString(strconv.Quote(x.Val))
+		b.WriteString(quote(x.Val))
 	case *Ident:
 		b.WriteString(x.Name)
 	case *FieldExpr:

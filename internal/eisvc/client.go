@@ -57,10 +57,9 @@ const (
 	headerHedge   = "X-Eisvc-Hedge"
 )
 
-// Client is the typed Go client for the daemon. Every method has a
-// context-taking variant (EvalCtx, StatsCtx, ...); the plain spellings use
-// context.Background(). All requests carry a per-attempt HTTP timeout, so
-// a stalled daemon surfaces as an error instead of a hang.
+// Client is the typed Go client for the daemon. Every method takes a
+// context, and every request carries a per-attempt HTTP timeout as well,
+// so a stalled daemon surfaces as an error instead of a hang.
 type Client struct {
 	base string
 	http *http.Client
@@ -73,15 +72,15 @@ type Client struct {
 	// disables the bound — the caller's ctx is then the only limit).
 	Timeout time.Duration
 	// Retry, when non-nil, retries idempotent requests (evals and reads —
-	// never Register/Rebind) per the policy. Shed answers honor the
+	// never RegisterCtx/RebindCtx) per the policy. Shed answers honor the
 	// server's Retry-After.
 	Retry *RetryPolicy
 	// Hedge, when positive, races a second identical request after this
 	// delay for idempotent calls still in flight — the classic
 	// tail-latency hedge. The first answer wins; the loser is cancelled.
 	Hedge time.Duration
-	// Binary switches the endpoint-table calls (Eval, EvalBatch,
-	// CacheLookup, Optimize) to the length-prefixed binary codec: the
+	// Binary switches the endpoint-table calls (EvalCtx, EvalBatchCtx,
+	// CacheLookupCtx, OptimizeCtx) to the length-prefixed binary codec: the
 	// request body is sent as BinaryContentType and the same is offered in
 	// Accept. Requires a daemon that speaks the codec; everything else
 	// (register, stats, drift, ...) stays on the JSON debug path regardless.
@@ -225,7 +224,7 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 	}
 	defer resp.Body.Close()
 	buf := GetBuffer()
-	_, err = buf.ReadFrom(resp.Body)
+	err = readBounded(buf, resp)
 	if resp.StatusCode/100 != 2 {
 		apiErr := &APIError{Status: resp.StatusCode, Message: resp.Status}
 		var wire ErrorResponse
@@ -249,6 +248,33 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 		return nil, "", err
 	}
 	return buf, resp.Header.Get("Content-Type"), nil
+}
+
+// readBounded drains an answer into buf under the rule the fleet router
+// applies to node answers, so a direct client accepts exactly what a
+// routed one does: a declared length past MaxBodyBytes is refused before
+// anything is read, and any other body is read up to the cap and refused
+// past it (net/http ends a declared body at its length). The loop reads
+// into buf's own tail: an io.LimitedReader would cost an allocation an
+// answer.
+func readBounded(buf *bytes.Buffer, resp *http.Response) error {
+	if n := resp.ContentLength; n > MaxBodyBytes {
+		return fmt.Errorf("eisvc: answer of %d bytes exceeds %d", n, MaxBodyBytes)
+	}
+	for {
+		buf.Grow(bytes.MinRead)
+		tail := buf.AvailableBuffer()
+		n, err := resp.Body.Read(tail[:min(cap(tail), MaxBodyBytes+1-buf.Len())])
+		buf.Write(tail[:n])
+		switch {
+		case buf.Len() > MaxBodyBytes:
+			return fmt.Errorf("eisvc: answer exceeds %d bytes", MaxBodyBytes)
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
+		}
+	}
 }
 
 // attempt is one try of the retry loop: a plain exchange, or — for
@@ -363,44 +389,27 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, ct
 	return nil, "", lastErr
 }
 
-// Health checks the daemon is up.
-func (c *Client) Health() error { return c.HealthCtx(context.Background()) }
-
-// HealthCtx is Health bounded by ctx.
+// HealthCtx checks the daemon is up.
 func (c *Client) HealthCtx(ctx context.Context) error {
 	_, err := callJSON[struct{}](ctx, c, http.MethodGet, "/healthz", nil, true)
 	return err
 }
 
-// Healthz fetches the typed readiness probe: whether the daemon is
+// HealthzCtx fetches the typed readiness probe: whether the daemon is
 // admitting evaluations, draining, or mid-recalibration.
-func (c *Client) Healthz() (*HealthzResponse, error) {
-	return c.HealthzCtx(context.Background())
-}
-
-// HealthzCtx is Healthz bounded by ctx.
 func (c *Client) HealthzCtx(ctx context.Context) (*HealthzResponse, error) {
 	return callJSON[HealthzResponse](ctx, c, http.MethodGet, "/v1/healthz", nil, true)
 }
 
-// Drift fetches the drift monitor's state and the calibration generation
-// registry. The daemon answers 404 when drift monitoring is not enabled.
-func (c *Client) Drift() (*DriftResponse, error) {
-	return c.DriftCtx(context.Background())
-}
-
-// DriftCtx is Drift bounded by ctx.
+// DriftCtx fetches the drift monitor's state and the calibration
+// generation registry. The daemon answers 404 when drift monitoring is not
+// enabled.
 func (c *Client) DriftCtx(ctx context.Context) (*DriftResponse, error) {
 	return callJSON[DriftResponse](ctx, c, http.MethodGet, "/v1/drift", nil, true)
 }
 
-// Register uploads an EIL source file and returns the registered
+// RegisterCtx uploads an EIL source file and returns the registered
 // interfaces. Registrations mutate the daemon and are never retried.
-func (c *Client) Register(source string) ([]InterfaceInfo, error) {
-	return c.RegisterCtx(context.Background(), source)
-}
-
-// RegisterCtx is Register bounded by ctx.
 func (c *Client) RegisterCtx(ctx context.Context, source string) ([]InterfaceInfo, error) {
 	resp, err := callJSON[RegisterResponse](ctx, c, http.MethodPost, "/v1/register", RegisterRequest{Source: source}, false)
 	if err != nil {
@@ -409,12 +418,7 @@ func (c *Client) RegisterCtx(ctx context.Context, source string) ([]InterfaceInf
 	return resp.Registered, nil
 }
 
-// Interfaces lists the registered interfaces.
-func (c *Client) Interfaces() ([]InterfaceInfo, error) {
-	return c.InterfacesCtx(context.Background())
-}
-
-// InterfacesCtx is Interfaces bounded by ctx.
+// InterfacesCtx lists the registered interfaces.
 func (c *Client) InterfacesCtx(ctx context.Context) ([]InterfaceInfo, error) {
 	resp, err := callJSON[struct {
 		Interfaces []InterfaceInfo `json:"interfaces"`
@@ -425,12 +429,7 @@ func (c *Client) InterfacesCtx(ctx context.Context) ([]InterfaceInfo, error) {
 	return resp.Interfaces, nil
 }
 
-// Source fetches the EIL source an interface was registered from.
-func (c *Client) Source(name string) (string, error) {
-	return c.SourceCtx(context.Background(), name)
-}
-
-// SourceCtx is Source bounded by ctx.
+// SourceCtx fetches the EIL source an interface was registered from.
 func (c *Client) SourceCtx(ctx context.Context, name string) (string, error) {
 	resp, err := callJSON[SourceResponse](ctx, c, http.MethodGet, "/v1/interfaces/"+name+"/source", nil, true)
 	if err != nil {
@@ -439,14 +438,9 @@ func (c *Client) SourceCtx(ctx context.Context, name string) (string, error) {
 	return resp.Source, nil
 }
 
-// Rebind swaps the binding at path inside name for the registered
+// RebindCtx swaps the binding at path inside name for the registered
 // interface target and returns name's new version. Rebinds mutate the
 // daemon and are never retried.
-func (c *Client) Rebind(name, path, target string) (uint64, error) {
-	return c.RebindCtx(context.Background(), name, path, target)
-}
-
-// RebindCtx is Rebind bounded by ctx.
 func (c *Client) RebindCtx(ctx context.Context, name, path, target string) (uint64, error) {
 	resp, err := callJSON[RebindResponse](ctx, c, http.MethodPost, "/v1/rebind",
 		RebindRequest{Interface: name, Path: path, Target: target}, false)
@@ -456,17 +450,12 @@ func (c *Client) RebindCtx(ctx context.Context, name, path, target string) (uint
 	return resp.Version, nil
 }
 
-// Eval evaluates an energy method on the daemon and returns the exact
+// EvalCtx evaluates an energy method on the daemon and returns the exact
 // distribution (bit-identical to a local Interface.Eval with the same
-// options) plus the full wire response.
-func (c *Client) Eval(name, method string, args []core.Value, opts core.EvalOptions) (energy.Dist, *EvalResponse, error) {
-	return c.EvalCtx(context.Background(), name, method, args, opts)
-}
-
-// EvalCtx is Eval bounded by ctx: cancelling it abandons the request —
-// the daemon observes the disconnect and cancels the evaluation, freeing
-// its worker slot. Evaluations are deterministic and idempotent, so they
-// retry (and hedge) per the client's policy.
+// options) plus the full wire response. Cancelling ctx abandons the
+// request — the daemon observes the disconnect and cancels the
+// evaluation, freeing its worker slot. Evaluations are deterministic and
+// idempotent, so they retry (and hedge) per the client's policy.
 func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.Value, opts core.EvalOptions) (energy.Dist, *EvalResponse, error) {
 	req := c.EvalRequestFor(name, method, args, opts)
 	req.DeadlineMs = int(c.Deadline / time.Millisecond)
@@ -481,18 +470,14 @@ func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.V
 	return d, resp, nil
 }
 
-// EvalBatch submits a slice of wire-level eval requests in one round trip
-// and returns the per-item results (Results[i] answers Requests[i]).
+// EvalBatchCtx submits a slice of wire-level eval requests in one round
+// trip and returns the per-item results (Results[i] answers Requests[i]).
 // Identical items are deduplicated server-side. Per-item failures land in
-// the item's Error/Status, not in the returned error.
-func (c *Client) EvalBatch(reqs []EvalRequest) ([]BatchEvalItem, error) {
-	return c.EvalBatchCtx(context.Background(), reqs)
-}
-
-// EvalBatchCtx is EvalBatch bounded by ctx. Items with DeadlineMs == 0 are
-// stamped with the client's Deadline; DeadlineMs == NoDeadline (any
-// negative value) means the caller explicitly wants no client-side stamp —
-// the item is sent with no deadline and the server default applies.
+// the item's Error/Status, not in the returned error. Items with
+// DeadlineMs == 0 are stamped with the client's Deadline; DeadlineMs ==
+// NoDeadline (any negative value) means the caller explicitly wants no
+// client-side stamp — the item is sent with no deadline and the server
+// default applies.
 func (c *Client) EvalBatchCtx(ctx context.Context, reqs []EvalRequest) ([]BatchEvalItem, error) {
 	for i := range reqs {
 		switch {
@@ -512,8 +497,8 @@ func (c *Client) EvalBatchCtx(ctx context.Context, reqs []EvalRequest) ([]BatchE
 	return resp.Results, nil
 }
 
-// EvalRequestFor builds the wire request Eval would send, for use with
-// EvalBatch. The request holds args and opts.Fixed as they are — no copy —
+// EvalRequestFor builds the wire request EvalCtx would send, for use with
+// EvalBatchCtx. The request holds args and opts.Fixed as they are — no copy —
 // so they must not change until it has been sent.
 func (c *Client) EvalRequestFor(name, method string, args []core.Value, opts core.EvalOptions) EvalRequest {
 	return EvalRequest{
@@ -529,17 +514,12 @@ func (c *Client) EvalRequestFor(name, method string, args []core.Value, opts cor
 	}
 }
 
-// CacheLookup probes the daemon's memo for exact canonical keys and
+// CacheLookupCtx probes the daemon's memo for exact canonical keys and
 // returns one answer per key, in order; a clean miss is an answer that is
 // not Found (err covers transport/API failures and malformed answers).
-func (c *Client) CacheLookup(keys ...string) ([]PeerAnswer, error) {
-	return c.CacheLookupCtx(context.Background(), keys)
-}
-
-// CacheLookupCtx is CacheLookup bounded by ctx. Fleet peer forwarding
-// calls this on the evaluation critical path, so callers typically use a
-// dedicated client with a short Timeout and no retry policy — a slow
-// peer must cost less than evaluating locally.
+// Fleet peer forwarding calls this on the evaluation critical path, so
+// callers typically use a dedicated client with a short Timeout and no
+// retry policy — a slow peer must cost less than evaluating locally.
 func (c *Client) CacheLookupCtx(ctx context.Context, keys []string) ([]PeerAnswer, error) {
 	resp, err := CacheLookupEndpoint.call(ctx, c, &CacheLookupRequest{Keys: keys})
 	if err != nil {
@@ -562,12 +542,7 @@ func (c *Client) CacheLookupCtx(ctx context.Context, keys []string) ([]PeerAnswe
 	return answers, nil
 }
 
-// Stats fetches the daemon's serving metrics and energy ledger.
-func (c *Client) Stats() (*StatsResponse, error) {
-	return c.StatsCtx(context.Background())
-}
-
-// StatsCtx is Stats bounded by ctx.
+// StatsCtx fetches the daemon's serving metrics and energy ledger.
 func (c *Client) StatsCtx(ctx context.Context) (*StatsResponse, error) {
 	return callJSON[StatsResponse](ctx, c, http.MethodGet, "/v1/stats", nil, true)
 }

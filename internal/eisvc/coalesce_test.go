@@ -1,6 +1,7 @@
 package eisvc
 
 import (
+	"context"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -48,7 +49,7 @@ func TestEvalCoalescesConcurrentMisses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, _, err := client.Eval("slow", "work", []core.Value{core.Num(5)}, core.Expected())
+			d, _, err := client.EvalCtx(context.Background(), "slow", "work", []core.Value{core.Num(5)}, core.Expected())
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return
@@ -70,7 +71,7 @@ func TestEvalCoalescesConcurrentMisses(t *testing.T) {
 			t.Fatalf("request %d returned a different distribution", i)
 		}
 	}
-	st, err := client.Stats()
+	st, err := client.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestEvalCoalescingWithMemoDisabled(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, resp, err := client.Eval("slow", "work", []core.Value{core.Num(9)}, core.WorstCase())
+			_, resp, err := client.EvalCtx(context.Background(), "slow", "work", []core.Value{core.Num(9)}, core.WorstCase())
 			if err != nil {
 				t.Errorf("eval: %v", err)
 				return
@@ -112,7 +113,7 @@ func TestEvalCoalescingWithMemoDisabled(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st, err := client.Stats()
+	st, err := client.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestEvalCoalescingWithMemoDisabled(t *testing.T) {
 func TestEvalBatch(t *testing.T) {
 	_, client, stop := newTestDaemon(t, Config{Workers: 2})
 	defer stop()
-	if _, err := client.Register(testEIL); err != nil {
+	if _, err := client.RegisterCtx(context.Background(), testEIL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,7 +153,7 @@ func TestEvalBatch(t *testing.T) {
 		{Interface: "nope", Method: "handle", Mode: "expected"},                      // unknown interface
 		client.EvalRequestFor("ml_webservice", "handle", arg(1024), core.WorstCase()),
 	}
-	items, err := client.EvalBatch(reqs)
+	items, err := client.EvalBatchCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestEvalBatch(t *testing.T) {
 		if i == 1 {
 			px = 2048
 		}
-		want, _, err := client.Eval("ml_webservice", "handle", arg(px), opts)
+		want, _, err := client.EvalCtx(context.Background(), "ml_webservice", "handle", arg(px), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestEvalBatch(t *testing.T) {
 		}
 	}
 
-	st, err := client.Stats()
+	st, err := client.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +218,14 @@ func TestEvalBatch(t *testing.T) {
 func TestEvalBatchCaps(t *testing.T) {
 	_, client, stop := newTestDaemon(t, Config{MaxBatch: 2})
 	defer stop()
-	if _, err := client.EvalBatch(nil); err == nil {
+	if _, err := client.EvalBatchCtx(context.Background(), nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 	reqs := make([]EvalRequest, 3)
 	for i := range reqs {
 		reqs[i] = EvalRequest{Interface: "x", Method: "m", Mode: "expected"}
 	}
-	if _, err := client.EvalBatch(reqs); err == nil {
+	if _, err := client.EvalBatchCtx(context.Background(), reqs); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
 }
@@ -259,12 +260,12 @@ func TestWarmBatchAllocs(t *testing.T) {
 		arg := core.Record(map[string]core.Value{"pixels": core.Num(float64(1024 + i%distinct)), "zeros": core.Num(0)})
 		reqs[i] = c.EvalRequestFor("ml_webservice", "handle", []core.Value{arg}, core.Expected())
 	}
-	if _, err := c.EvalBatch(reqs); err != nil { // warm every key
+	if _, err := c.EvalBatchCtx(context.Background(), reqs); err != nil { // warm every key
 		t.Fatal(err)
 	}
 	before := srv.evaluations.Load()
 	allocs := testing.AllocsPerRun(20, func() {
-		got, err := c.EvalBatch(reqs)
+		got, err := c.EvalBatchCtx(context.Background(), reqs)
 		if err != nil || len(got) != items || !got[items-1].Cached {
 			t.Fatalf("warm batch: %d items, err %v", len(got), err)
 		}
@@ -321,7 +322,7 @@ func TestDaemonLayerStats(t *testing.T) {
 	if _, err := srv.Registry().RegisterInterface("accel_native", nativeAccel()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Register(hybridLayerEIL); err != nil {
+	if _, err := client.RegisterCtx(context.Background(), hybridLayerEIL); err != nil {
 		t.Fatal(err)
 	}
 	arg := func(pixels float64) []core.Value {
@@ -329,14 +330,14 @@ func TestDaemonLayerStats(t *testing.T) {
 			"pixels": core.Num(pixels), "zeros": core.Num(0),
 		})}
 	}
-	if _, _, err := client.Eval("ml_hybrid", "handle", arg(512), core.Expected()); err != nil {
+	if _, _, err := client.EvalCtx(context.Background(), "ml_hybrid", "handle", arg(512), core.Expected()); err != nil {
 		t.Fatal(err)
 	}
 	// Different argument → memo miss, but the mlp(256) sub-call repeats.
-	if _, _, err := client.Eval("ml_hybrid", "handle", arg(768), core.Expected()); err != nil {
+	if _, _, err := client.EvalCtx(context.Background(), "ml_hybrid", "handle", arg(768), core.Expected()); err != nil {
 		t.Fatal(err)
 	}
-	st, err := client.Stats()
+	st, err := client.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,13 +352,13 @@ func TestDaemonLayerStats(t *testing.T) {
 	}
 
 	// Rebinding must bump the invalidation counter.
-	if _, err := client.Register(altHW); err != nil {
+	if _, err := client.RegisterCtx(context.Background(), altHW); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Rebind("ml_hybrid", "accel", "accel_hw_v2"); err != nil {
+	if _, err := client.RebindCtx(context.Background(), "ml_hybrid", "accel", "accel_hw_v2"); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := client.Stats()
+	st2, err := client.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"energyclarity/internal/core"
@@ -27,13 +29,10 @@ import (
 // router's spread hashing and the memo canonicalization both rely on
 // deterministic encodings).
 //
-// Negotiation: a client that sets Client.Binary sends its request body
-// as BinaryContentType and offers the same in Accept; the server decodes
-// by Content-Type and answers binary only when Accept asks for it.
-// Errors are always JSON (ErrorResponse) — the debug path must stay
-// readable exactly when something went wrong. This file is only the
-// byte layouts; which codec a given body is in, and which the caller
-// wants back, is decided in endpoint.go.
+// Each payload's layout is written once, as a coder method that visits
+// its fields in wire order; the coder's mode decides whether that encodes,
+// decodes or walks the payload (see coder). Which codec a given body is
+// in, and which the caller wants back, is decided in endpoint.go.
 
 // BinaryContentType is the negotiated media type of the binary codec.
 const BinaryContentType = "application/x-eisvc-bin"
@@ -65,7 +64,7 @@ const (
 // IsBinaryContentType reports whether a Content-Type (or Accept) header
 // value names the binary codec, ignoring any media-type parameters.
 func IsBinaryContentType(v string) bool {
-	if i := bytes.IndexByte([]byte(v), ';'); i >= 0 {
+	if i := strings.IndexByte(v, ';'); i >= 0 {
 		v = v[:i]
 	}
 	return v == BinaryContentType
@@ -95,58 +94,334 @@ func PutBuffer(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// --- encoder ---
+// --- the coder ---
 
-// benc appends the wire primitives to a bytes.Buffer. The scratch array
-// keeps every fixed-width write allocation-free.
-type benc struct {
-	buf     *bytes.Buffer
+// mode is what a coder does with the fields a layout visits.
+type mode uint8
+
+const (
+	// encoding appends each field to buf. It reads fields through their
+	// pointers and never writes back: a memo entry's *WireDist is encoded
+	// by any number of responses at once.
+	encoding mode = iota
+	// decoding reads each field from data and stores it.
+	decoding
+	// walking reads and checks each field as decoding does but stores only
+	// the fixed-width ones, and allocates nothing: it is how the fleet
+	// router learns where a frame's items lie without decoding them.
+	walking
+)
+
+// coder lays out one frame. A layout is a coder method that visits a
+// payload's fields in wire order through accessors (u8, u64, i64, int,
+// f64, count, str, name, floats, flags, value) that take a pointer to the
+// field; the mode decides what each visit does. In decode and walk mode
+// the first malformed read latches an error and every later read is a
+// no-op, so a layout reads straight through and the caller checks once.
+// Truncated input is always an error, never a panic — the decoders face
+// network bytes.
+//
+// Coders are pooled (newCoder, release): a Codec calls its layout through
+// a func value, which makes the coder escape, and the pool keeps that from
+// costing an allocation per frame.
+type coder struct {
+	mode    mode
+	buf     *bytes.Buffer // encoding: the frame is appended here, from start
+	start   int
 	scratch [8]byte
+	data    []byte // decoding, walking: the frame, read from off
+	off     int
+	// err is the first malformed read's error. A short read, the usual
+	// one, only sets short; release makes its error from off.
+	err   error
+	short bool
+	// intern, set by the batch layouts, shares the strings a batch's
+	// items repeat (see name); names is that table, kept across frames.
+	intern bool
+	names  map[string]string
 }
 
-func (e *benc) u8(v byte) { e.buf.WriteByte(v) }
+var coderPool = sync.Pool{New: func() any { return &coder{names: map[string]string{}} }}
 
-func (e *benc) u32(v uint32) {
-	s := e.scratch[:4]
-	s[0], s[1], s[2], s[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	e.buf.Write(s)
-}
-
-func (e *benc) u64(v uint64) {
-	s := e.scratch[:8]
-	for i := 0; i < 8; i++ {
-		s[i] = byte(v >> (8 * i))
+// newCoder takes a coder from the pool: an encoding one appends to buf, a
+// decoding or walking one reads data.
+func newCoder(m mode, buf *bytes.Buffer, data []byte) *coder {
+	c := coderPool.Get().(*coder)
+	c.mode, c.buf, c.data = m, buf, data
+	if buf != nil {
+		c.start = buf.Len()
 	}
-	e.buf.Write(s)
+	return c
 }
 
-func (e *benc) i64(v int64)   { e.u64(uint64(v)) }
-func (e *benc) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-func (e *benc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf.WriteString(s)
-}
-
-// floats writes a length-prefixed vector in one piece: the buffer grows
-// once and the elements are stored straight into its tail.
-func (e *benc) floats(xs []float64) {
-	e.u32(uint32(len(xs)))
-	b := e.buf.AvailableBuffer()
-	if n := 8 * len(xs); cap(b) < n {
-		e.buf.Grow(n)
-		b = e.buf.AvailableBuffer()
+// release returns c to the pool, keeping nothing of its frame, and
+// returns the error it latched.
+func (c *coder) release() error {
+	err := c.err
+	if err == nil && c.short {
+		err = fmt.Errorf("eisvc: binary codec: truncated at byte %d", c.off)
 	}
-	for _, x := range xs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	e.buf.Write(b)
+	clear(c.names)
+	*c = coder{names: c.names}
+	coderPool.Put(c)
+	return err
 }
 
-func (e *benc) header(kind byte) {
-	e.buf.Write(binMagic[:])
-	e.u8(kind)
+// fail latches the first error. It also ends the frame where the reading
+// stopped, so every later read comes up short.
+func (c *coder) fail(format string, args ...any) {
+	if !c.failed() {
+		c.err = fmt.Errorf("eisvc: binary codec: "+format, args...)
+		c.data = c.data[:c.off]
+	}
 }
+
+func (c *coder) failed() bool { return c.err != nil || c.short }
+
+// take consumes the next n bytes of the frame, or, when fewer are left,
+// fails as fail does and returns nil. It is small enough to inline into
+// every reader, so it records the failure rather than formatting it.
+func (c *coder) take(n int) []byte {
+	if rest := c.data[c.off:]; n <= len(rest) {
+		c.off += n
+		return rest[:n]
+	}
+	c.data, c.short = c.data[:c.off], true
+	return nil
+}
+
+// header lays out the frame head: the magic with its version, and the
+// kind byte.
+func (c *coder) header(kind byte) {
+	if c.mode == encoding {
+		c.buf.Write(binMagic[:])
+		c.buf.WriteByte(kind)
+		return
+	}
+	head := c.data[c.off:]
+	switch {
+	case len(head) < len(binMagic)+1:
+		c.fail("truncated header")
+	case !bytes.Equal(head[:3], binMagic[:3]):
+		c.fail("bad magic")
+	case head[3] != binVersion:
+		c.fail("unsupported format version %d (want %d)", head[3], binVersion)
+	case head[4] != kind:
+		c.fail("unexpected message kind %d (want %d)", head[4], kind)
+	default:
+		c.off += len(binMagic) + 1
+	}
+}
+
+// done latches an error unless the frame was consumed exactly.
+func (c *coder) done() {
+	if !c.failed() && c.off != len(c.data) {
+		c.fail("%d trailing byte(s)", len(c.data)-c.off)
+	}
+}
+
+func (c *coder) u8(p *byte) {
+	if c.mode == encoding {
+		c.buf.WriteByte(*p)
+	} else if b := c.take(1); b != nil {
+		*p = b[0]
+	}
+}
+
+func (c *coder) u64(p *uint64) {
+	if c.mode == encoding {
+		c.buf.Write(binary.LittleEndian.AppendUint64(c.scratch[:0], *p))
+	} else if b := c.take(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
+	}
+}
+
+func (c *coder) i64(p *int64) { asU64(c, p) }
+func (c *coder) int(p *int)   { asU64(c, p) }
+
+// asU64 lays out an integer as its 64-bit two's-complement image.
+func asU64[T int | int64](c *coder, p *T) {
+	u := uint64(*p)
+	c.u64(&u)
+	if c.mode != encoding {
+		*p = T(u)
+	}
+}
+
+func (c *coder) f64(p *float64) {
+	u := math.Float64bits(*p)
+	c.u64(&u)
+	if c.mode != encoding {
+		*p = math.Float64frombits(u)
+	}
+}
+
+// count lays out a uint32 length prefix. Reading, it checks the count
+// against the bytes left — each counted element costs at least min of
+// them — so a corrupted count cannot drive a huge allocation; min 0 reads
+// a plain uint32.
+func (c *coder) count(n *int, min int) {
+	if c.mode == encoding {
+		c.buf.Write(binary.LittleEndian.AppendUint32(c.scratch[:0], uint32(*n)))
+		return
+	}
+	*n = 0
+	if b := c.take(4); b != nil {
+		*n = int(binary.LittleEndian.Uint32(b))
+	}
+	if min > 0 && *n > (len(c.data)-c.off)/min {
+		c.fail("count %d exceeds remaining input", *n)
+		*n = 0
+	}
+}
+
+// raw reads a length-prefixed run of size-byte elements — a string's
+// bytes, a vector's floats — without copying it: the result aliases the
+// frame. A count the frame cannot hold is a short read, caught before any
+// allocation is sized by it.
+func (c *coder) raw(size int) []byte {
+	b := c.take(4)
+	if b == nil {
+		return nil
+	}
+	return c.take(size * int(binary.LittleEndian.Uint32(b)))
+}
+
+func (c *coder) str(p *string) {
+	if c.mode == encoding {
+		n := len(*p)
+		c.count(&n, 0)
+		c.buf.WriteString(*p)
+		return
+	}
+	if b := c.raw(1); c.mode == decoding {
+		*p = string(b) // a copy: the frame's buffer is pooled
+	}
+}
+
+// Bounds of a batch decode's intern table: a hostile frame can pin at
+// most maxInternEntries * maxInternLen bytes through it, for the life of
+// one decode.
+const (
+	maxInternEntries = 64
+	maxInternLen     = 64
+)
+
+// name is str for the strings the items of a batch repeat — interface,
+// method, mode, record and fixed-ECV keys: decoding a batch, 256 items
+// drawn from three stacks share one copy of each instead of allocating
+// 256. Anywhere else it is str.
+func (c *coder) name(p *string) {
+	if c.mode != decoding || !c.intern {
+		c.str(p)
+		return
+	}
+	b := c.raw(1)
+	if len(b) > maxInternLen {
+		*p = string(b)
+		return
+	}
+	if s, ok := c.names[string(b)]; ok { // no allocation: the conversion is a lookup key only
+		*p = s
+		return
+	}
+	s := string(b)
+	if len(c.names) < maxInternEntries {
+		c.names[s] = s
+	}
+	*p = s
+}
+
+// floats lays out a length-prefixed vector in one piece: the encoder grows
+// the buffer once and stores the elements straight into its tail.
+func (c *coder) floats(p *[]float64) {
+	if c.mode == encoding {
+		xs := *p
+		n := len(xs)
+		c.count(&n, 0)
+		b := c.buf.AvailableBuffer()
+		if cap(b) < 8*n {
+			c.buf.Grow(8 * n)
+			b = c.buf.AvailableBuffer()
+		}
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		c.buf.Write(b)
+		return
+	}
+	b := c.raw(8)
+	if c.mode == walking || len(b) == 0 {
+		return
+	}
+	xs := make([]float64, len(b)/8)
+	for i := range xs {
+		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	*p = xs
+}
+
+// flags lays out one byte whose bit i is *bits[i]; a nil entry is a bit
+// the payload leaves clear.
+func (c *coder) flags(bits ...*bool) {
+	var f byte
+	for i, b := range bits {
+		if b != nil && *b {
+			f |= 1 << i
+		}
+	}
+	c.u8(&f)
+	if c.mode == encoding {
+		return
+	}
+	for i, b := range bits {
+		if b != nil {
+			*b = f&(1<<i) != 0
+		}
+	}
+}
+
+// seq lays out a slice's count, checked at min bytes an element, and
+// returns the slice whose elements the caller lays out next: the
+// encoder's own, or the one the decoder has just made. Neither walker
+// lays out a seq.
+func seq[T any](c *coder, s *[]T, min int) []T {
+	n := len(*s)
+	c.count(&n, min)
+	if c.mode == decoding && n > 0 {
+		*s = make([]T, n)
+	}
+	return *s
+}
+
+// optional returns where an optional field's payload is laid out: *p,
+// which the decoder allocates first.
+func optional[T any](c *coder, p **T) *T {
+	if c.mode == decoding {
+		*p = new(T)
+	}
+	return *p
+}
+
+// What the least element of each counted sequence occupies: its
+// fixed-width fields and empty length prefixes. Counts are checked
+// against the bytes left at these prices, by the decoders and the walkers
+// alike. TestCountBoundsAreMinimalElements holds each to its layout.
+const (
+	minRequestItem = 3*4 + 5*8 + 2*4 // three strings, five integers, two counts
+	minAnswerItem  = 4*4 + 8 + 4 + 1 // four strings, version, status, flags
+	minPoint       = 4 + 2*8         // a knob vector, two objectives
+	minKnob        = 4 + 4           // a name, a value vector
+	minKey         = 4               // a length prefix
+	minResult      = 1               // a flag byte
+	minMemoEntry   = 3 * 4           // a key, two vectors
+	minLayerEntry  = 4 + 8           // a key, joules
+	minValue       = 1               // a tag
+	// minField bounds a record field or pinned ECV. The least one is 5
+	// bytes (an empty name, a nil); 2 is looser, and raising it would
+	// change which error some malformed frames fail with.
+	minField = 2
+)
 
 // Value tag bytes, one per core.Value kind (booleans carry their value in
 // the tag).
@@ -160,437 +435,391 @@ const (
 	tagRecord
 )
 
-// value encodes one core.Value (what EvalRequest.Args and .Fixed hold).
-// Record keys are written in sorted order so the encoding is deterministic.
-func (e *benc) value(v core.Value) {
-	switch v.Kind() {
-	case core.KindNil:
-		e.u8(tagNil)
-	case core.KindBool:
-		if b, _ := v.AsBool(); b {
-			e.u8(tagTrue)
-		} else {
-			e.u8(tagFalse)
-		}
-	case core.KindNum:
-		n, _ := v.AsNum()
-		e.u8(tagNum)
-		e.f64(n)
-	case core.KindStr:
-		s, _ := v.AsStr()
-		e.u8(tagStr)
-		e.str(s)
-	case core.KindList:
-		e.u8(tagList)
-		e.u32(uint32(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			item, _ := v.Index(i)
-			e.value(item)
-		}
-	case core.KindRecord:
-		names := v.FieldNames() // sorted
-		e.u8(tagRecord)
-		e.u32(uint32(len(names)))
-		for _, k := range names {
-			f, _ := v.Field(k)
-			e.str(k)
-			e.value(f)
-		}
-	}
-}
-
-// --- decoder ---
-
-// bdec walks a binary frame. The first malformed read latches err;
-// every later read is a cheap no-op returning zeroes, so decode methods
-// read straight through and check err once. Truncated input is always
-// an error, never a panic — the decoders face network bytes.
-type bdec struct {
-	data []byte
-	off  int
-	err  error
-	// intern, when non-nil, shares the strings a batch repeats (see name).
-	intern map[string]string
-}
-
-func (d *bdec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("eisvc: binary codec: "+format, args...)
-	}
-}
-
-func (d *bdec) remaining() int { return len(d.data) - d.off }
-
-func (d *bdec) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 1 {
-		d.fail("truncated at byte %d", d.off)
-		return 0
-	}
-	v := d.data[d.off]
-	d.off++
-	return v
-}
-
-func (d *bdec) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 4 {
-		d.fail("truncated at byte %d", d.off)
-		return 0
-	}
-	b := d.data[d.off:]
-	d.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (d *bdec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 8 {
-		d.fail("truncated at byte %d", d.off)
-		return 0
-	}
-	var v uint64
-	b := d.data[d.off:]
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	d.off += 8
-	return v
-}
-
-func (d *bdec) i64() int64   { return int64(d.u64()) }
-func (d *bdec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// count reads a uint32 length prefix and sanity-checks it against the
-// bytes actually remaining (each counted element costs at least min
-// bytes), so a corrupted length cannot drive a huge allocation.
-func (d *bdec) count(min int) int {
-	n := int(d.u32())
-	if d.err != nil {
-		return 0
-	}
-	if min > 0 && n > d.remaining()/min {
-		d.fail("count %d exceeds remaining input", n)
-		return 0
-	}
-	return n
-}
-
-// strBytes reads a length-prefixed string without copying it: the result
-// aliases the frame and is valid only as long as the frame is.
-func (d *bdec) strBytes() []byte {
-	n := d.count(1)
-	if d.err != nil {
-		return nil
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *bdec) str() string { return string(d.strBytes()) } // copies; frame buffer is pooled
-
-// Bounds of a batch decode's intern table: a hostile frame can pin at
-// most maxInternEntries * maxInternLen bytes through it, for the life of
-// one decode.
-const (
-	maxInternEntries = 64
-	maxInternLen     = 64
-)
-
-// name reads a string that the items of a batch repeat — interface,
-// method, mode, record and fixed-ECV keys: 256 items drawn from three
-// stacks share one copy of each instead of allocating 256. The single-
-// message decoders leave intern nil, and name is str.
-func (d *bdec) name() string {
-	b := d.strBytes()
-	if d.intern == nil || len(b) > maxInternLen {
-		return string(b)
-	}
-	if s, ok := d.intern[string(b)]; ok { // no allocation: the conversion is a lookup key only
-		return s
-	}
-	s := string(b)
-	if len(d.intern) < maxInternEntries {
-		d.intern[s] = s
-	}
-	return s
-}
-
-// skip advances past n bytes a walker has no use for.
-func (d *bdec) skip(n int) {
-	if d.err != nil {
-		return
-	}
-	if d.remaining() < n {
-		d.fail("truncated at byte %d", d.off)
-		return
-	}
-	d.off += n
-}
-
-func (d *bdec) floats() []float64 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	b := d.data[d.off : d.off+8*n] // count(8) checked that n elements remain
-	d.off += 8 * n
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
 // maxValueDepth bounds value nesting so hostile input cannot overflow
 // the stack through recursive lists/records.
 const maxValueDepth = 64
 
-func (d *bdec) value(depth int) core.Value {
-	if d.err != nil {
+func valueTag(v core.Value) byte {
+	switch v.Kind() {
+	case core.KindBool:
+		if b, _ := v.AsBool(); b {
+			return tagTrue
+		}
+		return tagFalse
+	case core.KindNum:
+		return tagNum
+	case core.KindStr:
+		return tagStr
+	case core.KindList:
+		return tagList
+	case core.KindRecord:
+		return tagRecord
+	}
+	return tagNil
+}
+
+// value lays out one core.Value (what EvalRequest.Args and .Fixed hold):
+// a tag, then the payload. It takes and returns the Value rather than a
+// pointer, because a pointer handed down a recursive call moves what it
+// points at to the heap: encoding lays v out, decoding returns what it
+// read. Record fields go in sorted name order, so the bytes are canonical.
+func (c *coder) value(v core.Value, depth int) core.Value {
+	if c.failed() {
 		return core.Nil()
 	}
-	if depth > maxValueDepth {
-		d.fail("value nesting exceeds %d", maxValueDepth)
+	if c.mode != encoding && depth > maxValueDepth {
+		c.fail("value nesting exceeds %d", maxValueDepth)
 		return core.Nil()
 	}
-	switch tag := d.u8(); tag {
+	tag := valueTag(v)
+	c.u8(&tag)
+	switch tag {
 	case tagNil:
-	case tagFalse:
-		return core.Bool(false)
-	case tagTrue:
-		return core.Bool(true)
+		return core.Nil()
+	case tagFalse, tagTrue:
+		return core.Bool(tag == tagTrue)
 	case tagNum:
-		return core.Num(d.f64())
+		n, _ := v.AsNum()
+		c.f64(&n)
+		return core.Num(n)
 	case tagStr:
-		return core.Str(d.str())
+		s, _ := v.AsStr()
+		c.str(&s)
+		return core.Str(s)
 	case tagList:
-		n := d.count(1)
-		if d.err != nil {
-			return core.Nil()
-		}
-		items := make([]core.Value, n)
-		for i := range items {
-			items[i] = d.value(depth + 1)
-		}
-		return core.List(items...)
+		return c.list(v, depth)
 	case tagRecord:
-		n := d.count(2)
-		if d.err != nil {
-			return core.Nil()
-		}
-		fields := make(map[string]core.Value, n)
-		for i := 0; i < n; i++ {
-			k := d.name()
-			fields[k] = d.value(depth + 1)
-		}
-		return core.Record(fields)
-	default:
-		d.fail("unknown value tag %d", tag)
+		return c.record(v, depth)
 	}
+	c.fail("unknown value tag %d", tag)
 	return core.Nil()
 }
 
-// header consumes and validates the frame magic and kind byte.
-func (d *bdec) header(kind byte) {
-	if d.remaining() < len(binMagic)+1 {
-		d.fail("truncated header")
-		return
+// list and record are value's two containers, out of line so that the
+// frame of every scalar value stays small.
+func (c *coder) list(v core.Value, depth int) core.Value {
+	n := v.Len()
+	c.count(&n, minValue)
+	var items []core.Value
+	if c.mode == decoding {
+		items = make([]core.Value, n)
 	}
-	if !bytes.Equal(d.data[d.off:d.off+3], binMagic[:3]) {
-		d.fail("bad magic")
-		return
-	}
-	if v := d.data[d.off+3]; v != binVersion {
-		d.fail("unsupported format version %d (want %d)", v, binVersion)
-		return
-	}
-	d.off += 4
-	if got := d.u8(); d.err == nil && got != kind {
-		d.fail("unexpected message kind %d (want %d)", got, kind)
-	}
-}
-
-// done errors unless the frame was consumed exactly.
-func (d *bdec) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.remaining() != 0 {
-		return fmt.Errorf("eisvc: binary codec: %d trailing byte(s)", d.remaining())
-	}
-	return nil
-}
-
-// --- wire payloads ---
-
-// wireDist encodes the full WireDist: the exact vectors plus the derived
-// summary stats, so a binary client never recomputes quantiles.
-func (e *benc) wireDist(w *WireDist) {
-	e.floats(w.Support)
-	e.floats(w.Probs)
-	e.f64(w.Mean)
-	e.f64(w.Std)
-	e.f64(w.Min)
-	e.f64(w.Max)
-	e.f64(w.P99)
-}
-
-func (d *bdec) wireDist() WireDist {
-	var w WireDist
-	w.Support = d.floats()
-	w.Probs = d.floats()
-	w.Mean = d.f64()
-	w.Std = d.f64()
-	w.Min = d.f64()
-	w.Max = d.f64()
-	w.P99 = d.f64()
-	return w
-}
-
-// evalRequestBody encodes the request payload without the frame header,
-// shared by the single and batch encodings.
-func (e *benc) evalRequestBody(req *EvalRequest) {
-	e.str(req.Interface)
-	e.str(req.Method)
-	e.str(req.Mode)
-	e.i64(int64(req.Samples))
-	e.i64(req.Seed)
-	e.i64(int64(req.EnumLimit))
-	e.i64(int64(req.Parallelism))
-	e.i64(int64(req.DeadlineMs))
-	e.u32(uint32(len(req.Args)))
-	for _, a := range req.Args {
-		e.value(a)
-	}
-	e.u32(uint32(len(req.Fixed)))
-	if len(req.Fixed) > 0 {
-		keys := make([]string, 0, len(req.Fixed))
-		for k := range req.Fixed {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			e.str(k)
-			e.value(req.Fixed[k])
+	for i := 0; i < n; i++ {
+		item, _ := v.Index(i)
+		if item = c.value(item, depth+1); items != nil {
+			items[i] = item
 		}
 	}
+	if items != nil {
+		return core.List(items...)
+	}
+	return v
 }
 
-func (d *bdec) evalRequestBody() EvalRequest {
-	var req EvalRequest
-	req.Interface = d.name()
-	req.Method = d.name()
-	req.Mode = d.name()
-	req.Samples = int(d.i64())
-	req.Seed = d.i64()
-	req.EnumLimit = int(d.i64())
-	req.Parallelism = int(d.i64())
-	req.DeadlineMs = int(d.i64())
-	if n := d.count(1); d.err == nil && n > 0 {
-		req.Args = make(Args, n)
-		for i := range req.Args {
-			req.Args[i] = d.value(0)
+func (c *coder) record(v core.Value, depth int) core.Value {
+	names := v.FieldNames() // sorted; nil unless encoding
+	n := len(names)
+	c.count(&n, minField)
+	var fields map[string]core.Value
+	if c.mode == decoding {
+		fields = make(map[string]core.Value, n)
+	}
+	for i := 0; i < n; i++ {
+		var k string
+		if names != nil {
+			k = names[i]
+		}
+		c.name(&k)
+		f, _ := v.Field(k)
+		if f = c.value(f, depth+1); fields != nil {
+			fields[k] = f
 		}
 	}
-	if n := d.count(2); d.err == nil && n > 0 {
-		req.Fixed = make(Fixed, n)
-		for i := 0; i < n; i++ {
-			k := d.name()
-			req.Fixed[k] = d.value(0)
-		}
+	if fields != nil {
+		return core.Record(fields)
 	}
-	return req
+	return v
 }
+
+// --- layouts ---
+
+// wireDist: the exact vectors plus the derived summary stats, so a binary
+// client never recomputes quantiles.
+func (c *coder) wireDist(w *WireDist) {
+	c.floats(&w.Support)
+	c.floats(&w.Probs)
+	c.f64(&w.Mean)
+	c.f64(&w.Std)
+	c.f64(&w.Min)
+	c.f64(&w.Max)
+	c.f64(&w.P99)
+}
+
+// evalRequest is one request, alone or as a batch item.
+func (c *coder) evalRequest(r *EvalRequest) {
+	c.name(&r.Interface)
+	c.name(&r.Method)
+	c.name(&r.Mode)
+	c.int(&r.Samples)
+	c.i64(&r.Seed)
+	c.int(&r.EnumLimit)
+	c.int(&r.Parallelism)
+	c.int(&r.DeadlineMs)
+	c.args(&r.Args)
+	c.fixed(&r.Fixed)
+}
+
+// args: a count, then each value. A walker keeps no values, so each passes
+// through a local.
+func (c *coder) args(a *Args) {
+	n := len(*a)
+	c.count(&n, minValue)
+	if c.mode == decoding && n > 0 {
+		*a = make(Args, n)
+	}
+	for i := 0; i < n; i++ {
+		var v core.Value
+		if c.mode == encoding {
+			v = (*a)[i]
+		}
+		if v = c.value(v, 0); c.mode == decoding {
+			(*a)[i] = v
+		}
+	}
+}
+
+// fixed: a count, then name and value pairs in sorted name order.
+func (c *coder) fixed(f *Fixed) {
+	n := len(*f)
+	c.count(&n, minField)
+	names := make([]string, 0, 8) // on the stack for the usual few pins
+	if c.mode == encoding {
+		for k := range *f {
+			names = append(names, k)
+		}
+		slices.Sort(names)
+	} else if c.mode == decoding && n > 0 {
+		*f = make(Fixed, n)
+	}
+	for i := 0; i < n; i++ {
+		var k string
+		var v core.Value
+		if c.mode == encoding {
+			k, v = names[i], (*f)[names[i]]
+		}
+		c.name(&k)
+		if v = c.value(v, 0); c.mode == decoding {
+			(*f)[k] = v
+		}
+	}
+}
+
+func (c *coder) evalResponse(r *EvalResponse) {
+	c.str(&r.Interface)
+	c.u64(&r.Version)
+	c.str(&r.Method)
+	c.str(&r.Mode)
+	c.str(&r.Node)
+	c.flags(&r.Cached, &r.Coalesced, &r.Peer)
+	c.wireDist(&r.Dist)
+}
+
+func (c *coder) batchRequest(r *BatchEvalRequest) {
+	c.intern = true
+	reqs := seq(c, &r.Requests, minRequestItem)
+	for i := range reqs {
+		c.evalRequest(&reqs[i])
+	}
+}
+
+// batchItem is one answer item. Its distribution, if it has one, is laid
+// out from or into dist rather than it.Dist, and batchItem reports whether
+// it had one: the caller attaches it, so a walker's scratch dist is never
+// stored anywhere (which would move it to the heap).
+func (c *coder) batchItem(it *BatchEvalItem, dist *WireDist) (hasDist bool) {
+	hasDist = it.Dist != nil
+	c.name(&it.Interface)
+	c.u64(&it.Version)
+	c.name(&it.Method)
+	c.name(&it.Mode)
+	c.count(&it.Status, 0) // a plain uint32
+	c.str(&it.Error)
+	c.flags(&it.Cached, &it.Coalesced, &it.Peer, &it.Deduped, &hasDist)
+	if hasDist {
+		c.wireDist(dist)
+	}
+	return hasDist
+}
+
+// batchResponse decodes the items' WireDist structs into one array: a
+// caller that keeps one item's Dist pointer keeps 88 bytes an item of the
+// batch. The float vectors are not pooled the same way — one backing
+// array would let a single kept answer pin every vector of its batch
+// (≈ 450 KB for 256 items) — so each is its own allocation.
+func (c *coder) batchResponse(r *BatchEvalResponse) {
+	c.intern = true
+	items := seq(c, &r.Results, minAnswerItem)
+	var dists []WireDist
+	if c.mode == decoding {
+		dists = make([]WireDist, len(items))
+	}
+	for i := range items {
+		dist := items[i].Dist
+		if dists != nil {
+			dist = &dists[i]
+		}
+		if c.batchItem(&items[i], dist) && dists != nil {
+			items[i].Dist = dist
+		}
+	}
+}
+
+func (c *coder) cacheLookupRequest(r *CacheLookupRequest) {
+	keys := seq(c, &r.Keys, minKey)
+	for i := range keys {
+		c.str(&keys[i])
+	}
+}
+
+func (c *coder) cacheLookupResponse(r *CacheLookupResponse) {
+	c.str(&r.Node)
+	results := seq(c, &r.Results, minResult)
+	for i := range results {
+		res := &results[i]
+		hasDist := res.Dist != nil
+		// Found and the distribution take batchItem's cached and has-dist bits.
+		c.flags(&res.Found, nil, nil, nil, &hasDist)
+		if hasDist {
+			c.wireDist(optional(c, &res.Dist))
+		}
+	}
+}
+
+func (c *coder) optimizeRequest(r *OptimizeRequest) {
+	c.str(&r.Interface)
+	c.str(&r.EnergyMethod)
+	c.str(&r.LatencyMethod)
+	c.str(&r.Mode)
+	c.f64(&r.SLOMs)
+	c.int(&r.Samples)
+	c.i64(&r.Seed)
+	c.int(&r.EnumLimit)
+	c.int(&r.Parallelism)
+	c.int(&r.MaxConfigs)
+	c.int(&r.DeadlineMs)
+	c.knobs(&r.Knobs)
+}
+
+func (c *coder) knobs(ks *[]OptimizeKnob) {
+	knobs := seq(c, ks, minKnob)
+	for i := range knobs {
+		c.str(&knobs[i].Name)
+		c.floats(&knobs[i].Values)
+	}
+}
+
+func (c *coder) point(p *OptimizePoint) {
+	c.floats(&p.Knobs)
+	c.f64(&p.EnergyJ)
+	c.f64(&p.LatencyMs)
+}
+
+func (c *coder) optimizeResponse(r *OptimizeResponse) {
+	c.str(&r.Interface)
+	c.u64(&r.Version)
+	c.str(&r.Mode)
+	c.str(&r.Node)
+	c.f64(&r.SLOMs)
+	c.int(&r.Configs)
+	c.int(&r.Evaluated)
+	c.int(&r.Skipped)
+	c.int(&r.Evals)
+	c.int(&r.MemoServed)
+	c.u64(&r.Digest)
+	c.f64(&r.SavingsFrac)
+	c.knobs(&r.Knobs)
+	frontier := seq(c, &r.Frontier, minPoint)
+	for i := range frontier {
+		c.point(&frontier[i])
+	}
+	hasRec, hasMax := r.Recommended != nil, r.MaxPerf != nil
+	c.flags(&hasRec, &hasMax)
+	if hasRec {
+		c.point(optional(c, &r.Recommended))
+	}
+	if hasMax {
+		c.point(optional(c, &r.MaxPerf))
+	}
+}
+
+// snapshot is the cache snapshot file: the node ID, the memo entries, the
+// layer entries, and a CRC-32 (IEEE) of everything before it.
+func (c *coder) snapshot(s *CacheSnapshot) {
+	c.str(&s.NodeID)
+	memo := seq(c, &s.Memo, minMemoEntry)
+	for i := range memo {
+		c.str(&memo[i].Key)
+		c.floats(&memo[i].Support)
+		c.floats(&memo[i].Probs)
+	}
+	layer := seq(c, &s.Layer, minLayerEntry)
+	for i := range layer {
+		c.str(&layer[i].Key)
+		c.f64(&layer[i].Joules)
+	}
+	laidOut := c.data[:c.off]
+	if c.mode == encoding {
+		laidOut = c.buf.Bytes()[c.start:]
+	}
+	sum := crc32.ChecksumIEEE(laidOut)
+	stored := int(sum)
+	c.count(&stored, 0)
+	if c.mode != encoding && !c.failed() && uint32(stored) != sum {
+		c.fail("snapshot checksum mismatch (stored %08x, computed %08x)", stored, sum)
+	}
+}
+
+// --- exported frame functions ---
 
 // EncodeEvalRequest appends the binary frame for req to buf.
 func EncodeEvalRequest(buf *bytes.Buffer, req *EvalRequest) error {
-	e := &benc{buf: buf}
-	e.header(kindEvalRequest)
-	e.evalRequestBody(req)
-	return nil
+	return EvalEndpoint.Request.Encode(buf, BinaryContentType, req)
 }
 
 // DecodeEvalRequest parses a binary eval-request frame.
 func DecodeEvalRequest(data []byte) (*EvalRequest, error) {
-	d := &bdec{data: data}
-	d.header(kindEvalRequest)
-	req := d.evalRequestBody()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return EvalEndpoint.Request.Decode(BinaryContentType, data)
 }
-
-// Response flag bits.
-const (
-	flagCached byte = 1 << iota
-	flagCoalesced
-	flagPeer
-	flagDeduped
-	flagHasDist
-)
 
 // EncodeEvalResponse appends the binary frame for resp to buf.
 func EncodeEvalResponse(buf *bytes.Buffer, resp *EvalResponse) error {
-	e := &benc{buf: buf}
-	e.header(kindEvalResponse)
-	e.str(resp.Interface)
-	e.u64(resp.Version)
-	e.str(resp.Method)
-	e.str(resp.Mode)
-	e.str(resp.Node)
-	var flags byte
-	if resp.Cached {
-		flags |= flagCached
-	}
-	if resp.Coalesced {
-		flags |= flagCoalesced
-	}
-	if resp.Peer {
-		flags |= flagPeer
-	}
-	e.u8(flags)
-	e.wireDist(&resp.Dist)
-	return nil
+	return EvalEndpoint.Response.Encode(buf, BinaryContentType, resp)
 }
 
 // DecodeEvalResponse parses a binary eval-response frame.
 func DecodeEvalResponse(data []byte) (*EvalResponse, error) {
-	d := &bdec{data: data}
-	d.header(kindEvalResponse)
-	var resp EvalResponse
-	resp.Interface = d.str()
-	resp.Version = d.u64()
-	resp.Method = d.str()
-	resp.Mode = d.str()
-	resp.Node = d.str()
-	flags := d.u8()
-	resp.Cached = flags&flagCached != 0
-	resp.Coalesced = flags&flagCoalesced != 0
-	resp.Peer = flags&flagPeer != 0
-	resp.Dist = d.wireDist()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return EvalEndpoint.Response.Decode(BinaryContentType, data)
 }
 
-// The least a batch item can occupy — its fixed-width fields and empty
-// length prefixes — is what a batch's item count is checked against, so a
-// corrupt count cannot drive an allocation larger than the frame itself
-// justifies. The decoders and the walkers share the bounds.
-const (
-	minRequestItemBytes  = 3*4 + 5*8 + 2*4 // three strings, five i64s, two counts
-	minResponseItemBytes = 4*4 + 8 + 4 + 1 // four strings, version, status, flags
-)
+// EncodeBatchEvalRequest appends the binary frame for req to buf.
+func EncodeBatchEvalRequest(buf *bytes.Buffer, req *BatchEvalRequest) error {
+	return EvalBatchEndpoint.Request.Encode(buf, BinaryContentType, req)
+}
+
+// DecodeBatchEvalRequest parses a binary batch-request frame.
+func DecodeBatchEvalRequest(data []byte) (*BatchEvalRequest, error) {
+	return EvalBatchEndpoint.Request.Decode(BinaryContentType, data)
+}
+
+// EncodeBatchEvalResponse appends the binary frame for resp to buf.
+func EncodeBatchEvalResponse(buf *bytes.Buffer, resp *BatchEvalResponse) error {
+	return EvalBatchEndpoint.Response.Encode(buf, BinaryContentType, resp)
+}
+
+// DecodeBatchEvalResponse parses a binary batch-response frame.
+func DecodeBatchEvalResponse(data []byte) (*BatchEvalResponse, error) {
+	return EvalBatchEndpoint.Response.Decode(BinaryContentType, data)
+}
 
 // BeginBatchEvalRequest appends the part of a batch-request frame that
 // precedes its n items. Items carry no cross-item state, so the frame is
@@ -601,123 +830,27 @@ func BeginBatchEvalRequest(buf *bytes.Buffer, n int) { beginBatch(buf, kindBatch
 func BeginBatchEvalResponse(buf *bytes.Buffer, n int) { beginBatch(buf, kindBatchResponse, n) }
 
 func beginBatch(buf *bytes.Buffer, kind byte, n int) {
-	e := &benc{buf: buf}
-	e.header(kind)
-	e.u32(uint32(n))
+	c := newCoder(encoding, buf, nil)
+	c.header(kind)
+	c.count(&n, 0)
+	c.release()
 }
 
 // BatchHeaderLen is how many bytes the two Begin functions append.
 const BatchHeaderLen = len(binMagic) + 1 + 4
 
-// EncodeBatchEvalRequest appends the binary frame for req to buf.
-func EncodeBatchEvalRequest(buf *bytes.Buffer, req *BatchEvalRequest) error {
-	BeginBatchEvalRequest(buf, len(req.Requests))
-	e := &benc{buf: buf}
-	for i := range req.Requests {
-		e.evalRequestBody(&req.Requests[i])
-	}
-	return nil
-}
-
-// DecodeBatchEvalRequest parses a binary batch-request frame.
-func DecodeBatchEvalRequest(data []byte) (*BatchEvalRequest, error) {
-	d := &bdec{data: data, intern: map[string]string{}}
-	d.header(kindBatchRequest)
-	var req BatchEvalRequest
-	if n := d.count(minRequestItemBytes); d.err == nil && n > 0 {
-		req.Requests = make([]EvalRequest, n)
-		for i := range req.Requests {
-			req.Requests[i] = d.evalRequestBody()
-		}
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-func (e *benc) batchItem(it *BatchEvalItem) {
-	e.str(it.Interface)
-	e.u64(it.Version)
-	e.str(it.Method)
-	e.str(it.Mode)
-	e.u32(uint32(it.Status))
-	e.str(it.Error)
-	var flags byte
-	if it.Cached {
-		flags |= flagCached
-	}
-	if it.Coalesced {
-		flags |= flagCoalesced
-	}
-	if it.Peer {
-		flags |= flagPeer
-	}
-	if it.Deduped {
-		flags |= flagDeduped
-	}
-	if it.Dist != nil {
-		flags |= flagHasDist
-	}
-	e.u8(flags)
-	if it.Dist != nil {
-		e.wireDist(it.Dist)
-	}
-}
-
-// batchItem decodes one answer item; its distribution, if it has one, goes
-// into *dist and the item points there.
-func (d *bdec) batchItem(dist *WireDist) BatchEvalItem {
-	var it BatchEvalItem
-	it.Interface = d.name()
-	it.Version = d.u64()
-	it.Method = d.name()
-	it.Mode = d.name()
-	it.Status = int(d.u32())
-	it.Error = d.str()
-	flags := d.u8()
-	it.Cached = flags&flagCached != 0
-	it.Coalesced = flags&flagCoalesced != 0
-	it.Peer = flags&flagPeer != 0
-	it.Deduped = flags&flagDeduped != 0
-	if flags&flagHasDist != 0 {
-		*dist = d.wireDist()
-		it.Dist = dist
-	}
-	return it
-}
-
-// EncodeBatchEvalResponse appends the binary frame for resp to buf.
-func EncodeBatchEvalResponse(buf *bytes.Buffer, resp *BatchEvalResponse) error {
-	BeginBatchEvalResponse(buf, len(resp.Results))
-	e := &benc{buf: buf}
-	for i := range resp.Results {
-		e.batchItem(&resp.Results[i])
-	}
-	return nil
-}
-
-// DecodeBatchEvalResponse parses a binary batch-response frame. The items'
-// WireDist structs share one array: a caller that keeps one item's Dist
-// pointer keeps 88 bytes an item of the batch. The float vectors are not
-// pooled the same way — one backing array would let a single kept answer
-// pin every vector of its batch (≈ 450 KB for 256 items) — so each is its
-// own allocation.
-func DecodeBatchEvalResponse(data []byte) (*BatchEvalResponse, error) {
-	d := &bdec{data: data, intern: map[string]string{}}
-	d.header(kindBatchResponse)
-	var resp BatchEvalResponse
-	if n := d.count(minResponseItemBytes); d.err == nil && n > 0 {
-		resp.Results = make([]BatchEvalItem, n)
-		dists := make([]WireDist, n)
-		for i := range resp.Results {
-			resp.Results[i] = d.batchItem(&dists[i])
-		}
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+// AppendBatchEvalError appends to an answer frame the item that refuses
+// one request item (a range WalkBatchEvalRequest yielded) with status and
+// msg, naming the interface and method the request named.
+func AppendBatchEvalError(buf *bytes.Buffer, reqItem []byte, status int, msg string) {
+	var req EvalRequest
+	c := newCoder(decoding, nil, reqItem)
+	c.evalRequest(&req)
+	c.release()
+	it := BatchEvalItem{Interface: req.Interface, Method: req.Method, Status: status, Error: msg}
+	c = newCoder(encoding, buf, nil)
+	c.batchItem(&it, nil)
+	c.release()
 }
 
 // --- frame walkers ---
@@ -725,10 +858,10 @@ func DecodeBatchEvalResponse(data []byte) (*BatchEvalResponse, error) {
 // The fleet router forwards evaluation traffic it never needs as Go
 // values: it must know where each batch item starts and ends, which stack
 // it names and which replica it should warm — nothing else. The walkers
-// answer that from the frame itself, through the same bdec primitives as
-// the decoders (the same magic, kind, count, nesting-depth, unknown-tag
-// and trailing-byte rules), so a walker accepts exactly the frames the
-// matching Decode function accepts and allocates nothing per item.
+// answer that from the frame itself, by running the layouts in walk mode
+// (the same magic, kind, count, nesting-depth, unknown-tag and
+// trailing-byte rules as decoding), so a walker accepts exactly the frames
+// the matching Decode function accepts and allocates nothing per item.
 // FuzzFrameWalk holds the two to that.
 
 // FrameItem is one item of a walked frame: its byte range, and — aliasing
@@ -778,93 +911,68 @@ func fnvFinish(h uint64) uint64 {
 // finalizer's avalanche spreads them uniformly.
 func Hash64(s string) uint64 { return fnvFinish(fnvFold(fnvOffset, s)) }
 
-// skipValue is value without the materialising.
-func (d *bdec) skipValue(depth int) {
-	if d.err != nil {
-		return
+// item is the walked item that began at off: its range, and the interface
+// name both kinds of item start with.
+func (c *coder) item(off int) FrameItem {
+	it := FrameItem{Off: off, End: c.off}
+	if !c.failed() {
+		n := int(binary.LittleEndian.Uint32(c.data[off:]))
+		it.Interface = c.data[off+4 : off+4+n]
 	}
-	if depth > maxValueDepth {
-		d.fail("value nesting exceeds %d", maxValueDepth)
-		return
-	}
-	switch tag := d.u8(); tag {
-	case tagNil, tagFalse, tagTrue:
-	case tagNum:
-		d.skip(8)
-	case tagStr:
-		d.strBytes()
-	case tagList:
-		for n := d.count(1); n > 0 && d.err == nil; n-- {
-			d.skipValue(depth + 1)
-		}
-	case tagRecord:
-		for n := d.count(2); n > 0 && d.err == nil; n-- {
-			d.strBytes()
-			d.skipValue(depth + 1)
-		}
-	default:
-		d.fail("unknown value tag %d", tag)
-	}
-}
-
-func (d *bdec) skipFloats() { d.skip(8 * d.count(8)) }
-
-// walkRequestItem is evalRequestBody without the materialising.
-func (d *bdec) walkRequestItem() FrameItem {
-	it := FrameItem{Off: d.off}
-	it.Interface = d.strBytes()
-	mark := d.off
-	d.strBytes() // method
-	d.strBytes() // mode
-	h := fnvFold(fnvOffset, d.data[mark:d.off])
-	d.skip(8) // samples
-	mark = d.off
-	d.skip(8) // seed
-	h = fnvFold(h, d.data[mark:d.off])
-	d.skip(3 * 8) // enum_limit, parallelism, deadline_ms
-	mark = d.off
-	for n := d.count(1); n > 0 && d.err == nil; n-- {
-		d.skipValue(0)
-	}
-	for n := d.count(2); n > 0 && d.err == nil; n-- {
-		d.strBytes()
-		d.skipValue(0)
-	}
-	it.Spread = fnvFinish(fnvFold(h, d.data[mark:d.off]))
-	it.End = d.off
 	return it
 }
 
-// walkResponseItem is batchItem without the materialising.
-func (d *bdec) walkResponseItem() FrameItem {
-	it := FrameItem{Off: d.off}
-	it.Interface = d.strBytes()
-	d.skip(8)    // version
-	d.strBytes() // method
-	d.strBytes() // mode
-	d.skip(4)    // status
-	d.strBytes() // error
-	if d.u8()&flagHasDist != 0 {
-		d.skipFloats()
-		d.skipFloats()
-		d.skip(5 * 8) // mean, std, min, max, p99
-	}
-	it.End = d.off
+// walkRequest is evalRequest in walk mode, restated because the
+// fingerprint folds the bytes between its fields. It is the one place
+// besides evalRequest that knows the request's field order; FuzzFrameWalk
+// holds the two to each other.
+func (c *coder) walkRequest() FrameItem {
+	var r EvalRequest // walking keeps only the fixed-width fields
+	off := c.off
+	c.name(&r.Interface)
+	mark := c.off
+	c.name(&r.Method)
+	c.name(&r.Mode)
+	h := fnvFold(fnvOffset, c.data[mark:c.off])
+	c.int(&r.Samples)
+	mark = c.off
+	c.i64(&r.Seed)
+	h = fnvFold(h, c.data[mark:c.off])
+	c.int(&r.EnumLimit)
+	c.int(&r.Parallelism)
+	c.int(&r.DeadlineMs)
+	mark = c.off
+	c.args(&r.Args)
+	c.fixed(&r.Fixed)
+	it := c.item(off)
+	it.Spread = fnvFinish(fnvFold(h, c.data[mark:c.off]))
 	return it
+}
+
+// walkAnswer is batchItem in walk mode.
+func (c *coder) walkAnswer() FrameItem {
+	var it BatchEvalItem
+	var dist WireDist
+	off := c.off
+	c.batchItem(&it, &dist)
+	return c.item(off)
 }
 
 // walkBatch walks a frame of the given batch kind.
-func walkBatch(frame []byte, kind byte, minItem int, item func(*bdec) FrameItem) ([]FrameItem, error) {
-	d := &bdec{data: frame}
-	d.header(kind)
+func walkBatch(frame []byte, kind byte, minItem int, item func(*coder) FrameItem) ([]FrameItem, error) {
+	c := newCoder(walking, nil, frame)
+	c.header(kind)
+	n := 0
+	c.count(&n, minItem)
 	var items []FrameItem
-	if n := d.count(minItem); d.err == nil && n > 0 {
+	if n > 0 {
 		items = make([]FrameItem, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			items[i] = item(d)
-		}
 	}
-	if err := d.done(); err != nil {
+	for i := 0; i < n && !c.failed(); i++ {
+		items[i] = item(c)
+	}
+	c.done()
+	if err := c.release(); err != nil {
 		return nil, err
 	}
 	return items, nil
@@ -872,10 +980,11 @@ func walkBatch(frame []byte, kind byte, minItem int, item func(*bdec) FrameItem)
 
 // WalkEvalRequest walks a binary eval-request frame.
 func WalkEvalRequest(frame []byte) (FrameItem, error) {
-	d := &bdec{data: frame}
-	d.header(kindEvalRequest)
-	it := d.walkRequestItem()
-	return it, d.done()
+	c := newCoder(walking, nil, frame)
+	c.header(kindEvalRequest)
+	it := c.walkRequest()
+	c.done()
+	return it, c.release()
 }
 
 // WalkBatchEvalRequest walks a binary batch-request frame: one FrameItem
@@ -883,261 +992,11 @@ func WalkEvalRequest(frame []byte) (FrameItem, error) {
 // BatchHeaderLen-byte head, and any of them, concatenated in any order
 // after BeginBatchEvalRequest, are the frame of that batch.
 func WalkBatchEvalRequest(frame []byte) ([]FrameItem, error) {
-	return walkBatch(frame, kindBatchRequest, minRequestItemBytes, (*bdec).walkRequestItem)
+	return walkBatch(frame, kindBatchRequest, minRequestItem, (*coder).walkRequest)
 }
 
 // WalkBatchEvalResponse is WalkBatchEvalRequest for the answer frame
 // (Begin with BeginBatchEvalResponse; Spread is zero).
 func WalkBatchEvalResponse(frame []byte) ([]FrameItem, error) {
-	return walkBatch(frame, kindBatchResponse, minResponseItemBytes, (*bdec).walkResponseItem)
-}
-
-// AppendBatchEvalError appends to an answer frame the item that refuses
-// one request item (a range WalkBatchEvalRequest yielded) with status and
-// msg, naming the interface and method the request named.
-func AppendBatchEvalError(buf *bytes.Buffer, reqItem []byte, status int, msg string) {
-	d := &bdec{data: reqItem}
-	it := BatchEvalItem{Interface: d.str(), Method: d.str(), Status: status, Error: msg}
-	(&benc{buf: buf}).batchItem(&it)
-}
-
-// EncodeCacheLookupRequest appends the binary frame for req to buf.
-func EncodeCacheLookupRequest(buf *bytes.Buffer, req *CacheLookupRequest) error {
-	e := &benc{buf: buf}
-	e.header(kindCacheLookupRequest)
-	e.u32(uint32(len(req.Keys)))
-	for _, k := range req.Keys {
-		e.str(k)
-	}
-	return nil
-}
-
-// DecodeCacheLookupRequest parses a binary cache-probe frame.
-func DecodeCacheLookupRequest(data []byte) (*CacheLookupRequest, error) {
-	d := &bdec{data: data}
-	d.header(kindCacheLookupRequest)
-	var req CacheLookupRequest
-	// Each key costs at least its length prefix.
-	if n := d.count(4); d.err == nil && n > 0 {
-		req.Keys = make([]string, n)
-		for i := range req.Keys {
-			req.Keys[i] = d.str()
-		}
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// EncodeCacheLookupResponse appends the binary frame for resp to buf.
-func EncodeCacheLookupResponse(buf *bytes.Buffer, resp *CacheLookupResponse) error {
-	e := &benc{buf: buf}
-	e.header(kindCacheLookupResponse)
-	e.str(resp.Node)
-	e.u32(uint32(len(resp.Results)))
-	for i := range resp.Results {
-		r := &resp.Results[i]
-		var flags byte
-		if r.Found {
-			flags |= flagCached
-		}
-		if r.Dist != nil {
-			flags |= flagHasDist
-		}
-		e.u8(flags)
-		if r.Dist != nil {
-			e.wireDist(r.Dist)
-		}
-	}
-	return nil
-}
-
-// DecodeCacheLookupResponse parses a binary cache-probe answer.
-func DecodeCacheLookupResponse(data []byte) (*CacheLookupResponse, error) {
-	d := &bdec{data: data}
-	d.header(kindCacheLookupResponse)
-	var resp CacheLookupResponse
-	resp.Node = d.str()
-	// Each result costs at least its flag byte.
-	if n := d.count(1); d.err == nil && n > 0 {
-		resp.Results = make([]CacheLookupResult, n)
-		for i := range resp.Results {
-			flags := d.u8()
-			resp.Results[i].Found = flags&flagCached != 0
-			if flags&flagHasDist != 0 {
-				w := d.wireDist()
-				resp.Results[i].Dist = &w
-			}
-		}
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// --- optimize payloads ---
-
-func (e *benc) optimizeKnobs(knobs []OptimizeKnob) {
-	e.u32(uint32(len(knobs)))
-	for i := range knobs {
-		e.str(knobs[i].Name)
-		e.floats(knobs[i].Values)
-	}
-}
-
-func (d *bdec) optimizeKnobs() []OptimizeKnob {
-	// Each knob costs at least its two length prefixes.
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]OptimizeKnob, n)
-	for i := range out {
-		out[i].Name = d.str()
-		out[i].Values = d.floats()
-	}
-	return out
-}
-
-func (e *benc) optimizePoint(p *OptimizePoint) {
-	e.floats(p.Knobs)
-	e.f64(p.EnergyJ)
-	e.f64(p.LatencyMs)
-}
-
-func (d *bdec) optimizePoint() OptimizePoint {
-	var p OptimizePoint
-	p.Knobs = d.floats()
-	p.EnergyJ = d.f64()
-	p.LatencyMs = d.f64()
-	return p
-}
-
-// EncodeOptimizeRequest appends the binary frame for req to buf.
-func EncodeOptimizeRequest(buf *bytes.Buffer, req *OptimizeRequest) error {
-	e := &benc{buf: buf}
-	e.header(kindOptimizeRequest)
-	e.str(req.Interface)
-	e.str(req.EnergyMethod)
-	e.str(req.LatencyMethod)
-	e.str(req.Mode)
-	e.f64(req.SLOMs)
-	e.i64(int64(req.Samples))
-	e.i64(req.Seed)
-	e.i64(int64(req.EnumLimit))
-	e.i64(int64(req.Parallelism))
-	e.i64(int64(req.MaxConfigs))
-	e.i64(int64(req.DeadlineMs))
-	e.optimizeKnobs(req.Knobs)
-	return nil
-}
-
-// DecodeOptimizeRequest parses a binary optimize-request frame.
-func DecodeOptimizeRequest(data []byte) (*OptimizeRequest, error) {
-	d := &bdec{data: data}
-	d.header(kindOptimizeRequest)
-	var req OptimizeRequest
-	req.Interface = d.str()
-	req.EnergyMethod = d.str()
-	req.LatencyMethod = d.str()
-	req.Mode = d.str()
-	req.SLOMs = d.f64()
-	req.Samples = int(d.i64())
-	req.Seed = d.i64()
-	req.EnumLimit = int(d.i64())
-	req.Parallelism = int(d.i64())
-	req.MaxConfigs = int(d.i64())
-	req.DeadlineMs = int(d.i64())
-	req.Knobs = d.optimizeKnobs()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// Optimize-response flag bits (which optional points are present).
-const (
-	optFlagRecommended byte = 1 << iota
-	optFlagMaxPerf
-)
-
-// EncodeOptimizeResponse appends the binary frame for resp to buf.
-func EncodeOptimizeResponse(buf *bytes.Buffer, resp *OptimizeResponse) error {
-	e := &benc{buf: buf}
-	e.header(kindOptimizeResponse)
-	e.str(resp.Interface)
-	e.u64(resp.Version)
-	e.str(resp.Mode)
-	e.str(resp.Node)
-	e.f64(resp.SLOMs)
-	e.i64(int64(resp.Configs))
-	e.i64(int64(resp.Evaluated))
-	e.i64(int64(resp.Skipped))
-	e.i64(int64(resp.Evals))
-	e.i64(int64(resp.MemoServed))
-	e.u64(resp.Digest)
-	e.f64(resp.SavingsFrac)
-	e.optimizeKnobs(resp.Knobs)
-	e.u32(uint32(len(resp.Frontier)))
-	for i := range resp.Frontier {
-		e.optimizePoint(&resp.Frontier[i])
-	}
-	var flags byte
-	if resp.Recommended != nil {
-		flags |= optFlagRecommended
-	}
-	if resp.MaxPerf != nil {
-		flags |= optFlagMaxPerf
-	}
-	e.u8(flags)
-	if resp.Recommended != nil {
-		e.optimizePoint(resp.Recommended)
-	}
-	if resp.MaxPerf != nil {
-		e.optimizePoint(resp.MaxPerf)
-	}
-	return nil
-}
-
-// DecodeOptimizeResponse parses a binary optimize-response frame.
-func DecodeOptimizeResponse(data []byte) (*OptimizeResponse, error) {
-	d := &bdec{data: data}
-	d.header(kindOptimizeResponse)
-	var resp OptimizeResponse
-	resp.Interface = d.str()
-	resp.Version = d.u64()
-	resp.Mode = d.str()
-	resp.Node = d.str()
-	resp.SLOMs = d.f64()
-	resp.Configs = int(d.i64())
-	resp.Evaluated = int(d.i64())
-	resp.Skipped = int(d.i64())
-	resp.Evals = int(d.i64())
-	resp.MemoServed = int(d.i64())
-	resp.Digest = d.u64()
-	resp.SavingsFrac = d.f64()
-	resp.Knobs = d.optimizeKnobs()
-	// Each frontier point costs at least its knob-vector length prefix
-	// plus the two objectives.
-	if n := d.count(20); d.err == nil && n > 0 {
-		resp.Frontier = make([]OptimizePoint, n)
-		for i := range resp.Frontier {
-			resp.Frontier[i] = d.optimizePoint()
-		}
-	}
-	flags := d.u8()
-	if flags&optFlagRecommended != 0 {
-		p := d.optimizePoint()
-		resp.Recommended = &p
-	}
-	if flags&optFlagMaxPerf != 0 {
-		p := d.optimizePoint()
-		resp.MaxPerf = &p
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return walkBatch(frame, kindBatchResponse, minAnswerItem, (*coder).walkAnswer)
 }

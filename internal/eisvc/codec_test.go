@@ -228,22 +228,27 @@ func TestCodecCacheLookupRoundTrip(t *testing.T) {
 	}
 
 	// Every strict prefix of a multi-key frame is an error, never a panic.
+	refusesEveryPrefix(t, "request", &ep.Request, &CacheLookupRequest{Keys: lookupKeys(3)})
+	refusesEveryPrefix(t, "response", &ep.Response, &CacheLookupResponse{Results: lookupResults(3, &wd, shapes["mixed"])})
+}
+
+// binaryFrame is v's frame in c's binary layout.
+func binaryFrame[T any](c *Codec[T], v *T) []byte {
 	var buf bytes.Buffer
-	if err := EncodeCacheLookupRequest(&buf, &CacheLookupRequest{Keys: lookupKeys(3)}); err != nil {
-		t.Fatal(err)
+	if err := c.Encode(&buf, BinaryContentType, v); err != nil {
+		panic(err) // the binary encoder has no error to return
 	}
-	for n, full := 0, buf.Bytes(); n < len(full); n++ {
-		if _, err := DecodeCacheLookupRequest(full[:n]); err == nil {
-			t.Fatalf("request truncation to %d/%d bytes decoded without error", n, len(full))
-		}
-	}
-	buf.Reset()
-	if err := EncodeCacheLookupResponse(&buf, &CacheLookupResponse{Results: lookupResults(3, &wd, shapes["mixed"])}); err != nil {
-		t.Fatal(err)
-	}
-	for n, full := 0, buf.Bytes(); n < len(full); n++ {
-		if _, err := DecodeCacheLookupResponse(full[:n]); err == nil {
-			t.Fatalf("response truncation to %d/%d bytes decoded without error", n, len(full))
+	return buf.Bytes()
+}
+
+// refusesEveryPrefix checks that every strict prefix of v's frame decodes
+// to an error: never a panic, never a bogus success.
+func refusesEveryPrefix[T any](t *testing.T, what string, c *Codec[T], v *T) {
+	t.Helper()
+	full := binaryFrame(c, v)
+	for n := 0; n < len(full); n++ {
+		if _, err := c.Decode(BinaryContentType, full[:n]); err == nil {
+			t.Fatalf("%s truncated to %d/%d bytes decoded without error", what, n, len(full))
 		}
 	}
 }
@@ -274,11 +279,8 @@ func TestCodecOptimizeRequestRoundTrip(t *testing.T) {
 		// Empty knob space: the neutral product is a valid sweep.
 		{Interface: "s", EnergyMethod: "e", LatencyMethod: "l", SLOMs: math.Inf(1)},
 	} {
-		var buf bytes.Buffer
-		if err := EncodeOptimizeRequest(&buf, req); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeOptimizeRequest(buf.Bytes())
+		frame := binaryFrame(&OptimizeEndpoint.Request, req)
+		got, err := OptimizeEndpoint.Request.Decode(BinaryContentType, frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,18 +300,18 @@ func TestCodecOptimizeRequestRoundTrip(t *testing.T) {
 				t.Fatalf("knob %d not bit-identical: %#v", i, got.Knobs[i])
 			}
 		}
-		var again bytes.Buffer
-		if err := EncodeOptimizeRequest(&again, got); err != nil || !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		if !bytes.Equal(frame, binaryFrame(&OptimizeEndpoint.Request, got)) {
 			t.Fatal("optimize request encoding not canonical")
 		}
 	}
 }
 
-func TestCodecOptimizeResponseRoundTrip(t *testing.T) {
-	// NaN/±Inf objectives must survive: a sweep reports unmeasurable
-	// points as skipped, but the codec itself carries any bit pattern.
+// testOptimizeResponse carries NaN/±Inf objectives: a sweep reports
+// unmeasurable points as skipped, but the codec itself carries any bit
+// pattern.
+func testOptimizeResponse() *OptimizeResponse {
 	odd := func(i int) float64 { return oddFloats[i%len(oddFloats)] }
-	full := &OptimizeResponse{
+	return &OptimizeResponse{
 		Interface: "moe_stack",
 		Version:   9,
 		Mode:      "expected",
@@ -326,13 +328,12 @@ func TestCodecOptimizeResponseRoundTrip(t *testing.T) {
 		SavingsFrac: 0.76,
 		Node:        "node-2",
 	}
+}
+
+func TestCodecOptimizeResponseRoundTrip(t *testing.T) {
 	empty := &OptimizeResponse{Interface: "s", Mode: "expected", SLOMs: 1}
-	for _, resp := range []*OptimizeResponse{full, empty} {
-		var buf bytes.Buffer
-		if err := EncodeOptimizeResponse(&buf, resp); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeOptimizeResponse(buf.Bytes())
+	for _, resp := range []*OptimizeResponse{testOptimizeResponse(), empty} {
+		got, err := OptimizeEndpoint.Response.Decode(BinaryContentType, binaryFrame(&OptimizeEndpoint.Response, resp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,46 +365,19 @@ func TestCodecOptimizeResponseRoundTrip(t *testing.T) {
 }
 
 func TestCodecOptimizeTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeOptimizeRequest(&buf, testOptimizeRequest()); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for n := 0; n < len(full); n++ {
-		if _, err := DecodeOptimizeRequest(full[:n]); err == nil {
-			t.Fatalf("request truncation to %d/%d bytes decoded without error", n, len(full))
-		}
-	}
-	buf.Reset()
-	err := EncodeOptimizeResponse(&buf, &OptimizeResponse{
+	refusesEveryPrefix(t, "request", &OptimizeEndpoint.Request, testOptimizeRequest())
+	refusesEveryPrefix(t, "response", &OptimizeEndpoint.Response, &OptimizeResponse{
 		Interface: "s", Mode: "expected",
 		Frontier:    []OptimizePoint{{Knobs: []float64{1}, EnergyJ: 2, LatencyMs: 3}},
 		Recommended: &OptimizePoint{Knobs: []float64{1}, EnergyJ: 2, LatencyMs: 3},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full = buf.Bytes()
-	for n := 0; n < len(full); n++ {
-		if _, err := DecodeOptimizeResponse(full[:n]); err == nil {
-			t.Fatalf("response truncation to %d/%d bytes decoded without error", n, len(full))
-		}
-	}
 }
 
 // TestCodecTruncation checks every strict prefix of a valid frame decodes
 // to an error (never a panic, never a bogus success).
 func TestCodecTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeEvalRequest(&buf, testEvalRequest()); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for n := 0; n < len(full); n++ {
-		if _, err := DecodeEvalRequest(full[:n]); err == nil {
-			t.Fatalf("truncation to %d/%d bytes decoded without error", n, len(full))
-		}
-	}
+	refusesEveryPrefix(t, "eval request", &EvalEndpoint.Request, testEvalRequest())
+	full := binaryFrame(&EvalEndpoint.Request, testEvalRequest())
 	// Wrong version byte and wrong kind byte are rejected too.
 	bad := append([]byte{}, full...)
 	bad[3] = binVersion + 1
@@ -420,158 +394,82 @@ func TestCodecTruncation(t *testing.T) {
 // addCodecSeeds gives a fuzz target one well-formed frame of every kind
 // plus a few malformed heads.
 func addCodecSeeds(f *testing.F) {
-	seed := func(enc func(*bytes.Buffer) error) {
-		var buf bytes.Buffer
-		if err := enc(&buf); err == nil {
-			f.Add(buf.Bytes())
-		}
-	}
-	seed(func(b *bytes.Buffer) error { return EncodeEvalRequest(b, testEvalRequest()) })
-	seed(func(b *bytes.Buffer) error {
-		return EncodeEvalResponse(b, &EvalResponse{
-			Interface: "s", Version: 1, Method: "m", Mode: "expected",
-			Dist: WireDist{Support: oddFloats, Probs: oddFloats, Mean: math.NaN()},
-		})
-	})
-	seed(func(b *bytes.Buffer) error {
-		return EncodeBatchEvalRequest(b, &BatchEvalRequest{Requests: []EvalRequest{*testEvalRequest()}})
-	})
-	seed(func(b *bytes.Buffer) error {
-		w := WireDist{Support: []float64{math.Inf(-1), 0}, Probs: []float64{0.5, 0.5}}
-		return EncodeBatchEvalResponse(b, &BatchEvalResponse{Results: []BatchEvalItem{{Status: 200, Dist: &w}}})
-	})
-	seed(func(b *bytes.Buffer) error {
-		w := WireDist{Support: []float64{math.Copysign(0, -1)}, Probs: []float64{1}}
-		return EncodeCacheLookupResponse(b, &CacheLookupResponse{
-			Results: []CacheLookupResult{{Found: true, Dist: &w}, {}, {Found: true, Dist: &w}}, Node: "node-1"})
-	})
-	seed(func(b *bytes.Buffer) error { return EncodeCacheLookupResponse(b, &CacheLookupResponse{}) })
-	seed(func(b *bytes.Buffer) error { return EncodeCacheLookupRequest(b, &CacheLookupRequest{}) })
-	seed(func(b *bytes.Buffer) error {
-		return EncodeCacheLookupRequest(b, &CacheLookupRequest{Keys: lookupKeys(1)})
-	})
-	seed(func(b *bytes.Buffer) error {
-		return EncodeCacheLookupRequest(b, &CacheLookupRequest{Keys: lookupKeys(300)})
-	})
-	seed(func(b *bytes.Buffer) error {
-		return EncodeCacheSnapshot(b, &CacheSnapshot{
-			NodeID: "node-1",
-			Memo:   []MemoEntry{{Key: "k", Support: oddFloats[3:], Probs: []float64{1, 0, 0, 0}}},
-			Layer:  []LayerEntry{{Key: "lk", Joules: math.Inf(1)}},
-		})
-	})
-	seed(func(b *bytes.Buffer) error { return EncodeOptimizeRequest(b, testOptimizeRequest()) })
-	seed(func(b *bytes.Buffer) error {
-		return EncodeOptimizeRequest(b, &OptimizeRequest{Interface: "s", EnergyMethod: "e", LatencyMethod: "l"})
-	})
-	seed(func(b *bytes.Buffer) error {
-		return EncodeOptimizeResponse(b, &OptimizeResponse{
-			Interface: "s", Mode: "expected",
-			Frontier: []OptimizePoint{{Knobs: oddFloats, EnergyJ: math.NaN(), LatencyMs: math.Inf(1)}},
-			MaxPerf:  &OptimizePoint{Knobs: []float64{1}},
-		})
-	})
+	f.Add(binaryFrame(&EvalEndpoint.Request, testEvalRequest()))
+	f.Add(binaryFrame(&EvalEndpoint.Response, &EvalResponse{
+		Interface: "s", Version: 1, Method: "m", Mode: "expected",
+		Dist: WireDist{Support: oddFloats, Probs: oddFloats, Mean: math.NaN()},
+	}))
+	f.Add(binaryFrame(&EvalBatchEndpoint.Request, &BatchEvalRequest{Requests: []EvalRequest{*testEvalRequest()}}))
+	w := WireDist{Support: []float64{math.Inf(-1), 0}, Probs: []float64{0.5, 0.5}}
+	f.Add(binaryFrame(&EvalBatchEndpoint.Response, &BatchEvalResponse{Results: []BatchEvalItem{{Status: 200, Dist: &w}}}))
+	w0 := WireDist{Support: []float64{math.Copysign(0, -1)}, Probs: []float64{1}}
+	f.Add(binaryFrame(&CacheLookupEndpoint.Response, &CacheLookupResponse{
+		Results: []CacheLookupResult{{Found: true, Dist: &w0}, {}, {Found: true, Dist: &w0}}, Node: "node-1"}))
+	f.Add(binaryFrame(&CacheLookupEndpoint.Response, &CacheLookupResponse{}))
+	f.Add(binaryFrame(&CacheLookupEndpoint.Request, &CacheLookupRequest{}))
+	f.Add(binaryFrame(&CacheLookupEndpoint.Request, &CacheLookupRequest{Keys: lookupKeys(1)}))
+	f.Add(binaryFrame(&CacheLookupEndpoint.Request, &CacheLookupRequest{Keys: lookupKeys(300)}))
+	f.Add(binaryFrame(&snapshotCodec, &CacheSnapshot{
+		NodeID: "node-1",
+		Memo:   []MemoEntry{{Key: "k", Support: oddFloats[3:], Probs: []float64{1, 0, 0, 0}}},
+		Layer:  []LayerEntry{{Key: "lk", Joules: math.Inf(1)}},
+	}))
+	f.Add(binaryFrame(&OptimizeEndpoint.Request, testOptimizeRequest()))
+	f.Add(binaryFrame(&OptimizeEndpoint.Request, &OptimizeRequest{Interface: "s", EnergyMethod: "e", LatencyMethod: "l"}))
+	f.Add(binaryFrame(&OptimizeEndpoint.Response, &OptimizeResponse{
+		Interface: "s", Mode: "expected",
+		Frontier: []OptimizePoint{{Knobs: oddFloats, EnergyJ: math.NaN(), LatencyMs: math.Inf(1)}},
+		MaxPerf:  &OptimizePoint{Knobs: []float64{1}},
+	}))
 	f.Add([]byte{})
 	f.Add(binMagic[:])
 	f.Add(append(append([]byte{}, binMagic[:]...), kindSnapshot, 0xff, 0xff, 0xff, 0xff))
 }
 
-// FuzzCodecRoundTrip drives the decoders with arbitrary bytes (they must
-// error or round-trip cleanly, never panic) and, when the input happens
-// to parse, asserts decode→encode→decode is bit-identical — the
-// canonical-form property the router's verbatim passthrough relies on.
+// reencodes is FuzzCodecRoundTrip's property for one codec: bytes it
+// refuses are fine, and a value it takes is canonical after one pass —
+// decode, encode, decode, encode writes the same bytes twice.
+func reencodes[T any](c *Codec[T]) func([]byte) error {
+	return func(data []byte) error {
+		v, err := c.Decode(BinaryContentType, data)
+		if err != nil {
+			return nil
+		}
+		once := binaryFrame(c, v)
+		if v, err = c.Decode(BinaryContentType, once); err != nil {
+			return fmt.Errorf("kind %d: re-encoded frame does not decode: %v", c.kind, err)
+		}
+		if twice := binaryFrame(c, v); !bytes.Equal(once, twice) {
+			return fmt.Errorf("kind %d: encoding not canonical:\n once  %x\n twice %x", c.kind, once, twice)
+		}
+		return nil
+	}
+}
+
+// FuzzCodecRoundTrip drives every binary codec — each endpoint's request
+// and response, and the snapshot file — with arbitrary bytes: a decoder
+// refuses them or takes them, never panics, and what it takes re-encodes
+// canonically (reencodes), the property the router's verbatim
+// passthrough relies on.
 func FuzzCodecRoundTrip(f *testing.F) {
 	addCodecSeeds(f)
+	byPath := map[string][]func([]byte) error{
+		EvalEndpoint.Path:        {reencodes(&EvalEndpoint.Request), reencodes(&EvalEndpoint.Response)},
+		EvalBatchEndpoint.Path:   {reencodes(&EvalBatchEndpoint.Request), reencodes(&EvalBatchEndpoint.Response)},
+		CacheLookupEndpoint.Path: {reencodes(&CacheLookupEndpoint.Request), reencodes(&CacheLookupEndpoint.Response)},
+		OptimizeEndpoint.Path:    {reencodes(&OptimizeEndpoint.Request), reencodes(&OptimizeEndpoint.Response)},
+	}
+	checks := []func([]byte) error{reencodes(&snapshotCodec)}
+	for _, path := range Endpoints {
+		if byPath[path] == nil {
+			f.Fatalf("%s is in the endpoint table but not fuzzed", path)
+		}
+		checks = append(checks, byPath[path]...)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, err := DecodeEvalRequest(data); err == nil {
-			var buf bytes.Buffer
-			if err := EncodeEvalRequest(&buf, req); err != nil {
-				t.Fatalf("re-encode of decoded request failed: %v", err)
-			}
-			req2, err := DecodeEvalRequest(buf.Bytes())
-			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			var buf2 bytes.Buffer
-			if err := EncodeEvalRequest(&buf2, req2); err != nil || !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-				t.Fatal("request encoding not canonical")
-			}
-		}
-		if resp, err := DecodeEvalResponse(data); err == nil {
-			var buf bytes.Buffer
-			if err := EncodeEvalResponse(&buf, resp); err != nil {
-				t.Fatalf("re-encode of decoded response failed: %v", err)
-			}
-			resp2, err := DecodeEvalResponse(buf.Bytes())
-			if err != nil || !bitsEqual(resp.Dist.Support, resp2.Dist.Support) || !bitsEqual(resp.Dist.Probs, resp2.Dist.Probs) {
-				t.Fatalf("response round trip not bit-identical: %v", err)
-			}
-		}
-		if br, err := DecodeBatchEvalRequest(data); err == nil {
-			var buf bytes.Buffer
-			if err := EncodeBatchEvalRequest(&buf, br); err != nil {
-				t.Fatalf("re-encode of decoded batch failed: %v", err)
-			}
-			if _, err := DecodeBatchEvalRequest(buf.Bytes()); err != nil {
-				t.Fatalf("batch re-decode failed: %v", err)
-			}
-		}
-		if bs, err := DecodeBatchEvalResponse(data); err == nil {
-			var buf bytes.Buffer
-			if err := EncodeBatchEvalResponse(&buf, bs); err != nil {
-				t.Fatalf("re-encode of decoded batch response failed: %v", err)
-			}
-		}
-		if cq, err := DecodeCacheLookupRequest(data); err == nil {
-			var buf bytes.Buffer
-			if err := EncodeCacheLookupRequest(&buf, cq); err != nil || !bytes.Equal(buf.Bytes(), data) {
-				t.Fatalf("cache request encoding not canonical: %v", err)
-			}
-		}
-		if cr, err := DecodeCacheLookupResponse(data); err == nil {
-			var buf bytes.Buffer
-			if err := EncodeCacheLookupResponse(&buf, cr); err != nil {
-				t.Fatalf("re-encode of decoded cache response failed: %v", err)
-			}
-			cr2, err := DecodeCacheLookupResponse(buf.Bytes())
-			if err != nil || len(cr2.Results) != len(cr.Results) {
-				t.Fatalf("cache response round trip changed the result count: %v", err)
-			}
-		}
-		if or, err := DecodeOptimizeRequest(data); err == nil {
-			var buf bytes.Buffer
-			if err := EncodeOptimizeRequest(&buf, or); err != nil {
-				t.Fatalf("re-encode of decoded optimize request failed: %v", err)
-			}
-			or2, err := DecodeOptimizeRequest(buf.Bytes())
-			if err != nil {
-				t.Fatalf("optimize request re-decode failed: %v", err)
-			}
-			var buf2 bytes.Buffer
-			if err := EncodeOptimizeRequest(&buf2, or2); err != nil || !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-				t.Fatal("optimize request encoding not canonical")
-			}
-		}
-		if os, err := DecodeOptimizeResponse(data); err == nil {
-			var buf bytes.Buffer
-			if err := EncodeOptimizeResponse(&buf, os); err != nil {
-				t.Fatalf("re-encode of decoded optimize response failed: %v", err)
-			}
-			if _, err := DecodeOptimizeResponse(buf.Bytes()); err != nil {
-				t.Fatalf("optimize response re-decode failed: %v", err)
-			}
-		}
-		if snap, err := DecodeCacheSnapshot(data); err == nil {
-			var buf bytes.Buffer
-			if err := EncodeCacheSnapshot(&buf, snap); err != nil {
-				t.Fatalf("re-encode of decoded snapshot failed: %v", err)
-			}
-			snap2, err := DecodeCacheSnapshot(buf.Bytes())
-			if err != nil {
-				t.Fatalf("snapshot re-decode failed: %v", err)
-			}
-			if len(snap2.Memo) != len(snap.Memo) || len(snap2.Layer) != len(snap.Layer) {
-				t.Fatal("snapshot round trip changed entry counts")
+		for _, check := range checks {
+			if err := check(data); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

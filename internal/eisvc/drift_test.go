@@ -94,7 +94,7 @@ func newDriftDaemon(t *testing.T, cfg drift.Config) (*driftRig, *Client, func())
 func TestHealthzReadyThenDraining(t *testing.T) {
 	srv, c, done := newTestDaemon(t, Config{})
 	defer done()
-	hz, err := c.Healthz()
+	hz, err := c.HealthzCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestHealthzReadyThenDraining(t *testing.T) {
 		t.Fatalf("fresh daemon healthz = %+v", hz)
 	}
 	srv.BeginDrain()
-	hz, err = c.Healthz()
+	hz, err = c.HealthzCtx(context.Background())
 	if err != nil {
 		t.Fatalf("healthz while draining must stay live: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestHealthzReadyThenDraining(t *testing.T) {
 func TestDriftEndpointDisabled(t *testing.T) {
 	_, c, done := newTestDaemon(t, Config{})
 	defer done()
-	_, err := c.Drift()
+	_, err := c.DriftCtx(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("drift on plain daemon: err = %v, want 404", err)
@@ -139,7 +139,7 @@ func TestDriftStepDetectsAndRecalibrates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dr, err := c.Drift()
+	dr, err := c.DriftCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDriftStepDetectsAndRecalibrates(t *testing.T) {
 	}
 
 	// Stats mirrors the drift surfaces.
-	stats, err := c.Stats()
+	stats, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDriftStepDetectsAndRecalibrates(t *testing.T) {
 	if stats.LayerInvalidations == 0 {
 		t.Fatal("recalibration did not note a layer invalidation")
 	}
-	hz, err := c.Healthz()
+	hz, err := c.HealthzCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDriftStepDetectsAndRecalibrates(t *testing.T) {
 
 func mustDrift(t *testing.T, c *Client) *DriftResponse {
 	t.Helper()
-	dr, err := c.Drift()
+	dr, err := c.DriftCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,12 @@ type Endpoint[Req, Resp any] struct {
 	Response   Codec[Resp]
 }
 
-// Codec is one wire type in both encodings: the binary pair from codec.go
-// (JSON needs none; the wire types carry tags), chosen between by a
-// Content-Type.
+// Codec is one wire type in both encodings: its binary frame kind and
+// layout from codec.go (JSON needs none; the wire types carry tags),
+// chosen between by a Content-Type.
 type Codec[T any] struct {
-	encode func(*bytes.Buffer, *T) error
-	decode func([]byte) (*T, error)
+	kind   byte
+	layout func(*coder, *T)
 	// strict rejects unknown JSON fields. Requests are strict (a caller's
 	// typo is not something to evaluate around); responses are not, so a
 	// client keeps working against a daemon that has grown a field.
@@ -36,27 +36,27 @@ type Codec[T any] struct {
 }
 
 // Endpoints lists the path of every table entry, so a gate that must hold
-// for all of them (the interop test) ranges over it.
+// for all of them (the interop test, the codec fuzzer) ranges over it.
 var Endpoints []string
 
-// entry builds a table entry. Evaluations, sweeps and memo probes are
+// entry builds a table entry from the frame kind and layout of its
+// request and of its response. Evaluations, sweeps and memo probes are
 // deterministic and touch nothing but caches, so every entry so far is
 // idempotent.
-func entry[Req, Resp any](path string, encodeReq func(*bytes.Buffer, *Req) error, decodeReq func([]byte) (*Req, error),
-	encodeResp func(*bytes.Buffer, *Resp) error, decodeResp func([]byte) (*Resp, error)) *Endpoint[Req, Resp] {
+func entry[Req, Resp any](path string, reqKind byte, req func(*coder, *Req), respKind byte, resp func(*coder, *Resp)) *Endpoint[Req, Resp] {
 	Endpoints = append(Endpoints, path)
-	return &Endpoint[Req, Resp]{path, true, Codec[Req]{encodeReq, decodeReq, true}, Codec[Resp]{encodeResp, decodeResp, false}}
+	return &Endpoint[Req, Resp]{path, true, Codec[Req]{reqKind, req, true}, Codec[Resp]{respKind, resp, false}}
 }
 
 var (
 	EvalEndpoint = entry("/v1/eval",
-		EncodeEvalRequest, DecodeEvalRequest, EncodeEvalResponse, DecodeEvalResponse)
+		kindEvalRequest, (*coder).evalRequest, kindEvalResponse, (*coder).evalResponse)
 	EvalBatchEndpoint = entry("/v1/evalbatch",
-		EncodeBatchEvalRequest, DecodeBatchEvalRequest, EncodeBatchEvalResponse, DecodeBatchEvalResponse)
+		kindBatchRequest, (*coder).batchRequest, kindBatchResponse, (*coder).batchResponse)
 	CacheLookupEndpoint = entry("/v1/cachelookup",
-		EncodeCacheLookupRequest, DecodeCacheLookupRequest, EncodeCacheLookupResponse, DecodeCacheLookupResponse)
+		kindCacheLookupRequest, (*coder).cacheLookupRequest, kindCacheLookupResponse, (*coder).cacheLookupResponse)
 	OptimizeEndpoint = entry("/v1/optimize",
-		EncodeOptimizeRequest, DecodeOptimizeRequest, EncodeOptimizeResponse, DecodeOptimizeResponse)
+		kindOptimizeRequest, (*coder).optimizeRequest, kindOptimizeResponse, (*coder).optimizeResponse)
 )
 
 const jsonContentType = "application/json"
@@ -67,28 +67,38 @@ const jsonContentType = "application/json"
 // hostile or broken caller ever meets it.
 const MaxBodyBytes = 16 << 20
 
-// Encode appends v to buf in the codec contentType names.
+// Encode appends v to buf in the codec contentType names: the binary
+// frame is the kind's header and then the layout run in encode mode.
 func (c *Codec[T]) Encode(buf *bytes.Buffer, contentType string, v *T) error {
-	if IsBinaryContentType(contentType) {
-		return c.encode(buf, v)
+	if !IsBinaryContentType(contentType) {
+		return json.NewEncoder(buf).Encode(v)
 	}
-	return json.NewEncoder(buf).Encode(v)
+	k := newCoder(encoding, buf, nil)
+	k.header(c.kind)
+	c.layout(k, v)
+	return k.release()
 }
 
 // Decode parses body in the codec contentType names. Both codecs yield
 // the same Go value shapes, so anything computed from a decoded request
 // (memo keys, the router's spread hashes) agrees across them, and nothing
-// in the result aliases body.
+// in the result aliases body. A binary body must be exactly one frame.
 func (c *Codec[T]) Decode(contentType string, body []byte) (*T, error) {
-	if IsBinaryContentType(contentType) {
-		return c.decode(body)
-	}
 	v := new(T)
-	decode := json.Unmarshal
-	if c.strict {
-		decode = decodeStrictJSON
+	var err error
+	switch {
+	case IsBinaryContentType(contentType):
+		k := newCoder(decoding, nil, body)
+		k.header(c.kind)
+		c.layout(k, v)
+		k.done()
+		err = k.release()
+	case c.strict:
+		err = decodeStrictJSON(body, v)
+	default:
+		err = json.Unmarshal(body, v)
 	}
-	if err := decode(body, v); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return v, nil
@@ -105,10 +115,10 @@ func (c *Codec[T]) Frame(scratch *bytes.Buffer, contentType string, body []byte)
 		return body, nil
 	}
 	v, err := c.Decode(contentType, body)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = c.Encode(scratch, BinaryContentType, v)
 	}
-	if err := c.encode(scratch, v); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return scratch.Bytes(), nil
@@ -196,7 +206,7 @@ func (e *Endpoint[Req, Resp]) WriteFrame(w http.ResponseWriter, r *http.Request,
 		writeBody(w, http.StatusOK, BinaryContentType, frame)
 		return
 	}
-	resp, err := e.Response.decode(frame.Bytes())
+	resp, err := e.Response.Decode(BinaryContentType, frame.Bytes())
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, "decode response: %v", err)
 		return

@@ -130,11 +130,11 @@ func TestSnapshotDuringRebindRace(t *testing.T) {
 func TestCacheLookupEndpoint(t *testing.T) {
 	srv, c, done := newTestDaemon(t, Config{NodeID: "node-7"})
 	defer done()
-	if _, err := c.Register(testEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), testEIL); err != nil {
 		t.Fatal(err)
 	}
 	opts := core.EvalOptions{Mode: core.ModeExpected}
-	want, _, err := c.Eval("ml_webservice", "handle", []core.Value{reqArg()}, opts)
+	want, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", []core.Value{reqArg()}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCacheLookupEndpoint(t *testing.T) {
 	}
 
 	// One probe, three keys: the answers come back in key order.
-	got, err := c.CacheLookup(key+"|cold", key, key+"|colder")
+	got, err := c.CacheLookupCtx(context.Background(), []string{key + "|cold", key, key + "|colder"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +158,10 @@ func TestCacheLookupEndpoint(t *testing.T) {
 
 	// A draining node keeps donating its cache.
 	srv.BeginDrain()
-	if got, err := c.CacheLookup(key); err != nil || !got[0].Found {
+	if got, err := c.CacheLookupCtx(context.Background(), []string{key}); err != nil || !got[0].Found {
 		t.Fatalf("draining node: %+v err=%v, want hit", got, err)
 	}
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +188,13 @@ func TestCacheLookupBounds(t *testing.T) {
 			"empty key":     {"a", "", "c"},
 			"empty list":    nil,
 		} {
-			_, err := c.CacheLookup(keys...)
+			_, err := c.CacheLookupCtx(context.Background(), keys)
 			var apiErr *APIError
 			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 				t.Errorf("binary=%v %s: err = %v, want 400", binary, name, err)
 			}
 		}
-		if got, err := c.CacheLookup("a", "b", "c", "d"); err != nil || len(got) != 4 {
+		if got, err := c.CacheLookupCtx(context.Background(), []string{"a", "b", "c", "d"}); err != nil || len(got) != 4 {
 			t.Errorf("binary=%v: MaxBatch keys: %d answers, err=%v", binary, len(got), err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestCacheLookupBounds(t *testing.T) {
 	for _, binary := range []bool{false, true} {
 		sc := NewClient(short.URL)
 		sc.Binary = binary
-		if got, err := sc.CacheLookup("a", "b"); err == nil {
+		if got, err := sc.CacheLookupCtx(context.Background(), []string{"a", "b"}); err == nil {
 			t.Errorf("binary=%v: 1 result for 2 keys accepted: %+v", binary, got)
 		}
 	}
@@ -220,7 +220,7 @@ func TestPeerLookupServesFleet(t *testing.T) {
 	srvB, cB, doneB := newTestDaemon(t, Config{NodeID: "node-b"})
 	defer doneB()
 
-	if _, err := cA.Register(testEIL); err != nil {
+	if _, err := cA.RegisterCtx(context.Background(), testEIL); err != nil {
 		t.Fatal(err)
 	}
 	// Replicate the registry so versions (and memo keys) align.
@@ -237,12 +237,12 @@ func TestPeerLookupServesFleet(t *testing.T) {
 
 	opts := core.EvalOptions{Mode: core.ModeMonteCarlo, Samples: 256, Seed: 11}
 	args := []core.Value{reqArg()}
-	want, _, err := cA.Eval("ml_webservice", "handle", args, opts)
+	want, _, err := cA.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	got, resp, err := cB.Eval("ml_webservice", "handle", args, opts)
+	got, resp, err := cB.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestPeerLookupServesFleet(t *testing.T) {
 		t.Errorf("response node = %q, want node-b", resp.Node)
 	}
 
-	st, err := cB.Stats()
+	st, err := cB.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestPeerLookupServesFleet(t *testing.T) {
 	}
 
 	// Second ask: now in B's own memo; the peer is not consulted again.
-	if _, resp, err = cB.Eval("ml_webservice", "handle", args, opts); err != nil {
+	if _, resp, err = cB.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts); err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Cached || resp.Peer {

@@ -2,6 +2,7 @@ package eisvc_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -126,7 +127,7 @@ var interopCases = map[string]func(t *testing.T, f front, version uint64) []byte
 			frames = append(frames, exercise(t, f, eisvc.EvalEndpoint, &req,
 				func(r *eisvc.EvalResponse) { r.Cached, r.Coalesced, r.Peer, r.Node = false, false, false, "" },
 				func(c *eisvc.Client) (*eisvc.EvalResponse, error) {
-					_, resp, err := c.Eval("ml_webservice", "handle", interopArgs, opts)
+					_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", interopArgs, opts)
 					return resp, err
 				})...)
 		}
@@ -151,7 +152,7 @@ var interopCases = map[string]func(t *testing.T, f front, version uint64) []byte
 				}
 			},
 			func(c *eisvc.Client) (*eisvc.BatchEvalResponse, error) {
-				items, err := c.EvalBatch(req.Requests)
+				items, err := c.EvalBatchCtx(context.Background(), req.Requests)
 				return &eisvc.BatchEvalResponse{Results: items}, err
 			})
 	},
@@ -166,7 +167,7 @@ var interopCases = map[string]func(t *testing.T, f front, version uint64) []byte
 				r.Node = ""
 			},
 			func(c *eisvc.Client) (*eisvc.CacheLookupResponse, error) {
-				answers, err := c.CacheLookup(keys...)
+				answers, err := c.CacheLookupCtx(context.Background(), keys)
 				resp := &eisvc.CacheLookupResponse{Results: make([]eisvc.CacheLookupResult, len(answers))}
 				for i, a := range answers {
 					if a.Found {
@@ -186,7 +187,9 @@ var interopCases = map[string]func(t *testing.T, f front, version uint64) []byte
 				}
 				r.MemoServed, r.Node = 0, ""
 			},
-			func(c *eisvc.Client) (*eisvc.OptimizeResponse, error) { return c.Optimize(req) })
+			func(c *eisvc.Client) (*eisvc.OptimizeResponse, error) {
+				return c.OptimizeCtx(context.Background(), req)
+			})
 	},
 }
 
@@ -207,11 +210,11 @@ var (
 func register(t *testing.T, f front) uint64 {
 	t.Helper()
 	c := f.client("interop-setup", false)
-	infos, err := c.Register(eisvc.TestEIL)
+	infos, err := c.RegisterCtx(context.Background(), eisvc.TestEIL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register(eisvc.OptTestEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), eisvc.OptTestEIL); err != nil {
 		t.Fatal(err)
 	}
 	for _, info := range infos {
@@ -254,7 +257,7 @@ func TestWireSmokeInterop(t *testing.T) {
 	// A memo probe through the router lands on whichever node is first in
 	// line; warm the probed key on all of them so it is a hit anywhere.
 	for _, n := range fl.Nodes() {
-		if _, _, err := eisvc.NewClient(n.URL).Eval("ml_webservice", "handle", interopArgs, core.Expected()); err != nil {
+		if _, _, err := eisvc.NewClient(n.URL).EvalCtx(context.Background(), "ml_webservice", "handle", interopArgs, core.Expected()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package eisvc
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -269,15 +270,15 @@ func TestLedgerClientCap(t *testing.T) {
 	args := []core.Value{reqArg()}
 	for i := 0; i < ids; i++ {
 		c.ID = fmt.Sprintf("tenant-%04d", i)
-		if _, _, err := c.Eval("ml_webservice", "handle", args, core.Expected()); err != nil {
+		if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, core.Expected()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.ID = "tenant-0000" // a known id keeps its own row after the cap
-	if _, _, err := c.Eval("ml_webservice", "handle", args, core.Expected()); err != nil {
+	if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, core.Expected()); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestSnapshotWrittenByParent(t *testing.T) {
 	ref := localIface(t)
 	ask := func(args []core.Value, opts core.EvalOptions) {
 		t.Helper()
-		d, resp, err := c.Eval("ml_webservice", "handle", args, opts)
+		d, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 		if err != nil || !resp.Cached {
 			t.Fatalf("%v %v: cached %v, err %v", opts.Mode, args, resp != nil && resp.Cached, err)
 		}

@@ -176,20 +176,15 @@ func wirePoint(p *autoopt.Point) *OptimizePoint {
 
 // --- client side ---
 
-// Optimize asks the daemon (or a fleet router) for the cheapest
+// OptimizeCtx asks the daemon (or a fleet router) for the cheapest
 // operating point of a registered interface under a p99 latency SLO.
-func (c *Client) Optimize(req OptimizeRequest) (*OptimizeResponse, error) {
-	return c.OptimizeCtx(context.Background(), req)
-}
-
-// OptimizeCtx is Optimize bounded by ctx: cancelling it abandons the
-// request and the daemon cancels the in-flight sweep evaluations. A
-// sweep is deterministic and touches no state beyond the caches, so
-// like Eval it is idempotent — it retries (and hedges) per the client's
-// policy, and a sweep replayed after a mid-sweep node failure lands on
-// a peer with a bit-identical frontier. DeadlineMs has EvalBatch
-// stamping semantics (0 takes the client's Deadline, NoDeadline sends
-// none).
+// Cancelling ctx abandons the request and the daemon cancels the
+// in-flight sweep evaluations. A sweep is deterministic and touches no
+// state beyond the caches, so like an eval it is idempotent — it retries
+// (and hedges) per the client's policy, and a sweep replayed after a
+// mid-sweep node failure lands on a peer with a bit-identical frontier.
+// DeadlineMs has EvalBatchCtx stamping semantics (0 takes the client's
+// Deadline, NoDeadline sends none).
 func (c *Client) OptimizeCtx(ctx context.Context, req OptimizeRequest) (*OptimizeResponse, error) {
 	switch {
 	case req.DeadlineMs < 0:

@@ -44,11 +44,11 @@ func optRequest() OptimizeRequest {
 func TestOptimizeServedSweep(t *testing.T) {
 	_, c, done := newTestDaemon(t, Config{})
 	defer done()
-	if _, err := c.Register(optEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), optEIL); err != nil {
 		t.Fatal(err)
 	}
 
-	first, err := c.Optimize(optRequest())
+	first, err := c.OptimizeCtx(context.Background(), optRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestOptimizeServedSweep(t *testing.T) {
 	}
 
 	// Repeat sweep: every evaluation is already memoized.
-	again, err := c.Optimize(optRequest())
+	again, err := c.OptimizeCtx(context.Background(), optRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestOptimizeServedSweep(t *testing.T) {
 
 	// Binary codec answers the same sweep bit-identically.
 	c.Binary = true
-	bin, err := c.Optimize(optRequest())
+	bin, err := c.OptimizeCtx(context.Background(), optRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestOptimizeServedSweep(t *testing.T) {
 	}
 	c.Binary = false
 
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +119,12 @@ func TestOptimizeDigestStableAcrossParallelism(t *testing.T) {
 	var want uint64
 	for _, par := range []int{1, 2, 8} {
 		srv, c, done := newTestDaemon(t, Config{Workers: 4})
-		if _, err := c.Register(optEIL); err != nil {
+		if _, err := c.RegisterCtx(context.Background(), optEIL); err != nil {
 			t.Fatal(err)
 		}
 		req := optRequest()
 		req.Parallelism = par
-		res, err := c.Optimize(req)
+		res, err := c.OptimizeCtx(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,12 +141,12 @@ func TestOptimizeDigestStableAcrossParallelism(t *testing.T) {
 func TestOptimizeValidation(t *testing.T) {
 	_, c, done := newTestDaemon(t, Config{})
 	defer done()
-	if _, err := c.Register(optEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), optEIL); err != nil {
 		t.Fatal(err)
 	}
 	wantStatus := func(label string, req OptimizeRequest, status int) {
 		t.Helper()
-		_, err := c.Optimize(req)
+		_, err := c.OptimizeCtx(context.Background(), req)
 		var apiErr *APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != status {
 			t.Fatalf("%s: err = %v, want API status %d", label, err, status)
@@ -179,10 +179,10 @@ func TestOptimizeValidation(t *testing.T) {
 func TestOptimizeBatchEvaluatorMatchesServed(t *testing.T) {
 	_, c, done := newTestDaemon(t, Config{})
 	defer done()
-	if _, err := c.Register(optEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), optEIL); err != nil {
 		t.Fatal(err)
 	}
-	served, err := c.Optimize(optRequest())
+	served, err := c.OptimizeCtx(context.Background(), optRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestOptimizeRetriesShed(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL)
 	c.Retry = (&RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}).Seed(42)
-	res, err := c.Optimize(optRequest())
+	res, err := c.OptimizeCtx(context.Background(), optRequest())
 	if err != nil {
 		t.Fatalf("Optimize after sheds: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestOptimizeRetriesShed(t *testing.T) {
 func TestOptimizeHonorsContext(t *testing.T) {
 	_, c, done := newTestDaemon(t, Config{})
 	defer done()
-	if _, err := c.Register(optEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), optEIL); err != nil {
 		t.Fatal(err)
 	}
 	c.Retry = (&RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 20 * time.Millisecond}).Seed(1)

@@ -64,7 +64,7 @@ func TestClientRetriesShed(t *testing.T) {
 
 	c := NewClient(ts.URL)
 	c.Retry = (&RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}).Seed(42)
-	if err := c.Health(); err != nil {
+	if err := c.HealthCtx(context.Background()); err != nil {
 		t.Fatalf("Health after retries: %v", err)
 	}
 	mu.Lock()
@@ -92,7 +92,7 @@ func TestClientRetryExhaustion(t *testing.T) {
 
 	c := NewClient(ts.URL)
 	c.Retry = (&RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}).Seed(7)
-	err := c.Health()
+	err := c.HealthCtx(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want 429 APIError", err)
@@ -117,10 +117,10 @@ func TestClientNeverRetriesMutations(t *testing.T) {
 
 	c := NewClient(ts.URL)
 	c.Retry = (&RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}).Seed(3)
-	if _, err := c.Register("interface x {}"); err == nil {
+	if _, err := c.RegisterCtx(context.Background(), "interface x {}"); err == nil {
 		t.Fatal("Register against a shedding server succeeded")
 	}
-	if _, err := c.Rebind("a", "b", "c"); err == nil {
+	if _, err := c.RebindCtx(context.Background(), "a", "b", "c"); err == nil {
 		t.Fatal("Rebind against a shedding server succeeded")
 	}
 	if got := n.Load(); got != 2 {
@@ -139,7 +139,7 @@ func TestClientPerAttemptTimeout(t *testing.T) {
 	c := NewClient(ts.URL)
 	c.Timeout = 50 * time.Millisecond
 	start := time.Now()
-	err := c.Health()
+	err := c.HealthCtx(context.Background())
 	if err == nil {
 		t.Fatal("Health against a hung server succeeded")
 	}
@@ -162,7 +162,7 @@ func TestClientHedging(t *testing.T) {
 
 	c := NewClient(ts.URL)
 	c.Hedge = 10 * time.Millisecond
-	if err := c.Health(); err != nil {
+	if err := c.HealthCtx(context.Background()); err != nil {
 		t.Fatalf("hedged Health: %v", err)
 	}
 	cs := c.Counters()
@@ -210,7 +210,7 @@ func TestServerDrain(t *testing.T) {
 	<-started // the evaluation is inside a method body
 
 	// Before the drain, the readiness probe reports ready.
-	hz, err := c.Healthz()
+	hz, err := c.HealthzCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestServerDrain(t *testing.T) {
 	// The drain state is observed through the typed readiness probe, not
 	// by sacrificing an eval request: /v1/healthz stays live while the
 	// daemon sheds.
-	hz, err = c.Healthz()
+	hz, err = c.HealthzCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Healthz while draining: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestServerDrain(t *testing.T) {
 	}
 
 	// Stats stays live during the drain and reports it.
-	stats, err := c.Stats()
+	stats, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Stats while draining: %v", err)
 	}

@@ -1,6 +1,7 @@
 package eisvc
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -87,7 +88,7 @@ func sameDist(t *testing.T, label string, got, want energy.Dist) {
 func TestEvalBitIdenticalAllModes(t *testing.T) {
 	_, c, done := newTestDaemon(t, Config{})
 	defer done()
-	if _, err := c.Register(testEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), testEIL); err != nil {
 		t.Fatal(err)
 	}
 	local := localIface(t)
@@ -129,7 +130,7 @@ func TestEvalBitIdenticalAllModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: local eval: %v", tc.name, err)
 		}
-		got, resp, err := c.Eval("ml_webservice", "handle", args, tc.opts)
+		got, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: daemon eval: %v", tc.name, err)
 		}
@@ -141,7 +142,7 @@ func TestEvalBitIdenticalAllModes(t *testing.T) {
 		// at a different parallelism must hit the memo (same canonical key).
 		repeat := tc.opts
 		repeat.Parallelism = 3
-		got2, resp2, err := c.Eval("ml_webservice", "handle", args, repeat)
+		got2, resp2, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, repeat)
 		if err != nil {
 			t.Fatalf("%s: repeat eval: %v", tc.name, err)
 		}
@@ -157,20 +158,20 @@ func TestEvalBitIdenticalAllModes(t *testing.T) {
 func TestMemoInvalidation(t *testing.T) {
 	_, c, done := newTestDaemon(t, Config{})
 	defer done()
-	if _, err := c.Register(testEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), testEIL); err != nil {
 		t.Fatal(err)
 	}
 	args := []core.Value{reqArg()}
 	opts := core.Expected()
 
-	d1, r1, err := c.Eval("ml_webservice", "handle", args, opts)
+	d1, r1, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Cached {
 		t.Error("first eval cached")
 	}
-	_, r2, err := c.Eval("ml_webservice", "handle", args, opts)
+	_, r2, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +180,10 @@ func TestMemoInvalidation(t *testing.T) {
 	}
 
 	// Re-register: same source, new version — cache must not carry over.
-	if _, err := c.Register(testEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), testEIL); err != nil {
 		t.Fatal(err)
 	}
-	_, r3, err := c.Eval("ml_webservice", "handle", args, opts)
+	_, r3, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +195,13 @@ func TestMemoInvalidation(t *testing.T) {
 	}
 
 	// Rebind the accelerator to a pricier one: new version AND new values.
-	if _, err := c.Register(altHW); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), altHW); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Rebind("ml_webservice", "accel", "accel_hw_v2"); err != nil {
+	if _, err := c.RebindCtx(context.Background(), "ml_webservice", "accel", "accel_hw_v2"); err != nil {
 		t.Fatal(err)
 	}
-	d4, r4, err := c.Eval("ml_webservice", "handle", args, opts)
+	d4, r4, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestMemoInvalidation(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	_, c, done := newTestDaemon(t, Config{})
 	defer done()
-	if _, err := c.Register(testEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), testEIL); err != nil {
 		t.Fatal(err)
 	}
 	local := localIface(t)
@@ -258,7 +259,7 @@ func TestConcurrentClients(t *testing.T) {
 			cl.ID = fmt.Sprintf("client-%d", g)
 			for i := 0; i < evalsPer; i++ {
 				seed := (g + i) % len(refs)
-				d, _, err := cl.Eval("ml_webservice", "handle", args, core.MonteCarlo(512, int64(seed)))
+				d, _, err := cl.EvalCtx(context.Background(), "ml_webservice", "handle", args, core.MonteCarlo(512, int64(seed)))
 				if err != nil {
 					errs <- err
 					return
@@ -284,7 +285,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestOverloadSheds(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// Distinct args defeat the memo, so every request needs a slot.
-			_, _, err := c.Eval("slow", "crunch", []core.Value{core.Num(float64(i))}, core.Expected())
+			_, _, err := c.EvalCtx(context.Background(), "slow", "crunch", []core.Value{core.Num(float64(i))}, core.Expected())
 			status := http.StatusOK
 			if err != nil {
 				apiErr, ok := err.(*APIError)
@@ -362,7 +363,7 @@ func TestOverloadSheds(t *testing.T) {
 	if shed == 0 {
 		t.Errorf("no request was shed: %v", statuses)
 	}
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,10 +379,10 @@ func TestOverloadSheds(t *testing.T) {
 func TestRegistryEndpoints(t *testing.T) {
 	srv, c, done := newTestDaemon(t, Config{})
 	defer done()
-	if _, err := c.Register(testEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), testEIL); err != nil {
 		t.Fatal(err)
 	}
-	infos, err := c.Interfaces()
+	infos, err := c.InterfacesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +400,7 @@ func TestRegistryEndpoints(t *testing.T) {
 	if len(svc.Bindings) != 1 || svc.Bindings[0] != "accel" {
 		t.Errorf("bindings = %v", svc.Bindings)
 	}
-	src, err := c.Source("ml_webservice")
+	src, err := c.SourceCtx(context.Background(), "ml_webservice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,20 +415,20 @@ func TestRegistryEndpoints(t *testing.T) {
 	if _, err := srv.Registry().RegisterInterface("hw_native", native); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Source("hw_native"); err == nil {
+	if _, err := c.SourceCtx(context.Background(), "hw_native"); err == nil {
 		t.Error("native source fetch should 404")
 	}
 
 	// Unknown interface and bad mode are client errors, not 500s.
-	if _, _, err := c.Eval("nope", "handle", nil, core.Expected()); err == nil {
+	if _, _, err := c.EvalCtx(context.Background(), "nope", "handle", nil, core.Expected()); err == nil {
 		t.Error("eval of unknown interface succeeded")
 	} else if apiErr, ok := err.(*APIError); !ok || apiErr.Status != http.StatusNotFound {
 		t.Errorf("unknown interface: %v", err)
 	}
-	if _, err := c.Register("interface broken {"); err == nil {
+	if _, err := c.RegisterCtx(context.Background(), "interface broken {"); err == nil {
 		t.Error("malformed source accepted")
 	}
-	if err := c.Health(); err != nil {
+	if err := c.HealthCtx(context.Background()); err != nil {
 		t.Errorf("health: %v", err)
 	}
 }
@@ -436,17 +437,17 @@ func TestRegistryEndpoints(t *testing.T) {
 func TestServerCaps(t *testing.T) {
 	_, c, done := newTestDaemon(t, Config{MaxSamples: 1000, MaxEnumLimit: 1000})
 	defer done()
-	if _, err := c.Register(testEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), testEIL); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := c.Eval("ml_webservice", "handle", []core.Value{reqArg()}, core.MonteCarlo(5000, 1))
+	_, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", []core.Value{reqArg()}, core.MonteCarlo(5000, 1))
 	apiErr, ok := err.(*APIError)
 	if !ok || apiErr.Status != http.StatusBadRequest {
 		t.Errorf("oversized samples: %v", err)
 	}
 	opts := core.Expected()
 	opts.EnumLimit = 4096
-	_, _, err = c.Eval("ml_webservice", "handle", []core.Value{reqArg()}, opts)
+	_, _, err = c.EvalCtx(context.Background(), "ml_webservice", "handle", []core.Value{reqArg()}, opts)
 	apiErr, ok = err.(*APIError)
 	if !ok || apiErr.Status != http.StatusBadRequest {
 		t.Errorf("oversized enum limit: %v", err)

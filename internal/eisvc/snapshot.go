@@ -1,9 +1,7 @@
 package eisvc
 
 import (
-	"bytes"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"time"
@@ -40,67 +38,11 @@ type CacheSnapshot struct {
 	Layer  []LayerEntry
 }
 
-// EncodeCacheSnapshot appends the binary frame for snap to buf,
-// including the trailing checksum.
-func EncodeCacheSnapshot(buf *bytes.Buffer, snap *CacheSnapshot) error {
-	start := buf.Len()
-	e := &benc{buf: buf}
-	e.header(kindSnapshot)
-	e.str(snap.NodeID)
-	e.u32(uint32(len(snap.Memo)))
-	for i := range snap.Memo {
-		m := &snap.Memo[i]
-		e.str(m.Key)
-		e.floats(m.Support)
-		e.floats(m.Probs)
-	}
-	e.u32(uint32(len(snap.Layer)))
-	for i := range snap.Layer {
-		e.str(snap.Layer[i].Key)
-		e.f64(snap.Layer[i].Joules)
-	}
-	e.u32(crc32.ChecksumIEEE(buf.Bytes()[start:]))
-	return nil
-}
-
-// DecodeCacheSnapshot parses and verifies a binary snapshot frame. Any
+// snapshotCodec is the snapshot file's frame, laid out by coder.snapshot,
+// trailing checksum included. Decoding it verifies the file: any
 // corruption — bad magic, wrong version, truncation, checksum mismatch —
-// is an error; a partial snapshot is never returned.
-func DecodeCacheSnapshot(data []byte) (*CacheSnapshot, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("eisvc: snapshot: truncated header")
-	}
-	sum := crc32.ChecksumIEEE(data[:len(data)-4])
-	d := &bdec{data: data}
-	d.header(kindSnapshot)
-	var snap CacheSnapshot
-	snap.NodeID = d.str()
-	// A memo entry costs at least 12 bytes (three length prefixes), a
-	// layer entry at least 12 (length prefix + float64).
-	if n := d.count(12); d.err == nil && n > 0 {
-		snap.Memo = make([]MemoEntry, n)
-		for i := range snap.Memo {
-			snap.Memo[i].Key = d.str()
-			snap.Memo[i].Support = d.floats()
-			snap.Memo[i].Probs = d.floats()
-		}
-	}
-	if n := d.count(12); d.err == nil && n > 0 {
-		snap.Layer = make([]LayerEntry, n)
-		for i := range snap.Layer {
-			snap.Layer[i].Key = d.str()
-			snap.Layer[i].Joules = d.f64()
-		}
-	}
-	stored := d.u32()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	if stored != sum {
-		return nil, fmt.Errorf("eisvc: snapshot: checksum mismatch (stored %08x, computed %08x)", stored, sum)
-	}
-	return &snap, nil
-}
+// is an error, and a partial snapshot is never returned.
+var snapshotCodec = Codec[CacheSnapshot]{kind: kindSnapshot, layout: (*coder).snapshot}
 
 // CacheSnapshot captures the server's current memo and layer caches.
 func (s *Server) CacheSnapshot() *CacheSnapshot {
@@ -128,7 +70,7 @@ func (s *Server) RestoreCacheSnapshot(snap *CacheSnapshot) (memoN, layerN int) {
 func (s *Server) SaveCacheSnapshot(path string) error {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
-	if err := EncodeCacheSnapshot(buf, s.CacheSnapshot()); err != nil {
+	if err := snapshotCodec.Encode(buf, BinaryContentType, s.CacheSnapshot()); err != nil {
 		return fmt.Errorf("eisvc: snapshot: encode: %w", err)
 	}
 	dir := filepath.Dir(path)
@@ -160,7 +102,7 @@ func (s *Server) LoadCacheSnapshot(path string) (memoN, layerN int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	snap, err := DecodeCacheSnapshot(data)
+	snap, err := snapshotCodec.Decode(BinaryContentType, data)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s: %w", path, err)
 	}

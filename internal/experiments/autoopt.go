@@ -99,11 +99,11 @@ func E19Autoopt(short bool) (*E19Result, error) {
 	// slow or loaded machine it can outlive the default per-attempt
 	// timeout, so let the sweep run to completion.
 	client.Timeout = -1
-	if _, err := client.Register(nn.MoEEIL); err != nil {
+	if _, err := client.RegisterCtx(context.Background(), nn.MoEEIL); err != nil {
 		return nil, err
 	}
 
-	cold, err := client.Optimize(e19Request(1))
+	cold, err := client.OptimizeCtx(context.Background(), e19Request(1))
 	if err != nil {
 		return nil, fmt.Errorf("cold sweep: %w", err)
 	}
@@ -123,7 +123,7 @@ func E19Autoopt(short bool) (*E19Result, error) {
 	}
 
 	// Repeat at a different parallelism: bit-identical and memo-served.
-	warm, err := client.Optimize(e19Request(8))
+	warm, err := client.OptimizeCtx(context.Background(), e19Request(8))
 	if err != nil {
 		return nil, fmt.Errorf("warm sweep: %w", err)
 	}
@@ -153,7 +153,7 @@ func E19Autoopt(short bool) (*E19Result, error) {
 	for i, v := range res.MaxPerf.Knobs {
 		args[i] = core.Num(v)
 	}
-	d, _, err := client.Eval(wire.Interface, wire.EnergyMethod, args,
+	d, _, err := client.EvalCtx(context.Background(), wire.Interface, wire.EnergyMethod, args,
 		core.EvalOptions{Mode: core.ModeExpected, EnumLimit: wire.EnumLimit})
 	if err != nil {
 		return nil, err

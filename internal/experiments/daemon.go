@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -124,7 +125,7 @@ func E11DaemonServing() (*E11Result, error) {
 			for i := 0; i < e11PerClient; i++ {
 				args := e11Request(int(zipf.Uint64()))
 				start := time.Now()
-				_, resp, err := c.Eval("ml_webservice", "handle", args,
+				_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args,
 					core.MonteCarlo(e11Samples, e11Seed))
 				ms := float64(time.Since(start)) / float64(time.Millisecond)
 				mu.Lock()
@@ -152,7 +153,7 @@ func E11DaemonServing() (*E11Result, error) {
 		shutdown()
 		return nil, firstErr
 	}
-	st, err := eisvc.NewClient(base).Stats()
+	st, err := eisvc.NewClient(base).StatsCtx(context.Background())
 	shutdown()
 	if err != nil {
 		return nil, err
@@ -196,7 +197,7 @@ func E11DaemonServing() (*E11Result, error) {
 			c.Deadline = e11BurstWait
 			<-start
 			// Classes beyond the phase-1 set, all distinct: guaranteed cold.
-			_, _, err := c.Eval("ml_webservice", "handle",
+			_, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle",
 				e11Request(e11Distinct+i), core.MonteCarlo(2*e11Samples, e11Seed))
 			mu.Lock()
 			defer mu.Unlock()
@@ -217,7 +218,7 @@ func E11DaemonServing() (*E11Result, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	st, err = eisvc.NewClient(base).Stats()
+	st, err = eisvc.NewClient(base).StatsCtx(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -178,7 +178,7 @@ func e16RunTrace(base string, classes, total, clients int, reference, record []*
 				if i >= sweep {
 					k = int(zipf.Uint64())
 				}
-				d, _, err := c.Eval(e16StackFor(k), "infer",
+				d, _, err := c.EvalCtx(context.Background(), e16StackFor(k), "infer",
 					[]core.Value{core.Num(float64(k))}, core.Expected())
 				mu.Lock()
 				if err != nil {
@@ -211,7 +211,7 @@ func e16RunTrace(base string, classes, total, clients int, reference, record []*
 // nodes, and the rebalance phase wants the drained donor counted too).
 func e16NodeStats(f *fleet.Fleet) (evals, peerHits uint64) {
 	for _, n := range f.Nodes() {
-		st, err := eisvc.NewClient(n.URL).Stats()
+		st, err := eisvc.NewClient(n.URL).StatsCtx(context.Background())
 		if err != nil {
 			continue
 		}
@@ -357,7 +357,7 @@ func (r *E16Result) batchAndRebalance(classes, batches, senders int) error {
 						Mode:      core.ModeExpected.String(),
 					}
 				}
-				items, err := c.EvalBatch(reqs)
+				items, err := c.EvalBatchCtx(context.Background(), reqs)
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
@@ -407,7 +407,7 @@ func (r *E16Result) batchAndRebalance(classes, batches, senders int) error {
 	c.ID = "rebalance"
 	ref := make([]energy.Dist, classes)
 	for k := 0; k < classes; k++ {
-		d, _, err := c.Eval(e16StackFor(k), "infer",
+		d, _, err := c.EvalCtx(context.Background(), e16StackFor(k), "infer",
 			[]core.Value{core.Num(float64(k))}, core.Expected())
 		if err != nil {
 			return fmt.Errorf("rebalance warm class %d: %w", k, err)
@@ -426,7 +426,7 @@ func (r *E16Result) batchAndRebalance(classes, batches, senders int) error {
 
 	evalsBefore, peerBefore := e16NodeStats(fl)
 	for k := 0; k < classes; k++ {
-		d, _, err := c.Eval(e16StackFor(k), "infer",
+		d, _, err := c.EvalCtx(context.Background(), e16StackFor(k), "infer",
 			[]core.Value{core.Num(float64(k))}, core.Expected())
 		if err != nil {
 			return fmt.Errorf("rebalance re-ask class %d: %w", k, err)
@@ -466,7 +466,7 @@ func (r *E16Result) faultPhase(clients, perClient, distinct int) error {
 	refClient := eisvc.NewClient(refBase)
 	reference := make([]energy.Dist, distinct)
 	for k := 0; k < distinct; k++ {
-		d, _, err := refClient.Eval("ml_webservice", "handle", e11Request(k),
+		d, _, err := refClient.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
 			core.MonteCarlo(e13Samples, e13Seed))
 		if err != nil {
 			refShutdown()
@@ -539,7 +539,7 @@ func (r *E16Result) faultPhase(clients, perClient, distinct int) error {
 					})
 				}
 				k := int(zipf.Uint64())
-				d, _, err := c.Eval("ml_webservice", "handle", e11Request(k),
+				d, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
 					core.MonteCarlo(e13Samples, e13Seed))
 				mu.Lock()
 				r.FaultOffered++

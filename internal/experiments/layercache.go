@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -155,7 +156,7 @@ func e12Trace(cfg eisvc.Config) (wallMs float64, coldMs []float64, byClass map[i
 		k := int(zipf.Uint64())
 		svc, args := e12Class(k)
 		t0 := time.Now()
-		d, resp, err := c.Eval(svc, "chat", args, core.Expected())
+		d, resp, err := c.EvalCtx(context.Background(), svc, "chat", args, core.Expected())
 		if err != nil {
 			return 0, nil, nil, nil, err
 		}
@@ -167,7 +168,7 @@ func e12Trace(cfg eisvc.Config) (wallMs float64, coldMs []float64, byClass map[i
 		}
 	}
 	wallMs = float64(time.Since(start)) / float64(time.Millisecond)
-	st, err = c.Stats()
+	st, err = c.StatsCtx(context.Background())
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}
@@ -246,7 +247,7 @@ func E12LayerCache() (*E12Result, error) {
 			reqs = append(reqs, c.EvalRequestFor(svc, "chat", args, core.Expected()))
 		}
 	}
-	items, err := c.EvalBatch(reqs)
+	items, err := c.EvalBatchCtx(context.Background(), reqs)
 	if err != nil {
 		return nil, err
 	}

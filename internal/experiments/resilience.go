@@ -149,7 +149,7 @@ func e13Daemon(cfg eisvc.Config) (srv *eisvc.Server, base string, shutdown func(
 	if err != nil {
 		return nil, "", nil, err
 	}
-	if _, err := eisvc.NewClient(base).Register(mlservice.Fig1EIL); err != nil {
+	if _, err := eisvc.NewClient(base).RegisterCtx(context.Background(), mlservice.Fig1EIL); err != nil {
 		shutdown()
 		return nil, "", nil, err
 	}
@@ -186,7 +186,7 @@ func E13Resilience(short bool) (*E13Result, error) {
 	refClient := eisvc.NewClient(refBase)
 	reference := make([]*eisvc.EvalResponse, distinct)
 	for k := 0; k < distinct; k++ {
-		_, resp, err := refClient.Eval("ml_webservice", "handle", e11Request(k),
+		_, resp, err := refClient.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
 			core.MonteCarlo(e13Samples, e13Seed))
 		if err != nil {
 			refShutdown()
@@ -228,7 +228,7 @@ func E13Resilience(short bool) (*E13Result, error) {
 				e13ZipfS, 1, uint64(distinct-1))
 			for i := 0; i < perClient; i++ {
 				k := int(zipf.Uint64())
-				d, _, err := c.Eval("ml_webservice", "handle", e11Request(k),
+				d, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
 					core.MonteCarlo(e13Samples, e13Seed))
 				mu.Lock()
 				res.Offered++
@@ -278,7 +278,7 @@ func E13Resilience(short bool) (*E13Result, error) {
 	if res.Offered > 0 {
 		res.SuccessRate = float64(res.Succeeded) / float64(res.Offered)
 	}
-	st, err := eisvc.NewClient(base).Stats()
+	st, err := eisvc.NewClient(base).StatsCtx(context.Background())
 	if err != nil {
 		shutdown()
 		return nil, err
@@ -326,7 +326,7 @@ func (r *E13Result) cancelProbe(heavy int) error {
 	heavyOpts.Parallelism = 1
 
 	start := time.Now()
-	if _, _, err := c.Eval("ml_webservice", "handle", e11Request(0), heavyOpts); err != nil {
+	if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(0), heavyOpts); err != nil {
 		return fmt.Errorf("heavy baseline: %w", err)
 	}
 	r.HeavyMs = float64(time.Since(start)) / float64(time.Millisecond)
@@ -351,7 +351,7 @@ func (r *E13Result) cancelProbe(heavy int) error {
 	follow := eisvc.NewClient(base)
 	follow.ID = "probe-follow"
 	follow.Timeout = -1
-	if _, _, err := follow.Eval("ml_webservice", "handle", e11Request(2),
+	if _, _, err := follow.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(2),
 		core.MonteCarlo(e13Samples, e13Seed)); err != nil {
 		return fmt.Errorf("follow-up after cancel: %w", err)
 	}
@@ -444,7 +444,7 @@ func (r *E13Result) cancelCountProbe() error {
 		return err
 	}
 	r.CancelledBodies = bodies.Load()
-	if _, _, err := c.Eval(iface.Name(), "work", nil, opts); err != nil {
+	if _, _, err := c.EvalCtx(context.Background(), iface.Name(), "work", nil, opts); err != nil {
 		return fmt.Errorf("cancel count probe: uncancelled run: %w", err)
 	}
 	r.HeavyBodies = bodies.Load() - r.CancelledBodies
@@ -466,7 +466,7 @@ func (r *E13Result) drainProbe(heavy int) error {
 		c := eisvc.NewClient(base)
 		c.ID = "drain-inflight"
 		c.Timeout = -1 // must complete however slow the machine; the probe waits
-		_, _, err := c.Eval("ml_webservice", "handle", e11Request(0), heavyOpts)
+		_, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(0), heavyOpts)
 		inflight <- err
 	}()
 	for srv.InFlight() == 0 { // the evaluation is admitted
@@ -475,7 +475,7 @@ func (r *E13Result) drainProbe(heavy int) error {
 	srv.BeginDrain()
 
 	// New work sheds with 503 while the daemon drains.
-	_, _, err = eisvc.NewClient(base).Eval("ml_webservice", "handle",
+	_, _, err = eisvc.NewClient(base).EvalCtx(context.Background(), "ml_webservice", "handle",
 		e11Request(1), core.MonteCarlo(e13Samples, e13Seed))
 	var apiErr *eisvc.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
@@ -492,7 +492,7 @@ func (r *E13Result) drainProbe(heavy int) error {
 	if err := srv.Drain(ctx); err != nil {
 		return fmt.Errorf("drain probe: %w", err)
 	}
-	st, err := eisvc.NewClient(base).Stats()
+	st, err := eisvc.NewClient(base).StatsCtx(context.Background())
 	if err != nil {
 		return err
 	}

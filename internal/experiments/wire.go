@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -131,7 +132,7 @@ func e17TimeHits(c *eisvc.Client, reps int) (last energy.Dist, micros, allocs fl
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		d, resp, err := c.Eval("e17_service", "handle", e17Args(0), e17Opts)
+		d, resp, err := c.EvalCtx(context.Background(), "e17_service", "handle", e17Args(0), e17Opts)
 		if err != nil {
 			return energy.Dist{}, 0, 0, err
 		}
@@ -170,7 +171,7 @@ func E17Wire(short bool) (*E17Result, error) {
 	loopC.Binary = true
 
 	// Warm the memo, then time each path against the same entry.
-	ref, _, err := jsonC.Eval("e17_service", "handle", e17Args(0), e17Opts)
+	ref, _, err := jsonC.EvalCtx(context.Background(), "e17_service", "handle", e17Args(0), e17Opts)
 	if err != nil {
 		shutdown()
 		return nil, fmt.Errorf("e17 warmup: %w", err)
@@ -237,7 +238,7 @@ func (r *E17Result) restartPhase(distinct int) error {
 	ref := make([]energy.Dist, distinct)
 	served := make([]string, distinct)
 	for k := 0; k < distinct; k++ {
-		d, resp, err := c.Eval("e17_service", "handle", e17Args(k), e17Opts)
+		d, resp, err := c.EvalCtx(context.Background(), "e17_service", "handle", e17Args(k), e17Opts)
 		if err != nil {
 			return fmt.Errorf("e17 warm class %d: %w", k, err)
 		}
@@ -262,14 +263,14 @@ func (r *E17Result) restartPhase(distinct int) error {
 		return err
 	}
 	r.RestartMillis = float64(time.Since(start).Microseconds()) / 1000
-	if st, err := eisvc.NewClient(n.URL).Stats(); err == nil {
+	if st, err := eisvc.NewClient(n.URL).StatsCtx(context.Background()); err == nil {
 		r.SnapshotMemo = st.MemoLen
 	}
 
 	evalsBefore, _ := e16NodeStats(fl)
 	r.ReplayTotal = distinct
 	for k := 0; k < distinct; k++ {
-		d, resp, err := c.Eval("e17_service", "handle", e17Args(k), e17Opts)
+		d, resp, err := c.EvalCtx(context.Background(), "e17_service", "handle", e17Args(k), e17Opts)
 		if err != nil {
 			return fmt.Errorf("e17 replay class %d: %w", k, err)
 		}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -31,7 +32,7 @@ func (e *endless) Close() error { return nil }
 func TestRequestBodyCap(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
-	if _, err := c.Register(fleetEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
 	node := f.Nodes()[0]
@@ -75,7 +76,7 @@ func TestRequestBodyCap(t *testing.T) {
 			t.Fatalf("%s: oversized POST answered %d, want 413", fr.name, resp.StatusCode)
 		}
 		fr.client.SetTransport(tr)
-		if _, _, err := fr.client.Eval("ml_webservice", "handle", traceArgs(0), traceOpts); err != nil {
+		if _, _, err := fr.client.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), traceOpts); err != nil {
 			t.Fatalf("%s: eval after a rejected oversized body: %v", fr.name, err)
 		}
 	}

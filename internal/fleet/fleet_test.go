@@ -82,12 +82,12 @@ func refDists(t testing.TB, distinct int) []energy.Dist {
 	ts := httptest.NewServer(ref)
 	t.Cleanup(ts.Close)
 	c := eisvc.NewClient(ts.URL)
-	if _, err := c.Register(fleetEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]energy.Dist, distinct)
 	for k := range out {
-		d, _, err := c.Eval("ml_webservice", "handle", traceArgs(k), traceOpts)
+		d, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func bitIdentical(t *testing.T, label string, got, want energy.Dist) {
 func TestFleetRoutingAndReplication(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
-	if _, err := c.Register(fleetEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,7 +128,7 @@ func TestFleetRoutingAndReplication(t *testing.T) {
 
 	want := refDists(t, 4)
 	for k := 0; k < 4; k++ {
-		d, resp, err := c.Eval("ml_webservice", "handle", traceArgs(k), traceOpts)
+		d, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,14 +184,14 @@ func TestFleetPeerForwarding(t *testing.T) {
 	nodes := f.Nodes()
 	warm, cold := nodes[0], nodes[1]
 	cw := eisvc.NewClient(warm.URL)
-	d, _, err := cw.Eval("ml_webservice", "handle", traceArgs(0), traceOpts)
+	d, _, err := cw.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), traceOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bitIdentical(t, "warm node", d, want)
 
 	cc := eisvc.NewClient(cold.URL)
-	d, resp, err := cc.Eval("ml_webservice", "handle", traceArgs(0), traceOpts)
+	d, resp, err := cc.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), traceOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestFleetPeerForwarding(t *testing.T) {
 	if !resp.Peer || !resp.Cached {
 		t.Errorf("cold node response peer=%v cached=%v, want both true", resp.Peer, resp.Cached)
 	}
-	st, err := cc.Stats()
+	st, err := cc.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +215,14 @@ func TestFleetPeerForwarding(t *testing.T) {
 func TestFleetJoinDrainRebalance(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
-	if _, err := c.Register(fleetEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
 	const distinct = 8
 	want := refDists(t, distinct)
 
 	for k := 0; k < distinct; k++ {
-		d, _, err := c.Eval("ml_webservice", "handle", traceArgs(k), traceOpts)
+		d, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestFleetJoinDrainRebalance(t *testing.T) {
 	}
 
 	for k := 0; k < distinct; k++ {
-		d, resp, err := c.Eval("ml_webservice", "handle", traceArgs(k), traceOpts)
+		d, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestFleetKillMidTraceSmoke(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	_, c := startTestRouter(t, f)
 	c.Retry = eisvc.DefaultRetryPolicy()
-	if _, err := c.Register(fleetEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -308,7 +308,7 @@ func TestFleetKillMidTraceSmoke(t *testing.T) {
 					})
 				}
 				k := trace[i]
-				d, _, err := c.Eval("ml_webservice", "handle", traceArgs(k), traceOpts)
+				d, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
 				if err != nil {
 					mu.Lock()
 					failures = append(failures, fmt.Sprintf("req %d (class %d): %v", i, k, err))
@@ -343,7 +343,7 @@ func TestFleetPartitionFailover(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
 	c.Retry = eisvc.DefaultRetryPolicy()
-	if _, err := c.Register(fleetEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
 	const distinct = 6
@@ -354,7 +354,7 @@ func TestFleetPartitionFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < distinct; k++ {
-		d, resp, err := c.Eval("ml_webservice", "handle", traceArgs(k), traceOpts)
+		d, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
 		if err != nil {
 			t.Fatalf("class %d during partition: %v", k, err)
 		}
@@ -372,7 +372,7 @@ func TestFleetPartitionFailover(t *testing.T) {
 	}
 	n, _ := f.Node(victim)
 	hc := eisvc.NewClient(n.URL)
-	if err := hc.Health(); err != nil {
+	if err := hc.HealthCtx(context.Background()); err != nil {
 		t.Fatalf("healed node unreachable: %v", err)
 	}
 }
@@ -382,7 +382,7 @@ func TestFleetPartitionFailover(t *testing.T) {
 func TestFleetBatchRouting(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	_, c := startTestRouter(t, f)
-	if _, err := c.Register(fleetEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
 	const distinct = 10
@@ -392,7 +392,7 @@ func TestFleetBatchRouting(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = c.EvalRequestFor("ml_webservice", "handle", traceArgs(i%distinct), traceOpts)
 	}
-	items, err := c.EvalBatch(reqs)
+	items, err := c.EvalBatchCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,19 +414,19 @@ func TestFleetBatchRouting(t *testing.T) {
 func TestFleetMutationReplication(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	_, c := startTestRouter(t, f)
-	if _, err := c.Register(fleetEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register(fleetAltHW); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), fleetAltHW); err != nil {
 		t.Fatal(err)
 	}
 	exp := core.EvalOptions{Mode: core.ModeExpected}
-	before, _, err := c.Eval("ml_webservice", "handle", traceArgs(0), exp)
+	before, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), exp)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	v, err := c.Rebind("ml_webservice", "accel", "accel_hw_v2")
+	v, err := c.RebindCtx(context.Background(), "ml_webservice", "accel", "accel_hw_v2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestFleetMutationReplication(t *testing.T) {
 	// Every node must now serve the re-priced stack: ask each directly.
 	for _, n := range f.Nodes() {
 		nc := eisvc.NewClient(n.URL)
-		after, _, err := nc.Eval("ml_webservice", "handle", traceArgs(0), exp)
+		after, _, err := nc.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), exp)
 		if err != nil {
 			t.Fatal(err)
 		}

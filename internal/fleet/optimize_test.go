@@ -53,7 +53,7 @@ func TestFleetOptimizeKillMidSweep(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
 	c.Retry = eisvc.DefaultRetryPolicy()
-	if _, err := c.Register(optFleetEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), optFleetEIL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -72,7 +72,7 @@ func TestFleetOptimizeKillMidSweep(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res, sweepErr = c.Optimize(fleetOptRequest())
+		res, sweepErr = c.OptimizeCtx(context.Background(), fleetOptRequest())
 	}()
 	time.Sleep(10 * time.Millisecond)
 	if err := f.KillNode(victim); err != nil {
@@ -91,7 +91,7 @@ func TestFleetOptimizeKillMidSweep(t *testing.T) {
 
 	// A clean repeat on the surviving nodes must be bit-identical and —
 	// landing on the node that served the post-kill sweep — memo-served.
-	again, err := c.Optimize(fleetOptRequest())
+	again, err := c.OptimizeCtx(context.Background(), fleetOptRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFleetOptimizeKillMidSweep(t *testing.T) {
 	fsim := faultsim.NewTransport(faultsim.Plan{Seed: 6, PResetPost: 0.5},
 		eisvc.NewTransport(eisvc.TransportTuning{}))
 	c.SetTransport(fsim)
-	faulted, err := c.Optimize(fleetOptRequest())
+	faulted, err := c.OptimizeCtx(context.Background(), fleetOptRequest())
 	if err != nil {
 		t.Fatalf("sweep under answer-lost resets: %v", err)
 	}

@@ -64,7 +64,7 @@ func (p *probeCounter) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 		raw, _ := io.ReadAll(body)
-		probe, err := eisvc.DecodeCacheLookupRequest(raw)
+		probe, err := eisvc.CacheLookupEndpoint.Request.Decode(req.Header.Get("Content-Type"), raw)
 		if err != nil {
 			return nil, fmt.Errorf("probe frame: %w", err)
 		}
@@ -88,7 +88,7 @@ func countProbes(f *Fleet) map[string]*probeCounter {
 
 func nodeStats(t *testing.T, n *Node) *eisvc.StatsResponse {
 	t.Helper()
-	st, err := eisvc.NewClient(n.URL).Stats()
+	st, err := eisvc.NewClient(n.URL).StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func singleNodeReference(t *testing.T, reqs []eisvc.EvalRequest) []eisvc.BatchEv
 	if _, err := ref.RegisterSource(probeEIL()); err != nil {
 		t.Fatal(err)
 	}
-	items, err := eisvc.NewClient(ref.Nodes()[0].URL).EvalBatch(reqs)
+	items, err := eisvc.NewClient(ref.Nodes()[0].URL).EvalBatchCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,18 +144,18 @@ func singleNodeReference(t *testing.T, reqs []eisvc.EvalRequest) []eisvc.BatchEv
 func TestBatchProbesAreCountedPerPeer(t *testing.T) {
 	f := probeFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
-	if _, err := c.Register(probeEIL()); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}
 	const warm, cold = 231, 25
-	if _, err := c.EvalBatch(probeReqs(c, 0, warm)); err != nil {
+	if _, err := c.EvalBatchCtx(context.Background(), probeReqs(c, 0, warm)); err != nil {
 		t.Fatal(err)
 	}
 	counters := countProbes(f)
 	before := rt.Stats(context.Background()).Aggregate
 
 	reqs := append(probeReqs(c, 0, warm), probeReqs(c, 100_000, cold)...)
-	items, err := c.EvalBatch(reqs)
+	items, err := c.EvalBatchCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestBatchProbesAreCountedPerPeer(t *testing.T) {
 func TestBatchRehomesFromNonOwner(t *testing.T) {
 	f := probeFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
-	if _, err := c.Register(probeEIL()); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}
 	reqs := probeReqs(c, 0, 4*probeStacks)
-	want, err := c.EvalBatch(reqs)
+	want, err := c.EvalBatchCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestBatchRehomesFromNonOwner(t *testing.T) {
 	}
 	before := rt.Stats(context.Background()).Aggregate.Evaluations + nodeStats(t, mustNode(t, f, victim)).Evaluations
 
-	got, err := c.EvalBatch(reqs)
+	got, err := c.EvalBatchCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestProbeOrderOwnerFirst(t *testing.T) {
 	ask := func(n *Node) eisvc.BatchEvalItem {
 		t.Helper()
 		c := eisvc.NewClient(n.URL)
-		items, err := c.EvalBatch([]eisvc.EvalRequest{
+		items, err := c.EvalBatchCtx(context.Background(), []eisvc.EvalRequest{
 			c.EvalRequestFor(stack, "price", []core.Value{core.Num(7)}, core.Expected())})
 		if err != nil || items[0].Error != "" {
 			t.Fatalf("%s: %v %+v", n.ID, err, items)
@@ -326,13 +326,13 @@ func TestProbePartitionFallsThrough(t *testing.T) {
 	if err := f.PartitionNode(cut.ID, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eisvc.NewClient(bystander.URL).EvalBatch(reqs[:keys/2]); err != nil {
+	if _, err := eisvc.NewClient(bystander.URL).EvalBatchCtx(context.Background(), reqs[:keys/2]); err != nil {
 		t.Fatal(err)
 	}
 	counters := countProbes(f)
 	servedBefore := nodeStats(t, bystander).PeerServed
 
-	items, err := c.EvalBatch(reqs)
+	items, err := c.EvalBatchCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestProbePartitionFallsThrough(t *testing.T) {
 func TestConcurrentBatchesEvaluateOnce(t *testing.T) {
 	f := probeFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
-	if _, err := c.Register(probeEIL()); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}
 	const keys = 48
@@ -375,7 +375,7 @@ func TestConcurrentBatchesEvaluateOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			items, err := c.EvalBatch(reqs)
+			items, err := c.EvalBatchCtx(context.Background(), reqs)
 			if err != nil {
 				t.Error(err)
 			}

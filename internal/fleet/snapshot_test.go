@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 func TestFleetBinaryRoutingAndAffinity(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	rt, jsonC := startTestRouter(t, f)
-	if _, err := jsonC.Register(fleetEIL); err != nil {
+	if _, err := jsonC.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
 	binC := eisvc.NewClient(jsonC.Base()).TuneTransport(eisvc.TransportTuning{})
@@ -23,12 +24,12 @@ func TestFleetBinaryRoutingAndAffinity(t *testing.T) {
 
 	want := refDists(t, 4)
 	for k := 0; k < 4; k++ {
-		jd, jresp, err := jsonC.Eval("ml_webservice", "handle", traceArgs(k), traceOpts)
+		jd, jresp, err := jsonC.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bitIdentical(t, fmt.Sprintf("json class %d", k), jd, want[k])
-		bd, bresp, err := binC.Eval("ml_webservice", "handle", traceArgs(k), traceOpts)
+		bd, bresp, err := binC.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestFleetBinaryRoutingAndAffinity(t *testing.T) {
 	for k := range reqs {
 		reqs[k] = binC.EvalRequestFor("ml_webservice", "handle", traceArgs(k), traceOpts)
 	}
-	items, err := binC.EvalBatch(reqs)
+	items, err := binC.EvalBatchCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestFleetRestartFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	f := startFleet(t, Config{Nodes: 3, SnapshotDir: dir})
 	_, c := startTestRouter(t, f)
-	if _, err := c.Register(fleetEIL); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +83,7 @@ func TestFleetRestartFromSnapshot(t *testing.T) {
 	want := refDists(t, distinct)
 	served := make([]string, distinct)
 	for k := 0; k < distinct; k++ {
-		d, resp, err := c.Eval("ml_webservice", "handle", traceArgs(k), traceOpts)
+		d, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestFleetRestartFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, _ := f.Node(victim)
-	st, err := n.peer.Stats()
+	st, err := n.peer.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestFleetRestartFromSnapshot(t *testing.T) {
 
 	evalsBefore := totalEvaluations(t, f)
 	for k := 0; k < distinct; k++ {
-		d, resp, err := c.Eval("ml_webservice", "handle", traceArgs(k), traceOpts)
+		d, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func totalEvaluations(t *testing.T, f *Fleet) uint64 {
 		if !n.reachable() {
 			continue
 		}
-		st, err := n.peer.Stats()
+		st, err := n.peer.StatsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

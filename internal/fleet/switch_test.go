@@ -420,7 +420,7 @@ func batchItemsBy(rt *Router) map[string]uint64 {
 func TestOnePlacementAloneOrBatched(t *testing.T) {
 	f := probeFleet(t, Config{Nodes: 3})
 	rt, jsonC := startTestRouter(t, f)
-	if _, err := jsonC.Register(probeEIL()); err != nil {
+	if _, err := jsonC.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}
 	binC := eisvc.NewClient(jsonC.Base()).TuneTransport(eisvc.TransportTuning{})
@@ -431,11 +431,11 @@ func TestOnePlacementAloneOrBatched(t *testing.T) {
 	singles := map[string]uint64{}
 	for i, req := range reqs {
 		args := []core.Value{core.Num(float64(5000 + i))}
-		_, bresp, err := binC.Eval(req.Interface, req.Method, args, core.Expected())
+		_, bresp, err := binC.EvalCtx(context.Background(), req.Interface, req.Method, args, core.Expected())
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, jresp, err := jsonC.Eval(req.Interface, req.Method, args, core.Expected())
+		_, jresp, err := jsonC.EvalCtx(context.Background(), req.Interface, req.Method, args, core.Expected())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +449,7 @@ func TestOnePlacementAloneOrBatched(t *testing.T) {
 	}
 	for _, c := range []*eisvc.Client{binC, jsonC} {
 		before := batchItemsBy(rt)
-		items, err := c.EvalBatch(reqs)
+		items, err := c.EvalBatchCtx(context.Background(), reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +475,7 @@ func TestBatchesSurviveKillMidFlight(t *testing.T) {
 	_, c := startTestRouter(t, f)
 	c.Binary = true
 	c.Retry = eisvc.DefaultRetryPolicy()
-	if _, err := c.Register(probeEIL()); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}
 	const batches, size, clients = 24, 64, 3
@@ -498,7 +498,7 @@ func TestBatchesSurviveKillMidFlight(t *testing.T) {
 						}
 					})
 				}
-				items, err := c.EvalBatch(reqs)
+				items, err := c.EvalBatchCtx(context.Background(), reqs)
 				if err != nil {
 					t.Errorf("batch lost to the kill: %v", err)
 					return
@@ -539,10 +539,10 @@ func distBits(t *testing.T, w *eisvc.WireDist) []byte {
 func TestAggregateLeavesProcessCountersPerNode(t *testing.T) {
 	f := probeFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
-	if _, err := c.Register(probeEIL()); err != nil {
+	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.EvalBatch(probeReqs(c, 100, 24)); err != nil {
+	if _, err := c.EvalBatchCtx(context.Background(), probeReqs(c, 100, 24)); err != nil {
 		t.Fatal(err)
 	}
 	fs := rt.Stats(context.Background())
