@@ -31,12 +31,15 @@ race:
 # every run), the fleet package (probe ordering, kill and partition
 # traces), and the eisvc tests that depend on the runtime's mood — exact
 # allocation counts (a warm batch, every frame kind), 32 responses
-# encoding from one shared memo entry at once — plus the frame pins. A
-# flake shows up here as a red step, not as one red run in six.
+# encoding from one shared memo entry at once, a cold batch that must not
+# shed its own items — plus the frame pins, and the allocations of a cold
+# evaluation. A flake shows up here as a red step, not as one red run in
+# six.
 test-repeat:
 	$(GO) test -count=10 -run 'TestE1[2-7]' ./internal/experiments
 	$(GO) test -count=5 ./internal/fleet
-	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged' ./internal/eisvc
+	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged|TestBatchDoesNotShedItself' ./internal/eisvc
+	$(GO) test -count=5 -run TestColdEvalAllocs .
 
 # `go test` only replays a fuzz target's seed corpus; this gives each one
 # ten seconds of actual fuzzing (one target and one package per run, as

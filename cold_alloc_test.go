@@ -14,44 +14,72 @@ import (
 // vary.
 func coldShapes(t testing.TB) map[string]func(arg0 float64) error {
 	t.Helper()
+	gpt2, moe := coldStacks(t)
+	return map[string]func(float64) error{
+		"gpt2_stack.generate":     coldShape(gpt2, "generate", core.Expected(), core.Int(6)),
+		"gpt2_stack.layer_decode": coldShape(gpt2, "layer_decode", core.Expected()),
+		"gpt2_stack.decode_token": coldShape(gpt2, "decode_token", core.Expected()),
+		"moe_stack.energy":        coldShape(moe, "energy", core.Expected(), core.Int(2), core.Int(4)),
+		"moe_stack.latency":       coldShape(moe, "latency", core.Expected(), core.Int(2), core.Int(4)),
+	}
+}
+
+func coldStacks(t testing.TB) (gpt2, moe *core.Interface) {
+	t.Helper()
 	gpt2, err := nn.GPT2EILStack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	moe, err := nn.MoEEILStack()
+	moe, err = nn.MoEEILStack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	shape := func(iface *core.Interface, method string, rest ...core.Value) func(float64) error {
-		args := append([]core.Value{core.Nil()}, rest...)
-		return func(arg0 float64) error {
-			args[0] = core.Num(arg0)
-			_, err := iface.Eval(method, args, core.Expected())
-			return err
-		}
-	}
-	return map[string]func(float64) error{
-		"gpt2_stack.generate":     shape(gpt2, "generate", core.Int(6)),
-		"gpt2_stack.layer_decode": shape(gpt2, "layer_decode"),
-		"gpt2_stack.decode_token": shape(gpt2, "decode_token"),
-		"moe_stack.energy":        shape(moe, "energy", core.Int(2), core.Int(4)),
-		"moe_stack.latency":       shape(moe, "latency", core.Int(2), core.Int(4)),
+	return gpt2, moe
+}
+
+// coldShape evaluates iface.method under opts with arg0 first and rest
+// after it.
+func coldShape(iface *core.Interface, method string, opts core.EvalOptions, rest ...core.Value) func(float64) error {
+	args := append([]core.Value{core.Nil()}, rest...)
+	return func(arg0 float64) error {
+		args[0] = core.Num(arg0)
+		_, err := iface.Eval(method, args, opts)
+		return err
 	}
 }
 
 // TestColdEvalAllocs holds ROADMAP item 2: on a warm tree, a question
 // about an input never seen before binds the cached program instead of
-// specializing a new one. Per served shape, unique-argument evals cost at
-// most 64 allocations each, emit no code after the first, and leave
-// nothing behind — the heap a GC settles to does not grow with the number
-// of questions asked.
+// specializing a new one. Per served shape, unique-argument evals emit no
+// code after the first and leave nothing behind — the heap a GC settles to
+// does not grow with the number of questions asked — and allocate only
+// their answer: the ECV plan is the tree version's, the observed layout
+// the specialization's, and every scratch buffer goes back to its pool.
+// Two shapes the served five do not cover are counted beside them: a
+// compiled Monte Carlo eval, which also draws and counts, and a pinned
+// one, which splits the plan for itself.
 func TestColdEvalAllocs(t *testing.T) {
-	const evals, perEval, retained = 1000, 64, 64 << 10
+	const evals, retained = 1000, 64 << 10
+	type shape struct {
+		eval    func(float64) error
+		perEval float64
+	}
+	shapes := map[string]shape{}
 	for name, eval := range coldShapes(t) {
+		shapes[name] = shape{eval, 1}
+	}
+	_, moe := coldStacks(t)
+	pinned := core.Expected()
+	pinned.Fixed = map[string]core.Value{"dev.thermal_throttle": core.Bool(false), "kv_spill": core.Bool(true)}
+	// AllocsPerRun runs at GOMAXPROCS 1, so the default parallelism counts
+	// the sequential path on any machine.
+	shapes["moe_stack.energy monte-carlo"] = shape{coldShape(moe, "energy", core.MonteCarlo(4096, 7), core.Int(2), core.Int(4)), 12}
+	shapes["moe_stack.energy pinned"] = shape{coldShape(moe, "energy", pinned, core.Int(2), core.Int(4)), 24}
+	for name, s := range shapes {
 		asked := 0.0
 		ask := func() {
 			asked++
-			if err := eval(17 + asked/4096); err != nil {
+			if err := s.eval(17 + asked/4096); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -67,8 +95,8 @@ func TestColdEvalAllocs(t *testing.T) {
 		grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 		t.Logf("%s: %.0f allocs per unique-argument eval, %d emissions, heap %+d B after %d evals",
 			name, allocs, emitted, grown, evals)
-		if allocs > perEval {
-			t.Errorf("%s: %.0f allocs per eval, want <= %d", name, allocs, perEval)
+		if allocs > s.perEval && !raceEnabled {
+			t.Errorf("%s: %.0f allocs per eval, want <= %v", name, allocs, s.perEval)
 		}
 		if emitted != 0 {
 			t.Errorf("%s: %d unique data arguments emitted code %d times, want 0", name, evals, emitted)

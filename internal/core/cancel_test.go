@@ -62,6 +62,7 @@ func TestEvalCtxCancelMidEval(t *testing.T) {
 				release := make(chan struct{})
 				var calls atomic.Int64
 				iface := gateIface(started, release, &calls)
+				scratch := energy.ScratchOutstanding()
 
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
@@ -93,6 +94,9 @@ func TestEvalCtxCancelMidEval(t *testing.T) {
 				// hundreds of assignments/samples are skipped.
 				if got := calls.Load(); got > int64(par) {
 					t.Errorf("%d bodies ran, want <= %d (workers kept drawing work after cancel)", got, par)
+				}
+				if left := energy.ScratchOutstanding() - scratch; left != 0 {
+					t.Errorf("%d scratch buffers not returned after cancellation", left)
 				}
 			})
 		}

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"energyclarity/internal/energy"
 )
@@ -394,29 +396,19 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 		opts.Samples = DefaultSamples
 	}
 
-	all := i.TransitiveECVs()
-	// Split into pinned and free ECVs.
-	var free []QualifiedECV
-	base := map[string]Value{}
-	for _, q := range all {
-		qn := q.QualifiedName()
-		if v, ok := opts.Fixed[qn]; ok {
-			base[qn] = v
-		} else {
-			free = append(free, q)
-		}
-	}
-	for qn := range opts.Fixed {
-		if _, ok := base[qn]; !ok {
-			return energy.Dist{}, fmt.Errorf("core: interface %s: fixed ECV %q does not exist", i.name, qn)
-		}
+	// The tree version keys both the compiled program and the ECV plan; an
+	// Eval that pins ECVs splits the plan for itself.
+	fold := i.subtreeFold()
+	plan, base, err := i.planFor(fold).pin(i.name, opts.Fixed)
+	if err != nil {
+		return energy.Dist{}, err
 	}
 
 	// Compiled-program path: compile (or fetch from the fold-keyed cache)
 	// and specialize for this Eval's args and pinned ECVs. A nil spec means
 	// interpreter fallback; both paths produce bit-identical Dists, so the
 	// choice is invisible to callers.
-	spec := i.specializeFor(method, opts, args, base, free)
+	spec := i.specializeFor(method, fold, opts, args, base, plan.ecvs)
 	if spec != nil {
 		defer spec.Release()
 	}
@@ -428,9 +420,9 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 	}
 
 	if opts.Mode == ModeFixed {
-		if len(free) > 0 {
+		if len(plan.ecvs) > 0 {
 			return energy.Dist{}, fmt.Errorf("core: interface %s: ModeFixed but ECV %q unassigned",
-				i.name, free[0].QualifiedName())
+				i.name, plan.names[0])
 		}
 		if spec != nil {
 			v, err := spec.Run(nil)
@@ -450,7 +442,7 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 	// every Dist, zero-probability ones included).
 	space := 1
 	exceeded := false
-	for _, q := range free {
+	for _, q := range plan.ecvs {
 		space *= len(q.ECV.Dist)
 		if space > opts.EnumLimit {
 			exceeded = true
@@ -460,13 +452,168 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 
 	switch {
 	case exceeded:
-		return i.evalMonteCarlo(ctx, m, args, base, free, opts, ev, spec)
+		return i.evalMonteCarlo(ctx, m, args, base, plan, opts, ev, spec)
 	case opts.Mode == ModeMonteCarlo:
-		return i.evalMonteCarloDistinct(ctx, m, args, base, free, opts, ev, spec)
+		return i.evalMonteCarloDistinct(ctx, m, args, base, plan, opts, ev, spec)
 	default:
-		return i.evalEnumerate(ctx, m, args, base, free, opts, ev, spec)
+		return i.evalEnumerate(ctx, m, args, base, plan, opts, ev, spec)
 	}
 }
+
+// ecvPlan is what evaluation needs to know of a tree's ECVs. It depends on
+// the tree alone, so it is built once per tree version — the subtree fold
+// compiled programs are keyed by — and shared by every Eval of that version.
+type ecvPlan struct {
+	fold  uint64
+	ecvs  []QualifiedECV // the free ECVs, in TransitiveECVs order
+	names []string       // their qualified names
+	// enum and draw lay every free ECV out as a dimension, strides set —
+	// the space the interpreter observes: enumeration drops
+	// zero-probability points, sampling scans them all.
+	enum, draw layout
+	// layouts holds compiled specializations' observed spaces (see
+	// observed); nil for a split plan, whose pinned set is one request's.
+	mu      sync.Mutex
+	layouts map[layoutKey]*layout
+}
+
+// layout is one observed assignment space: the free ECVs a body run can
+// tell apart, laid out row-major as a space of their own.
+type layout struct {
+	obs     []freeDim // the observed dimensions, strides within this space
+	size    int       // points in the space
+	strides []int     // per free ECV: its stride here, 0 when unobserved
+	vals    [][]Value // obs[j]'s support values, what FillTable takes
+}
+
+// fullLayout lays out all of dims, which it takes over.
+func fullLayout(dims []freeDim) layout {
+	l := layout{obs: dims, size: setStrides(dims), strides: make([]int, len(dims))}
+	for k, d := range dims {
+		l.strides[k] = d.stride
+	}
+	return l
+}
+
+// newLayout lays out the dimensions of dims that a compiled program's deps
+// names, with the value vectors its FillTable takes.
+func newLayout(dims []freeDim, deps []int) *layout {
+	l := &layout{obs: make([]freeDim, len(deps)), strides: make([]int, len(dims)), vals: make([][]Value, len(deps))}
+	points := 0
+	for j, k := range deps {
+		l.obs[j] = dims[k]
+		points += len(dims[k].ws)
+	}
+	l.size = setStrides(l.obs)
+	flat := make([]Value, 0, points)
+	for j, d := range l.obs {
+		l.strides[d.k] = d.stride
+		for _, w := range d.ws {
+			flat = append(flat, w.V)
+		}
+		l.vals[j] = flat[len(flat)-len(d.ws):]
+	}
+	return l
+}
+
+func newPlan(ecvs []QualifiedECV, names []string) *ecvPlan {
+	enum := make([]freeDim, len(ecvs))
+	draw := make([]freeDim, len(ecvs))
+	for k, q := range ecvs {
+		draw[k] = freeDim{k: k, qn: names[k], ws: q.ECV.Dist}
+		enum[k] = draw[k]
+		if slices.ContainsFunc(q.ECV.Dist, func(w Weighted) bool { return w.P == 0 }) {
+			enum[k].ws = slices.DeleteFunc(slices.Clone(q.ECV.Dist), func(w Weighted) bool { return w.P == 0 })
+		}
+	}
+	return &ecvPlan{ecvs: ecvs, names: names, enum: fullLayout(enum), draw: fullLayout(draw)}
+}
+
+// planFor returns the plan of the tree version fold names, building it the
+// first time an Eval asks. Evals racing on a new version may each build
+// one; they are equal, and the last stored stays.
+func (i *Interface) planFor(fold uint64) *ecvPlan {
+	if p := i.plan.Load(); p != nil && p.fold == fold {
+		return p
+	}
+	ecvs := i.TransitiveECVs()
+	names := make([]string, len(ecvs))
+	for k, q := range ecvs {
+		names[k] = q.QualifiedName()
+	}
+	p := newPlan(ecvs, names)
+	p.fold, p.layouts = fold, map[layoutKey]*layout{}
+	i.plan.Store(p)
+	return p
+}
+
+// pin splits the plan for a request that pins ECVs: the pinned values by
+// qualified name, and a plan of the request's own over the rest,
+// re-indexed and with fresh strides. With nothing pinned it is p itself.
+func (p *ecvPlan) pin(iface string, fixed map[string]Value) (*ecvPlan, map[string]Value, error) {
+	if len(fixed) == 0 {
+		return p, nil, nil
+	}
+	base := make(map[string]Value, len(fixed))
+	ecvs := make([]QualifiedECV, 0, len(p.ecvs))
+	names := make([]string, 0, len(p.ecvs))
+	for k, qn := range p.names {
+		if v, ok := fixed[qn]; ok {
+			base[qn] = v
+		} else {
+			ecvs, names = append(ecvs, p.ecvs[k]), append(names, qn)
+		}
+	}
+	for qn := range fixed {
+		if _, ok := base[qn]; !ok {
+			return nil, nil, fmt.Errorf("core: interface %s: fixed ECV %q does not exist", iface, qn)
+		}
+	}
+	return newPlan(ecvs, names), base, nil
+}
+
+// observed returns the part of the enumeration or the sampling space a
+// body run can tell apart: all of it for the interpreter, which may read
+// any ECV, and spec.Deps for a compiled program, cached by Deps on a tree's
+// plan. Points that differ only in unobserved ECVs share one body run, so
+// a method depending on no free ECV runs exactly once whatever the space
+// size.
+func (p *ecvPlan) observed(spec SpecializedProgram, sampling bool) *layout {
+	full := &p.enum
+	if sampling {
+		full = &p.draw
+	}
+	if spec == nil {
+		return full
+	}
+	deps := spec.Deps()
+	if p.layouts == nil || len(p.ecvs) > 64 {
+		return newLayout(full.obs, deps)
+	}
+	key := layoutKey{sampling: sampling}
+	for _, k := range deps {
+		key.deps |= 1 << k
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := p.layouts[key]
+	if l == nil {
+		l = newLayout(full.obs, deps)
+		if len(p.layouts) < maxLayouts {
+			p.layouts[key] = l
+		}
+	}
+	return l
+}
+
+// layoutKey names a specialization's layout by the space and its Deps.
+// Deps sets are few, and maxLayouts bounds what a tree version keeps.
+type layoutKey struct {
+	sampling bool
+	deps     uint64 // bit k: free ECV k is observed
+}
+
+const maxLayouts = 256
 
 // enumChunkSize is the number of assignments one evaluation work unit
 // covers. Chunks are contiguous ranges of points, so results land in the
@@ -494,23 +641,6 @@ func setStrides(dims []freeDim) int {
 	return total
 }
 
-// observedDims returns the dimensions a body run can tell apart, laid out
-// as a space of their own: all of dims for the interpreter, which may read
-// any ECV, and spec.Deps for a compiled program. Points of the full space
-// that differ only in unobserved ECVs share one body run — a method
-// depending on no free ECV runs exactly once whatever the space size.
-func observedDims(dims []freeDim, spec SpecializedProgram) (obs []freeDim, size int) {
-	if spec == nil {
-		return dims, setStrides(dims)
-	}
-	deps := spec.Deps()
-	obs = make([]freeDim, len(deps))
-	for j, k := range deps {
-		obs[j] = dims[k]
-	}
-	return obs, setStrides(obs)
-}
-
 // evalPoints runs the method body once for each element of out and stores
 // the result there: out[p] is the value at index idxs[p] of the space dims
 // span, or at index p when idxs is nil (out then covers the whole space).
@@ -528,7 +658,9 @@ func (i *Interface) evalPoints(ctx context.Context, m *Method, args []Value, bas
 		var vals []Value
 		var assign map[string]Value
 		if spec != nil {
-			vals = make([]Value, nFree)
+			valsP := borrowVals(nFree)
+			defer valsPool.Put(valsP)
+			vals = *valsP
 		} else {
 			assign = make(map[string]Value, len(base)+len(dims))
 			for k, v := range base {
@@ -571,52 +703,32 @@ func (i *Interface) evalPoints(ctx context.Context, m *Method, args []Value, bas
 }
 
 func (i *Interface) evalEnumerate(ctx context.Context, m *Method, args []Value, base map[string]Value,
-	free []QualifiedECV, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
+	plan *ecvPlan, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
 
 	// The joint space: every free ECV with its zero-probability support
 	// points dropped, the first ECV the most significant digit.
-	dims := make([]freeDim, len(free))
-	for k, q := range free {
-		ws := make([]Weighted, 0, len(q.ECV.Dist))
-		for _, w := range q.ECV.Dist {
-			if w.P != 0 {
-				ws = append(ws, w)
-			}
-		}
-		dims[k] = freeDim{k: k, qn: q.QualifiedName(), ws: ws}
-	}
-	total := setStrides(dims)
-
-	values := energy.BorrowScratch(total)
-	probs := energy.BorrowScratch(total)
-	defer energy.ReturnScratch(values)
-	defer energy.ReturnScratch(probs)
+	full := plan.enum
+	valuesP, probsP := energy.BorrowScratch(full.size), energy.BorrowScratch(full.size)
+	defer energy.ReturnScratch(valuesP)
+	defer energy.ReturnScratch(probsP)
+	values, probs := *valuesP, *probsP
 
 	// One body run per point of the observed space. The interpreter observes
 	// the whole space, so its results land in values directly; a compiled
 	// program's table is replicated over the dimensions it cannot see.
-	obs, table := dims, values
+	obs, table := plan.observed(spec, false), values
 	filled := false
 	if spec != nil {
-		var size int
-		obs, size = observedDims(dims, spec)
-		table = energy.BorrowScratch(size)
-		defer energy.ReturnScratch(table)
-		dimVals := make([][]Value, len(obs))
-		for j := range obs {
-			vs := make([]Value, len(obs[j].ws))
-			for x, w := range obs[j].ws {
-				vs[x] = w.V
-			}
-			dimVals[j] = vs
-		}
+		tableP := energy.BorrowScratch(obs.size)
+		defer energy.ReturnScratch(tableP)
+		table = *tableP
 		var err error
-		if filled, err = spec.FillTable(dimVals, table); err != nil {
+		if filled, err = spec.FillTable(obs.vals, table); err != nil {
 			return energy.Dist{}, err
 		}
 	}
 	if !filled {
-		if err := i.evalPoints(ctx, m, args, base, len(free), obs, nil, table, opts, ev, spec); err != nil {
+		if err := i.evalPoints(ctx, m, args, base, len(plan.ecvs), obs.obs, nil, table, opts, ev, spec); err != nil {
 			return energy.Dist{}, err
 		}
 	}
@@ -624,18 +736,18 @@ func (i *Interface) evalEnumerate(ctx context.Context, m *Method, args []Value, 
 	if spec == nil {
 		table = nil // values is already the full space
 	}
-	if err := fillJoint(ctx, dims, obs, table, values, probs); err != nil {
+	if err := fillJoint(ctx, full.obs, obs.obs, table, values, probs); err != nil {
 		return energy.Dist{}, err
 	}
 
-	full := energy.Categorical(values, probs)
+	d := energy.Categorical(values, probs)
 	switch opts.Mode {
 	case ModeWorstCase:
-		return energy.Point(full.Max()), nil
+		return energy.Point(d.Max()), nil
 	case ModeBestCase:
-		return energy.Point(full.Min()), nil
+		return energy.Point(d.Min()), nil
 	default:
-		return full, nil
+		return d, nil
 	}
 }
 
@@ -729,24 +841,18 @@ const mcShardSize = 64
 // drawn, weighted by its hit count, is the same sample multiset and
 // energy.Empirical turns it into the same Dist, bit for bit.
 func (i *Interface) evalMonteCarloDistinct(ctx context.Context, m *Method, args []Value, base map[string]Value,
-	free []QualifiedECV, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
+	plan *ecvPlan, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
 
-	dims := make([]freeDim, len(free))
-	for k, q := range free {
-		dims[k] = freeDim{k: k, qn: q.QualifiedName(), ws: q.ECV.Dist}
-	}
-	obs, size := observedDims(dims, spec)
+	dims, obs := plan.draw.obs, plan.observed(spec, true)
 	// strides[k] is free ECV k's stride in the observed space, 0 when the
 	// body cannot see it: its draw is consumed and changes no index.
-	strides := make([]int, len(free))
-	for j := range obs {
-		strides[obs[j].k] = obs[j].stride
-	}
+	strides, size := obs.strides, obs.size
 
 	samples := opts.Samples
 	distinct := min(samples, size)
-	ints := energy.BorrowInts(samples + size + 2*distinct)
-	defer energy.ReturnInts(ints)
+	intsP := energy.BorrowInts(samples + size + 2*distinct)
+	defer energy.ReturnInts(intsP)
+	ints := *intsP
 	drawn := ints[:samples]                    // per sample: the point it fell on
 	seen := ints[samples : samples+size]       // per point: 1 + its position in points, 0 = not drawn
 	points := ints[samples+size:][:0:distinct] // the points drawn, in first-drawn order
@@ -783,9 +889,10 @@ func (i *Interface) evalMonteCarloDistinct(ctx context.Context, m *Method, args 
 		counts[seen[idx]-1]++
 	}
 
-	values := energy.BorrowScratch(len(points))
-	defer energy.ReturnScratch(values)
-	if err := i.evalPoints(ctx, m, args, base, len(free), obs, points, values, opts, ev, spec); err != nil {
+	valuesP := energy.BorrowScratch(len(points))
+	defer energy.ReturnScratch(valuesP)
+	values := *valuesP
+	if err := i.evalPoints(ctx, m, args, base, len(plan.ecvs), obs.obs, points, values, opts, ev, spec); err != nil {
 		return energy.Dist{}, err
 	}
 	return energy.Empirical(values, counts), nil
@@ -796,13 +903,13 @@ func (i *Interface) evalMonteCarloDistinct(ctx context.Context, m *Method, args 
 // assignments to pay: ModeMonteCarlo there, and the estimates the exact
 // modes fall back to.
 func (i *Interface) evalMonteCarlo(ctx context.Context, m *Method, args []Value, base map[string]Value,
-	free []QualifiedECV, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
+	plan *ecvPlan, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
 
 	samples := opts.Samples
-	values := energy.BorrowScratch(samples)
-	probs := energy.BorrowScratch(samples)
-	defer energy.ReturnScratch(values)
-	defer energy.ReturnScratch(probs)
+	valuesP, probsP := energy.BorrowScratch(samples), energy.BorrowScratch(samples)
+	defer energy.ReturnScratch(valuesP)
+	defer energy.ReturnScratch(probsP)
+	values, probs := *valuesP, *probsP
 	p := 1.0 / float64(samples)
 	for s := range probs {
 		probs[s] = p
@@ -813,19 +920,18 @@ func (i *Interface) evalMonteCarlo(ctx context.Context, m *Method, args []Value,
 		rng := borrowRNG(shardSeed(opts.Seed, shard))
 		defer rngPool.Put(rng)
 		lo := shard * mcShardSize
-		hi := lo + mcShardSize
-		if hi > samples {
-			hi = samples
-		}
+		hi := min(lo+mcShardSize, samples)
 		if spec != nil {
 			// Compiled path: identical per-ECV draw order, so the sample
 			// multiset — and the resulting Dist — matches the interpreter.
-			vals := make([]Value, len(free))
+			valsP := borrowVals(len(plan.ecvs))
+			defer valsPool.Put(valsP)
+			vals := *valsP
 			for s := lo; s < hi; s++ {
 				if g.cancelled() {
 					return nil
 				}
-				for k, q := range free {
+				for k, q := range plan.ecvs {
 					vals[k] = q.ECV.sample(rng)
 				}
 				v, err := spec.Run(vals)
@@ -836,7 +942,7 @@ func (i *Interface) evalMonteCarlo(ctx context.Context, m *Method, args []Value,
 			}
 			return nil
 		}
-		assign := make(map[string]Value, len(base)+len(free))
+		assign := make(map[string]Value, len(base)+len(plan.ecvs))
 		for k, v := range base {
 			assign[k] = v
 		}
@@ -844,8 +950,8 @@ func (i *Interface) evalMonteCarlo(ctx context.Context, m *Method, args []Value,
 			if g.cancelled() {
 				return nil
 			}
-			for _, q := range free {
-				assign[q.QualifiedName()] = q.ECV.sample(rng)
+			for k, q := range plan.ecvs {
+				assign[plan.names[k]] = q.ECV.sample(rng)
 			}
 			j, err := i.evalOnce(m, args, assign, ev)
 			if err != nil {

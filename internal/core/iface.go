@@ -67,6 +67,9 @@ type Interface struct {
 	// Evaluation-time state only: clones start empty, and mutation
 	// invalidates implicitly through the fold.
 	progs sync.Map
+	// plan is the ECV plan of the version last evaluated, tagged with its
+	// fold like progs (see ecvPlan).
+	plan atomic.Pointer[ecvPlan]
 }
 
 // ifaceVersions hands out interface versions: a process-global counter, so

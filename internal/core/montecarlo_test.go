@@ -36,7 +36,7 @@ func referenceMonteCarlo(i *Interface, method string, args []Value, opts EvalOpt
 	if opts.Layer != nil {
 		ev = opts.Layer.evalContext(i)
 	}
-	spec := i.specializeFor(method, opts, args, base, free)
+	spec := i.specializeFor(method, i.subtreeFold(), opts, args, base, free)
 
 	sample := func(e ECV, rng *rand.Rand) Value {
 		u := rng.Float64()

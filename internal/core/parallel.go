@@ -136,6 +136,20 @@ func shardSeed(seed int64, shard int) int64 {
 // source, and an evaluation seeds one per 64 samples.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
+// valsPool recycles the free-ECV vectors compiled programs run on, one per
+// chunk of points or shard. borrowVals returns one cleared, of length n.
+var valsPool = sync.Pool{New: func() any { return new([]Value) }}
+
+func borrowVals(n int) *[]Value {
+	p := valsPool.Get().(*[]Value)
+	if cap(*p) < n {
+		*p = make([]Value, n)
+	}
+	*p = (*p)[:n]
+	clear(*p)
+	return p
+}
+
 // borrowRNG returns a generator positioned at the start of seed's stream —
 // the stream rand.New(rand.NewSource(seed)) yields, since Seed resets the
 // whole source state. Hand it back with rngPool.Put.

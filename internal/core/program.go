@@ -147,18 +147,17 @@ type progEntry struct {
 	prog CompiledProgram
 }
 
-// compiledFor returns the compiled program for the named method, compiling
-// (or recompiling, after a version change) on demand — once per (method,
-// fold): racing first Evals install one entry and all but the first wait
-// for its compilation, so they share one program and the specialization
-// cache inside it. It returns nil when no compiler is registered or the
-// method is outside the compiled subset.
-func (i *Interface) compiledFor(method string) CompiledProgram {
+// compiledFor returns the compiled program for the named method of the
+// tree version fold names, compiling (or recompiling, after a version
+// change) on demand — once per (method, fold): racing first Evals install
+// one entry and all but the first wait for its compilation, so they share
+// one program and the specialization cache inside it. It returns nil when
+// no compiler is registered or the method is outside the compiled subset.
+func (i *Interface) compiledFor(method string, fold uint64) CompiledProgram {
 	cp := methodCompiler.Load()
 	if cp == nil {
 		return nil
 	}
-	fold := i.subtreeFold()
 	var ent *progEntry
 	for ent == nil {
 		e, ok := i.progs.Load(method)
@@ -192,12 +191,12 @@ func (i *Interface) compiledFor(method string) CompiledProgram {
 // specializeFor runs compilation + specialization for one Eval and counts
 // the outcome. A nil return means interpreter fallback; a non-nil program
 // is the caller's to Release.
-func (i *Interface) specializeFor(method string, opts EvalOptions, args []Value,
+func (i *Interface) specializeFor(method string, fold uint64, opts EvalOptions, args []Value,
 	base map[string]Value, free []QualifiedECV) SpecializedProgram {
 	if opts.Interpret {
 		return nil
 	}
-	prog := i.compiledFor(method)
+	prog := i.compiledFor(method, fold)
 	if prog == nil {
 		return nil
 	}

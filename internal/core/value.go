@@ -17,7 +17,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -132,12 +132,21 @@ func (v Value) FieldNames() []string {
 	if v.kind != KindRecord {
 		return nil
 	}
-	names := make([]string, 0, len(v.rec))
-	for k := range v.rec {
-		names = append(names, k)
+	return v.AppendFieldNames(make([]string, 0, len(v.rec)))
+}
+
+// AppendFieldNames appends the record's sorted field names to dst; into a
+// buffer on the caller's stack, that allocates nothing.
+func (v Value) AppendFieldNames(dst []string) []string {
+	if v.kind != KindRecord {
+		return dst
 	}
-	sort.Strings(names)
-	return names
+	start := len(dst)
+	for k := range v.rec {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Index returns the i-th list element; ok is false if v is not a list or i
@@ -224,7 +233,8 @@ func (v Value) AppendKey(dst []byte) []byte {
 		dst = append(append(dst, ':'), v.s...)
 	case KindRecord:
 		dst = append(dst, "R{"...)
-		for _, k := range v.FieldNames() {
+		var names [8]string
+		for _, k := range v.AppendFieldNames(names[:0]) {
 			dst = append(append(dst, k...), '=')
 			dst = append(v.rec[k].AppendKey(dst), ';')
 		}

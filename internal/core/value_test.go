@@ -167,6 +167,18 @@ func TestFieldNames(t *testing.T) {
 	if Num(1).FieldNames() != nil {
 		t.Error("FieldNames on non-record should be nil")
 	}
+	// AppendFieldNames sorts only what it appends, and lists a record
+	// into a caller's buffer without allocating.
+	var buf [8]string
+	if got := r.AppendFieldNames(append(buf[:0], "zz")); len(got) != 3 || got[0] != "zz" || got[1] != "a" || got[2] != "z" {
+		t.Errorf("AppendFieldNames after \"zz\" = %v", got)
+	}
+	if got := Num(1).AppendFieldNames(buf[:1]); len(got) != 1 {
+		t.Errorf("AppendFieldNames on non-record appended %v", got[1:])
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.AppendFieldNames(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendFieldNames into a buffer with room made %v allocations", allocs)
+	}
 }
 
 // referenceWriteKey is Value.writeKey as it stood before AppendKey replaced

@@ -230,9 +230,46 @@ func TestEvalBatchCaps(t *testing.T) {
 	}
 }
 
+// TestBatchDoesNotShedItself: on an idle node, one batch with more cold
+// keys than the admission queue holds answers every item. Its keys queue
+// for worker slots no more of them at a time than there are workers, so
+// the batch cannot fill the queue it is bounded by. (One goroutine per key
+// answered 74 of 300 items here and shed the rest with 429.)
+func TestBatchDoesNotShedItself(t *testing.T) {
+	const items = 300
+	var evalRuns atomic.Int64
+	srv, client, stop := newTestDaemon(t, Config{Workers: 2}) // QueueLimit: the default 64
+	defer stop()
+	if _, err := srv.Registry().RegisterInterface("slow", slowIface(&evalRuns, 200*time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]EvalRequest, items)
+	for i := range reqs {
+		reqs[i] = client.EvalRequestFor("slow", "work", []core.Value{core.Num(float64(i))}, core.Expected())
+	}
+	got, err := client.EvalBatchCtx(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := 0
+	for _, it := range got {
+		if it.Status == http.StatusOK {
+			answered++
+		}
+	}
+	queueFull, deadline := srv.adm.sheds()
+	if answered != items || queueFull != 0 || deadline != 0 {
+		t.Errorf("%d of %d items answered, %d shed on a full queue, %d on the deadline; want every item answered",
+			answered, items, queueFull, deadline)
+	}
+	if n := srv.evaluations.Load(); n != items {
+		t.Errorf("%d evaluations, want %d", n, items)
+	}
+}
+
 // TestWarmBatchAllocs pins the all-hit batch path as a count. 256 items
 // over 64 distinct warm keys, binary, through the loopback transport
-// (client encode and decode included). Measured 1,928 allocations, 7.5
+// (client encode and decode included). Measured 1,158 allocations, 4.5
 // an item; the bound leaves 3% for toolchain drift. What the figure
 // holds in place, each of which alone breaks it: the handler reads each
 // distinct key's memo entry inline and starts no goroutine (8,896 →
@@ -241,13 +278,15 @@ func TestEvalBatchCaps(t *testing.T) {
 // method, mode and record-key strings the items repeat (8,763 → 3,975);
 // arguments are decoded straight into core.Values, a hit is answered
 // with the *WireDist its memo entry holds, which also feeds the ledger
-// (3,975 → 2,183), and the client decodes a batch's WireDist structs
-// into one array (2,183 → 1,928). What is left per item, by profile: the
-// answer's two float vectors on the client; the argument slice and the
-// record's map (two allocations, in core.Record) on the server; and the
-// record's sorted field names, once to encode it and once to key it.
+// (3,975 → 2,183); the client decodes a batch's WireDist structs into
+// one array (2,183 → 1,928); and the record's sorted field names, once to
+// encode it and once to key it, are listed on the stack, while the client
+// decodes an answer's two vectors into one allocation (1,928 → 1,158).
+// What is left per item, by profile: the answer's vectors on the client,
+// and the argument slice and the record's map (two allocations, in
+// core.Record) on the server.
 func TestWarmBatchAllocs(t *testing.T) {
-	const items, distinct, bound = 256, 64, 1990
+	const items, distinct, bound = 256, 64, 1190
 	srv := NewServer(Config{})
 	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
 		t.Fatal(err)

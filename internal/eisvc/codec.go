@@ -354,11 +354,15 @@ func (c *coder) floats(p *[]float64) {
 	if c.mode == walking || len(b) == 0 {
 		return
 	}
-	xs := make([]float64, len(b)/8)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	*p = make([]float64, len(b)/8)
+	putFloats(*p, b)
+}
+
+// putFloats decodes b's little-endian float64s into dst.
+func putFloats(dst []float64, b []byte) {
+	for i := range len(b) / 8 {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	*p = xs
 }
 
 // flags lays out one byte whose bit i is *bits[i]; a nil entry is a bit
@@ -517,7 +521,8 @@ func (c *coder) list(v core.Value, depth int) core.Value {
 }
 
 func (c *coder) record(v core.Value, depth int) core.Value {
-	names := v.FieldNames() // sorted; nil unless encoding
+	var buf [8]string                    // on the stack for the usual few fields
+	names := v.AppendFieldNames(buf[:0]) // sorted; empty unless encoding
 	n := len(names)
 	c.count(&n, minField)
 	var fields map[string]core.Value
@@ -526,7 +531,7 @@ func (c *coder) record(v core.Value, depth int) core.Value {
 	}
 	for i := 0; i < n; i++ {
 		var k string
-		if names != nil {
+		if c.mode == encoding {
 			k = names[i]
 		}
 		c.name(&k)
@@ -544,10 +549,22 @@ func (c *coder) record(v core.Value, depth int) core.Value {
 // --- layouts ---
 
 // wireDist: the exact vectors plus the derived summary stats, so a binary
-// client never recomputes quantiles.
+// client never recomputes quantiles. Decoding reads both vectors into one
+// allocation, Support capped so that an append cannot run into Probs.
 func (c *coder) wireDist(w *WireDist) {
-	c.floats(&w.Support)
-	c.floats(&w.Probs)
+	if c.mode == decoding {
+		xs, ps := c.raw(8), c.raw(8)
+		if len(xs)+len(ps) > 0 {
+			n := len(xs) / 8
+			both := make([]float64, n+len(ps)/8)
+			putFloats(both, xs)
+			putFloats(both[n:], ps)
+			w.Support, w.Probs = both[:n:n], both[n:]
+		}
+	} else {
+		c.floats(&w.Support)
+		c.floats(&w.Probs)
+	}
 	c.f64(&w.Mean)
 	c.f64(&w.Std)
 	c.f64(&w.Min)
@@ -655,7 +672,7 @@ func (c *coder) batchItem(it *BatchEvalItem, dist *WireDist) (hasDist bool) {
 // caller that keeps one item's Dist pointer keeps 88 bytes an item of the
 // batch. The float vectors are not pooled the same way — one backing
 // array would let a single kept answer pin every vector of its batch
-// (≈ 450 KB for 256 items) — so each is its own allocation.
+// (≈ 450 KB for 256 items) — so each answer's pair is its own allocation.
 func (c *coder) batchResponse(r *BatchEvalResponse) {
 	c.intern = true
 	items := seq(c, &r.Results, minAnswerItem)

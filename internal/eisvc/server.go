@@ -703,10 +703,11 @@ func (s *Server) handleEval(r *http.Request, req *EvalRequest) (*EvalResponse, e
 // inline; items that canonicalize to the same key are deduplicated — one
 // answer serves all of them. (2) The keys the memo did not hold go to the
 // fleet hook together, once. (3) What neither the memo nor a peer held
-// evaluates concurrently, each key under the normal singleflight and
-// admission discipline (so a batch cannot bypass the worker-slot and
-// queue bounds; it can only stop paying for duplicates). Item failures
-// are per-item: a bad or shed item does not fail the batch.
+// evaluates on at most Workers goroutines, each key under the normal
+// singleflight and admission discipline (so a batch cannot bypass the
+// worker-slot and queue bounds, nor fill the queue and shed itself; it can
+// only stop paying for duplicates). Item failures are per-item: a bad or
+// shed item does not fail the batch.
 func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*BatchEvalResponse, error) {
 	if len(req.Requests) == 0 {
 		return nil, reject(http.StatusBadRequest, "empty batch")
@@ -727,9 +728,11 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 	}
 	type coldKey struct {
 		result int
+		key    string
 		it     *EvalRequest
 		iface  *core.Interface
 		opts   core.EvalOptions
+		wait   context.Context // bounds its wait for a flight or a worker slot
 	}
 	items := make([]BatchEvalItem, len(req.Requests))
 	shared := make([]int, len(req.Requests))
@@ -764,7 +767,7 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 			if w := s.memo.wire(key); w != nil {
 				results[k].out = evalOutcome{wire: w, memoHit: true}
 			} else {
-				cold = append(cold, coldKey{k, it, iface, opts})
+				cold = append(cold, coldKey{result: k, key: key, it: it, iface: iface, opts: opts})
 				coldKeys = append(coldKeys, key)
 			}
 		}
@@ -776,32 +779,49 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		found = s.probePeers(r.Context(), *lookup, coldKeys)
 	}
 	// The cold keys wait for a flight or a worker slot under one context per
-	// distinct queue deadline — one, unless items carry their own.
+	// distinct queue deadline — one, unless items carry their own — made
+	// before any key waits, so the deadline bounds the batch.
 	var waits map[time.Duration]context.Context
-	var wg sync.WaitGroup
+	todo := cold[:0] // the keys no peer held, in batch order
 	for j := range cold {
-		c, kr := &cold[j], &results[cold[j].result]
+		c := cold[j]
 		if found != nil && found[j] != nil {
-			kr.out = evalOutcome{wire: found[j], memoHit: true, peer: true}
+			results[c.result].out = evalOutcome{wire: found[j], memoHit: true, peer: true}
 			continue
 		}
 		wait := s.deadlineFor(c.it)
-		waitCtx := waits[wait]
-		if waitCtx == nil {
+		if c.wait = waits[wait]; c.wait == nil {
 			var cancel context.CancelFunc
-			waitCtx, cancel = context.WithTimeout(r.Context(), wait)
+			c.wait, cancel = context.WithTimeout(r.Context(), wait)
 			defer cancel()
 			if waits == nil {
 				waits = map[time.Duration]context.Context{}
 			}
-			waits[wait] = waitCtx
+			waits[wait] = c.wait
 		}
+		todo = append(todo, c)
+	}
+	// They evaluate, through evalMiss, on at most Workers goroutines (this
+	// one among them) taking keys in order: one goroutine per key queued
+	// every key in admission at once, and shed its own past QueueLimit. The
+	// cost: a key waiting on another request's flight holds a goroutine.
+	var next atomic.Int64
+	evalCold := func() {
+		for n := int(next.Add(1) - 1); n < len(todo); n = int(next.Add(1) - 1) {
+			c := &todo[n]
+			kr := &results[c.result]
+			kr.out, kr.coalesced, kr.err = s.evalMiss(r.Context(), c.wait, c.key, c.iface, c.it.Method, c.it.Args, c.opts, nil)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(s.cfg.Workers, len(todo)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kr.out, kr.coalesced, kr.err = s.evalMiss(r.Context(), waitCtx, coldKeys[j], c.iface, c.it.Method, c.it.Args, c.opts, nil)
+			evalCold()
 		}()
 	}
+	evalCold()
 	wg.Wait()
 
 	who := clientID(r)

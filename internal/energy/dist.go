@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Dist is a finite discrete probability distribution over float64 values.
@@ -34,7 +35,9 @@ const probEps = 1e-12
 
 // Point returns the degenerate distribution concentrated at x.
 func Point(x float64) Dist {
-	return Dist{xs: []float64{x}, ps: []float64{1}}
+	d := sized(1)
+	d.xs, d.ps = append(d.xs, x), append(d.ps, 1)
+	return d
 }
 
 // Bernoulli returns a distribution taking value 1 with probability p and
@@ -74,8 +77,9 @@ func Categorical(values, probs []float64) Dist {
 	if total <= 0 {
 		panic("energy: Categorical probabilities sum to zero")
 	}
-	type wp struct{ x, p float64 }
-	items := make([]wp, 0, len(values))
+	buf := wpPool.Get().(*[]wp)
+	defer wpPool.Put(buf)
+	items := (*buf)[:0]
 	for i, v := range values {
 		if probs[i] <= 0 {
 			continue
@@ -85,21 +89,45 @@ func Categorical(values, probs []float64) Dist {
 		}
 		items = append(items, wp{v, probs[i] / total})
 	}
+	*buf = items
 	slices.SortFunc(items, func(a, b wp) int { return cmpValue(a.x, b.x) })
-	d := Dist{
-		xs: make([]float64, 0, len(items)),
-		ps: make([]float64, 0, len(items)),
-	}
+	m := 0 // equal values merge into items[:m], masses added in sort order
 	for _, it := range items {
-		n := len(d.xs)
-		if n > 0 && d.xs[n-1] == it.x {
-			d.ps[n-1] += it.p
+		if m > 0 && items[m-1].x == it.x {
+			items[m-1].p += it.p
 			continue
 		}
-		d.xs = append(d.xs, it.x)
-		d.ps = append(d.ps, it.p)
+		items[m] = it
+		m++
+	}
+	d := sized(m)
+	for _, it := range items[:m] {
+		d.xs, d.ps = append(d.xs, it.x), append(d.ps, it.p)
 	}
 	return d
+}
+
+// wp and vc are the points Categorical and Empirical sort, in buffers
+// pooled across calls: a constructor allocates only the Dist it returns.
+type (
+	wp struct{ x, p float64 }
+	vc struct {
+		x float64
+		c int
+	}
+)
+
+var (
+	wpPool = sync.Pool{New: func() any { return new([]wp) }}
+	vcPool = sync.Pool{New: func() any { return new([]vc) }}
+)
+
+// sized returns an empty Dist with room for n points, both vectors in one
+// allocation. The support is capped at n, so appending past it cannot run
+// into the probabilities that follow it.
+func sized(n int) Dist {
+	both := make([]float64, 2*n)
+	return Dist{xs: both[:0:n], ps: both[n:n]}
 }
 
 // cmpValue is the three-way order Categorical and Empirical sort their
@@ -134,11 +162,9 @@ func Empirical(values []float64, counts []int) Dist {
 	if len(values) != len(counts) {
 		panic("energy: Empirical values/counts length mismatch")
 	}
-	type vc struct {
-		x float64
-		c int
-	}
-	items := make([]vc, 0, len(values))
+	buf := vcPool.Get().(*[]vc)
+	defer vcPool.Put(buf)
+	items := (*buf)[:0]
 	n := 0
 	for i, v := range values {
 		if counts[i] <= 0 {
@@ -159,23 +185,24 @@ func Empirical(values []float64, counts []int) Dist {
 		total += p
 	}
 	q := p / total
+	*buf = items
 	slices.SortFunc(items, func(a, b vc) int { return cmpValue(a.x, b.x) })
-	d := Dist{
-		xs: make([]float64, 0, len(items)),
-		ps: make([]float64, 0, len(items)),
-	}
+	m := 0 // equal values merge into items[:m], counts added
 	for _, it := range items {
-		last := len(d.xs) - 1
-		if last < 0 || d.xs[last] != it.x {
-			d.xs = append(d.xs, it.x)
-			d.ps = append(d.ps, 0) // 0 + q is q exactly
-			last++
+		if m > 0 && items[m-1].x == it.x {
+			items[m-1].c += it.c
+			continue
 		}
-		mass := d.ps[last]
+		items[m] = it
+		m++
+	}
+	d := sized(m)
+	for _, it := range items[:m] {
+		mass := 0.0 // 0 + q is q exactly
 		for c := it.c; c > 0; c-- {
 			mass += q
 		}
-		d.ps[last] = mass
+		d.xs, d.ps = append(d.xs, it.x), append(d.ps, mass)
 	}
 	return d
 }
@@ -377,9 +404,7 @@ func (d Dist) Scale(k float64) Dist {
 	for i, x := range d.xs {
 		values[i] = k * x
 	}
-	probs := make([]float64, len(d.ps))
-	copy(probs, d.ps)
-	return Categorical(values, probs)
+	return Categorical(values, d.ps) // Categorical only reads probs
 }
 
 // Map returns the distribution of f(X). Non-monotone f is fine; equal
@@ -392,9 +417,7 @@ func (d Dist) Map(f func(float64) float64) Dist {
 	for i, x := range d.xs {
 		values[i] = f(x)
 	}
-	probs := make([]float64, len(d.ps))
-	copy(probs, d.ps)
-	return Categorical(values, probs)
+	return Categorical(values, d.ps)
 }
 
 // Mix returns the mixture distribution choosing from dists with the given

@@ -94,6 +94,8 @@ func TestScratchOutstandingBalances(t *testing.T) {
 	ReturnInts(n)
 	a := UniformOver(1, 2, 3, 5, 8)
 	_ = a.Add(a).Repeat(5)
+	_ = Mix([]float64{1, 2}, []Dist{a, a.Scale(3)})
+	_ = Empirical([]float64{3, 1, 3}, []int{2, 1, 4})
 	if got := ScratchOutstanding(); got != before {
 		t.Errorf("outstanding = %d, want %d: a buffer leaked", got, before)
 	}

@@ -28,42 +28,35 @@ var scratchOut atomic.Int64
 // what leak tests assert.
 func ScratchOutstanding() int64 { return scratchOut.Load() }
 
-// BorrowScratch returns a length-n float64 scratch buffer from a shared
-// pool. The buffer contents are unspecified; callers must fully overwrite
-// the slots they read. Return it with ReturnScratch when done — after any
-// consumer (e.g. Categorical) has copied out of it, since returned buffers
-// are reused concurrently. Safe for concurrent use.
-func BorrowScratch(n int) []float64 {
-	scratchOut.Add(1)
-	p := f64Pool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	return (*p)[:n]
-}
+// BorrowScratch lends a length-n float64 scratch buffer, *p, from a
+// shared pool; its contents are unspecified. Give p itself back with
+// ReturnScratch — the lent pointer, so a return allocates nothing — once
+// any consumer (e.g. Categorical) has copied out of it. Safe for
+// concurrent use.
+func BorrowScratch(n int) *[]float64 { return borrow[float64](&f64Pool, n) }
 
-// ReturnScratch gives a buffer obtained from BorrowScratch back to the
-// pool. The caller must not use buf afterwards.
-func ReturnScratch(buf []float64) {
-	buf = buf[:0]
-	f64Pool.Put(&buf)
-	scratchOut.Add(-1)
-}
+// ReturnScratch gives a buffer lent by BorrowScratch back to the pool.
+// The caller must not use *p afterwards.
+func ReturnScratch(p *[]float64) { giveBack(&f64Pool, p) }
 
 // BorrowInts is BorrowScratch for ints; pair it with ReturnInts.
-func BorrowInts(n int) []int {
+func BorrowInts(n int) *[]int { return borrow[int](&intPool, n) }
+
+// ReturnInts gives a buffer lent by BorrowInts back to the pool.
+func ReturnInts(p *[]int) { giveBack(&intPool, p) }
+
+func borrow[T any](pool *sync.Pool, n int) *[]T {
 	scratchOut.Add(1)
-	p := intPool.Get().(*[]int)
+	p := pool.Get().(*[]T)
 	if cap(*p) < n {
-		*p = make([]int, n)
+		*p = make([]T, n)
 	}
-	return (*p)[:n]
+	*p = (*p)[:n]
+	return p
 }
 
-// ReturnInts gives a buffer obtained from BorrowInts back to the pool.
-func ReturnInts(s []int) {
-	s = s[:0]
-	intPool.Put(&s)
+func giveBack[T any](pool *sync.Pool, p *[]T) {
+	pool.Put(p)
 	scratchOut.Add(-1)
 }
 
@@ -86,19 +79,18 @@ func convolve(a, b Dist) Dist {
 	// Lane state: jj[i] is lane i's cursor into b. The heap is keyed by the
 	// lane's current sum; initial keys a.xs[i]+b.xs[0] are already sorted
 	// (a.xs is increasing), so the array is born a valid heap.
-	jj := BorrowInts(n)
-	lane := BorrowInts(n)
-	key := BorrowScratch(n)
-	defer ReturnInts(jj)
-	defer ReturnInts(lane)
-	defer ReturnScratch(key)
+	jjP, laneP, keyP := BorrowInts(n), BorrowInts(n), BorrowScratch(n)
+	defer ReturnInts(jjP)
+	defer ReturnInts(laneP)
+	defer ReturnScratch(keyP)
+	jj, lane, key := *jjP, *laneP, *keyP
 	for i := 0; i < n; i++ {
 		jj[i] = 0
 		lane[i] = i
 		key[i] = a.xs[i] + b.xs[0]
 	}
 	size := n
-	xs := make([]float64, 0, minInt(n*m, 4*MaxSupport))
+	xs := make([]float64, 0, min(n*m, 4*MaxSupport))
 	ps := make([]float64, 0, cap(xs))
 	for size > 0 {
 		x, l := key[0], lane[0]
@@ -164,12 +156,11 @@ func mergeComponents(w []float64, comps []Dist) Dist {
 		}
 		total += len(laneXS[i])
 	}
-	jj := BorrowInts(k)
-	lane := BorrowInts(k)
-	key := BorrowScratch(k)
-	defer ReturnInts(jj)
-	defer ReturnInts(lane)
-	defer ReturnScratch(key)
+	jjP, laneP, keyP := BorrowInts(k), BorrowInts(k), BorrowScratch(k)
+	defer ReturnInts(jjP)
+	defer ReturnInts(laneP)
+	defer ReturnScratch(keyP)
+	jj, lane, key := *jjP, *laneP, *keyP
 	size := 0
 	for i := 0; i < k; i++ {
 		jj[i] = 0
@@ -240,12 +231,11 @@ func compactMerge(xs, ps []float64, limit int) ([]float64, []float64) {
 	if limit <= 2 {
 		return compactToExtremes(xs, ps, limit)
 	}
-	prev := BorrowInts(n)
-	next := BorrowInts(n)
-	ver := BorrowInts(n) // -1 = merged away; else bumped when the value changes
-	defer ReturnInts(prev)
-	defer ReturnInts(next)
-	defer ReturnInts(ver)
+	prevP, nextP, verP := BorrowInts(n), BorrowInts(n), BorrowInts(n)
+	defer ReturnInts(prevP)
+	defer ReturnInts(nextP)
+	defer ReturnInts(verP)
+	prev, next, ver := *prevP, *nextP, *verP // ver: -1 = merged away; else bumped when the value changes
 	for i := 0; i < n; i++ {
 		prev[i], next[i], ver[i] = i-1, i+1, 0
 	}
@@ -371,11 +361,4 @@ func compactToExtremes(xs, ps []float64, limit int) ([]float64, []float64) {
 		pHi = total
 	}
 	return []float64{lo, hi}, []float64{total - pHi, pHi}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -276,22 +276,40 @@ func TestConvolutionLargeSupportCapped(t *testing.T) {
 
 func TestScratchPoolRoundTrip(t *testing.T) {
 	a := BorrowScratch(100)
-	if len(a) != 100 {
-		t.Fatalf("len %d", len(a))
+	if len(*a) != 100 {
+		t.Fatalf("len %d", len(*a))
 	}
-	for i := range a {
-		a[i] = float64(i)
+	for i := range *a {
+		(*a)[i] = float64(i)
 	}
 	ReturnScratch(a)
 	b := BorrowScratch(10)
-	if len(b) != 10 {
-		t.Fatalf("len %d", len(b))
+	if len(*b) != 10 {
+		t.Fatalf("len %d", len(*b))
 	}
 	ReturnScratch(b)
 	// Growing borrow after a small one must still size correctly.
 	c := BorrowScratch(5000)
-	if len(c) != 5000 {
-		t.Fatalf("len %d", len(c))
+	if len(*c) != 5000 {
+		t.Fatalf("len %d", len(*c))
 	}
 	ReturnScratch(c)
+}
+
+// TestScratchReturnsAllocateNothing: a borrow and its return cost no
+// allocation once the pool holds a large enough buffer — the pool gets
+// back the pointer it lent, not a new one to a slice header.
+func TestScratchReturnsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	ReturnScratch(BorrowScratch(64))
+	ReturnInts(BorrowInts(64))
+	if allocs := testing.AllocsPerRun(100, func() {
+		f, n := BorrowScratch(64), BorrowInts(64)
+		ReturnInts(n)
+		ReturnScratch(f)
+	}); allocs != 0 {
+		t.Errorf("a borrow and a return of each kind made %v allocations, want 0", allocs)
+	}
 }

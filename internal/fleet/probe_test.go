@@ -29,15 +29,6 @@ func probeEIL() string {
 	return b.String()
 }
 
-// probeFleet starts an n-node fleet whose admission queues hold a whole
-// cold batch: these tests count probes and evaluations, so no item may be
-// shed.
-func probeFleet(t *testing.T, cfg Config) *Fleet {
-	t.Helper()
-	cfg.Node.QueueLimit = 1024
-	return startFleet(t, cfg)
-}
-
 func probeStack(i int) string { return fmt.Sprintf("svc_%d", i%probeStacks) }
 
 // probeReqs builds n batch items over the stacks: item i asks svc_(i mod
@@ -124,7 +115,7 @@ func sameItems(t *testing.T, label string, got, want []eisvc.BatchEvalItem) {
 // bit-identity oracle.
 func singleNodeReference(t *testing.T, reqs []eisvc.EvalRequest) []eisvc.BatchEvalItem {
 	t.Helper()
-	ref := probeFleet(t, Config{Nodes: 1, Replication: 1})
+	ref := startFleet(t, Config{Nodes: 1, Replication: 1})
 	if _, err := ref.RegisterSource(probeEIL()); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +133,7 @@ func singleNodeReference(t *testing.T, reqs []eisvc.EvalRequest) []eisvc.BatchEv
 // each cold key to both of its peers exactly once, and the per-key
 // counters read what they read before.
 func TestBatchProbesAreCountedPerPeer(t *testing.T) {
-	f := probeFleet(t, Config{Nodes: 3})
+	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
 	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
@@ -188,7 +179,7 @@ func TestBatchProbesAreCountedPerPeer(t *testing.T) {
 // on the drained non-owner come back from one batch flagged peer, with
 // zero evaluations anywhere.
 func TestBatchRehomesFromNonOwner(t *testing.T) {
-	f := probeFleet(t, Config{Nodes: 3})
+	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
 	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
@@ -245,7 +236,7 @@ func mustNode(t *testing.T, f *Fleet, id string) *Node {
 // stack's other owner is asked first and its answer is the one used — the
 // non-owner is never asked, although it sorts first by ID.
 func TestProbeOrderOwnerFirst(t *testing.T) {
-	f := probeFleet(t, Config{Nodes: 3})
+	f := startFleet(t, Config{Nodes: 3})
 	if _, err := f.RegisterSource(probeEIL()); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +293,7 @@ func TestProbeOrderOwnerFirst(t *testing.T) {
 // next round, where the remaining peer answers what it holds. Every item
 // is bit-identical to a single-node reference.
 func TestProbePartitionFallsThrough(t *testing.T) {
-	f := probeFleet(t, Config{Nodes: 3, PeerTimeout: 50 * time.Millisecond})
+	f := startFleet(t, Config{Nodes: 3, PeerTimeout: 50 * time.Millisecond})
 	if _, err := f.RegisterSource(probeEIL()); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +353,7 @@ func TestProbePartitionFallsThrough(t *testing.T) {
 // the same time may both ask the peers, but meet in the singleflight:
 // each key is evaluated once.
 func TestConcurrentBatchesEvaluateOnce(t *testing.T) {
-	f := probeFleet(t, Config{Nodes: 3})
+	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
 	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)

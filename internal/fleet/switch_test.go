@@ -418,7 +418,7 @@ func batchItemsBy(rt *Router) map[string]uint64 {
 // each single names the node its JSON twin names, and each batch hands
 // every node exactly as many items as it served singles.
 func TestOnePlacementAloneOrBatched(t *testing.T) {
-	f := probeFleet(t, Config{Nodes: 3})
+	f := startFleet(t, Config{Nodes: 3})
 	rt, jsonC := startTestRouter(t, f)
 	if _, err := jsonC.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
@@ -471,7 +471,7 @@ func TestOnePlacementAloneOrBatched(t *testing.T) {
 // flight costs latency, not answers — every item of every batch comes
 // back 200 and bit-identical to a one-node reference.
 func TestBatchesSurviveKillMidFlight(t *testing.T) {
-	f := probeFleet(t, Config{Nodes: 3})
+	f := startFleet(t, Config{Nodes: 3})
 	_, c := startTestRouter(t, f)
 	c.Binary = true
 	c.Retry = eisvc.DefaultRetryPolicy()
@@ -537,7 +537,7 @@ func distBits(t *testing.T, w *eisvc.WireDist) []byte {
 // it; like its three siblings it now stays out of the aggregate and is
 // read per node.
 func TestAggregateLeavesProcessCountersPerNode(t *testing.T) {
-	f := probeFleet(t, Config{Nodes: 3})
+	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
 	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)

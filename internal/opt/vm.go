@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -121,6 +122,10 @@ type regFile struct {
 	f []float64
 	b []bool
 	v []core.Value
+	// FillTable's, sized on first use: the table's strides, the free-ECV
+	// vector each point runs on.
+	strides []int
+	vals    []core.Value
 }
 
 func (p *progCode) errf(format string, args ...interface{}) error {
@@ -475,8 +480,10 @@ func (b *bound) FillTable(dims [][]core.Value, out []float64) (bool, error) {
 		}
 		return true, nil
 	}
+	rf := b.scratch.Get().(*regFile)
+	defer b.scratch.Put(rf)
 	// Row-major strides matching core's expansion: last dimension fastest.
-	strides := make([]int, len(dims))
+	strides := slices.Grow(rf.strides[:0], len(dims))[:len(dims)]
 	total := 1
 	for j := len(dims) - 1; j >= 0; j-- {
 		strides[j] = total
@@ -485,9 +492,11 @@ func (b *bound) FillTable(dims [][]core.Value, out []float64) (bool, error) {
 	if total > len(out) {
 		return true, b.p.errf("internal: table size %d exceeds buffer %d", total, len(out))
 	}
-	vals := make([]core.Value, b.nFree)
-	rf := b.scratch.Get().(*regFile)
-	defer b.scratch.Put(rf)
+	if rf.vals == nil {
+		rf.vals = make([]core.Value, b.nFree)
+	}
+	rf.strides = strides
+	vals := rf.vals
 	for idx := 0; idx < total; idx++ {
 		for j, d := range b.deps {
 			vals[d] = dims[j][(idx/strides[j])%len(dims[j])]
