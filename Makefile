@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race test-repeat fuzz-smoke bench bench-smoke bench-json bench-test vet fmt-check smoke all
+.PHONY: build test race test-repeat fuzz-smoke bench bench-smoke bench-json bench-test vet fmt-check all
 
 all: build test
 
@@ -32,14 +32,16 @@ race:
 # traces), and the eisvc tests that depend on the runtime's mood — exact
 # allocation counts (a warm batch, every frame kind), 32 responses
 # encoding from one shared memo entry at once, a cold batch that must not
-# shed its own items — plus the frame pins, and the allocations of a cold
-# evaluation. A flake shows up here as a red step, not as one red run in
-# six.
+# shed its own items — plus the frame pins, the allocations of a cold
+# evaluation, and the tests that run eid and efleet as child processes
+# (ports, signals and snapshot files are where process flakes live). A
+# flake shows up here as a red step, not as one red run in six.
 test-repeat:
 	$(GO) test -count=10 -run 'TestE1[2-7]' ./internal/experiments
 	$(GO) test -count=5 ./internal/fleet
 	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged|TestBatchDoesNotShedItself' ./internal/eisvc
 	$(GO) test -count=5 -run TestColdEvalAllocs .
+	$(GO) test -count=3 -run 'Process|Recal' ./cmd/eid ./cmd/efleet
 
 # `go test` only replays a fuzz target's seed corpus; this gives each one
 # ten seconds of actual fuzzing (one target and one package per run, as
@@ -80,17 +82,3 @@ bench-json:
 # enclosing workspace.
 bench-test:
 	cd bench && GOTOOLCHAIN=local GOWORK=off $(GO) test ./...
-
-# The one thing `make race` does not do: run the real binaries as
-# processes. eid -smoke -recal serves on a loopback port, registers the
-# Fig. 1 interface over the wire, checks memo hits, the compiled and
-# fallback counters, JSON/binary interop, and a full age -> detect ->
-# recalibrate cycle; eid -optimize sweeps a knob space over the binary
-# wire and checks the /v1/stats accounting; efleet -smoke kills a replica
-# owner mid-trace behind the router and demands every answer, bit-identical.
-# Everything the old per-feature smoke targets wrapped in `go test -run`
-# is a test `make race` already runs in full (docs name each one).
-smoke:
-	$(GO) run ./cmd/eid -smoke -recal
-	$(GO) run ./cmd/eid -optimize
-	$(GO) run ./cmd/efleet -smoke

@@ -548,7 +548,7 @@ func BenchmarkRecalibrate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		coef, err := microbench.Calibrate(g, experiments.CalibrationRepeats)
+		coef, err := microbench.Calibrate(g, microbench.CalibrationRepeats)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,22 +12,6 @@ import (
 	"energyclarity/internal/fleet"
 )
 
-// TestFleetSmoke runs the full self-test: boot a 3-node fleet, kill a
-// replica owner mid-trace, and require every answer delivered and
-// bit-identical.
-func TestFleetSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-smoke"}, &out); err != nil {
-		t.Fatalf("fleet smoke failed: %v\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{"seeded calibrated cnn_forward", "fleet-smoke ok", "48/48 answered bit-identically"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("smoke output missing %q:\n%s", want, got)
-		}
-	}
-}
-
 // TestServeDrainsOnSignal drives the SIGTERM path through the injectable
 // signal channel: every node drains and serve returns.
 func TestServeDrainsOnSignal(t *testing.T) {
@@ -78,7 +62,10 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-load", "/nonexistent/file.eil"}, &out); err == nil {
 		t.Error("missing -load file accepted")
 	}
-	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
-		t.Error("unknown flag accepted")
+	// The self-test drills are tests and ebench experiments now, not flags.
+	for _, flag := range []string{"-definitely-not-a-flag", "-smoke", "-sched", "-full"} {
+		if err := run([]string{flag}, &out); err == nil {
+			t.Errorf("%s accepted", flag)
+		}
 	}
 }

@@ -9,24 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"energyclarity/internal/drift"
 	"energyclarity/internal/eisvc"
 )
-
-// TestSmoke runs the full serve-smoke path: seed hardware, serve on a
-// loopback port, register Fig. 1 over the wire, evaluate, check the memo
-// and the ledger.
-func TestSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-smoke"}, &out); err != nil {
-		t.Fatalf("smoke failed: %v\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{"seeded calibrated cnn_forward", "serve-smoke ok", "memo hit"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("smoke output missing %q:\n%s", want, got)
-		}
-	}
-}
 
 // TestServeDrainsOnSignal drives the SIGTERM path through the injectable
 // signal channel: the daemon serves, takes a signal, drains, and exits
@@ -42,19 +27,14 @@ func TestServeDrainsOnSignal(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- serve(srv, ln, 5*time.Second, sig, &out) }()
 
-	c := eisvc.NewClient("http://" + ln.Addr().String())
-	deadline := time.Now().Add(5 * time.Second)
-	for { // wait until the daemon reports ready through the typed probe
-		if hz, err := c.HealthzCtx(context.Background()); err == nil {
-			if !hz.Ready || hz.Draining {
-				t.Fatalf("fresh daemon healthz = %+v, want ready", hz)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never became healthy")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The listener is already bound, so this waits for accept, not for a
+	// retry: no poll is needed.
+	hz, err := eisvc.NewClient("http://" + ln.Addr().String()).HealthzCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hz.Ready || hz.Draining {
+		t.Fatalf("fresh daemon healthz = %+v, want ready", hz)
 	}
 
 	sig <- syscall.SIGTERM
@@ -77,19 +57,46 @@ func TestServeDrainsOnSignal(t *testing.T) {
 	}
 }
 
-// TestSmokeWithRecal runs the continuous-calibration self-test: the smoke
-// daemon monitors its own rig, the silicon is aged mid-run, and the drift
-// loop must detect and install a second calibration generation.
-func TestSmokeWithRecal(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-smoke", "-recal", "-drift-window", "4"}, &out); err != nil {
-		t.Fatalf("recal smoke failed: %v\noutput:\n%s", err, out.String())
+// TestRecalDetectsAging drives the binary's own continuous-calibration
+// wiring — attachDrift's CNN probe classes and the install into
+// cnn_forward's "hw" binding — through a full cycle: settle to a stable
+// baseline, age the silicon 5% across the board, and require the drift to
+// be detected and a second calibration generation installed.
+func TestRecalDetectsAging(t *testing.T) {
+	srv := eisvc.NewServer(eisvc.Config{})
+	rig, err := seedFig1(srv)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := out.String()
-	for _, want := range []string{"continuous calibration armed", "drift-smoke ok", "generation 2 installed"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("recal smoke output missing %q:\n%s", want, got)
+	if err := attachDrift(srv, rig, 4); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	step := func(want func(*drift.ControllerStatus) bool, what string) {
+		t.Helper()
+		for i := 0; i < 300; i++ {
+			if err := srv.DriftStep(ctx); err != nil {
+				t.Fatalf("drift step: %v", err)
+			}
+			if st := srv.DriftController().Status(); want(&st) {
+				return
+			}
 		}
+		t.Fatalf("%s not reached in 300 steps", what)
+	}
+	step(func(st *drift.ControllerStatus) bool {
+		return st.Monitor.State == drift.StateStable
+	}, "stable baseline")
+	rig.GPU.InjectAging(0.05)
+	step(func(st *drift.ControllerStatus) bool { return st.Generations >= 2 }, "recalibration")
+
+	gens := srv.DriftController().Generations()
+	last := gens[len(gens)-1]
+	if last.Reason != "drift" || last.Version == 0 {
+		t.Fatalf("bad generation %+v", last)
+	}
+	if _, ver, _ := srv.Registry().Get("cnn_forward"); ver != last.Version {
+		t.Errorf("cnn_forward at version %d, generation %d installed version %d", ver, len(gens), last.Version)
 	}
 }
 
@@ -98,8 +105,11 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-load", "/nonexistent/file.eil"}, &out); err == nil {
 		t.Error("missing -load file accepted")
 	}
-	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
-		t.Error("unknown flag accepted")
+	// The self-test drills are tests now, not flags.
+	for _, flag := range []string{"-definitely-not-a-flag", "-smoke", "-optimize"} {
+		if err := run([]string{flag}, &out); err == nil {
+			t.Errorf("%s accepted", flag)
+		}
 	}
 	// -recal has nothing to probe without the seeded rig.
 	if err := run([]string{"-recal"}, &out); err == nil {

@@ -55,11 +55,18 @@ func (r *Registry) RegisterInterface(name string, iface *core.Interface) (uint64
 	return r.nextVer, nil
 }
 
+// MaxInterfaces caps how many distinct interface names RegisterSource
+// will hold. Sources arrive from remote callers and every name costs
+// registry and ledger rows for the daemon's lifetime, so the count must
+// be bounded; re-registering a name already held never counts against it.
+const MaxInterfaces = 4096
+
 // RegisterSource compiles an EIL source file and registers every interface
 // it declares, returning their names in declaration order. 'uses' clauses
 // resolve against interfaces already registered and against other
 // interfaces in the same file. Re-registering a name replaces it with a
-// fresh version. On any error nothing is registered.
+// fresh version. A source whose new names would take the registry past
+// MaxInterfaces is rejected. On any error nothing is registered.
 func (r *Registry) RegisterSource(src string) ([]string, error) {
 	f, err := eil.Parse(src)
 	if err != nil {
@@ -72,8 +79,15 @@ func (r *Registry) RegisterSource(src string) ([]string, error) {
 	// the file itself declares are left out: re-registering an interface
 	// shadows (and then replaces) its previous version.
 	declared := map[string]bool{}
+	fresh := 0
 	for _, id := range f.Interfaces {
+		if _, held := r.entries[id.Name]; !held && !declared[id.Name] {
+			fresh++
+		}
 		declared[id.Name] = true
+	}
+	if n := len(r.entries) + fresh; n > MaxInterfaces {
+		return nil, fmt.Errorf("eisvc: registering %d new interface(s) would hold %d, past the limit of %d", fresh, n, MaxInterfaces)
 	}
 	snapshot := make(map[string]*core.Interface, len(r.entries))
 	for name, e := range r.entries {

@@ -7,6 +7,7 @@ import (
 	"energyclarity/internal/eil"
 	"energyclarity/internal/energy"
 	"energyclarity/internal/gpusim"
+	"energyclarity/internal/microbench"
 	"energyclarity/internal/nn"
 )
 
@@ -209,7 +210,7 @@ func (r *A3Result) Table() *Table {
 // A3LayeredVsMonolithic compares the layered GPT-2 stack against a
 // single-method interface computing the same total inline.
 func A3LayeredVsMonolithic() (*A3Result, error) {
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return nil, err
 	}

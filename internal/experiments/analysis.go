@@ -3,6 +3,7 @@ package experiments
 import (
 	"energyclarity/internal/core"
 	"energyclarity/internal/energy"
+	"energyclarity/internal/microbench"
 	"energyclarity/internal/nn"
 	"energyclarity/internal/nvml"
 	"energyclarity/internal/profile"
@@ -48,7 +49,7 @@ func (r *E6Result) Table() *Table {
 // by ε and measures how far the top-of-stack GPT-2 prediction moves from
 // the unperturbed prediction.
 func E6ErrorPropagation() (*E6Result, error) {
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +143,7 @@ func (r *E7Result) Table() *Table {
 // E7Profiling trains the regression baseline on short generations and
 // compares both predictors across short and long generations.
 func E7Profiling() (*E7Result, error) {
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return nil, err
 	}

@@ -141,7 +141,7 @@ func (p *e14Prober) probe() (string, energy.Joules, energy.Joules, error) {
 // E14Drift runs the full cycle on the 4090 rig. With short, the pre and
 // post phases shrink for smoke tests; detection behaviour is identical.
 func E14Drift(short bool) (*E14Result, error) {
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,7 @@ func E14Drift(short bool) (*E14Result, error) {
 			return agedProbe.probe()
 		},
 		Recalibrate: func() (microbench.Coefficients, error) {
-			return microbench.Calibrate(aged, CalibrationRepeats)
+			return microbench.Calibrate(aged, microbench.CalibrationRepeats)
 		},
 		Install: func(coef microbench.Coefficients) (uint64, error) {
 			ns, err := agedProbe.stack.Rebind("hw", coef.DeviceInterface(rig.Spec))

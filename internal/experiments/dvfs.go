@@ -104,11 +104,11 @@ func E9DVFS() (*E9Result, error) {
 	points := make([]opPoint, len(base.DVFSScales))
 	err := forEachIndexed(len(base.DVFSScales), func(i int) error {
 		scale := base.DVFSScales[i]
-		g := gpusim.NewGPU(base, Seed4090)
+		g := gpusim.NewGPU(base, microbench.Seed4090)
 		if err := g.SetDVFSScale(scale); err != nil {
 			return err
 		}
-		coef, err := microbench.CalibrateSpec(g, CalibrationRepeats, base.AtScale(scale))
+		coef, err := microbench.CalibrateSpec(g, microbench.CalibrationRepeats, base.AtScale(scale))
 		if err != nil {
 			return err
 		}

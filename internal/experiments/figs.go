@@ -5,6 +5,7 @@ import (
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/energy"
+	"energyclarity/internal/microbench"
 	"energyclarity/internal/mlservice"
 	"energyclarity/internal/nn"
 	"energyclarity/internal/nvml"
@@ -87,7 +88,7 @@ func Fig1WebService() (*Fig1Result, error) {
 }
 
 func fig1Point(localCap int) (Fig1Point, error) {
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return Fig1Point{}, err
 	}
@@ -194,11 +195,11 @@ const fig2Tokens = 100
 // only some of the energy interfaces in the bottom layer need to be
 // replaced" (§3).
 func Fig2Rebinding() (*Fig2Result, error) {
-	rig4090, err := Rig4090()
+	rig4090, err := microbench.Rig4090()
 	if err != nil {
 		return nil, err
 	}
-	rig3070, err := Rig3070()
+	rig3070, err := microbench.Rig3070()
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +212,7 @@ func Fig2Rebinding() (*Fig2Result, error) {
 		return nil, err
 	}
 
-	measure := func(rig *Rig) (energy.Joules, error) {
+	measure := func(rig *microbench.Rig) (energy.Joules, error) {
 		eng, err := nn.NewEngine(nn.GPT2Small(), rig.GPU)
 		if err != nil {
 			return 0, err
@@ -226,7 +227,7 @@ func Fig2Rebinding() (*Fig2Result, error) {
 	}
 	evalErr := func(iface interface {
 		ExpectedJoules(string, ...core.Value) (energy.Joules, error)
-	}, rig *Rig) (float64, error) {
+	}, rig *microbench.Rig) (float64, error) {
 		pred, err := iface.ExpectedJoules("generate",
 			core.Num(Table1PromptLen), core.Num(fig2Tokens))
 		if err != nil {

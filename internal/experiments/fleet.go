@@ -12,6 +12,7 @@ import (
 	"energyclarity/internal/eisvc"
 	"energyclarity/internal/energy"
 	"energyclarity/internal/fleet"
+	"energyclarity/internal/microbench"
 	"energyclarity/internal/mlservice"
 	"energyclarity/internal/nn"
 )
@@ -481,7 +482,7 @@ func (r *E16Result) faultPhase(clients, perClient, distinct int) error {
 		return err
 	}
 	defer fl.Close()
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"energyclarity/internal/core"
 	"energyclarity/internal/eisvc"
 	"energyclarity/internal/energy"
+	"energyclarity/internal/microbench"
 	"energyclarity/internal/nn"
 )
 
@@ -98,7 +99,7 @@ func (r *E12Result) Table() *Table {
 // each with its own request-cache ECV, all bound to one shared GPT-2 stack
 // on the calibrated RTX 4090 device interface.
 func e12Daemon(cfg eisvc.Config) (base string, shutdown func(), err error) {
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return "", nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"energyclarity/internal/energy"
 	"energyclarity/internal/gpusim"
+	"energyclarity/internal/microbench"
 	"energyclarity/internal/nn"
 	"energyclarity/internal/trace"
 )
@@ -57,7 +58,7 @@ func (r *E8Result) Table() *Table {
 
 // E8PowerProvisioning runs the provisioning experiment on the 4090 rig.
 func E8PowerProvisioning() (*E8Result, error) {
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return nil, err
 	}

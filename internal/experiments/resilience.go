@@ -15,6 +15,7 @@ import (
 	"energyclarity/internal/eisvc"
 	"energyclarity/internal/energy"
 	"energyclarity/internal/faultsim"
+	"energyclarity/internal/microbench"
 	"energyclarity/internal/mlservice"
 	"energyclarity/internal/nn"
 )
@@ -133,7 +134,7 @@ func (r *E13Result) Table() *Table {
 // e13Daemon is e11Daemon's body, with the server handle exposed for the
 // drain probe.
 func e13Daemon(cfg eisvc.Config) (srv *eisvc.Server, base string, shutdown func(), err error) {
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return nil, "", nil, err
 	}

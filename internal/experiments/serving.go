@@ -5,6 +5,7 @@ import (
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/energy"
+	"energyclarity/internal/microbench"
 	"energyclarity/internal/nn"
 	"energyclarity/internal/nvml"
 )
@@ -65,7 +66,7 @@ func (r *E10Result) Table() *Table {
 
 // E10BatchServing sweeps serving batch sizes on the 4090 rig.
 func E10BatchServing() (*E10Result, error) {
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/energy"
+	"energyclarity/internal/microbench"
 	"energyclarity/internal/nn"
 	"energyclarity/internal/nvml"
 )
@@ -62,7 +63,7 @@ func (r *Table1Result) Table() *Table {
 // concurrently (each builds its own rig), as do the per-generation-length
 // runs within a row.
 func Table1() (*Table1Result, error) {
-	mks := []func() (*Rig, error){Rig4090, Rig3070}
+	mks := []func() (*microbench.Rig, error){microbench.Rig4090, microbench.Rig3070}
 	rows := make([]Table1Row, len(mks))
 	err := forEachIndexed(len(mks), func(i int) error {
 		rig, err := mks[i]()
@@ -82,7 +83,7 @@ func Table1() (*Table1Result, error) {
 	return &Table1Result{Rows: rows}, nil
 }
 
-func table1Device(rig *Rig) (Table1Row, error) {
+func table1Device(rig *microbench.Rig) (Table1Row, error) {
 	iface, err := nn.StackInterface(nn.GPT2Small(), rig.Device)
 	if err != nil {
 		return Table1Row{}, err

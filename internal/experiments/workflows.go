@@ -8,6 +8,7 @@ import (
 	"energyclarity/internal/eil"
 	"energyclarity/internal/energy"
 	"energyclarity/internal/extract"
+	"energyclarity/internal/microbench"
 	"energyclarity/internal/nn"
 	"energyclarity/internal/nvml"
 	"energyclarity/internal/verify"
@@ -59,7 +60,7 @@ func (r *E4Result) Table() *Table {
 
 // E4Contracts runs the checking workflow.
 func E4Contracts() (*E4Result, error) {
-	rig, err := Rig4090()
+	rig, err := microbench.Rig4090()
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -78,6 +80,54 @@ func TestRequestBodyCap(t *testing.T) {
 		fr.client.SetTransport(tr)
 		if _, _, err := fr.client.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), traceOpts); err != nil {
 			t.Fatalf("%s: eval after a rejected oversized body: %v", fr.name, err)
+		}
+	}
+}
+
+// capSource declares n trivial interfaces named prefix0..prefix<n-1>.
+func capSource(prefix string, n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "interface %s%d { func f() { return 1J } }\n", prefix, i)
+	}
+	return b.String()
+}
+
+// TestInterfaceCap: a remote caller can fill a registry to exactly
+// eisvc.MaxInterfaces distinct names, through a node and through the
+// router alike. A source that would pass the cap is a 422 that registers
+// nothing anywhere, and re-registering held names stays allowed at the cap.
+func TestInterfaceCap(t *testing.T) {
+	for _, front := range []string{"node", "router"} {
+		f := startFleet(t, Config{Nodes: 2})
+		c := eisvc.NewClient(f.Nodes()[0].URL)
+		if front == "router" {
+			_, c = startTestRouter(t, f)
+		}
+		ctx := context.Background()
+		if _, err := c.RegisterCtx(ctx, capSource("i", eisvc.MaxInterfaces)); err != nil {
+			t.Fatalf("%s: registering %d interfaces: %v", front, eisvc.MaxInterfaces, err)
+		}
+		reg := f.Nodes()[0].Server.Registry()
+		_, held, _ := reg.Get("i0")
+		var apiErr *eisvc.APIError
+		_, err := c.RegisterCtx(ctx, capSource("i", 1)+capSource("over", 1))
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: one interface past the cap: %v, want a 422", front, err)
+		}
+		for _, n := range f.Nodes() {
+			if _, _, ok := n.Server.Registry().Get("over0"); ok {
+				t.Errorf("%s: %s registered part of a rejected source", front, n.ID)
+			}
+		}
+		if _, v, _ := reg.Get("i0"); v != held {
+			t.Errorf("%s: a rejected source re-registered i0 (version %d, was %d)", front, v, held)
+		}
+		if _, err := c.RegisterCtx(ctx, capSource("i", 1)); err != nil {
+			t.Errorf("%s: re-registering a held name at the cap: %v", front, err)
+		}
+		if n := reg.Len(); n != eisvc.MaxInterfaces {
+			t.Errorf("%s: registry holds %d interfaces, want %d", front, n, eisvc.MaxInterfaces)
 		}
 	}
 }

@@ -2,9 +2,8 @@ package fleet
 
 import (
 	"context"
-	"sync"
+	"runtime"
 	"testing"
-	"time"
 
 	"energyclarity/internal/eisvc"
 	"energyclarity/internal/faultsim"
@@ -68,17 +67,25 @@ func TestFleetOptimizeKillMidSweep(t *testing.T) {
 
 	var res *eisvc.OptimizeResponse
 	var sweepErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		res, sweepErr = c.OptimizeCtx(context.Background(), fleetOptRequest())
 	}()
-	time.Sleep(10 * time.Millisecond)
+	// The sweep is a counted endpoint: the victim's in-flight count turns
+	// positive the moment it admits the sweep, and the kill lands then.
+	for cands[0].Server.InFlight() == 0 {
+		select {
+		case <-done:
+			t.Fatalf("sweep finished (%v) before %s was seen serving it", sweepErr, victim)
+		default:
+			runtime.Gosched()
+		}
+	}
 	if err := f.KillNode(victim); err != nil {
 		t.Fatalf("kill %s: %v", victim, err)
 	}
-	wg.Wait()
+	<-done
 	if sweepErr != nil {
 		t.Fatalf("sweep lost to node kill: %v", sweepErr)
 	}

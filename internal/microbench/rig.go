@@ -1,11 +1,10 @@
-package experiments
+package microbench
 
 import (
 	"fmt"
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/gpusim"
-	"energyclarity/internal/microbench"
 )
 
 // Canonical device seeds: "the two cards in the lab". All experiments use
@@ -26,16 +25,16 @@ type Rig struct {
 	Spec   gpusim.Spec
 	Seed   int64 // device seed: NewGPU(Spec, Seed) replicates the silicon
 	GPU    *gpusim.GPU
-	Coef   microbench.Coefficients
-	Device *core.Interface // microbench.DeviceInterface: coefficients + datasheet model
+	Coef   Coefficients
+	Device *core.Interface // DeviceInterface: coefficients + datasheet model
 }
 
 // NewRig instantiates and calibrates a device.
 func NewRig(spec gpusim.Spec, seed int64) (*Rig, error) {
 	g := gpusim.NewGPU(spec, seed)
-	coef, err := microbench.Calibrate(g, CalibrationRepeats)
+	coef, err := Calibrate(g, CalibrationRepeats)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: rig %s: %w", spec.Name, err)
+		return nil, fmt.Errorf("microbench: rig %s: %w", spec.Name, err)
 	}
 	return &Rig{
 		Spec:   spec,
