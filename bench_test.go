@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"energyclarity"
+	"energyclarity/internal/autoopt"
 	"energyclarity/internal/core"
 	"energyclarity/internal/drift"
 	"energyclarity/internal/eil"
@@ -1109,30 +1110,23 @@ func BenchmarkSchedPlacementBatch(b *testing.B) {
 	b.ReportMetric(float64(len(reqs)), "items/batch")
 }
 
-// benchOptimizeRequest is the MoE stack's full 60-configuration knob
-// space (E19's sweep), priced by exact enumeration over its 324 joint
-// ECV assignments.
-func benchOptimizeRequest(seed int64) eisvc.OptimizeRequest {
-	return eisvc.OptimizeRequest{
-		Interface:     "moe_stack",
-		EnergyMethod:  "energy",
-		LatencyMethod: "latency",
-		Knobs: []eisvc.OptimizeKnob{
-			{Name: "batch", Values: []float64{1, 2, 4, 8, 16}},
-			{Name: "level", Values: []float64{0, 1, 2, 3}},
-			{Name: "replicas", Values: []float64{1, 2, 4}},
-		},
-		SLOMs:     25,
-		EnumLimit: 1 << 12,
-		Seed:      seed,
-	}
+// benchSweepSpec is the MoE stack's full 60-configuration knob space
+// (E19's sweep), each configuration priced by exact enumeration over its
+// 324 joint ECV assignments.
+var benchSweepSpec = autoopt.Spec{
+	Space: autoopt.Space{
+		{Name: "batch", Values: []float64{1, 2, 4, 8, 16}},
+		{Name: "level", Values: []float64{0, 1, 2, 3}},
+		{Name: "replicas", Values: []float64{1, 2, 4}},
+	},
+	SLOMs: 25,
 }
 
-// BenchmarkOptimizeSweep measures POST /v1/optimize end to end over the
-// binary wire: cold (every configuration freshly enumerated — distinct
-// seeds defeat the memo) and warm (the repeat sweep, entirely
-// memo-served, which is what a dashboard re-asking the SLO question
-// pays).
+// BenchmarkOptimizeSweep measures an auto-optimizer sweep bought from a
+// daemon as /v1/evalbatch items over the binary wire: cold (every
+// configuration freshly enumerated — distinct seeds defeat the memo) and
+// warm (the repeat sweep, entirely memo-served, which is what a dashboard
+// re-asking the SLO question pays).
 func BenchmarkOptimizeSweep(b *testing.B) {
 	srv := eisvc.NewServer(eisvc.Config{})
 	if _, err := srv.Registry().RegisterSource(nn.MoEEIL); err != nil {
@@ -1142,31 +1136,29 @@ func BenchmarkOptimizeSweep(b *testing.B) {
 	defer ts.Close()
 	c := eisvc.NewClient(ts.URL)
 	c.Binary = true
+	sweep := func(b *testing.B, seed int64) *autoopt.Result {
+		opts := core.EvalOptions{Mode: core.ModeExpected, EnumLimit: 1 << 12, Seed: seed}
+		res, err := autoopt.Sweep(context.Background(), benchSweepSpec,
+			autoopt.FleetEvaluator(c, "moe_stack", "energy", "latency", opts, 0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
 	var seed int64 // persists across the harness's calibration reruns
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			seed++
-			res, err := c.OptimizeCtx(context.Background(), benchOptimizeRequest(seed))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.MemoServed != 0 {
+			if sweep(b, seed).MemoServed != 0 {
 				b.Fatal("distinct seeds must not hit the memo")
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		req := benchOptimizeRequest(-1)
-		first, err := c.OptimizeCtx(context.Background(), req) // prime the memo
-		if err != nil {
-			b.Fatal(err)
-		}
+		first := sweep(b, -1) // prime the memo
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := c.OptimizeCtx(context.Background(), req)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := sweep(b, -1)
 			if res.MemoServed != res.Evals {
 				b.Fatal("repeat sweep missed the memo")
 			}

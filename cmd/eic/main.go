@@ -14,7 +14,8 @@
 // values become the method arguments, in the order given), prunes
 // dominated configurations, and prints the exact energy/latency Pareto
 // frontier plus the cheapest point under the -slo p99 ceiling — the
-// offline spelling of the daemon's POST /v1/optimize (see
+// offline spelling of the sweep a fleet client runs with
+// autoopt.FleetEvaluator, buying its evaluations over /v1/evalbatch (see
 // docs/AUTOOPT.md).
 //
 // -dump prints the optimizing compiler's pipeline for the method before

@@ -6,11 +6,11 @@
 // "cheapest operating point under p99 ≤ X ms" instead of issuing raw
 // evals.
 //
-// The package is pure math plus an Evaluator seam. It does not know about
-// the daemon: internal/eisvc serves it as POST /v1/optimize (evaluating
-// through the node's memoized engine, so repeat sweeps are memo-served)
-// and also provides a fleet-client evaluator over /v1/evalbatch;
-// cmd/eic runs it offline against an in-process interface via
+// The package is pure math plus an Evaluator seam with two spellings.
+// FleetEvaluator is a fleet client: it buys each configuration's
+// evaluations from a daemon or fleet router as /v1/evalbatch items, so a
+// repeat sweep is memo-served wherever the fleet placed them. cmd/eic
+// runs the same sweep offline against an in-process interface via
 // CoreEvaluator.
 //
 // Determinism contract: the grid enumerates knobs in declaration order

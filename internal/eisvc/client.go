@@ -80,7 +80,7 @@ type Client struct {
 	// tail-latency hedge. The first answer wins; the loser is cancelled.
 	Hedge time.Duration
 	// Binary switches the endpoint-table calls (EvalCtx, EvalBatchCtx,
-	// CacheLookupCtx, OptimizeCtx) to the length-prefixed binary codec: the
+	// CacheLookupCtx) to the length-prefixed binary codec: the
 	// request body is sent as BinaryContentType and the same is offered in
 	// Accept. Requires a daemon that speaks the codec; everything else
 	// (register, stats, drift, ...) stays on the JSON debug path regardless.

@@ -57,8 +57,6 @@ const (
 	kindCacheLookupRequest
 	kindCacheLookupResponse
 	kindSnapshot
-	kindOptimizeRequest
-	kindOptimizeResponse
 )
 
 // IsBinaryContentType reports whether a Content-Type (or Accept) header
@@ -414,8 +412,6 @@ func optional[T any](c *coder, p **T) *T {
 const (
 	minRequestItem = 3*4 + 5*8 + 2*4 // three strings, five integers, two counts
 	minAnswerItem  = 4*4 + 8 + 4 + 1 // four strings, version, status, flags
-	minPoint       = 4 + 2*8         // a knob vector, two objectives
-	minKnob        = 4 + 4           // a name, a value vector
 	minKey         = 4               // a length prefix
 	minResult      = 1               // a flag byte
 	minMemoEntry   = 3 * 4           // a key, two vectors
@@ -709,63 +705,6 @@ func (c *coder) cacheLookupResponse(r *CacheLookupResponse) {
 		if hasDist {
 			c.wireDist(optional(c, &res.Dist))
 		}
-	}
-}
-
-func (c *coder) optimizeRequest(r *OptimizeRequest) {
-	c.str(&r.Interface)
-	c.str(&r.EnergyMethod)
-	c.str(&r.LatencyMethod)
-	c.str(&r.Mode)
-	c.f64(&r.SLOMs)
-	c.int(&r.Samples)
-	c.i64(&r.Seed)
-	c.int(&r.EnumLimit)
-	c.int(&r.Parallelism)
-	c.int(&r.MaxConfigs)
-	c.int(&r.DeadlineMs)
-	c.knobs(&r.Knobs)
-}
-
-func (c *coder) knobs(ks *[]OptimizeKnob) {
-	knobs := seq(c, ks, minKnob)
-	for i := range knobs {
-		c.str(&knobs[i].Name)
-		c.floats(&knobs[i].Values)
-	}
-}
-
-func (c *coder) point(p *OptimizePoint) {
-	c.floats(&p.Knobs)
-	c.f64(&p.EnergyJ)
-	c.f64(&p.LatencyMs)
-}
-
-func (c *coder) optimizeResponse(r *OptimizeResponse) {
-	c.str(&r.Interface)
-	c.u64(&r.Version)
-	c.str(&r.Mode)
-	c.str(&r.Node)
-	c.f64(&r.SLOMs)
-	c.int(&r.Configs)
-	c.int(&r.Evaluated)
-	c.int(&r.Skipped)
-	c.int(&r.Evals)
-	c.int(&r.MemoServed)
-	c.u64(&r.Digest)
-	c.f64(&r.SavingsFrac)
-	c.knobs(&r.Knobs)
-	frontier := seq(c, &r.Frontier, minPoint)
-	for i := range frontier {
-		c.point(&frontier[i])
-	}
-	hasRec, hasMax := r.Recommended != nil, r.MaxPerf != nil
-	c.flags(&hasRec, &hasMax)
-	if hasRec {
-		c.point(optional(c, &r.Recommended))
-	}
-	if hasMax {
-		c.point(optional(c, &r.MaxPerf))
 	}
 }
 

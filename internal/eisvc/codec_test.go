@@ -253,126 +253,6 @@ func refusesEveryPrefix[T any](t *testing.T, what string, c *Codec[T], v *T) {
 	}
 }
 
-func testOptimizeRequest() *OptimizeRequest {
-	return &OptimizeRequest{
-		Interface:     "moe_stack",
-		EnergyMethod:  "energy",
-		LatencyMethod: "latency",
-		Knobs: []OptimizeKnob{
-			{Name: "batch", Values: []float64{1, 2, 4, 8, 16}},
-			{Name: "level", Values: append([]float64{}, oddFloats...)},
-		},
-		SLOMs:       25,
-		Mode:        "expected",
-		Samples:     4096,
-		Seed:        -3,
-		EnumLimit:   1 << 12,
-		Parallelism: 4,
-		MaxConfigs:  512,
-		DeadlineMs:  750,
-	}
-}
-
-func TestCodecOptimizeRequestRoundTrip(t *testing.T) {
-	for _, req := range []*OptimizeRequest{
-		testOptimizeRequest(),
-		// Empty knob space: the neutral product is a valid sweep.
-		{Interface: "s", EnergyMethod: "e", LatencyMethod: "l", SLOMs: math.Inf(1)},
-	} {
-		frame := binaryFrame(&OptimizeEndpoint.Request, req)
-		got, err := OptimizeEndpoint.Request.Decode(BinaryContentType, frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Interface != req.Interface || got.EnergyMethod != req.EnergyMethod ||
-			got.LatencyMethod != req.LatencyMethod || got.Mode != req.Mode ||
-			math.Float64bits(got.SLOMs) != math.Float64bits(req.SLOMs) ||
-			got.Samples != req.Samples || got.Seed != req.Seed ||
-			got.EnumLimit != req.EnumLimit || got.Parallelism != req.Parallelism ||
-			got.MaxConfigs != req.MaxConfigs || got.DeadlineMs != req.DeadlineMs {
-			t.Fatalf("scalar fields mismatch:\n in  %#v\n out %#v", req, got)
-		}
-		if len(got.Knobs) != len(req.Knobs) {
-			t.Fatalf("knob count mismatch: %#v", got.Knobs)
-		}
-		for i := range req.Knobs {
-			if got.Knobs[i].Name != req.Knobs[i].Name || !bitsEqual(got.Knobs[i].Values, req.Knobs[i].Values) {
-				t.Fatalf("knob %d not bit-identical: %#v", i, got.Knobs[i])
-			}
-		}
-		if !bytes.Equal(frame, binaryFrame(&OptimizeEndpoint.Request, got)) {
-			t.Fatal("optimize request encoding not canonical")
-		}
-	}
-}
-
-// testOptimizeResponse carries NaN/±Inf objectives: a sweep reports
-// unmeasurable points as skipped, but the codec itself carries any bit
-// pattern.
-func testOptimizeResponse() *OptimizeResponse {
-	odd := func(i int) float64 { return oddFloats[i%len(oddFloats)] }
-	return &OptimizeResponse{
-		Interface: "moe_stack",
-		Version:   9,
-		Mode:      "expected",
-		Knobs:     testOptimizeRequest().Knobs,
-		SLOMs:     25,
-		Configs:   60, Evaluated: 58, Skipped: 2, Evals: 120, MemoServed: 117,
-		Frontier: []OptimizePoint{
-			{Knobs: []float64{1, odd(0)}, EnergyJ: odd(1), LatencyMs: 15.5},
-			{Knobs: []float64{16, 0}, EnergyJ: math.Inf(-1), LatencyMs: math.NaN()},
-		},
-		Digest:      0xdeadbeefcafef00d,
-		Recommended: &OptimizePoint{Knobs: []float64{16, 1}, EnergyJ: 2.7e-6, LatencyMs: 24.9},
-		MaxPerf:     &OptimizePoint{Knobs: []float64{1, 3}, EnergyJ: 1.1e-5, LatencyMs: 15.5},
-		SavingsFrac: 0.76,
-		Node:        "node-2",
-	}
-}
-
-func TestCodecOptimizeResponseRoundTrip(t *testing.T) {
-	empty := &OptimizeResponse{Interface: "s", Mode: "expected", SLOMs: 1}
-	for _, resp := range []*OptimizeResponse{testOptimizeResponse(), empty} {
-		got, err := OptimizeEndpoint.Response.Decode(BinaryContentType, binaryFrame(&OptimizeEndpoint.Response, resp))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Interface != resp.Interface || got.Version != resp.Version || got.Mode != resp.Mode ||
-			got.Configs != resp.Configs || got.Evaluated != resp.Evaluated || got.Skipped != resp.Skipped ||
-			got.Evals != resp.Evals || got.MemoServed != resp.MemoServed ||
-			got.Digest != resp.Digest || got.Node != resp.Node ||
-			math.Float64bits(got.SavingsFrac) != math.Float64bits(resp.SavingsFrac) {
-			t.Fatalf("scalar fields mismatch:\n in  %#v\n out %#v", resp, got)
-		}
-		if len(got.Frontier) != len(resp.Frontier) {
-			t.Fatalf("frontier length mismatch: %#v", got.Frontier)
-		}
-		for i := range resp.Frontier {
-			p, q := resp.Frontier[i], got.Frontier[i]
-			if !bitsEqual(q.Knobs, p.Knobs) ||
-				math.Float64bits(q.EnergyJ) != math.Float64bits(p.EnergyJ) ||
-				math.Float64bits(q.LatencyMs) != math.Float64bits(p.LatencyMs) {
-				t.Fatalf("frontier[%d] not bit-identical: %#v vs %#v", i, q, p)
-			}
-		}
-		if (got.Recommended == nil) != (resp.Recommended == nil) || (got.MaxPerf == nil) != (resp.MaxPerf == nil) {
-			t.Fatalf("optional point presence mismatch: %#v", got)
-		}
-		if resp.Recommended != nil && !bitsEqual(got.Recommended.Knobs, resp.Recommended.Knobs) {
-			t.Fatalf("recommended point mismatch: %#v", got.Recommended)
-		}
-	}
-}
-
-func TestCodecOptimizeTruncation(t *testing.T) {
-	refusesEveryPrefix(t, "request", &OptimizeEndpoint.Request, testOptimizeRequest())
-	refusesEveryPrefix(t, "response", &OptimizeEndpoint.Response, &OptimizeResponse{
-		Interface: "s", Mode: "expected",
-		Frontier:    []OptimizePoint{{Knobs: []float64{1}, EnergyJ: 2, LatencyMs: 3}},
-		Recommended: &OptimizePoint{Knobs: []float64{1}, EnergyJ: 2, LatencyMs: 3},
-	})
-}
-
 // TestCodecTruncation checks every strict prefix of a valid frame decodes
 // to an error (never a panic, never a bogus success).
 func TestCodecTruncation(t *testing.T) {
@@ -414,13 +294,15 @@ func addCodecSeeds(f *testing.F) {
 		Memo:   []MemoEntry{{Key: "k", Support: oddFloats[3:], Probs: []float64{1, 0, 0, 0}}},
 		Layer:  []LayerEntry{{Key: "lk", Joules: math.Inf(1)}},
 	}))
-	f.Add(binaryFrame(&OptimizeEndpoint.Request, testOptimizeRequest()))
-	f.Add(binaryFrame(&OptimizeEndpoint.Request, &OptimizeRequest{Interface: "s", EnergyMethod: "e", LatencyMethod: "l"}))
-	f.Add(binaryFrame(&OptimizeEndpoint.Response, &OptimizeResponse{
-		Interface: "s", Mode: "expected",
-		Frontier: []OptimizePoint{{Knobs: oddFloats, EnergyJ: math.NaN(), LatencyMs: math.Inf(1)}},
-		MaxPerf:  &OptimizePoint{Knobs: []float64{1}},
-	}))
+	// Kinds 8 and 9 were a retired route's request and response: a frame
+	// under either is refused, whatever its payload.
+	retired := func(frame []byte, kind byte) []byte {
+		frame[4] = kind
+		return frame
+	}
+	f.Add(retired(binaryFrame(&EvalEndpoint.Request, testEvalRequest()), 8))
+	f.Add(retired(binaryFrame(&EvalBatchEndpoint.Request, &BatchEvalRequest{Requests: []EvalRequest{*testEvalRequest()}}), 8))
+	f.Add(retired(binaryFrame(&EvalEndpoint.Response, &EvalResponse{Interface: "s", Mode: "expected"}), 9))
 	f.Add([]byte{})
 	f.Add(binMagic[:])
 	f.Add(append(append([]byte{}, binMagic[:]...), kindSnapshot, 0xff, 0xff, 0xff, 0xff))
@@ -457,7 +339,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		EvalEndpoint.Path:        {reencodes(&EvalEndpoint.Request), reencodes(&EvalEndpoint.Response)},
 		EvalBatchEndpoint.Path:   {reencodes(&EvalBatchEndpoint.Request), reencodes(&EvalBatchEndpoint.Response)},
 		CacheLookupEndpoint.Path: {reencodes(&CacheLookupEndpoint.Request), reencodes(&CacheLookupEndpoint.Response)},
-		OptimizeEndpoint.Path:    {reencodes(&OptimizeEndpoint.Request), reencodes(&OptimizeEndpoint.Response)},
 	}
 	checks := []func([]byte) error{reencodes(&snapshotCodec)}
 	for _, path := range Endpoints {

@@ -10,17 +10,15 @@ import (
 	"strings"
 )
 
-// Endpoint is one codec-negotiated route: its path, whether a client may
-// retry and hedge it, and the codecs of its request and response. The
-// server (serve), the fleet router and the client (call) all work from
-// the same entry, so "which codec is this body in, and which does the
-// caller want back" is decided in this file and nowhere else. DESIGN.md
-// §13 has the recipe for adding a route.
+// Endpoint is one codec-negotiated route: its path and the codecs of its
+// request and response. The server (serve), the fleet router and the
+// client (call) all work from the same entry, so "which codec is this
+// body in, and which does the caller want back" is decided in this file
+// and nowhere else. DESIGN.md §13 has the recipe for adding a route.
 type Endpoint[Req, Resp any] struct {
-	Path       string
-	Idempotent bool
-	Request    Codec[Req]
-	Response   Codec[Resp]
+	Path     string
+	Request  Codec[Req]
+	Response Codec[Resp]
 }
 
 // Codec is one wire type in both encodings: its binary frame kind and
@@ -40,12 +38,10 @@ type Codec[T any] struct {
 var Endpoints []string
 
 // entry builds a table entry from the frame kind and layout of its
-// request and of its response. Evaluations, sweeps and memo probes are
-// deterministic and touch nothing but caches, so every entry so far is
-// idempotent.
+// request and of its response.
 func entry[Req, Resp any](path string, reqKind byte, req func(*coder, *Req), respKind byte, resp func(*coder, *Resp)) *Endpoint[Req, Resp] {
 	Endpoints = append(Endpoints, path)
-	return &Endpoint[Req, Resp]{path, true, Codec[Req]{reqKind, req, true}, Codec[Resp]{respKind, resp, false}}
+	return &Endpoint[Req, Resp]{path, Codec[Req]{reqKind, req, true}, Codec[Resp]{respKind, resp, false}}
 }
 
 var (
@@ -55,8 +51,6 @@ var (
 		kindBatchRequest, (*coder).batchRequest, kindBatchResponse, (*coder).batchResponse)
 	CacheLookupEndpoint = entry("/v1/cachelookup",
 		kindCacheLookupRequest, (*coder).cacheLookupRequest, kindCacheLookupResponse, (*coder).cacheLookupResponse)
-	OptimizeEndpoint = entry("/v1/optimize",
-		kindOptimizeRequest, (*coder).optimizeRequest, kindOptimizeResponse, (*coder).optimizeResponse)
 )
 
 const jsonContentType = "application/json"
@@ -224,11 +218,13 @@ func writeBody(w http.ResponseWriter, status int, contentType string, buf *bytes
 
 // call is the client side of the entry: encode req in the client's codec
 // (binary when Client.Binary, offering the same in Accept), run the
-// retry/hedge engine, decode whatever codec came back. The payload buffer
-// is deliberately NOT pooled: an abandoned hedge or retry attempt's
-// transport goroutine can still be reading the request body after do
-// returns, so recycling its backing array would hand racing bytes to the
-// next request. The GC collects it once the last reference drops.
+// retry/hedge engine, decode whatever codec came back. Evaluations and
+// memo probes are deterministic and touch nothing but caches, so every
+// entry retries and hedges. The payload buffer is deliberately NOT
+// pooled: an abandoned hedge or retry attempt's transport goroutine can
+// still be reading the request body after do returns, so recycling its
+// backing array would hand racing bytes to the next request. The GC
+// collects it once the last reference drops.
 func (e *Endpoint[Req, Resp]) call(ctx context.Context, c *Client, req *Req) (*Resp, error) {
 	contentType, accept := jsonContentType, ""
 	if c.Binary {
@@ -238,7 +234,7 @@ func (e *Endpoint[Req, Resp]) call(ctx context.Context, c *Client, req *Req) (*R
 	if err := e.Request.Encode(&payload, contentType, req); err != nil {
 		return nil, err
 	}
-	buf, answered, err := c.do(ctx, http.MethodPost, e.Path, payload.Bytes(), contentType, accept, e.Idempotent)
+	buf, answered, err := c.do(ctx, http.MethodPost, e.Path, payload.Bytes(), contentType, accept, true)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ func codecKind[T any](name string, c *Codec[T], v *T) frameKind {
 	}
 }
 
-// frameKinds is one frame of each of the nine kinds.
+// frameKinds is one frame of each of the seven kinds.
 func frameKinds() []frameKind {
 	w := oddDist
 	snap := &CacheSnapshot{
@@ -58,8 +58,6 @@ func frameKinds() []frameKind {
 		codecKind("cache lookup response", &CacheLookupEndpoint.Response, &CacheLookupResponse{
 			Results: lookupResults(3, &w, func(i int) bool { return i%3 == 1 }), Node: "node-1"}),
 		codecKind("snapshot", &snapshotCodec, snap),
-		codecKind("optimize request", &OptimizeEndpoint.Request, testOptimizeRequest()),
-		codecKind("optimize response", &OptimizeEndpoint.Response, testOptimizeResponse()),
 	}
 	kinds[0].walk = func(frame []byte) error { _, err := WalkEvalRequest(frame); return err }
 	kinds[2].walk = walker(WalkBatchEvalRequest)
@@ -123,8 +121,6 @@ var pinnedFrames = map[string]uint64{
 	"cache lookup request":     0x6413f8c6723a1d0e,
 	"cache lookup response":    0x236763994c6f19b7,
 	"snapshot":                 0x4457bfe10de1876c,
-	"optimize request":         0xe16f673ad27dc551,
-	"optimize response":        0x6b159418174d74f8,
 	"batch refusal":            0x5cd92190489ef14c,
 	"wide batch request walk":  0x331169210564cb00,
 	"wide batch response walk": 0xbf2d57ebde8f8300,
@@ -197,8 +193,6 @@ var frameAllocs = map[string]struct{ encode, decode, walk float64 }{
 	"cache lookup request":  {0, 5, 0},
 	"cache lookup response": {0, 5, 0},
 	"snapshot":              {0, 7, 0},
-	"optimize request":      {0, 10, 0},
-	"optimize response":     {0, 16, 0},
 }
 
 // TestFrameAllocs holds encoding, decoding and walking each kind of frame
@@ -269,10 +263,6 @@ func TestCountBoundsAreMinimalElements(t *testing.T) {
 		{"answer item", minAnswerItem, false, func(c *coder, n int) {
 			c.batchResponse(&BatchEvalResponse{Results: make([]BatchEvalItem, n)})
 		}},
-		{"frontier point", minPoint, false, func(c *coder, n int) {
-			c.optimizeResponse(&OptimizeResponse{Frontier: make([]OptimizePoint, n)})
-		}},
-		{"knob", minKnob, false, func(c *coder, n int) { c.optimizeRequest(&OptimizeRequest{Knobs: make([]OptimizeKnob, n)}) }},
 		{"key", minKey, false, func(c *coder, n int) { c.cacheLookupRequest(&CacheLookupRequest{Keys: make([]string, n)}) }},
 		{"result", minResult, false, func(c *coder, n int) {
 			c.cacheLookupResponse(&CacheLookupResponse{Results: make([]CacheLookupResult, n)})

@@ -178,19 +178,6 @@ var interopCases = map[string]func(t *testing.T, f front, version uint64) []byte
 				return resp, err
 			})
 	},
-	eisvc.OptimizeEndpoint.Path: func(t *testing.T, f front, _ uint64) []byte {
-		req := eisvc.OptTestRequest()
-		return exercise(t, f, eisvc.OptimizeEndpoint, &req,
-			func(r *eisvc.OptimizeResponse) {
-				if len(r.Frontier) < 3 || r.Recommended == nil {
-					t.Fatalf("degenerate sweep: %+v", r)
-				}
-				r.MemoServed, r.Node = 0, ""
-			},
-			func(c *eisvc.Client) (*eisvc.OptimizeResponse, error) {
-				return c.OptimizeCtx(context.Background(), req)
-			})
-	},
 }
 
 var (
@@ -212,9 +199,6 @@ func register(t *testing.T, f front) uint64 {
 	c := f.client("interop-setup", false)
 	infos, err := c.RegisterCtx(context.Background(), eisvc.TestEIL)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RegisterCtx(context.Background(), eisvc.OptTestEIL); err != nil {
 		t.Fatal(err)
 	}
 	for _, info := range infos {
@@ -281,7 +265,7 @@ func TestWireSmokeInterop(t *testing.T) {
 
 	// A body that does not decode is the router's own 400 — no node is
 	// asked, so no node's name is on the answer.
-	for _, path := range []string{eisvc.EvalEndpoint.Path, eisvc.EvalBatchEndpoint.Path, eisvc.OptimizeEndpoint.Path} {
+	for _, path := range []string{eisvc.EvalEndpoint.Path, eisvc.EvalBatchEndpoint.Path} {
 		hreq, _ := http.NewRequest(http.MethodPost, routed.URL+path, bytes.NewReader([]byte("EIB\x01garbage")))
 		hreq.Header.Set("Content-Type", eisvc.BinaryContentType)
 		hresp, err := http.DefaultClient.Do(hreq)
@@ -292,6 +276,20 @@ func TestWireSmokeInterop(t *testing.T) {
 		if hresp.StatusCode != http.StatusBadRequest || hresp.Header.Get("X-Eisvc-Node") != "" {
 			t.Errorf("router %s, malformed binary body: status %d from node %q, want the router's own 400",
 				path, hresp.StatusCode, hresp.Header.Get("X-Eisvc-Node"))
+		}
+	}
+
+	// A route that is not in the table is a 404 from a node and through the
+	// router alike: the auto-optimizer is a client of /v1/evalbatch, not a
+	// route of its own.
+	for _, f := range []front{fronts[0], fronts[2]} {
+		hresp, err := http.Post(f.base+"/v1/optimize", "application/json", bytes.NewReader([]byte("{}")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hresp.Body.Close()
+		if hresp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: POST /v1/optimize answered %d, want 404", f.name, hresp.StatusCode)
 		}
 	}
 }

@@ -1,17 +1,23 @@
-package eisvc
+package eisvc_test
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"energyclarity/internal/autoopt"
 	"energyclarity/internal/core"
+	"energyclarity/internal/eil"
+	"energyclarity/internal/eisvc"
 )
+
+// The auto-optimizer is a client of the daemon: autoopt.FleetEvaluator
+// fits the frontier locally and buys each configuration's evaluations as
+// /v1/evalbatch items. These tests drive it against a live daemon.
 
 // optEIL trades energy for latency along two knobs: raising level (or
 // batch) burns more joules but answers faster, so the frontier is
@@ -24,12 +30,9 @@ interface opt_stack {
 }
 `
 
-func optRequest() OptimizeRequest {
-	return OptimizeRequest{
-		Interface:     "opt_stack",
-		EnergyMethod:  "energy",
-		LatencyMethod: "latency",
-		Knobs: []OptimizeKnob{
+func optSpec() autoopt.Spec {
+	return autoopt.Spec{
+		Space: autoopt.Space{
 			{Name: "batch", Values: []float64{1, 2, 4, 8}},
 			{Name: "level", Values: []float64{0, 1, 2, 3}},
 		},
@@ -37,18 +40,37 @@ func optRequest() OptimizeRequest {
 	}
 }
 
-// TestOptimizeServedSweep drives POST /v1/optimize over both codecs:
-// the frontier must be non-trivial, the SLO pick must beat max-perf,
-// the digests must agree between JSON and binary, a repeat sweep must
-// be entirely memo-served, and /v1/stats must account all of it.
-func TestOptimizeServedSweep(t *testing.T) {
-	_, c, done := newTestDaemon(t, Config{})
-	defer done()
-	if _, err := c.RegisterCtx(context.Background(), optEIL); err != nil {
+// optDaemon serves optEIL through handler, which wraps the daemon (nil:
+// the daemon itself), and returns a client of it.
+func optDaemon(t *testing.T, handler func(*eisvc.Server) http.Handler) *eisvc.Client {
+	t.Helper()
+	srv := eisvc.NewServer(eisvc.Config{})
+	if _, err := srv.Registry().RegisterSource(optEIL); err != nil {
 		t.Fatal(err)
 	}
+	var h http.Handler = srv
+	if handler != nil {
+		h = handler(srv)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return eisvc.NewClient(ts.URL)
+}
 
-	first, err := c.OptimizeCtx(context.Background(), optRequest())
+// optSweep sweeps optSpec over c in batches of six items, so one sweep
+// takes several round trips.
+func optSweep(ctx context.Context, c *eisvc.Client, spec autoopt.Spec, iface string, opts core.EvalOptions) (*autoopt.Result, error) {
+	return autoopt.Sweep(ctx, spec, autoopt.FleetEvaluator(c, iface, "energy", "latency", opts, 6))
+}
+
+// TestOptimizeServedSweep drives the sweep against a daemon over both
+// codecs: the frontier must be non-trivial and strictly ordered, the SLO
+// pick must beat max-perf, the two codecs must agree bit for bit, a
+// repeat must be entirely memo-served, and /v1/stats must count only the
+// cold sweep's evaluations.
+func TestOptimizeServedSweep(t *testing.T) {
+	c := optDaemon(t, nil)
+	first, err := optSweep(context.Background(), c, optSpec(), "opt_stack", core.Expected())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +97,7 @@ func TestOptimizeServedSweep(t *testing.T) {
 	}
 
 	// Repeat sweep: every evaluation is already memoized.
-	again, err := c.OptimizeCtx(context.Background(), optRequest())
+	again, err := optSweep(context.Background(), c, optSpec(), "opt_stack", core.Expected())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,148 +108,146 @@ func TestOptimizeServedSweep(t *testing.T) {
 		t.Fatalf("repeat sweep memo-served %d of %d evals", again.MemoServed, again.Evals)
 	}
 
-	// Binary codec answers the same sweep bit-identically.
+	// The binary codec answers the same sweep bit-identically.
 	c.Binary = true
-	bin, err := c.OptimizeCtx(context.Background(), optRequest())
+	bin, err := optSweep(context.Background(), c, optSpec(), "opt_stack", core.Expected())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bin.Digest != first.Digest || len(bin.Frontier) != len(first.Frontier) {
 		t.Fatalf("binary digest %x != JSON digest %x", bin.Digest, first.Digest)
 	}
-	c.Binary = false
+	if bin.MemoServed != bin.Evals {
+		t.Fatalf("binary sweep memo-served %d of %d evals", bin.MemoServed, bin.Evals)
+	}
 
 	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.OptimizeRequests != 3 {
-		t.Fatalf("optimize_requests = %d, want 3", st.OptimizeRequests)
-	}
-	wantEvals := uint64(first.Evals + again.Evals + bin.Evals)
-	if st.OptimizeEvals != wantEvals {
-		t.Fatalf("optimize_evals = %d, want %d", st.OptimizeEvals, wantEvals)
-	}
-	if st.OptimizeMemoServed < uint64(again.MemoServed+bin.MemoServed) || st.OptimizeMemoServed > st.OptimizeEvals {
-		t.Fatalf("optimize_memo_served = %d inconsistent (evals %d)", st.OptimizeMemoServed, st.OptimizeEvals)
+	if st.Evaluations != uint64(first.Evals) {
+		t.Fatalf("%d evaluations for three sweeps, want the cold one's %d", st.Evaluations, first.Evals)
 	}
 }
 
 // TestOptimizeDigestStableAcrossParallelism pins bit-determinism of the
-// served sweep at every parallelism, cold and warm.
+// fleet-client sweep at every parallelism, cold and warm, over both
+// codecs.
 func TestOptimizeDigestStableAcrossParallelism(t *testing.T) {
 	var want uint64
-	for _, par := range []int{1, 2, 8} {
-		srv, c, done := newTestDaemon(t, Config{Workers: 4})
-		if _, err := c.RegisterCtx(context.Background(), optEIL); err != nil {
-			t.Fatal(err)
+	for _, binary := range []bool{false, true} {
+		for _, par := range []int{1, 2, 8} {
+			c := optDaemon(t, nil)
+			c.Binary = binary
+			opts := core.Expected()
+			opts.Parallelism = par
+			cold, err := optSweep(context.Background(), c, optSpec(), "opt_stack", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == 0 {
+				want = cold.Digest
+			} else if cold.Digest != want {
+				t.Fatalf("binary=%v parallelism %d: cold digest %x != %x", binary, par, cold.Digest, want)
+			}
+			warm, err := optSweep(context.Background(), c, optSpec(), "opt_stack", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Digest != want {
+				t.Fatalf("binary=%v parallelism %d: warm digest %x != %x", binary, par, warm.Digest, want)
+			}
+			if warm.MemoServed != warm.Evals {
+				t.Fatalf("binary=%v parallelism %d: warm sweep memo-served %d of %d evals", binary, par, warm.MemoServed, warm.Evals)
+			}
 		}
-		req := optRequest()
-		req.Parallelism = par
-		res, err := c.OptimizeCtx(context.Background(), req)
+	}
+}
+
+// TestOptimizeBatchEvaluatorMatchesServed pins that the fleet-client sweep
+// (Pareto math local, evaluations bought via /v1/evalbatch) fits the same
+// frontier as the in-process CoreEvaluator sweep, bit for bit, over both
+// codecs.
+func TestOptimizeBatchEvaluatorMatchesServed(t *testing.T) {
+	stacks, err := eil.Compile(optEIL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := autoopt.Sweep(context.Background(), optSpec(),
+		autoopt.CoreEvaluator(stacks["opt_stack"], "energy", "latency", core.Expected()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, binary := range []bool{false, true} {
+		c := optDaemon(t, nil)
+		c.Binary = binary
+		fleet, err := optSweep(context.Background(), c, optSpec(), "opt_stack", core.Expected())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want == 0 {
-			want = res.Digest
-		} else if res.Digest != want {
-			t.Fatalf("parallelism %d digest %x != %x", par, res.Digest, want)
+		if fleet.Digest != offline.Digest {
+			t.Fatalf("binary=%v: fleet digest %x != offline digest %x", binary, fleet.Digest, offline.Digest)
 		}
-		_ = srv
-		done()
+		if len(fleet.Frontier) != len(offline.Frontier) {
+			t.Fatalf("binary=%v: fleet frontier has %d points, offline %d", binary, len(fleet.Frontier), len(offline.Frontier))
+		}
 	}
 }
 
+// TestOptimizeValidation: a space the sweep cannot enumerate fails before
+// any request leaves the client, and an item the daemon refuses fails the
+// sweep with the daemon's status (an exact frontier cannot be fit over
+// partial samples).
 func TestOptimizeValidation(t *testing.T) {
-	_, c, done := newTestDaemon(t, Config{})
-	defer done()
-	if _, err := c.RegisterCtx(context.Background(), optEIL); err != nil {
-		t.Fatal(err)
+	c := optDaemon(t, nil)
+	spec := optSpec()
+	spec.Space[0].Values = []float64{2, 2}
+	if _, err := optSweep(context.Background(), c, spec, "opt_stack", core.Expected()); err == nil {
+		t.Fatal("duplicate knob value swept")
 	}
-	wantStatus := func(label string, req OptimizeRequest, status int) {
+	spec = optSpec()
+	spec.MaxConfigs = 3
+	if _, err := optSweep(context.Background(), c, spec, "opt_stack", core.Expected()); err == nil {
+		t.Fatal("space over its cap swept")
+	}
+	if st, err := c.StatsCtx(context.Background()); err != nil || st.BatchRequests != 0 {
+		t.Fatalf("an invalid space reached the daemon: %d batches, err %v", st.BatchRequests, err)
+	}
+
+	wantStatus := func(label, iface string, opts core.EvalOptions, status string) {
 		t.Helper()
-		_, err := c.OptimizeCtx(context.Background(), req)
-		var apiErr *APIError
-		if !errors.As(err, &apiErr) || apiErr.Status != status {
-			t.Fatalf("%s: err = %v, want API status %d", label, err, status)
+		_, err := optSweep(context.Background(), c, optSpec(), iface, opts)
+		if err == nil || !strings.Contains(err.Error(), ": "+status+" ") {
+			t.Fatalf("%s: err = %v, want an item failing with %s", label, err, status)
 		}
 	}
-	req := optRequest()
-	req.LatencyMethod = ""
-	wantStatus("missing method", req, http.StatusBadRequest)
-
-	req = optRequest()
-	req.Interface = "nope"
-	wantStatus("unknown interface", req, http.StatusNotFound)
-
-	req = optRequest()
-	req.Knobs[0].Values = []float64{2, 2}
-	wantStatus("duplicate knob value", req, http.StatusBadRequest)
-
-	req = optRequest()
-	req.MaxConfigs = 3
-	wantStatus("space over cap", req, http.StatusBadRequest)
-
-	req = optRequest()
-	req.EnergyMethod = "no_such_method"
-	wantStatus("unknown method", req, http.StatusUnprocessableEntity)
-}
-
-// TestOptimizeBatchEvaluatorMatchesServed pins that the pure-client
-// sweep (Pareto math local, evaluations bought via /v1/evalbatch) fits
-// the same frontier as the served sweep, bit for bit.
-func TestOptimizeBatchEvaluatorMatchesServed(t *testing.T) {
-	_, c, done := newTestDaemon(t, Config{})
-	defer done()
-	if _, err := c.RegisterCtx(context.Background(), optEIL); err != nil {
-		t.Fatal(err)
-	}
-	served, err := c.OptimizeCtx(context.Background(), optRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Binary = true
-	wire := optRequest()
-	space := make(autoopt.Space, len(wire.Knobs))
-	for i, k := range wire.Knobs {
-		space[i] = autoopt.Knob{Name: k.Name, Values: k.Values}
-	}
-	eval := c.BatchEvaluator(wire.Interface, wire.EnergyMethod, wire.LatencyMethod, core.EvalOptions{Mode: core.ModeExpected}, 6)
-	local, err := autoopt.Sweep(context.Background(), autoopt.Spec{Space: space, SLOMs: wire.SLOMs}, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if local.Digest != served.Digest {
-		t.Fatalf("client-side digest %x != served digest %x", local.Digest, served.Digest)
-	}
-	// Everything was memoized by the served sweep already.
-	if local.MemoServed != local.Evals {
-		t.Fatalf("warm batch sweep memo-served %d of %d evals", local.MemoServed, local.Evals)
+	wantStatus("unknown interface", "nope", core.Expected(), "404")
+	wantStatus("samples over cap", "opt_stack", core.MonteCarlo(1<<21, 1), "400")
+	_, err := autoopt.Sweep(context.Background(), optSpec(),
+		autoopt.FleetEvaluator(c, "opt_stack", "no_such_method", "latency", core.Expected(), 0))
+	if err == nil || !strings.Contains(err.Error(), ": 422 ") {
+		t.Fatalf("unknown method: err = %v, want an item failing with 422", err)
 	}
 }
 
-// TestOptimizeRetriesShed pins the satellite: Optimize is idempotent,
-// so a shed answer retries per the policy and still lands.
+// TestOptimizeRetriesShed: a sweep's batches are evaluations, so a shed
+// answer retries per the client's policy and the sweep still lands.
 func TestOptimizeRetriesShed(t *testing.T) {
-	srv := NewServer(Config{})
-	if _, err := srv.Registry().RegisterSource(optEIL); err != nil {
-		t.Fatal(err)
-	}
 	var n atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/optimize" && n.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			WriteError(w, http.StatusServiceUnavailable, "shedding")
-			return
-		}
-		srv.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	c := NewClient(ts.URL)
-	c.Retry = (&RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}).Seed(42)
-	res, err := c.OptimizeCtx(context.Background(), optRequest())
+	c := optDaemon(t, func(srv *eisvc.Server) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == eisvc.EvalBatchEndpoint.Path && n.Add(1) <= 2 {
+				w.Header().Set("Retry-After", "0")
+				eisvc.WriteError(w, http.StatusServiceUnavailable, "shedding")
+				return
+			}
+			srv.ServeHTTP(w, r)
+		})
+	})
+	c.Retry = (&eisvc.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}).Seed(42)
+	res, err := optSweep(context.Background(), c, optSpec(), "opt_stack", core.Expected())
 	if err != nil {
-		t.Fatalf("Optimize after sheds: %v", err)
+		t.Fatalf("sweep after sheds: %v", err)
 	}
 	if len(res.Frontier) == 0 {
 		t.Fatalf("retried sweep returned empty frontier: %+v", res)
@@ -237,21 +257,17 @@ func TestOptimizeRetriesShed(t *testing.T) {
 	}
 }
 
-// TestOptimizeHonorsContext pins the other half of the satellite: a
-// cancelled context abandons the sweep instead of retrying it.
+// TestOptimizeHonorsContext: a cancelled context abandons the sweep
+// instead of retrying it.
 func TestOptimizeHonorsContext(t *testing.T) {
-	_, c, done := newTestDaemon(t, Config{})
-	defer done()
-	if _, err := c.RegisterCtx(context.Background(), optEIL); err != nil {
-		t.Fatal(err)
-	}
-	c.Retry = (&RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 20 * time.Millisecond}).Seed(1)
+	c := optDaemon(t, nil)
+	c.Retry = (&eisvc.RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 20 * time.Millisecond}).Seed(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.OptimizeCtx(ctx, optRequest()); err == nil {
-		t.Fatal("OptimizeCtx succeeded with a cancelled context")
+	if _, err := optSweep(ctx, c, optSpec(), "opt_stack", core.Expected()); err == nil {
+		t.Fatal("sweep succeeded with a cancelled context")
 	}
 	if cs := c.Counters(); cs.Retries != 0 {
-		t.Errorf("cancelled call retried %d times", cs.Retries)
+		t.Errorf("cancelled sweep retried %d times", cs.Retries)
 	}
 }

@@ -3,8 +3,6 @@ package eisvc
 import (
 	"errors"
 	"math/rand"
-	"os"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -17,8 +15,7 @@ import (
 // carried by a 429/503 answer raises the floor of the next delay (capped
 // at MaxDelay), so an explicitly backpressuring server is honored.
 //
-// The zero value is not useful; use DefaultRetryPolicy (or
-// RetryPolicyFromEnv) and adjust fields.
+// The zero value is not useful; use DefaultRetryPolicy and adjust fields.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first
 	// (default 4; values < 1 behave as 1 — no retries).
@@ -41,46 +38,6 @@ type RetryPolicy struct {
 // 2s cap, full jitter.
 func DefaultRetryPolicy() *RetryPolicy {
 	return &RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
-}
-
-// Env knobs read by RetryPolicyFromEnv; see docs/EID.md.
-const (
-	EnvRetryAttempts = "EISVC_RETRY_ATTEMPTS" // total attempts (int)
-	EnvRetryBase     = "EISVC_RETRY_BASE"     // base delay (Go duration)
-	EnvRetryMaxDelay = "EISVC_RETRY_MAX_DELAY"
-	EnvHedgeAfter    = "EISVC_HEDGE_AFTER" // Client.Hedge (Go duration)
-)
-
-// RetryPolicyFromEnv builds DefaultRetryPolicy overridden by the
-// EISVC_RETRY_* environment knobs; malformed values keep the default.
-// EISVC_RETRY_ATTEMPTS=1 disables retries entirely.
-func RetryPolicyFromEnv() *RetryPolicy {
-	p := DefaultRetryPolicy()
-	if v := os.Getenv(EnvRetryAttempts); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
-			p.MaxAttempts = n
-		}
-	}
-	if d := envDuration(EnvRetryBase); d > 0 {
-		p.BaseDelay = d
-	}
-	if d := envDuration(EnvRetryMaxDelay); d > 0 {
-		p.MaxDelay = d
-	}
-	return p
-}
-
-// HedgeFromEnv returns the EISVC_HEDGE_AFTER duration, or 0 (hedging off)
-// when unset or malformed.
-func HedgeFromEnv() time.Duration { return envDuration(EnvHedgeAfter) }
-
-// envDuration reads a positive Go duration from the environment; unset,
-// malformed and non-positive values are all 0.
-func envDuration(name string) time.Duration {
-	if d, err := time.ParseDuration(os.Getenv(name)); err == nil && d > 0 {
-		return d
-	}
-	return 0
 }
 
 // Seed makes the policy's jitter deterministic, for tests and experiments.

@@ -102,13 +102,6 @@ type Server struct {
 	batchRequests atomic.Uint64
 	batchItems    atomic.Uint64
 
-	// Auto-optimizer sweeps (POST /v1/optimize): requests served, the
-	// evaluations those sweeps issued, and how many of them a cache
-	// answered (memo hit, coalesced, or peer).
-	optimizeRequests   atomic.Uint64
-	optimizeEvals      atomic.Uint64
-	optimizeMemoServed atomic.Uint64
-
 	// Peer cache forwarding (see SetPeerLookup): outbound lookups this
 	// node issued on memo misses, and inbound /v1/cachelookup traffic it
 	// answered for other nodes.
@@ -167,7 +160,6 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/rebind", s.handleRebind)
 	serve(s, EvalEndpoint, &s.evalRequests, s.handleEval)
 	serve(s, EvalBatchEndpoint, &s.batchRequests, s.handleEvalBatch)
-	serve(s, OptimizeEndpoint, &s.optimizeRequests, s.handleOptimize)
 	// A memo probe is not evaluation work: it is uncounted here, takes no
 	// part in drain accounting, and so keeps answering while the node
 	// drains (see handleCacheLookup).
@@ -518,20 +510,6 @@ func (s *Server) probePeers(ctx context.Context, lookup PeerLookup, keys []strin
 	return found
 }
 
-// evalShared resolves one canonicalized evaluation: the memo, and on a
-// miss evalMiss with peer probing on, waiting at most wait for a flight or
-// a worker slot. /v1/eval and the optimize sweep come through here; a
-// batch reads the memo and probes the fleet for all of its keys at once
-// and enters at evalMiss.
-func (s *Server) evalShared(ctx context.Context, wait time.Duration, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions) (out evalOutcome, coalesced bool, err error) {
-	if w := s.memo.wire(key); w != nil {
-		return evalOutcome{wire: w, memoHit: true}, false, nil
-	}
-	waitCtx, cancel := context.WithTimeout(ctx, wait)
-	defer cancel()
-	return s.evalMiss(ctx, waitCtx, key, iface, method, args, opts, s.peerLookup.Load())
-}
-
 // evalMiss resolves a key the memo did not hold. Every evaluation path
 // funnels through here, so the discipline is uniform: a singleflight
 // keyed by the memo key — N concurrent identical misses run exactly one
@@ -656,6 +634,12 @@ func (s *Server) checkEvalRequest(req *EvalRequest) (iface *core.Interface, vers
 	if err != nil {
 		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest, "%v", err)
 	}
+	// Parallelism is remote input that sizes a goroutine fan-out, and it is
+	// not in the memo key: answers are bit-identical at any value. So an
+	// explicit one is clamped to what 0 means, one worker per CPU.
+	if opts.Parallelism > 0 {
+		opts.Parallelism = min(opts.Parallelism, runtime.GOMAXPROCS(0))
+	}
 	iface, version, ok := s.reg.Get(req.Interface)
 	if !ok {
 		return nil, 0, core.EvalOptions{}, reject(http.StatusNotFound, "no interface %q", req.Interface)
@@ -679,9 +663,22 @@ func (s *Server) handleEval(r *http.Request, req *EvalRequest) (*EvalResponse, e
 		return nil, rej
 	}
 	key := memoKey(req.Interface, version, req.Method, req.Args, opts)
-	out, coalesced, err := s.evalShared(r.Context(), s.deadlineFor(req), key, iface, req.Method, req.Args, opts)
-	if err != nil {
-		return nil, err
+	// The memo, and on a miss evalMiss with peer probing on, waiting at most
+	// the request's deadline for a flight or a worker slot. (A batch reads
+	// the memo and probes the fleet for all of its keys at once, and then
+	// enters at evalMiss.)
+	var out evalOutcome
+	var coalesced bool
+	if w := s.memo.wire(key); w != nil {
+		out = evalOutcome{wire: w, memoHit: true}
+	} else {
+		waitCtx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req))
+		var err error
+		out, coalesced, err = s.evalMiss(r.Context(), waitCtx, key, iface, req.Method, req.Args, opts, s.peerLookup.Load())
+		cancel()
+		if err != nil {
+			return nil, err
+		}
 	}
 	w := out.wire
 	s.ledger.record(clientID(r), req.Interface, w.Mean, w.P99, w.Max, out.memoHit || coalesced)
@@ -913,9 +910,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.Coalesced = s.coalesced.Load()
 	resp.BatchRequests = s.batchRequests.Load()
 	resp.BatchItems = s.batchItems.Load()
-	resp.OptimizeRequests = s.optimizeRequests.Load()
-	resp.OptimizeEvals = s.optimizeEvals.Load()
-	resp.OptimizeMemoServed = s.optimizeMemoServed.Load()
 	resp.PeerHits = s.peerHits.Load()
 	resp.PeerMisses = s.peerMisses.Load()
 	resp.PeerServed = s.peerServed.Load()

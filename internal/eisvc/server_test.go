@@ -3,8 +3,10 @@ package eisvc
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -451,5 +453,48 @@ func TestServerCaps(t *testing.T) {
 	apiErr, ok = err.(*APIError)
 	if !ok || apiErr.Status != http.StatusBadRequest {
 		t.Errorf("oversized enum limit: %v", err)
+	}
+}
+
+// TestParallelismClamped: parallelism is remote input that sizes a
+// goroutine fan-out, so an explicit value past GOMAXPROCS is clamped to
+// it — what 0 already means — and answers the same bits as 0 does.
+func TestParallelismClamped(t *testing.T) {
+	srv, c, done := newTestDaemon(t, Config{NoMemo: true, NoLayerCache: true})
+	defer done()
+	if _, err := c.RegisterCtx(context.Background(), testEIL); err != nil {
+		t.Fatal(err)
+	}
+	mc := core.MonteCarlo(1<<16, 3)
+	mc.Parallelism = 1 << 20
+	req := c.EvalRequestFor("ml_webservice", "handle", []core.Value{reqArg()}, mc)
+	_, _, opts, rej := srv.checkEvalRequest(&req)
+	if rej != nil {
+		t.Fatal(rej)
+	}
+	if opts.Parallelism != runtime.GOMAXPROCS(0) {
+		t.Fatalf("parallelism %d came back as %d, want GOMAXPROCS %d", mc.Parallelism, opts.Parallelism, runtime.GOMAXPROCS(0))
+	}
+
+	_, huge, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", []core.Value{reqArg()}, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.Parallelism = 0
+	_, auto, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", []core.Value{reqArg()}, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if huge.Cached || auto.Cached {
+		t.Fatal("an answer came from the memo; both must evaluate")
+	}
+	g, w := huge.Dist, auto.Dist
+	same := len(g.Support) == len(w.Support) && len(g.Probs) == len(w.Probs)
+	for i := 0; same && i < len(w.Support); i++ {
+		same = math.Float64bits(g.Support[i]) == math.Float64bits(w.Support[i]) &&
+			math.Float64bits(g.Probs[i]) == math.Float64bits(w.Probs[i])
+	}
+	if !same {
+		t.Fatalf("parallelism 1<<20 answered %v / %v, parallelism 0 %v / %v", g.Support, g.Probs, w.Support, w.Probs)
 	}
 }

@@ -211,77 +211,6 @@ type CacheLookupResponse struct {
 	Node    string              `json:"node,omitempty"` // answering node's ID
 }
 
-// OptimizeKnob is one serving knob of a POST /v1/optimize sweep: a name
-// and the discrete candidate values. Knob order is semantic: knob i
-// supplies argument i of both swept methods, and the configuration grid
-// enumerates the last knob fastest.
-type OptimizeKnob struct {
-	Name   string    `json:"name"`
-	Values []float64 `json:"values"`
-}
-
-// OptimizeRequest asks the daemon for the cheapest operating point of a
-// registered interface under a p99 latency SLO (POST /v1/optimize). The
-// daemon sweeps the knob-space cross product, evaluating EnergyMethod
-// (objective: distribution mean, J/request) and LatencyMethod
-// (objective: exact p99, ms/request — the abstract-unit convention) per
-// configuration through its memoized engine, then fits the exact
-// energy/latency Pareto frontier. Mode and the sampling fields carry the
-// same semantics as EvalRequest; Mode defaults to "expected".
-type OptimizeRequest struct {
-	Interface     string         `json:"interface"`
-	EnergyMethod  string         `json:"energy_method"`
-	LatencyMethod string         `json:"latency_method"`
-	Knobs         []OptimizeKnob `json:"knobs,omitempty"`
-	SLOMs         float64        `json:"slo_ms"`
-	Mode          string         `json:"mode,omitempty"`
-	Samples       int            `json:"samples,omitempty"`
-	Seed          int64          `json:"seed,omitempty"`
-	EnumLimit     int            `json:"enum_limit,omitempty"`
-	Parallelism   int            `json:"parallelism,omitempty"`
-	// MaxConfigs caps the knob-space cross product (0 = server default).
-	MaxConfigs int `json:"max_configs,omitempty"`
-	// DeadlineMs has EvalRequest semantics, applied to each evaluation
-	// the sweep issues.
-	DeadlineMs int `json:"deadline_ms,omitempty"`
-}
-
-// OptimizePoint is one operating point of an optimize sweep: knob values
-// in request knob order plus the two objectives.
-type OptimizePoint struct {
-	Knobs     []float64 `json:"knobs"`
-	EnergyJ   float64   `json:"energy_j"`
-	LatencyMs float64   `json:"latency_ms"`
-}
-
-// OptimizeResponse answers an OptimizeRequest. Frontier is the exact
-// Pareto frontier (latency ascending, energy strictly descending) and
-// Digest its FNV-1a fold over exact Float64bits — bit-identical sweeps
-// have equal digests. Recommended is the cheapest point meeting the SLO
-// (absent when unmeetable); MaxPerf the minimum-latency point; and
-// SavingsFrac the energy fraction the SLO-aware choice saves over it.
-// Evals counts the evaluations the sweep issued, MemoServed how many of
-// them a cache answered (memo, coalesced, or peer) — a repeat sweep is
-// expected to be almost entirely memo-served.
-type OptimizeResponse struct {
-	Interface   string          `json:"interface"`
-	Version     uint64          `json:"version"`
-	Mode        string          `json:"mode"`
-	Knobs       []OptimizeKnob  `json:"knobs,omitempty"`
-	SLOMs       float64         `json:"slo_ms"`
-	Configs     int             `json:"configs"`
-	Evaluated   int             `json:"evaluated"`
-	Skipped     int             `json:"skipped,omitempty"`
-	Evals       int             `json:"evals"`
-	MemoServed  int             `json:"memo_served"`
-	Frontier    []OptimizePoint `json:"frontier"`
-	Digest      uint64          `json:"digest"`
-	Recommended *OptimizePoint  `json:"recommended,omitempty"`
-	MaxPerf     *OptimizePoint  `json:"max_perf,omitempty"`
-	SavingsFrac float64         `json:"savings_frac,omitempty"`
-	Node        string          `json:"node,omitempty"`
-}
-
 // StatsResponse is the /v1/stats payload. Each field's fold tag says how
 // the fleet aggregate combines it across nodes (see Fold), so a new
 // counter brings its fold rule with it and the router needs no edit.
@@ -314,12 +243,6 @@ type StatsResponse struct {
 	Coalesced     uint64 `json:"coalesced" fold:"sum"`
 	BatchRequests uint64 `json:"batch_requests" fold:"sum"`
 	BatchItems    uint64 `json:"batch_items" fold:"sum"`
-
-	// Auto-optimizer (POST /v1/optimize): sweeps served, evaluations
-	// those sweeps issued, and how many of them a cache answered.
-	OptimizeRequests   uint64 `json:"optimize_requests" fold:"sum"`
-	OptimizeEvals      uint64 `json:"optimize_evals" fold:"sum"`
-	OptimizeMemoServed uint64 `json:"optimize_memo_served" fold:"sum"`
 
 	// Peer cache forwarding: lookups this node issued to the fleet on memo
 	// misses (hits/misses), and /v1/cachelookup probes it answered for

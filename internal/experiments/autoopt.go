@@ -13,42 +13,42 @@ import (
 )
 
 // E19 is the auto-optimizer experiment: the ML.ENERGY question —
-// "cheapest operating point under a p99 latency SLO" — answered by one
-// POST /v1/optimize against a live fleet router serving the MoE stack.
-// The sweep walks the full (batch, DVFS level, replicas) knob space,
-// every configuration priced by exact enumeration over the stack's 324
-// joint ECV assignments, and fits the exact energy/latency Pareto
-// frontier. The run then pins the three contracts the subsystem ships
-// under:
+// "cheapest operating point under a p99 latency SLO" — answered by a
+// fleet client. autoopt.FleetEvaluator keeps the Pareto math local and
+// buys every configuration's evaluations as /v1/evalbatch items from a
+// live fleet router serving the MoE stack. The sweep walks the full
+// (batch, DVFS level, replicas) knob space, every configuration priced by
+// exact enumeration over the stack's 324 joint ECV assignments, and fits
+// the exact energy/latency Pareto frontier. The run then pins the three
+// contracts the optimizer ships under:
 //
-//   - a repeat sweep at a different parallelism is bit-identical
-//     (digest) and almost entirely memo-served — the sweep is a pure
-//     cache query the second time;
-//   - the pure-client spelling (Pareto math local, evaluations bought
-//     as canonical /v1/evalbatch items) fits the same frontier bit for
-//     bit;
+//   - the fleet sweep fits the frontier the offline CoreEvaluator fits
+//     in process, bit for bit (digest);
+//   - a repeat sweep at a different parallelism is bit-identical and
+//     entirely memo-served — the sweep is a pure cache query the second
+//     time;
 //   - the SLO pick beats the naive max-performance configuration by a
 //     wide energy margin, which is the whole point.
 
-// E19Result carries the served sweep and its cross-checks.
+// E19Result carries the fleet sweep and its cross-checks.
 type E19Result struct {
 	FleetNodes int
-	// Sweep accounting from the cold served run.
+	// Sweep accounting from the cold fleet run.
 	Configs, Evals int
 	FrontierSize   int
 	SLOMs          float64
-	Recommended    eisvc.OptimizePoint
-	MaxPerf        eisvc.OptimizePoint
+	Recommended    autoopt.Point
+	MaxPerf        autoopt.Point
 	SavingsFrac    float64
 	Digest         uint64
+	// OfflineMatch reports whether the offline CoreEvaluator sweep
+	// reproduced the fleet digest.
+	OfflineMatch bool
 	// RepeatHitRate is the memo-served fraction of the repeat sweep
 	// (run at a different parallelism); Deterministic reports whether
 	// its digest matched the cold run bit for bit.
 	RepeatHitRate float64
 	Deterministic bool
-	// ClientMatch reports whether the pure-client /v1/evalbatch sweep
-	// reproduced the served digest.
-	ClientMatch bool
 	// EnergySupport is the exact support size of the energy
 	// distribution at the max-perf point — the multimodality the MoE
 	// routing ECVs buy (GPT-2's stack has ~4).
@@ -57,20 +57,17 @@ type E19Result struct {
 
 const e19FleetNodes = 4
 
-func e19Request(parallelism int) eisvc.OptimizeRequest {
-	return eisvc.OptimizeRequest{
-		Interface:     "moe_stack",
-		EnergyMethod:  "energy",
-		LatencyMethod: "latency",
-		Knobs: []eisvc.OptimizeKnob{
-			{Name: "batch", Values: []float64{1, 2, 4, 8, 16}},
-			{Name: "level", Values: []float64{0, 1, 2, 3}},
-			{Name: "replicas", Values: []float64{1, 2, 4}},
-		},
-		SLOMs:       25,
-		EnumLimit:   1 << 12,
-		Parallelism: parallelism,
-	}
+var e19Spec = autoopt.Spec{
+	Space: autoopt.Space{
+		{Name: "batch", Values: []float64{1, 2, 4, 8, 16}},
+		{Name: "level", Values: []float64{0, 1, 2, 3}},
+		{Name: "replicas", Values: []float64{1, 2, 4}},
+	},
+	SLOMs: 25,
+}
+
+func e19Options(parallelism int) core.EvalOptions {
+	return core.EvalOptions{Mode: core.ModeExpected, EnumLimit: 1 << 12, Parallelism: parallelism}
 }
 
 // E19Autoopt runs the sweep against a live fleet router; short shrinks
@@ -95,15 +92,19 @@ func E19Autoopt(short bool) (*E19Result, error) {
 	client := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
 	client.Binary = true
 	client.ID = "autoopt-e19"
-	// A served sweep is one long request covering the whole grid; on a
-	// slow or loaded machine it can outlive the default per-attempt
-	// timeout, so let the sweep run to completion.
+	// The cold sweep's 120 items fit one batch, whose exact enumerations
+	// can outlive the default per-attempt timeout on a slow or loaded
+	// machine, so let it run to completion.
 	client.Timeout = -1
 	if _, err := client.RegisterCtx(context.Background(), nn.MoEEIL); err != nil {
 		return nil, err
 	}
+	sweep := func(parallelism int) (*autoopt.Result, error) {
+		return autoopt.Sweep(context.Background(), e19Spec,
+			autoopt.FleetEvaluator(client, "moe_stack", "energy", "latency", e19Options(parallelism), 0))
+	}
 
-	cold, err := client.OptimizeCtx(context.Background(), e19Request(1))
+	cold, err := sweep(1)
 	if err != nil {
 		return nil, fmt.Errorf("cold sweep: %w", err)
 	}
@@ -122,8 +123,20 @@ func E19Autoopt(short bool) (*E19Result, error) {
 		Digest:       cold.Digest,
 	}
 
+	// The same sweep offline, in process.
+	stack, err := nn.MoEEILStack()
+	if err != nil {
+		return nil, err
+	}
+	offline, err := autoopt.Sweep(context.Background(), e19Spec,
+		autoopt.CoreEvaluator(stack, "energy", "latency", e19Options(0)))
+	if err != nil {
+		return nil, fmt.Errorf("offline sweep: %w", err)
+	}
+	res.OfflineMatch = offline.Digest == cold.Digest
+
 	// Repeat at a different parallelism: bit-identical and memo-served.
-	warm, err := client.OptimizeCtx(context.Background(), e19Request(8))
+	warm, err := sweep(8)
 	if err != nil {
 		return nil, fmt.Errorf("warm sweep: %w", err)
 	}
@@ -132,29 +145,13 @@ func E19Autoopt(short bool) (*E19Result, error) {
 		res.RepeatHitRate = float64(warm.MemoServed) / float64(warm.Evals)
 	}
 
-	// Pure-client spelling: the same sweep as canonical /v1/evalbatch
-	// queries, Pareto math local.
-	wire := e19Request(0)
-	space := make(autoopt.Space, len(wire.Knobs))
-	for i, k := range wire.Knobs {
-		space[i] = autoopt.Knob{Name: k.Name, Values: k.Values}
-	}
-	eval := client.BatchEvaluator(wire.Interface, wire.EnergyMethod, wire.LatencyMethod,
-		core.EvalOptions{Mode: core.ModeExpected, EnumLimit: wire.EnumLimit}, 0)
-	local, err := autoopt.Sweep(context.Background(), autoopt.Spec{Space: space, SLOMs: wire.SLOMs}, eval)
-	if err != nil {
-		return nil, fmt.Errorf("client-side sweep: %w", err)
-	}
-	res.ClientMatch = local.Digest == cold.Digest
-
 	// Multimodality evidence: the exact energy support at the max-perf
 	// point.
 	args := make([]core.Value, len(res.MaxPerf.Knobs))
 	for i, v := range res.MaxPerf.Knobs {
 		args[i] = core.Num(v)
 	}
-	d, _, err := client.EvalCtx(context.Background(), wire.Interface, wire.EnergyMethod, args,
-		core.EvalOptions{Mode: core.ModeExpected, EnumLimit: wire.EnumLimit})
+	d, _, err := client.EvalCtx(context.Background(), "moe_stack", "energy", args, e19Options(0))
 	if err != nil {
 		return nil, err
 	}
@@ -162,21 +159,20 @@ func E19Autoopt(short bool) (*E19Result, error) {
 	return res, nil
 }
 
-func e19Knobs(req eisvc.OptimizeRequest, p eisvc.OptimizePoint) string {
+func e19Knobs(p autoopt.Point) string {
 	parts := make([]string, len(p.Knobs))
 	for i, v := range p.Knobs {
-		parts[i] = fmt.Sprintf("%s=%g", req.Knobs[i].Name, v)
+		parts[i] = fmt.Sprintf("%s=%g", e19Spec.Space[i].Name, v)
 	}
 	return strings.Join(parts, " ")
 }
 
 // Table renders E19.
 func (r *E19Result) Table() *Table {
-	req := e19Request(0)
-	row := func(label string, p eisvc.OptimizePoint) []string {
+	row := func(label string, p autoopt.Point) []string {
 		return []string{
 			label,
-			e19Knobs(req, p),
+			e19Knobs(p),
 			fmt.Sprintf("%.1f nJ", p.EnergyJ*1e9),
 			fmt.Sprintf("%.2f ms", p.LatencyMs),
 		}
@@ -198,7 +194,7 @@ func (r *E19Result) Table() *Table {
 			r.EnergySupport),
 		fmt.Sprintf("repeat sweep at different parallelism: bit-identical %v, %.1f%% memo-served by the %d-daemon fleet",
 			r.Deterministic, 100*r.RepeatHitRate, r.FleetNodes),
-		fmt.Sprintf("pure-client /v1/evalbatch sweep reproduces the served frontier: %v (digest %016x)",
-			r.ClientMatch, r.Digest))
+		fmt.Sprintf("fleet sweep (evaluations bought over /v1/evalbatch) reproduces the offline frontier: %v (digest %016x)",
+			r.OfflineMatch, r.Digest))
 	return t
 }

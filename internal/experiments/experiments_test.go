@@ -762,9 +762,9 @@ func TestE18SchedShape(t *testing.T) {
 
 // TestE19AutooptShape pins the auto-optimizer acceptance criteria on
 // the MoE stack: a non-trivial frontier, an SLO pick that saves >= 20%
-// energy over max-performance, a repeat sweep >= 90% memo-served and
-// bit-identical at a different parallelism, and a pure-client
-// /v1/evalbatch sweep that reproduces the served digest.
+// energy over max-performance, a fleet sweep whose digest the offline
+// sweep reproduces, and a repeat sweep entirely memo-served and
+// bit-identical at a different parallelism.
 func TestE19AutooptShape(t *testing.T) {
 	res, err := E19Autoopt(testing.Short())
 	if err != nil {
@@ -782,11 +782,11 @@ func TestE19AutooptShape(t *testing.T) {
 	if !res.Deterministic {
 		t.Errorf("repeat sweep diverged from digest %016x", res.Digest)
 	}
-	if res.RepeatHitRate < 0.90 {
-		t.Errorf("repeat sweep only %.0f%% memo-served, want >= 90%%", 100*res.RepeatHitRate)
+	if res.RepeatHitRate != 1 {
+		t.Errorf("repeat sweep only %.0f%% memo-served, want 100%%", 100*res.RepeatHitRate)
 	}
-	if !res.ClientMatch {
-		t.Errorf("pure-client sweep diverged from served digest %016x", res.Digest)
+	if !res.OfflineMatch {
+		t.Errorf("offline sweep diverged from fleet digest %016x", res.Digest)
 	}
 	if res.EnergySupport < 50 {
 		t.Errorf("energy support %d outcomes; the MoE fixture should be genuinely multimodal", res.EnergySupport)

@@ -5,13 +5,16 @@ import (
 	"runtime"
 	"testing"
 
+	"energyclarity/internal/autoopt"
+	"energyclarity/internal/core"
+	"energyclarity/internal/eil"
 	"energyclarity/internal/eisvc"
 	"energyclarity/internal/faultsim"
 )
 
 // optFleetEIL trades energy for latency over two knobs; the inner loop
 // makes each evaluation cost real work so a sweep is reliably still in
-// flight when the test kills its serving node.
+// flight when the test kills a node serving it.
 const optFleetEIL = `
 interface opt_service {
   ecv jitter: choice { 1: 0.5, 1.2: 0.3, 1.6: 0.2 }
@@ -27,28 +30,38 @@ interface opt_service {
 }
 `
 
-func fleetOptRequest() eisvc.OptimizeRequest {
-	return eisvc.OptimizeRequest{
-		Interface:     "opt_service",
-		EnergyMethod:  "energy",
-		LatencyMethod: "latency",
-		Knobs: []eisvc.OptimizeKnob{
-			{Name: "batch", Values: []float64{1, 2, 3, 4, 5, 6, 7, 8}},
-			{Name: "level", Values: []float64{0, 1, 2, 3, 4, 5, 6, 7}},
-		},
-		SLOMs: 9,
-		// One evaluation at a time: the cold sweep takes long enough
-		// that the mid-sweep kill lands while it is genuinely in flight.
-		Parallelism: 1,
-	}
+var fleetOptSpec = autoopt.Spec{
+	Space: autoopt.Space{
+		{Name: "batch", Values: []float64{1, 2, 3, 4, 5, 6, 7, 8}},
+		{Name: "level", Values: []float64{0, 1, 2, 3, 4, 5, 6, 7}},
+	},
+	SLOMs: 9,
+}
+
+// fleetOptSweep sweeps fleetOptSpec through c. Batches of eight items keep
+// the cold sweep in flight long enough that a mid-sweep kill lands while
+// it is genuinely running.
+func fleetOptSweep(c *eisvc.Client) (*autoopt.Result, error) {
+	return autoopt.Sweep(context.Background(), fleetOptSpec,
+		autoopt.FleetEvaluator(c, "opt_service", "energy", "latency", core.Expected(), 8))
 }
 
 // TestFleetOptimizeKillMidSweep is the resilience gate for the
-// auto-optimizer: a sweep whose serving node dies mid-flight must land
-// anyway (router failover walks to a live replica; the client's
-// idempotent retry backstops it) with a frontier bit-identical to a
-// clean sweep on the surviving nodes.
+// auto-optimizer as a fleet client: a sweep whose evaluations are in
+// flight on a node that dies must land anyway (the router fails a
+// sub-batch over to a live replica; the client's retry backstops it) with
+// the frontier the offline sweep fits in process.
 func TestFleetOptimizeKillMidSweep(t *testing.T) {
+	stacks, err := eil.Compile(optFleetEIL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := autoopt.Sweep(context.Background(), fleetOptSpec,
+		autoopt.CoreEvaluator(stacks["opt_service"], "energy", "latency", core.Expected()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
 	c.Retry = eisvc.DefaultRetryPolicy()
@@ -56,31 +69,29 @@ func TestFleetOptimizeKillMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Predict placement the way the router will: the first live
-	// candidate under the sweep fingerprint serves the sweep.
-	req := fleetOptRequest()
-	cands := rt.candidatesFor(req.Interface, optimizeSpread(&req))
-	if len(cands) < 3 {
-		t.Fatalf("want 3 candidates, got %d", len(cands))
-	}
-	victim := cands[0].ID
-
-	var res *eisvc.OptimizeResponse
+	var res *autoopt.Result
 	var sweepErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res, sweepErr = c.OptimizeCtx(context.Background(), fleetOptRequest())
+		res, sweepErr = fleetOptSweep(c)
 	}()
-	// The sweep is a counted endpoint: the victim's in-flight count turns
-	// positive the moment it admits the sweep, and the kill lands then.
-	for cands[0].Server.InFlight() == 0 {
+	// A batch is a counted request: the first node whose in-flight count
+	// turns positive is serving part of the sweep, and the kill lands then.
+	var victim string
+	for victim == "" {
 		select {
 		case <-done:
-			t.Fatalf("sweep finished (%v) before %s was seen serving it", sweepErr, victim)
+			t.Fatalf("sweep finished (%v) before any node was seen serving it", sweepErr)
 		default:
-			runtime.Gosched()
 		}
+		for _, n := range f.Nodes() {
+			if n.Server.InFlight() > 0 {
+				victim = n.ID
+				break
+			}
+		}
+		runtime.Gosched()
 	}
 	if err := f.KillNode(victim); err != nil {
 		t.Fatalf("kill %s: %v", victim, err)
@@ -89,51 +100,42 @@ func TestFleetOptimizeKillMidSweep(t *testing.T) {
 	if sweepErr != nil {
 		t.Fatalf("sweep lost to node kill: %v", sweepErr)
 	}
-	if res.Node == victim {
-		t.Fatalf("sweep claims to be served by dead node %s (kill landed too late to test anything)", victim)
+	if res.Digest != offline.Digest || len(res.Frontier) < 3 || res.Recommended == nil {
+		t.Fatalf("post-kill sweep digest %x, offline %x: %+v", res.Digest, offline.Digest, res)
 	}
-	if len(res.Frontier) < 3 || res.Recommended == nil {
-		t.Fatalf("post-kill sweep malformed: %+v", res)
+	if rt.Counters().Failovers == 0 {
+		t.Fatalf("no sub-batch failed over from %s (kill landed too late to test anything)", victim)
 	}
 
-	// A clean repeat on the surviving nodes must be bit-identical and —
-	// landing on the node that served the post-kill sweep — memo-served.
-	again, err := c.OptimizeCtx(context.Background(), fleetOptRequest())
+	// A clean repeat on the surviving nodes is bit-identical and finds the
+	// memos the post-kill sweep warmed.
+	again, err := fleetOptSweep(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Digest != res.Digest || len(again.Frontier) != len(res.Frontier) {
-		t.Fatalf("repeat digest %x != post-kill digest %x", again.Digest, res.Digest)
+	if again.Digest != offline.Digest {
+		t.Fatalf("repeat digest %x != offline digest %x", again.Digest, offline.Digest)
 	}
 	if again.MemoServed == 0 {
 		t.Fatalf("repeat sweep hit no warm memo: %+v", again)
 	}
 
 	// Injected answer-lost resets (the server evaluated; the response
-	// vanished) retry the whole sweep — idempotency makes that safe —
-	// and the frontier stays bit-identical.
-	// Seed 6 pins the roll sequence: the first attempt's answer is lost,
-	// the retry goes through.
+	// vanished) retry the batch — evaluations are idempotent, so that is
+	// safe — and the frontier stays bit-identical.
+	// Seed 6 pins the roll sequence: some attempt's answer is lost, its
+	// retry goes through.
 	fsim := faultsim.NewTransport(faultsim.Plan{Seed: 6, PResetPost: 0.5},
 		eisvc.NewTransport(eisvc.TransportTuning{}))
 	c.SetTransport(fsim)
-	faulted, err := c.OptimizeCtx(context.Background(), fleetOptRequest())
+	faulted, err := fleetOptSweep(c)
 	if err != nil {
 		t.Fatalf("sweep under answer-lost resets: %v", err)
 	}
-	if faulted.Digest != res.Digest {
-		t.Fatalf("faulted sweep digest %x != %x", faulted.Digest, res.Digest)
+	if faulted.Digest != offline.Digest {
+		t.Fatalf("faulted sweep digest %x != offline digest %x", faulted.Digest, offline.Digest)
 	}
 	if fc := fsim.Counters(); fc.ResetsPos == 0 {
 		t.Error("fault plan injected no answer-lost resets; the test exercised nothing")
-	}
-
-	// Fleet stats fold the optimize counters across surviving nodes.
-	fs := rt.Stats(context.Background())
-	if fs.Aggregate.OptimizeRequests == 0 || fs.Aggregate.OptimizeEvals == 0 {
-		t.Fatalf("aggregate optimize counters empty: %+v", fs.Aggregate)
-	}
-	if fs.Aggregate.OptimizeMemoServed > fs.Aggregate.OptimizeEvals {
-		t.Fatalf("memo-served %d exceeds evals %d", fs.Aggregate.OptimizeMemoServed, fs.Aggregate.OptimizeEvals)
 	}
 }

@@ -3,13 +3,10 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -70,11 +67,9 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	post := r.Method == http.MethodPost
 	switch path := r.URL.Path; {
 	case post && path == eisvc.EvalEndpoint.Path:
-		rt.routeKeyed(w, r, evalKey)
+		rt.handleEval(w, r)
 	case post && path == eisvc.EvalBatchEndpoint.Path:
 		rt.handleEvalBatch(w, r)
-	case post && path == eisvc.OptimizeEndpoint.Path:
-		rt.routeKeyed(w, r, optimizeKey)
 	case post && (path == "/v1/register" || path == "/v1/rebind"):
 		rt.handleMutate(w, r)
 	case r.Method == http.MethodGet && path == "/v1/stats":
@@ -191,11 +186,20 @@ func (rt *Router) candidatesFor(stack string, spread uint64) []*Node {
 
 // --- handlers ---
 
-// routeKeyed serves a route whose whole request goes to one node chosen
-// by a key read off its body. The body is read for placement only and the
-// caller's exact bytes are forwarded. A body keyOf rejects is the router's
-// own 400.
-func (rt *Router) routeKeyed(w http.ResponseWriter, r *http.Request, keyOf func(contentType string, body []byte) (stack string, spread uint64, err error)) {
+// handleEval forwards one evaluation, the caller's exact bytes, to a node
+// chosen by its placement. The placement is read off the frame without
+// decoding it: the walker's spread fingerprint is the one definition of
+// where a request goes, alone or as a batch item. A JSON body is decoded
+// strictly (unknown fields are this router's 400, as they are a node's)
+// and re-encoded only to be fingerprinted; both codecs decode to the same
+// Go values and the encoding is canonical, so a mixed JSON/binary client
+// population still lands identical requests on the same replica.
+//
+// The candidates are the stack's ring owners rotated by the fingerprint,
+// except that the node which last served this exact fingerprint — its
+// memo is warm — goes first regardless of ring order. Failover follows
+// the usual candidate walk.
+func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	rt.routed.Add(1)
 	// Not pooled: an abandoned forward's transport goroutine may still be
 	// reading these bytes after the walk has moved on.
@@ -203,53 +207,19 @@ func (rt *Router) routeKeyed(w http.ResponseWriter, r *http.Request, keyOf func(
 	if !eisvc.ReadBody(w, r, &body) {
 		return
 	}
-	stack, spread, err := keyOf(r.Header.Get("Content-Type"), body.Bytes())
+	scratch := eisvc.GetBuffer()
+	frame, err := eisvc.EvalEndpoint.Request.Frame(scratch, r.Header.Get("Content-Type"), body.Bytes())
+	var it eisvc.FrameItem
+	if err == nil {
+		it, err = eisvc.WalkEvalRequest(frame)
+	}
+	stack, spread := string(it.Interface), it.Spread
+	eisvc.PutBuffer(scratch)
 	if err != nil {
 		eisvc.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	rt.routeAffine(w, r, body.Bytes(), stack, spread)
-}
 
-// evalKey reads an evaluation's placement off its frame without decoding
-// it: the walker's spread fingerprint is the one definition of where a
-// request goes, alone or as a batch item. A JSON body is decoded strictly
-// (unknown fields are this router's 400, as they are a node's) and
-// re-encoded only to be fingerprinted; both codecs decode to the same Go
-// values and the encoding is canonical, so a mixed JSON/binary client
-// population still lands identical requests on the same replica.
-func evalKey(contentType string, body []byte) (string, uint64, error) {
-	scratch := eisvc.GetBuffer()
-	defer eisvc.PutBuffer(scratch)
-	frame, err := eisvc.EvalEndpoint.Request.Frame(scratch, contentType, body)
-	if err != nil {
-		return "", 0, err
-	}
-	it, err := eisvc.WalkEvalRequest(frame)
-	return string(it.Interface), it.Spread, err
-}
-
-// optimizeKey routes a whole auto-optimizer sweep to one node — the
-// stack's owner under the sweep fingerprint — so a repeat sweep lands
-// where its per-evaluation memos are warm. A dead or shedding owner
-// fails over like an eval; sweeps are deterministic, so the failover
-// node fits a bit-identical frontier (a cold cache costs time, never
-// correctness). One sweep stands for thousands of evals and its key needs
-// the knob table, so this route decodes.
-func optimizeKey(contentType string, body []byte) (string, uint64, error) {
-	req, err := eisvc.OptimizeEndpoint.Request.Decode(contentType, body)
-	if err != nil {
-		return "", 0, err
-	}
-	return req.Interface, optimizeSpread(req), nil
-}
-
-// routeAffine forwards one request whose answer benefits from memo
-// locality: the stack's ring owners rotated by the request fingerprint,
-// except that the node which last served this exact fingerprint — its
-// memo is warm — goes first regardless of ring order. Failover follows
-// the usual candidate walk.
-func (rt *Router) routeAffine(w http.ResponseWriter, r *http.Request, body []byte, stack string, spread uint64) {
 	cands := rt.candidatesFor(stack, spread)
 	affKey := eisvc.Hash64(stack) ^ spread
 	affID, affKnown := rt.aff.get(affKey)
@@ -264,7 +234,7 @@ func (rt *Router) routeAffine(w http.ResponseWriter, r *http.Request, body []byt
 			}
 		}
 	}
-	ok := rt.tryCandidates(r, body, cands, func(n *Node, resp *http.Response) bool {
+	ok := rt.tryCandidates(r, body.Bytes(), cands, func(n *Node, resp *http.Response) bool {
 		if resp.StatusCode/100 == 2 {
 			if affKnown && n.ID == affID {
 				rt.affinityHits.Add(1)
@@ -275,29 +245,8 @@ func (rt *Router) routeAffine(w http.ResponseWriter, r *http.Request, body []byt
 		return true
 	})
 	if !ok {
-		rt.writeExhausted(w, strings.TrimPrefix(r.URL.Path, "/v1/")+" of "+stack)
+		rt.writeExhausted(w, "eval of "+stack)
 	}
-}
-
-// optimizeSpread fingerprints a sweep the way FrameItem.Spread
-// fingerprints an eval: identical sweeps land on the same replica,
-// distinct sweeps over the same stack spread across its owners. The binary
-// decoder yields the same field values as a JSON decode, so codecs agree.
-func optimizeSpread(req *eisvc.OptimizeRequest) uint64 {
-	var b bytes.Buffer
-	b.WriteString(req.EnergyMethod)
-	b.WriteByte('|')
-	b.WriteString(req.LatencyMethod)
-	b.WriteByte('|')
-	b.WriteString(req.Mode)
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(req.Seed, 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatFloat(req.SLOMs, 'g', -1, 64))
-	if raw, err := json.Marshal(req.Knobs); err == nil {
-		b.Write(raw)
-	}
-	return eisvc.Hash64(b.String())
 }
 
 // handleEvalBatch switches a batch's frames: it walks the request frame
@@ -372,7 +321,7 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Unpooled, like routeKeyed's, and exactly sized.
+			// Unpooled, like handleEval's, and exactly sized.
 			body := bytes.NewBuffer(make([]byte, 0, eisvc.BatchHeaderLen+g.size))
 			eisvc.BeginBatchEvalRequest(body, len(g.idxs))
 			for _, i := range g.idxs {
