@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race test-repeat fuzz-smoke bench bench-smoke bench-json bench-test vet fmt-check all
+.PHONY: build test race test-repeat fuzz-smoke bench bench-smoke bench-test vet fmt-check all
 
 all: build test
 
@@ -57,24 +57,11 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration smoke of the parallel-evaluation benchmark family: checks
-# the benchmarks still run and prints samples/sec at parallelism 1/4/max.
+# One iteration of each root microbenchmark, so none of them rots: the
+# parallel sampler (samples/sec at parallelism 1/4/max) and E15's
+# compiled and interpreted GPT-2 stack (cold, warm and unique per mode).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEvalParallel' -benchtime=1x .
-
-# Machine-readable numbers for the evaluation/serving path: run the
-# engine and daemon benchmarks a few iterations each and convert the
-# output to BENCH_eval.json via cmd/benchjson (-benchmem: it lifts B/op
-# and allocs/op into the metrics, so allocation claims have a number).
-# Short -benchtime keeps the target cheap enough for CI; it tracks trends,
-# not microseconds.
-bench-json:
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEvalParallel$$|BenchmarkDaemonEval$$|BenchmarkEvalLayerCache$$|BenchmarkDaemonBatch$$|BenchmarkDriftDetect$$|BenchmarkRecalibrate$$|BenchmarkEvalCompiled$$|BenchmarkEvalInterpreted$$|BenchmarkFleetEval$$|BenchmarkFleetBatch$$|BenchmarkWireCodec$$|BenchmarkMemoHitBinary$$|BenchmarkWarmRestart$$|BenchmarkSchedRound$$|BenchmarkSchedPlacementBatch$$|BenchmarkOptimizeSweep$$' \
-		-benchtime=3x -benchmem . > .bench_eval.out
-	$(GO) run ./cmd/benchjson -o BENCH_eval.json < .bench_eval.out
-	@rm -f .bench_eval.out
-	@echo "wrote BENCH_eval.json"
+	$(GO) test -run '^$$' -bench 'BenchmarkEvalParallel|BenchmarkEvalCompiled|BenchmarkEvalInterpreted' -benchtime=1x .
 
 # The serving benchmark (bench/, BENCHMARK.json) is a nested module, so
 # `go test ./...` at the root neither builds nor tests it; this does. The

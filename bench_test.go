@@ -1,265 +1,18 @@
 package energyclarity_test
 
-// One benchmark per table/figure/experiment (DESIGN.md §3): each runs the
-// full experiment pipeline and reports its headline numbers as custom
-// metrics, so `go test -bench=.` regenerates the evaluation. Micro-
-// benchmarks at the bottom measure the framework itself (interface
-// evaluation throughput, EIL interpretation overhead, simulator speed).
+// Microbenchmarks of the evaluation engine. BenchmarkEvalParallel is the
+// sampler's scaling across worker counts; BenchmarkEvalCompiled and
+// BenchmarkEvalInterpreted are E15's table. make bench-smoke runs each
+// once. The serving paths and each link of an eval request are measured
+// by bench/run.sh, and each experiment by its shape test.
 
 import (
-	"context"
-	"encoding/json"
-	"net/http/httptest"
 	"testing"
 
 	"energyclarity"
-	"energyclarity/internal/autoopt"
 	"energyclarity/internal/core"
-	"energyclarity/internal/drift"
-	"energyclarity/internal/eil"
-	"energyclarity/internal/eisvc"
-	"energyclarity/internal/experiments"
-	"energyclarity/internal/fleet"
-	"energyclarity/internal/gpusim"
-	"energyclarity/internal/microbench"
 	"energyclarity/internal/nn"
-	"energyclarity/internal/schedsvc"
 )
-
-// BenchmarkTable1GPT2PredictionError regenerates Table 1.
-func BenchmarkTable1GPT2PredictionError(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.Rows[0].AvgErr, "%avgErr4090")
-		b.ReportMetric(100*res.Rows[0].MaxErr, "%maxErr4090")
-		b.ReportMetric(100*res.Rows[1].AvgErr, "%avgErr3070")
-		b.ReportMetric(100*res.Rows[1].MaxErr, "%maxErr3070")
-	}
-}
-
-// BenchmarkFig1WebServiceInterface regenerates the Fig. 1 sweep.
-func BenchmarkFig1WebServiceInterface(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1WebService()
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst := 0.0
-		for _, p := range res.Points {
-			if p.RelErr > worst {
-				worst = p.RelErr
-			}
-		}
-		b.ReportMetric(100*worst, "%worstErr")
-	}
-}
-
-// BenchmarkFig2LayerRebinding regenerates the rebinding experiment.
-func BenchmarkFig2LayerRebinding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2Rebinding()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.Rows[0].RelErr, "%err4090")
-		b.ReportMetric(100*res.Rows[1].RelErr, "%errRebound3070")
-	}
-}
-
-// BenchmarkE1ClusterFuzzSizing regenerates the fleet-sizing experiment.
-func BenchmarkE1ClusterFuzzSizing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E1ClusterFuzz()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.InterfaceOptimalN), "optimalN")
-		b.ReportMetric(float64(res.TrialSearchEnergy/res.InterfaceOptimalE), "searchCostX")
-	}
-}
-
-// BenchmarkE2EASBimodal regenerates the scheduler comparison.
-func BenchmarkE2EASBimodal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E2EASBimodal()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.Baseline.UnmetFraction(), "%backlogBaseline")
-		b.ReportMetric(100*res.Aware.UnmetFraction(), "%backlogAware")
-	}
-}
-
-// BenchmarkE3KubePlacement regenerates the placer comparison.
-func BenchmarkE3KubePlacement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E3KubePlacement()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.EnergySavings(), "%savings")
-	}
-}
-
-// BenchmarkE4ContractChecking regenerates the verification workflow.
-func BenchmarkE4ContractChecking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E4Contracts()
-		if err != nil {
-			b.Fatal(err)
-		}
-		flagged := 0.0
-		if res.BugFlagged {
-			flagged = 1
-		}
-		b.ReportMetric(flagged, "bugFlagged")
-	}
-}
-
-// BenchmarkE5Extraction regenerates the extraction experiment.
-func BenchmarkE5Extraction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E5Extraction()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MaxDeviation, "maxDeviation")
-	}
-}
-
-// BenchmarkE6ErrorPropagation regenerates the composition-error curve.
-func BenchmarkE6ErrorPropagation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E6ErrorPropagation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Points[len(res.Points)-1]
-		b.ReportMetric(last.TopErrCorrelated/last.Epsilon, "amplification")
-	}
-}
-
-// BenchmarkE7ProfilingBaseline regenerates the regression comparison.
-func BenchmarkE7ProfilingBaseline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E7Profiling()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Points[len(res.Points)-1]
-		b.ReportMetric(100*last.RegressionErr, "%regOODErr")
-		b.ReportMetric(100*last.InterfaceErr, "%ifaceOODErr")
-	}
-}
-
-// BenchmarkE8PowerProvisioning regenerates the provisioning experiment.
-func BenchmarkE8PowerProvisioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E8PowerProvisioning()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.UtilizationGain, "%moreServers")
-	}
-}
-
-// BenchmarkE9DVFS regenerates the frequency-selection experiment.
-func BenchmarkE9DVFS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E9DVFS()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, d := range res.Decisions {
-			if d.Workload == "decode-200" {
-				b.ReportMetric(100*d.Savings, "%decodeSavings")
-			}
-		}
-	}
-}
-
-// BenchmarkE10BatchServing regenerates the batch-size sweep.
-func BenchmarkE10BatchServing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E10BatchServing()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.SavingsVsB1, "%perTokenSavings")
-	}
-}
-
-// --- ablation benchmarks ---
-
-// BenchmarkA1ExactEnumeration measures exact ECV-enumeration evaluation.
-func BenchmarkA1ExactEnumeration(b *testing.B) {
-	iface := fig1Bench(b)
-	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
-	args := []core.Value{img}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := iface.Eval("handle", args, core.Expected()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkA1MonteCarlo measures Monte Carlo evaluation at 1k samples.
-func BenchmarkA1MonteCarlo(b *testing.B) {
-	iface := fig1Bench(b)
-	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
-	args := []core.Value{img}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := iface.Eval("handle", args, core.MonteCarlo(1000, int64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkA2NativeInterface measures Go-native interface evaluation.
-func BenchmarkA2NativeInterface(b *testing.B) {
-	iface := fig1Bench(b)
-	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
-	assign := core.FixedAssignment(map[string]core.Value{
-		"request_hit": core.Bool(false), "local_cache_hit": core.Bool(false),
-	})
-	args := []core.Value{img}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := iface.Eval("handle", args, assign); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkA2EILInterface measures the same program interpreted from EIL —
-// the interpretation overhead is the price of machine-readable interfaces.
-// Interpret pins the tree-walking interpreter: the registered optimizing
-// compiler would otherwise serve this from a flat program (that speedup is
-// measured separately by BenchmarkEvalCompiled).
-func BenchmarkA2EILInterface(b *testing.B) {
-	compiled, err := eil.Compile(fig1EILBench, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	iface := compiled["ml_webservice"]
-	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
-	assign := core.FixedAssignment(map[string]core.Value{
-		"request_hit": core.Bool(false), "local_cache_hit": core.Bool(false),
-	})
-	assign.Interpret = true
-	args := []core.Value{img}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := iface.Eval("handle", args, assign); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkEvalParallel measures Monte Carlo evaluation throughput at
 // fixed parallelism levels (1, 4, and one worker per CPU), reporting
@@ -295,334 +48,6 @@ func BenchmarkEvalParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalParallelEnumerate measures exact-enumeration fan-out on a
-// wider joint ECV space (6 bool ECVs = 64 assignments) at the same
-// parallelism levels.
-func BenchmarkEvalParallelEnumerate(b *testing.B) {
-	iface := core.New("enum_bench")
-	for i := 0; i < 6; i++ {
-		iface.MustECV(core.BoolECV(string(rune('a'+i)), 0.5, ""))
-	}
-	iface.MustMethod(core.Method{Name: "run", Body: func(c *core.Call) energyclarity.Joules {
-		j := energyclarity.Joules(1)
-		for i := 0; i < 6; i++ {
-			if c.ECVBool(string(rune('a' + i))) {
-				j *= 2
-			}
-		}
-		return j
-	}})
-	for _, pc := range []struct {
-		name string
-		par  int
-	}{
-		{"p1", 1},
-		{"p4", 4},
-		{"pmax", 0},
-	} {
-		b.Run(pc.name, func(b *testing.B) {
-			opts := core.Expected()
-			opts.Parallelism = pc.par
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := iface.Eval("run", nil, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE11DaemonServing regenerates the daemon-serving experiment.
-func BenchmarkE11DaemonServing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E11DaemonServing()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.HitRate, "%memoHits")
-		b.ReportMetric(float64(res.Shed()), "shed")
-	}
-}
-
-// BenchmarkDaemonEval measures wire-served evaluation through the eid
-// daemon over real loopback HTTP: cold (every request carries a fresh
-// Monte Carlo seed, so the memo can never answer) against memo hits (the
-// same request repeated). The gap is the daemon's pitch: a hit costs one
-// HTTP round-trip and a cache lookup instead of a full evaluation.
-func BenchmarkDaemonEval(b *testing.B) {
-	const samples = 32768
-	srv := eisvc.NewServer(eisvc.Config{})
-	if _, err := srv.Registry().RegisterInterface("ml_webservice", fig1Bench(b)); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := eisvc.NewClient(ts.URL)
-	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
-	args := []core.Value{img}
-	var seed int64 // persists across the harness's calibration reruns
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			seed++
-			_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, core.MonteCarlo(samples, seed))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if resp.Cached {
-				b.Fatal("distinct seeds must not hit the memo")
-			}
-		}
-	})
-	b.Run("memo-hit", func(b *testing.B) {
-		opts := core.MonteCarlo(samples, 7)
-		if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts); err != nil {
-			b.Fatal(err) // warm the memo
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !resp.Cached {
-				b.Fatal("repeated request missed the memo")
-			}
-		}
-	})
-}
-
-// BenchmarkEvalLayerCache measures the compositional layer cache on the
-// full GPT-2 stack interface: "off" walks the whole kernel tree every
-// evaluation; "warm" answers sub-evaluations (prefill, per-token decode,
-// kernel pricing) from the cache, so an evaluation collapses to a few
-// lookups plus the root body. The off/warm ratio is the per-request win
-// E12 measures end to end.
-func BenchmarkEvalLayerCache(b *testing.B) {
-	spec := gpusim.RTX4090()
-	coef := benchCoef(spec)
-	iface, err := nn.StackInterface(nn.GPT2Small(), coef.DeviceInterface(spec))
-	if err != nil {
-		b.Fatal(err)
-	}
-	args := []core.Value{core.Num(16), core.Num(100)}
-	b.Run("off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := iface.Eval("generate", args, core.Expected()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		opts := core.Expected()
-		opts.Layer = core.NewLayerCache(core.DefaultLayerCapacity)
-		if _, err := iface.Eval("generate", args, opts); err != nil {
-			b.Fatal(err) // warm the cache
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := iface.Eval("generate", args, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := opts.Layer.Stats()
-		if st.Hits+st.Misses > 0 {
-			b.ReportMetric(100*float64(st.Hits)/float64(st.Hits+st.Misses), "%layerHits")
-		}
-	})
-}
-
-// BenchmarkDaemonBatch measures serving one batch of requests with
-// duplicated classes through the daemon: "sequential" issues each request
-// as its own /v1/eval round trip; "batch" sends all of them in one
-// /v1/evalbatch, where duplicates are answered by in-batch deduplication
-// and distinct classes evaluate concurrently under the same admission
-// discipline. Every iteration uses fresh Monte Carlo seeds, so the memo
-// never answers and the comparison isolates batching itself.
-func BenchmarkDaemonBatch(b *testing.B) {
-	const (
-		samples = 8192
-		classes = 4
-		dups    = 2 // total items per iteration: classes * dups
-	)
-	srv := eisvc.NewServer(eisvc.Config{})
-	if _, err := srv.Registry().RegisterInterface("ml_webservice", fig1Bench(b)); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := eisvc.NewClient(ts.URL)
-	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
-	args := []core.Value{img}
-	var seed int64 // fresh seeds across sub-benches and calibration reruns
-	iterOpts := func() []core.EvalOptions {
-		seed++
-		opts := make([]core.EvalOptions, 0, classes*dups)
-		for d := 0; d < dups; d++ {
-			for k := 0; k < classes; k++ {
-				opts = append(opts, core.MonteCarlo(samples, seed*classes+int64(k)))
-			}
-		}
-		return opts
-	}
-	build := func() []eisvc.EvalRequest {
-		reqs := make([]eisvc.EvalRequest, 0, classes*dups)
-		for _, o := range iterOpts() {
-			reqs = append(reqs, c.EvalRequestFor("ml_webservice", "handle", args, o))
-		}
-		return reqs
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, o := range iterOpts() {
-				if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			items, err := c.EvalBatchCtx(context.Background(), build())
-			if err != nil {
-				b.Fatal(err)
-			}
-			deduped := 0
-			for _, it := range items {
-				if it.Error != "" {
-					b.Fatal(it.Error)
-				}
-				if it.Deduped {
-					deduped++
-				}
-			}
-			if deduped != classes*(dups-1) {
-				b.Fatalf("expected %d deduplicated items, got %d", classes*(dups-1), deduped)
-			}
-		}
-	})
-}
-
-// BenchmarkDriftDetect measures the online drift monitor end to end:
-// each iteration streams a healthy warmup and then a 5%-aged tail of
-// (predicted, measured) pairs through a fresh monitor until it latches a
-// drifting verdict. ns/op is the full detect cycle; samplesToDetect is
-// the detection delay the monitor needed after the shift.
-func BenchmarkDriftDetect(b *testing.B) {
-	classes := []string{"generate/50", "generate/100", "generate/200"}
-	const healthy = 16
-	pred := 40 * energyclarity.Joule
-	var delay float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := drift.NewMonitor(drift.Config{})
-		n := 0
-		for st := m.State(); st == drift.StateWarmup || st == drift.StateStable; st = m.State() {
-			meas := pred
-			if n >= healthy {
-				meas = pred * 1.05 // aged silicon: +5% across every class
-			}
-			m.Ingest(classes[n%len(classes)], pred, meas)
-			if n++; n > 4096 {
-				b.Fatal("monitor never latched a verdict")
-			}
-		}
-		if st := m.State(); st != drift.StateDrifting {
-			b.Fatalf("monitor latched %v, want drifting", st)
-		}
-		delay = float64(n - healthy)
-	}
-	b.ReportMetric(delay, "samplesToDetect")
-}
-
-// BenchmarkRecalibrate measures the automated-repair path a drift verdict
-// triggers: refit the device coefficients against live silicon with the
-// microbenchmark probes, then install them into the GPT-2 stack through
-// the version-bumping rebind that keeps layer caches consistent.
-func BenchmarkRecalibrate(b *testing.B) {
-	spec := gpusim.RTX4090()
-	g := gpusim.NewGPU(spec, 30)
-	stack, err := nn.StackInterface(nn.GPT2Small(), benchCoef(spec).DeviceInterface(spec))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coef, err := microbench.Calibrate(g, microbench.CalibrationRepeats)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ns, err := stack.Rebind("hw", coef.DeviceInterface(spec))
-		if err != nil {
-			b.Fatal(err)
-		}
-		stack = ns
-	}
-}
-
-// --- framework microbenchmarks ---
-
-// BenchmarkGPUKernelLaunch measures simulator throughput (kernels/sec).
-func BenchmarkGPUKernelLaunch(b *testing.B) {
-	g := gpusim.NewGPU(gpusim.RTX4090(), 1)
-	k := gpusim.Kernel{Instructions: 1e6, L1Accesses: 4e5, WorkingSet: 1 << 20, Reuse: 8}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Launch(k)
-	}
-}
-
-// BenchmarkGPT2DecodeStep measures one simulated autoregressive step.
-func BenchmarkGPT2DecodeStep(b *testing.B) {
-	g := gpusim.NewGPU(gpusim.RTX4090(), 1)
-	cfg := nn.GPT2Small()
-	kernels := cfg.DecodeKernels(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, k := range kernels {
-			g.Launch(k)
-		}
-	}
-}
-
-// BenchmarkStackInterfaceEval measures a full 100-token interface
-// prediction (the a-priori question a resource manager asks).
-func BenchmarkStackInterfaceEval(b *testing.B) {
-	spec := gpusim.RTX4090()
-	coef := benchCoef(spec)
-	iface, err := nn.StackInterface(nn.GPT2Small(), coef.DeviceInterface(spec))
-	if err != nil {
-		b.Fatal(err)
-	}
-	args := []core.Value{core.Num(16), core.Num(100)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := iface.Eval("generate", args, core.Expected()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEILCompile measures compiling the Fig. 1 program.
-func BenchmarkEILCompile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eil.Compile(fig1EILBench, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDistConvolution measures distribution arithmetic (the cost of
-// carrying energy as a random variable).
-func BenchmarkDistConvolution(b *testing.B) {
-	d := energyclarity.Categorical([]float64{0, 1, 7}, []float64{0.2, 0.5, 0.3})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = d.Repeat(64)
-	}
-}
-
 // --- compiled-vs-interpreted evaluation benchmarks (E15) ---
 
 // evalBenchModes is the mode matrix both E15 benchmarks sweep.
@@ -642,7 +67,7 @@ func evalBenchModes() []struct {
 		{"best", core.BestCase()},
 		{"fixed", core.FixedAssignment(fixed)},
 		// 512 samples (not the 2048 default) keeps the interpreted
-		// baseline cheap enough for the bench-json CI target.
+		// baseline cheap enough for make bench-smoke in CI.
 		{"mc", core.MonteCarlo(512, 7)},
 	}
 }
@@ -726,275 +151,7 @@ func BenchmarkEvalCompiled(b *testing.B) { benchEvalStack(b, false) }
 // reference semantics the compiled path must match bit for bit.
 func BenchmarkEvalInterpreted(b *testing.B) { benchEvalStack(b, true) }
 
-// BenchmarkFleetEval measures the fleet serving path end to end: a
-// 3-node cluster behind the consistent-hashing router. "router-memo-hit"
-// is the steady-state hot path (route to the shard owner, answer from
-// its memo); "peer-forward" prices a shard re-home (a cold node fetches
-// a fresh key from the warm peer's memo instead of re-evaluating).
-func BenchmarkFleetEval(b *testing.B) {
-	const samples = 1024
-	f, err := fleet.New(fleet.Config{Nodes: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	if err := f.SeedInterface("ml_webservice", fig1Bench(b)); err != nil {
-		b.Fatal(err)
-	}
-	_, base, stop, err := f.StartRouter("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer stop()
-	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
-	args := []core.Value{img}
-	var seed int64 // persists across the harness's calibration reruns
-
-	b.Run("router-memo-hit", func(b *testing.B) {
-		c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-		opts := core.MonteCarlo(samples, 7)
-		if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts); err != nil {
-			b.Fatal(err) // warm the owner's memo
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !resp.Cached {
-				b.Fatal("repeated request missed the fleet memo")
-			}
-		}
-	})
-	b.Run("peer-forward", func(b *testing.B) {
-		nodes := f.Nodes()
-		warm := eisvc.NewClient(nodes[0].URL).TuneTransport(eisvc.TransportTuning{})
-		cold := eisvc.NewClient(nodes[1].URL).TuneTransport(eisvc.TransportTuning{})
-		for i := 0; i < b.N; i++ {
-			seed++
-			opts := core.MonteCarlo(samples, seed)
-			if _, _, err := warm.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts); err != nil {
-				b.Fatal(err)
-			}
-			_, resp, err := cold.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !resp.Peer {
-				b.Fatal("fresh key on the cold node was not served by a peer")
-			}
-		}
-	})
-}
-
-// BenchmarkFleetBatch measures a mixed batch through the router: each
-// iteration sends fresh-seeded items that the router splits by shard
-// owner, fans out concurrently, and stitches back in request order.
-func BenchmarkFleetBatch(b *testing.B) {
-	const (
-		samples = 1024
-		classes = 4
-		dups    = 4 // items per iteration: classes * dups
-	)
-	f, err := fleet.New(fleet.Config{Nodes: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	if err := f.SeedInterface("ml_webservice", fig1Bench(b)); err != nil {
-		b.Fatal(err)
-	}
-	_, base, stop, err := f.StartRouter("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer stop()
-	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
-	args := []core.Value{img}
-	var seed int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seed++
-		reqs := make([]eisvc.EvalRequest, 0, classes*dups)
-		for d := 0; d < dups; d++ {
-			for k := 0; k < classes; k++ {
-				reqs = append(reqs, c.EvalRequestFor("ml_webservice", "handle", args,
-					core.MonteCarlo(samples, seed*classes+int64(k))))
-			}
-		}
-		items, err := c.EvalBatchCtx(context.Background(), reqs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j, it := range items {
-			if it.Error != "" || it.Dist == nil {
-				b.Fatalf("batch item %d: %+v", j, it)
-			}
-		}
-	}
-}
-
-// BenchmarkWireCodec measures encoding + decoding one eval response
-// (memo-hit shaped: a real Monte Carlo distribution) through both wire
-// codecs. The binary codec is the daemon's hot path; JSON is the debug
-// path the binary numbers are compared against. Run with -benchmem: the
-// pooled binary path should allocate a fraction of what JSON does.
-func BenchmarkWireCodec(b *testing.B) {
-	iface := fig1Bench(b)
-	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
-	d, err := iface.Eval("handle", []core.Value{img}, core.MonteCarlo(32768, 7))
-	if err != nil {
-		b.Fatal(err)
-	}
-	resp := eisvc.EvalResponse{
-		Interface: "ml_webservice", Version: 1, Method: "handle",
-		Mode: core.ModeMonteCarlo.String(), Dist: eisvc.ToWire(d), Cached: true,
-	}
-	b.Run("binary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf := eisvc.GetBuffer()
-			if err := eisvc.EncodeEvalResponse(buf, &resp); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eisvc.DecodeEvalResponse(buf.Bytes()); err != nil {
-				b.Fatal(err)
-			}
-			eisvc.PutBuffer(buf)
-		}
-	})
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			raw, err := json.Marshal(&resp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var out eisvc.EvalResponse
-			if err := json.Unmarshal(raw, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkMemoHitBinary measures one memo-served evaluation through the
-// binary codec: over loopback TCP (the fleet's inter-node path) and over
-// the in-process loopback transport (the fleet's same-process and
-// embedded path, where the sub-10 µs memo hit lives). Compare against
-// BenchmarkDaemonEval/memo-hit, the JSON-over-TCP baseline.
-func BenchmarkMemoHitBinary(b *testing.B) {
-	const samples = 32768
-	srv := eisvc.NewServer(eisvc.Config{})
-	if _, err := srv.Registry().RegisterInterface("ml_webservice", fig1Bench(b)); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	img := core.Record(map[string]core.Value{"pixels": core.Num(1e6), "zeros": core.Num(2e5)})
-	args := []core.Value{img}
-	opts := core.MonteCarlo(samples, 7)
-	if _, _, err := eisvc.NewClient(ts.URL).EvalCtx(context.Background(), "ml_webservice", "handle", args, opts); err != nil {
-		b.Fatal(err) // warm the memo
-	}
-	run := func(b *testing.B, c *eisvc.Client) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !resp.Cached {
-				b.Fatal("repeated request missed the memo")
-			}
-		}
-	}
-	b.Run("tcp", func(b *testing.B) {
-		c := eisvc.NewClient(ts.URL)
-		c.Binary = true
-		run(b, c)
-	})
-	b.Run("loopback", func(b *testing.B) {
-		c := eisvc.NewClient("http://loopback")
-		c.SetTransport(eisvc.NewLoopbackTransport(srv))
-		c.Binary = true
-		run(b, c)
-	})
-}
-
-// BenchmarkWarmRestart measures restart recovery: saving a warm daemon's
-// caches to the snapshot file and loading them into a cold daemon — the
-// work a restarted fleet node does before it serves its first warm
-// answer. The memo holds a realistic working set of Monte Carlo
-// distributions.
-func BenchmarkWarmRestart(b *testing.B) {
-	const entries = 512
-	iface := fig1Bench(b)
-	src := eisvc.NewServer(eisvc.Config{MemoCapacity: entries})
-	if _, err := src.Registry().RegisterInterface("ml_webservice", iface); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(src)
-	defer ts.Close()
-	c := eisvc.NewClient(ts.URL)
-	for k := 0; k < entries; k++ {
-		img := core.Record(map[string]core.Value{
-			"pixels": core.Num(1e6), "zeros": core.Num(float64(100 * (k + 1))),
-		})
-		if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", []core.Value{img}, core.MonteCarlo(1024, 7)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	path := b.TempDir() + "/warm.eisnap"
-	b.Run("save", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := src.SaveCacheSnapshot(path); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if err := src.SaveCacheSnapshot(path); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("load", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dst := eisvc.NewServer(eisvc.Config{MemoCapacity: entries})
-			memoN, _, err := dst.LoadCacheSnapshot(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if memoN != entries {
-				b.Fatalf("loaded %d entries, want %d", memoN, entries)
-			}
-		}
-	})
-}
-
-// --- shared fixtures ---
-
-const fig1EILBench = `
-interface accel_hw {
-  func conv2d(n) { return 0.004mJ * n }
-  func relu(n)   { return 0.001mJ * n }
-  func mlp(n)    { return 0.01mJ * n }
-}
-interface ml_webservice {
-  ecv request_hit: bernoulli(0.3)
-  ecv local_cache_hit: bernoulli(0.8)
-  uses accel: accel_hw
-  func handle(request) {
-    if request_hit {
-      if local_cache_hit { return 5mJ * 1024 }
-      return 100mJ * 1024
-    }
-    return 8 * accel.conv2d(request.pixels - request.zeros)
-         + 8 * accel.relu(256) + 16 * accel.mlp(256)
-  }
-}
-`
-
+// fig1Bench builds the Fig. 1 web service interface natively in Go.
 func fig1Bench(b *testing.B) *core.Interface {
 	b.Helper()
 	mJ := func(x float64) energyclarity.Joules {
@@ -1024,147 +181,4 @@ func fig1Bench(b *testing.B) *core.Interface {
 					16*c.E("accel", "mlp", core.Num(256))
 			}})
 	return svc
-}
-
-func benchCoef(spec gpusim.Spec) microbench.Coefficients {
-	return microbench.Coefficients{
-		Device: spec.Name,
-		Instr:  spec.NomInstrEnergy,
-		L1:     spec.NomL1Energy,
-		L2:     spec.NomL2Energy,
-		VRAM:   spec.NomVRAMEnergy,
-		Static: spec.NomStaticPower,
-	}
-}
-
-// benchSchedFleet boots a 3-node fleet behind the router, registers the
-// E18 short cluster's interfaces over the wire, and returns a warm
-// scheduler (one full interface-policy run so every canonical query is
-// in the fleet memo).
-func benchSchedFleet(b *testing.B) (*schedsvc.Scheduler, func()) {
-	b.Helper()
-	cfg := experiments.E18Config(true)
-	f, err := fleet.New(fleet.Config{Nodes: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, base, stop, err := f.StartRouter("")
-	if err != nil {
-		f.Close()
-		b.Fatal(err)
-	}
-	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-	c.Binary = true
-	s, err := schedsvc.New(cfg, c)
-	if err == nil {
-		err = s.Register(context.Background())
-	}
-	if err == nil {
-		_, err = s.Run(context.Background(), schedsvc.PolicyInterface, 6)
-	}
-	if err != nil {
-		stop()
-		f.Close()
-		b.Fatal(err)
-	}
-	return s, func() { stop(); f.Close() }
-}
-
-// BenchmarkSchedRound measures one warm interface-policy scheduling
-// round end to end: canonical demand + cost evalbatch over the binary
-// wire (memo-served), candidate ranking, greedy placement, and the
-// ground-truth simulation, for the E18 short cluster (~200 nodes, ~25k
-// tasks).
-func BenchmarkSchedRound(b *testing.B) {
-	s, cleanup := benchSchedFleet(b)
-	defer cleanup()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(context.Background(), schedsvc.PolicyInterface, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSchedPlacementBatch measures the wire path alone: the full
-// canonical query set of one scheduling round (every cohort demand and
-// every candidate price) as a single warm /v1/evalbatch through the
-// router.
-func BenchmarkSchedPlacementBatch(b *testing.B) {
-	s, cleanup := benchSchedFleet(b)
-	defer cleanup()
-	reqs := append(s.DemandRequests(0), s.CostRequests()...)
-	client := s.Client()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		items, err := client.EvalBatchCtx(context.Background(), reqs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, it := range items {
-			if it.Status != 200 {
-				b.Fatalf("item failed: %s", it.Error)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(reqs)), "items/batch")
-}
-
-// benchSweepSpec is the MoE stack's full 60-configuration knob space
-// (E19's sweep), each configuration priced by exact enumeration over its
-// 324 joint ECV assignments.
-var benchSweepSpec = autoopt.Spec{
-	Space: autoopt.Space{
-		{Name: "batch", Values: []float64{1, 2, 4, 8, 16}},
-		{Name: "level", Values: []float64{0, 1, 2, 3}},
-		{Name: "replicas", Values: []float64{1, 2, 4}},
-	},
-	SLOMs: 25,
-}
-
-// BenchmarkOptimizeSweep measures an auto-optimizer sweep bought from a
-// daemon as /v1/evalbatch items over the binary wire: cold (every
-// configuration freshly enumerated — distinct seeds defeat the memo) and
-// warm (the repeat sweep, entirely memo-served, which is what a dashboard
-// re-asking the SLO question pays).
-func BenchmarkOptimizeSweep(b *testing.B) {
-	srv := eisvc.NewServer(eisvc.Config{})
-	if _, err := srv.Registry().RegisterSource(nn.MoEEIL); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := eisvc.NewClient(ts.URL)
-	c.Binary = true
-	sweep := func(b *testing.B, seed int64) *autoopt.Result {
-		opts := core.EvalOptions{Mode: core.ModeExpected, EnumLimit: 1 << 12, Seed: seed}
-		res, err := autoopt.Sweep(context.Background(), benchSweepSpec,
-			autoopt.FleetEvaluator(c, "moe_stack", "energy", "latency", opts, 0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	var seed int64 // persists across the harness's calibration reruns
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			seed++
-			if sweep(b, seed).MemoServed != 0 {
-				b.Fatal("distinct seeds must not hit the memo")
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		first := sweep(b, -1) // prime the memo
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res := sweep(b, -1)
-			if res.MemoServed != res.Evals {
-				b.Fatal("repeat sweep missed the memo")
-			}
-			if res.Digest != first.Digest {
-				b.Fatal("repeat sweep diverged")
-			}
-		}
-	})
 }

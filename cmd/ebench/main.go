@@ -175,13 +175,13 @@ func runOne(id string, verbose bool) (*experiments.Table, error) {
 		}
 		return r.Table(), nil
 	case "e13":
-		r, err := experiments.E13Resilience(false)
+		r, err := experiments.E13Resilience()
 		if err != nil {
 			return nil, err
 		}
 		return r.Table(), nil
 	case "e14":
-		r, err := experiments.E14Drift(false)
+		r, err := experiments.E14Drift()
 		if err != nil {
 			return nil, err
 		}
@@ -193,19 +193,19 @@ func runOne(id string, verbose bool) (*experiments.Table, error) {
 		}
 		return r.Table(), nil
 	case "e17":
-		r, err := experiments.E17Wire(false)
+		r, err := experiments.E17Wire()
 		if err != nil {
 			return nil, err
 		}
 		return r.Table(), nil
 	case "e18":
-		r, err := experiments.E18SchedFleet(false)
+		r, err := experiments.E18SchedFleet()
 		if err != nil {
 			return nil, err
 		}
 		return r.Table(), nil
 	case "e19":
-		r, err := experiments.E19Autoopt(false)
+		r, err := experiments.E19Autoopt()
 		if err != nil {
 			return nil, err
 		}

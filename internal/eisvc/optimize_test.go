@@ -64,17 +64,18 @@ func optSweep(ctx context.Context, c *eisvc.Client, spec autoopt.Spec, iface str
 }
 
 // TestOptimizeServedSweep drives the sweep against a daemon over both
-// codecs: the frontier must be non-trivial and strictly ordered, the SLO
-// pick must beat max-perf, the two codecs must agree bit for bit, a
-// repeat must be entirely memo-served, and /v1/stats must count only the
-// cold sweep's evaluations.
+// codecs: the cold sweep must be served by no memo, the frontier must be
+// non-trivial and strictly ordered, the SLO pick must beat max-perf, the
+// two codecs must agree bit for bit, a repeat must be entirely
+// memo-served, and /v1/stats must count only the cold sweep's
+// evaluations.
 func TestOptimizeServedSweep(t *testing.T) {
 	c := optDaemon(t, nil)
 	first, err := optSweep(context.Background(), c, optSpec(), "opt_stack", core.Expected())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Configs != 16 || first.Skipped != 0 || first.Evals != 32 {
+	if first.Configs != 16 || first.Skipped != 0 || first.Evals != 32 || first.MemoServed != 0 {
 		t.Fatalf("sweep accounting wrong: %+v", first)
 	}
 	if len(first.Frontier) < 3 {

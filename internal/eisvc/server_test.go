@@ -152,6 +152,17 @@ func TestEvalBitIdenticalAllModes(t *testing.T) {
 			t.Errorf("%s: repeat at different parallelism missed the memo", tc.name)
 		}
 		sameDist(t, tc.name+" repeat", got2, want)
+		// A Monte Carlo answer belongs to its seed: a fresh seed is a new
+		// question, never a memo hit.
+		if tc.opts.Mode == core.ModeMonteCarlo {
+			reseeded := tc.opts
+			reseeded.Seed++
+			if _, resp3, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, reseeded); err != nil {
+				t.Fatalf("%s: reseeded eval: %v", tc.name, err)
+			} else if resp3.Cached {
+				t.Errorf("%s: a fresh seed hit the memo", tc.name)
+			}
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func (r *A2Result) Table() *Table {
 		Header: []string{"native mean", "EIL mean", "relative difference"},
 		Rows:   [][]string{{f3(r.NativeMean), f3(r.EILMean), pct(r.RelDiff)}},
 		Notes: []string{
-			"identical semantics by construction; interpretation overhead is measured by BenchmarkA2* in bench_test.go",
+			"identical semantics by construction; interpreter vs compiler speed is E15's",
 		},
 	}
 }

@@ -30,12 +30,12 @@ func AllTables() ([]*Table, error) {
 		{"E10", func() (*Table, error) { r, err := E10BatchServing(); return tab(r, err) }},
 		{"E11", func() (*Table, error) { r, err := E11DaemonServing(); return tab(r, err) }},
 		{"E12", func() (*Table, error) { r, err := E12LayerCache(); return tab(r, err) }},
-		{"E13", func() (*Table, error) { r, err := E13Resilience(false); return tab(r, err) }},
-		{"E14", func() (*Table, error) { r, err := E14Drift(false); return tab(r, err) }},
+		{"E13", func() (*Table, error) { r, err := E13Resilience(); return tab(r, err) }},
+		{"E14", func() (*Table, error) { r, err := E14Drift(); return tab(r, err) }},
 		{"E16", func() (*Table, error) { r, err := E16Fleet(false); return tab(r, err) }},
-		{"E17", func() (*Table, error) { r, err := E17Wire(false); return tab(r, err) }},
-		{"E18", func() (*Table, error) { r, err := E18SchedFleet(false); return tab(r, err) }},
-		{"E19", func() (*Table, error) { r, err := E19Autoopt(false); return tab(r, err) }},
+		{"E17", func() (*Table, error) { r, err := E17Wire(); return tab(r, err) }},
+		{"E18", func() (*Table, error) { r, err := E18SchedFleet(); return tab(r, err) }},
+		{"E19", func() (*Table, error) { r, err := E19Autoopt(); return tab(r, err) }},
 		{"A1", func() (*Table, error) { r, err := A1ExactVsMonteCarlo(); return tab(r, err) }},
 		{"A2", func() (*Table, error) { r, err := A2EILVsNative(); return tab(r, err) }},
 		{"A3", func() (*Table, error) { r, err := A3LayeredVsMonolithic(); return tab(r, err) }},

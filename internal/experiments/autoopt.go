@@ -70,15 +70,9 @@ func e19Options(parallelism int) core.EvalOptions {
 	return core.EvalOptions{Mode: core.ModeExpected, EnumLimit: 1 << 12, Parallelism: parallelism}
 }
 
-// E19Autoopt runs the sweep against a live fleet router; short shrinks
-// the fleet (the knob space stays full — the acceptance criteria are
-// about the frontier, not the scale).
-func E19Autoopt(short bool) (*E19Result, error) {
-	nodes := e19FleetNodes
-	if short {
-		nodes = 2
-	}
-	fl, err := fleet.New(fleet.Config{Nodes: nodes})
+// E19Autoopt runs the sweep against a live fleet router.
+func E19Autoopt() (*E19Result, error) {
+	fl, err := fleet.New(fleet.Config{Nodes: e19FleetNodes})
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +106,7 @@ func E19Autoopt(short bool) (*E19Result, error) {
 		return nil, fmt.Errorf("SLO %v ms unmeetable on the MoE stack: %+v", cold.SLOMs, cold)
 	}
 	res := &E19Result{
-		FleetNodes:   nodes,
+		FleetNodes:   e19FleetNodes,
 		Configs:      cold.Configs,
 		Evals:        cold.Evals,
 		FrontierSize: len(cold.Frontier),

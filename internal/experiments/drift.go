@@ -33,20 +33,12 @@ const (
 	e14TraceSeed = 14
 	e14IdleGap   = 0.4 // seconds of idle between probes, bounding thermal creep
 	e14CacheTok  = 50  // generation length used for the cache bit-exactness proof
+	e14Pre       = 24  // healthy samples before the device ages
+	e14Post      = 32  // aged-serving samples after recalibration
 )
-
-// e14Phases returns the pre-aging and post-recalibration sample counts.
-func e14Phases(short bool) (pre, post int) {
-	if short {
-		return 12, 12
-	}
-	return 24, 32
-}
 
 // E14Result is the structured outcome.
 type E14Result struct {
-	Short bool
-
 	// Detection.
 	InjectAt    int    // monitor sample after which the device aged
 	DetectedAt  int    // monitor sample at which the drift verdict latched
@@ -138,9 +130,8 @@ func (p *e14Prober) probe() (string, energy.Joules, energy.Joules, error) {
 	return fmt.Sprintf("generate/%d", tok), pred, meas, nil
 }
 
-// E14Drift runs the full cycle on the 4090 rig. With short, the pre and
-// post phases shrink for smoke tests; detection behaviour is identical.
-func E14Drift(short bool) (*E14Result, error) {
+// E14Drift runs the full cycle on the 4090 rig.
+func E14Drift() (*E14Result, error) {
 	rig, err := microbench.Rig4090()
 	if err != nil {
 		return nil, err
@@ -187,9 +178,7 @@ func E14Drift(short bool) (*E14Result, error) {
 	}
 	ctl.SeedGeneration(rig.Coef, stack.Version())
 
-	res := &E14Result{Short: short, VersionBefore: stack.Version()}
-	pre, post := e14Phases(short)
-	res.InjectAt = pre
+	res := &E14Result{VersionBefore: stack.Version(), InjectAt: e14Pre}
 
 	ctlMon := drift.NewMonitor(cfg)
 	controlStep := func() error {
@@ -207,7 +196,7 @@ func E14Drift(short bool) (*E14Result, error) {
 	// Phase 1 — healthy serving: both monitors learn their baselines and
 	// stay stable; record the seed calibration's prediction error.
 	var preAbs float64
-	for i := 0; i < pre; i++ {
+	for i := 0; i < e14Pre; i++ {
 		v, err := ctl.Observe()
 		if err != nil {
 			return nil, err
@@ -217,9 +206,9 @@ func E14Drift(short bool) (*E14Result, error) {
 			return nil, err
 		}
 	}
-	res.PreErr = preAbs / float64(pre)
+	res.PreErr = preAbs / float64(e14Pre)
 	if st := ctl.Monitor().State(); st != drift.StateStable {
-		return nil, fmt.Errorf("experiments: E14: monitor %v after %d healthy samples, want stable", st, pre)
+		return nil, fmt.Errorf("experiments: E14: monitor %v after %d healthy samples, want stable", st, e14Pre)
 	}
 
 	// Cache proof, part 1: with the layer cache attached, a repeated
@@ -303,7 +292,7 @@ func E14Drift(short bool) (*E14Result, error) {
 	// sub-percent error while the frozen seed calibration stays wrong by
 	// about the aging factor.
 	var frozenAbs, recalAbs float64
-	for i := 0; i < post; i++ {
+	for i := 0; i < e14Post; i++ {
 		tok := Table1TokenCounts[agedProbe.zipf.Next()]
 		args := []core.Value{core.Num(Table1PromptLen), core.Num(float64(tok))}
 		predFrozen, err := frozen.ExpectedJoules("generate", args...)
@@ -326,7 +315,7 @@ func E14Drift(short bool) (*E14Result, error) {
 			return nil, err
 		}
 	}
-	res.FrozenErr = frozenAbs / float64(post)
-	res.RecalErr = recalAbs / float64(post)
+	res.FrozenErr = frozenAbs / float64(e14Post)
+	res.RecalErr = recalAbs / float64(e14Post)
 	return res, nil
 }

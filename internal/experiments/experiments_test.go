@@ -460,16 +460,11 @@ func TestE12LayerCacheShape(t *testing.T) {
 }
 
 func TestE13ResilienceShape(t *testing.T) {
-	short := testing.Short()
-	res, err := E13Resilience(short)
+	res, err := E13Resilience()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOffered := e13Clients * e13PerClient
-	if short {
-		wantOffered = 3 * 10
-	}
-	if res.Offered != wantOffered {
+	if wantOffered := e13Clients * e13PerClient; res.Offered != wantOffered {
 		t.Errorf("offered = %d, want %d", res.Offered, wantOffered)
 	}
 	// The acceptance bar: ≥ 99% of the trace eventually succeeds despite
@@ -489,7 +484,7 @@ func TestE13ResilienceShape(t *testing.T) {
 	if res.Retries == 0 {
 		t.Error("clients never retried under fault injection")
 	}
-	if !short && res.SrvRetried == 0 {
+	if res.SrvRetried == 0 {
 		t.Error("server saw no retried requests (X-Eisvc-Attempt aggregation)")
 	}
 	// Cancellation probe: the follow-up got the single worker far sooner
@@ -514,7 +509,7 @@ func TestE13ResilienceShape(t *testing.T) {
 }
 
 func TestE14DriftShape(t *testing.T) {
-	res, err := E14Drift(testing.Short())
+	res, err := E14Drift()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,19 +610,13 @@ func TestAllTablesRender(t *testing.T) {
 	}
 }
 
-// TestE16FleetShape always runs the short trace (the full-size fleet run
-// renders through TestAllTablesRender); it asserts the fleet contract:
-// scale-out beats the single node, the warm batch trace loses nothing,
-// rebalancing re-homes shards without re-evaluating, and the kill +
-// partition trace delivers every answer bit-identically.
-// TestE17WireShape always runs the short variant; it asserts the wire
-// contract: all three client paths agree bit for bit, binary is cheaper
-// than JSON on the memo hit and the loopback path cheaper than TCP (in
-// bytes and allocations), and a killed-and-
-// restarted node replays the warm trace entirely cache-served with zero
-// re-evaluations, in milliseconds.
+// TestE17WireShape asserts the wire contract: all three client paths
+// agree bit for bit, binary is cheaper than JSON on the memo hit and the
+// loopback path cheaper than TCP (in bytes and allocations), and a
+// killed-and-restarted node replays the warm trace entirely cache-served
+// with zero re-evaluations, in milliseconds.
 func TestE17WireShape(t *testing.T) {
-	res, err := E17Wire(testing.Short())
+	res, err := E17Wire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,6 +654,11 @@ func TestE17WireShape(t *testing.T) {
 	}
 }
 
+// TestE16FleetShape always runs the short trace (the full-size fleet run
+// renders through TestAllTablesRender); it asserts the fleet contract:
+// scale-out beats the single node, the warm batch trace loses nothing,
+// rebalancing re-homes shards without re-evaluating, and the kill +
+// partition trace delivers every answer bit-identically.
 func TestE16FleetShape(t *testing.T) {
 	res, err := E16Fleet(true)
 	if err != nil {
@@ -717,15 +711,14 @@ func TestE16FleetShape(t *testing.T) {
 	}
 }
 
-// TestE18SchedShape always runs the short cluster (the ~4000-node /
-// ~1M-task run renders through TestAllTablesRender); it asserts the
-// scheduling contract: the interface-driven policy beats the utilization
-// baseline on energy at equal-or-better QoS, the carbon-aware variant
-// cuts grams further under the time-varying intensity trace, every
-// demand/cost resolution went over the fleet wire, and repeat runs are
-// bit-identical.
+// TestE18SchedShape runs the ~4000-node / ~1M-task cluster; it asserts
+// the scheduling contract: the interface-driven policy beats the
+// utilization baseline on energy at equal-or-better QoS, the carbon-aware
+// variant cuts grams further under the time-varying intensity trace,
+// every demand/cost resolution went over the fleet wire, and repeat runs
+// are bit-identical.
 func TestE18SchedShape(t *testing.T) {
-	res, err := E18SchedFleet(testing.Short())
+	res, err := E18SchedFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +759,7 @@ func TestE18SchedShape(t *testing.T) {
 // sweep reproduces, and a repeat sweep entirely memo-served and
 // bit-identical at a different parallelism.
 func TestE19AutooptShape(t *testing.T) {
-	res, err := E19Autoopt(testing.Short())
+	res, err := E19Autoopt()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,8 +222,8 @@ func e16NodeStats(f *fleet.Fleet) (evals, peerHits uint64) {
 	return evals, peerHits
 }
 
-// E16Fleet runs the fleet experiment. short shrinks every phase for
-// `go test -short`.
+// E16Fleet runs the fleet experiment. short shrinks every phase; the
+// shape test runs that size, ebench and AllTables the full one.
 func E16Fleet(short bool) (*E16Result, error) {
 	classes, trace, clients := 192, 576, 32
 	service := 30 * time.Millisecond

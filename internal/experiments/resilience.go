@@ -33,7 +33,7 @@ import (
 // the evaluation would have finished, and a drain probe walks the
 // graceful-shutdown protocol while an evaluation is in flight.
 
-// E13 trace shape (full size; E13Resilience(true) shrinks it for -short).
+// E13 trace shape.
 const (
 	e13Clients    = 6   // concurrent clients; odd indices hedge
 	e13PerClient  = 30  // requests each client issues
@@ -169,12 +169,8 @@ func e13Retry(seed int64) *eisvc.RetryPolicy {
 }
 
 // E13Resilience runs the faulted trace and the cancellation and drain
-// probes. short shrinks the trace for `go test -short`.
-func E13Resilience(short bool) (*E13Result, error) {
-	clients, perClient, distinct, heavy := e13Clients, e13PerClient, e13Distinct, e13HeavySize
-	if short {
-		clients, perClient, distinct, heavy = 3, 10, 8, 1<<16
-	}
+// probes.
+func E13Resilience() (*E13Result, error) {
 	res := &E13Result{}
 
 	// Fault-free reference: one answer per class, from its own daemon, so
@@ -185,8 +181,8 @@ func E13Resilience(short bool) (*E13Result, error) {
 		return nil, err
 	}
 	refClient := eisvc.NewClient(refBase)
-	reference := make([]*eisvc.EvalResponse, distinct)
-	for k := 0; k < distinct; k++ {
+	reference := make([]*eisvc.EvalResponse, e13Distinct)
+	for k := 0; k < e13Distinct; k++ {
 		_, resp, err := refClient.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
 			core.MonteCarlo(e13Samples, e13Seed))
 		if err != nil {
@@ -208,7 +204,7 @@ func E13Resilience(short bool) (*E13Result, error) {
 		firstErr   error
 		wg         sync.WaitGroup
 	)
-	for cl := 0; cl < clients; cl++ {
+	for cl := 0; cl < e13Clients; cl++ {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
@@ -226,8 +222,8 @@ func E13Resilience(short bool) (*E13Result, error) {
 			mu.Unlock()
 
 			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(2000+cl))),
-				e13ZipfS, 1, uint64(distinct-1))
-			for i := 0; i < perClient; i++ {
+				e13ZipfS, 1, uint64(e13Distinct-1))
+			for i := 0; i < e13PerClient; i++ {
 				k := int(zipf.Uint64())
 				d, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
 					core.MonteCarlo(e13Samples, e13Seed))
@@ -289,14 +285,14 @@ func E13Resilience(short bool) (*E13Result, error) {
 	shutdown()
 
 	// Cancellation probe: one worker, a heavy evaluation, a cancel.
-	if err := res.cancelProbe(heavy); err != nil {
+	if err := res.cancelProbe(); err != nil {
 		return nil, err
 	}
 	if err := res.cancelCountProbe(); err != nil {
 		return nil, err
 	}
 	// Drain probe.
-	return res, res.drainProbe(heavy)
+	return res, res.drainProbe()
 }
 
 // isTransport reports whether err is a transport-level failure (reset,
@@ -314,7 +310,7 @@ func isTransport(err error) bool {
 // daemon's only worker: first the heavy evaluation runs to completion
 // (HeavyMs), then an identical one is cancelled a few milliseconds in and
 // a cheap follow-up measures how soon the worker is available (FreedMs).
-func (r *E13Result) cancelProbe(heavy int) error {
+func (r *E13Result) cancelProbe() error {
 	_, base, shutdown, err := e13Daemon(eisvc.Config{Workers: 1, NoMemo: true, NoLayerCache: true})
 	if err != nil {
 		return err
@@ -323,7 +319,7 @@ func (r *E13Result) cancelProbe(heavy int) error {
 	c := eisvc.NewClient(base)
 	c.ID = "probe"
 	c.Timeout = -1 // the heavy evaluation is deliberately slow (slower yet under -race)
-	heavyOpts := core.MonteCarlo(heavy, e13Seed)
+	heavyOpts := core.MonteCarlo(e13HeavySize, e13Seed)
 	heavyOpts.Parallelism = 1
 
 	start := time.Now()
@@ -453,13 +449,13 @@ func (r *E13Result) cancelCountProbe() error {
 }
 
 // drainProbe walks the graceful-shutdown protocol with work in flight.
-func (r *E13Result) drainProbe(heavy int) error {
+func (r *E13Result) drainProbe() error {
 	srv, base, shutdown, err := e13Daemon(eisvc.Config{NoMemo: true, NoLayerCache: true})
 	if err != nil {
 		return err
 	}
 	defer shutdown()
-	heavyOpts := core.MonteCarlo(heavy, e13Seed)
+	heavyOpts := core.MonteCarlo(e13HeavySize, e13Seed)
 	heavyOpts.Parallelism = 1
 
 	inflight := make(chan error, 1)

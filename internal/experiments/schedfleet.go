@@ -31,21 +31,15 @@ import (
 // placement digests match bit-for-bit — the determinism criterion the
 // PR's sched fixes exist to uphold.
 
-// E18Config builds the two-region cluster. The energy optimum and the
+// e18Config builds the two-region cluster. The energy optimum and the
 // carbon optimum deliberately disagree: std-south has the cheapest
 // marginal joules per cycle (7 nJ at its lowest operating point), but
 // south's grid is ~4x dirtier than north's on average.
-func E18Config(short bool) schedsvc.Config {
-	nodeScale, taskScale := 1, 1
-	if short {
-		nodeScale, taskScale = 20, 40
-	}
-	n := func(v int) int { return v / nodeScale }
-	tn := func(v int) int { return v / taskScale }
+func e18Config() schedsvc.Config {
 	return schedsvc.Config{
 		Nodes: []schedsvc.NodeClass{
 			{
-				Name: "eff-north", Region: "north", Count: n(2000), IdleW: 12,
+				Name: "eff-north", Region: "north", Count: 2000, IdleW: 12,
 				Levels: []schedsvc.OperatingPoint{
 					{CyclesPerSec: 1.2e9, ActiveW: 21.6}, // 8 nJ/cycle marginal
 					{CyclesPerSec: 2.4e9, ActiveW: 40.8}, // 12 nJ
@@ -53,7 +47,7 @@ func E18Config(short bool) schedsvc.Config {
 				},
 			},
 			{
-				Name: "std-south", Region: "south", Count: n(1500), IdleW: 30,
+				Name: "std-south", Region: "south", Count: 1500, IdleW: 30,
 				Levels: []schedsvc.OperatingPoint{
 					{CyclesPerSec: 4e9, ActiveW: 58},     // 7 nJ — joules optimum
 					{CyclesPerSec: 8e9, ActiveW: 126},    // 12 nJ
@@ -61,7 +55,7 @@ func E18Config(short bool) schedsvc.Config {
 				},
 			},
 			{
-				Name: "big-south", Region: "south", Count: n(500), IdleW: 80,
+				Name: "big-south", Region: "south", Count: 500, IdleW: 80,
 				Levels: []schedsvc.OperatingPoint{
 					{CyclesPerSec: 2e10, ActiveW: 380},   // 15 nJ
 					{CyclesPerSec: 3.2e10, ActiveW: 752}, // 21 nJ — baseline's pick
@@ -79,15 +73,15 @@ func E18Config(short bool) schedsvc.Config {
 				PeakLen: 1, TroughLen: 5, RequestCycles: 5e6},
 		},
 		Groups: []schedsvc.TaskGroup{
-			{Class: "transcode", Phase: 0, N: tn(140000)},
-			{Class: "transcode", Phase: 2, N: tn(130000)},
-			{Class: "transcode", Phase: 4, N: tn(130000)},
-			{Class: "kv", Phase: 0, N: tn(200000)},
-			{Class: "kv", Phase: 3, N: tn(200000)},
-			{Class: "batchjob", Phase: 0, N: tn(80000)},
-			{Class: "batchjob", Phase: 6, N: tn(70000)},
-			{Class: "burst", Phase: 0, N: tn(25000)},
-			{Class: "burst", Phase: 3, N: tn(25000)},
+			{Class: "transcode", Phase: 0, N: 140000},
+			{Class: "transcode", Phase: 2, N: 130000},
+			{Class: "transcode", Phase: 4, N: 130000},
+			{Class: "kv", Phase: 0, N: 200000},
+			{Class: "kv", Phase: 3, N: 200000},
+			{Class: "batchjob", Phase: 0, N: 80000},
+			{Class: "batchjob", Phase: 6, N: 70000},
+			{Class: "burst", Phase: 0, N: 25000},
+			{Class: "burst", Phase: 3, N: 25000},
 		},
 		Margin: 0.05,
 		// Antiphase diurnal traces that cross: north (hydro + solar) swings
@@ -122,17 +116,15 @@ type E18Result struct {
 	HitRate float64
 }
 
-const e18FleetNodes = 4
+const (
+	e18FleetNodes = 4
+	e18Rounds     = 12
+)
 
-// E18SchedFleet runs the scheduling comparison against a live fleet
-// router; short scales the cluster from ~4000 nodes / ~1M tasks / 12
-// rounds down to ~200 / ~25k / 6.
-func E18SchedFleet(short bool) (*E18Result, error) {
-	cfg := E18Config(short)
-	rounds := 12
-	if short {
-		rounds = 6
-	}
+// E18SchedFleet runs the scheduling comparison (~4000 nodes, ~1M tasks,
+// 12 rounds) against a live fleet router.
+func E18SchedFleet() (*E18Result, error) {
+	cfg := e18Config()
 	fl, err := fleet.New(fleet.Config{Nodes: e18FleetNodes})
 	if err != nil {
 		return nil, err
@@ -158,18 +150,18 @@ func E18SchedFleet(short bool) (*E18Result, error) {
 
 	res := &E18Result{
 		Nodes: cfg.TotalNodes(), Tasks: cfg.TotalTasks(),
-		Rounds: rounds, FleetNodes: e18FleetNodes,
+		Rounds: e18Rounds, FleetNodes: e18FleetNodes,
 	}
-	if res.Utilization, err = sched.Run(ctx, schedsvc.PolicyUtilization, rounds); err != nil {
+	if res.Utilization, err = sched.Run(ctx, schedsvc.PolicyUtilization, e18Rounds); err != nil {
 		return nil, err
 	}
-	if res.Interface, err = sched.Run(ctx, schedsvc.PolicyInterface, rounds); err != nil {
+	if res.Interface, err = sched.Run(ctx, schedsvc.PolicyInterface, e18Rounds); err != nil {
 		return nil, err
 	}
-	if res.Carbon, err = sched.Run(ctx, schedsvc.PolicyCarbon, rounds); err != nil {
+	if res.Carbon, err = sched.Run(ctx, schedsvc.PolicyCarbon, e18Rounds); err != nil {
 		return nil, err
 	}
-	again, err := sched.Run(ctx, schedsvc.PolicyInterface, rounds)
+	again, err := sched.Run(ctx, schedsvc.PolicyInterface, e18Rounds)
 	if err != nil {
 		return nil, err
 	}

@@ -146,14 +146,9 @@ func e17TimeHits(c *eisvc.Client, reps int) (last energy.Dist, micros, allocs fl
 	return last, micros, float64(after.Mallocs-before.Mallocs) / float64(reps), nil
 }
 
-// E17Wire runs the wire experiment. short shrinks both phases for
-// `go test -short`.
-func E17Wire(short bool) (*E17Result, error) {
-	reps, distinct := e17Reps, e17Distinct
-	if short {
-		reps, distinct = 100, 12
-	}
-	res := &E17Result{Reps: reps, Distinct: distinct}
+// E17Wire runs the wire experiment.
+func E17Wire() (*E17Result, error) {
+	res := &E17Result{Reps: e17Reps, Distinct: e17Distinct}
 
 	// Phase 1: one daemon, three client paths, one warm request.
 	srv, base, shutdown, err := e17Daemon()
@@ -180,7 +175,7 @@ func E17Wire(short bool) (*E17Result, error) {
 		c          *eisvc.Client
 		at, allocs *float64
 	}{{jsonC, &res.JSONMicros, &res.JSONAllocs}, {binC, &res.BinMicros, &res.BinAllocs}, {loopC, &res.LoopMicros, &res.LoopAllocs}} {
-		d, micros, allocs, err := e17TimeHits(p.c, reps)
+		d, micros, allocs, err := e17TimeHits(p.c, e17Reps)
 		if err != nil {
 			shutdown()
 			return nil, fmt.Errorf("e17 timing (%s): %w", p.c.ID, err)
@@ -207,12 +202,12 @@ func E17Wire(short bool) (*E17Result, error) {
 	}
 
 	// Phase 2: warm fleet, snapshot, kill + restart, replay.
-	return res, res.restartPhase(distinct)
+	return res, res.restartPhase()
 }
 
 // restartPhase warms a snapshot-backed fleet, kills and restarts a
 // serving node, and replays the warm trace.
-func (r *E17Result) restartPhase(distinct int) error {
+func (r *E17Result) restartPhase() error {
 	dir, err := os.MkdirTemp("", "e17snap")
 	if err != nil {
 		return err
@@ -235,9 +230,9 @@ func (r *E17Result) restartPhase(distinct int) error {
 	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
 	c.ID = "e17-restart"
 	c.Binary = true
-	ref := make([]energy.Dist, distinct)
-	served := make([]string, distinct)
-	for k := 0; k < distinct; k++ {
+	ref := make([]energy.Dist, e17Distinct)
+	served := make([]string, e17Distinct)
+	for k := 0; k < e17Distinct; k++ {
 		d, resp, err := c.EvalCtx(context.Background(), "e17_service", "handle", e17Args(k), e17Opts)
 		if err != nil {
 			return fmt.Errorf("e17 warm class %d: %w", k, err)
@@ -268,8 +263,8 @@ func (r *E17Result) restartPhase(distinct int) error {
 	}
 
 	evalsBefore, _ := e16NodeStats(fl)
-	r.ReplayTotal = distinct
-	for k := 0; k < distinct; k++ {
+	r.ReplayTotal = e17Distinct
+	for k := 0; k < e17Distinct; k++ {
 		d, resp, err := c.EvalCtx(context.Background(), "e17_service", "handle", e17Args(k), e17Opts)
 		if err != nil {
 			return fmt.Errorf("e17 replay class %d: %w", k, err)

@@ -60,11 +60,3 @@ func (a *affinity) put(key uint64, nodeID string) {
 	}
 	a.cur[key] = nodeID
 }
-
-// forget drops a fingerprint (used when its recorded node stops serving).
-func (a *affinity) forget(key uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.cur, key)
-	delete(a.prev, key)
-}
