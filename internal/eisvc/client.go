@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,12 +58,69 @@ const (
 	headerHedge   = "X-Eisvc-Hedge"
 )
 
+// Hop is one internal request as its headers say: the codecs of its body
+// and answer, who asks, and which try it is. The client, the router's
+// forward and the peer probe all send through Hop.Send, and a hop carries
+// these headers only: no User-Agent (no server here reads one) and no
+// Accept-Encoding (none compresses): each line costs its reader allocs.
+type Hop struct {
+	ContentType, Accept string
+	Client              string // X-Eisvc-Client
+	Attempt, Hedge      string // X-Eisvc-Attempt, X-Eisvc-Hedge: "" on a first try
+}
+
+// Forwarded is the hop carrying inbound r on, with all of r's hop headers.
+func Forwarded(r *http.Request) Hop {
+	return Hop{r.Header.Get("Content-Type"), r.Header.Get("Accept"),
+		r.Header.Get(headerClient), r.Header.Get(headerAttempt), r.Header.Get(headerHedge)}
+}
+
+// Send sends body to url through rt.RoundTrip. Not http.Client.Do: a hop
+// never redirects, so its redirect loop and header copy are pure cost.
+func (h Hop) Send(ctx context.Context, rt http.RoundTripper, method, url string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header = h.header()
+	return rt.RoundTrip(req)
+}
+
+// hopHeaders holds each hop's header set, built once and then shared
+// read-only by every request that carries it. A client ID is the
+// caller's to choose, so the table is emptied when it reaches 256 sets.
+var hopHeaders = struct {
+	sync.Mutex
+	m map[Hop]http.Header
+}{m: map[Hop]http.Header{}}
+
+func (h Hop) header() http.Header {
+	hopHeaders.Lock()
+	defer hopHeaders.Unlock()
+	if hdr, ok := hopHeaders.m[h]; ok {
+		return hdr
+	}
+	// A present, empty User-Agent tells net/http to send none.
+	hdr := http.Header{"User-Agent": {""}}
+	for _, kv := range [...][2]string{{"Content-Type", h.ContentType}, {"Accept", h.Accept},
+		{headerClient, h.Client}, {headerAttempt, h.Attempt}, {headerHedge, h.Hedge}} {
+		if kv[1] != "" {
+			hdr[kv[0]] = []string{kv[1]}
+		}
+	}
+	if len(hopHeaders.m) == 256 {
+		clear(hopHeaders.m)
+	}
+	hopHeaders.m[h] = hdr
+	return hdr
+}
+
 // Client is the typed Go client for the daemon. Every method takes a
 // context, and every request carries a per-attempt HTTP timeout as well,
 // so a stalled daemon surfaces as an error instead of a hang.
 type Client struct {
 	base string
-	http *http.Client
+	rt   http.RoundTripper
 	// ID names this client in the daemon's energy ledger (the
 	// X-Eisvc-Client header); empty means "anonymous".
 	ID string
@@ -95,12 +153,17 @@ type Client struct {
 // NewClient returns a client for the daemon at base (e.g.
 // "http://127.0.0.1:7757").
 func NewClient(base string) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), http: &http.Client{}}
+	return &Client{base: strings.TrimRight(base, "/"), rt: defaultTransport}
 }
+
+// defaultTransport is http.DefaultTransport's configuration, gzip off.
+var defaultTransport = NewTransport(TransportTuning{MaxIdleConnsPerHost: -1})
 
 // SetTransport replaces the underlying HTTP transport — the hook the
 // fault-injection harness (internal/faultsim) uses to wrap the client.
-func (c *Client) SetTransport(rt http.RoundTripper) { c.http.Transport = rt }
+// rt must not modify a request (RoundTripper's contract): they share
+// header sets.
+func (c *Client) SetTransport(rt http.RoundTripper) { c.rt = rt }
 
 // Base returns the daemon base URL this client targets.
 func (c *Client) Base() string { return c.base }
@@ -131,9 +194,11 @@ type TransportTuning struct {
 }
 
 // NewTransport builds an *http.Transport tuned per t, cloned from
-// http.DefaultTransport so proxy/dialer defaults are preserved.
+// http.DefaultTransport so proxy/dialer defaults are preserved, with gzip
+// off (see Hop).
 func NewTransport(t TransportTuning) *http.Transport {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.DisableCompression = true
 	switch {
 	case t.MaxIdleConnsPerHost > 0:
 		tr.MaxIdleConnsPerHost = t.MaxIdleConnsPerHost
@@ -158,7 +223,7 @@ func NewTransport(t TransportTuning) *http.Transport {
 //
 //	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
 func (c *Client) TuneTransport(t TransportTuning) *Client {
-	c.http.Transport = NewTransport(t)
+	c.rt = NewTransport(t)
 	return c
 }
 
@@ -185,7 +250,7 @@ func (c *Client) Counters() Counters {
 // Content-Type the response came back in. The body is always read to
 // completion (and the error path decoded from it), so the underlying
 // connection is reusable whether or not the caller wants the payload.
-func (c *Client) exchange(ctx context.Context, method, path string, payload []byte, ctype, accept string, attempt int, hedge bool) (*bytes.Buffer, string, error) {
+func (c *Client) exchange(ctx context.Context, method, path string, payload []byte, hop Hop) (*bytes.Buffer, string, error) {
 	if c.Timeout >= 0 {
 		timeout := c.Timeout
 		if timeout == 0 {
@@ -195,30 +260,7 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	var rd io.Reader
-	if payload != nil {
-		rd = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return nil, "", err
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", ctype)
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	if c.ID != "" {
-		req.Header.Set(headerClient, c.ID)
-	}
-	if attempt > 1 {
-		req.Header.Set(headerAttempt, strconv.Itoa(attempt))
-	}
-	if hedge {
-		req.Header.Set(headerHedge, "1")
-	}
-	resp, err := c.http.Do(req)
+	resp, err := hop.Send(ctx, c.rt, method, c.base+path, payload)
 	if err != nil {
 		return nil, "", err
 	}
@@ -283,9 +325,9 @@ func readBounded(buf *bytes.Buffer, resp *http.Response) error {
 // and the loser is cancelled; when the primary fails before the hedge
 // launches there is nothing worth hedging (the retry loop backs off
 // instead), and when both fail the first error is returned.
-func (c *Client) attempt(ctx context.Context, method, path string, payload []byte, ctype, accept string, attempt int, idempotent bool) (*bytes.Buffer, string, error) {
+func (c *Client) attempt(ctx context.Context, method, path string, payload []byte, hop Hop, idempotent bool) (*bytes.Buffer, string, error) {
 	if c.Hedge <= 0 || !idempotent {
-		return c.exchange(ctx, method, path, payload, ctype, accept, attempt, false)
+		return c.exchange(ctx, method, path, payload, hop)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // aborts the loser once a winner returns
@@ -296,13 +338,13 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 		hedge bool
 	}
 	ch := make(chan result, 2)
-	run := func(hedge bool) {
+	run := func(h Hop) {
 		go func() {
-			buf, answered, err := c.exchange(hctx, method, path, payload, ctype, accept, attempt, hedge)
-			ch <- result{buf, answered, err, hedge}
+			buf, answered, err := c.exchange(hctx, method, path, payload, h)
+			ch <- result{buf, answered, err, h.Hedge != ""}
 		}()
 	}
-	run(false)
+	run(hop)
 	timer := time.NewTimer(c.Hedge)
 	defer timer.Stop()
 	inflight, hedged := 1, false
@@ -310,9 +352,9 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 	for {
 		select {
 		case <-timer.C:
-			hedged = true
+			hedged, hop.Hedge = true, "1"
 			c.hedges.Add(1)
-			run(true)
+			run(hop)
 			inflight++
 		case r := <-ch:
 			inflight--
@@ -352,11 +394,12 @@ func retryAfterOf(err error) time.Duration {
 // Endpoint.call and callJSON): attempt up to Retry.MaxAttempts times
 // (idempotent requests only), sleeping exponential-backoff-with-full-
 // jitter delays between attempts and honoring the server's Retry-After
-// floor. payload must stay valid for the whole call (every attempt
-// re-reads it). The winning response body comes back in a pooled buffer
-// with its Content-Type; the caller decodes — copying anything it keeps,
-// as both codec paths do — and releases it with PutBuffer.
-func (c *Client) do(ctx context.Context, method, path string, payload []byte, ctype, accept string, idempotent bool) (*bytes.Buffer, string, error) {
+// floor; attempts after the first carry their number. payload must stay
+// valid for the whole call (every attempt re-reads it). The winning
+// response body comes back in a pooled buffer with its Content-Type; the
+// caller decodes — copying anything it keeps, as both codec paths do —
+// and releases it with PutBuffer.
+func (c *Client) do(ctx context.Context, method, path string, payload []byte, hop Hop, idempotent bool) (*bytes.Buffer, string, error) {
 	attempts := 1
 	if idempotent {
 		attempts = c.Retry.attempts()
@@ -372,7 +415,11 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, ct
 				return nil, "", ctx.Err()
 			}
 		}
-		buf, answered, err := c.attempt(ctx, method, path, payload, ctype, accept, attempt, idempotent)
+		try := hop
+		if attempt > 1 {
+			try.Attempt = strconv.Itoa(attempt)
+		}
+		buf, answered, err := c.attempt(ctx, method, path, payload, try, idempotent)
 		if err == nil {
 			return buf, answered, nil
 		}
@@ -380,7 +427,7 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, ct
 		if ctx.Err() != nil {
 			// The caller's context expired: its error, not the attempt's,
 			// is what the caller should see.
-			return nil, "", err
+			return nil, "", ctx.Err()
 		}
 		if attempt == attempts || c.Retry == nil || !c.Retry.shouldRetry(err) {
 			return nil, "", err

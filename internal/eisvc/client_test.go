@@ -3,12 +3,14 @@ package eisvc
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 )
 
 // TestClientBoundsAnswers: no daemon or router can make a client allocate
@@ -46,7 +48,7 @@ func TestClientBoundsAnswers(t *testing.T) {
 		client := NewClient(ts.URL)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		buf, _, err := client.do(context.Background(), http.MethodGet, "/", nil, jsonContentType, "", true)
+		buf, _, err := client.do(context.Background(), http.MethodGet, "/", nil, Hop{}, true)
 		runtime.ReadMemStats(&after)
 		switch {
 		case c.ok && (err != nil || buf.Len() != MaxBodyBytes):
@@ -91,7 +93,7 @@ func TestClientBoundCostsNothing(t *testing.T) {
 		c := NewClient("http://answering")
 		c.SetTransport(&answering{body: body, declared: declared})
 		allocs[declared] = testing.AllocsPerRun(50, func() {
-			buf, _, err := c.do(context.Background(), http.MethodGet, "/", nil, jsonContentType, "", true)
+			buf, _, err := c.do(context.Background(), http.MethodGet, "/", nil, Hop{}, true)
 			if err != nil || buf.Len() != len(body) {
 				t.Fatalf("declared %v: %v", declared, err)
 			}
@@ -100,5 +102,43 @@ func TestClientBoundCostsNothing(t *testing.T) {
 	}
 	if allocs[false] > allocs[true] {
 		t.Errorf("an undeclared answer cost %v allocations, a declared one %v", allocs[false], allocs[true])
+	}
+}
+
+// stalled is a transport that hangs until the request's context ends and
+// then fails in its own words, as a torn-down connection does.
+type stalled chan struct{}
+
+func (s stalled) RoundTrip(req *http.Request) (*http.Response, error) {
+	s <- struct{}{}
+	<-req.Context().Done()
+	return nil, errors.New("stalled: connection torn down")
+}
+
+// TestClientContextError: when the caller's context ends, the caller gets
+// its error — context.Canceled or context.DeadlineExceeded — not the
+// attempt's, whether the request was sent once or raced against a hedge,
+// and however the transport phrased its own failure.
+func TestClientContextError(t *testing.T) {
+	for _, hedge := range []time.Duration{0, time.Millisecond} {
+		for _, want := range []error{context.Canceled, context.DeadlineExceeded} {
+			started := make(stalled, 2)
+			c := NewClient("http://stalled")
+			c.SetTransport(started)
+			c.Hedge, c.Retry = hedge, DefaultRetryPolicy()
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			if want == context.Canceled {
+				ctx, cancel = context.WithCancel(context.Background())
+				go func() {
+					<-started
+					cancel()
+				}()
+			}
+			_, _, err := c.do(ctx, http.MethodGet, "/", nil, Hop{}, true)
+			if !errors.Is(err, want) {
+				t.Errorf("hedge %v: got %v, want %v", hedge, err, want)
+			}
+			cancel()
+		}
 	}
 }

@@ -208,13 +208,24 @@ func (e *Endpoint[Req, Resp]) WriteFrame(w http.ResponseWriter, r *http.Request,
 	e.Write(w, r, resp)
 }
 
-// writeBody sends an encoded body with an exact Content-Length.
+// writeBody sends an encoded body with an exact Content-Length. Values
+// are assigned, not Set (which allocates): the Content-Type is a shared,
+// read-only one, and a body of up to 2 KiB, written in one Write by a
+// handler that then returns, gets its length from net/http for free.
 func writeBody(w http.ResponseWriter, status int, contentType string, buf *bytes.Buffer) {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	h := w.Header()
+	h["Content-Type"] = jsonContentTypes
+	if contentType == BinaryContentType {
+		h["Content-Type"] = binaryContentTypes
+	}
+	if buf.Len() > 2048 {
+		h["Content-Length"] = []string{strconv.Itoa(buf.Len())}
+	}
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
 }
+
+var jsonContentTypes, binaryContentTypes = []string{jsonContentType}, []string{BinaryContentType}
 
 // call is the client side of the entry: encode req in the client's codec
 // (binary when Client.Binary, offering the same in Accept), run the
@@ -226,15 +237,15 @@ func writeBody(w http.ResponseWriter, status int, contentType string, buf *bytes
 // backing array would hand racing bytes to the next request. The GC
 // collects it once the last reference drops.
 func (e *Endpoint[Req, Resp]) call(ctx context.Context, c *Client, req *Req) (*Resp, error) {
-	contentType, accept := jsonContentType, ""
+	hop := Hop{ContentType: jsonContentType, Client: c.ID}
 	if c.Binary {
-		contentType, accept = BinaryContentType, BinaryContentType
+		hop.ContentType, hop.Accept = BinaryContentType, BinaryContentType
 	}
 	var payload bytes.Buffer
-	if err := e.Request.Encode(&payload, contentType, req); err != nil {
+	if err := e.Request.Encode(&payload, hop.ContentType, req); err != nil {
 		return nil, err
 	}
-	buf, answered, err := c.do(ctx, http.MethodPost, e.Path, payload.Bytes(), contentType, accept, true)
+	buf, answered, err := c.do(ctx, http.MethodPost, e.Path, payload.Bytes(), hop, true)
 	if err != nil {
 		return nil, err
 	}
@@ -248,13 +259,15 @@ func (e *Endpoint[Req, Resp]) call(ctx context.Context, c *Client, req *Req) (*R
 // stats, health, ...): marshal in when non-nil, unmarshal the answer as a
 // T. The payload is unpooled for call's reason.
 func callJSON[T any](ctx context.Context, c *Client, method, path string, in any, idempotent bool) (*T, error) {
+	hop := Hop{Client: c.ID}
 	var payload bytes.Buffer
 	if in != nil {
+		hop.ContentType = jsonContentType
 		if err := json.NewEncoder(&payload).Encode(in); err != nil {
 			return nil, err
 		}
 	}
-	buf, _, err := c.do(ctx, method, path, payload.Bytes(), jsonContentType, "", idempotent)
+	buf, _, err := c.do(ctx, method, path, payload.Bytes(), hop, idempotent)
 	if err != nil {
 		return nil, err
 	}

@@ -325,8 +325,8 @@ func TestTransportTuning(t *testing.T) {
 	}
 
 	c := NewClient("http://127.0.0.1:1").TuneTransport(TransportTuning{MaxIdleConnsPerHost: 4})
-	got, ok := c.http.Transport.(*http.Transport)
+	got, ok := c.rt.(*http.Transport)
 	if !ok || got.MaxIdleConnsPerHost != 4 {
-		t.Errorf("TuneTransport installed %T (per-host %d), want *http.Transport with 4", c.http.Transport, got.MaxIdleConnsPerHost)
+		t.Errorf("TuneTransport installed %T (per-host %d), want *http.Transport with 4", c.rt, got.MaxIdleConnsPerHost)
 	}
 }

@@ -60,12 +60,14 @@ func (r *loopbackRecorder) WriteHeader(status int) {
 // same way a served request's would be.
 func (t *LoopbackTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	rec := &loopbackRecorder{hdr: make(http.Header)}
-	inner := req.Clone(req.Context())
+	// A shallow copy: a handler does not modify its request, so the
+	// caller's header set can be shared with it as it is over a socket.
+	inner := *req
 	if inner.Body == nil {
 		inner.Body = http.NoBody
 	}
 	inner.RequestURI = inner.URL.RequestURI()
-	t.handler.ServeHTTP(rec, inner)
+	t.handler.ServeHTTP(rec, &inner)
 	if rec.status == 0 {
 		rec.status = http.StatusOK
 	}

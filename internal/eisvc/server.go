@@ -95,6 +95,7 @@ type Server struct {
 	ledger *Ledger
 	lat    *latencies
 	mux    *http.ServeMux
+	node   []string // X-Eisvc-Node's value, shared by every answer
 
 	evalRequests  atomic.Uint64
 	evaluations   atomic.Uint64
@@ -146,6 +147,7 @@ func NewServer(cfg Config) *Server {
 		lat:    newLatencies(),
 		mux:    http.NewServeMux(),
 		idle:   make(chan struct{}),
+		node:   []string{cfg.NodeID},
 	}
 	if !cfg.NoLayerCache {
 		s.layer = core.NewLayerCache(cfg.LayerCapacity)
@@ -320,7 +322,7 @@ func (s *Server) noteResilience(r *http.Request) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.NodeID != "" {
-		w.Header().Set("X-Eisvc-Node", s.cfg.NodeID)
+		w.Header()["X-Eisvc-Node"] = s.node
 	}
 	s.mux.ServeHTTP(w, r)
 }

@@ -3,6 +3,7 @@ package eisvc
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -318,20 +319,25 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestOverloadSheds fills the worker pool and the queue with slow
-// evaluations and checks the daemon sheds with 429/503 instead of
-// queueing without bound.
+// TestOverloadSheds fills the worker pool and the queue and checks the
+// daemon sheds with 429/503 instead of queueing without bound. The one
+// worker is held on a gate, not a sleep, until nine of the ten requests
+// have returned, so the split is exactly what the admission rules give:
+// one request runs (200), two wait in the queue until their deadline
+// (503), and the seven that find the queue full are refused at once (429).
 func TestOverloadSheds(t *testing.T) {
 	srv, c, done := newTestDaemon(t, Config{
 		Workers:         1,
 		QueueLimit:      2,
-		DefaultDeadline: 150 * time.Millisecond,
+		DefaultDeadline: 300 * time.Millisecond,
 	})
 	defer done()
+	running, gate := make(chan struct{}, 10), make(chan struct{})
 	slow := core.New("slow").MustMethod(core.Method{
 		Name: "crunch", Params: []string{"n"},
 		Body: func(cc *core.Call) energy.Joules {
-			time.Sleep(60 * time.Millisecond)
+			running <- struct{}{}
+			<-gate
 			return energy.Joules(cc.Num(0))
 		},
 	})
@@ -343,39 +349,45 @@ func TestOverloadSheds(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	statuses := map[int]int{}
-	for i := 0; i < inflight; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Distinct args defeat the memo, so every request needs a slot.
-			_, _, err := c.EvalCtx(context.Background(), "slow", "crunch", []core.Value{core.Num(float64(i))}, core.Expected())
-			status := http.StatusOK
-			if err != nil {
-				apiErr, ok := err.(*APIError)
-				if !ok {
-					t.Errorf("request %d: %v", i, err)
-					return
-				}
-				if !apiErr.Shed() {
-					t.Errorf("request %d: unexpected API error %v", i, apiErr)
-					return
-				}
+	returned := 0
+	send := func(i int) {
+		defer wg.Done()
+		// Distinct args defeat the memo, so every request needs a slot.
+		_, _, err := c.EvalCtx(context.Background(), "slow", "crunch", []core.Value{core.Num(float64(i))}, core.Expected())
+		status := http.StatusOK
+		if err != nil {
+			apiErr, ok := err.(*APIError)
+			switch {
+			case !ok:
+				t.Errorf("request %d: %v", i, err)
+			case !apiErr.Shed():
+				t.Errorf("request %d: unexpected API error %v", i, apiErr)
+			}
+			if ok {
 				status = apiErr.Status
 			}
-			mu.Lock()
-			statuses[status]++
-			mu.Unlock()
-		}(i)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		statuses[status]++
+		if returned++; returned == inflight-1 {
+			close(gate)
+		}
+	}
+	// The first request holds the worker before the other nine arrive.
+	wg.Add(inflight)
+	go send(0)
+	<-running
+	for i := 1; i < inflight; i++ {
+		go send(i)
 	}
 	wg.Wait()
 
+	want := map[int]int{http.StatusOK: 1, http.StatusTooManyRequests: 7, http.StatusServiceUnavailable: 2}
+	if !maps.Equal(statuses, want) {
+		t.Errorf("statuses %v, want %v", statuses, want)
+	}
 	shed := statuses[http.StatusTooManyRequests] + statuses[http.StatusServiceUnavailable]
-	if statuses[http.StatusOK] == 0 {
-		t.Errorf("no request succeeded under overload: %v", statuses)
-	}
-	if shed == 0 {
-		t.Errorf("no request was shed: %v", statuses)
-	}
 	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,6 +112,7 @@ type Fleet struct {
 	ring   *Ring
 	nodes  map[string]*Node
 	nextID int
+	sorted atomic.Pointer[[]*Node] // nodes by ID, rebuilt under mu on change
 
 	// mutMu serializes registry mutations fleet-wide: one register/rebind
 	// at a time flows to the primary and replicates before the next, so
@@ -127,6 +129,7 @@ func New(cfg Config) (*Fleet, error) {
 		ring:  NewRing(cfg.VirtualNodes),
 		nodes: map[string]*Node{},
 	}
+	f.snapshotMembers()
 	for i := 0; i < cfg.Nodes; i++ {
 		if _, err := f.AddNode(); err != nil {
 			f.Close()
@@ -228,6 +231,7 @@ func (f *Fleet) join(id string) (*Node, error) {
 	f.mu.Lock()
 	f.nodes[id] = n
 	f.ring.Add(id)
+	f.snapshotMembers()
 	f.mu.Unlock()
 	return n, nil
 }
@@ -301,6 +305,7 @@ func (f *Fleet) RemoveNode(ctx context.Context, id string) error {
 	n, ok := f.nodes[id]
 	delete(f.nodes, id)
 	f.ring.Remove(id)
+	f.snapshotMembers()
 	f.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("fleet: no node %s", id)
@@ -331,23 +336,40 @@ func (f *Fleet) Node(id string) (*Node, bool) {
 	return n, ok
 }
 
-// Nodes returns all nodes (any state), sorted by ID.
-func (f *Fleet) Nodes() []*Node {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]*Node, 0, len(f.nodes))
+// Nodes returns all nodes (any state), sorted by ID: the membership
+// snapshot, shared by every caller, so read-only. A change replaces it.
+func (f *Fleet) Nodes() []*Node { return *f.sorted.Load() }
+
+// snapshotMembers rebuilds the snapshot Nodes returns; f.mu is held.
+func (f *Fleet) snapshotMembers() {
+	m := make([]*Node, 0, len(f.nodes))
 	for _, n := range f.nodes {
-		out = append(out, n)
+		m = append(m, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	slices.SortFunc(m, func(a, b *Node) int { return strings.Compare(a.ID, b.ID) })
+	f.sorted.Store(&m)
 }
 
 // LiveNodes returns the nodes currently accepting evaluation work.
 func (f *Fleet) LiveNodes() []*Node {
-	var out []*Node
-	for _, n := range f.Nodes() {
-		if n.Live() {
+	return f.ordered(nil, 0, (*Node).Live)
+}
+
+// ordered lists the members keep accepts: prefer's first, from
+// prefer[start mod len] on and wrapping, then every other member by ID.
+// It allocates only its result.
+func (f *Fleet) ordered(prefer []string, start uint64, keep func(*Node) bool) []*Node {
+	nodes := f.Nodes()
+	out := make([]*Node, 0, len(nodes))
+	p := uint64(len(prefer))
+	for i := range prefer {
+		id := prefer[(start%p+uint64(i))%p]
+		if j := slices.IndexFunc(nodes, func(n *Node) bool { return n.ID == id }); j >= 0 && keep(nodes[j]) {
+			out = append(out, nodes[j])
+		}
+	}
+	for _, n := range nodes {
+		if keep(n) && !slices.Contains(prefer, n.ID) {
 			out = append(out, n)
 		}
 	}
@@ -436,10 +458,11 @@ func (f *Fleet) RegisterSource(src string) ([]string, error) {
 
 // Close stops every node abruptly. The fleet is unusable afterwards.
 func (f *Fleet) Close() {
-	nodes := f.Nodes()
 	f.mu.Lock()
+	nodes := f.Nodes()
 	f.nodes = map[string]*Node{}
 	f.ring = NewRing(f.cfg.VirtualNodes)
+	f.snapshotMembers()
 	f.mu.Unlock()
 	for _, n := range nodes {
 		n.state.Store(stateDead)
@@ -496,28 +519,10 @@ func (f *Fleet) peerLookupFor(id string) eisvc.PeerLookup {
 }
 
 // probeOrder lists the nodes node id asks about a key of stack, in order:
-// the stack's ring owners, then every other node by ID; itself, repeats
-// and unreachable nodes left out.
+// the stack's ring owners, then every other node by ID; itself and
+// unreachable nodes left out.
 func (f *Fleet) probeOrder(id, stack string) []*Node {
-	nodes := f.Nodes()
-	byID := make(map[string]*Node, len(nodes))
-	for _, n := range nodes {
-		byID[n.ID] = n
-	}
-	var order []*Node
-	take := func(target string) {
-		if n := byID[target]; n != nil && target != id && n.reachable() {
-			order = append(order, n)
-		}
-		delete(byID, target)
-	}
-	for _, owner := range f.OwnersOf(stack) {
-		take(owner)
-	}
-	for _, n := range nodes {
-		take(n.ID)
-	}
-	return order
+	return f.ordered(f.OwnersOf(stack), 0, func(n *Node) bool { return n.ID != id && n.reachable() })
 }
 
 // probe asks node n for the keys at idx in one request and files what it
@@ -527,9 +532,7 @@ func (f *Fleet) probe(ctx context.Context, n *Node, keys []string, idx []int, an
 	for j, i := range idx {
 		ask[j] = keys[i]
 	}
-	cctx, cancel := context.WithTimeout(ctx, f.cfg.PeerTimeout)
-	defer cancel()
-	got, err := n.peer.CacheLookupCtx(cctx, ask)
+	got, err := n.peer.CacheLookupCtx(ctx, ask) // bounded by the peer client's Timeout
 	if err != nil {
 		return
 	}

@@ -1,0 +1,156 @@
+package fleet
+
+import (
+	"bytes"
+	"context"
+	"net"
+	"net/http"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"energyclarity/internal/eisvc"
+)
+
+// headerRecorder serves next and keeps the header names (and the client
+// ID) of the last evaluation request it saw.
+type headerRecorder struct {
+	next   http.Handler
+	mu     sync.Mutex
+	names  []string
+	client string
+}
+
+func (h *headerRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == eisvc.EvalEndpoint.Path {
+		names := make([]string, 0, len(r.Header))
+		for k := range r.Header {
+			names = append(names, k)
+		}
+		slices.Sort(names)
+		h.mu.Lock()
+		h.names, h.client = names, r.Header.Get("X-Eisvc-Client")
+		h.mu.Unlock()
+	}
+	h.next.ServeHTTP(w, r)
+}
+
+func (h *headerRecorder) last() (string, string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return strings.Join(h.names, " "), h.client
+}
+
+// TestHopAllocs counts one warm binary eval on loopback TCP, client and
+// servers together, two ways: client → node, and client → router → node.
+// On a 2 vCPU Xeon 2.10 GHz with go1.24.0 the counts went, before →
+// after Hop.Send: direct 128 → 109, routed 232 → 193.
+// The drop is what a hop no longer pays: http.Client's redirect
+// bookkeeping and header clone, one Header.Set per header per request and
+// per answer, the User-Agent and Accept-Encoding lines and their parsing,
+// and the router's membership copy, sort and seen-map on every routed
+// request. The bounds are those counts plus 3%.
+//
+// It also pins what each hop sends, read off the wire by the server: the
+// codecs, the client's identity, the resilience headers only when set,
+// and nothing else — no User-Agent, no Accept-Encoding. Content-Length is
+// the body's framing. The router carries the caller's identity and
+// resilience headers through to the node. Then 32 goroutines share one
+// client: under -race this shows the shared header sets are only read.
+func TestHopAllocs(t *testing.T) {
+	f := startFleet(t, Config{Nodes: 1})
+	if _, err := f.RegisterSource(fleetEIL); err != nil {
+		t.Fatal(err)
+	}
+	node := &headerRecorder{next: f.Nodes()[0].Server}
+	nodeURL, stopNode, err := eisvc.ServeLoopback(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stopNode)
+	// The router forwards to the recorded node whatever host it names.
+	rt := NewRouter(f)
+	tr := eisvc.NewTransport(eisvc.TransportTuning{})
+	tr.DialContext = func(ctx context.Context, network, _ string) (net.Conn, error) {
+		return (&net.Dialer{}).DialContext(ctx, network, strings.TrimPrefix(nodeURL, "http://"))
+	}
+	rt.tr = tr
+	router := &headerRecorder{next: rt}
+	routerURL, stopRouter, err := eisvc.ServeLoopback(router)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stopRouter)
+
+	ctx := context.Background()
+	const plain = "Accept Content-Length Content-Type X-Eisvc-Client"
+	clients := map[string]*eisvc.Client{}
+	for _, hop := range []struct {
+		name, base string
+		seen       []*headerRecorder
+	}{{"direct", nodeURL, []*headerRecorder{node}}, {"routed", routerURL, []*headerRecorder{router, node}}} {
+		c := eisvc.NewClient(hop.base).TuneTransport(eisvc.TransportTuning{})
+		c.ID, c.Binary = "hop-test", true
+		if _, _, err := c.EvalCtx(ctx, "ml_webservice", "handle", traceArgs(0), traceOpts); err != nil {
+			t.Fatalf("%s: %v", hop.name, err)
+		}
+		for i, rec := range hop.seen {
+			if names, client := rec.last(); names != plain || client != "hop-test" {
+				t.Errorf("%s, hop %d: sent %q as %q, want %q as hop-test", hop.name, i+1, names, client, plain)
+			}
+		}
+		clients[hop.name] = c
+	}
+
+	// A retried hedge through the router: both hops carry all five.
+	var frame bytes.Buffer
+	req := clients["routed"].EvalRequestFor("ml_webservice", "handle", traceArgs(0), traceOpts)
+	if err := eisvc.EncodeEvalRequest(&frame, &req); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := eisvc.Hop{ContentType: eisvc.BinaryContentType, Accept: eisvc.BinaryContentType,
+		Client: "hop-test", Attempt: "2", Hedge: "1"}.Send(ctx, eisvc.NewTransport(eisvc.TransportTuning{}), http.MethodPost, routerURL+eisvc.EvalEndpoint.Path, frame.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	const all = "Accept Content-Length Content-Type X-Eisvc-Attempt X-Eisvc-Client X-Eisvc-Hedge"
+	for hop, rec := range map[string]*headerRecorder{"client → router": router, "router → node": node} {
+		if names, client := rec.last(); resp.StatusCode != http.StatusOK || names != all || client != "hop-test" {
+			t.Errorf("%s: status %d, sent %q as %q, want %q as hop-test", hop, resp.StatusCode, names, client, all)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if _, _, err := clients["routed"].EvalCtx(ctx, "ml_webservice", "handle", traceArgs(i%2), traceOpts); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if raceEnabled {
+		return
+	}
+	args := traceArgs(0)
+	for name, bound := range map[string]float64{"direct": 112, "routed": 199} {
+		c := clients[name]
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, err := c.EvalCtx(ctx, "ml_webservice", "handle", args, traceOpts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocations per warm eval", name, allocs)
+		if allocs > bound {
+			t.Errorf("%s: %.1f allocations per warm eval, want <= %v", name, allocs, bound)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,7 +25,7 @@ import (
 // the fleet primary and replicate before the response returns.
 type Router struct {
 	f   *Fleet
-	fwd *http.Client
+	tr  http.RoundTripper // every forward's; one pooled transport for all nodes
 	aff *affinity
 
 	routed       atomic.Uint64 // evaluation requests routed
@@ -35,13 +36,7 @@ type Router struct {
 
 // NewRouter returns a router over the fleet.
 func NewRouter(f *Fleet) *Router {
-	return &Router{
-		f: f,
-		// One pooled transport serves all nodes; MaxIdleConnsPerHost is the
-		// satellite tuning that keeps fan-out off the dialer's hot path.
-		fwd: &http.Client{Transport: eisvc.NewTransport(eisvc.TransportTuning{})},
-		aff: newAffinity(0),
-	}
+	return &Router{f: f, tr: eisvc.NewTransport(eisvc.TransportTuning{}), aff: newAffinity(0)}
 }
 
 // RouterCounters is a snapshot of the router's routing counters.
@@ -83,29 +78,14 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // --- forwarding machinery ---
 
-// forward replays one request body to a node and returns the raw
-// response. The inbound request's identity and resilience headers ride
-// along so the serving node's ledger and stats attribute correctly.
-func (rt *Router) forward(ctx context.Context, n *Node, r *http.Request, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, r.Method, n.URL+r.URL.Path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range []string{"Content-Type", "Accept", "X-Eisvc-Client", "X-Eisvc-Attempt", "X-Eisvc-Hedge"} {
-		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
-		}
-	}
-	return rt.fwd.Do(req)
-}
-
 // relay copies a node's response to the client verbatim (plus the
-// X-Eisvc-Node attribution the node stamped).
+// X-Eisvc-Node attribution the node stamped). The node's header values
+// are assigned, not Set, so relaying them allocates nothing.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "X-Eisvc-Node", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+	for _, k := range [...]string{"Content-Type", "X-Eisvc-Node", "Retry-After"} {
+		if v := resp.Header[k]; len(v) > 0 {
+			w.Header()[k] = v
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
@@ -120,17 +100,17 @@ func shedFailover(status int) bool {
 	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
 }
 
-// tryCandidates forwards body to each candidate in order until answer
-// accepts a response (answer owns its body and must close it). A shed
-// response moves on without being offered, except from the last
+// tryCandidates forwards body as hop to each candidate in order until
+// answer accepts a response (answer owns its body and must close it). A
+// shed response moves on without being offered, except from the last
 // candidate — there the shed is the best answer the fleet has. A false
 // return means every candidate was dead, shedding, or declined.
-func (rt *Router) tryCandidates(r *http.Request, body []byte, candidates []*Node, answer func(n *Node, resp *http.Response) bool) bool {
+func (rt *Router) tryCandidates(r *http.Request, hop eisvc.Hop, body []byte, candidates []*Node, answer func(n *Node, resp *http.Response) bool) bool {
 	for i, n := range candidates {
 		if i > 0 {
 			rt.failovers.Add(1)
 		}
-		resp, err := rt.forward(r.Context(), n, r, body)
+		resp, err := hop.Send(r.Context(), rt.tr, r.Method, n.URL+r.URL.Path, body)
 		if err != nil {
 			continue // dead or partitioned node: next candidate
 		}
@@ -152,36 +132,6 @@ func (rt *Router) tryCandidates(r *http.Request, body []byte, candidates []*Node
 func (rt *Router) writeExhausted(w http.ResponseWriter, what string) {
 	rt.exhausted.Add(1)
 	eisvc.WriteError(w, http.StatusServiceUnavailable, "fleet: no node could serve %s", what)
-}
-
-// candidates orders the nodes to try: the preferred IDs that are live,
-// starting from prefer[spread mod len] and wrapping, then every other live
-// node as a last resort.
-func (rt *Router) candidates(prefer []string, spread uint64) []*Node {
-	var out []*Node
-	seen := map[string]bool{}
-	n := uint64(len(prefer))
-	for i := range prefer {
-		id := prefer[(spread%n+uint64(i))%n]
-		if n, ok := rt.f.Node(id); ok && n.Live() {
-			seen[id] = true
-			out = append(out, n)
-		}
-	}
-	for _, n := range rt.f.LiveNodes() {
-		if !seen[n.ID] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// candidatesFor orders the nodes to try for one evaluation: the stack's
-// ring owners first — rotated by the request hash, so a hot stack's
-// traffic spreads over all R replicas instead of hammering the primary —
-// then every other live node.
-func (rt *Router) candidatesFor(stack string, spread uint64) []*Node {
-	return rt.candidates(rt.f.OwnersOf(stack), spread)
 }
 
 // --- handlers ---
@@ -220,21 +170,15 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cands := rt.candidatesFor(stack, spread)
+	cands := rt.f.ordered(rt.f.OwnersOf(stack), spread, (*Node).Live) // then every other live node
 	affKey := eisvc.Hash64(stack) ^ spread
 	affID, affKnown := rt.aff.get(affKey)
-	if affKnown {
-		for i, n := range cands {
-			if n.ID == affID {
-				if i > 0 {
-					copy(cands[1:i+1], cands[0:i])
-					cands[0] = n
-				}
-				break
-			}
-		}
+	if i := slices.IndexFunc(cands, func(n *Node) bool { return affKnown && n.ID == affID }); i > 0 {
+		n := cands[i]
+		copy(cands[1:i+1], cands[:i])
+		cands[0] = n
 	}
-	ok := rt.tryCandidates(r, body.Bytes(), cands, func(n *Node, resp *http.Response) bool {
+	ok := rt.tryCandidates(r, eisvc.Forwarded(r), body.Bytes(), cands, func(n *Node, resp *http.Response) bool {
 		if resp.StatusCode/100 == 2 {
 			if affKnown && n.ID == affID {
 				rt.affinityHits.Add(1)
@@ -315,7 +259,8 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	// answers[i] is item i's answer, a range of the frame its node sent;
 	// nil while no node has answered for it.
 	answers := make([][]byte, len(items))
-	hop := binaryHop(r)
+	hop := eisvc.Forwarded(r) // the caller's identity; binary both ways
+	hop.ContentType, hop.Accept = eisvc.BinaryContentType, eisvc.BinaryContentType
 	var wg sync.WaitGroup
 	for pref, g := range groups {
 		wg.Add(1)
@@ -330,7 +275,7 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			// The preferred node first, then every other live node; a node
 			// whose answer is not a well-formed frame of one item per
 			// request is skipped like a dead one.
-			ok := rt.tryCandidates(hop, body.Bytes(), rt.candidates([]string{pref}, 0), func(_ *Node, resp *http.Response) bool {
+			ok := rt.tryCandidates(r, hop, body.Bytes(), rt.f.ordered([]string{pref}, 0, (*Node).Live), func(_ *Node, resp *http.Response) bool {
 				data, err := readAnswer(resp)
 				if err != nil {
 					return false
@@ -363,19 +308,6 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			http.StatusServiceUnavailable, "fleet: no node could serve batch")
 	}
 	ep.WriteFrame(w, r, out)
-}
-
-// binaryHop returns r as forward should see it for a hop that is binary
-// both ways: r itself when the caller already speaks binary both ways, a
-// copy with the two codec headers rewritten otherwise.
-func binaryHop(r *http.Request) *http.Request {
-	if eisvc.IsBinaryContentType(r.Header.Get("Content-Type")) && eisvc.AcceptsBinary(r) {
-		return r
-	}
-	hop := r.Clone(r.Context())
-	hop.Header.Set("Content-Type", eisvc.BinaryContentType)
-	hop.Header.Set("Accept", eisvc.BinaryContentType)
-	return hop
 }
 
 // readAnswer reads a node's 2xx answer into one exactly-sized slice (every
@@ -415,7 +347,7 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		rt.writeExhausted(w, r.URL.Path)
 		return
 	}
-	resp, err := rt.forward(r.Context(), p, r, body.Bytes())
+	resp, err := eisvc.Forwarded(r).Send(r.Context(), rt.tr, r.Method, p.URL+r.URL.Path, body.Bytes())
 	if err != nil {
 		rt.writeExhausted(w, r.URL.Path)
 		return
@@ -432,7 +364,7 @@ func (rt *Router) forwardToAnyLive(w http.ResponseWriter, r *http.Request) {
 	if !eisvc.ReadBody(w, r, &body) {
 		return
 	}
-	ok := rt.tryCandidates(r, body.Bytes(), rt.f.LiveNodes(), func(_ *Node, resp *http.Response) bool {
+	ok := rt.tryCandidates(r, eisvc.Forwarded(r), body.Bytes(), rt.f.LiveNodes(), func(_ *Node, resp *http.Response) bool {
 		relay(w, resp)
 		return true
 	})

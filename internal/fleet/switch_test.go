@@ -158,7 +158,7 @@ func newSwitchFixture(t *testing.T) *switchFixture {
 		fx.stubs[n.ID] = stub
 		hosts[n.URL[len("http://"):]] = eisvc.NewLoopbackTransport(stub)
 	}
-	fx.rt.fwd = &http.Client{Transport: hosts}
+	fx.rt.tr = hosts
 	return fx
 }
 
