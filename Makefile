@@ -31,17 +31,21 @@ race:
 # every run), the fleet package (probe ordering, kill and partition
 # traces, and TestHopAllocs: the exact allocations of one warm hop, direct
 # and routed), and the eisvc tests that depend on the runtime's mood —
-# exact allocation counts (a warm batch, every frame kind), 32 responses
-# encoding from one shared memo entry at once, a cold batch that must not
-# shed its own items, a cancellation raced against a hedge — plus the
-# frame pins, the allocations of a cold evaluation, and the tests that run
-# eid and efleet as child processes (ports, signals and snapshot files are
-# where process flakes live). A flake shows up here as a red step, not as
-# one red run in six.
+# exact allocation counts (a warm batch, every frame kind, a batch's
+# arguments at 64 and 256 items), a heap that 400 batches must not grow
+# by more than their cold keys (TestBatchRetainsOnlyColdKeys), 32
+# responses encoding from one shared memo entry at once, a cold batch
+# that must not shed its own items, a cancellation raced against a hedge —
+# plus the frame pins, the cache package (TestStorePutAllocs: a full
+# store's insert allocates nothing), the allocations of a cold evaluation,
+# and the tests that run eid and efleet as child processes (ports, signals
+# and snapshot files are where process flakes live). A flake shows up
+# here as a red step, not as one red run in six.
 test-repeat:
 	$(GO) test -count=10 -run 'TestE1[2-7]' ./internal/experiments
 	$(GO) test -count=5 ./internal/fleet
-	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged|TestBatchDoesNotShedItself|TestClientContextError' ./internal/eisvc
+	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestBatchArgsDecodeOnce|TestBatchRetainsOnlyColdKeys|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged|TestBatchDoesNotShedItself|TestClientContextError' ./internal/eisvc
+	$(GO) test -count=5 ./internal/cache
 	$(GO) test -count=5 -run TestColdEvalAllocs .
 	$(GO) test -count=3 -run 'Process|Recal' ./cmd/eid ./cmd/efleet
 

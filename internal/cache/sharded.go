@@ -14,10 +14,12 @@ const shardCount = 16
 // shard by FNV-1a. Parallel evaluation workers share one Sharded store
 // without funnelling through a single lock; eviction is LRU per shard.
 type Sharded[V any] struct {
-	shards [shardCount]struct {
-		mu    sync.Mutex
-		store *Store[V]
-	}
+	shards [shardCount]shard[V]
+}
+
+type shard[V any] struct {
+	mu    sync.Mutex
+	store *Store[string, V]
 }
 
 // NewSharded returns a Sharded cache bounded to roughly capacity entries
@@ -28,12 +30,9 @@ func NewSharded[V any](capacity int) *Sharded[V] {
 		panic("cache: negative capacity")
 	}
 	per := (capacity + shardCount - 1) / shardCount
-	if capacity == 0 {
-		per = 0
-	}
 	s := &Sharded[V]{}
 	for i := range s.shards {
-		s.shards[i].store = NewStore[V](per)
+		s.shards[i].store = NewStore[string, V](per)
 	}
 	return s
 }
@@ -48,10 +47,7 @@ func fnv1a(key string) uint64 {
 	return h
 }
 
-func (s *Sharded[V]) shard(key string) *struct {
-	mu    sync.Mutex
-	store *Store[V]
-} {
+func (s *Sharded[V]) shard(key string) *shard[V] {
 	return &s.shards[fnv1a(key)&(shardCount-1)]
 }
 

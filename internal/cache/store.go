@@ -1,50 +1,50 @@
+// Package cache holds the bounded caches of the tree: Store, an exact
+// least-recently-used map (the Fig. 1 ML web service's request caches,
+// the daemon's evaluation memo, the compiler's specialisation cache);
+// Sharded, a lock-striped Store for concurrent readers (the layer cache);
+// and Flight, which coalesces concurrent duplicate work.
 package cache
 
-import "container/list"
-
-// Store is a fixed-capacity least-recently-used map from string keys to
-// values of type V. It generalizes LRU (a key set) to a key-value store
-// with the same eviction discipline; the energy-interface daemon uses it
-// to memoize evaluation results. Like LRU, a Store is not safe for
-// concurrent use — callers wrap it in their own lock.
-type Store[V any] struct {
+// Store is a fixed-capacity least-recently-used map from keys of type K
+// to values of type V. Its entries live in one slice, linked into recency
+// order by index, and a full Store gives the evicted entry's slot to the
+// new one, so once it has filled, Put allocates nothing. A Store is not
+// safe for concurrent use — callers wrap it in their own lock.
+type Store[K comparable, V any] struct {
 	capacity int
-	ll       *list.List
-	items    map[string]*list.Element
+	// entries[0] is the ring's sentinel: its next is the most recently
+	// used entry and its prev the least.
+	entries []storeEntry[K, V]
+	items   map[K]int // key → index into entries
 
 	hits, misses, evictions uint64
 }
 
-type storeEntry[V any] struct {
-	key string
-	val V
+type storeEntry[K comparable, V any] struct {
+	key        K
+	val        V
+	prev, next int
 }
 
 // NewStore returns a Store holding at most capacity entries. A capacity of
 // 0 is a valid always-miss store; negative capacities panic.
-func NewStore[V any](capacity int) *Store[V] {
+func NewStore[K comparable, V any](capacity int) *Store[K, V] {
 	if capacity < 0 {
 		panic("cache: negative capacity")
 	}
-	return &Store[V]{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-	}
+	return &Store[K, V]{capacity: capacity, entries: make([]storeEntry[K, V], 1), items: make(map[K]int)}
 }
 
-// Capacity returns the configured capacity.
-func (s *Store[V]) Capacity() int { return s.capacity }
-
 // Len returns the number of stored entries.
-func (s *Store[V]) Len() int { return s.ll.Len() }
+func (s *Store[K, V]) Len() int { return len(s.entries) - 1 }
 
 // Get returns the value for key, updating recency and hit/miss counters.
-func (s *Store[V]) Get(key string) (V, bool) {
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
+func (s *Store[K, V]) Get(key K) (V, bool) {
+	if i, ok := s.items[key]; ok {
+		s.unlink(i)
+		s.pushFront(i)
 		s.hits++
-		return el.Value.(*storeEntry[V]).val, true
+		return s.entries[i].val, true
 	}
 	s.misses++
 	var zero V
@@ -52,60 +52,67 @@ func (s *Store[V]) Get(key string) (V, bool) {
 }
 
 // Put inserts key (or replaces its value), evicting the least-recently-used
-// entry if over capacity. It reports whether an eviction happened.
-func (s *Store[V]) Put(key string, val V) (evicted bool) {
+// entry if the store is full. It reports whether an eviction happened.
+func (s *Store[K, V]) Put(key K, val V) (evicted bool) {
 	if s.capacity == 0 {
 		return false
 	}
-	if el, ok := s.items[key]; ok {
-		el.Value.(*storeEntry[V]).val = val
-		s.ll.MoveToFront(el)
+	if i, ok := s.items[key]; ok {
+		s.entries[i].val = val
+		s.unlink(i)
+		s.pushFront(i)
 		return false
 	}
-	el := s.ll.PushFront(&storeEntry[V]{key: key, val: val})
-	s.items[key] = el
-	if s.ll.Len() > s.capacity {
-		back := s.ll.Back()
-		s.ll.Remove(back)
-		delete(s.items, back.Value.(*storeEntry[V]).key)
+	i := len(s.entries)
+	if s.Len() < s.capacity {
+		s.entries = append(s.entries, storeEntry[K, V]{})
+	} else {
+		i = s.entries[0].prev
+		s.unlink(i)
+		delete(s.items, s.entries[i].key)
 		s.evictions++
-		return true
+		evicted = true
 	}
-	return false
+	s.entries[i].key, s.entries[i].val = key, val
+	s.items[key] = i
+	s.pushFront(i)
+	return evicted
+}
+
+func (s *Store[K, V]) unlink(i int) {
+	e := &s.entries[i]
+	s.entries[e.prev].next, s.entries[e.next].prev = e.next, e.prev
+}
+
+func (s *Store[K, V]) pushFront(i int) {
+	first := s.entries[0].next
+	s.entries[i].prev, s.entries[i].next = 0, first
+	s.entries[first].prev, s.entries[0].next = i, i
 }
 
 // Each calls fn for every entry from most- to least-recently used,
 // stopping early if fn returns false. Iteration does not touch recency
 // or the counters; fn must not mutate the store.
-func (s *Store[V]) Each(fn func(key string, val V) bool) {
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*storeEntry[V])
-		if !fn(e.key, e.val) {
+func (s *Store[K, V]) Each(fn func(key K, val V) bool) {
+	for i := s.entries[0].next; i != 0; i = s.entries[i].next {
+		if !fn(s.entries[i].key, s.entries[i].val) {
 			return
 		}
 	}
 }
 
-// Purge drops every entry, keeping the counters.
-func (s *Store[V]) Purge() {
-	s.ll.Init()
+// Purge drops every entry, keeping the counters and the slots.
+func (s *Store[K, V]) Purge() {
+	clear(s.entries) // an empty ring: the sentinel links to itself
+	s.entries = s.entries[:1]
 	clear(s.items)
 }
 
-// HitRate returns hits/(hits+misses) over the lifetime of the store, and
-// false if there were no lookups.
-func (s *Store[V]) HitRate() (float64, bool) {
-	total := s.hits + s.misses
-	if total == 0 {
-		return 0, false
-	}
-	return float64(s.hits) / float64(total), true
-}
-
 // Stats returns the raw hit/miss/eviction counters.
-func (s *Store[V]) Stats() (hits, misses, evictions uint64) {
+func (s *Store[K, V]) Stats() (hits, misses, evictions uint64) {
 	return s.hits, s.misses, s.evictions
 }
 
-// ResetStats clears the counters.
-func (s *Store[V]) ResetStats() { s.hits, s.misses, s.evictions = 0, 0, 0 }
+// ResetStats clears the counters (e.g. after a warmup window, so a
+// resource manager can estimate steady-state ECVs).
+func (s *Store[K, V]) ResetStats() { s.hits, s.misses, s.evictions = 0, 0, 0 }

@@ -43,15 +43,15 @@ func newAdmission(workers, queueLimit int) *admission {
 	}
 }
 
-// acquire claims a worker slot, waiting until ctx is done at most. It
-// returns the release function on success, ErrQueueFull if the queue was
-// at its limit, or ErrDeadline if ctx expired while waiting.
-func (a *admission) acquire(ctx context.Context) (release func(), err error) {
+// acquire claims a worker slot, which release frees, waiting until ctx is
+// done at most: ErrQueueFull if the queue was at its limit, ErrDeadline if
+// ctx expired while waiting.
+func (a *admission) acquire(ctx context.Context) error {
 	a.mu.Lock()
 	if a.queued >= a.queueLimit {
 		a.mu.Unlock()
 		a.shedQueueFull.Add(1)
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
 	a.queued++
 	if a.queued > a.peak {
@@ -72,22 +72,25 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	// may have expired while both cases were ready).
 	if ctx.Err() != nil {
 		a.shedDeadline.Add(1)
-		return nil, ErrDeadline
+		return ErrDeadline
 	}
 	select {
 	case a.slots <- struct{}{}:
 		if ctx.Err() != nil {
 			<-a.slots
 			a.shedDeadline.Add(1)
-			return nil, ErrDeadline
+			return ErrDeadline
 		}
 		a.granted.Add(1)
-		return func() { <-a.slots }, nil
+		return nil
 	case <-ctx.Done():
 		a.shedDeadline.Add(1)
-		return nil, ErrDeadline
+		return ErrDeadline
 	}
 }
+
+// release frees the worker slot a successful acquire claimed.
+func (a *admission) release() { <-a.slots }
 
 // depth returns the current and peak number of requests in the gate
 // (waiting or holding a slot).

@@ -18,9 +18,9 @@ func TestAdmissionExpiredNeverGranted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired before every acquire; all slots free
 	for i := 0; i < 500; i++ {
-		release, err := a.acquire(ctx)
+		err := a.acquire(ctx)
 		if err == nil {
-			release()
+			a.release()
 			t.Fatalf("iteration %d: expired request was granted a slot", i)
 		}
 		if !errors.Is(err, ErrDeadline) {
@@ -54,10 +54,10 @@ func TestAdmissionCountersBalance(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perEach; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%3)*time.Millisecond)
-				release, err := a.acquire(ctx)
+				err := a.acquire(ctx)
 				if err == nil {
 					time.Sleep(200 * time.Microsecond) // hold the slot briefly
-					release()
+					a.release()
 				}
 				cancel()
 			}

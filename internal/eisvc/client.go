@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -524,17 +525,23 @@ func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.V
 // DeadlineMs == 0 are stamped with the client's Deadline; DeadlineMs ==
 // NoDeadline (any negative value) means the caller explicitly wants no
 // client-side stamp — the item is sent with no deadline and the server
-// default applies.
+// default applies. reqs itself is left as it is: the stamped items go out
+// in a copy, made only when some item needs one.
 func (c *Client) EvalBatchCtx(ctx context.Context, reqs []EvalRequest) ([]BatchEvalItem, error) {
+	sent, copied := reqs, false
 	for i := range reqs {
-		switch {
-		case reqs[i].DeadlineMs < 0:
-			reqs[i].DeadlineMs = 0 // explicit "no deadline": server default
-		case reqs[i].DeadlineMs == 0 && c.Deadline > 0:
-			reqs[i].DeadlineMs = int(c.Deadline / time.Millisecond)
+		d := reqs[i].DeadlineMs
+		if d == 0 {
+			d = int(c.Deadline / time.Millisecond)
+		}
+		if d = max(d, 0); d != reqs[i].DeadlineMs { // NoDeadline goes as 0
+			if !copied {
+				sent, copied = slices.Clone(reqs), true
+			}
+			sent[i].DeadlineMs = d
 		}
 	}
-	resp, err := EvalBatchEndpoint.call(ctx, c, &BatchEvalRequest{Requests: reqs})
+	resp, err := EvalBatchEndpoint.call(ctx, c, &BatchEvalRequest{Requests: sent})
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -140,5 +142,61 @@ func TestClientContextError(t *testing.T) {
 			}
 			cancel()
 		}
+	}
+}
+
+// TestEvalBatchLeavesRequestsAlone: EvalBatchCtx stamps deadlines on what
+// it sends, not on the caller's slice. Sent twice, the same slice carries
+// the same deadlines both times — 0 for the NoDeadline item, the client's
+// stamp for the unset one, its own for the set one — and is unchanged
+// afterwards; two goroutines may send one slice at once (run under -race).
+func TestEvalBatchLeavesRequestsAlone(t *testing.T) {
+	var mu sync.Mutex
+	var sent [][]int
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req := EvalBatchEndpoint.Read(w, r)
+		if req == nil {
+			return
+		}
+		var got []int
+		for _, it := range req.Requests {
+			got = append(got, it.DeadlineMs)
+		}
+		mu.Lock()
+		sent = append(sent, got)
+		mu.Unlock()
+		EvalBatchEndpoint.Write(w, r, &BatchEvalResponse{Results: make([]BatchEvalItem, len(req.Requests))})
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	c.Deadline = 250 * time.Millisecond
+	reqs := []EvalRequest{{DeadlineMs: NoDeadline}, {}, {DeadlineMs: 40}}
+	want := []int{0, 250, 40}
+	send := func() {
+		if _, err := c.EvalBatchCtx(context.Background(), reqs); err != nil {
+			t.Error(err)
+		}
+	}
+	send()
+	send()
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			send()
+		}()
+	}
+	wg.Wait()
+	if len(sent) != 4 {
+		t.Fatalf("handler saw %d batches, want 4", len(sent))
+	}
+	for i, got := range sent {
+		if !slices.Equal(got, want) {
+			t.Errorf("batch %d sent deadlines %v, want %v", i, got, want)
+		}
+	}
+	if got := []int{reqs[0].DeadlineMs, reqs[1].DeadlineMs, reqs[2].DeadlineMs}; !slices.Equal(got, []int{NoDeadline, 0, 40}) {
+		t.Errorf("caller's deadlines became %v", got)
 	}
 }

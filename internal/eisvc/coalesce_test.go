@@ -3,6 +3,7 @@ package eisvc
 import (
 	"context"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,8 +270,8 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 
 // TestWarmBatchAllocs pins the all-hit batch path as a count. 256 items
 // over 64 distinct warm keys, binary, through the loopback transport
-// (client encode and decode included). Measured 1,158 allocations, 4.5
-// an item; the bound leaves 3% for toolchain drift. What the figure
+// (client encode and decode included). Measured 827 allocations, 3.2 an
+// item; the bound leaves 3% for toolchain drift. What the figure
 // holds in place, each of which alone breaks it: the handler reads each
 // distinct key's memo entry inline and starts no goroutine (8,896 →
 // 8,763); memo keys are appended into one buffer and become a string
@@ -281,12 +282,14 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 // (3,975 → 2,183); the client decodes a batch's WireDist structs into
 // one array (2,183 → 1,928); and the record's sorted field names, once to
 // encode it and once to key it, are listed on the stack, while the client
-// decodes an answer's two vectors into one allocation (1,928 → 1,158).
-// What is left per item, by profile: the answer's vectors on the client,
-// and the argument slice and the record's map (two allocations, in
-// core.Record) on the server.
+// decodes an answer's two vectors into one allocation (1,928 → 1,158;
+// 1,145 by the time hops were built once); and the node decodes every
+// item's arguments into one array and makes one string of its distinct
+// memo keys (1,145 → 827). What is left per item, by profile: the
+// answer's vectors on the client, and the record's map (two allocations,
+// in core.Record) on the server.
 func TestWarmBatchAllocs(t *testing.T) {
-	const items, distinct, bound = 256, 64, 1190
+	const items, distinct, bound = 256, 64, 852
 	srv := NewServer(Config{})
 	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
 		t.Fatal(err)
@@ -315,6 +318,72 @@ func TestWarmBatchAllocs(t *testing.T) {
 	t.Logf("warm %d-item batch over %d keys: %.0f allocs", items, distinct, allocs)
 	if allocs > bound && !raceEnabled {
 		t.Errorf("warm batch made %.0f allocations, want <= %d", allocs, bound)
+	}
+}
+
+// TestBatchRetainsOnlyColdKeys: a batch pins neither its key string nor
+// its argument array past its own request. 400 batches of 255 warm items
+// and one cold one go through a node whose misses are probed on a second
+// node; every cold key stays in the memo (capacity 1,024). A cold key that
+// aliased its batch's one key string would keep that string — ≈ 20 KB —
+// alive per memo entry, ≈ 8 MB in all; the heap may grow by 1 MiB.
+func TestBatchRetainsOnlyColdKeys(t *testing.T) {
+	const batches, warm, maxGrowth = 400, 255, 1 << 20
+	node, peer := NewServer(Config{MemoCapacity: 1024}), NewServer(Config{})
+	if _, err := node.Registry().RegisterSource(testEIL); err != nil {
+		t.Fatal(err)
+	}
+	peer.ApplyRegistrySnapshot(node.Registry().Snapshot())
+	pc := NewClient("http://peer")
+	pc.SetTransport(NewLoopbackTransport(peer))
+	pc.Binary = true
+	node.SetPeerLookup(func(ctx context.Context, keys []string) []PeerAnswer {
+		answers, err := pc.CacheLookupCtx(ctx, keys)
+		if err != nil {
+			t.Error(err)
+			return make([]PeerAnswer, len(keys))
+		}
+		return answers
+	})
+	c := NewClient("http://node")
+	c.SetTransport(NewLoopbackTransport(node))
+	c.Binary = true
+	req := func(pixels int) EvalRequest {
+		arg := core.Record(map[string]core.Value{"pixels": core.Num(float64(pixels)), "zeros": core.Num(0)})
+		return c.EvalRequestFor("ml_webservice", "handle", []core.Value{arg}, core.Expected())
+	}
+	reqs := make([]EvalRequest, warm+1)
+	for i := range warm {
+		reqs[i] = req(1024 + i)
+	}
+	send := func(b int) {
+		reqs[warm] = req(1<<20 + b) // the cold item
+		got, err := c.EvalBatchCtx(context.Background(), reqs)
+		if err != nil || got[warm].Cached || !got[0].Cached && b >= 0 {
+			t.Fatalf("batch %d: err %v", b, err)
+		}
+	}
+	for b := range 10 { // warm the memo and every pool
+		send(-1 - b)
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for b := range batches {
+		send(b)
+	}
+	after := heap()
+	if hits, misses, _, size := node.memo.Stats(); size != warm+10+batches {
+		t.Fatalf("memo holds %d entries (%d hits, %d misses), want %d", size, hits, misses, warm+10+batches)
+	}
+	t.Logf("%d batches, %d cold keys kept: heap %+d bytes", batches, batches, int64(after)-int64(before))
+	if after > before+maxGrowth {
+		t.Errorf("heap grew %d bytes over %d batches, want <= %d", after-before, batches, maxGrowth)
 	}
 }
 

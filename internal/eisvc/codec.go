@@ -133,10 +133,12 @@ type coder struct {
 	// one, only sets short; release makes its error from off.
 	err   error
 	short bool
-	// intern, set by the batch layouts, shares the strings a batch's
-	// items repeat (see name); names is that table, kept across frames.
-	intern bool
-	names  map[string]string
+	// batch, set by the batch layouts, shares the strings a batch's items
+	// repeat through names (see name) and gathers their arguments in vals
+	// (see batchRequest): scratch kept across frames, empty between them.
+	batch bool
+	names map[string]string
+	vals  []core.Value
 }
 
 var coderPool = sync.Pool{New: func() any { return &coder{names: map[string]string{}} }}
@@ -160,7 +162,12 @@ func (c *coder) release() error {
 		err = fmt.Errorf("eisvc: binary codec: truncated at byte %d", c.off)
 	}
 	clear(c.names)
-	*c = coder{names: c.names}
+	clear(c.vals)
+	vals := c.vals[:0]
+	if cap(vals) > maxPooledVals {
+		vals = nil
+	}
+	*c = coder{names: c.names, vals: vals}
 	coderPool.Put(c)
 	return err
 }
@@ -299,10 +306,12 @@ func (c *coder) str(p *string) {
 
 // Bounds of a batch decode's intern table: a hostile frame can pin at
 // most maxInternEntries * maxInternLen bytes through it, for the life of
-// one decode.
+// one decode. A pooled coder keeps at most maxPooledVals values (64 bytes
+// each) of argument scratch: a one-off giant batch must not pin it.
 const (
 	maxInternEntries = 64
 	maxInternLen     = 64
+	maxPooledVals    = 1 << 11
 )
 
 // name is str for the strings the items of a batch repeat — interface,
@@ -310,7 +319,7 @@ const (
 // drawn from three stacks share one copy of each instead of allocating
 // 256. Anywhere else it is str.
 func (c *coder) name(p *string) {
-	if c.mode != decoding || !c.intern {
+	if c.mode != decoding || !c.batch {
 		c.str(p)
 		return
 	}
@@ -583,11 +592,13 @@ func (c *coder) evalRequest(r *EvalRequest) {
 }
 
 // args: a count, then each value. A walker keeps no values, so each passes
-// through a local.
+// through a local. A batch's decoder appends them to c.vals, and *a is
+// read only for its length until batchRequest gives the item its window.
 func (c *coder) args(a *Args) {
 	n := len(*a)
 	c.count(&n, minValue)
-	if c.mode == decoding && n > 0 {
+	batched := c.mode == decoding && c.batch
+	if c.mode == decoding && !batched && n > 0 {
 		*a = make(Args, n)
 	}
 	for i := 0; i < n; i++ {
@@ -595,9 +606,15 @@ func (c *coder) args(a *Args) {
 		if c.mode == encoding {
 			v = (*a)[i]
 		}
-		if v = c.value(v, 0); c.mode == decoding {
+		v = c.value(v, 0)
+		if batched {
+			c.vals = append(c.vals, v)
+		} else if c.mode == decoding {
 			(*a)[i] = v
 		}
+	}
+	if batched && n > 0 {
+		*a = c.vals[len(c.vals)-n:]
 	}
 }
 
@@ -637,11 +654,24 @@ func (c *coder) evalResponse(r *EvalResponse) {
 	c.wireDist(&r.Dist)
 }
 
+// batchRequest decodes every item's arguments into one allocation sized
+// by their total: each item's Args is its window of it, capped so that an
+// append cannot run into the next item's.
 func (c *coder) batchRequest(r *BatchEvalRequest) {
-	c.intern = true
+	c.batch = true
 	reqs := seq(c, &r.Requests, minRequestItem)
 	for i := range reqs {
 		c.evalRequest(&reqs[i])
+	}
+	if c.mode != decoding || len(c.vals) == 0 {
+		return
+	}
+	all := make(Args, len(c.vals))
+	copy(all, c.vals)
+	for i := range reqs {
+		if n := len(reqs[i].Args); n > 0 {
+			reqs[i].Args, all = all[:n:n], all[n:]
+		}
 	}
 }
 
@@ -670,7 +700,7 @@ func (c *coder) batchItem(it *BatchEvalItem, dist *WireDist) (hasDist bool) {
 // array would let a single kept answer pin every vector of its batch
 // (≈ 450 KB for 256 items) — so each answer's pair is its own allocation.
 func (c *coder) batchResponse(r *BatchEvalResponse) {
-	c.intern = true
+	c.batch = true
 	items := seq(c, &r.Results, minAnswerItem)
 	var dists []WireDist
 	if c.mode == decoding {
@@ -687,10 +717,21 @@ func (c *coder) batchResponse(r *BatchEvalResponse) {
 	}
 }
 
+// cacheLookupRequest decodes the keys as substrings of one copy of the
+// frame: a peer only reads its memo with them.
 func (c *coder) cacheLookupRequest(r *CacheLookupRequest) {
 	keys := seq(c, &r.Keys, minKey)
+	if c.mode != decoding || len(keys) == 0 {
+		for i := range keys {
+			c.str(&keys[i])
+		}
+		return
+	}
+	base, rest := c.off, string(c.data[c.off:])
 	for i := range keys {
-		c.str(&keys[i])
+		b := c.raw(1)
+		end := c.off - base
+		keys[i] = rest[end-len(b) : end]
 	}
 }
 

@@ -355,3 +355,49 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestBatchArgsDecodeOnce: decoding a batch request, the items' arguments
+// cost one allocation whatever the batch's size — measured as what a batch
+// of items with arguments allocates beyond the same batch without them, at
+// 64 and at 256 items — and each item's Args is a window of it capped at
+// its own length, so appending to one item's leaves the next one's alone.
+func TestBatchArgsDecodeOnce(t *testing.T) {
+	batch := func(n int, args bool) []byte {
+		req := &BatchEvalRequest{Requests: make([]EvalRequest, n)}
+		for i := range req.Requests {
+			it := &req.Requests[i]
+			it.Interface, it.Method, it.Mode = "ml_webservice", "handle", "expected"
+			if args && i%4 != 3 { // every fourth item has none
+				it.Args = Args{core.Num(float64(i)), core.Bool(i%2 == 0)}
+			}
+		}
+		return mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, req) })
+	}
+	decoded, err := DecodeBatchEvalRequest(batch(4, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := decoded.Requests[0].Args, decoded.Requests[1].Args
+	if cap(first) != len(first) || decoded.Requests[3].Args != nil {
+		t.Fatalf("item 0's Args has cap %d for %d values; item 3's is %v, want nil", cap(first), len(first), decoded.Requests[3].Args)
+	}
+	_ = append(first, core.Str("appended"))
+	if n, _ := second[0].AsNum(); n != 1 {
+		t.Errorf("appending to item 0's arguments changed item 1's to %v", second)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	decodeAllocs := func(frame []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := DecodeBatchEvalRequest(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, n := range []int{64, 256} {
+		if got := decodeAllocs(batch(n, true)) - decodeAllocs(batch(n, false)); got != 1 {
+			t.Errorf("%d items: arguments cost %v allocations, want 1", n, got)
+		}
+	}
+}

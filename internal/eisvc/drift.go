@@ -47,12 +47,11 @@ func (s *Server) DriftStep(ctx context.Context) error {
 	if !ctl.NeedsRecal() {
 		return nil
 	}
-	release, err := s.adm.acquire(ctx)
-	if err != nil {
+	if err := s.adm.acquire(ctx); err != nil {
 		s.driftErrors.Add(1)
 		return fmt.Errorf("eisvc: recalibration admission: %w", err)
 	}
-	defer release()
+	defer s.adm.release()
 	if _, err := ctl.Recalibrate("drift"); err != nil {
 		s.driftErrors.Add(1)
 		return err

@@ -184,13 +184,16 @@ func TestFramesUnchanged(t *testing.T) {
 // the walker state a batch walk no longer puts on the heap (2 → 1), and
 // one allocation per distribution, whose two vectors now share one
 // (eval response 7 → 6, batch response 13 → 11, cache lookup response
-// 6 → 5).
+// 6 → 5). A batch's items decode their arguments into one array, not one
+// each (batch request 30 → 29: two items have arguments), and a cache
+// lookup's keys are substrings of one copy of the frame, not a copy each
+// (cache lookup request 5 → 3: three keys).
 var frameAllocs = map[string]struct{ encode, decode, walk float64 }{
 	"eval request":          {0, 17, 0},
 	"eval response":         {0, 6, 0},
-	"batch request":         {0, 30, 1},
+	"batch request":         {0, 29, 1},
 	"batch response":        {0, 11, 1},
-	"cache lookup request":  {0, 5, 0},
+	"cache lookup request":  {0, 3, 0},
 	"cache lookup response": {0, 5, 0},
 	"snapshot":              {0, 7, 0},
 }

@@ -16,7 +16,7 @@ import (
 // concurrent handlers share it safely.
 type Memo struct {
 	mu    sync.Mutex
-	store *cache.Store[memoEntry]
+	store *cache.Store[string, memoEntry]
 }
 
 // memoEntry is one cached answer in both forms it is used in: the Dist,
@@ -39,7 +39,7 @@ func newMemoEntry(d energy.Dist) memoEntry {
 // NewMemo returns a memo cache bounded to capacity entries; capacity 0
 // disables memoization.
 func NewMemo(capacity int) *Memo {
-	return &Memo{store: cache.NewStore[memoEntry](capacity)}
+	return &Memo{store: cache.NewStore[string, memoEntry](capacity)}
 }
 
 // Get returns the cached distribution for key.

@@ -1,13 +1,16 @@
 package eisvc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -487,11 +490,11 @@ func (s *Server) handleRebind(w http.ResponseWriter, r *http.Request) {
 // evalOutcome is what one coalesced evaluation produces: the answer, in
 // the wire form its memo entry holds (shared and read-only, see memoEntry),
 // and whether it was resolved without running Eval locally — from the
-// memo, or (peer) from another fleet node's warm cache.
+// memo, (peer) from another fleet node's warm cache, or (coalesced) by
+// another request's flight.
 type evalOutcome struct {
-	wire    *WireDist
-	memoHit bool
-	peer    bool
+	wire                     *WireDist
+	memoHit, peer, coalesced bool
 }
 
 // probePeers hands keys — local memo misses — to the fleet hook in one
@@ -531,8 +534,8 @@ func (s *Server) probePeers(ctx context.Context, lookup PeerLookup, keys []strin
 // makes and cancels waitCtx, so the cold keys of one batch wait under one
 // timer instead of one each. A cancelled coalesced leader fails its
 // followers too (they see context.Canceled as a 503 and may retry).
-func (s *Server) evalMiss(ctx, waitCtx context.Context, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions, probe *PeerLookup) (out evalOutcome, coalesced bool, err error) {
-	out, coalesced, err = s.flight.Do(waitCtx, key, func() (evalOutcome, error) {
+func (s *Server) evalMiss(ctx, waitCtx context.Context, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions, probe *PeerLookup) (evalOutcome, error) {
+	out, coalesced, err := s.flight.Do(waitCtx, key, func() (evalOutcome, error) {
 		if w := s.memo.wire(key); w != nil {
 			return evalOutcome{wire: w, memoHit: true}, nil
 		}
@@ -548,11 +551,10 @@ func (s *Server) evalMiss(ctx, waitCtx context.Context, key string, iface *core.
 				return evalOutcome{wire: w, memoHit: true, peer: true}, nil
 			}
 		}
-		release, err := s.adm.acquire(waitCtx)
-		if err != nil {
+		if err := s.adm.acquire(waitCtx); err != nil {
 			return evalOutcome{}, err
 		}
-		defer release()
+		defer s.adm.release()
 		opts.Layer = s.layer // nil (disabled) is valid
 		s.evaluations.Add(1)
 		d, evalErr := iface.EvalCtx(ctx, method, args, opts)
@@ -567,7 +569,8 @@ func (s *Server) evalMiss(ctx, waitCtx context.Context, key string, iface *core.
 	if coalesced {
 		s.coalesced.Add(1)
 	}
-	return out, coalesced, err
+	out.coalesced = coalesced
+	return out, err
 }
 
 // evalFailed wraps an Interface.Eval error so evalStatus can tell a
@@ -632,21 +635,27 @@ func (s *Server) checkEvalRequest(req *EvalRequest) (iface *core.Interface, vers
 		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest,
 			"enum_limit %d exceeds server cap %d", req.EnumLimit, s.cfg.MaxEnumLimit)
 	}
-	opts, err := req.Options()
+	opts, err := evalOptions(req)
 	if err != nil {
 		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest, "%v", err)
-	}
-	// Parallelism is remote input that sizes a goroutine fan-out, and it is
-	// not in the memo key: answers are bit-identical at any value. So an
-	// explicit one is clamped to what 0 means, one worker per CPU.
-	if opts.Parallelism > 0 {
-		opts.Parallelism = min(opts.Parallelism, runtime.GOMAXPROCS(0))
 	}
 	iface, version, ok := s.reg.Get(req.Interface)
 	if !ok {
 		return nil, 0, core.EvalOptions{}, reject(http.StatusNotFound, "no interface %q", req.Interface)
 	}
 	return iface, version, opts, nil
+}
+
+// evalOptions is req.Options with its parallelism clamped. Parallelism is
+// remote input that sizes a goroutine fan-out, and it is not in the memo
+// key: answers are bit-identical at any value. So an explicit one is
+// clamped to what 0 means, one worker per CPU.
+func evalOptions(req *EvalRequest) (core.EvalOptions, error) {
+	opts, err := req.Options()
+	if opts.Parallelism > 0 {
+		opts.Parallelism = min(opts.Parallelism, runtime.GOMAXPROCS(0))
+	}
+	return opts, err
 }
 
 // deadlineFor returns the queue-wait bound for a request. DeadlineMs <= 0
@@ -670,20 +679,19 @@ func (s *Server) handleEval(r *http.Request, req *EvalRequest) (*EvalResponse, e
 	// the memo and probes the fleet for all of its keys at once, and then
 	// enters at evalMiss.)
 	var out evalOutcome
-	var coalesced bool
 	if w := s.memo.wire(key); w != nil {
 		out = evalOutcome{wire: w, memoHit: true}
 	} else {
 		waitCtx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req))
 		var err error
-		out, coalesced, err = s.evalMiss(r.Context(), waitCtx, key, iface, req.Method, req.Args, opts, s.peerLookup.Load())
+		out, err = s.evalMiss(r.Context(), waitCtx, key, iface, req.Method, req.Args, opts, s.peerLookup.Load())
 		cancel()
 		if err != nil {
 			return nil, err
 		}
 	}
 	w := out.wire
-	s.ledger.record(clientID(r), req.Interface, w.Mean, w.P99, w.Max, out.memoHit || coalesced)
+	s.ledger.record(clientID(r), req.Interface, w.Mean, w.P99, w.Max, out.memoHit || out.coalesced)
 	return &EvalResponse{
 		Interface: req.Interface,
 		Version:   version,
@@ -691,22 +699,31 @@ func (s *Server) handleEval(r *http.Request, req *EvalRequest) (*EvalResponse, e
 		Mode:      opts.Mode.String(),
 		Dist:      *w, // the vectors stay the memo entry's: read-only
 		Cached:    out.memoHit,
-		Coalesced: coalesced,
+		Coalesced: out.coalesced,
 		Peer:      out.peer,
 		Node:      s.cfg.NodeID,
 	}, nil
 }
 
+// keyBufs holds the buffers batches build their memo keys in, apart from
+// bufPool's, which converge on the largest frame the process moves.
+var keyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// keySeed seeds the hashes a batch finds its duplicate keys by.
+var keySeed = maphash.MakeSeed()
+
 // handleEvalBatch evaluates a slice of requests in one round trip, in
-// three phases. (1) Every item is canonicalized and its memo key read
-// inline; items that canonicalize to the same key are deduplicated — one
-// answer serves all of them. (2) The keys the memo did not hold go to the
-// fleet hook together, once. (3) What neither the memo nor a peer held
-// evaluates on at most Workers goroutines, each key under the normal
-// singleflight and admission discipline (so a batch cannot bypass the
-// worker-slot and queue bounds, nor fill the queue and shed itself; it can
-// only stop paying for duplicates). Item failures are per-item: a bad or
-// shed item does not fail the batch.
+// three phases. (1) Every item is canonicalized, and items that
+// canonicalize to the same key are deduplicated — one answer serves all
+// of them — and the memo is read once per distinct key. (2) The keys the
+// memo did not hold go to the fleet hook together, once. (3) What neither
+// the memo nor a peer held evaluates on at most Workers goroutines, each
+// key under the normal singleflight and admission discipline (so a batch
+// cannot bypass the worker-slot and queue bounds, nor fill the queue and
+// shed itself; it can only stop paying for duplicates). Item failures are
+// per-item: a bad or shed item does not fail the batch.
+// The distinct keys are one string and its substrings; only a key the
+// memo missed is cloned, because only it outlives the batch (DESIGN §7).
 func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*BatchEvalResponse, error) {
 	if len(req.Requests) == 0 {
 		return nil, reject(http.StatusBadRequest, "empty batch")
@@ -716,33 +733,36 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 	}
 	s.batchItems.Add(uint64(len(req.Requests)))
 
-	// results holds one entry per distinct key; shared[i] is the index of
-	// the entry item i rides on — its own, or for a duplicate the one the
-	// key's first item made — and -1 for a rejected item. cold is what an
-	// entry the memo missed needs to evaluate; coldKeys[j] is cold[j]'s key.
+	// results holds one entry per distinct key, in the order of the items
+	// that first name them; shared[i] is the index of the entry item i
+	// rides on — its own, or for a duplicate the one the key's first item
+	// made — and -1 for a rejected item. cold is what an entry the memo
+	// missed needs to evaluate; coldKeys[j] is cold[j]'s key.
 	type keyResult struct {
-		out       evalOutcome
-		coalesced bool
-		err       error
+		end   int             // where its key ends in the batch's keys
+		iface *core.Interface // what it evaluates on
+		out   evalOutcome
+		err   error
 	}
 	type coldKey struct {
 		result int
 		key    string
 		it     *EvalRequest
-		iface  *core.Interface
-		opts   core.EvalOptions
 		wait   context.Context // bounds its wait for a flight or a worker slot
 	}
 	items := make([]BatchEvalItem, len(req.Requests))
 	shared := make([]int, len(req.Requests))
 	results := make([]keyResult, 0, len(req.Requests))
-	byKey := make(map[string]int, len(req.Requests))
-	var cold []coldKey
-	var coldKeys []string
-	// One buffer canonicalizes every item; a key becomes a string only the
-	// first time the batch sees it (a duplicate's lookup converts nothing).
-	var keyArr [192]byte
-	keyBuf := keyArr[:0]
+	byHash := make(map[uint64]int, len(req.Requests))
+	start := func(k int) int { // where entry k's key starts
+		if k == 0 {
+			return 0
+		}
+		return results[k-1].end
+	}
+	// A key is appended to keyBuf and, when an earlier item's key has the
+	// same bytes, cut off again: the buffer holds each distinct key once.
+	keyBuf := keyBufs.Get().(*bytes.Buffer)
 	for i := range req.Requests {
 		it := &req.Requests[i]
 		items[i] = BatchEvalItem{Interface: it.Interface, Method: it.Method}
@@ -754,23 +774,42 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		}
 		items[i].Version = version
 		items[i].Mode = opts.Mode.String()
-		keyBuf = appendMemoKey(keyBuf[:0], it.Interface, version, it.Method, it.Args, opts)
-		k, dup := byKey[string(keyBuf)]
-		if dup {
+		n := keyBuf.Len()
+		keyBuf.Write(appendMemoKey(keyBuf.AvailableBuffer(), it.Interface, version, it.Method, it.Args, opts))
+		key := keyBuf.Bytes()[n:]
+		h := maphash.Bytes(keySeed, key)
+		if k, ok := byHash[h]; ok && bytes.Equal(key, keyBuf.Bytes()[start(k):results[k].end]) {
+			keyBuf.Truncate(n)
 			items[i].Deduped = true
-		} else {
-			key := string(keyBuf)
-			k = len(results)
-			byKey[key] = k
-			results = append(results, keyResult{})
-			if w := s.memo.wire(key); w != nil {
-				results[k].out = evalOutcome{wire: w, memoHit: true}
-			} else {
-				cold = append(cold, coldKey{result: k, key: key, it: it, iface: iface, opts: opts})
-				coldKeys = append(coldKeys, key)
-			}
+			shared[i] = k
+			continue
 		}
-		shared[i] = k
+		byHash[h] = len(results)
+		shared[i] = len(results)
+		results = append(results, keyResult{end: keyBuf.Len(), iface: iface})
+	}
+	keys := string(keyBuf.Bytes())
+	if keyBuf.Cap() <= maxPooledBuf {
+		keyBuf.Reset()
+		keyBufs.Put(keyBuf)
+	}
+
+	var cold []coldKey
+	var coldKeys []string
+	first := 0 // the entry whose first item comes next
+	for i, k := range shared {
+		if k != first {
+			continue // rejected, or a duplicate
+		}
+		first++
+		key := keys[start(k):results[k].end]
+		if w := s.memo.wire(key); w != nil {
+			results[k].out = evalOutcome{wire: w, memoHit: true}
+		} else {
+			key = strings.Clone(key)
+			cold = append(cold, coldKey{result: k, key: key, it: &req.Requests[i]})
+			coldKeys = append(coldKeys, key)
+		}
 	}
 
 	var found []*WireDist // nil standalone: every cold key evaluates
@@ -809,7 +848,8 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		for n := int(next.Add(1) - 1); n < len(todo); n = int(next.Add(1) - 1) {
 			c := &todo[n]
 			kr := &results[c.result]
-			kr.out, kr.coalesced, kr.err = s.evalMiss(r.Context(), c.wait, c.key, c.iface, c.it.Method, c.it.Args, c.opts, nil)
+			opts, _ := evalOptions(c.it) // checked in phase (1)
+			kr.out, kr.err = s.evalMiss(r.Context(), c.wait, c.key, kr.iface, c.it.Method, c.it.Args, opts, nil)
 		}
 	}
 	var wg sync.WaitGroup
@@ -837,10 +877,10 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		items[i].Status = http.StatusOK
 		items[i].Dist = w
 		items[i].Cached = kr.out.memoHit
-		items[i].Coalesced = kr.coalesced
+		items[i].Coalesced = kr.out.coalesced
 		items[i].Peer = kr.out.peer
 		s.ledger.record(who, items[i].Interface, w.Mean, w.P99, w.Max,
-			kr.out.memoHit || kr.coalesced || items[i].Deduped)
+			kr.out.memoHit || kr.out.coalesced || items[i].Deduped)
 	}
 	return &BatchEvalResponse{Results: items}, nil
 }

@@ -93,8 +93,8 @@ type Service struct {
 	gpu    *gpusim.GPU
 	cnn    *nn.CNNEngine
 	cnnCfg nn.CNNConfig
-	local  *cache.LRU
-	remote *cache.LRU
+	local  *cache.Store[uint64, struct{}]
+	remote *cache.Store[uint64, struct{}]
 
 	requests   uint64
 	localHits  uint64
@@ -116,8 +116,8 @@ func NewService(host *Host, gpu *gpusim.GPU, cnnCfg nn.CNNConfig, localCap, remo
 		gpu:    gpu,
 		cnn:    eng,
 		cnnCfg: cnnCfg,
-		local:  cache.NewLRU(localCap),
-		remote: cache.NewLRU(remoteCap),
+		local:  cache.NewStore[uint64, struct{}](localCap),
+		remote: cache.NewStore[uint64, struct{}](remoteCap),
 	}, nil
 }
 
@@ -142,22 +142,22 @@ const (
 // Handle serves one request, consuming energy on the host and/or GPU.
 func (s *Service) Handle(r Request) (Outcome, error) {
 	s.requests++
-	if s.local.Contains(r.Key) {
+	if _, ok := s.local.Get(r.Key); ok {
 		s.localHits++
 		s.host.chargeLocal(MaxResponseLen)
 		return LocalHit, nil
 	}
-	if s.remote.Contains(r.Key) {
+	if _, ok := s.remote.Get(r.Key); ok {
 		s.remoteHits++
 		s.host.chargeRemote(MaxResponseLen)
-		s.local.Add(r.Key)
+		s.local.Put(r.Key, struct{}{})
 		return RemoteHit, nil
 	}
 	if _, _, err := s.cnn.Forward(r.Pixels, r.Zeros); err != nil {
 		return Miss, err
 	}
-	s.local.Add(r.Key)
-	s.remote.Add(r.Key)
+	s.local.Put(r.Key, struct{}{})
+	s.remote.Put(r.Key, struct{}{})
 	return Miss, nil
 }
 

@@ -36,7 +36,7 @@ type Program struct {
 	params []paramUse // one per parameter
 
 	mu    sync.Mutex
-	specs *cache.Store[*specEntry]
+	specs *cache.Store[string, *specEntry]
 }
 
 // specEntry is one cache slot. once makes concurrent requests for a new
@@ -94,7 +94,7 @@ func newProgram(method string, nParams int, ir *irBlock) *Program {
 		method: method,
 		ir:     ir,
 		params: classifyParams(ir, nParams),
-		specs:  cache.NewStore[*specEntry](specCacheSize),
+		specs:  cache.NewStore[string, *specEntry](specCacheSize),
 	}
 }
 
