@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race test-repeat fuzz-smoke bench bench-smoke bench-test vet fmt-check all
+.PHONY: build test race test-repeat fuzz-smoke bench bench-smoke bench-test vet fmt-check loc all
 
 all: build test
 
@@ -12,17 +12,38 @@ build:
 test:
 	$(GO) test ./...
 
+# The nested bench module too, so an API change bench/ depends on fails
+# here as well as in bench-test.
 vet:
 	$(GO) vet ./...
+	cd bench && GOTOOLCHAIN=local GOWORK=off $(GO) vet ./...
+
+# The deletion ledger's measurement (ROADMAP aim 2): `cat | wc -l` of
+# non-test and test Go per internal/ package, the eisvc + fleet pair, and
+# the whole tree, bench/ excluded.
+loc:
+	@count() { if [ -n "$$1" ]; then cat $$1 | wc -l; else echo 0; fi; }; \
+	printf '%-24s %8s %8s\n' package non-test test; \
+	for d in internal/*/; do \
+		printf '%-24s %8d %8d\n' "$${d%/}" \
+			"$$(count "$$(find $$d -name '*.go' ! -name '*_test.go')")" \
+			"$$(count "$$(find $$d -name '*_test.go')")"; \
+	done; \
+	printf '%-24s %8d %8d\n' 'internal/eisvc+fleet' \
+		"$$(count "$$(find internal/eisvc internal/fleet -name '*.go' ! -name '*_test.go')")" \
+		"$$(count "$$(find internal/eisvc internal/fleet -name '*_test.go')")"; \
+	printf '%-24s %8d %8d\n' 'total (bench/ excluded)' \
+		"$$(count "$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print)")" \
+		"$$(count "$$(find . -path ./bench -prune -o -name '*_test.go' -print)")"
 
 # gofmt takes no exit code for diffs; fail if it would rewrite anything.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The evaluation engine, experiment sweeps, and calibration all fan out
-# across goroutines; run the full suite under the race detector before
-# merging anything that touches them.
+# The evaluation engine and experiment sweeps fan out across goroutines;
+# run the full suite under the race detector before merging anything that
+# touches them.
 race:
 	$(GO) test -race ./...
 

@@ -256,7 +256,7 @@ func attachDrift(srv *eisvc.Server, rig *microbench.Rig, warmup int) error {
 			}
 			measured := meter.EnergySince(s)
 			// Cool toward ambient so thermal creep across probes stays
-			// inside the detector's Delta allowance.
+			// inside the detector's delta allowance.
 			rig.GPU.Idle(0.4)
 			return cl.name, pred, measured, nil
 		},

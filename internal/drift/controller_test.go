@@ -176,7 +176,7 @@ func TestControllerEnergyBugDoesNotRecal(t *testing.T) {
 	}
 	// Inject an input-dependent bug directly into the monitor: many
 	// classes stable, one diverged (gently enough that the class gathers
-	// MinClassSamples of evidence before the global alarm fires).
+	// minClassSamples of evidence before the global alarm fires).
 	for i := 0; i < 200 && mon.State() != StateEnergyBug; i++ {
 		for _, cl := range []string{"a", "b", "c"} {
 			mon.Ingest(cl, 100, 100)

@@ -32,61 +32,49 @@ package drift
 
 import "fmt"
 
-// Config sets the detector knobs. The zero value selects defaults tuned
-// for gpusim-class sensors (sub-percent noise after quantization).
+// The detector's constants, tuned for gpusim-class sensors (sub-percent
+// noise after quantization).
+const (
+	// alpha is the EWMA smoothing factor: the weight given to the newest
+	// residual. Larger tracks faster but passes more sensor noise.
+	alpha = 0.25
+
+	// delta is the Page-Hinkley drift allowance: residual deviations from
+	// the baseline smaller than delta are treated as noise and never
+	// accumulate. It sets the smallest shift the detector will chase
+	// (half a percent).
+	delta = 0.005
+
+	// lambda is the Page-Hinkley alarm threshold: the accumulated excess
+	// deviation (beyond delta per sample) that triggers detection. With a
+	// true shift s > delta, detection takes about lambda/(s-delta)
+	// samples.
+	lambda = 0.08
+
+	// shiftTol is the per-input-class deviation (|mean in-excursion
+	// residual − baseline|) beyond which a class counts as diverged when
+	// classifying an alarm.
+	shiftTol = 0.02
+
+	// minClassSamples is how many samples inside the alarming excursion
+	// each established class must gather before the alarm is classified
+	// and latched (capped so an abandoned class cannot stall the
+	// verdict).
+	minClassSamples = 2
+)
+
+// Config sets the detector's one knob. The zero value selects the
+// default.
 type Config struct {
-	// Alpha is the EWMA smoothing factor in (0, 1]: weight given to the
-	// newest residual. Larger tracks faster but passes more sensor noise.
-	// Default 0.25.
-	Alpha float64
-
-	// Delta is the Page-Hinkley drift allowance: residual deviations from
-	// the baseline smaller than Delta are treated as noise and never
-	// accumulate. It sets the smallest shift the detector will chase.
-	// Default 0.005 (half a percent).
-	Delta float64
-
-	// Lambda is the Page-Hinkley alarm threshold: the accumulated excess
-	// deviation (beyond Delta per sample) that triggers detection. With a
-	// true shift s > Delta, detection takes about Lambda/(s-Delta)
-	// samples. Default 0.08.
-	Lambda float64
-
 	// Warmup is the number of initial samples used to learn the
 	// post-calibration residual baseline before detection arms.
 	// Default 8.
 	Warmup int
-
-	// ShiftTol is the per-input-class deviation (|mean in-excursion
-	// residual − baseline|) beyond which a class counts as diverged when
-	// classifying an alarm. Default 0.02.
-	ShiftTol float64
-
-	// MinClassSamples is how many samples inside the alarming excursion
-	// each established class must gather before the alarm is classified
-	// and latched (capped so an abandoned class cannot stall the
-	// verdict). Default 2.
-	MinClassSamples int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.25
-	}
-	if c.Delta <= 0 {
-		c.Delta = 0.005
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.08
-	}
 	if c.Warmup <= 0 {
 		c.Warmup = 8
-	}
-	if c.ShiftTol <= 0 {
-		c.ShiftTol = 0.02
-	}
-	if c.MinClassSamples <= 0 {
-		c.MinClassSamples = 2
 	}
 	return c
 }

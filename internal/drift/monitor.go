@@ -31,8 +31,8 @@ type Monitor struct {
 	// EWMA of the residual stream (initialized to the baseline).
 	ewma float64
 
-	// Two-sided Page-Hinkley: cumUp accumulates (r − baseline − Delta)
-	// and alarms when it exceeds its running minimum by Lambda (upward
+	// Two-sided Page-Hinkley: cumUp accumulates (r − baseline − delta)
+	// and alarms when it exceeds its running minimum by lambda (upward
 	// shift: device consuming more than predicted); cumDown mirrors it
 	// for downward shifts.
 	cumUp, minUp     float64
@@ -42,7 +42,7 @@ type Monitor struct {
 	classes map[string]*classStat
 
 	// pendingSince is the sample at which the Page-Hinkley excursion first
-	// crossed Lambda while classification evidence was still incomplete;
+	// crossed lambda while classification evidence was still incomplete;
 	// zero when no alarm is pending.
 	pendingSince int
 
@@ -106,7 +106,7 @@ func (m *Monitor) Ingest(input string, predicted, measured energy.Joules) Verdic
 		cs = &classStat{ewma: r}
 		m.classes[input] = cs
 	} else {
-		cs.ewma += m.cfg.Alpha * (r - cs.ewma)
+		cs.ewma += alpha * (r - cs.ewma)
 	}
 	cs.sum += r
 	cs.n++
@@ -128,7 +128,7 @@ func (m *Monitor) Ingest(input string, predicted, measured energy.Joules) Verdic
 		return m.verdictLocked(r)
 	}
 
-	m.ewma += m.cfg.Alpha * (r - m.ewma)
+	m.ewma += alpha * (r - m.ewma)
 	m.lastShift = m.ewma - m.baseline
 
 	if m.state == StateDrifting || m.state == StateEnergyBug {
@@ -137,18 +137,18 @@ func (m *Monitor) Ingest(input string, predicted, measured energy.Joules) Verdic
 	}
 
 	dev := r - m.baseline
-	m.cumUp += dev - m.cfg.Delta
+	m.cumUp += dev - delta
 	if m.cumUp < m.minUp {
 		m.minUp = m.cumUp
 		m.anchorLocked(true)
 	}
-	m.cumDown += dev + m.cfg.Delta
+	m.cumDown += dev + delta
 	if m.cumDown > m.maxDown {
 		m.maxDown = m.cumDown
 		m.anchorLocked(false)
 	}
 	upExc, downExc := m.cumUp-m.minUp, m.maxDown-m.cumDown
-	if upExc > m.cfg.Lambda || downExc > m.cfg.Lambda {
+	if upExc > lambda || downExc > lambda {
 		if m.pendingSince == 0 {
 			m.pendingSince = m.samples
 		}
@@ -184,13 +184,13 @@ func (m *Monitor) anchorLocked(up bool) {
 }
 
 // evidenceLocked reports whether every class established before the alarm
-// has gathered MinClassSamples inside the excursion window.
+// has gathered minClassSamples inside the excursion window.
 func (m *Monitor) evidenceLocked(up bool) bool {
 	for _, cs := range m.classes {
-		if cs.n < m.cfg.MinClassSamples {
+		if cs.n < minClassSamples {
 			continue
 		}
-		if _, n := cs.window(up); n < m.cfg.MinClassSamples {
+		if _, n := cs.window(up); n < minClassSamples {
 			return false
 		}
 	}
@@ -212,7 +212,7 @@ func (m *Monitor) verdictLocked(r float64) Verdict {
 // judged by its mean residual over the excursion window — the samples
 // that drove the alarm, so a uniform shift shows the same deviation in
 // every class no matter when the rotation last visited it. A class
-// counts as diverged when that mean moved beyond ShiftTol from the
+// counts as diverged when that mean moved beyond shiftTol from the
 // baseline. If diverged classes are a minority of the judged classes the
 // shift is input-dependent (an energy bug, flagged with the worst class);
 // a majority-or-all shift is the device itself drifting.
@@ -229,7 +229,7 @@ func (m *Monitor) classifyLocked(up bool) (State, string) {
 		if dev < 0 {
 			dev = -dev
 		}
-		if dev > m.cfg.ShiftTol {
+		if dev > shiftTol {
 			diverged++
 			if dev > worstDev || (dev == worstDev && name < worst) {
 				worst, worstDev = name, dev
@@ -298,7 +298,7 @@ func (m *Monitor) Snapshot() Status {
 		Shift:      m.lastShift,
 		PHUp:       m.cumUp - m.minUp,
 		PHDown:     m.maxDown - m.cumDown,
-		Lambda:     m.cfg.Lambda,
+		Lambda:     lambda,
 		DetectedAt: m.detectedAt,
 		Offending:  m.offending,
 	}

@@ -45,15 +45,15 @@ func TestMonitorStableUnderNoise(t *testing.T) {
 }
 
 func TestMonitorDetectsUpwardDriftWithinBound(t *testing.T) {
-	cfg := Config{Delta: 0.005, Lambda: 0.08, Warmup: 8}
+	cfg := Config{Warmup: 8}
 	m := NewMonitor(cfg)
 	for i := 0; i < cfg.Warmup; i++ {
 		feed(m, fmt.Sprintf("c%d", i%3), 0)
 	}
 	// A 5% persistent shift: expected detection delay is about
-	// Lambda/(shift−Delta) ≈ 0.08/0.045 < 2 samples; allow 4x slack.
-	const shift = 0.05
-	bound := int(4*cfg.Lambda/(shift-cfg.Delta)) + 1
+	// lambda/(shift−delta) ≈ 0.08/0.045 < 2 samples; allow 4x slack.
+	shift := 0.05
+	bound := int(4*lambda/(shift-delta)) + 1
 	for i := 0; i < bound; i++ {
 		v := feed(m, fmt.Sprintf("c%d", i%3), shift)
 		if v.State == StateDrifting {
@@ -186,7 +186,7 @@ func TestMonitorVerdictCarriesResidual(t *testing.T) {
 
 func TestMonitorSmallShiftBelowDeltaTolerated(t *testing.T) {
 	// Shifts inside the drift allowance never accumulate: a permanent
-	// +0.3% offset (inside Delta=0.5%) is sensor-grade, not drift.
+	// +0.3% offset (inside delta=0.5%) is sensor-grade, not drift.
 	m := NewMonitor(Config{})
 	for i := 0; i < 8; i++ {
 		feed(m, "a", 0)

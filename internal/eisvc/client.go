@@ -36,8 +36,14 @@ func (e *APIError) Error() string {
 }
 
 // Shed reports whether the daemon refused the request under load.
-func (e *APIError) Shed() bool {
-	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
+func (e *APIError) Shed() bool { return ShedStatus(e.Status) }
+
+// ShedStatus reports whether a status is a shed: the node refused under
+// load (429), or is draining or otherwise unavailable (503). Any other
+// status — including request errors like 400/404/422 — is the answer;
+// every node would say the same.
+func ShedStatus(status int) bool {
+	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
 }
 
 // DefaultTimeout bounds one HTTP attempt when Client.Timeout is zero: a
@@ -182,16 +188,6 @@ type TransportTuning struct {
 	// MaxIdleConnsPerHost bounds idle conns kept per daemon (default
 	// DefaultMaxIdleConnsPerHost; negative means the transport default).
 	MaxIdleConnsPerHost int
-	// MaxConnsPerHost bounds total conns per daemon, dialing included;
-	// 0 means unlimited. Use it to stop a retry storm from piling
-	// unbounded sockets onto one struggling node.
-	MaxConnsPerHost int
-	// MaxIdleConns bounds the pool across all daemons (default: scales
-	// with MaxIdleConnsPerHost so a router talking to N nodes is not
-	// capped by the stock global limit of 100).
-	MaxIdleConns int
-	// IdleConnTimeout evicts idle conns (default 90s, the stock value).
-	IdleConnTimeout time.Duration
 }
 
 // NewTransport builds an *http.Transport tuned per t, cloned from
@@ -206,15 +202,11 @@ func NewTransport(t TransportTuning) *http.Transport {
 	case t.MaxIdleConnsPerHost == 0:
 		tr.MaxIdleConnsPerHost = DefaultMaxIdleConnsPerHost
 	}
-	tr.MaxConnsPerHost = t.MaxConnsPerHost
-	if t.MaxIdleConns > 0 {
-		tr.MaxIdleConns = t.MaxIdleConns
-	} else if tr.MaxIdleConnsPerHost > tr.MaxIdleConns/4 {
-		// Room for ~16 hosts' worth of warm conns before global eviction.
+	if tr.MaxIdleConnsPerHost > tr.MaxIdleConns/4 {
+		// Room for ~16 hosts' worth of warm conns before global eviction,
+		// so a router talking to N nodes is not capped by the stock
+		// global limit of 100.
 		tr.MaxIdleConns = 16 * tr.MaxIdleConnsPerHost
-	}
-	if t.IdleConnTimeout > 0 {
-		tr.IdleConnTimeout = t.IdleConnTimeout
 	}
 	return tr
 }
@@ -430,7 +422,7 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, ho
 			// is what the caller should see.
 			return nil, "", ctx.Err()
 		}
-		if attempt == attempts || c.Retry == nil || !c.Retry.shouldRetry(err) {
+		if attempt == attempts || c.Retry == nil || !shouldRetry(err) {
 			return nil, "", err
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"energyclarity/internal/core"
 )
@@ -301,7 +300,7 @@ func TestNodeHeader(t *testing.T) {
 }
 
 // TestTransportTuning: the tuned transport lifts the per-host idle-conn
-// cap that throttles fleet fan-out, and explicit knobs stick.
+// cap that throttles fleet fan-out, and an explicit per-host cap sticks.
 func TestTransportTuning(t *testing.T) {
 	tr := NewTransport(TransportTuning{})
 	if tr.MaxIdleConnsPerHost != DefaultMaxIdleConnsPerHost {
@@ -309,19 +308,6 @@ func TestTransportTuning(t *testing.T) {
 	}
 	if tr.MaxIdleConns < 16*DefaultMaxIdleConnsPerHost {
 		t.Errorf("default MaxIdleConns = %d, want >= %d", tr.MaxIdleConns, 16*DefaultMaxIdleConnsPerHost)
-	}
-	if tr.MaxConnsPerHost != 0 {
-		t.Errorf("default MaxConnsPerHost = %d, want 0 (unlimited)", tr.MaxConnsPerHost)
-	}
-
-	tr = NewTransport(TransportTuning{
-		MaxIdleConnsPerHost: 8,
-		MaxConnsPerHost:     16,
-		MaxIdleConns:        32,
-		IdleConnTimeout:     time.Minute,
-	})
-	if tr.MaxIdleConnsPerHost != 8 || tr.MaxConnsPerHost != 16 || tr.MaxIdleConns != 32 || tr.IdleConnTimeout != time.Minute {
-		t.Errorf("explicit tuning not honored: %+v", tr)
 	}
 
 	c := NewClient("http://127.0.0.1:1").TuneTransport(TransportTuning{MaxIdleConnsPerHost: 4})

@@ -25,10 +25,6 @@ type RetryPolicy struct {
 	// MaxDelay caps every delay, including honored Retry-After values
 	// (default 2s).
 	MaxDelay time.Duration
-	// Retryable, when non-nil, overrides the default error classifier
-	// (shed 429/503 answers and transport errors retry; everything else
-	// is permanent).
-	Retryable func(error) bool
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -55,14 +51,11 @@ func (p *RetryPolicy) attempts() int {
 	return p.MaxAttempts
 }
 
-// shouldRetry classifies an attempt's failure. The default: a shed answer
-// (429 queue full / 503 deadline or draining) retries, any other daemon
-// answer is permanent, and everything else — connection resets, injected
-// faults, per-attempt timeouts — is a transport error and retries.
-func (p *RetryPolicy) shouldRetry(err error) bool {
-	if p.Retryable != nil {
-		return p.Retryable(err)
-	}
+// shouldRetry classifies an attempt's failure: a shed answer (429 queue
+// full / 503 deadline or draining) retries, any other daemon answer is
+// permanent, and everything else — connection resets, injected faults,
+// per-attempt timeouts — is a transport error and retries.
+func shouldRetry(err error) bool {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		return apiErr.Shed()

@@ -216,24 +216,17 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// FlakyListener wraps a net.Listener and closes every Nth accepted
-// connection immediately — the listener-level counterpart of PResetPre,
-// for tests that want faults below the HTTP layer. N <= 0 disables the
-// fault (every connection passes through).
-//
-// It also models a network partition: while Partition(true) is in effect,
-// every already-accepted connection is severed and every new accept is
-// dropped on the floor, so the node behind the listener is unreachable —
-// in-flight requests fail with connection resets, exactly what a cut
-// network looks like from the client side. Partition(false) heals it.
+// FlakyListener wraps a net.Listener to model a network partition — the
+// listener-level counterpart of PResetPre, for tests that want faults
+// below the HTTP layer. While Partition(true) is in effect, every
+// already-accepted connection is severed and every new accept is dropped
+// on the floor, so the node behind the listener is unreachable — in-flight
+// requests fail with connection resets, exactly what a cut network looks
+// like from the client side. Partition(false) heals it.
 type FlakyListener struct {
 	net.Listener
-	// N: every Nth accepted connection is dropped.
-	N int
 
-	accepted atomic.Uint64
-	dropped  atomic.Uint64
-	severed  atomic.Uint64
+	severed atomic.Uint64
 
 	mu          sync.Mutex
 	partitioned bool
@@ -264,16 +257,9 @@ func (l *FlakyListener) Accept() (net.Conn, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := l.accepted.Add(1)
-		if l.N > 0 && n%uint64(l.N) == 0 {
-			l.dropped.Add(1)
-			conn.Close()
-			continue
-		}
 		l.mu.Lock()
 		if l.partitioned {
 			l.mu.Unlock()
-			l.dropped.Add(1)
 			conn.Close()
 			continue
 		}
@@ -315,9 +301,6 @@ func (l *FlakyListener) Partitioned() bool {
 	defer l.mu.Unlock()
 	return l.partitioned
 }
-
-// Dropped returns how many connections the listener killed at accept.
-func (l *FlakyListener) Dropped() uint64 { return l.dropped.Load() }
 
 // Severed returns how many established connections partitions cut.
 func (l *FlakyListener) Severed() uint64 { return l.severed.Load() }

@@ -11,28 +11,24 @@ import "sync"
 // on a colder sibling.
 //
 // The map is bounded with two generations: writes fill cur, and when cur
-// reaches capacity it rotates into prev and starts empty. Reads consult
+// reaches affinityCap it rotates into prev and starts empty. Reads consult
 // both. The effect is an LRU-ish bound with O(1) operations and no
-// per-entry bookkeeping — at most 2×cap entries live, and an entry
+// per-entry bookkeeping — at most 2×affinityCap entries live, and an entry
 // survives at least one full generation of distinct keys before
 // eviction.
 type affinity struct {
 	mu   sync.Mutex
-	cap  int
 	cur  map[uint64]string
 	prev map[uint64]string
 }
 
-// defaultAffinityCap bounds one generation of the router's affinity map.
+// affinityCap bounds one generation of the router's affinity map.
 // 4096 entries × ~24 bytes is ~100 KB per generation — noise next to the
 // memo caches it protects.
-const defaultAffinityCap = 4096
+const affinityCap = 4096
 
-func newAffinity(capacity int) *affinity {
-	if capacity <= 0 {
-		capacity = defaultAffinityCap
-	}
-	return &affinity{cap: capacity, cur: make(map[uint64]string)}
+func newAffinity() *affinity {
+	return &affinity{cur: make(map[uint64]string)}
 }
 
 // get returns the node that last memo-served this fingerprint, if known.
@@ -54,9 +50,9 @@ func (a *affinity) put(key uint64, nodeID string) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, ok := a.cur[key]; !ok && len(a.cur) >= a.cap {
+	if _, ok := a.cur[key]; !ok && len(a.cur) >= affinityCap {
 		a.prev = a.cur
-		a.cur = make(map[uint64]string, a.cap/4)
+		a.cur = make(map[uint64]string, affinityCap/4)
 	}
 	a.cur[key] = nodeID
 }

@@ -41,15 +41,9 @@ type Config struct {
 	// Node is the per-daemon configuration; NodeID is overwritten with the
 	// fleet-assigned ID.
 	Node eisvc.Config
-	// PeerTimeout bounds one peer cache probe (default DefaultPeerTimeout).
-	PeerTimeout time.Duration
 	// NoPeerForwarding disables the peer cache path: memo misses always
 	// evaluate locally. For benchmarking the forwarding itself.
 	NoPeerForwarding bool
-	// FlakyEvery, when positive, wraps every node's listener so each Nth
-	// accepted connection is dropped (faultsim.FlakyListener) — fleet-wide
-	// low-level network flakiness for resilience tests.
-	FlakyEvery int
 	// SnapshotDir, when set, turns on persistent warm-start caches: each
 	// node loads <dir>/<id>.eisnap at boot (a missing or corrupt file
 	// means a cold start, never an error), DrainNode saves one after the
@@ -64,9 +58,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replication <= 0 {
 		c.Replication = DefaultReplication
-	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = DefaultPeerTimeout
 	}
 	return c
 }
@@ -148,7 +139,7 @@ func (f *Fleet) startNode(id string) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: node %s: %w", id, err)
 	}
-	fl := &faultsim.FlakyListener{Listener: ln, N: f.cfg.FlakyEvery}
+	fl := &faultsim.FlakyListener{Listener: ln}
 	n := &Node{
 		ID:     id,
 		Server: srv,
@@ -157,7 +148,7 @@ func (f *Fleet) startNode(id string) (*Node, error) {
 	}
 	n.peer = eisvc.NewClient(n.URL).TuneTransport(eisvc.TransportTuning{})
 	n.peer.ID = "fleet-peer"
-	n.peer.Timeout = f.cfg.PeerTimeout
+	n.peer.Timeout = DefaultPeerTimeout
 	// Peer probes ride the binary codec: both ends are the same build, and
 	// a probe is pure hot path — nothing to debug, everything to shave.
 	n.peer.Binary = true
@@ -376,6 +367,24 @@ func (f *Fleet) ordered(prefer []string, start uint64, keep func(*Node) bool) []
 	return out
 }
 
+// preferred returns where a request for a stack with these ring owners
+// goes first, alone or as a batch item: the first live owner from
+// owners[spread mod len] on, wrapping — the head of ordered(owners,
+// spread, (*Node).Live), found without building that list. It returns ""
+// when no owner is live.
+func (f *Fleet) preferred(owners []string, spread uint64) string {
+	nodes := f.Nodes()
+	p := uint64(len(owners))
+	for i := range owners {
+		id := owners[(spread%p+uint64(i))%p]
+		j, ok := slices.BinarySearchFunc(nodes, id, func(n *Node, id string) int { return strings.Compare(n.ID, id) })
+		if ok && nodes[j].Live() {
+			return id
+		}
+	}
+	return ""
+}
+
 // OwnersOf returns the ring owners for an interface stack, primary first.
 func (f *Fleet) OwnersOf(stack string) []string {
 	f.mu.RLock()
@@ -477,7 +486,7 @@ func (f *Fleet) Close() {
 // membership change); first hit wins. The probes leave in rounds: round r
 // sends every key still missing to its r-th target, one request per
 // distinct target, so a batch costs at most (peers × rounds) requests
-// however many keys it missed. Every request is bounded by PeerTimeout
+// however many keys it missed. Every request is bounded by DefaultPeerTimeout
 // and a failed one is a miss for the keys it carried, so a dead or
 // partitioned peer costs a batch one short timeout, not a stall.
 func (f *Fleet) peerLookupFor(id string) eisvc.PeerLookup {

@@ -293,7 +293,7 @@ func TestProbeOrderOwnerFirst(t *testing.T) {
 // next round, where the remaining peer answers what it holds. Every item
 // is bit-identical to a single-node reference.
 func TestProbePartitionFallsThrough(t *testing.T) {
-	f := startFleet(t, Config{Nodes: 3, PeerTimeout: 50 * time.Millisecond})
+	f := startFleet(t, Config{Nodes: 3})
 	if _, err := f.RegisterSource(probeEIL()); err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ type Router struct {
 
 // NewRouter returns a router over the fleet.
 func NewRouter(f *Fleet) *Router {
-	return &Router{f: f, tr: eisvc.NewTransport(eisvc.TransportTuning{}), aff: newAffinity(0)}
+	return &Router{f: f, tr: eisvc.NewTransport(eisvc.TransportTuning{}), aff: newAffinity()}
 }
 
 // RouterCounters is a snapshot of the router's routing counters.
@@ -92,19 +92,12 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// shedFailover reports whether a response should push the router to the
-// next candidate: the node refused under load (429), or is draining or
-// otherwise unavailable (503). Other statuses — including request errors
-// like 400/404/422 — are the answer; every node would say the same.
-func shedFailover(status int) bool {
-	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
-}
-
 // tryCandidates forwards body as hop to each candidate in order until
 // answer accepts a response (answer owns its body and must close it). A
-// shed response moves on without being offered, except from the last
-// candidate — there the shed is the best answer the fleet has. A false
-// return means every candidate was dead, shedding, or declined.
+// shed response (eisvc.ShedStatus) moves on without being offered, except
+// from the last candidate — there the shed is the best answer the fleet
+// has. A false return means every candidate was dead, shedding, or
+// declined.
 func (rt *Router) tryCandidates(r *http.Request, hop eisvc.Hop, body []byte, candidates []*Node, answer func(n *Node, resp *http.Response) bool) bool {
 	for i, n := range candidates {
 		if i > 0 {
@@ -114,7 +107,7 @@ func (rt *Router) tryCandidates(r *http.Request, hop eisvc.Hop, body []byte, can
 		if err != nil {
 			continue // dead or partitioned node: next candidate
 		}
-		if shedFailover(resp.StatusCode) && i < len(candidates)-1 {
+		if eisvc.ShedStatus(resp.StatusCode) && i < len(candidates)-1 {
 			resp.Body.Close()
 			continue
 		}
@@ -228,8 +221,8 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Group item indices by preferred node ID, asking the ring once per
-	// distinct stack. Items for unknown stacks or an empty ring fall into
-	// the "" group and ride with any live node.
+	// distinct stack. Items for unknown stacks, an empty ring or no live
+	// owner fall into the "" group and ride with any live node.
 	type subBatch struct {
 		idxs []int
 		size int // bytes of the items
@@ -243,10 +236,7 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			own = rt.f.OwnersOf(stack)
 			owners[stack] = own
 		}
-		pref := ""
-		if len(own) > 0 {
-			pref = own[items[i].Spread%uint64(len(own))]
-		}
+		pref := rt.f.preferred(own, items[i].Spread)
 		g := groups[pref]
 		if g == nil {
 			g = &subBatch{}

@@ -467,6 +467,79 @@ func TestOnePlacementAloneOrBatched(t *testing.T) {
 	}
 }
 
+// TestBatchFailsOverLikeASingle: a killed owner stays on the ring, so its
+// requests fail over. A batch item fails over where the same request
+// alone does — to the stack's surviving owner, whose memo the single
+// warmed — and not to whichever live node sorts first by ID, which would
+// miss and re-home the answer over a peer probe.
+func TestBatchFailsOverLikeASingle(t *testing.T) {
+	f := startFleet(t, Config{Nodes: 3})
+	rt, c := startTestRouter(t, f)
+	c.Binary = true
+	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
+		t.Fatal(err)
+	}
+	// The victim and the stacks it owns whose other owner sorts after the
+	// bystander: the lowest-ID live node is then not the surviving owner.
+	// Keep the victim with the most such stacks.
+	var victim string
+	var stacks []string
+	for _, v := range f.Nodes() {
+		var mine []string
+		for i := 0; i < probeStacks; i++ {
+			owners := f.OwnersOf(probeStack(i))
+			for a := range owners {
+				if owners[a] != v.ID {
+					continue
+				}
+				for _, n := range f.Nodes() {
+					if n.ID != owners[0] && n.ID != owners[1] && n.ID < owners[1-a] {
+						mine = append(mine, probeStack(i))
+					}
+				}
+			}
+		}
+		if len(mine) > len(stacks) {
+			victim, stacks = v.ID, mine
+		}
+	}
+	if len(stacks) == 0 {
+		t.Fatal("no stack whose bystander sorts before its surviving owner; grow probeStacks")
+	}
+	if err := f.KillNode(victim); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 32
+	reqs := make([]eisvc.EvalRequest, n)
+	singles := map[string]uint64{}
+	for i := range reqs {
+		stack, args := stacks[i%len(stacks)], []core.Value{core.Num(float64(7000 + i))}
+		reqs[i] = c.EvalRequestFor(stack, "price", args, core.Expected())
+		_, resp, err := c.EvalCtx(context.Background(), stack, "price", args, core.Expected())
+		if err != nil {
+			t.Fatal(err)
+		}
+		singles[resp.Node]++
+	}
+	before := batchItemsBy(rt)
+	items, err := c.EvalBatchCtx(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range items {
+		if it.Status != http.StatusOK || !it.Cached || it.Peer {
+			t.Errorf("batch item %d: status %d cached %v peer %v, want a memo hit on the node its single warmed", i, it.Status, it.Cached, it.Peer)
+		}
+	}
+	after := batchItemsBy(rt)
+	for _, node := range f.Nodes() {
+		if got := after[node.ID] - before[node.ID]; got != singles[node.ID] {
+			t.Errorf("batch sent %s %d items; it served %d of the singles", node.ID, got, singles[node.ID])
+		}
+	}
+}
+
 // TestBatchesSurviveKillMidFlight: a node killed while batches are in
 // flight costs latency, not answers — every item of every batch comes
 // back 200 and bit-identical to a one-node reference.

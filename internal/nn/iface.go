@@ -43,61 +43,18 @@ func EnergyInterface(cfg TransformerConfig, spec gpusim.Spec, hw *core.Interface
 		return nil, err
 	}
 
-	// kernelsEnergy prices a kernel sequence through the hardware layer
-	// using datasheet traffic and timing.
-	kernelsEnergy := func(c *core.Call, ks []gpusim.Kernel) energy.Joules {
-		var total energy.Joules
-		for _, k := range ks {
-			tr := spec.SpecTraffic(k)
-			dur := spec.SpecDuration(k, tr)
-			total += c.E("hw", "kernel",
-				core.Num(k.Instructions),
-				core.Num(tr.L1Wavefronts),
-				core.Num(tr.L2Sectors),
-				core.Num(tr.VRAMSectors),
-				core.Num(dur),
-			)
-		}
-		return total
-	}
-
-	intArg := func(c *core.Call, i int, name string) int {
-		n := c.Num(i)
-		if n < 0 || n != float64(int(n)) {
-			core.Fail(fmt.Errorf("nn: %s must be a non-negative integer, got %v", name, n))
-		}
-		return int(n)
-	}
-
-	iface.MustMethod(core.Method{
-		Name: "prefill", Params: []string{"prompt_len"},
-		Doc: "energy to process a prompt and build the KV cache",
-		Body: func(c *core.Call) energy.Joules {
-			return kernelsEnergy(c, cfg.PrefillKernels(intArg(c, 0, "prompt_len")))
-		},
-	})
-	iface.MustMethod(core.Method{
-		Name: "decode_token", Params: []string{"pos"},
-		Doc: "energy of one autoregressive step with pos tokens of KV cache",
-		Body: func(c *core.Call) energy.Joules {
-			return kernelsEnergy(c, cfg.DecodeKernels(intArg(c, 0, "pos")))
-		},
-	})
-	iface.MustMethod(core.Method{
-		Name: "generate", Params: []string{"prompt_len", "new_tokens"},
-		Doc: "energy of a full inference: prefill plus new_tokens decode steps",
-		Body: func(c *core.Call) energy.Joules {
-			promptLen := intArg(c, 0, "prompt_len")
-			newTokens := intArg(c, 1, "new_tokens")
-			if promptLen < 1 {
-				core.Fail(fmt.Errorf("nn: prompt_len must be >= 1"))
-			}
-			total := c.Self("prefill", core.Num(float64(promptLen)))
-			for t := 0; t < newTokens; t++ {
-				total += c.Self("decode_token", core.Num(float64(promptLen+t)))
-			}
-			return total
-		},
+	// Each kernel is priced through the hardware layer using datasheet
+	// traffic and timing.
+	transformerMethods(iface, cfg, func(c *core.Call, k gpusim.Kernel) energy.Joules {
+		tr := spec.SpecTraffic(k)
+		dur := spec.SpecDuration(k, tr)
+		return c.E("hw", "kernel",
+			core.Num(k.Instructions),
+			core.Num(tr.L1Wavefronts),
+			core.Num(tr.L2Sectors),
+			core.Num(tr.VRAMSectors),
+			core.Num(dur),
+		)
 	})
 	return iface, nil
 }
@@ -123,24 +80,27 @@ func StackInterface(cfg TransformerConfig, hw *core.Interface) (*core.Interface,
 		return nil, err
 	}
 
+	transformerMethods(iface, cfg, func(c *core.Call, k gpusim.Kernel) energy.Joules {
+		return c.E("hw", "kernel_logical",
+			core.Num(k.Instructions),
+			core.Num(k.L1Accesses),
+			core.Num(k.WorkingSet),
+			core.Num(k.Reuse),
+		)
+	})
+	return iface, nil
+}
+
+// transformerMethods declares the transformer's prefill, decode_token and
+// generate methods on iface. kernel prices one kernel: the only thing the
+// device-specific and the device-agnostic interface do differently.
+func transformerMethods(iface *core.Interface, cfg TransformerConfig, kernel func(*core.Call, gpusim.Kernel) energy.Joules) {
 	kernelsEnergy := func(c *core.Call, ks []gpusim.Kernel) energy.Joules {
 		var total energy.Joules
 		for _, k := range ks {
-			total += c.E("hw", "kernel_logical",
-				core.Num(k.Instructions),
-				core.Num(k.L1Accesses),
-				core.Num(k.WorkingSet),
-				core.Num(k.Reuse),
-			)
+			total += kernel(c, k)
 		}
 		return total
-	}
-	intArg := func(c *core.Call, i int, name string) int {
-		n := c.Num(i)
-		if n < 0 || n != float64(int(n)) {
-			core.Fail(fmt.Errorf("nn: %s must be a non-negative integer, got %v", name, n))
-		}
-		return int(n)
 	}
 
 	iface.MustMethod(core.Method{
@@ -173,5 +133,14 @@ func StackInterface(cfg TransformerConfig, hw *core.Interface) (*core.Interface,
 			return total
 		},
 	})
-	return iface, nil
+}
+
+// intArg reads argument i as a non-negative integer, failing the call
+// otherwise.
+func intArg(c *core.Call, i int, name string) int {
+	n := c.Num(i)
+	if n < 0 || n != float64(int(n)) {
+		core.Fail(fmt.Errorf("nn: %s must be a non-negative integer, got %v", name, n))
+	}
+	return int(n)
 }

@@ -58,7 +58,7 @@ func TestParameterClassification(t *testing.T) {
 	sources := []string{
 		nn.GPT2EIL,
 		nn.MoEEIL,
-		schedsvc.NodeEIL(twoLevel, 1) + schedsvc.NodeEIL(oneLevel, 1) + schedsvc.TaskEIL(web),
+		schedsvc.NodeEIL(twoLevel) + schedsvc.NodeEIL(oneLevel) + schedsvc.TaskEIL(web),
 	}
 	const cmp = "control (comparison)"
 	want := map[string][]string{

@@ -83,9 +83,9 @@ func perLevel(b *strings.Builder, levels int, body func(l int) []string) {
 //	capacity(level)      — cycles one node sustains per round at `level`.
 //
 // Levels select by if/else chain on the numeric argument; the constants
-// are pre-multiplied by RoundSeconds so the wire arguments stay the
+// are pre-multiplied by roundSeconds so the wire arguments stay the
 // canonical (cycles, level) pair the memo keys on.
-func NodeEIL(nc NodeClass, roundSeconds float64) string {
+func NodeEIL(nc NodeClass) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "interface %s \"energy interface of a %s cluster node (region %s)\" {\n",
 		NodeInterfaceName(nc.Name), nc.Name, nc.Region)
@@ -141,11 +141,10 @@ func TaskEIL(tc TaskClass) string {
 // SourceEIL concatenates every node and task interface of a Config into
 // one registrable EIL source.
 func SourceEIL(cfg Config) string {
-	cfg = cfg.withDefaults()
 	var b strings.Builder
 	b.WriteString("// generated by schedsvc: cluster node cost and task demand interfaces\n")
 	for _, nc := range cfg.Nodes {
-		b.WriteString(NodeEIL(nc, cfg.RoundSeconds))
+		b.WriteString(NodeEIL(nc))
 	}
 	for _, tc := range cfg.Tasks {
 		b.WriteString(TaskEIL(tc))

@@ -156,7 +156,7 @@ func (s *Scheduler) placeRound(round int, demands []float64, cands []candidate, 
 	for _, nc := range s.cfg.Nodes {
 		caps := make([]float64, len(nc.Levels))
 		for l := range nc.Levels {
-			caps[l] = nc.Levels[l].CyclesPerSec * s.cfg.RoundSeconds
+			caps[l] = nc.Levels[l].CyclesPerSec * roundSeconds
 		}
 		capPerNode[nc.Name] = caps
 	}
@@ -285,7 +285,7 @@ func (s *Scheduler) Run(ctx context.Context, policy Policy, rounds int) (Result,
 		// active energy for executed cycles; carbon prices each class's
 		// share at its region's intensity this round.
 		for _, nc := range s.cfg.Nodes {
-			e := float64(nc.IdleW) * s.cfg.RoundSeconds * float64(nc.Count)
+			e := float64(nc.IdleW) * roundSeconds * float64(nc.Count)
 			for l, cycles := range execByCand[nc.Name] {
 				e += cycles * nc.EnergyPerCycle(l)
 			}

@@ -106,33 +106,24 @@ type TaskGroup struct {
 	N     int
 }
 
+// roundSeconds is the scheduling round length. It is folded into the
+// generated node interfaces (joules per round = watts × roundSeconds).
+const roundSeconds = 1.0
+
+// batchSize caps items per /v1/evalbatch call.
+const batchSize = 1024
+
 // Config describes the cluster and workload a Scheduler manages.
 type Config struct {
 	Nodes  []NodeClass
 	Tasks  []TaskClass
 	Groups []TaskGroup
-	// RoundSeconds is the scheduling round length (default 1s). It is
-	// folded into the generated node interfaces, so changing it requires
-	// re-registering.
-	RoundSeconds float64
 	// Margin over-provisions declared demand (ECV-style headroom), e.g.
 	// 0.05 for 5%.
 	Margin float64
 	// Carbon is the per-region grid intensity signal; required by
 	// PolicyCarbon, ignored by the others.
 	Carbon CarbonTrace
-	// BatchSize caps items per /v1/evalbatch call (default 1024).
-	BatchSize int
-}
-
-func (c Config) withDefaults() Config {
-	if c.RoundSeconds <= 0 {
-		c.RoundSeconds = 1
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 1024
-	}
-	return c
 }
 
 // Validate reports configuration errors.
@@ -293,7 +284,6 @@ type Scheduler struct {
 // single daemon) behind client. The client is used as configured —
 // callers pick codec, retries, and timeouts.
 func New(cfg Config, client *eisvc.Client) (*Scheduler, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -311,7 +301,7 @@ func New(cfg Config, client *eisvc.Client) (*Scheduler, error) {
 	return s, nil
 }
 
-// Config returns the validated configuration (defaults applied).
+// Config returns the validated configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
 // Client returns the fleet client the scheduler queries through.
@@ -362,15 +352,15 @@ func (s *Scheduler) DemandRequests(q int) []eisvc.EvalRequest {
 	return reqs
 }
 
-// evalBatch sends requests in BatchSize chunks and returns the means, in
+// evalBatch sends requests in batchSize chunks and returns the means, in
 // request order. Any per-item failure is fatal: a scheduler that cannot
 // price a placement must say so, not place blind (the sched.Plan lesson).
 func (s *Scheduler) evalBatch(ctx context.Context, reqs []eisvc.EvalRequest, st *FleetStats) ([]float64, error) {
 	out := make([]float64, 0, len(reqs))
 	for len(reqs) > 0 {
 		n := len(reqs)
-		if n > s.cfg.BatchSize {
-			n = s.cfg.BatchSize
+		if n > batchSize {
+			n = batchSize
 		}
 		items, err := s.client.EvalBatchCtx(ctx, reqs[:n])
 		if err != nil {
@@ -441,7 +431,7 @@ func (s *Scheduler) CostRequests() []eisvc.EvalRequest {
 			reqs = append(reqs, eisvc.EvalRequest{
 				Interface: name,
 				Method:    "cost",
-				Args:      eisvc.Args{core.Num(nc.Levels[l].CyclesPerSec * s.cfg.RoundSeconds), core.Int(l)},
+				Args:      eisvc.Args{core.Num(nc.Levels[l].CyclesPerSec * roundSeconds), core.Int(l)},
 				Mode:      "expected",
 			})
 		}
@@ -491,7 +481,7 @@ func (s *Scheduler) fetchCosts(ctx context.Context, st *FleetStats) (unitCosts, 
 		}
 		nc := byIface[r.Interface]
 		l := int(argNum(&reqs[i], 1))
-		cap := nc.Levels[l].CyclesPerSec * s.cfg.RoundSeconds
+		cap := nc.Levels[l].CyclesPerSec * roundSeconds
 		// Busy-round joules minus the idle floor, per executed cycle.
 		uc.perCycle[nc.Name][l] = (means[i] - uc.idle[nc.Name]) / cap
 	}

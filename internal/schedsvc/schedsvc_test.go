@@ -58,7 +58,7 @@ func testConfig() Config {
 // semantics by compiling the EIL in-process and checking cost, capacity,
 // idle, and demand against hand arithmetic.
 func TestSourceEILCompilesAndEvaluates(t *testing.T) {
-	cfg := testConfig().withDefaults()
+	cfg := testConfig()
 	src := SourceEIL(cfg)
 	m, err := eil.Compile(src, nil)
 	if err != nil {
@@ -252,7 +252,7 @@ func TestRunSurfacesFleetErrors(t *testing.T) {
 // TestConfigValidate covers the rejection paths.
 func TestConfigValidate(t *testing.T) {
 	ok := testConfig()
-	if err := ok.withDefaults().Validate(); err != nil {
+	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	cases := []struct {
@@ -270,7 +270,7 @@ func TestConfigValidate(t *testing.T) {
 	for _, tc := range cases {
 		c := testConfig()
 		tc.mutate(&c)
-		if err := c.withDefaults().Validate(); err == nil {
+		if err := c.Validate(); err == nil {
 			t.Errorf("%s: config accepted", tc.name)
 		}
 	}
