@@ -19,8 +19,8 @@ vet:
 	cd bench && GOTOOLCHAIN=local GOWORK=off $(GO) vet ./...
 
 # The deletion ledger's measurement (ROADMAP aim 2): `cat | wc -l` of
-# non-test and test Go per internal/ package, the eisvc + fleet pair, and
-# the whole tree, bench/ excluded.
+# non-test and test Go per internal/ package, the eisvc + fleet pair, cmd/,
+# and the whole tree, bench/ excluded.
 loc:
 	@count() { if [ -n "$$1" ]; then cat $$1 | wc -l; else echo 0; fi; }; \
 	printf '%-24s %8s %8s\n' package non-test test; \
@@ -32,6 +32,9 @@ loc:
 	printf '%-24s %8d %8d\n' 'internal/eisvc+fleet' \
 		"$$(count "$$(find internal/eisvc internal/fleet -name '*.go' ! -name '*_test.go')")" \
 		"$$(count "$$(find internal/eisvc internal/fleet -name '*_test.go')")"; \
+	printf '%-24s %8d %8d\n' 'cmd' \
+		"$$(count "$$(find cmd -name '*.go' ! -name '*_test.go')")" \
+		"$$(count "$$(find cmd -name '*_test.go')")"; \
 	printf '%-24s %8d %8d\n' 'total (bench/ excluded)' \
 		"$$(count "$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print)")" \
 		"$$(count "$$(find . -path ./bench -prune -o -name '*_test.go' -print)")"

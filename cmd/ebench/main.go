@@ -26,7 +26,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print experiment artifacts (e.g. extracted EIL)")
 	flag.Parse()
 
-	if err := run(*all, strings.ToLower(*one), *csv, *verbose); err != nil {
+	if err := run(*all, *one, *csv, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "ebench:", err)
 		os.Exit(1)
 	}
@@ -68,167 +68,38 @@ func run(all bool, one string, csv, verbose bool) error {
 }
 
 func runOne(id string, verbose bool) (*experiments.Table, error) {
-	switch id {
-	case "t1":
-		r, err := experiments.Table1()
+	for _, e := range experiments.All {
+		if !strings.EqualFold(e.ID, id) {
+			continue
+		}
+		r, err := e.Run()
 		if err != nil {
 			return nil, err
 		}
 		if verbose {
-			for _, row := range r.Rows {
-				fmt.Printf("# %s per-run:\n", row.Device)
-				for _, run := range row.PerRun {
-					fmt.Printf("#   %3d tokens: predicted %v, measured %v, error %.2f%%\n",
-						run.Tokens, run.Predicted, run.Measured, 100*run.RelErr)
-				}
+			printArtifacts(r)
+		}
+		return r.Table(), nil
+	}
+	return nil, fmt.Errorf("unknown experiment %q", id)
+}
+
+// printArtifacts prints what -v adds to a result's table: T1's per-run
+// predictions and E5's extracted EIL.
+func printArtifacts(r experiments.Result) {
+	switch r := r.(type) {
+	case *experiments.Table1Result:
+		for _, row := range r.Rows {
+			fmt.Printf("# %s per-run:\n", row.Device)
+			for _, run := range row.PerRun {
+				fmt.Printf("#   %3d tokens: predicted %v, measured %v, error %.2f%%\n",
+					run.Tokens, run.Predicted, run.Measured, 100*run.RelErr)
 			}
 		}
-		return r.Table(), nil
-	case "f1":
-		r, err := experiments.Fig1WebService()
-		if err != nil {
-			return nil, err
+	case *experiments.E5Result:
+		fmt.Println("# extracted EIL:")
+		for _, line := range strings.Split(strings.TrimRight(r.ExtractedEIL, "\n"), "\n") {
+			fmt.Println("#   " + line)
 		}
-		return r.Table(), nil
-	case "f2":
-		r, err := experiments.Fig2Rebinding()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e1":
-		r, err := experiments.E1ClusterFuzz()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e2":
-		r, err := experiments.E2EASBimodal()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e3":
-		r, err := experiments.E3KubePlacement()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e4":
-		r, err := experiments.E4Contracts()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e5":
-		r, err := experiments.E5Extraction()
-		if err != nil {
-			return nil, err
-		}
-		if verbose {
-			fmt.Println("# extracted EIL:")
-			for _, line := range strings.Split(strings.TrimRight(r.ExtractedEIL, "\n"), "\n") {
-				fmt.Println("#   " + line)
-			}
-		}
-		return r.Table(), nil
-	case "e6":
-		r, err := experiments.E6ErrorPropagation()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e7":
-		r, err := experiments.E7Profiling()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e8":
-		r, err := experiments.E8PowerProvisioning()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e9":
-		r, err := experiments.E9DVFS()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e10":
-		r, err := experiments.E10BatchServing()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e11":
-		r, err := experiments.E11DaemonServing()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e12":
-		r, err := experiments.E12LayerCache()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e13":
-		r, err := experiments.E13Resilience()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e14":
-		r, err := experiments.E14Drift()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e16":
-		r, err := experiments.E16Fleet(false)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e17":
-		r, err := experiments.E17Wire()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e18":
-		r, err := experiments.E18SchedFleet()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "e19":
-		r, err := experiments.E19Autoopt()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "a1":
-		r, err := experiments.A1ExactVsMonteCarlo()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "a2":
-		r, err := experiments.A2EILVsNative()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	case "a3":
-		r, err := experiments.A3LayeredVsMonolithic()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", id)
 	}
 }

@@ -46,4 +46,16 @@ func TestRunOneDispatchTable(t *testing.T) {
 	if _, err := runOne("nope", false); err == nil {
 		t.Error("unknown id accepted")
 	}
+	// IDs match case-insensitively: the flag takes what the tables print.
+	upper, err := runOne("A2", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower, err := runOne("a2", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upper.ID != "A2" || lower.ID != upper.ID || lower.Title != upper.Title {
+		t.Errorf("A2 resolved to %s %q, a2 to %s %q", upper.ID, upper.Title, lower.ID, lower.Title)
+	}
 }

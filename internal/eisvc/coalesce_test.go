@@ -217,12 +217,12 @@ func TestEvalBatch(t *testing.T) {
 
 // TestEvalBatchCaps: oversized and empty batches are rejected whole.
 func TestEvalBatchCaps(t *testing.T) {
-	_, client, stop := newTestDaemon(t, Config{MaxBatch: 2})
+	_, client, stop := newTestDaemon(t, Config{})
 	defer stop()
 	if _, err := client.EvalBatchCtx(context.Background(), nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	reqs := make([]EvalRequest, 3)
+	reqs := make([]EvalRequest, maxBatch+1)
 	for i := range reqs {
 		reqs[i] = EvalRequest{Interface: "x", Method: "m", Mode: "expected"}
 	}

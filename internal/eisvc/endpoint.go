@@ -55,11 +55,16 @@ var (
 
 const jsonContentType = "application/json"
 
-// MaxBodyBytes caps every request body the daemon or the router reads. A
-// constant, not a knob: 16 MiB is sixteen KiB per item of a full default
-// MaxBatch batch and far beyond any EIL source in the tree, so only a
-// hostile or broken caller ever meets it.
-const MaxBodyBytes = 16 << 20
+// Caps on remote input; constants, not knobs, since only a hostile or
+// broken caller meets them. MaxBodyBytes bounds every request body the
+// daemon or the router reads: sixteen KiB per item of a full batch and far
+// beyond any EIL source in the tree. maxBatch bounds a batch's items and a
+// probe's keys, maxEnumLimit an EvalRequest's EnumLimit.
+const (
+	MaxBodyBytes = 16 << 20
+	maxBatch     = 1024
+	maxEnumLimit = 1 << 20
+)
 
 // Encode appends v to buf in the codec contentType names: the binary
 // frame is the kind's header and then the layout run in encode mode.

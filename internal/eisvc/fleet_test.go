@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -173,17 +174,21 @@ func TestCacheLookupEndpoint(t *testing.T) {
 	}
 }
 
-// TestCacheLookupBounds: a probe is remote input. More keys than MaxBatch,
+// TestCacheLookupBounds: a probe is remote input. More keys than maxBatch,
 // an empty key and an empty list are each a 400 in both codecs, and a
 // response whose result count differs from the request's is an error at
 // the client, not a panic.
 func TestCacheLookupBounds(t *testing.T) {
-	_, c, done := newTestDaemon(t, Config{MaxBatch: 4})
+	_, c, done := newTestDaemon(t, Config{})
 	defer done()
+	full := make([]string, maxBatch+1)
+	for i := range full {
+		full[i] = strconv.Itoa(i)
+	}
 	for _, binary := range []bool{false, true} {
 		c.Binary = binary
 		for name, keys := range map[string][]string{
-			"over MaxBatch": {"a", "b", "c", "d", "e"},
+			"over maxBatch": full,
 			"empty key":     {"a", "", "c"},
 			"empty list":    nil,
 		} {
@@ -193,8 +198,8 @@ func TestCacheLookupBounds(t *testing.T) {
 				t.Errorf("binary=%v %s: err = %v, want 400", binary, name, err)
 			}
 		}
-		if got, err := c.CacheLookupCtx(context.Background(), []string{"a", "b", "c", "d"}); err != nil || len(got) != 4 {
-			t.Errorf("binary=%v: MaxBatch keys: %d answers, err=%v", binary, len(got), err)
+		if got, err := c.CacheLookupCtx(context.Background(), full[:maxBatch]); err != nil || len(got) != maxBatch {
+			t.Errorf("binary=%v: maxBatch keys: %d answers, err=%v", binary, len(got), err)
 		}
 	}
 

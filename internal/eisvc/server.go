@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -43,8 +44,6 @@ type Config struct {
 	// MaxSamples caps EvalRequest.Samples; larger asks are rejected with
 	// 400 before touching the worker pool (default 1<<20).
 	MaxSamples int
-	// MaxEnumLimit likewise caps EvalRequest.EnumLimit (default 1<<20).
-	MaxEnumLimit int
 	// LayerCapacity bounds the compositional layer cache shared by all
 	// evaluations (default core.DefaultLayerCapacity; 0 keeps the default —
 	// use NoLayerCache to disable).
@@ -53,9 +52,6 @@ type Config struct {
 	// recompute every sub-interface result. Mostly for benchmarking the
 	// cache itself.
 	NoLayerCache bool
-	// MaxBatch caps the number of items in one /v1/evalbatch request
-	// (default 1024).
-	MaxBatch int
 	// NodeID names this daemon instance in a fleet. When set it is echoed
 	// on every response as X-Eisvc-Node and surfaced in /v1/stats, so
 	// traces attribute answers (and hedged winners) to the serving node.
@@ -71,9 +67,7 @@ func (c Config) withDefaults() Config {
 	}
 	defaultTo(&c.DefaultDeadline, 5*time.Second)
 	defaultTo(&c.MaxSamples, 1<<20)
-	defaultTo(&c.MaxEnumLimit, 1<<20)
 	defaultTo(&c.LayerCapacity, core.DefaultLayerCapacity)
-	defaultTo(&c.MaxBatch, 1024)
 	return c
 }
 
@@ -631,9 +625,9 @@ func (s *Server) checkEvalRequest(req *EvalRequest) (iface *core.Interface, vers
 		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest,
 			"samples %d exceeds server cap %d", req.Samples, s.cfg.MaxSamples)
 	}
-	if req.EnumLimit > s.cfg.MaxEnumLimit {
+	if req.EnumLimit > maxEnumLimit {
 		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest,
-			"enum_limit %d exceeds server cap %d", req.EnumLimit, s.cfg.MaxEnumLimit)
+			"enum_limit %d exceeds server cap %d", req.EnumLimit, maxEnumLimit)
 	}
 	opts, err := evalOptions(req)
 	if err != nil {
@@ -660,10 +654,13 @@ func evalOptions(req *EvalRequest) (core.EvalOptions, error) {
 
 // deadlineFor returns the queue-wait bound for a request. DeadlineMs <= 0
 // (including the client-side NoDeadline sentinel, which well-behaved
-// clients normalize to 0 before sending) means the server default.
+// clients normalize to 0 before sending) means the server default. One too
+// long for a time.Duration saturates rather than wrap negative (expired).
 func (s *Server) deadlineFor(req *EvalRequest) time.Duration {
-	if req.DeadlineMs > 0 {
-		return time.Duration(req.DeadlineMs) * time.Millisecond
+	if ms := time.Duration(req.DeadlineMs); ms > math.MaxInt64/time.Millisecond {
+		return math.MaxInt64
+	} else if ms > 0 {
+		return ms * time.Millisecond
 	}
 	return s.cfg.DefaultDeadline
 }
@@ -728,8 +725,8 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 	if len(req.Requests) == 0 {
 		return nil, reject(http.StatusBadRequest, "empty batch")
 	}
-	if len(req.Requests) > s.cfg.MaxBatch {
-		return nil, reject(http.StatusBadRequest, "batch of %d exceeds server cap %d", len(req.Requests), s.cfg.MaxBatch)
+	if len(req.Requests) > maxBatch {
+		return nil, reject(http.StatusBadRequest, "batch of %d exceeds server cap %d", len(req.Requests), maxBatch)
 	}
 	s.batchItems.Add(uint64(len(req.Requests)))
 
@@ -898,8 +895,8 @@ func (s *Server) handleCacheLookup(_ *http.Request, req *CacheLookupRequest) (*C
 	if len(req.Keys) == 0 {
 		return nil, reject(http.StatusBadRequest, "empty key list")
 	}
-	if len(req.Keys) > s.cfg.MaxBatch {
-		return nil, reject(http.StatusBadRequest, "probe of %d keys exceeds server cap %d", len(req.Keys), s.cfg.MaxBatch)
+	if len(req.Keys) > maxBatch {
+		return nil, reject(http.StatusBadRequest, "probe of %d keys exceeds server cap %d", len(req.Keys), maxBatch)
 	}
 	for _, key := range req.Keys {
 		if key == "" {

@@ -460,7 +460,7 @@ func TestRegistryEndpoints(t *testing.T) {
 
 // TestServerCaps rejects oversized sample/enum asks before admission.
 func TestServerCaps(t *testing.T) {
-	_, c, done := newTestDaemon(t, Config{MaxSamples: 1000, MaxEnumLimit: 1000})
+	_, c, done := newTestDaemon(t, Config{MaxSamples: 1000})
 	defer done()
 	if _, err := c.RegisterCtx(context.Background(), testEIL); err != nil {
 		t.Fatal(err)
@@ -471,11 +471,35 @@ func TestServerCaps(t *testing.T) {
 		t.Errorf("oversized samples: %v", err)
 	}
 	opts := core.Expected()
-	opts.EnumLimit = 4096
+	opts.EnumLimit = maxEnumLimit + 1
 	_, _, err = c.EvalCtx(context.Background(), "ml_webservice", "handle", []core.Value{reqArg()}, opts)
 	apiErr, ok = err.(*APIError)
 	if !ok || apiErr.Status != http.StatusBadRequest {
 		t.Errorf("oversized enum limit: %v", err)
+	}
+}
+
+// TestLongDeadlineServed: a deadline_ms past what a time.Duration holds in
+// nanoseconds is a very long wait, not one that has already expired, on
+// /v1/eval and on /v1/evalbatch alike: an idle daemon answers 200, not 503.
+func TestLongDeadlineServed(t *testing.T) {
+	_, c, done := newTestDaemon(t, Config{NoMemo: true})
+	defer done()
+	if _, err := c.RegisterCtx(context.Background(), testEIL); err != nil {
+		t.Fatal(err)
+	}
+	const deadlineMs = 1e13 // > math.MaxInt64 ns
+	req := c.EvalRequestFor("ml_webservice", "handle", []core.Value{reqArg()}, core.Expected())
+	req.DeadlineMs = deadlineMs
+	if _, err := EvalEndpoint.call(context.Background(), c, &req); err != nil {
+		t.Errorf("eval with deadline_ms %d: %v", req.DeadlineMs, err)
+	}
+	items, err := c.EvalBatchCtx(context.Background(), []EvalRequest{req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if items[0].Status != http.StatusOK {
+		t.Errorf("batch item with deadline_ms %d: status %d, %s", req.DeadlineMs, items[0].Status, items[0].Error)
 	}
 }
 

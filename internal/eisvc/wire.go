@@ -194,7 +194,7 @@ type LedgerEntry struct {
 // a single eval's miss is a list of one. Because keys embed the interface
 // version, a probe can only hit an answer for the identical tree —
 // replicated registries keep versions aligned, which is what makes the
-// key a cross-node identity. At most Config.MaxBatch keys, none empty.
+// key a cross-node identity. At most maxBatch (1024) keys, none empty.
 type CacheLookupRequest struct {
 	Keys []string `json:"keys"`
 }

@@ -1,79 +1,73 @@
 package experiments
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// AllTables runs every experiment and returns the full set of result
-// tables in DESIGN.md §3 order. It is the backing of `cmd/ebench -all` and
-// of EXPERIMENTS.md. Experiments are independent (each builds its own
-// seeded rigs), so they run concurrently under a small worker bound; the
-// returned order is always the declaration order.
-func AllTables() ([]*Table, error) {
-	steps := []struct {
-		id  string
-		run func() (*Table, error)
-	}{
-		{"T1", func() (*Table, error) { r, err := Table1(); return tab(r, err) }},
-		{"F1", func() (*Table, error) { r, err := Fig1WebService(); return tab(r, err) }},
-		{"F2", func() (*Table, error) { r, err := Fig2Rebinding(); return tab(r, err) }},
-		{"E1", func() (*Table, error) { r, err := E1ClusterFuzz(); return tab(r, err) }},
-		{"E2", func() (*Table, error) { r, err := E2EASBimodal(); return tab(r, err) }},
-		{"E3", func() (*Table, error) { r, err := E3KubePlacement(); return tab(r, err) }},
-		{"E4", func() (*Table, error) { r, err := E4Contracts(); return tab(r, err) }},
-		{"E5", func() (*Table, error) { r, err := E5Extraction(); return tab(r, err) }},
-		{"E6", func() (*Table, error) { r, err := E6ErrorPropagation(); return tab(r, err) }},
-		{"E7", func() (*Table, error) { r, err := E7Profiling(); return tab(r, err) }},
-		{"E8", func() (*Table, error) { r, err := E8PowerProvisioning(); return tab(r, err) }},
-		{"E9", func() (*Table, error) { r, err := E9DVFS(); return tab(r, err) }},
-		{"E10", func() (*Table, error) { r, err := E10BatchServing(); return tab(r, err) }},
-		{"E11", func() (*Table, error) { r, err := E11DaemonServing(); return tab(r, err) }},
-		{"E12", func() (*Table, error) { r, err := E12LayerCache(); return tab(r, err) }},
-		{"E13", func() (*Table, error) { r, err := E13Resilience(); return tab(r, err) }},
-		{"E14", func() (*Table, error) { r, err := E14Drift(); return tab(r, err) }},
-		{"E16", func() (*Table, error) { r, err := E16Fleet(false); return tab(r, err) }},
-		{"E17", func() (*Table, error) { r, err := E17Wire(); return tab(r, err) }},
-		{"E18", func() (*Table, error) { r, err := E18SchedFleet(); return tab(r, err) }},
-		{"E19", func() (*Table, error) { r, err := E19Autoopt(); return tab(r, err) }},
-		{"A1", func() (*Table, error) { r, err := A1ExactVsMonteCarlo(); return tab(r, err) }},
-		{"A2", func() (*Table, error) { r, err := A2EILVsNative(); return tab(r, err) }},
-		{"A3", func() (*Table, error) { r, err := A3LayeredVsMonolithic(); return tab(r, err) }},
-	}
+// Result is any experiment result: it renders itself as a table.
+type Result interface{ Table() *Table }
 
-	tables := make([]*Table, len(steps))
-	errs := make([]error, len(steps))
-	sem := make(chan struct{}, 4) // bound concurrent rigs; each is CPU-heavy
-	var wg sync.WaitGroup
-	for i, s := range steps {
-		wg.Add(1)
-		go func(i int, id string, run func() (*Table, error)) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			t, err := run()
-			if err != nil {
-				errs[i] = fmt.Errorf("experiments: %s: %w", id, err)
-				return
-			}
-			tables[i] = t
-		}(i, s.id, s.run)
-	}
-	wg.Wait()
-	for _, err := range errs {
+// Experiment is one entry of the evaluation: the ID its table carries and
+// the function that runs it.
+type Experiment struct {
+	ID  string
+	Run func() (Result, error)
+}
+
+// All is every experiment, in DESIGN.md §3 order. It is the one list
+// `cmd/ebench` dispatches on and AllTables runs.
+var All = []Experiment{
+	{"T1", result(Table1)},
+	{"F1", result(Fig1WebService)},
+	{"F2", result(Fig2Rebinding)},
+	{"E1", result(E1ClusterFuzz)},
+	{"E2", result(E2EASBimodal)},
+	{"E3", result(E3KubePlacement)},
+	{"E4", result(E4Contracts)},
+	{"E5", result(E5Extraction)},
+	{"E6", result(E6ErrorPropagation)},
+	{"E7", result(E7Profiling)},
+	{"E8", result(E8PowerProvisioning)},
+	{"E9", result(E9DVFS)},
+	{"E10", result(E10BatchServing)},
+	{"E11", result(E11DaemonServing)},
+	{"E12", result(E12LayerCache)},
+	{"E13", result(E13Resilience)},
+	{"E14", result(E14Drift)},
+	{"E16", result(func() (*E16Result, error) { return E16Fleet(false) })},
+	{"E17", result(E17Wire)},
+	{"E18", result(E18SchedFleet)},
+	{"E19", result(E19Autoopt)},
+	{"A1", result(A1ExactVsMonteCarlo)},
+	{"A2", result(A2EILVsNative)},
+	{"A3", result(A3LayeredVsMonolithic)},
+}
+
+// result adapts an experiment's typed entry point to Experiment.Run.
+func result[R Result](run func() (R, error)) func() (Result, error) {
+	return func() (Result, error) {
+		r, err := run()
 		if err != nil {
 			return nil, err
 		}
+		return r, nil
 	}
-	return tables, nil
 }
 
-// tabler is any experiment result that can render itself.
-type tabler interface{ Table() *Table }
-
-func tab(r tabler, err error) (*Table, error) {
+// AllTables runs every experiment in All and returns their tables in All's
+// order. It is the backing of `cmd/ebench -all` and of EXPERIMENTS.md.
+// Experiments are independent (each builds its own seeded rigs), so they
+// run concurrently through forEachIndexed.
+func AllTables() ([]*Table, error) {
+	tables := make([]*Table, len(All))
+	err := forEachIndexed(len(All), func(i int) error {
+		r, err := All[i].Run()
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", All[i].ID, err)
+		}
+		tables[i] = r.Table()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return r.Table(), nil
+	return tables, nil
 }

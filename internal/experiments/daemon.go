@@ -10,6 +10,9 @@ import (
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/eisvc"
+	"energyclarity/internal/microbench"
+	"energyclarity/internal/mlservice"
+	"energyclarity/internal/nn"
 )
 
 // E11 is the daemon-serving experiment: the Fig. 1 mlservice stack is
@@ -79,12 +82,32 @@ func (r *E11Result) Table() *Table {
 	return t
 }
 
-// e11Daemon starts an eisvc daemon on a loopback port with the calibrated
+// fig1Daemon starts an eisvc daemon on a loopback port with the calibrated
 // Fig. 1 cnn_forward seeded and the paper-verbatim mlservice source
-// registered over the wire. Callers must call the returned shutdown func.
-func e11Daemon(cfg eisvc.Config) (base string, shutdown func(), err error) {
-	_, base, shutdown, err = e13Daemon(cfg)
-	return base, shutdown, err
+// registered over the wire. It returns the server handle too, for E13's
+// drain probe. Callers must call the returned shutdown func.
+func fig1Daemon(cfg eisvc.Config) (srv *eisvc.Server, base string, shutdown func(), err error) {
+	rig, err := microbench.Rig4090()
+	if err != nil {
+		return nil, "", nil, err
+	}
+	cnn, err := nn.CNNEnergyInterface(nn.Fig1CNN(), rig.Spec, rig.Coef.HardwareInterface())
+	if err != nil {
+		return nil, "", nil, err
+	}
+	srv = eisvc.NewServer(cfg)
+	if _, err := srv.Registry().RegisterInterface("cnn_forward", cnn); err != nil {
+		return nil, "", nil, err
+	}
+	base, shutdown, err = eisvc.ServeLoopback(srv)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	if _, err := eisvc.NewClient(base).RegisterCtx(context.Background(), mlservice.Fig1EIL); err != nil {
+		shutdown()
+		return nil, "", nil, err
+	}
+	return srv, base, shutdown, nil
 }
 
 // e11Request builds request class k: the Fig. 1 record shape with a
@@ -102,7 +125,7 @@ func E11DaemonServing() (*E11Result, error) {
 	res := &E11Result{}
 
 	// Phase 1: Zipf trace against a full-size daemon.
-	base, shutdown, err := e11Daemon(eisvc.Config{})
+	_, base, shutdown, err := fig1Daemon(eisvc.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +200,7 @@ func E11DaemonServing() (*E11Result, error) {
 	// phase demonstrates admission control, not caching — E12 covers
 	// that); with one worker and a queue of two, admission control must
 	// shed the rest.
-	base, shutdown, err = e11Daemon(eisvc.Config{Workers: 1, QueueLimit: 2, NoLayerCache: true})
+	_, base, shutdown, err = fig1Daemon(eisvc.Config{Workers: 1, QueueLimit: 2, NoLayerCache: true})
 	if err != nil {
 		return nil, err
 	}

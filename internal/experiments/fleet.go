@@ -460,7 +460,7 @@ func e16Retry(seed int64) *eisvc.RetryPolicy {
 // request, bit-identical to a fault-free standalone reference.
 func (r *E16Result) faultPhase(clients, perClient, distinct int) error {
 	// Fault-free reference answers from a standalone daemon.
-	_, refBase, refShutdown, err := e13Daemon(eisvc.Config{})
+	_, refBase, refShutdown, err := fig1Daemon(eisvc.Config{})
 	if err != nil {
 		return err
 	}

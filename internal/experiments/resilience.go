@@ -15,9 +15,6 @@ import (
 	"energyclarity/internal/eisvc"
 	"energyclarity/internal/energy"
 	"energyclarity/internal/faultsim"
-	"energyclarity/internal/microbench"
-	"energyclarity/internal/mlservice"
-	"energyclarity/internal/nn"
 )
 
 // E13 is the resilience experiment: the serving path of E11 run through a
@@ -131,32 +128,6 @@ func (r *E13Result) Table() *Table {
 	return t
 }
 
-// e13Daemon is e11Daemon's body, with the server handle exposed for the
-// drain probe.
-func e13Daemon(cfg eisvc.Config) (srv *eisvc.Server, base string, shutdown func(), err error) {
-	rig, err := microbench.Rig4090()
-	if err != nil {
-		return nil, "", nil, err
-	}
-	cnn, err := nn.CNNEnergyInterface(nn.Fig1CNN(), rig.Spec, rig.Coef.HardwareInterface())
-	if err != nil {
-		return nil, "", nil, err
-	}
-	srv = eisvc.NewServer(cfg)
-	if _, err := srv.Registry().RegisterInterface("cnn_forward", cnn); err != nil {
-		return nil, "", nil, err
-	}
-	base, shutdown, err = eisvc.ServeLoopback(srv)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	if _, err := eisvc.NewClient(base).RegisterCtx(context.Background(), mlservice.Fig1EIL); err != nil {
-		shutdown()
-		return nil, "", nil, err
-	}
-	return srv, base, shutdown, nil
-}
-
 // e13Retry is the trace clients' policy: fast and persistent, so the
 // experiment finishes quickly while surviving multi-fault streaks.
 func e13Retry(seed int64) *eisvc.RetryPolicy {
@@ -176,7 +147,7 @@ func E13Resilience() (*E13Result, error) {
 	// Fault-free reference: one answer per class, from its own daemon, so
 	// the comparison crosses processes-worth of state rather than reading
 	// the serving daemon's own memo back.
-	_, refBase, refShutdown, err := e13Daemon(eisvc.Config{})
+	_, refBase, refShutdown, err := fig1Daemon(eisvc.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +165,7 @@ func E13Resilience() (*E13Result, error) {
 	refShutdown()
 
 	// Faulted Zipf trace against a fresh daemon.
-	_, base, shutdown, err := e13Daemon(eisvc.Config{})
+	_, base, shutdown, err := fig1Daemon(eisvc.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +282,7 @@ func isTransport(err error) bool {
 // (HeavyMs), then an identical one is cancelled a few milliseconds in and
 // a cheap follow-up measures how soon the worker is available (FreedMs).
 func (r *E13Result) cancelProbe() error {
-	_, base, shutdown, err := e13Daemon(eisvc.Config{Workers: 1, NoMemo: true, NoLayerCache: true})
+	_, base, shutdown, err := fig1Daemon(eisvc.Config{Workers: 1, NoMemo: true, NoLayerCache: true})
 	if err != nil {
 		return err
 	}
@@ -450,7 +421,7 @@ func (r *E13Result) cancelCountProbe() error {
 
 // drainProbe walks the graceful-shutdown protocol with work in flight.
 func (r *E13Result) drainProbe() error {
-	srv, base, shutdown, err := e13Daemon(eisvc.Config{NoMemo: true, NoLayerCache: true})
+	srv, base, shutdown, err := fig1Daemon(eisvc.Config{NoMemo: true, NoLayerCache: true})
 	if err != nil {
 		return err
 	}
