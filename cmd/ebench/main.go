@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,13 +27,13 @@ func main() {
 	verbose := flag.Bool("v", false, "print experiment artifacts (e.g. extracted EIL)")
 	flag.Parse()
 
-	if err := run(*all, *one, *csv, *verbose); err != nil {
+	if err := run(os.Stdout, *all, *one, *csv, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "ebench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(all bool, one string, csv, verbose bool) error {
+func run(w io.Writer, all bool, one string, csv, verbose bool) error {
 	if !all && one == "" {
 		return fmt.Errorf("pass -all or -experiment <id>")
 	}
@@ -44,7 +45,7 @@ func run(all bool, one string, csv, verbose bool) error {
 		}
 		tables = ts
 	} else {
-		t, err := runOne(one, verbose)
+		t, err := runOne(w, one, verbose)
 		if err != nil {
 			return err
 		}
@@ -52,13 +53,13 @@ func run(all bool, one string, csv, verbose bool) error {
 	}
 	for i, t := range tables {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		var err error
 		if csv {
-			err = t.CSV(os.Stdout)
+			err = t.CSV(w)
 		} else {
-			err = t.Fprint(os.Stdout)
+			err = t.Fprint(w)
 		}
 		if err != nil {
 			return err
@@ -67,7 +68,7 @@ func run(all bool, one string, csv, verbose bool) error {
 	return nil
 }
 
-func runOne(id string, verbose bool) (*experiments.Table, error) {
+func runOne(w io.Writer, id string, verbose bool) (*experiments.Table, error) {
 	for _, e := range experiments.All {
 		if !strings.EqualFold(e.ID, id) {
 			continue
@@ -77,7 +78,7 @@ func runOne(id string, verbose bool) (*experiments.Table, error) {
 			return nil, err
 		}
 		if verbose {
-			printArtifacts(r)
+			printArtifacts(w, r)
 		}
 		return r.Table(), nil
 	}
@@ -86,20 +87,20 @@ func runOne(id string, verbose bool) (*experiments.Table, error) {
 
 // printArtifacts prints what -v adds to a result's table: T1's per-run
 // predictions and E5's extracted EIL.
-func printArtifacts(r experiments.Result) {
+func printArtifacts(w io.Writer, r experiments.Result) {
 	switch r := r.(type) {
 	case *experiments.Table1Result:
 		for _, row := range r.Rows {
-			fmt.Printf("# %s per-run:\n", row.Device)
+			fmt.Fprintf(w, "# %s per-run:\n", row.Device)
 			for _, run := range row.PerRun {
-				fmt.Printf("#   %3d tokens: predicted %v, measured %v, error %.2f%%\n",
+				fmt.Fprintf(w, "#   %3d tokens: predicted %v, measured %v, error %.2f%%\n",
 					run.Tokens, run.Predicted, run.Measured, 100*run.RelErr)
 			}
 		}
 	case *experiments.E5Result:
-		fmt.Println("# extracted EIL:")
+		fmt.Fprintln(w, "# extracted EIL:")
 		for _, line := range strings.Split(strings.TrimRight(r.ExtractedEIL, "\n"), "\n") {
-			fmt.Println("#   " + line)
+			fmt.Fprintln(w, "#   "+line)
 		}
 	}
 }

@@ -1,12 +1,17 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"io"
+	"strings"
+	"testing"
+)
 
 func TestRunRequiresSelection(t *testing.T) {
-	if err := run(false, "", false, false); err == nil {
+	if err := run(io.Discard, false, "", false, false); err == nil {
 		t.Fatal("no selection accepted")
 	}
-	if err := run(false, "zz", false, false); err == nil {
+	if err := run(io.Discard, false, "zz", false, false); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -15,26 +20,45 @@ func TestRunRequiresSelection(t *testing.T) {
 // full rig (a2 runs in microseconds); heavier experiments are covered by
 // internal/experiments tests.
 func TestRunLightExperiments(t *testing.T) {
-	if err := run(false, "a2", false, false); err != nil {
+	if err := run(io.Discard, false, "a2", false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(false, "a2", true, false); err != nil {
+	if err := run(io.Discard, false, "a2", true, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(false, "e5", false, true); err != nil {
+	if err := run(io.Discard, false, "e1", false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(false, "e1", false, false); err != nil {
+	if err := run(io.Discard, false, "e3", false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(false, "e3", false, false); err != nil {
-		t.Fatal(err)
+}
+
+// TestRunVerboseArtifacts: -v prints E5's extracted EIL and T1's per-run
+// lines ahead of their tables.
+func TestRunVerboseArtifacts(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		want []string
+	}{
+		{"e5", []string{"# extracted EIL:", "ecv pool_warm"}},
+		{"t1", []string{" per-run:", " tokens: predicted "}},
+	} {
+		var buf bytes.Buffer
+		if err := run(&buf, false, tc.id, false, true); err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(buf.String(), w) {
+				t.Errorf("%s -v output missing %q:\n%s", tc.id, w, buf.String())
+			}
+		}
 	}
 }
 
 func TestRunOneDispatchTable(t *testing.T) {
 	for _, id := range []string{"a1", "a2", "e1", "e2", "e3", "e5"} {
-		tab, err := runOne(id, false)
+		tab, err := runOne(io.Discard, id, false)
 		if err != nil {
 			t.Errorf("%s: %v", id, err)
 			continue
@@ -43,15 +67,15 @@ func TestRunOneDispatchTable(t *testing.T) {
 			t.Errorf("%s: empty table", id)
 		}
 	}
-	if _, err := runOne("nope", false); err == nil {
+	if _, err := runOne(io.Discard, "nope", false); err == nil {
 		t.Error("unknown id accepted")
 	}
 	// IDs match case-insensitively: the flag takes what the tables print.
-	upper, err := runOne("A2", false)
+	upper, err := runOne(io.Discard, "A2", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lower, err := runOne("a2", false)
+	lower, err := runOne(io.Discard, "a2", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -582,7 +582,9 @@ func TestAblations(t *testing.T) {
 }
 
 // TestAllTablesRender: AllTables returns one non-empty table per entry of
-// All, in All's order, each carrying its entry's ID.
+// All, in All's order, each carrying its entry's ID, and no two IDs are the
+// same ignoring case (ebench matches -experiment case-insensitively, so a
+// repeat could never be reached).
 func TestAllTablesRender(t *testing.T) {
 	tables, err := AllTables()
 	if err != nil {
@@ -591,10 +593,16 @@ func TestAllTablesRender(t *testing.T) {
 	if len(tables) != len(All) {
 		t.Fatalf("tables = %d, want %d (one per experiment)", len(tables), len(All))
 	}
+	seen := map[string]bool{}
 	for i, tab := range tables {
 		if tab.ID != All[i].ID {
 			t.Errorf("table %d is %s, want %s", i, tab.ID, All[i].ID)
 		}
+		id := strings.ToLower(All[i].ID)
+		if seen[id] {
+			t.Errorf("duplicate experiment %s", All[i].ID)
+		}
+		seen[id] = true
 		var buf bytes.Buffer
 		if err := tab.Fprint(&buf); err != nil {
 			t.Fatal(err)
