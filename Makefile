@@ -53,8 +53,10 @@ race:
 # The tests that have flaked before, repeated: the E12-E17 shape tests
 # (a stopwatch assertion creeping back in fails one run in a few, not
 # every run), the fleet package (probe ordering, kill and partition
-# traces, and TestHopAllocs: the exact allocations of one warm hop, direct
-# and routed), and the eisvc tests that depend on the runtime's mood —
+# traces, TestHopAllocs: the exact allocations of one warm hop, direct
+# and routed, and TestRoutedBatchAllocs: those of one routed 256-item
+# batch whose new keys every peer's summary rules out), and the eisvc
+# tests that depend on the runtime's mood —
 # exact allocation counts (a warm batch, every frame kind, a batch's
 # arguments at 64 and 256 items), a heap that 400 batches must not grow
 # by more than their cold keys (TestBatchRetainsOnlyColdKeys), 32

@@ -563,16 +563,22 @@ func (c *Client) EvalRequestFor(name, method string, args []core.Value, opts cor
 // CacheLookupCtx probes the daemon's memo for exact canonical keys and
 // returns one answer per key, in order; a clean miss is an answer that is
 // not Found (err covers transport/API failures and malformed answers).
+// With summary set it also returns the daemon's memo summary, if sent.
 // Fleet peer forwarding calls this on the evaluation critical path, so
 // callers typically use a dedicated client with a short Timeout and no
 // retry policy — a slow peer must cost less than evaluating locally.
-func (c *Client) CacheLookupCtx(ctx context.Context, keys []string) ([]PeerAnswer, error) {
-	resp, err := CacheLookupEndpoint.call(ctx, c, &CacheLookupRequest{Keys: keys})
+func (c *Client) CacheLookupCtx(ctx context.Context, keys []string, summary bool) ([]PeerAnswer, []uint32, error) {
+	resp, err := CacheLookupEndpoint.call(ctx, c, &CacheLookupRequest{Keys: keys, Summary: summary})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(resp.Results) != len(keys) {
-		return nil, fmt.Errorf("eisvc: probe returned %d results for %d keys", len(resp.Results), len(keys))
+		return nil, nil, fmt.Errorf("eisvc: probe returned %d results for %d keys", len(resp.Results), len(keys))
+	}
+	for i := 1; i < len(resp.Summary); i++ { // the binary decoder checks this too; JSON does not
+		if resp.Summary[i] <= resp.Summary[i-1] {
+			return nil, nil, fmt.Errorf("eisvc: peer summary not strictly ascending at %d", i)
+		}
 	}
 	answers := make([]PeerAnswer, len(keys))
 	for i, r := range resp.Results {
@@ -581,11 +587,11 @@ func (c *Client) CacheLookupCtx(ctx context.Context, keys []string) ([]PeerAnswe
 		}
 		d, err := r.Dist.Dist()
 		if err != nil {
-			return nil, fmt.Errorf("eisvc: malformed distribution from peer: %w", err)
+			return nil, nil, fmt.Errorf("eisvc: malformed distribution from peer: %w", err)
 		}
 		answers[i] = PeerAnswer{Dist: d, Found: true}
 	}
-	return answers, nil
+	return answers, resp.Summary, nil
 }
 
 // StatsCtx fetches the daemon's serving metrics and energy ledger.

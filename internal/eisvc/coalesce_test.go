@@ -338,7 +338,7 @@ func TestBatchRetainsOnlyColdKeys(t *testing.T) {
 	pc.SetTransport(NewLoopbackTransport(peer))
 	pc.Binary = true
 	node.SetPeerLookup(func(ctx context.Context, keys []string) []PeerAnswer {
-		answers, err := pc.CacheLookupCtx(ctx, keys)
+		answers, _, err := pc.CacheLookupCtx(ctx, keys, false)
 		if err != nil {
 			t.Error(err)
 			return make([]PeerAnswer, len(keys))

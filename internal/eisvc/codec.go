@@ -40,9 +40,9 @@ const BinaryContentType = "application/x-eisvc-bin"
 // binVersion is the codec format version carried in the magic header.
 // Bump it on any layout change a stored file or a foreign client could
 // meet; decoders reject other versions. (The two cache-probe kinds became
-// key lists without a bump: only same-build fleet peers exchange them,
-// and a frame in the other layout fails to decode — a failed probe is a
-// miss.)
+// key lists, and later grew an optional summary tail, without a bump:
+// only same-build fleet peers exchange them, and a frame in the other
+// layout fails to decode — a failed probe is a miss.)
 const binVersion = 1
 
 // binMagic prefixes every binary message and snapshot file.
@@ -423,6 +423,7 @@ const (
 	minAnswerItem  = 4*4 + 8 + 4 + 1 // four strings, version, status, flags
 	minKey         = 4               // a length prefix
 	minResult      = 1               // a flag byte
+	minFingerprint = 4               // a uint32
 	minMemoEntry   = 3 * 4           // a key, two vectors
 	minLayerEntry  = 4 + 8           // a key, joules
 	minValue       = 1               // a tag
@@ -725,13 +726,16 @@ func (c *coder) cacheLookupRequest(r *CacheLookupRequest) {
 		for i := range keys {
 			c.str(&keys[i])
 		}
-		return
+	} else {
+		base, rest := c.off, string(c.data[c.off:])
+		for i := range keys {
+			b := c.raw(1)
+			end := c.off - base
+			keys[i] = rest[end-len(b) : end]
+		}
 	}
-	base, rest := c.off, string(c.data[c.off:])
-	for i := range keys {
-		b := c.raw(1)
-		end := c.off - base
-		keys[i] = rest[end-len(b) : end]
+	if c.tail(r.Summary) {
+		c.flags(&r.Summary)
 	}
 }
 
@@ -745,6 +749,39 @@ func (c *coder) cacheLookupResponse(r *CacheLookupResponse) {
 		c.flags(&res.Found, nil, nil, nil, &hasDist)
 		if hasDist {
 			c.wireDist(optional(c, &res.Dist))
+		}
+	}
+	if c.tail(r.Summary != nil) {
+		c.fingerprints(&r.Summary)
+	}
+}
+
+// tail reports whether a probe frame's optional last field is laid out:
+// encoding, when it is present; reading, when bytes are left.
+func (c *coder) tail(present bool) bool {
+	if c.mode == encoding {
+		return present
+	}
+	return !c.failed() && c.off < len(c.data)
+}
+
+// fingerprints lays out a memo summary: a count, then uint32s, strictly
+// ascending (the decoder checks: the asker binary-searches them).
+func (c *coder) fingerprints(p *[]uint32) {
+	fps := seq(c, p, minFingerprint)
+	if c.mode == decoding && fps == nil {
+		*p = []uint32{}
+	}
+	for i := range fps {
+		if c.mode == encoding {
+			c.buf.Write(binary.LittleEndian.AppendUint32(c.scratch[:0], fps[i]))
+			continue
+		}
+		if b := c.take(4); b != nil {
+			fps[i] = binary.LittleEndian.Uint32(b)
+		}
+		if i > 0 && fps[i] <= fps[i-1] && !c.failed() {
+			c.fail("summary fingerprints not strictly ascending at %d", i)
 		}
 	}
 }

@@ -227,6 +227,40 @@ func TestCodecCacheLookupRoundTrip(t *testing.T) {
 		}
 	}
 
+	// The summary bit and the summary round-trip too; an empty summary
+	// stays empty, not absent.
+	for _, contentType := range []string{BinaryContentType, jsonContentType} {
+		for _, v := range []any{
+			&CacheLookupRequest{Keys: lookupKeys(2), Summary: true},
+			&CacheLookupResponse{Results: lookupResults(2, &wd, shapes["mixed"]), Summary: []uint32{1, 9, math.MaxUint32}},
+			&CacheLookupResponse{Results: lookupResults(1, &wd, shapes["all-miss"]), Summary: []uint32{}},
+		} {
+			var got any
+			var err error
+			var buf bytes.Buffer
+			switch v := v.(type) {
+			case *CacheLookupRequest:
+				if err = ep.Request.Encode(&buf, contentType, v); err == nil {
+					got, err = ep.Request.Decode(contentType, buf.Bytes())
+				}
+			case *CacheLookupResponse:
+				if err = ep.Response.Encode(&buf, contentType, v); err == nil {
+					got, err = ep.Response.Decode(contentType, buf.Bytes())
+				}
+			}
+			if err != nil || !reflect.DeepEqual(v, got) {
+				t.Fatalf("%s: summary round trip: %v\n in  %#v\n out %#v", contentType, err, v, got)
+			}
+		}
+	}
+	// A summary out of order, or with a repeat, is refused.
+	for _, bad := range [][]uint32{{9, 1}, {4, 4}} {
+		frame := binaryFrame(&ep.Response, &CacheLookupResponse{Summary: bad})
+		if _, err := ep.Response.Decode(BinaryContentType, frame); err == nil {
+			t.Errorf("summary %v decoded", bad)
+		}
+	}
+
 	// Every strict prefix of a multi-key frame is an error, never a panic.
 	refusesEveryPrefix(t, "request", &ep.Request, &CacheLookupRequest{Keys: lookupKeys(3)})
 	refusesEveryPrefix(t, "response", &ep.Response, &CacheLookupResponse{Results: lookupResults(3, &wd, shapes["mixed"])})
@@ -289,6 +323,10 @@ func addCodecSeeds(f *testing.F) {
 	f.Add(binaryFrame(&CacheLookupEndpoint.Request, &CacheLookupRequest{}))
 	f.Add(binaryFrame(&CacheLookupEndpoint.Request, &CacheLookupRequest{Keys: lookupKeys(1)}))
 	f.Add(binaryFrame(&CacheLookupEndpoint.Request, &CacheLookupRequest{Keys: lookupKeys(300)}))
+	f.Add(binaryFrame(&CacheLookupEndpoint.Request, &CacheLookupRequest{Keys: lookupKeys(2), Summary: true}))
+	f.Add(binaryFrame(&CacheLookupEndpoint.Response, &CacheLookupResponse{
+		Results: []CacheLookupResult{{Found: true, Dist: &w0}, {}}, Node: "node-2", Summary: []uint32{0, 7, 1 << 31, math.MaxUint32}}))
+	f.Add(binaryFrame(&CacheLookupEndpoint.Response, &CacheLookupResponse{Results: make([]CacheLookupResult, 1), Summary: []uint32{}}))
 	f.Add(binaryFrame(&snapshotCodec, &CacheSnapshot{
 		NodeID: "node-1",
 		Memo:   []MemoEntry{{Key: "k", Support: oddFloats[3:], Probs: []float64{1, 0, 0, 0}}},

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 
 	"energyclarity/internal/core"
+	"energyclarity/internal/energy"
 )
 
 // TestRegistrySnapshotMerge: a snapshot replays a registry's entries and
@@ -147,7 +149,7 @@ func TestCacheLookupEndpoint(t *testing.T) {
 	}
 
 	// One probe, three keys: the answers come back in key order.
-	got, err := c.CacheLookupCtx(context.Background(), []string{key + "|cold", key, key + "|colder"})
+	got, _, err := c.CacheLookupCtx(context.Background(), []string{key + "|cold", key, key + "|colder"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestCacheLookupEndpoint(t *testing.T) {
 
 	// A draining node keeps donating its cache.
 	srv.BeginDrain()
-	if got, err := c.CacheLookupCtx(context.Background(), []string{key}); err != nil || !got[0].Found {
+	if got, _, err := c.CacheLookupCtx(context.Background(), []string{key}, false); err != nil || !got[0].Found {
 		t.Fatalf("draining node: %+v err=%v, want hit", got, err)
 	}
 	st, err := c.StatsCtx(context.Background())
@@ -172,15 +174,56 @@ func TestCacheLookupEndpoint(t *testing.T) {
 	if st.PeerServed != 4 || st.PeerServedHits != 2 {
 		t.Errorf("peer_served=%d (want 4), peer_served_hits=%d (want 2)", st.PeerServed, st.PeerServedHits)
 	}
+
+	// Asked for, the summary is the one key's fingerprint, in both codecs.
+	for _, binary := range []bool{false, true} {
+		c.Binary = binary
+		_, sum, err := c.CacheLookupCtx(context.Background(), []string{key}, true)
+		if err != nil || !slices.Equal(sum, []uint32{Fingerprint(key)}) {
+			t.Errorf("binary=%v: summary %v err=%v, want [%d]", binary, sum, err, Fingerprint(key))
+		}
+	}
 }
 
 // TestCacheLookupBounds: a probe is remote input. More keys than maxBatch,
 // an empty key and an empty list are each a 400 in both codecs, and a
 // response whose result count differs from the request's is an error at
-// the client, not a panic.
+// the client, not a panic. A summary is left out, and the answer kept,
+// when the summary would push the frame past MaxBodyBytes; an empty
+// memo's summary is empty, not absent; and a summary out of order is an
+// error at the client.
 func TestCacheLookupBounds(t *testing.T) {
 	_, c, done := newTestDaemon(t, Config{})
 	defer done()
+	if _, sum, err := c.CacheLookupCtx(context.Background(), []string{"k"}, true); err != nil || sum == nil || len(sum) != 0 {
+		t.Errorf("empty memo: summary %v err=%v, want empty", sum, err)
+	}
+	// One entry of n points answers in 16n+64 bytes of frame, the one-key
+	// summary takes 8 more: 1,048,571 points leave room for it, one more
+	// point does not.
+	for n, fits := range map[int]bool{1_048_571: true, 1_048_572: false} {
+		xs, ps := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ps[i] = float64(i), 1/float64(n)
+		}
+		d, err := energy.FromSorted(xs, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(Config{})
+		srv.memo.Put("big", d)
+		resp, err := srv.handleCacheLookup(nil, &CacheLookupRequest{Keys: []string{"big"}, Summary: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Results[0].Found || (resp.Summary != nil) != fits {
+			t.Fatalf("%d points: found=%v summary=%v, want found and summary %v", n, resp.Results[0].Found, resp.Summary, fits)
+		}
+		resp.Summary = []uint32{Fingerprint("big")}
+		if size := len(binaryFrame(&CacheLookupEndpoint.Response, resp)); (size <= MaxBodyBytes) != fits {
+			t.Errorf("%d points: with the summary the frame is %d bytes; fits=%v under %d", n, size, fits, MaxBodyBytes)
+		}
+	}
 	full := make([]string, maxBatch+1)
 	for i := range full {
 		full[i] = strconv.Itoa(i)
@@ -192,13 +235,13 @@ func TestCacheLookupBounds(t *testing.T) {
 			"empty key":     {"a", "", "c"},
 			"empty list":    nil,
 		} {
-			_, err := c.CacheLookupCtx(context.Background(), keys)
+			_, _, err := c.CacheLookupCtx(context.Background(), keys, false)
 			var apiErr *APIError
 			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 				t.Errorf("binary=%v %s: err = %v, want 400", binary, name, err)
 			}
 		}
-		if got, err := c.CacheLookupCtx(context.Background(), full[:maxBatch]); err != nil || len(got) != maxBatch {
+		if got, _, err := c.CacheLookupCtx(context.Background(), full[:maxBatch], false); err != nil || len(got) != maxBatch {
 			t.Errorf("binary=%v: maxBatch keys: %d answers, err=%v", binary, len(got), err)
 		}
 	}
@@ -207,12 +250,22 @@ func TestCacheLookupBounds(t *testing.T) {
 		CacheLookupEndpoint.Write(w, r, &CacheLookupResponse{Results: make([]CacheLookupResult, 1)})
 	}))
 	defer short.Close()
+	// A JSON answer's summary is checked by the client, a binary one's by
+	// the decoder.
+	disordered := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"results":[{"found":false}],"summary":[7,3]}`))
+	}))
+	defer disordered.Close()
 	for _, binary := range []bool{false, true} {
 		sc := NewClient(short.URL)
 		sc.Binary = binary
-		if got, err := sc.CacheLookupCtx(context.Background(), []string{"a", "b"}); err == nil {
+		if got, _, err := sc.CacheLookupCtx(context.Background(), []string{"a", "b"}, false); err == nil {
 			t.Errorf("binary=%v: 1 result for 2 keys accepted: %+v", binary, got)
 		}
+	}
+	if _, sum, err := NewClient(disordered.URL).CacheLookupCtx(context.Background(), []string{"a"}, true); err == nil {
+		t.Errorf("summary %v out of order accepted", sum)
 	}
 }
 
@@ -232,7 +285,7 @@ func TestPeerLookupServesFleet(t *testing.T) {
 		t.Fatalf("replicated %d entries, want 2", applied)
 	}
 	srvB.SetPeerLookup(func(ctx context.Context, keys []string) []PeerAnswer {
-		answers, err := cA.CacheLookupCtx(ctx, keys)
+		answers, _, err := cA.CacheLookupCtx(ctx, keys, false)
 		if err != nil {
 			return make([]PeerAnswer, len(keys))
 		}

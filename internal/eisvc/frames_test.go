@@ -270,6 +270,9 @@ func TestCountBoundsAreMinimalElements(t *testing.T) {
 		{"result", minResult, false, func(c *coder, n int) {
 			c.cacheLookupResponse(&CacheLookupResponse{Results: make([]CacheLookupResult, n)})
 		}},
+		{"summary fingerprint", minFingerprint, false, func(c *coder, n int) {
+			c.cacheLookupResponse(&CacheLookupResponse{Summary: make([]uint32, n)})
+		}},
 		{"snapshot memo entry", minMemoEntry, false, func(c *coder, n int) { c.snapshot(&CacheSnapshot{Memo: make([]MemoEntry, n)}) }},
 		{"snapshot layer entry", minLayerEntry, false, func(c *coder, n int) { c.snapshot(&CacheSnapshot{Layer: make([]LayerEntry, n)}) }},
 		{"argument", minValue, false, func(c *coder, n int) { c.evalRequest(&EvalRequest{Args: make(Args, n)}) }},

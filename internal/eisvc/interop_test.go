@@ -167,7 +167,7 @@ var interopCases = map[string]func(t *testing.T, f front, version uint64) []byte
 				r.Node = ""
 			},
 			func(c *eisvc.Client) (*eisvc.CacheLookupResponse, error) {
-				answers, err := c.CacheLookupCtx(context.Background(), keys)
+				answers, _, err := c.CacheLookupCtx(context.Background(), keys, false)
 				resp := &eisvc.CacheLookupResponse{Results: make([]eisvc.CacheLookupResult, len(answers))}
 				for i, a := range answers {
 					if a.Found {

@@ -1,6 +1,7 @@
 package eisvc
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,6 +79,24 @@ func (m *Memo) Stats() (hits, misses, evictions uint64, size int) {
 	defer m.mu.Unlock()
 	hits, misses, evictions = m.store.Stats()
 	return hits, misses, evictions, m.store.Len()
+}
+
+// Fingerprint is a memo key's entry in a memo summary, the low half of
+// its Hash64; peers compare them, so it is a wire format too.
+func Fingerprint(key string) uint32 { return uint32(Hash64(key)) }
+
+// summary is the Fingerprint of every live key, strictly ascending, built
+// when a probe asks for it: put does no work for it.
+func (m *Memo) summary() []uint32 {
+	m.mu.Lock()
+	fps := make([]uint32, 0, m.store.Len())
+	m.store.Each(func(key string, _ memoEntry) bool {
+		fps = append(fps, Fingerprint(key))
+		return true
+	})
+	m.mu.Unlock()
+	slices.Sort(fps)
+	return slices.Compact(fps)
 }
 
 // MemoEntry is one persisted memo entry: the canonical key plus the

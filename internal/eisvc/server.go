@@ -106,6 +106,7 @@ type Server struct {
 	peerLookup     atomic.Pointer[PeerLookup]
 	peerHits       atomic.Uint64
 	peerMisses     atomic.Uint64
+	peerSkipped    atomic.Uint64
 	peerServed     atomic.Uint64
 	peerServedHits atomic.Uint64
 
@@ -199,10 +200,10 @@ func (s *Server) noteInvalidation() {
 }
 
 // PeerAnswer is what the fleet holds for one probed key: Dist is set iff
-// Found.
+// Found. Skipped marks a key the lookup sent to no peer.
 type PeerAnswer struct {
-	Dist  energy.Dist
-	Found bool
+	Dist           energy.Dist
+	Found, Skipped bool
 }
 
 // PeerLookup asks the rest of the fleet for memoized answers by their
@@ -214,17 +215,11 @@ type PeerAnswer struct {
 // lookup returns.
 type PeerLookup func(ctx context.Context, keys []string) []PeerAnswer
 
-// SetPeerLookup installs (or, with nil, removes) the fleet peer-cache
-// hook. When set, a memo miss consults peers before paying for a local
-// evaluation; a peer hit is stored in the local memo, so each key is
-// fetched across the fleet at most once per node.
-func (s *Server) SetPeerLookup(fn PeerLookup) {
-	if fn == nil {
-		s.peerLookup.Store(nil)
-		return
-	}
-	s.peerLookup.Store(&fn)
-}
+// SetPeerLookup installs the fleet peer-cache hook: a memo miss then
+// consults peers before paying for a local evaluation; a peer hit is
+// stored in the local memo, so each key is fetched across the fleet at
+// most once per node.
+func (s *Server) SetPeerLookup(fn PeerLookup) { s.peerLookup.Store(&fn) }
 
 // --- graceful drain ---
 
@@ -493,19 +488,22 @@ type evalOutcome struct {
 
 // probePeers hands keys — local memo misses — to the fleet hook in one
 // call, installs what the fleet held in the local memo (so each key
-// crosses the fleet at most once per node) and counts hits and misses per
-// key. It returns one answer per key, nil where no peer held it.
+// crosses the fleet at most once per node) and counts hits, misses and
+// skipped keys. It returns one answer per key, nil where no peer held it.
 func (s *Server) probePeers(ctx context.Context, lookup PeerLookup, keys []string) []*WireDist {
 	found := make([]*WireDist, len(keys))
-	hits := 0
+	hits, skipped := 0, 0
 	for i, a := range lookup(ctx, keys) {
 		if a.Found {
 			found[i] = s.memo.put(keys[i], a.Dist)
 			hits++
+		} else if a.Skipped {
+			skipped++
 		}
 	}
 	s.peerHits.Add(uint64(hits))
-	s.peerMisses.Add(uint64(len(keys) - hits))
+	s.peerSkipped.Add(uint64(skipped))
+	s.peerMisses.Add(uint64(len(keys) - hits - skipped))
 	return found
 }
 
@@ -890,7 +888,8 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 // free for warm keys). A probe is remote input: its key count is capped
 // like a batch's, and the answer stops carrying distributions once its
 // binary frame would pass MaxBodyBytes — the keys past that point answer
-// as misses, which is always a safe answer (the asker evaluates).
+// as misses, which is always a safe answer (the asker evaluates), and so
+// does the memo summary a probe may ask for (the asker probes again).
 func (s *Server) handleCacheLookup(_ *http.Request, req *CacheLookupRequest) (*CacheLookupResponse, error) {
 	if len(req.Keys) == 0 {
 		return nil, reject(http.StatusBadRequest, "empty key list")
@@ -916,6 +915,11 @@ func (s *Server) handleCacheLookup(_ *http.Request, req *CacheLookupRequest) (*C
 		}
 		resp.Results[i] = CacheLookupResult{Found: true, Dist: w}
 		hits++
+	}
+	if req.Summary && budget >= 0 {
+		if sum := s.memo.summary(); 4+4*len(sum) <= budget { // a count, then 4 bytes each
+			resp.Summary = sum
+		}
 	}
 	s.peerServed.Add(uint64(len(req.Keys)))
 	s.peerServedHits.Add(uint64(hits))
@@ -951,6 +955,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.BatchItems = s.batchItems.Load()
 	resp.PeerHits = s.peerHits.Load()
 	resp.PeerMisses = s.peerMisses.Load()
+	resp.PeerSkipped = s.peerSkipped.Load()
 	resp.PeerServed = s.peerServed.Load()
 	resp.PeerServedHits = s.peerServedHits.Load()
 	ps := core.ReadProgramStats()

@@ -195,8 +195,10 @@ type LedgerEntry struct {
 // version, a probe can only hit an answer for the identical tree —
 // replicated registries keep versions aligned, which is what makes the
 // key a cross-node identity. At most maxBatch (1024) keys, none empty.
+// Summary asks for the answering node's memo summary as well.
 type CacheLookupRequest struct {
-	Keys []string `json:"keys"`
+	Keys    []string `json:"keys"`
+	Summary bool     `json:"summary,omitempty"`
 }
 
 // CacheLookupResult answers one probed key. Dist is set iff Found.
@@ -206,9 +208,12 @@ type CacheLookupResult struct {
 }
 
 // CacheLookupResponse answers a memo probe: Results[i] is Keys[i]'s.
+// Summary, if asked for, is the answering memo's summary (see Fingerprint;
+// empty for an empty memo), nil if it would push the frame past MaxBodyBytes.
 type CacheLookupResponse struct {
 	Results []CacheLookupResult `json:"results"`
 	Node    string              `json:"node,omitempty"` // answering node's ID
+	Summary []uint32            `json:"summary"`        // null when absent, [] when empty
 }
 
 // StatsResponse is the /v1/stats payload. Each field's fold tag says how
@@ -246,10 +251,12 @@ type StatsResponse struct {
 
 	// Peer cache forwarding: lookups this node issued to the fleet on memo
 	// misses (hits/misses), and /v1/cachelookup probes it answered for
-	// other nodes (served, of which served_hits found a warm entry). All
-	// four count keys, not requests: one probe request carries many keys.
+	// other nodes (served, of which served_hits found a warm entry);
+	// skipped misses went to no peer, as no reachable peer's summary
+	// could hold them. All count keys, not requests: a probe carries many.
 	PeerHits       uint64 `json:"peer_hits,omitempty" fold:"sum"`
 	PeerMisses     uint64 `json:"peer_misses,omitempty" fold:"sum"`
+	PeerSkipped    uint64 `json:"peer_skipped,omitempty" fold:"sum"`
 	PeerServed     uint64 `json:"peer_served,omitempty" fold:"sum"`
 	PeerServedHits uint64 `json:"peer_served_hits,omitempty" fold:"sum"`
 

@@ -160,6 +160,16 @@ func referenceMemoKey(name string, version uint64, method string, args []core.Va
 	return b.String()
 }
 
+// TestFingerprintUnchanged: memo summaries carry Fingerprint's values
+// between nodes, so a build that computed them differently would rule
+// out, on every probe, keys its peers hold.
+func TestFingerprintUnchanged(t *testing.T) {
+	const key = "ml_webservice@3|handle|m0|s2048|l4096|r0|A[N7;]|F{}"
+	if got := Fingerprint(key); got != 0xbb52ae88 {
+		t.Errorf("Fingerprint(%q) = 0x%08x, pinned 0xbb52ae88", key, got)
+	}
+}
+
 func TestMemoKeyBytesUnchanged(t *testing.T) {
 	modes := []core.Mode{core.ModeExpected, core.ModeWorstCase, core.ModeBestCase, core.ModeFixed, core.ModeMonteCarlo}
 	check := func(name, method string, version uint64, nums []float64, strs []string, mode uint8, samples, enumLimit int, seed int64, pinned []string) bool {

@@ -240,13 +240,13 @@ func E16Fleet(short bool) (*E16Result, error) {
 		ServiceMs: float64(service) / float64(time.Millisecond),
 	}
 
-	// Phase 1: single-node baseline, then the fleet, same trace. Peer
-	// forwarding is off on both sides: every node starts cold, so probes
-	// could only miss, and this phase isolates admission spread (phases 2
-	// and 3 measure the forwarding path itself).
+	// Phase 1: single-node baseline, then the fleet, same trace. Every node
+	// starts cold, so this phase measures admission spread: after its first
+	// probe a node holds each peer's memo summary and sends no key a peer
+	// cannot hold (phases 2 and 3 measure the forwarding path itself).
 	reference := make([]*energy.Dist, classes)
 	single, err := fleet.New(fleet.Config{
-		Nodes: 1, Replication: 1, NoPeerForwarding: true,
+		Nodes: 1, Replication: 1,
 		Node: eisvc.Config{Workers: 1},
 	})
 	if err != nil {
@@ -269,7 +269,7 @@ func E16Fleet(short bool) (*E16Result, error) {
 	}
 
 	fl, err := fleet.New(fleet.Config{
-		Nodes: e16Nodes, Replication: 3, VirtualNodes: 256, NoPeerForwarding: true,
+		Nodes: e16Nodes, Replication: 3, VirtualNodes: 256,
 		Node: eisvc.Config{Workers: 1},
 	})
 	if err != nil {

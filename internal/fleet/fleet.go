@@ -41,9 +41,6 @@ type Config struct {
 	// Node is the per-daemon configuration; NodeID is overwritten with the
 	// fleet-assigned ID.
 	Node eisvc.Config
-	// NoPeerForwarding disables the peer cache path: memo misses always
-	// evaluate locally. For benchmarking the forwarding itself.
-	NoPeerForwarding bool
 	// SnapshotDir, when set, turns on persistent warm-start caches: each
 	// node loads <dir>/<id>.eisnap at boot (a missing or corrupt file
 	// means a cold start, never an error), DrainNode saves one after the
@@ -80,6 +77,7 @@ type Node struct {
 	ln   *faultsim.FlakyListener
 	stop func()        // closes the listener and connections, waits for the serve loop
 	peer *eisvc.Client // short-timeout, no-retry client for cache probes
+	sums sync.Map      // peer ID -> summary: what this node knows of its peers' memos
 
 	state atomic.Int32 // a nodeState
 }
@@ -109,6 +107,11 @@ type Fleet struct {
 	// at a time flows to the primary and replicates before the next, so
 	// every node assigns/observes versions in the same order.
 	mutMu sync.Mutex
+
+	// epoch is the membership epoch: every change to where a key is routed
+	// or who answers a probe — a join or restart, a drain's ring removal
+	// and its end, a kill, a removal, a partition or a heal — bumps it.
+	epoch atomic.Uint64
 }
 
 // New starts cfg.Nodes daemons on ephemeral loopback ports and places
@@ -152,9 +155,7 @@ func (f *Fleet) startNode(id string) (*Node, error) {
 	// Peer probes ride the binary codec: both ends are the same build, and
 	// a probe is pure hot path — nothing to debug, everything to shave.
 	n.peer.Binary = true
-	if !f.cfg.NoPeerForwarding {
-		srv.SetPeerLookup(f.peerLookupFor(id))
-	}
+	srv.SetPeerLookup(f.peerLookupFor(n))
 	if path := f.snapshotPath(id); path != "" {
 		// Load errors (missing file, corruption) mean a cold start; the
 		// snapshot layer guarantees a rejected file installs nothing.
@@ -224,6 +225,7 @@ func (f *Fleet) join(id string) (*Node, error) {
 	f.ring.Add(id)
 	f.snapshotMembers()
 	f.mu.Unlock()
+	f.epoch.Add(1)
 	return n, nil
 }
 
@@ -262,7 +264,9 @@ func (f *Fleet) DrainNode(ctx context.Context, id string) error {
 	f.ring.Remove(id)
 	f.mu.Unlock()
 	n.state.Store(stateDraining)
+	f.epoch.Add(1)
 	err = n.Server.Drain(ctx)
+	f.epoch.Add(1) // the evaluations the drain waited for are in its memo now
 	if path := f.snapshotPath(id); path != "" {
 		// The on-drain snapshot: the drained node's warm memo persists so a
 		// later restart (or an operator re-adding the box) starts warm.
@@ -285,6 +289,7 @@ func (f *Fleet) KillNode(id string) error {
 	}
 	n.state.Store(stateDead)
 	n.stop()
+	f.epoch.Add(1)
 	return nil
 }
 
@@ -303,6 +308,10 @@ func (f *Fleet) RemoveNode(ctx context.Context, id string) error {
 	}
 	n.state.Store(stateDead)
 	n.stop()
+	f.epoch.Add(1)
+	for _, m := range f.Nodes() {
+		m.sums.Delete(id)
+	}
 	return drainErr
 }
 
@@ -316,6 +325,7 @@ func (f *Fleet) PartitionNode(id string, cut bool) error {
 		return err
 	}
 	n.ln.Partition(cut) // see faultsim.FlakyListener.Partition
+	f.epoch.Add(1)
 	return nil
 }
 
@@ -479,75 +489,103 @@ func (f *Fleet) Close() {
 	}
 }
 
-// peerLookupFor builds node id's fleet-cache hook. Each key missed
+// peerLookupFor builds node self's fleet-cache hook. Each key missed
 // locally is looked for at the stack's other ring owners first (they are
 // where the key is warm by construction), then at every other reachable
-// node (which is where warm entries live right after a drain or
-// membership change); first hit wins. The probes leave in rounds: round r
-// sends every key still missing to its r-th target, one request per
-// distinct target, so a batch costs at most (peers × rounds) requests
-// however many keys it missed. Every request is bounded by DefaultPeerTimeout
-// and a failed one is a miss for the keys it carried, so a dead or
-// partitioned peer costs a batch one short timeout, not a stall.
-func (f *Fleet) peerLookupFor(id string) eisvc.PeerLookup {
+// node (where warm entries live right after a membership change); first
+// hit wins. A peer whose summary is from this epoch and lacks the key's
+// fingerprint is passed over; a key every peer is passed over for is
+// Skipped. The probes leave in rounds: round r sends every key still
+// missing to its next target, one request per distinct target, each
+// bounded by DefaultPeerTimeout; a failed one is a miss for the keys it
+// carried, so a dead or partitioned peer costs a batch one timeout.
+func (f *Fleet) peerLookupFor(self *Node) eisvc.PeerLookup {
 	return func(ctx context.Context, keys []string) []eisvc.PeerAnswer {
+		epoch := f.epoch.Load()
 		answers := make([]eisvc.PeerAnswer, len(keys))
+		mayAsk := func(n *Node, fp uint32) bool {
+			sum := self.summaryOf(n, epoch)
+			_, held := slices.BinarySearch(sum, fp)
+			return n != self && n.reachable() && (sum == nil || held)
+		}
 		// A key's probe order is a function of its stack alone.
 		byStack := map[string][]*Node{}
 		order := make([][]*Node, len(keys))
-		rounds := 0
+		fps := make([]uint32, len(keys))
 		for i, key := range keys {
+			fps[i] = eisvc.Fingerprint(key)
+			if !slices.ContainsFunc(f.Nodes(), func(n *Node) bool { return mayAsk(n, fps[i]) }) {
+				answers[i].Skipped = true
+				continue
+			}
 			stack := eisvc.KeyStack(key)
 			targets, ok := byStack[stack]
 			if !ok {
-				targets = f.probeOrder(id, stack)
+				targets = f.ordered(f.OwnersOf(stack), 0, func(n *Node) bool { return n != self && n.reachable() })
 				byStack[stack] = targets
 			}
 			order[i] = targets
-			rounds = max(rounds, len(targets))
 		}
-		for r := 0; r < rounds; r++ {
+		for {
 			var targets []*Node
 			missing := map[*Node][]int{} // target -> indexes into keys
 			for i := range keys {
-				if answers[i].Found || r >= len(order[i]) {
+				for !answers[i].Found && len(order[i]) > 0 && !mayAsk(order[i][0], fps[i]) {
+					order[i] = order[i][1:]
+				}
+				if answers[i].Found || len(order[i]) == 0 {
 					continue
 				}
-				n := order[i][r]
+				n := order[i][0]
+				order[i] = order[i][1:]
 				if _, seen := missing[n]; !seen {
 					targets = append(targets, n)
 				}
 				missing[n] = append(missing[n], i)
 			}
+			if len(targets) == 0 {
+				return answers
+			}
 			for _, n := range targets {
-				f.probe(ctx, n, keys, missing[n], answers)
+				f.probe(ctx, self, n, epoch, keys, missing[n], answers)
 			}
 		}
-		return answers
 	}
 }
 
-// probeOrder lists the nodes node id asks about a key of stack, in order:
-// the stack's ring owners, then every other node by ID; itself and
-// unreachable nodes left out.
-func (f *Fleet) probeOrder(id, stack string) []*Node {
-	return f.ordered(f.OwnersOf(stack), 0, func(n *Node) bool { return n.ID != id && n.reachable() })
-}
-
-// probe asks node n for the keys at idx in one request and files what it
-// held under answers; any failure is a miss for all of them.
-func (f *Fleet) probe(ctx context.Context, n *Node, keys []string, idx []int, answers []eisvc.PeerAnswer) {
+// probe asks node n, for self, for the keys at idx in one request and
+// files what it held under answers; any failure is a miss for all of
+// them. Without n's summary from epoch, it asks for that too and keeps it.
+func (f *Fleet) probe(ctx context.Context, self, n *Node, epoch uint64, keys []string, idx []int, answers []eisvc.PeerAnswer) {
 	ask := make([]string, len(idx))
 	for j, i := range idx {
 		ask[j] = keys[i]
 	}
-	got, err := n.peer.CacheLookupCtx(ctx, ask) // bounded by the peer client's Timeout
+	got, sum, err := n.peer.CacheLookupCtx(ctx, ask, self.summaryOf(n, epoch) == nil) // bounded by the peer client's Timeout
 	if err != nil {
 		return
+	}
+	if sum != nil && f.epoch.Load() == epoch { // else a membership change came in between
+		self.sums.Store(n.ID, summary{epoch, sum})
 	}
 	for j, i := range idx {
 		if got[j].Found {
 			answers[i] = got[j]
 		}
 	}
+}
+
+// summary is a peer's memo summary (see eisvc.CacheLookupResponse) and
+// the epoch it was fetched in: 4 bytes per entry of the peer's memo.
+type summary struct {
+	epoch uint64
+	fps   []uint32
+}
+
+// summaryOf returns the summary n holds of peer if it is from epoch, else nil.
+func (n *Node) summaryOf(peer *Node, epoch uint64) []uint32 {
+	if v, ok := n.sums.Load(peer.ID); ok && v.(summary).epoch == epoch {
+		return v.(summary).fps
+	}
+	return nil
 }

@@ -372,6 +372,8 @@ type FleetStats struct {
 	Nodes       int `json:"nodes"`
 	LiveNodes   int `json:"live_nodes"`
 	Replication int `json:"replication"`
+	// SummaryBytes is what the nodes hold of each other's memo summaries.
+	SummaryBytes int `json:"summary_bytes"`
 
 	RouterCounters
 
@@ -393,6 +395,10 @@ func (rt *Router) Stats(ctx context.Context) *FleetStats {
 		if n.Live() {
 			fs.LiveNodes++
 		}
+		n.sums.Range(func(_, v any) bool {
+			fs.SummaryBytes += 4 * len(v.(summary).fps)
+			return true
+		})
 		if !n.reachable() {
 			continue
 		}
