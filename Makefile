@@ -50,9 +50,9 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# The tests that have flaked before, repeated: the E12-E17 shape tests
-# (a stopwatch assertion creeping back in fails one run in a few, not
-# every run), the fleet package (probe ordering, kill and partition
+# The tests that have flaked before, repeated: E12-E17, six subtests of
+# TestExperiments (a stopwatch assertion creeping back in fails one run in
+# a few, not every run; E16 runs at its one, full size), the fleet package (probe ordering, kill and partition
 # traces, TestHopAllocs: the exact allocations of one warm hop, direct
 # and routed, and TestRoutedBatchAllocs: those of one routed 256-item
 # batch whose new keys every peer's summary rules out), and the eisvc
@@ -68,7 +68,7 @@ race:
 # and snapshot files are where process flakes live). A flake shows up
 # here as a red step, not as one red run in six.
 test-repeat:
-	$(GO) test -count=10 -run 'TestE1[2-7]' ./internal/experiments
+	$(GO) test -count=10 -run 'TestExperiments/^E1[2-7]$$' ./internal/experiments
 	$(GO) test -count=5 ./internal/fleet
 	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestBatchArgsDecodeOnce|TestBatchRetainsOnlyColdKeys|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged|TestBatchDoesNotShedItself|TestClientContextError' ./internal/eisvc
 	$(GO) test -count=5 ./internal/cache

@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	ebench -all                 run every experiment, print all tables
+//	ebench -all                 run every experiment, one after another, print all tables
 //	ebench -experiment t1       run one experiment (t1, f1, f2, e1..e14, e16..e19, a1..a3)
 //	ebench -experiment e5 -v    verbose: include experiment artifacts
-//	ebench -all -csv            emit CSV instead of aligned tables
+//	ebench -experiment t1 -md   emit Markdown, the form EXPERIMENTS.md and README.md hold
 package main
 
 import (
@@ -23,41 +23,40 @@ import (
 func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	one := flag.String("experiment", "", "run one experiment: t1,f1,f2,e1..e14,e16..e19,a1..a3")
-	csv := flag.Bool("csv", false, "emit CSV")
+	md := flag.Bool("md", false, "emit Markdown")
 	verbose := flag.Bool("v", false, "print experiment artifacts (e.g. extracted EIL)")
 	flag.Parse()
 
-	if err := run(os.Stdout, *all, *one, *csv, *verbose); err != nil {
+	if err := run(os.Stdout, *all, *one, *md, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "ebench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, all bool, one string, csv, verbose bool) error {
+// run prints the selected tables. -all runs the experiments one after
+// another, so every number it prints was measured with nothing else
+// running in the process.
+func run(w io.Writer, all bool, one string, md, verbose bool) error {
 	if !all && one == "" {
 		return fmt.Errorf("pass -all or -experiment <id>")
 	}
-	var tables []*experiments.Table
+	ids := []string{one}
 	if all {
-		ts, err := experiments.AllTables()
-		if err != nil {
-			return err
+		ids = ids[:0]
+		for _, e := range experiments.All {
+			ids = append(ids, e.ID)
 		}
-		tables = ts
-	} else {
-		t, err := runOne(w, one, verbose)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{t}
 	}
-	for i, t := range tables {
+	for i, id := range ids {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		var err error
-		if csv {
-			err = t.CSV(w)
+		t, err := runOne(w, id, verbose)
+		if err != nil {
+			return err
+		}
+		if md {
+			err = t.Markdown(w)
 		} else {
 			err = t.Fprint(w)
 		}
@@ -75,7 +74,7 @@ func runOne(w io.Writer, id string, verbose bool) (*experiments.Table, error) {
 		}
 		r, err := e.Run()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if verbose {
 			printArtifacts(w, r)

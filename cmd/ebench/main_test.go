@@ -23,8 +23,12 @@ func TestRunLightExperiments(t *testing.T) {
 	if err := run(io.Discard, false, "a2", false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(io.Discard, false, "a2", true, false); err != nil {
+	var md bytes.Buffer
+	if err := run(&md, false, "a2", true, false); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.HasPrefix(md.String(), "**A2: ") || !strings.Contains(md.String(), "\n|---|") {
+		t.Errorf("-md output is not a Markdown table:\n%s", md.String())
 	}
 	if err := run(io.Discard, false, "e1", false, false); err != nil {
 		t.Fatal(err)

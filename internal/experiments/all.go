@@ -1,7 +1,5 @@
 package experiments
 
-import "fmt"
-
 // Result is any experiment result: it renders itself as a table.
 type Result interface{ Table() *Table }
 
@@ -13,7 +11,7 @@ type Experiment struct {
 }
 
 // All is every experiment, in DESIGN.md §3 order. It is the one list
-// `cmd/ebench` dispatches on and AllTables runs.
+// `cmd/ebench` runs and the package's test checks, each entry once.
 var All = []Experiment{
 	{"T1", result(Table1)},
 	{"F1", result(Fig1WebService)},
@@ -32,7 +30,7 @@ var All = []Experiment{
 	{"E12", result(E12LayerCache)},
 	{"E13", result(E13Resilience)},
 	{"E14", result(E14Drift)},
-	{"E16", result(func() (*E16Result, error) { return E16Fleet(false) })},
+	{"E16", result(E16Fleet)},
 	{"E17", result(E17Wire)},
 	{"E18", result(E18SchedFleet)},
 	{"E19", result(E19Autoopt)},
@@ -50,24 +48,4 @@ func result[R Result](run func() (R, error)) func() (Result, error) {
 		}
 		return r, nil
 	}
-}
-
-// AllTables runs every experiment in All and returns their tables in All's
-// order. It is the backing of `cmd/ebench -all` and of EXPERIMENTS.md.
-// Experiments are independent (each builds its own seeded rigs), so they
-// run concurrently through forEachIndexed.
-func AllTables() ([]*Table, error) {
-	tables := make([]*Table, len(All))
-	err := forEachIndexed(len(All), func(i int) error {
-		r, err := All[i].Run()
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", All[i].ID, err)
-		}
-		tables[i] = r.Table()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tables, nil
 }

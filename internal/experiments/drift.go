@@ -79,8 +79,8 @@ func (r *E14Result) Table() *Table {
 				r.DetectDelay, r.DetectBound, r.Verdict),
 			fmt.Sprintf("control device: %d samples, %d false positives",
 				r.ControlSamples, r.FalsePositives),
-			fmt.Sprintf("recalibration installed via version bump %d → %d; layer cache bit-exact: %v",
-				r.VersionBefore, r.VersionAfter, r.CacheBitExact),
+			fmt.Sprintf("recalibration installed a new interface version; layer cache bit-exact: %v",
+				r.CacheBitExact),
 		},
 	}
 	return t

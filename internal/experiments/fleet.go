@@ -41,6 +41,12 @@ const (
 	e16ZipfS      = 1.1
 	e16BatchSize  = 1024
 	e16AttemptCap = 300 * time.Millisecond // per-attempt cap in the fault phase
+
+	e16Classes, e16Trace, e16Clients = 192, 576, 32 // scale-out trace
+	e16Service                       = 30 * time.Millisecond
+	e16Batches, e16Senders           = 977, 4 // 977*1024 = 1,000,448 batch items
+	// Fault phase: clients, requests per client, distinct request classes.
+	e16FaultClients, e16FaultPerClient, e16FaultDistinct = 6, 20, 12
 )
 
 // E16Result carries the four phases.
@@ -151,7 +157,7 @@ func e16StackFor(class int) string {
 // remaining requests. If reference is nil the answers are recorded into
 // record; otherwise each answer is compared bit-identically against it.
 // Returns elapsed seconds and the mismatch count.
-func e16RunTrace(base string, classes, total, clients int, reference, record []*energy.Dist) (float64, int, error) {
+func e16RunTrace(base string, reference, record []*energy.Dist) (float64, int, error) {
 	var (
 		mu         sync.Mutex
 		mismatches int
@@ -159,23 +165,23 @@ func e16RunTrace(base string, classes, total, clients int, reference, record []*
 		wg         sync.WaitGroup
 	)
 	start := time.Now()
-	for cl := 0; cl < clients; cl++ {
+	for cl := 0; cl < e16Clients; cl++ {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
 			c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
 			c.ID = fmt.Sprintf("scale-%d", cl)
 			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(3000+cl))),
-				e16ZipfS, 1, uint64(classes-1))
+				e16ZipfS, 1, uint64(e16Classes-1))
 			// Sweep this client's share of the cold classes first, then
 			// draw its share of the warm Zipf tail.
-			sweep := (classes - cl + clients - 1) / clients
-			tail := (total - classes) / clients
-			if cl < (total-classes)%clients {
+			sweep := (e16Classes - cl + e16Clients - 1) / e16Clients
+			tail := (e16Trace - e16Classes) / e16Clients
+			if cl < (e16Trace-e16Classes)%e16Clients {
 				tail++
 			}
 			for i := 0; i < sweep+tail; i++ {
-				k := cl + i*clients
+				k := cl + i*e16Clients
 				if i >= sweep {
 					k = int(zipf.Uint64())
 				}
@@ -222,29 +228,18 @@ func e16NodeStats(f *fleet.Fleet) (evals, peerHits uint64) {
 	return evals, peerHits
 }
 
-// E16Fleet runs the fleet experiment. short shrinks every phase; the
-// shape test runs that size, ebench and AllTables the full one.
-func E16Fleet(short bool) (*E16Result, error) {
-	classes, trace, clients := 192, 576, 32
-	service := 30 * time.Millisecond
-	batches, senders := 977, 4 // 977*1024 = 1,000,448 items
-	faultClients, faultPerClient, faultDistinct := 6, 20, 12
-	if short {
-		classes, trace, clients = 64, 192, 16
-		service = 12 * time.Millisecond
-		batches = 60 // 61,440 items
-		faultClients, faultPerClient, faultDistinct = 3, 10, 8
-	}
+// E16Fleet runs the fleet experiment.
+func E16Fleet() (*E16Result, error) {
 	res := &E16Result{
-		Nodes: e16Nodes, Classes: classes, TraceLen: trace, Clients: clients,
-		ServiceMs: float64(service) / float64(time.Millisecond),
+		Nodes: e16Nodes, Classes: e16Classes, TraceLen: e16Trace, Clients: e16Clients,
+		ServiceMs: float64(e16Service) / float64(time.Millisecond),
 	}
 
 	// Phase 1: single-node baseline, then the fleet, same trace. Every node
 	// starts cold, so this phase measures admission spread: after its first
 	// probe a node holds each peer's memo summary and sends no key a peer
 	// cannot hold (phases 2 and 3 measure the forwarding path itself).
-	reference := make([]*energy.Dist, classes)
+	reference := make([]*energy.Dist, e16Classes)
 	single, err := fleet.New(fleet.Config{
 		Nodes: 1, Replication: 1,
 		Node: eisvc.Config{Workers: 1},
@@ -252,7 +247,7 @@ func E16Fleet(short bool) (*E16Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e16Seed(single, service); err != nil {
+	if err := e16Seed(single, e16Service); err != nil {
 		single.Close()
 		return nil, err
 	}
@@ -261,7 +256,7 @@ func E16Fleet(short bool) (*E16Result, error) {
 		single.Close()
 		return nil, err
 	}
-	res.SingleSecs, _, err = e16RunTrace(base, classes, trace, clients, nil, reference)
+	res.SingleSecs, _, err = e16RunTrace(base, nil, reference)
 	stop()
 	single.Close()
 	if err != nil {
@@ -275,7 +270,7 @@ func E16Fleet(short bool) (*E16Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e16Seed(fl, service); err != nil {
+	if err := e16Seed(fl, e16Service); err != nil {
 		fl.Close()
 		return nil, err
 	}
@@ -284,7 +279,7 @@ func E16Fleet(short bool) (*E16Result, error) {
 		fl.Close()
 		return nil, err
 	}
-	res.FleetSecs, res.ScaleMismatches, err = e16RunTrace(base, classes, trace, clients, reference, nil)
+	res.FleetSecs, res.ScaleMismatches, err = e16RunTrace(base, reference, nil)
 	fs := rt.Stats(context.Background())
 	res.ScaleRouted = fs.Routed
 	for _, st := range fs.PerNode {
@@ -296,23 +291,23 @@ func E16Fleet(short bool) (*E16Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.SingleRPS = float64(trace) / res.SingleSecs
-	res.FleetRPS = float64(trace) / res.FleetSecs
+	res.SingleRPS = float64(e16Trace) / res.SingleSecs
+	res.FleetRPS = float64(e16Trace) / res.FleetSecs
 	res.Speedup = res.SingleSecs / res.FleetSecs
 
 	// Phases 2 and 3 share a fleet with instant (service=0) stacks: the
 	// batch trace is router/wire-bound, which is what it measures.
-	if err := res.batchAndRebalance(classes, batches, senders); err != nil {
+	if err := res.batchAndRebalance(); err != nil {
 		return nil, err
 	}
 
 	// Phase 4.
-	return res, res.faultPhase(faultClients, faultPerClient, faultDistinct)
+	return res, res.faultPhase()
 }
 
 // batchAndRebalance runs the warm million-item batch trace, then the
 // join+drain rebalance probe on the same (now warm) fleet.
-func (r *E16Result) batchAndRebalance(classes, batches, senders int) error {
+func (r *E16Result) batchAndRebalance() error {
 	fl, err := fleet.New(fleet.Config{Nodes: e16Nodes})
 	if err != nil {
 		return err
@@ -327,7 +322,7 @@ func (r *E16Result) batchAndRebalance(classes, batches, senders int) error {
 	}
 	defer stop()
 
-	r.BatchItems = batches * e16BatchSize
+	r.BatchItems = e16Batches * e16BatchSize
 	var (
 		mu       sync.Mutex
 		served   int // answered from memo, peer, dedup, or coalescing
@@ -335,16 +330,16 @@ func (r *E16Result) batchAndRebalance(classes, batches, senders int) error {
 		wg       sync.WaitGroup
 	)
 	start := time.Now()
-	for g := 0; g < senders; g++ {
+	for g := 0; g < e16Senders; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
 			c.ID = fmt.Sprintf("batch-%d", g)
 			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(7000+g))),
-				1.2, 1, uint64(classes-1))
-			share := batches / senders
-			if g < batches%senders {
+				1.2, 1, uint64(e16Classes-1))
+			share := e16Batches / e16Senders
+			if g < e16Batches%e16Senders {
 				share++
 			}
 			reqs := make([]eisvc.EvalRequest, e16BatchSize)
@@ -403,11 +398,11 @@ func (r *E16Result) batchAndRebalance(classes, batches, senders int) error {
 	// Phase 3: warm the full working set through single evals, shift the
 	// ring (join + drain a replica owner), and re-ask everything. Every
 	// answer must come from a warm cache somewhere: zero re-evaluations.
-	r.RebalanceClasses = classes
+	r.RebalanceClasses = e16Classes
 	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
 	c.ID = "rebalance"
-	ref := make([]energy.Dist, classes)
-	for k := 0; k < classes; k++ {
+	ref := make([]energy.Dist, e16Classes)
+	for k := 0; k < e16Classes; k++ {
 		d, _, err := c.EvalCtx(context.Background(), e16StackFor(k), "infer",
 			[]core.Value{core.Num(float64(k))}, core.Expected())
 		if err != nil {
@@ -426,7 +421,7 @@ func (r *E16Result) batchAndRebalance(classes, batches, senders int) error {
 	r.Drained = victim
 
 	evalsBefore, peerBefore := e16NodeStats(fl)
-	for k := 0; k < classes; k++ {
+	for k := 0; k < e16Classes; k++ {
 		d, _, err := c.EvalCtx(context.Background(), e16StackFor(k), "infer",
 			[]core.Value{core.Num(float64(k))}, core.Expected())
 		if err != nil {
@@ -458,15 +453,15 @@ func e16Retry(seed int64) *eisvc.RetryPolicy {
 // killed outright at one third of the trace, the second partitioned at
 // two thirds. Router failover plus client retries must deliver every
 // request, bit-identical to a fault-free standalone reference.
-func (r *E16Result) faultPhase(clients, perClient, distinct int) error {
+func (r *E16Result) faultPhase() error {
 	// Fault-free reference answers from a standalone daemon.
 	_, refBase, refShutdown, err := fig1Daemon(eisvc.Config{})
 	if err != nil {
 		return err
 	}
 	refClient := eisvc.NewClient(refBase)
-	reference := make([]energy.Dist, distinct)
-	for k := 0; k < distinct; k++ {
+	reference := make([]energy.Dist, e16FaultDistinct)
+	for k := 0; k < e16FaultDistinct; k++ {
 		d, _, err := refClient.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
 			core.MonteCarlo(e13Samples, e13Seed))
 		if err != nil {
@@ -503,7 +498,7 @@ func (r *E16Result) faultPhase(clients, perClient, distinct int) error {
 	defer stop()
 
 	owners := fl.OwnersOf("ml_webservice")
-	total := clients * perClient
+	total := e16FaultClients * e16FaultPerClient
 	var (
 		started  atomic.Int64
 		killOnce sync.Once
@@ -512,7 +507,7 @@ func (r *E16Result) faultPhase(clients, perClient, distinct int) error {
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	for cl := 0; cl < clients; cl++ {
+	for cl := 0; cl < e16FaultClients; cl++ {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
@@ -521,8 +516,8 @@ func (r *E16Result) faultPhase(clients, perClient, distinct int) error {
 			c.Timeout = e16AttemptCap
 			c.Retry = e16Retry(int64(600 + cl))
 			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(4000+cl))),
-				e13ZipfS, 1, uint64(distinct-1))
-			for i := 0; i < perClient; i++ {
+				e13ZipfS, 1, uint64(e16FaultDistinct-1))
+			for i := 0; i < e16FaultPerClient; i++ {
 				switch n := started.Add(1); {
 				case n == int64(total/3):
 					killOnce.Do(func() {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a printable experiment result.
@@ -21,84 +22,79 @@ type Table struct {
 	Notes  []string
 }
 
-// Fprint renders the table as aligned text.
+// Fprint renders the table as aligned text. Widths count runes, so a
+// column holding "µs" or "⊑" lines up with its ASCII neighbours.
 func (t *Table) Fprint(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {
-		return err
-	}
+	width := utf8.RuneCountInString
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = width(h)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) && width(cell) > widths[i] {
+				widths[i] = width(cell)
 			}
 		}
 	}
-	line := func(cells []string) string {
-		var b strings.Builder
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
+	line := func(cells []string) {
+		var l strings.Builder
 		for i, c := range cells {
 			if i > 0 {
-				b.WriteString("  ")
+				l.WriteString("  ")
 			}
-			b.WriteString(c)
+			l.WriteString(c)
 			if i < len(widths) {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+				l.WriteString(strings.Repeat(" ", widths[i]-width(c)))
 			}
 		}
-		return strings.TrimRight(b.String(), " ")
+		b.WriteString(strings.TrimRight(l.String(), " ") + "\n")
 	}
-	if _, err := fmt.Fprintln(w, line(t.Header)); err != nil {
-		return err
-	}
+	line(t.Header)
 	total := 0
 	for _, wd := range widths {
 		total += wd + 2
 	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", total-2)); err != nil {
-		return err
-	}
+	b.WriteString(strings.Repeat("-", total-2) + "\n")
 	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, line(row)); err != nil {
-			return err
-		}
+		line(row)
 	}
 	for _, n := range t.Notes {
-		if _, err := fmt.Fprintf(w, "note: %s\n", n); err != nil {
-			return err
-		}
+		b.WriteString("note: " + n + "\n")
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
-// CSV renders the table as comma-separated values (cells containing commas
-// or quotes are quoted).
-func (t *Table) CSV(w io.Writer) error {
-	quote := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+// Markdown renders the table as GitHub Markdown: the ID and title in bold,
+// the rows as a pipe table ("|" in a cell escaped), and one list item per
+// note. EXPERIMENTS.md and README.md hold this text verbatim between
+// <!-- ebench:ID --> and <!-- /ebench --> markers, and the experiments'
+// test compares it byte for byte.
+func (t *Table) Markdown(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "**%s: %s**\n\n", t.ID, t.Title)
+	row := func(cells []string) {
+		for _, c := range cells {
+			b.WriteString("| " + strings.ReplaceAll(c, "|", `\|`) + " ")
 		}
-		return s
+		b.WriteString("|\n")
 	}
-	writeRow := func(cells []string) error {
-		out := make([]string, len(cells))
-		for i, c := range cells {
-			out[i] = quote(c)
-		}
-		_, err := fmt.Fprintln(w, strings.Join(out, ","))
-		return err
+	row(t.Header)
+	b.WriteString(strings.Repeat("|---", len(t.Header)) + "|\n")
+	for _, r := range t.Rows {
+		row(r)
 	}
-	if err := writeRow(t.Header); err != nil {
-		return err
+	if len(t.Notes) > 0 {
+		b.WriteString("\n")
 	}
-	for _, row := range t.Rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
+	for _, n := range t.Notes {
+		b.WriteString("- " + n + "\n")
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 func pct(x float64) string { return fmt.Sprintf("%.2f%%", 100*x) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestTableFprintAlignment(t *testing.T) {
@@ -11,7 +12,7 @@ func TestTableFprintAlignment(t *testing.T) {
 		ID:     "X1",
 		Title:  "test table",
 		Header: []string{"col", "value"},
-		Rows:   [][]string{{"a", "1"}, {"longer-cell", "2"}},
+		Rows:   [][]string{{"a", "1"}, {"longer-cell", "2"}, {"µs ⊑ 1.3×", "3"}},
 		Notes:  []string{"a note"},
 	}
 	var buf bytes.Buffer
@@ -23,34 +24,97 @@ func TestTableFprintAlignment(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "== X1: test table ==") {
 		t.Fatalf("title line %q", lines[0])
 	}
-	// Columns must align: "value" entries start at the same offset.
-	idx1 := strings.Index(lines[3], "1")
-	idx2 := strings.Index(lines[4], "2")
-	if idx1 != idx2 {
-		t.Fatalf("columns misaligned: %d vs %d\n%s", idx1, idx2, out)
+	// Columns must align on screen: the "value" entries start at the same
+	// rune offset, the multibyte row's included.
+	col := func(line, cell string) int {
+		return utf8.RuneCountInString(line[:strings.LastIndex(line, cell)])
+	}
+	if c1, c2, c3 := col(lines[3], "1"), col(lines[4], "2"), col(lines[5], "3"); c1 != c2 || c2 != c3 {
+		t.Fatalf("columns misaligned: %d, %d, %d\n%s", c1, c2, c3, out)
 	}
 	if !strings.Contains(out, "note: a note") {
 		t.Fatalf("note missing:\n%s", out)
 	}
 }
 
-func TestTableCSVQuoting(t *testing.T) {
+func TestTableMarkdown(t *testing.T) {
 	tab := &Table{
-		Header: []string{"plain", "with,comma", `with"quote`},
-		Rows:   [][]string{{"a", "b,c", `d"e`}, {"multi\nline", "x", "y"}},
+		ID:     "X1",
+		Title:  "test table",
+		Header: []string{"local cache", "P(local|hit)"},
+		Rows:   [][]string{{"16", "0.594"}, {"a|b", ""}},
+		Notes:  []string{"first note", "second note"},
 	}
 	var buf bytes.Buffer
-	if err := tab.CSV(&buf); err != nil {
+	if err := tab.Markdown(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{`"with,comma"`, `"with""quote"`, `"b,c"`, `"d""e"`, "\"multi\nline\""} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("CSV missing %q:\n%s", want, out)
+	want := `**X1: test table**
+
+| local cache | P(local\|hit) |
+|---|---|
+| 16 | 0.594 |
+| a\|b |  |
+
+- first note
+- second note
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("Markdown:\n%s\nwant:\n%s", got, want)
+	}
+	for i, line := range strings.Split(want, "\n") {
+		if strings.TrimRight(line, " ") != line {
+			t.Errorf("line %d has trailing spaces: %q", i+1, line)
 		}
 	}
-	if strings.Contains(out, `"plain"`) {
-		t.Fatal("plain cell needlessly quoted")
+}
+
+// TestDocBlocks: a block that matches its table passes; editing one cell
+// fails and names the experiment, row and column; a block for an unknown
+// ID and an unterminated block fail to parse.
+func TestDocBlocks(t *testing.T) {
+	tab := &Table{
+		ID:     "T1",
+		Title:  "test table",
+		Header: []string{"GPU", "Average error", "Max error"},
+		Rows:   [][]string{{"RTX4090", "0.76%", "0.79%"}, {"RTX3070", "5.85%", "6.24%"}},
+		Notes:  []string{"a note"},
+	}
+	var md bytes.Buffer
+	if err := tab.Markdown(&md); err != nil {
+		t.Fatal(err)
+	}
+	doc := "# Results\n\nprose\n<!-- ebench:T1 -->\n" + md.String() + "<!-- /ebench -->\nmore prose\n"
+	bs, err := parseBlocks("DOC.md", doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bs) != 1 || bs[0].id != "T1" || bs[0].at != "DOC.md:4" {
+		t.Fatalf("blocks = %+v", bs)
+	}
+	if msg := blockDiff(tab, bs[0].text); msg != "" {
+		t.Fatalf("unedited block differs: %s", msg)
+	}
+
+	edited, err := parseBlocks("DOC.md", strings.Replace(doc, "| 6.24% |", "| 6.25% |", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := blockDiff(tab, edited[0].text)
+	for _, want := range []string{"T1", "row 2 (RTX3070)", `column "Max error"`, `"6.25%"`, `"6.24%"`} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("edited cell reported as %q, want it to name %s", msg, want)
+		}
+	}
+
+	for _, bad := range []string{
+		"<!-- ebench:Z9 -->\n" + md.String() + "<!-- /ebench -->\n",
+		"<!-- ebench:T1 -->\n" + md.String(),
+		md.String() + "<!-- /ebench -->\n",
+	} {
+		if _, err := parseBlocks("DOC.md", bad); err == nil {
+			t.Errorf("malformed doc accepted:\n%s", bad)
+		}
 	}
 }
 
