@@ -50,9 +50,13 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# The tests that have flaked before, repeated: E12-E17, six subtests of
+# The tests that have flaked before, repeated: E11-E17, six subtests of
 # TestExperiments (a stopwatch assertion creeping back in fails one run in
-# a few, not every run; E16 runs at its one, full size), the fleet package (probe ordering, kill and partition
+# a few, not every run; E16 runs at its one, full size), E11, E12, E13
+# and E17 three times more at GOMAXPROCS=1, where a count that races the
+# host fails (E11's overload burst did, until it was held at a gate; E16
+# takes 29 s at one CPU and is left out), the fleet package (probe
+# ordering, kill and partition
 # traces, TestHopAllocs: the exact allocations of one warm hop, direct
 # and routed, and TestRoutedBatchAllocs: those of one routed 256-item
 # batch whose new keys every peer's summary rules out), and the eisvc
@@ -68,7 +72,8 @@ race:
 # and snapshot files are where process flakes live). A flake shows up
 # here as a red step, not as one red run in six.
 test-repeat:
-	$(GO) test -count=10 -run 'TestExperiments/^E1[2-7]$$' ./internal/experiments
+	$(GO) test -count=10 -run 'TestExperiments/^E1[1-7]$$' ./internal/experiments
+	GOMAXPROCS=1 $(GO) test -count=3 -run 'TestExperiments/^(E11|E12|E13|E17)$$' ./internal/experiments
 	$(GO) test -count=5 ./internal/fleet
 	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestBatchArgsDecodeOnce|TestBatchRetainsOnlyColdKeys|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged|TestBatchDoesNotShedItself|TestClientContextError' ./internal/eisvc
 	$(GO) test -count=5 ./internal/cache

@@ -72,12 +72,7 @@ func e19Options(parallelism int) core.EvalOptions {
 
 // E19Autoopt runs the sweep against a live fleet router.
 func E19Autoopt() (*E19Result, error) {
-	fl, err := fleet.New(fleet.Config{Nodes: e19FleetNodes})
-	if err != nil {
-		return nil, err
-	}
-	defer fl.Close()
-	_, base, stop, err := fl.StartRouter("")
+	_, _, base, stop, err := startFleet(fleet.Config{Nodes: e19FleetNodes}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/eisvc"
+	"energyclarity/internal/energy"
 	"energyclarity/internal/microbench"
 	"energyclarity/internal/mlservice"
 	"energyclarity/internal/nn"
@@ -84,16 +83,21 @@ func (r *E11Result) Table() *Table {
 
 // fig1Daemon starts an eisvc daemon on a loopback port with the calibrated
 // Fig. 1 cnn_forward seeded and the paper-verbatim mlservice source
-// registered over the wire. It returns the server handle too, for E13's
-// drain probe. Callers must call the returned shutdown func.
-func fig1Daemon(cfg eisvc.Config) (srv *eisvc.Server, base string, shutdown func(), err error) {
-	rig, err := microbench.Rig4090()
+// registered over the wire. A non-nil gate holds every cnn_forward body
+// until it is closed. It returns the server handle too, for E13's drain
+// probe. Callers must call the returned shutdown func.
+func fig1Daemon(cfg eisvc.Config, gate chan struct{}) (srv *eisvc.Server, base string, shutdown func(), err error) {
+	cnn, err := fig1CNN()
 	if err != nil {
 		return nil, "", nil, err
 	}
-	cnn, err := nn.CNNEnergyInterface(nn.Fig1CNN(), rig.Spec, rig.Coef.HardwareInterface())
-	if err != nil {
-		return nil, "", nil, err
+	if gate != nil {
+		cnn = core.New("cnn_forward").MustBind("cnn", cnn).MustMethod(core.Method{
+			Name: "forward", Params: []string{"pixels", "zeros"},
+			Body: func(c *core.Call) energy.Joules {
+				<-gate
+				return c.E("cnn", "forward", core.Num(c.Num(0)), core.Num(c.Num(1)))
+			}})
 	}
 	srv = eisvc.NewServer(cfg)
 	if _, err := srv.Registry().RegisterInterface("cnn_forward", cnn); err != nil {
@@ -110,6 +114,16 @@ func fig1Daemon(cfg eisvc.Config) (srv *eisvc.Server, base string, shutdown func
 	return srv, base, shutdown, nil
 }
 
+// fig1CNN is the Fig. 1 cnn_forward on the calibrated RTX 4090: the
+// native interface the mlservice source uses, for a daemon or a fleet.
+func fig1CNN() (*core.Interface, error) {
+	rig, err := microbench.Rig4090()
+	if err != nil {
+		return nil, err
+	}
+	return nn.CNNEnergyInterface(nn.Fig1CNN(), rig.Spec, rig.Coef.HardwareInterface())
+}
+
 // e11Request builds request class k: the Fig. 1 record shape with a
 // class-dependent activation sparsity.
 func e11Request(k int) []core.Value {
@@ -120,134 +134,91 @@ func e11Request(k int) []core.Value {
 	})}
 }
 
+// handleAsk asks ml_webservice.handle for request class offset+k.
+func handleAsk(offset int, opts core.EvalOptions) func(context.Context, *eisvc.Client, int) (energy.Dist, *eisvc.EvalResponse, error) {
+	return func(ctx context.Context, c *eisvc.Client, k int) (energy.Dist, *eisvc.EvalResponse, error) {
+		return c.EvalCtx(ctx, "ml_webservice", "handle", e11Request(offset+k), opts)
+	}
+}
+
+// isShed reports a 429 or 503 load-shedding answer.
+func isShed(err error) bool {
+	var apiErr *eisvc.APIError
+	return errors.As(err, &apiErr) && apiErr.Shed()
+}
+
 // E11DaemonServing runs the Zipf serving trace and the overload burst.
 func E11DaemonServing() (*E11Result, error) {
-	res := &E11Result{}
-
 	// Phase 1: Zipf trace against a full-size daemon.
-	_, base, shutdown, err := fig1Daemon(eisvc.Config{})
-	if err != nil {
-		return nil, err
-	}
-	var (
-		mu            sync.Mutex
-		coldMs, hitMs float64
-		coldN, hitN   uint64
-		firstErr      error
-		wg            sync.WaitGroup
-	)
-	for cl := 0; cl < e11Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			c := eisvc.NewClient(base)
-			c.ID = fmt.Sprintf("client-%d", cl)
-			// Per-client deterministic trace over the shared class set.
-			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(1000+cl))),
-				e11ZipfS, 1, e11Distinct-1)
-			for i := 0; i < e11PerClient; i++ {
-				args := e11Request(int(zipf.Uint64()))
-				start := time.Now()
-				_, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args,
-					core.MonteCarlo(e11Samples, e11Seed))
-				ms := float64(time.Since(start)) / float64(time.Millisecond)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if err == nil {
-					if resp.Cached {
-						hitMs += ms
-						hitN++
-					} else {
-						coldMs += ms
-						coldN++
-					}
-				}
-				mu.Unlock()
-				if err != nil {
-					return
-				}
-			}
-		}(cl)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		shutdown()
-		return nil, firstErr
-	}
-	st, err := eisvc.NewClient(base).StatsCtx(context.Background())
-	shutdown()
-	if err != nil {
-		return nil, err
-	}
-	res.Requests = st.EvalRequests
-	res.MemoHits = st.MemoHits
-	res.Evaluations = st.Evaluations
-	res.HitRate = st.MemoHitRate
-	res.AttribJ = st.AttribJ
-	res.ClientsSeen = len(st.Clients)
-	if coldN > 0 {
-		res.ColdMeanMs = coldMs / float64(coldN)
-	}
-	if hitN > 0 {
-		res.HitMeanMs = hitMs / float64(hitN)
-	}
-
-	// Phase 2: distinct-request burst against a deliberately tiny daemon.
-	// Every request is a fresh class, so the memo cannot help, and the
-	// layer cache is disabled so every evaluation pays full cost (this
-	// phase demonstrates admission control, not caching — E12 covers
-	// that); with one worker and a queue of two, admission control must
-	// shed the rest.
-	_, base, shutdown, err = fig1Daemon(eisvc.Config{Workers: 1, QueueLimit: 2, NoLayerCache: true})
+	_, base, shutdown, err := fig1Daemon(eisvc.Config{}, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer shutdown()
-	var (
-		served int
-		start  = make(chan struct{})
-		bwg    sync.WaitGroup
-	)
-	firstErr = nil
-	for i := 0; i < e11BurstN; i++ {
-		bwg.Add(1)
-		go func(i int) {
-			defer bwg.Done()
+	tr, err := runTrace(traceSpec{
+		clients: e11Clients, classes: e11Distinct, n: e11PerClient, s: e11ZipfS, seed: 1000,
+		client: func(cl int) *eisvc.Client {
+			c := eisvc.NewClient(base)
+			c.ID = fmt.Sprintf("client-%d", cl)
+			return c
+		},
+		ask: handleAsk(0, core.MonteCarlo(e11Samples, e11Seed)),
+	})
+	if err != nil {
+		return nil, err
+	}
+	st, err := eisvc.NewClient(base).StatsCtx(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	res := &E11Result{
+		Requests: st.EvalRequests, MemoHits: st.MemoHits, Evaluations: st.Evaluations,
+		HitRate: st.MemoHitRate, AttribJ: st.AttribJ, ClientsSeen: len(st.Clients),
+		ColdMeanMs: meanOf(tr.coldMs), HitMeanMs: meanOf(tr.hitMs),
+	}
+
+	// Phase 2: distinct-request burst against a deliberately tiny daemon
+	// (one worker, a queue of two). Every request is a fresh class, so the
+	// memo cannot help. The one admitted evaluation is held at a gate
+	// until the other fifteen are shed: two wait out their deadline in the
+	// queue (503), the rest find it full (429). The counts are exact, not
+	// a race against how fast the host drains the queue.
+	gate := make(chan struct{})
+	_, base, shutdown, err = fig1Daemon(eisvc.Config{Workers: 1, QueueLimit: 2, NoLayerCache: true}, gate)
+	if err != nil {
+		return nil, err
+	}
+	defer shutdown()
+	go func() { // ends once the gate opens, or once the daemon is gone
+		defer close(gate)
+		sc := eisvc.NewClient(base)
+		for end := time.Now().Add(time.Minute); time.Now().Before(end); time.Sleep(time.Millisecond) {
+			st, err := sc.StatsCtx(context.Background())
+			if err != nil || st.ShedQueueFull+st.ShedDeadline == e11BurstN-1 {
+				return
+			}
+		}
+	}()
+	tr, err = runTrace(traceSpec{
+		clients: e11BurstN, classes: e11BurstN, sweep: true,
+		client: func(i int) *eisvc.Client {
 			c := eisvc.NewClient(base)
 			c.ID = fmt.Sprintf("burst-%d", i)
 			c.Deadline = e11BurstWait
-			<-start
-			// Classes beyond the phase-1 set, all distinct: guaranteed cold.
-			_, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle",
-				e11Request(e11Distinct+i), core.MonteCarlo(2*e11Samples, e11Seed))
-			mu.Lock()
-			defer mu.Unlock()
-			if err == nil {
-				served++
-				return
-			}
-			var apiErr *eisvc.APIError
-			if !errors.As(err, &apiErr) || !apiErr.Shed() {
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-		}(i)
-	}
-	close(start)
-	bwg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			return c
+		},
+		// Classes beyond the phase-1 set, all distinct: guaranteed cold.
+		ask:      handleAsk(e11Distinct, core.MonteCarlo(2*e11Samples, e11Seed)),
+		tolerate: isShed,
+	})
+	if err != nil {
+		return nil, err
 	}
 	st, err = eisvc.NewClient(base).StatsCtx(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	res.Offered = e11BurstN
-	res.Served = served
-	res.ShedQueueFull = st.ShedQueueFull
-	res.ShedDeadline = st.ShedDeadline
+	res.Offered, res.Served = tr.offered, tr.succeeded
+	res.ShedQueueFull, res.ShedDeadline = st.ShedQueueFull, st.ShedDeadline
 	return res, nil
 }

@@ -398,12 +398,13 @@ var checks = map[string]func(*testing.T, Result){
 			t.Errorf("attributed joules %v, want > 0", res.AttribJ)
 		}
 		// Overload burst: a one-worker daemon must serve some and shed the rest
-		// rather than queue without bound.
-		if res.Served == 0 {
-			t.Error("overload burst: nothing served")
-		}
-		if res.Shed() == 0 {
-			t.Error("overload burst: nothing shed")
+		// rather than queue without bound. Counted: the admitted evaluation is
+		// held until every other request is shed, so it alone is served, the
+		// two it queues wait out their deadline (503) and the rest find the
+		// queue full (429).
+		if res.Offered != e11BurstN || res.Served != 1 || res.ShedDeadline != 2 || res.ShedQueueFull != e11BurstN-3 {
+			t.Errorf("overload burst of %d: %d served, %d shed with 429, %d with 503; want %d: 1, %d, 2",
+				res.Offered, res.Served, res.ShedQueueFull, res.ShedDeadline, e11BurstN, e11BurstN-3)
 		}
 		if got := res.Served + int(res.Shed()); got != res.Offered {
 			t.Errorf("served %d + shed %d != offered %d", res.Served, res.Shed(), res.Offered)
@@ -465,14 +466,9 @@ var checks = map[string]func(*testing.T, Result){
 		if res.SrvRetried == 0 {
 			t.Error("server saw no retried requests (X-Eisvc-Attempt aggregation)")
 		}
-		// Cancellation probe: the follow-up got the single worker far sooner
-		// than the heavy evaluation would have held it.
-		if !res.ProbeOK {
-			t.Error("cancellation probe did not complete")
-		}
-		// In method bodies (the table prints the milliseconds): uncancelled, the
-		// evaluation runs one body per sample; cancelled during its first body
-		// at parallelism 1, it runs that one and starts no other.
+		// Cancellation probe, in method bodies: uncancelled, the evaluation
+		// runs one body per sample; cancelled during its first body at
+		// parallelism 1, it runs that one and starts no other.
 		if res.HeavyBodies != e13Samples || res.CancelledBodies != 1 {
 			t.Errorf("cancelled evaluation ran %d bodies (want 1) of the %d it runs uncancelled (want %d)",
 				res.CancelledBodies, res.HeavyBodies, e13Samples)

@@ -5,16 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/eisvc"
 	"energyclarity/internal/energy"
 	"energyclarity/internal/fleet"
-	"energyclarity/internal/microbench"
 	"energyclarity/internal/mlservice"
-	"energyclarity/internal/nn"
 )
 
 // E16 is the fleet experiment: the single daemon of E11-E13 scaled out to
@@ -42,9 +39,9 @@ const (
 	e16BatchSize  = 1024
 	e16AttemptCap = 300 * time.Millisecond // per-attempt cap in the fault phase
 
-	e16Classes, e16Trace, e16Clients = 192, 576, 32 // scale-out trace
-	e16Service                       = 30 * time.Millisecond
-	e16Batches, e16Senders           = 977, 4 // 977*1024 = 1,000,448 batch items
+	e16Classes, e16Clients, e16Tail = 192, 32, 12 // scale-out trace: a cold sweep, then 12 Zipf draws per client
+	e16Service                      = 30 * time.Millisecond
+	e16Batches, e16Senders          = 977, 4 // 977*1024 = 1,000,448 batch items
 	// Fault phase: clients, requests per client, distinct request classes.
 	e16FaultClients, e16FaultPerClient, e16FaultDistinct = 6, 20, 12
 )
@@ -77,7 +74,6 @@ type E16Result struct {
 	RebalanceEvalDelta  uint64 // re-evaluations caused by re-homing (want 0)
 	RebalancePeerHits   uint64 // shards re-homed from peers' warm caches
 	RebalanceMismatches int
-	Drained             string
 
 	// Phase 4: kill + partition under load.
 	FaultOffered, FaultSucceeded, FaultFailed int
@@ -120,118 +116,108 @@ func (r *E16Result) Table() *Table {
 	return t
 }
 
-// e16Stack builds one shardable interface stack: a zero-ECV method whose
-// body holds the worker slot for service (modeling the evaluation cost of
-// a real stack) and returns a class-deterministic energy.
-func e16Stack(i int, service time.Duration) *core.Interface {
-	return core.New(fmt.Sprintf("scale_stage_%02d", i)).MustMethod(core.Method{
-		Name:   "infer",
-		Params: []string{"class"},
-		Doc:    "class-deterministic energy after a modeled service time",
-		Body: func(c *core.Call) energy.Joules {
-			if service > 0 {
-				time.Sleep(service)
+// e16Seed seeds a fleet with the shardable interface stacks: each a
+// zero-ECV method whose body holds the worker slot for service (modeling
+// the evaluation cost of a real stack) and returns a class-deterministic
+// energy.
+func e16Seed(service time.Duration) func(*fleet.Fleet) error {
+	return func(f *fleet.Fleet) error {
+		for i := 0; i < e16Stacks; i++ {
+			iface := core.New(e16StackFor(i)).MustMethod(core.Method{
+				Name:   "infer",
+				Params: []string{"class"},
+				Doc:    "class-deterministic energy after a modeled service time",
+				Body: func(c *core.Call) energy.Joules {
+					if service > 0 {
+						time.Sleep(service)
+					}
+					return energy.Joules(1 + 0.01*float64(i) + 0.001*c.Num(0))
+				},
+			})
+			if err := f.SeedInterface(iface.Name(), iface); err != nil {
+				return fmt.Errorf("seed %s: %w", iface.Name(), err)
 			}
-			return energy.Joules(1 + 0.01*float64(i) + 0.001*c.Num(0))
-		},
-	})
-}
-
-// e16Seed registers the stacks on the fleet's primary and replicates.
-func e16Seed(f *fleet.Fleet, service time.Duration) error {
-	for i := 0; i < e16Stacks; i++ {
-		iface := e16Stack(i, service)
-		if err := f.SeedInterface(iface.Name(), iface); err != nil {
-			return fmt.Errorf("seed %s: %w", iface.Name(), err)
 		}
+		return nil
 	}
-	return nil
 }
 
 func e16StackFor(class int) string {
 	return fmt.Sprintf("scale_stage_%02d", class%e16Stacks)
 }
 
-// e16RunTrace drives the scale-out trace: every class is swept cold once
-// (spread round-robin over the clients), then a warm Zipf tail fills the
-// remaining requests. If reference is nil the answers are recorded into
-// record; otherwise each answer is compared bit-identically against it.
-// Returns elapsed seconds and the mismatch count.
-func e16RunTrace(base string, reference, record []*energy.Dist) (float64, int, error) {
-	var (
-		mu         sync.Mutex
-		mismatches int
-		firstErr   error
-		wg         sync.WaitGroup
-	)
-	start := time.Now()
-	for cl := 0; cl < e16Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-			c.ID = fmt.Sprintf("scale-%d", cl)
-			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(3000+cl))),
-				e16ZipfS, 1, uint64(e16Classes-1))
-			// Sweep this client's share of the cold classes first, then
-			// draw its share of the warm Zipf tail.
-			sweep := (e16Classes - cl + e16Clients - 1) / e16Clients
-			tail := (e16Trace - e16Classes) / e16Clients
-			if cl < (e16Trace-e16Classes)%e16Clients {
-				tail++
-			}
-			for i := 0; i < sweep+tail; i++ {
-				k := cl + i*e16Clients
-				if i >= sweep {
-					k = int(zipf.Uint64())
-				}
-				d, _, err := c.EvalCtx(context.Background(), e16StackFor(k), "infer",
-					[]core.Value{core.Num(float64(k))}, core.Expected())
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("scale trace class %d: %w", k, err)
-					}
-					mu.Unlock()
-					return
-				}
-				if reference != nil {
-					if want := reference[k]; want != nil && !d.Equal(*want, 0) {
-						mismatches++
-					}
-				} else if record[k] == nil {
-					record[k] = &d
-				}
-				mu.Unlock()
-			}
-		}(cl)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, 0, firstErr
-	}
-	return time.Since(start).Seconds(), mismatches, nil
+// e16Ask asks class k of the scale-out stacks.
+func e16Ask(ctx context.Context, c *eisvc.Client, k int) (energy.Dist, *eisvc.EvalResponse, error) {
+	return c.EvalCtx(ctx, e16StackFor(k), "infer", []core.Value{core.Num(float64(k))}, core.Expected())
 }
 
-// e16NodeStats sums evaluations and peer hits over every reachable node,
-// asking each daemon directly (the router aggregate only covers live
-// nodes, and the rebalance phase wants the drained donor counted too).
-func e16NodeStats(f *fleet.Fleet) (evals, peerHits uint64) {
+// e16Client builds a fleet client named prefix-cl.
+func e16Client(base, prefix string) func(cl int) *eisvc.Client {
+	return func(cl int) *eisvc.Client {
+		c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+		c.ID = fmt.Sprintf("%s-%d", prefix, cl)
+		return c
+	}
+}
+
+// e16ScaleRun runs the scale-out trace on a fresh fleet of cfg: every
+// class swept cold once, round-robin over the clients, then a warm Zipf
+// tail. Answers are compared against ref when it is set. It returns the
+// router's stats after the trace too.
+func e16ScaleRun(cfg fleet.Config, ref []energy.Dist) (*tally, *fleet.FleetStats, error) {
+	_, rt, base, stop, err := startFleet(cfg, e16Seed(e16Service))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer stop()
+	tr, err := runTrace(traceSpec{
+		clients: e16Clients, classes: e16Classes, sweep: true, n: e16Tail, s: e16ZipfS, seed: 3000,
+		client: e16Client(base, "scale"), ask: e16Ask, ref: ref,
+	})
+	return tr, rt.Stats(context.Background()), err
+}
+
+// startFleet starts a fleet of cfg, seeds it (unless seed is nil) and
+// puts a router in front of it. stop stops the router and closes the
+// fleet.
+func startFleet(cfg fleet.Config, seed func(*fleet.Fleet) error) (fl *fleet.Fleet, rt *fleet.Router, base string, stop func(), err error) {
+	if fl, err = fleet.New(cfg); err != nil {
+		return nil, nil, "", nil, err
+	}
+	var stopRouter func()
+	if seed != nil {
+		err = seed(fl)
+	}
+	if err == nil {
+		rt, base, stopRouter, err = fl.StartRouter("")
+	}
+	if err != nil {
+		fl.Close()
+		return nil, nil, "", nil, err
+	}
+	return fl, rt, base, func() { stopRouter(); fl.Close() }, nil
+}
+
+// e16NodeStats sums evaluations and peer hits over every node, asking
+// each daemon directly (the router aggregate only covers live nodes, and
+// the rebalance phase wants the drained donor counted too). A node it
+// cannot read fails the sum: its evaluations would go uncounted.
+func e16NodeStats(f *fleet.Fleet) (evals, peerHits uint64, err error) {
 	for _, n := range f.Nodes() {
 		st, err := eisvc.NewClient(n.URL).StatsCtx(context.Background())
 		if err != nil {
-			continue
+			return 0, 0, fmt.Errorf("stats of %s: %w", n.ID, err)
 		}
 		evals += st.Evaluations
 		peerHits += st.PeerHits
 	}
-	return evals, peerHits
+	return evals, peerHits, nil
 }
 
 // E16Fleet runs the fleet experiment.
 func E16Fleet() (*E16Result, error) {
 	res := &E16Result{
-		Nodes: e16Nodes, Classes: e16Classes, TraceLen: e16Trace, Clients: e16Clients,
+		Nodes: e16Nodes, Classes: e16Classes, Clients: e16Clients,
 		ServiceMs: float64(e16Service) / float64(time.Millisecond),
 	}
 
@@ -239,60 +225,24 @@ func E16Fleet() (*E16Result, error) {
 	// starts cold, so this phase measures admission spread: after its first
 	// probe a node holds each peer's memo summary and sends no key a peer
 	// cannot hold (phases 2 and 3 measure the forwarding path itself).
-	reference := make([]*energy.Dist, e16Classes)
-	single, err := fleet.New(fleet.Config{
-		Nodes: 1, Replication: 1,
-		Node: eisvc.Config{Workers: 1},
-	})
+	single, _, err := e16ScaleRun(fleet.Config{Nodes: 1, Replication: 1, Node: eisvc.Config{Workers: 1}}, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := e16Seed(single, e16Service); err != nil {
-		single.Close()
-		return nil, err
-	}
-	_, base, stop, err := single.StartRouter("")
-	if err != nil {
-		single.Close()
-		return nil, err
-	}
-	res.SingleSecs, _, err = e16RunTrace(base, nil, reference)
-	stop()
-	single.Close()
+	tr, fs, err := e16ScaleRun(fleet.Config{Nodes: e16Nodes, Replication: 3, VirtualNodes: 256, Node: eisvc.Config{Workers: 1}},
+		single.first)
 	if err != nil {
 		return nil, err
 	}
-
-	fl, err := fleet.New(fleet.Config{
-		Nodes: e16Nodes, Replication: 3, VirtualNodes: 256,
-		Node: eisvc.Config{Workers: 1},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := e16Seed(fl, e16Service); err != nil {
-		fl.Close()
-		return nil, err
-	}
-	rt, base, stop, err := fl.StartRouter("")
-	if err != nil {
-		fl.Close()
-		return nil, err
-	}
-	res.FleetSecs, res.ScaleMismatches, err = e16RunTrace(base, reference, nil)
-	fs := rt.Stats(context.Background())
 	res.ScaleRouted = fs.Routed
 	for _, st := range fs.PerNode {
 		res.ScaleEvals += st.Evaluations
 		res.ScaleEvalsMax = max(res.ScaleEvalsMax, st.Evaluations)
 	}
-	stop()
-	fl.Close()
-	if err != nil {
-		return nil, err
-	}
-	res.SingleRPS = float64(e16Trace) / res.SingleSecs
-	res.FleetRPS = float64(e16Trace) / res.FleetSecs
+	res.TraceLen, res.SingleSecs, res.FleetSecs = tr.offered, single.wall.Seconds(), tr.wall.Seconds()
+	res.ScaleMismatches = tr.mismatched
+	res.SingleRPS = float64(single.offered) / res.SingleSecs
+	res.FleetRPS = float64(tr.offered) / res.FleetSecs
 	res.Speedup = res.SingleSecs / res.FleetSecs
 
 	// Phases 2 and 3 share a fleet with instant (service=0) stacks: the
@@ -308,15 +258,7 @@ func E16Fleet() (*E16Result, error) {
 // batchAndRebalance runs the warm million-item batch trace, then the
 // join+drain rebalance probe on the same (now warm) fleet.
 func (r *E16Result) batchAndRebalance() error {
-	fl, err := fleet.New(fleet.Config{Nodes: e16Nodes})
-	if err != nil {
-		return err
-	}
-	defer fl.Close()
-	if err := e16Seed(fl, 0); err != nil {
-		return err
-	}
-	rt, base, stop, err := fl.StartRouter("")
+	fl, rt, base, stop, err := startFleet(fleet.Config{Nodes: e16Nodes}, e16Seed(0))
 	if err != nil {
 		return err
 	}
@@ -399,16 +341,10 @@ func (r *E16Result) batchAndRebalance() error {
 	// ring (join + drain a replica owner), and re-ask everything. Every
 	// answer must come from a warm cache somewhere: zero re-evaluations.
 	r.RebalanceClasses = e16Classes
-	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-	c.ID = "rebalance"
-	ref := make([]energy.Dist, e16Classes)
-	for k := 0; k < e16Classes; k++ {
-		d, _, err := c.EvalCtx(context.Background(), e16StackFor(k), "infer",
-			[]core.Value{core.Num(float64(k))}, core.Expected())
-		if err != nil {
-			return fmt.Errorf("rebalance warm class %d: %w", k, err)
-		}
-		ref[k] = d
+	sweep := traceSpec{clients: 1, classes: e16Classes, sweep: true, client: e16Client(base, "rebalance"), ask: e16Ask}
+	warm, err := runTrace(sweep)
+	if err != nil {
+		return fmt.Errorf("rebalance warm: %w", err)
 	}
 
 	victim := fl.OwnersOf(e16StackFor(0))[0]
@@ -418,34 +354,24 @@ func (r *E16Result) batchAndRebalance() error {
 	if err := fl.DrainNode(ctx, victim); err != nil {
 		return err
 	}
-	r.Drained = victim
 
-	evalsBefore, peerBefore := e16NodeStats(fl)
-	for k := 0; k < e16Classes; k++ {
-		d, _, err := c.EvalCtx(context.Background(), e16StackFor(k), "infer",
-			[]core.Value{core.Num(float64(k))}, core.Expected())
-		if err != nil {
-			return fmt.Errorf("rebalance re-ask class %d: %w", k, err)
-		}
-		if !d.Equal(ref[k], 0) {
-			r.RebalanceMismatches++
-		}
+	evalsBefore, peerBefore, err := e16NodeStats(fl)
+	if err != nil {
+		return err
 	}
-	evalsAfter, peerAfter := e16NodeStats(fl)
+	sweep.ref = warm.first
+	reask, err := runTrace(sweep)
+	if err != nil {
+		return fmt.Errorf("rebalance re-ask: %w", err)
+	}
+	r.RebalanceMismatches = reask.mismatched
+	evalsAfter, peerAfter, err := e16NodeStats(fl)
+	if err != nil {
+		return err
+	}
 	r.RebalanceEvalDelta = evalsAfter - evalsBefore
 	r.RebalancePeerHits = peerAfter - peerBefore
 	return nil
-}
-
-// e16Retry is the fault-phase client policy: persistent enough to ride
-// out a kill and a partition landing in the same trace.
-func e16Retry(seed int64) *eisvc.RetryPolicy {
-	p := &eisvc.RetryPolicy{
-		MaxAttempts: 8,
-		BaseDelay:   2 * time.Millisecond,
-		MaxDelay:    50 * time.Millisecond,
-	}
-	return p.Seed(seed)
 }
 
 // faultPhase runs the E13 CNN-serving stack on a 3-node fleet and takes
@@ -454,44 +380,21 @@ func e16Retry(seed int64) *eisvc.RetryPolicy {
 // two thirds. Router failover plus client retries must deliver every
 // request, bit-identical to a fault-free standalone reference.
 func (r *E16Result) faultPhase() error {
-	// Fault-free reference answers from a standalone daemon.
-	_, refBase, refShutdown, err := fig1Daemon(eisvc.Config{})
+	ref, err := fig1Reference(e16FaultDistinct)
 	if err != nil {
 		return err
 	}
-	refClient := eisvc.NewClient(refBase)
-	reference := make([]energy.Dist, e16FaultDistinct)
-	for k := 0; k < e16FaultDistinct; k++ {
-		d, _, err := refClient.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
-			core.MonteCarlo(e13Samples, e13Seed))
-		if err != nil {
-			refShutdown()
-			return fmt.Errorf("fault reference class %d: %w", k, err)
-		}
-		reference[k] = d
-	}
-	refShutdown()
 
-	fl, err := fleet.New(fleet.Config{Nodes: 3})
-	if err != nil {
+	fl, rt, base, stop, err := startFleet(fleet.Config{Nodes: 3}, func(f *fleet.Fleet) error {
+		cnn, err := fig1CNN()
+		if err == nil {
+			err = f.SeedInterface("cnn_forward", cnn)
+		}
+		if err == nil {
+			_, err = f.RegisterSource(mlservice.Fig1EIL)
+		}
 		return err
-	}
-	defer fl.Close()
-	rig, err := microbench.Rig4090()
-	if err != nil {
-		return err
-	}
-	cnn, err := nn.CNNEnergyInterface(nn.Fig1CNN(), rig.Spec, rig.Coef.HardwareInterface())
-	if err != nil {
-		return err
-	}
-	if err := fl.SeedInterface("cnn_forward", cnn); err != nil {
-		return err
-	}
-	if _, err := fl.RegisterSource(mlservice.Fig1EIL); err != nil {
-		return err
-	}
-	rt, base, stop, err := fl.StartRouter("")
+	})
 	if err != nil {
 		return err
 	}
@@ -499,71 +402,32 @@ func (r *E16Result) faultPhase() error {
 
 	owners := fl.OwnersOf("ml_webservice")
 	total := e16FaultClients * e16FaultPerClient
-	var (
-		started  atomic.Int64
-		killOnce sync.Once
-		partOnce sync.Once
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for cl := 0; cl < e16FaultClients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-			c.ID = fmt.Sprintf("fault-%d", cl)
+	tr, err := runTrace(traceSpec{
+		clients: e16FaultClients, classes: e16FaultDistinct, n: e16FaultPerClient, s: e13ZipfS, seed: 4000,
+		client: func(cl int) *eisvc.Client {
+			c := e16Client(base, "fault")(cl)
 			c.Timeout = e16AttemptCap
-			c.Retry = e16Retry(int64(600 + cl))
-			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(4000+cl))),
-				e13ZipfS, 1, uint64(e16FaultDistinct-1))
-			for i := 0; i < e16FaultPerClient; i++ {
-				switch n := started.Add(1); {
-				case n == int64(total/3):
-					killOnce.Do(func() {
-						_ = fl.KillNode(owners[0])
-						mu.Lock()
-						r.Killed = owners[0]
-						mu.Unlock()
-					})
-				case n == int64(2*total/3):
-					partOnce.Do(func() {
-						_ = fl.PartitionNode(owners[1], true)
-						mu.Lock()
-						r.Partitioned = owners[1]
-						mu.Unlock()
-					})
-				}
-				k := int(zipf.Uint64())
-				d, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
-					core.MonteCarlo(e13Samples, e13Seed))
-				mu.Lock()
-				r.FaultOffered++
-				if err != nil {
-					r.FaultFailed++
-					if firstErr == nil {
-						firstErr = fmt.Errorf("fault trace class %d: %w", k, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				r.FaultSucceeded++
-				if !d.Equal(reference[k], 0) {
-					r.FaultMismatches++
-				}
-				mu.Unlock()
+			// Persistent enough to ride out a kill and a partition landing
+			// in the same trace.
+			c.Retry = retryPolicy(8, 50*time.Millisecond, int64(600+cl))
+			return c
+		},
+		ask: e13Ask,
+		ref: ref,
+		hook: func(n int) {
+			switch n {
+			case total / 3:
+				_ = fl.KillNode(owners[0])
+				r.Killed = owners[0]
+			case 2 * total / 3:
+				_ = fl.PartitionNode(owners[1], true)
+				r.Partitioned = owners[1]
 			}
-			cs := c.Counters()
-			mu.Lock()
-			r.FaultRetries += cs.Retries
-			mu.Unlock()
-		}(cl)
-	}
-	wg.Wait()
+		},
+	})
 	_ = fl.PartitionNode(owners[1], false) // heal before teardown
 	r.FaultFailovers = rt.Counters().Failovers
-	if firstErr != nil {
-		return firstErr
-	}
-	return nil
+	r.FaultOffered, r.FaultSucceeded, r.FaultFailed = tr.offered, tr.succeeded, tr.failed
+	r.FaultMismatches, r.FaultRetries = tr.mismatched, tr.counters.Retries
+	return err
 }

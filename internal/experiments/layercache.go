@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -140,40 +139,33 @@ func e12Class(k int) (svc string, args []core.Value) {
 }
 
 // e12Trace replays the deterministic Zipf trace against a daemon and
-// returns the wall time, cold-request latencies, and per-class answers.
-func e12Trace(cfg eisvc.Config) (wallMs float64, coldMs []float64, byClass map[int]energy.Dist, st *eisvc.StatsResponse, err error) {
+// returns its tally and the daemon's stats. With a reference, every answer
+// is compared against it bit for bit.
+func e12Trace(cfg eisvc.Config, ref []energy.Dist) (*tally, *eisvc.StatsResponse, error) {
 	base, shutdown, err := e12Daemon(cfg)
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return nil, nil, err
 	}
 	defer shutdown()
-	c := eisvc.NewClient(base)
-	c.ID = "e12-trace"
-	c.Deadline = time.Minute
-	zipf := rand.NewZipf(rand.New(rand.NewSource(42)), e12ZipfS, 1, e12Classes-1)
-	byClass = map[int]energy.Dist{}
-	start := time.Now()
-	for i := 0; i < e12Requests; i++ {
-		k := int(zipf.Uint64())
-		svc, args := e12Class(k)
-		t0 := time.Now()
-		d, resp, err := c.EvalCtx(context.Background(), svc, "chat", args, core.Expected())
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		if !resp.Cached {
-			coldMs = append(coldMs, float64(time.Since(t0))/float64(time.Millisecond))
-		}
-		if _, seen := byClass[k]; !seen {
-			byClass[k] = d
-		}
-	}
-	wallMs = float64(time.Since(start)) / float64(time.Millisecond)
-	st, err = c.StatsCtx(context.Background())
+	tr, err := runTrace(traceSpec{
+		clients: 1, classes: e12Classes, n: e12Requests, s: e12ZipfS, seed: 42,
+		client: func(int) *eisvc.Client {
+			c := eisvc.NewClient(base)
+			c.ID = "e12-trace"
+			c.Deadline = time.Minute
+			return c
+		},
+		ask: func(ctx context.Context, c *eisvc.Client, k int) (energy.Dist, *eisvc.EvalResponse, error) {
+			svc, args := e12Class(k)
+			return c.EvalCtx(ctx, svc, "chat", args, core.Expected())
+		},
+		ref: ref,
+	})
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return nil, nil, err
 	}
-	return wallMs, coldMs, byClass, st, nil
+	st, err := eisvc.NewClient(base).StatsCtx(context.Background())
+	return tr, st, err
 }
 
 func p50(ms []float64) float64 {
@@ -201,32 +193,27 @@ func meanOf(ms []float64) float64 {
 func E12LayerCache() (*E12Result, error) {
 	res := &E12Result{Requests: e12Requests, Classes: e12Classes}
 
-	wallOff, coldOff, distsOff, _, err := e12Trace(eisvc.Config{NoLayerCache: true})
+	off, _, err := e12Trace(eisvc.Config{NoLayerCache: true}, nil)
 	if err != nil {
 		return nil, err
 	}
-	wallOn, coldOn, distsOn, st, err := e12Trace(eisvc.Config{LayerCapacity: e12LayerCap})
+	// Same deterministic trace ⇒ the same classes go cold, and every answer
+	// must agree bit for bit with the uncached one.
+	on, st, err := e12Trace(eisvc.Config{LayerCapacity: e12LayerCap}, off.first)
 	if err != nil {
 		return nil, err
 	}
-	res.WallOffMs, res.WallOnMs = wallOff, wallOn
-	if wallOn > 0 {
-		res.Speedup = wallOff / wallOn
+	res.WallOffMs = float64(off.wall) / float64(time.Millisecond)
+	res.WallOnMs = float64(on.wall) / float64(time.Millisecond)
+	if res.WallOnMs > 0 {
+		res.Speedup = res.WallOffMs / res.WallOnMs
 	}
-	res.ColdOff, res.ColdOn = len(coldOff), len(coldOn)
-	res.ColdP50OffMs, res.ColdP50OnMs = p50(coldOff), p50(coldOn)
-	res.ColdMeanOffMs, res.ColdMeanOnMs = meanOf(coldOff), meanOf(coldOn)
+	res.ColdOff, res.ColdOn = len(off.coldMs), len(on.coldMs)
+	res.ColdP50OffMs, res.ColdP50OnMs = p50(off.coldMs), p50(on.coldMs)
+	res.ColdMeanOffMs, res.ColdMeanOnMs = meanOf(off.coldMs), meanOf(on.coldMs)
 	res.LayerHits, res.LayerMisses = st.LayerHits, st.LayerMisses
 	res.LayerHitRate = st.LayerHitRate
-
-	// Same deterministic trace ⇒ the same classes went cold; the answers
-	// must agree bit for bit.
-	res.BitIdentical = len(distsOff) == len(distsOn)
-	for k, d := range distsOff {
-		if !d.Equal(distsOn[k], 0) {
-			res.BitIdentical = false
-		}
-	}
+	res.BitIdentical = on.mismatched == 0
 	if !res.BitIdentical {
 		return nil, fmt.Errorf("experiments: e12: cached evaluation diverged from uncached")
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"sync"
@@ -82,16 +81,9 @@ type E13Result struct {
 	SrvRetried uint64
 	SrvHedged  uint64
 
-	// Cancellation probe: a heavy evaluation on a one-worker daemon is
-	// cancelled mid-flight; FreedMs is how long after the cancel a
-	// follow-up evaluation got the worker and finished, versus the
-	// HeavyMs the heavy evaluation takes uncancelled.
-	HeavyMs float64
-	FreedMs float64
-	ProbeOK bool
-	// The same probe counted in method bodies instead of milliseconds
-	// (see cancelCountProbe): what an evaluation cancelled during its
-	// first body ran in all, and what it runs uncancelled.
+	// Cancellation probe, counted in method bodies (see cancelCountProbe):
+	// what an evaluation cancelled during its first body ran in all, and
+	// what it runs uncancelled.
 	CancelledBodies int64
 	HeavyBodies     int64
 
@@ -112,7 +104,7 @@ func (r *E13Result) Table() *Table {
 			{"faulted zipf trace", cell(r.Offered), cell(r.Succeeded), cell(r.Failed),
 				cell(r.Mismatches), pct(r.SuccessRate)},
 			{"cancel frees worker", "1", "1", "0", "0",
-				fmt.Sprintf("freed in %.1f ms (heavy eval %.1f ms)", r.FreedMs, r.HeavyMs)},
+				fmt.Sprintf("%d of the evaluation's %d method bodies ran once cancelled", r.CancelledBodies, r.HeavyBodies)},
 			{"graceful drain", "1", "1", "0", "0",
 				fmt.Sprintf("shed %d while draining; in-flight completed", r.DrainShed)},
 		},
@@ -128,14 +120,10 @@ func (r *E13Result) Table() *Table {
 	return t
 }
 
-// e13Retry is the trace clients' policy: fast and persistent, so the
-// experiment finishes quickly while surviving multi-fault streaks.
-func e13Retry(seed int64) *eisvc.RetryPolicy {
-	p := &eisvc.RetryPolicy{
-		MaxAttempts: 6,
-		BaseDelay:   2 * time.Millisecond,
-		MaxDelay:    40 * time.Millisecond,
-	}
+// retryPolicy is a faulted trace's client policy: fast and persistent, so
+// the experiment finishes quickly while surviving multi-fault streaks.
+func retryPolicy(attempts int, maxDelay time.Duration, seed int64) *eisvc.RetryPolicy {
+	p := &eisvc.RetryPolicy{MaxAttempts: attempts, BaseDelay: 2 * time.Millisecond, MaxDelay: maxDelay}
 	return p.Seed(seed)
 }
 
@@ -144,98 +132,44 @@ func e13Retry(seed int64) *eisvc.RetryPolicy {
 func E13Resilience() (*E13Result, error) {
 	res := &E13Result{}
 
-	// Fault-free reference: one answer per class, from its own daemon, so
-	// the comparison crosses processes-worth of state rather than reading
-	// the serving daemon's own memo back.
-	_, refBase, refShutdown, err := fig1Daemon(eisvc.Config{})
+	ref, err := fig1Reference(e13Distinct)
 	if err != nil {
 		return nil, err
 	}
-	refClient := eisvc.NewClient(refBase)
-	reference := make([]*eisvc.EvalResponse, e13Distinct)
-	for k := 0; k < e13Distinct; k++ {
-		_, resp, err := refClient.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
-			core.MonteCarlo(e13Samples, e13Seed))
-		if err != nil {
-			refShutdown()
-			return nil, fmt.Errorf("reference class %d: %w", k, err)
-		}
-		reference[k] = resp
-	}
-	refShutdown()
 
 	// Faulted Zipf trace against a fresh daemon.
-	_, base, shutdown, err := fig1Daemon(eisvc.Config{})
+	_, base, shutdown, err := fig1Daemon(eisvc.Config{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		mu         sync.Mutex
-		transports []*faultsim.Transport
-		firstErr   error
-		wg         sync.WaitGroup
-	)
-	for cl := 0; cl < e13Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
+	defer shutdown()
+	transports := make([]*faultsim.Transport, e13Clients)
+	tr, err := runTrace(traceSpec{
+		clients: e13Clients, classes: e13Distinct, n: e13PerClient, s: e13ZipfS, seed: 2000,
+		client: func(cl int) *eisvc.Client {
 			c := eisvc.NewClient(base)
 			c.ID = fmt.Sprintf("faulted-%d", cl)
 			c.Timeout = e13AttemptCap
-			c.Retry = e13Retry(int64(500 + cl))
+			c.Retry = retryPolicy(6, 40*time.Millisecond, int64(500+cl))
 			if cl%2 == 1 {
 				c.Hedge = 30 * time.Millisecond
 			}
-			tr := faultsim.NewTransport(e13Plan(int64(100+cl)), nil)
-			c.SetTransport(tr)
-			mu.Lock()
-			transports = append(transports, tr)
-			mu.Unlock()
-
-			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(2000+cl))),
-				e13ZipfS, 1, uint64(e13Distinct-1))
-			for i := 0; i < e13PerClient; i++ {
-				k := int(zipf.Uint64())
-				d, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(k),
-					core.MonteCarlo(e13Samples, e13Seed))
-				mu.Lock()
-				res.Offered++
-				if err != nil {
-					res.Failed++
-					// Exhausted retries on injected faults or shedding are
-					// the expected failure shape; anything else is a bug.
-					var apiErr *eisvc.APIError
-					shed := errors.As(err, &apiErr) && apiErr.Shed()
-					if firstErr == nil && !shed && !isTransport(err) {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				res.Succeeded++
-				want, werr := reference[k].Dist.Dist()
-				if werr != nil && firstErr == nil {
-					firstErr = werr
-				}
-				if werr == nil && !d.Equal(want, 0) { // bit-identical, no tolerance
-					res.Mismatches++
-				}
-				mu.Unlock()
-			}
-			cs := c.Counters()
-			mu.Lock()
-			res.Retries += cs.Retries
-			res.Hedges += cs.Hedges
-			res.HedgeWins += cs.HedgeWins
-			res.ShedSeen += cs.Shed
-			mu.Unlock()
-		}(cl)
+			transports[cl] = faultsim.NewTransport(e13Plan(int64(100+cl)), nil)
+			c.SetTransport(transports[cl])
+			return c
+		},
+		ask: e13Ask,
+		ref: ref,
+		// Exhausted retries on injected faults or shedding are the expected
+		// failure shape; anything else is a bug.
+		tolerate: func(err error) bool { return isShed(err) || isTransport(err) },
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		shutdown()
-		return nil, firstErr
-	}
+	res.Offered, res.Succeeded, res.Failed, res.Mismatches = tr.offered, tr.succeeded, tr.failed, tr.mismatched
+	res.Retries, res.Hedges = tr.counters.Retries, tr.counters.Hedges
+	res.HedgeWins, res.ShedSeen = tr.counters.HedgeWins, tr.counters.Shed
 	for _, tr := range transports {
 		cs := tr.Counters()
 		res.InjResetsPre += cs.ResetsPre
@@ -248,22 +182,36 @@ func E13Resilience() (*E13Result, error) {
 	}
 	st, err := eisvc.NewClient(base).StatsCtx(context.Background())
 	if err != nil {
-		shutdown()
 		return nil, err
 	}
 	res.SrvRetried = st.RetriedRequests
 	res.SrvHedged = st.HedgedRequests
-	shutdown()
 
-	// Cancellation probe: one worker, a heavy evaluation, a cancel.
-	if err := res.cancelProbe(); err != nil {
-		return nil, err
-	}
 	if err := res.cancelCountProbe(); err != nil {
 		return nil, err
 	}
-	// Drain probe.
 	return res, res.drainProbe()
+}
+
+// e13Ask is the E13 stack's request: class k under the shared seed, so
+// the same class always has the same answer.
+var e13Ask = handleAsk(0, core.MonteCarlo(e13Samples, e13Seed))
+
+// fig1Reference answers e13Ask's first classes on a fault-free daemon of
+// its own, so a faulted trace's comparison crosses processes-worth of
+// state rather than reading the serving daemon's own memo back.
+func fig1Reference(classes int) ([]energy.Dist, error) {
+	_, base, shutdown, err := fig1Daemon(eisvc.Config{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer shutdown()
+	ref, err := runTrace(traceSpec{clients: 1, classes: classes, sweep: true,
+		client: func(int) *eisvc.Client { return eisvc.NewClient(base) }, ask: e13Ask})
+	if err != nil {
+		return nil, fmt.Errorf("fault-free reference: %w", err)
+	}
+	return ref.first, nil
 }
 
 // isTransport reports whether err is a transport-level failure (reset,
@@ -277,59 +225,8 @@ func isTransport(err error) bool {
 	return errors.As(err, &netErr) || errors.Is(err, faultsim.ErrInjectedReset)
 }
 
-// cancelProbe measures how fast a cancelled heavy evaluation frees the
-// daemon's only worker: first the heavy evaluation runs to completion
-// (HeavyMs), then an identical one is cancelled a few milliseconds in and
-// a cheap follow-up measures how soon the worker is available (FreedMs).
-func (r *E13Result) cancelProbe() error {
-	_, base, shutdown, err := fig1Daemon(eisvc.Config{Workers: 1, NoMemo: true, NoLayerCache: true})
-	if err != nil {
-		return err
-	}
-	defer shutdown()
-	c := eisvc.NewClient(base)
-	c.ID = "probe"
-	c.Timeout = -1 // the heavy evaluation is deliberately slow (slower yet under -race)
-	heavyOpts := core.MonteCarlo(e13HeavySize, e13Seed)
-	heavyOpts.Parallelism = 1
-
-	start := time.Now()
-	if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(0), heavyOpts); err != nil {
-		return fmt.Errorf("heavy baseline: %w", err)
-	}
-	r.HeavyMs = float64(time.Since(start)) / float64(time.Millisecond)
-
-	// Same evaluation again (memo disabled: it really runs), cancelled
-	// shortly after the body starts.
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := c.EvalCtx(ctx, "ml_webservice", "handle", e11Request(1), heavyOpts)
-		errc <- err
-	}()
-	time.Sleep(5 * time.Millisecond) // let it win the worker slot
-	cancel()
-	freed := time.Now()
-	if err := <-errc; err == nil {
-		return errors.New("cancel probe: cancelled evaluation succeeded")
-	}
-
-	// The follow-up can only run once the cancelled evaluation releases
-	// the single worker slot; its completion bounds the release time.
-	follow := eisvc.NewClient(base)
-	follow.ID = "probe-follow"
-	follow.Timeout = -1
-	if _, _, err := follow.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(2),
-		core.MonteCarlo(e13Samples, e13Seed)); err != nil {
-		return fmt.Errorf("follow-up after cancel: %w", err)
-	}
-	r.FreedMs = float64(time.Since(freed)) / float64(time.Millisecond)
-	r.ProbeOK = true
-	return nil
-}
-
-// cancelCountProbe is the cancellation probe in method bodies instead of
-// milliseconds, so a test can assert it. A one-worker daemon serves an
+// cancelCountProbe shows a cancelled evaluation freeing the daemon's only
+// worker, counted in method bodies so a test can assert it. A one-worker daemon serves an
 // interface whose body counts its runs and waits at a gate. The cancelled
 // evaluation goes first: its first body is held at the gate until the
 // server has seen the client go away, so the cancel always lands
@@ -421,7 +318,7 @@ func (r *E13Result) cancelCountProbe() error {
 
 // drainProbe walks the graceful-shutdown protocol with work in flight.
 func (r *E13Result) drainProbe() error {
-	srv, base, shutdown, err := fig1Daemon(eisvc.Config{NoMemo: true, NoLayerCache: true})
+	srv, base, shutdown, err := fig1Daemon(eisvc.Config{NoMemo: true, NoLayerCache: true}, nil)
 	if err != nil {
 		return err
 	}

@@ -125,12 +125,7 @@ const (
 // 12 rounds) against a live fleet router.
 func E18SchedFleet() (*E18Result, error) {
 	cfg := e18Config()
-	fl, err := fleet.New(fleet.Config{Nodes: e18FleetNodes})
-	if err != nil {
-		return nil, err
-	}
-	defer fl.Close()
-	_, base, stop, err := fl.StartRouter("")
+	_, _, base, stop, err := startFleet(fleet.Config{Nodes: e18FleetNodes}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,6 @@ type E17Result struct {
 	InteropMismatches                 int
 
 	// Phase 2: warm restart from snapshot.
-	Distinct         int
 	Restarted        string
 	SnapshotBytes    int64
 	SnapshotMemo     int // memo entries the restart loaded
@@ -125,6 +124,11 @@ func e17Daemon() (*eisvc.Server, string, func(), error) {
 	return srv, base, stop, err
 }
 
+// e17Ask asks class k of the E17 stack.
+func e17Ask(ctx context.Context, c *eisvc.Client, k int) (energy.Dist, *eisvc.EvalResponse, error) {
+	return c.EvalCtx(ctx, "e17_service", "handle", e17Args(k), e17Opts)
+}
+
 // e17TimeHits measures the mean per-request latency of reps warm evals
 // and the heap allocations per request the process made meanwhile.
 func e17TimeHits(c *eisvc.Client, reps int) (last energy.Dist, micros, allocs float64, err error) {
@@ -132,7 +136,7 @@ func e17TimeHits(c *eisvc.Client, reps int) (last energy.Dist, micros, allocs fl
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		d, resp, err := c.EvalCtx(context.Background(), "e17_service", "handle", e17Args(0), e17Opts)
+		d, resp, err := e17Ask(context.Background(), c, 0)
 		if err != nil {
 			return energy.Dist{}, 0, 0, err
 		}
@@ -148,7 +152,7 @@ func e17TimeHits(c *eisvc.Client, reps int) (last energy.Dist, micros, allocs fl
 
 // E17Wire runs the wire experiment.
 func E17Wire() (*E17Result, error) {
-	res := &E17Result{Reps: e17Reps, Distinct: e17Distinct}
+	res := &E17Result{Reps: e17Reps}
 
 	// Phase 1: one daemon, three client paths, one warm request.
 	srv, base, shutdown, err := e17Daemon()
@@ -166,7 +170,7 @@ func E17Wire() (*E17Result, error) {
 	loopC.Binary = true
 
 	// Warm the memo, then time each path against the same entry.
-	ref, _, err := jsonC.EvalCtx(context.Background(), "e17_service", "handle", e17Args(0), e17Opts)
+	ref, _, err := e17Ask(context.Background(), jsonC, 0)
 	if err != nil {
 		shutdown()
 		return nil, fmt.Errorf("e17 warmup: %w", err)
@@ -213,38 +217,41 @@ func (r *E17Result) restartPhase() error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	fl, err := fleet.New(fleet.Config{Nodes: 3, SnapshotDir: dir})
-	if err != nil {
+	fl, _, base, stop, err := startFleet(fleet.Config{Nodes: 3, SnapshotDir: dir}, func(f *fleet.Fleet) error {
+		_, err := f.RegisterSource(e17EIL)
 		return err
-	}
-	defer fl.Close()
-	if _, err := fl.RegisterSource(e17EIL); err != nil {
-		return err
-	}
-	_, base, stop, err := fl.StartRouter("")
+	})
 	if err != nil {
 		return err
 	}
 	defer stop()
 
-	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-	c.ID = "e17-restart"
-	c.Binary = true
-	ref := make([]energy.Dist, e17Distinct)
-	served := make([]string, e17Distinct)
-	for k := 0; k < e17Distinct; k++ {
-		d, resp, err := c.EvalCtx(context.Background(), "e17_service", "handle", e17Args(k), e17Opts)
-		if err != nil {
-			return fmt.Errorf("e17 warm class %d: %w", k, err)
-		}
-		ref[k] = d
-		served[k] = resp.Node
+	// One client sweeps every class in order; the node that served class 0
+	// is the one to restart. The replay after the restart sweeps again.
+	var victim string
+	sweep := traceSpec{clients: 1, classes: e17Distinct, sweep: true,
+		client: func(int) *eisvc.Client {
+			c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+			c.ID = "e17-restart"
+			c.Binary = true
+			return c
+		},
+		ask: func(ctx context.Context, c *eisvc.Client, k int) (energy.Dist, *eisvc.EvalResponse, error) {
+			d, resp, err := e17Ask(ctx, c, k)
+			if k == 0 && err == nil {
+				victim = resp.Node
+			}
+			return d, resp, err
+		},
+	}
+	warm, err := runTrace(sweep)
+	if err != nil {
+		return fmt.Errorf("e17 warm: %w", err)
 	}
 	if err := fl.SaveCacheSnapshots(); err != nil {
 		return err
 	}
 
-	victim := served[0]
 	if err := fl.KillNode(victim); err != nil {
 		return err
 	}
@@ -262,21 +269,20 @@ func (r *E17Result) restartPhase() error {
 		r.SnapshotMemo = st.MemoLen
 	}
 
-	evalsBefore, _ := e16NodeStats(fl)
-	r.ReplayTotal = e17Distinct
-	for k := 0; k < e17Distinct; k++ {
-		d, resp, err := c.EvalCtx(context.Background(), "e17_service", "handle", e17Args(k), e17Opts)
-		if err != nil {
-			return fmt.Errorf("e17 replay class %d: %w", k, err)
-		}
-		if resp.Cached || resp.Peer {
-			r.ReplayServed++
-		}
-		if !d.Equal(ref[k], 0) {
-			r.ReplayMismatches++
-		}
+	evalsBefore, _, err := e16NodeStats(fl)
+	if err != nil {
+		return err
 	}
-	evalsAfter, _ := e16NodeStats(fl)
+	sweep.ask, sweep.ref = e17Ask, warm.first
+	replay, err := runTrace(sweep)
+	if err != nil {
+		return fmt.Errorf("e17 replay: %w", err)
+	}
+	r.ReplayTotal, r.ReplayServed, r.ReplayMismatches = replay.offered, replay.cached, replay.mismatched
+	evalsAfter, _, err := e16NodeStats(fl)
+	if err != nil {
+		return err
+	}
 	r.ReplayEvalDelta = evalsAfter - evalsBefore
 	return nil
 }
