@@ -27,7 +27,7 @@ func TestServeDrainsOnSignal(t *testing.T) {
 	defer stop()
 
 	c := eisvc.NewClient(base)
-	if err := c.HealthCtx(context.Background()); err != nil {
+	if _, err := c.HealthzCtx(context.Background()); err != nil {
 		t.Fatalf("router not healthy: %v", err)
 	}
 

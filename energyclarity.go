@@ -50,8 +50,8 @@
 //	dist, err := svc.Eval("handle", []energyclarity.Value{energyclarity.Num(1e6)},
 //	    energyclarity.Expected())
 //
-// Or write the same interface in EIL (see examples/mlservice) and compile
-// it with Compile.
+// Or write the same interface in EIL (docs/EIL.md; ExampleCompile) and
+// compile it with Compile.
 package energyclarity
 
 import (

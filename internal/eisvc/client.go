@@ -429,12 +429,6 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, ho
 	return nil, "", lastErr
 }
 
-// HealthCtx checks the daemon is up.
-func (c *Client) HealthCtx(ctx context.Context) error {
-	_, err := callJSON[struct{}](ctx, c, http.MethodGet, "/healthz", nil, true)
-	return err
-}
-
 // HealthzCtx fetches the typed readiness probe: whether the daemon is
 // admitting evaluations, draining, or mid-recalibration.
 func (c *Client) HealthzCtx(ctx context.Context) (*HealthzResponse, error) {

@@ -107,11 +107,11 @@ func (s *Server) InstallCalibration(stack, path, device string, dev *core.Interf
 
 // --- handlers ---
 
-// handleHealthz is the typed readiness probe: ready (accepting
-// evaluations), draining, and whether a recalibration is running. Unlike
-// the legacy GET /healthz (liveness: "the process answers"), /v1/healthz
-// tells load balancers and drain orchestration what the daemon will do
-// with evaluation traffic right now.
+// handleHealthz is the daemon's one health probe: it answers 200 whenever
+// the process serves (draining included), and says whether the daemon is
+// ready (accepting evaluations), draining, and recalibrating — what load
+// balancers and drain orchestration need to know about evaluation traffic
+// right now.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := HealthzResponse{
 		Ready:      !s.Draining(),

@@ -336,7 +336,7 @@ func TestNodeHeader(t *testing.T) {
 	srv := NewServer(Config{NodeID: "node-3"})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestNodeHeader(t *testing.T) {
 
 	anon := httptest.NewServer(NewServer(Config{}))
 	defer anon.Close()
-	resp, err = http.Get(anon.URL + "/healthz")
+	resp, err = http.Get(anon.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,15 +281,21 @@ func TestWireSmokeInterop(t *testing.T) {
 
 	// A route that is not in the table is a 404 from a node and through the
 	// router alike: the auto-optimizer is a client of /v1/evalbatch, not a
-	// route of its own.
+	// route of its own, and /v1/healthz is the one health probe.
 	for _, f := range []front{fronts[0], fronts[2]} {
-		hresp, err := http.Post(f.base+"/v1/optimize", "application/json", bytes.NewReader([]byte("{}")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hresp.Body.Close()
-		if hresp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s: POST /v1/optimize answered %d, want 404", f.name, hresp.StatusCode)
+		for _, route := range [][2]string{{http.MethodPost, "/v1/optimize"}, {http.MethodGet, "/healthz"}} {
+			hreq, err := http.NewRequest(route[0], f.base+route[1], bytes.NewReader([]byte("{}")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hresp, err := http.DefaultClient.Do(hreq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hresp.Body.Close()
+			if hresp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s: %s %s answered %d, want 404", f.name, route[0], route[1], hresp.StatusCode)
+			}
 		}
 	}
 }

@@ -58,14 +58,14 @@ func TestClientRetriesShed(t *testing.T) {
 			WriteError(w, http.StatusServiceUnavailable, "shedding")
 			return
 		}
-		WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
+		WriteJSON(w, http.StatusOK, HealthzResponse{Ready: true})
 	}))
 	defer ts.Close()
 
 	c := NewClient(ts.URL)
 	c.Retry = (&RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}).Seed(42)
-	if err := c.HealthCtx(context.Background()); err != nil {
-		t.Fatalf("Health after retries: %v", err)
+	if _, err := c.HealthzCtx(context.Background()); err != nil {
+		t.Fatalf("Healthz after retries: %v", err)
 	}
 	mu.Lock()
 	got := strings.Join(attempts, ",")
@@ -92,7 +92,7 @@ func TestClientRetryExhaustion(t *testing.T) {
 
 	c := NewClient(ts.URL)
 	c.Retry = (&RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}).Seed(7)
-	err := c.HealthCtx(context.Background())
+	_, err := c.HealthzCtx(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want 429 APIError", err)
@@ -139,9 +139,9 @@ func TestClientPerAttemptTimeout(t *testing.T) {
 	c := NewClient(ts.URL)
 	c.Timeout = 50 * time.Millisecond
 	start := time.Now()
-	err := c.HealthCtx(context.Background())
+	_, err := c.HealthzCtx(context.Background())
 	if err == nil {
-		t.Fatal("Health against a hung server succeeded")
+		t.Fatal("Healthz against a hung server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("timeout took %v, want ~50ms", elapsed)
@@ -156,14 +156,14 @@ func TestClientHedging(t *testing.T) {
 			<-r.Context().Done() // primary hangs until cancelled
 			return
 		}
-		WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
+		WriteJSON(w, http.StatusOK, HealthzResponse{Ready: true})
 	}))
 	defer ts.Close()
 
 	c := NewClient(ts.URL)
 	c.Hedge = 10 * time.Millisecond
-	if err := c.HealthCtx(context.Background()); err != nil {
-		t.Fatalf("hedged Health: %v", err)
+	if _, err := c.HealthzCtx(context.Background()); err != nil {
+		t.Fatalf("hedged Healthz: %v", err)
 	}
 	cs := c.Counters()
 	if cs.Hedges != 1 || cs.HedgeWins != 1 {

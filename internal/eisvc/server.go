@@ -150,7 +150,6 @@ func NewServer(cfg Config) *Server {
 	if !cfg.NoLayerCache {
 		s.layer = core.NewLayerCache(cfg.LayerCapacity)
 	}
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/drift", s.handleDrift)
 	s.mux.HandleFunc("POST /v1/register", s.handleRegister)
@@ -397,10 +396,6 @@ func clientID(r *http.Request) string {
 }
 
 // --- handlers ---
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "interfaces": s.reg.Len()})
-}
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest

@@ -453,8 +453,8 @@ func TestRegistryEndpoints(t *testing.T) {
 	if _, err := c.RegisterCtx(context.Background(), "interface broken {"); err == nil {
 		t.Error("malformed source accepted")
 	}
-	if err := c.HealthCtx(context.Background()); err != nil {
-		t.Errorf("health: %v", err)
+	if _, err := c.HealthzCtx(context.Background()); err != nil {
+		t.Errorf("healthz: %v", err)
 	}
 }
 

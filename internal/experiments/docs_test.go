@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -139,4 +140,185 @@ func lineAt(lines []string, i int) string {
 func mdCells(line string) []string {
 	line = strings.TrimSuffix(strings.TrimPrefix(line, "| "), " |")
 	return strings.Split(line, " | ")
+}
+
+// commandDocs are the documents whose quoted commands TestDocCommands
+// checks, as filepath.Glob patterns relative to the repository root.
+var commandDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md", ".claude/skills/verify/SKILL.md"}
+
+// A snippet is code a document quotes: one line of a fenced block, or one
+// code span outside them, with the file:line it starts on.
+type snippet struct {
+	at   string
+	text string
+}
+
+// codeSnippets returns the snippets of one document. A code span may wrap
+// lines but not paragraphs; the documents use single backticks only.
+func codeSnippets(name, doc string) []snippet {
+	var (
+		out   []snippet
+		fence bool
+		para  []string
+		first int // line number of para[0]
+	)
+	flush := func() {
+		parts := strings.Split(strings.Join(para, "\n"), "`")
+		line := first
+		for i, part := range parts {
+			if i%2 == 1 && i < len(parts)-1 {
+				out = append(out, snippet{fmt.Sprintf("%s:%d", name, line), part})
+			}
+			line += strings.Count(part, "\n")
+		}
+		para = para[:0]
+	}
+	for i, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			flush()
+			fence = !fence
+		case fence:
+			out = append(out, snippet{fmt.Sprintf("%s:%d", name, i+1), line})
+		case strings.TrimSpace(line) == "":
+			flush()
+		default:
+			if len(para) == 0 {
+				first = i + 1
+			}
+			para = append(para, line)
+		}
+	}
+	flush()
+	return out
+}
+
+var makeTarget = regexp.MustCompile(`(?m)^([A-Za-z][\w.-]*):`)
+
+// commandErrors returns one error per command in s that names something
+// missing: a `go run|test|build|vet` package without Go files, a make
+// target the Makefile does not define, an ebench experiment not in All
+// (matched case-insensitively, as ebench matches).
+func commandErrors(root string, targets map[string]bool, s snippet) []string {
+	var errs []string
+	bad := func(format string, args ...any) {
+		errs = append(errs, fmt.Sprintf("%s: %s", s.at, fmt.Sprintf(format, args...)))
+	}
+	words := strings.Fields(s.text)
+	for i, w := range words {
+		// The words of the command w starts, up to a shell separator or comment.
+		var args []string
+		for _, a := range words[i+1:] {
+			if a == "&&" || a == "||" || a == ";" || a == "|" || a == "&" || strings.HasPrefix(a, "#") {
+				break
+			}
+			args = append(args, a)
+		}
+		switch {
+		case w == "go" && len(args) > 0 && strings.Contains(" run test build vet ", " "+args[0]+" "):
+			for _, a := range args[1:] {
+				if !strings.HasPrefix(a, "./") {
+					continue
+				}
+				pkg := strings.TrimRight(a, ",;)")
+				dir, tree := strings.CutSuffix(pkg, "/...")
+				if !holdsGo(filepath.Join(root, dir), tree) {
+					bad("`go %s %s`: no Go files in %s", args[0], pkg, dir)
+				}
+				if args[0] == "run" {
+					break // the rest are the program's arguments
+				}
+			}
+		case w == "make" && len(args) > 0 && !targets[args[0]] && !strings.HasPrefix(args[0], "-"):
+			bad("`make %s`: no such Makefile target", args[0])
+		case w == "ebench" || strings.HasSuffix(w, "/ebench"):
+			for j, a := range args {
+				id, ok := strings.CutPrefix(a, "-experiment=")
+				if a == "-experiment" && j+1 < len(args) {
+					id, ok = args[j+1], true
+				}
+				if ok && !strings.HasPrefix(id, "<") && !knownExperiment(id) {
+					bad("`ebench -experiment %s`: no such experiment in All", id)
+				}
+			}
+		}
+	}
+	return errs
+}
+
+func knownExperiment(id string) bool {
+	for _, e := range All {
+		if strings.EqualFold(e.ID, id) {
+			return true
+		}
+	}
+	return false
+}
+
+// holdsGo reports whether dir holds a Go file, or with tree, whether any
+// directory below it does.
+func holdsGo(dir string, tree bool) bool {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false
+	}
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			return true
+		}
+	}
+	for _, e := range entries {
+		if tree && e.IsDir() && holdsGo(filepath.Join(dir, e.Name()), true) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDocCommands: every command the documents quote names something that
+// exists. A document of three bad commands among good ones fails on
+// exactly those three lines first, so the check is known to bite.
+func TestDocCommands(t *testing.T) {
+	root := filepath.Join("..", "..")
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	check := func(name, doc string) []string {
+		var errs []string
+		for _, s := range codeSnippets(name, doc) {
+			errs = append(errs, commandErrors(root, targets, s)...)
+		}
+		return errs
+	}
+
+	bad := "```sh\ngo run ./examples/gpt2   # gone\nmake smoke && make loc\n```\n\n" +
+		"Run `go test -run X ./internal/experiments ./...`, `ebench -experiment T1 -v` or\n" +
+		"`go run ./cmd/ebench\n-experiment e15`.\n"
+	errs := check("DOC.md", bad)
+	if len(errs) != 3 || !strings.HasPrefix(errs[0], "DOC.md:2: ") ||
+		!strings.HasPrefix(errs[1], "DOC.md:3: ") || !strings.HasPrefix(errs[2], "DOC.md:7: ") {
+		t.Fatalf("bad commands reported as %q, want one each at DOC.md:2, :3 and :7", errs)
+	}
+
+	for _, pattern := range commandDocs {
+		names, err := filepath.Glob(filepath.Join(root, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range names {
+			doc, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name, _ := filepath.Rel(root, path)
+			for _, e := range check(name, string(doc)) {
+				t.Error(e)
+			}
+		}
+	}
 }

@@ -372,7 +372,7 @@ func TestFleetPartitionFailover(t *testing.T) {
 	}
 	n, _ := f.Node(victim)
 	hc := eisvc.NewClient(n.URL)
-	if err := hc.HealthCtx(context.Background()); err != nil {
+	if _, err := hc.HealthzCtx(context.Background()); err != nil {
 		t.Fatalf("healed node unreachable: %v", err)
 	}
 }
