@@ -47,6 +47,7 @@ import (
 	"energyclarity/internal/autoopt"
 	"energyclarity/internal/core"
 	"energyclarity/internal/eil"
+	"energyclarity/internal/eisvc"
 	"energyclarity/internal/opt"
 )
 
@@ -151,17 +152,9 @@ func evalCmd(args []string) error {
 		iface = compiled[f.Interfaces[len(f.Interfaces)-1].Name]
 	}
 
-	var raw []interface{}
-	if err := json.Unmarshal([]byte(*argsJSON), &raw); err != nil {
+	var vals eisvc.Args
+	if err := json.Unmarshal([]byte(*argsJSON), &vals); err != nil {
 		return fmt.Errorf("eval: bad -args: %v", err)
-	}
-	vals := make([]core.Value, len(raw))
-	for i, r := range raw {
-		v, err := jsonToValue(r)
-		if err != nil {
-			return err
-		}
-		vals[i] = v
 	}
 
 	m, err := core.ParseMode(*mode)
@@ -301,39 +294,4 @@ func parseKnobs(s string) (autoopt.Space, error) {
 		space[i] = autoopt.Knob{Name: name, Values: vals}
 	}
 	return space, nil
-}
-
-func jsonToValue(r interface{}) (core.Value, error) {
-	switch x := r.(type) {
-	case nil:
-		return core.Nil(), nil
-	case bool:
-		return core.Bool(x), nil
-	case float64:
-		return core.Num(x), nil
-	case string:
-		return core.Str(x), nil
-	case []interface{}:
-		items := make([]core.Value, len(x))
-		for i, e := range x {
-			v, err := jsonToValue(e)
-			if err != nil {
-				return core.Value{}, err
-			}
-			items[i] = v
-		}
-		return core.List(items...), nil
-	case map[string]interface{}:
-		fields := make(map[string]core.Value, len(x))
-		for k, e := range x {
-			v, err := jsonToValue(e)
-			if err != nil {
-				return core.Value{}, err
-			}
-			fields[k] = v
-		}
-		return core.Record(fields), nil
-	default:
-		return core.Value{}, fmt.Errorf("unsupported JSON value %T", r)
-	}
 }

@@ -98,38 +98,6 @@ func TestEvalCommand(t *testing.T) {
 	}
 }
 
-func TestJSONToValue(t *testing.T) {
-	v, err := jsonToValue(map[string]interface{}{
-		"n": 3.0, "flag": true, "s": "x",
-		"list": []interface{}{1.0, 2.0},
-		"null": nil,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f, _ := v.Field("n"); !f.Equal(core.Num(3)) {
-		t.Fatal("number field wrong")
-	}
-	if f, _ := v.Field("flag"); !f.Equal(core.Bool(true)) {
-		t.Fatal("bool field wrong")
-	}
-	if f, _ := v.Field("list"); f.Len() != 2 {
-		t.Fatal("list field wrong")
-	}
-	if f, _ := v.Field("null"); !f.IsNil() {
-		t.Fatal("null field wrong")
-	}
-	if _, err := jsonToValue(struct{}{}); err == nil {
-		t.Fatal("unsupported type accepted")
-	}
-	if _, err := jsonToValue([]interface{}{struct{}{}}); err == nil {
-		t.Fatal("nested unsupported type accepted")
-	}
-	if _, err := jsonToValue(map[string]interface{}{"x": struct{}{}}); err == nil {
-		t.Fatal("nested unsupported record value accepted")
-	}
-}
-
 func TestEvalDefaultInterfaceIsLast(t *testing.T) {
 	// Without -i, eval targets the last interface in the file (svc).
 	path := writeTemp(t, validEIL)

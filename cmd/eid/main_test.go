@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"net"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"syscall"
@@ -59,9 +60,10 @@ func TestServeDrainsOnSignal(t *testing.T) {
 
 // TestRecalDetectsAging drives the binary's own continuous-calibration
 // wiring — attachDrift's CNN probe classes and the install into
-// cnn_forward's "hw" binding — through a full cycle: settle to a stable
-// baseline, age the silicon 5% across the board, and require the drift to
-// be detected and a second calibration generation installed.
+// cnn_forward's "hw" binding — through a full cycle, read through
+// /v1/drift: settle to a stable baseline, age the silicon 5% across the
+// board, and require the drift to be detected and a second calibration
+// generation installed.
 func TestRecalDetectsAging(t *testing.T) {
 	srv := eisvc.NewServer(eisvc.Config{})
 	rig, err := seedFig1(srv)
@@ -71,32 +73,40 @@ func TestRecalDetectsAging(t *testing.T) {
 	if err := attachDrift(srv, rig, 4); err != nil {
 		t.Fatal(err)
 	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := eisvc.NewClient(ts.URL)
 	ctx := context.Background()
-	step := func(want func(*drift.ControllerStatus) bool, what string) {
+	var dr *eisvc.DriftReport
+	step := func(want func() bool, what string) {
 		t.Helper()
 		for i := 0; i < 300; i++ {
 			if err := srv.DriftStep(ctx); err != nil {
 				t.Fatalf("drift step: %v", err)
 			}
-			if st := srv.DriftController().Status(); want(&st) {
+			if dr, err = c.DriftCtx(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if want() {
 				return
 			}
 		}
 		t.Fatalf("%s not reached in 300 steps", what)
 	}
-	step(func(st *drift.ControllerStatus) bool {
-		return st.Monitor.State == drift.StateStable
-	}, "stable baseline")
+	step(func() bool { return dr.Monitor.State == drift.StateStable }, "stable baseline")
 	rig.GPU.InjectAging(0.05)
-	step(func(st *drift.ControllerStatus) bool { return st.Generations >= 2 }, "recalibration")
+	step(func() bool { return len(dr.Generations) >= 2 }, "recalibration")
 
-	gens := srv.DriftController().Generations()
-	last := gens[len(gens)-1]
-	if last.Reason != "drift" || last.Version == 0 {
+	if dr.Detections != 1 || dr.EnergyBugs != 0 || dr.Recalibrations != 1 || dr.StepErrors != 0 ||
+		len(dr.Generations) != dr.ControllerStatus.Generations {
+		t.Fatalf("drift report after recalibration = %+v", dr)
+	}
+	last := dr.Generations[len(dr.Generations)-1]
+	if last.Reason != "drift" || last.Version == 0 || last.Version != dr.CurrentVersion {
 		t.Fatalf("bad generation %+v", last)
 	}
 	if _, ver, _ := srv.Registry().Get("cnn_forward"); ver != last.Version {
-		t.Errorf("cnn_forward at version %d, generation %d installed version %d", ver, len(gens), last.Version)
+		t.Errorf("cnn_forward at version %d, generation %d installed version %d", ver, len(dr.Generations), last.Version)
 	}
 }
 

@@ -41,13 +41,13 @@ type Hooks struct {
 // coefficients that served (or is serving) predictions, the interface
 // version under which it was installed, and how it came to be.
 type Generation struct {
-	Index      int    // 0 = initial calibration, then 1, 2, ...
-	Version    uint64 // interface version serving this generation
-	Reason     string // "seed", "drift", "manual", ...
-	Coef       microbench.Coefficients
-	DetectedAt int     // monitor sample index of the triggering alarm (0 for seed)
-	Residual   float64 // post-install verification residual (signed)
-	Time       float64 // Hooks.Clock at install, 0 without a clock
+	Index      int                     `json:"index"`   // 0 = initial calibration, then 1, 2, ...
+	Version    uint64                  `json:"version"` // interface version serving this generation
+	Reason     string                  `json:"reason"`  // "seed", "drift", "manual", ...
+	Coef       microbench.Coefficients `json:"coef"`
+	DetectedAt int                     `json:"detected_at,omitempty"` // monitor sample index of the triggering alarm (0 for seed)
+	Residual   float64                 `json:"residual"`              // post-install verification residual (signed)
+	Time       float64                 `json:"time,omitempty"`        // Hooks.Clock at install, 0 without a clock
 }
 
 // Controller owns the detect→recalibrate→install loop for one device ×
@@ -196,13 +196,15 @@ func (c *Controller) Generations() []Generation {
 }
 
 // ControllerStatus summarizes the controller for dashboards and the wire.
+// Generations counts the installed generations; on the wire it is
+// "generation", the name /v1/healthz gives the same count.
 type ControllerStatus struct {
-	Monitor        Status
-	Generations    int
-	Detections     int
-	EnergyBugs     int
-	Recalibrating  bool
-	CurrentVersion uint64 // version of the newest generation, 0 if none
+	Monitor        Status `json:"monitor"`
+	Generations    int    `json:"generation"`
+	Detections     int    `json:"detections"`
+	EnergyBugs     int    `json:"energy_bugs"`
+	Recalibrating  bool   `json:"recalibrating"`
+	CurrentVersion uint64 `json:"current_version"` // version of the newest generation, 0 if none
 }
 
 // Status snapshots the controller and its monitor.

@@ -96,6 +96,21 @@ const (
 	StateEnergyBug
 )
 
+// MarshalText writes the state as its String form, so the wire reads
+// "stable" rather than 1.
+func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads a state from its String form.
+func (s *State) UnmarshalText(b []byte) error {
+	for st := StateWarmup; st <= StateEnergyBug; st++ {
+		if st.String() == string(b) {
+			*s = st
+			return nil
+		}
+	}
+	return fmt.Errorf("drift: unknown state %q", b)
+}
+
 func (s State) String() string {
 	switch s {
 	case StateWarmup:

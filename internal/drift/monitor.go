@@ -266,24 +266,24 @@ func (m *Monitor) Reset() {
 
 // ClassStatus reports one input class's running statistics.
 type ClassStatus struct {
-	Input    string
-	Samples  int
-	Residual float64 // class residual EWMA
+	Input    string  `json:"input"`
+	Samples  int     `json:"samples"`
+	Residual float64 `json:"residual"` // class residual EWMA (signed)
 }
 
 // Status is a point-in-time snapshot of the monitor.
 type Status struct {
-	State      State
-	Samples    int
-	Baseline   float64
-	EWMA       float64
-	Shift      float64 // EWMA − baseline
-	PHUp       float64 // cumUp − minUp (upward Page-Hinkley excursion)
-	PHDown     float64 // maxDown − cumDown
-	Lambda     float64 // alarm threshold, for dashboards
-	DetectedAt int     // sample index of the latched alarm, 0 if none
-	Offending  string  // offending input when State is StateEnergyBug
-	Classes    []ClassStatus
+	State      State         `json:"state"`
+	Samples    int           `json:"samples"`
+	Baseline   float64       `json:"baseline"`
+	EWMA       float64       `json:"ewma"`
+	Shift      float64       `json:"shift"`                 // EWMA − baseline
+	PHUp       float64       `json:"ph_up"`                 // cumUp − minUp (upward Page-Hinkley excursion)
+	PHDown     float64       `json:"ph_down"`               // maxDown − cumDown
+	Lambda     float64       `json:"lambda"`                // alarm threshold, for dashboards
+	DetectedAt int           `json:"detected_at,omitempty"` // sample index of the latched alarm, 0 if none
+	Offending  string        `json:"offending,omitempty"`   // offending input when State is StateEnergyBug
+	Classes    []ClassStatus `json:"classes,omitempty"`
 }
 
 // Snapshot returns the current detector state (classes sorted by input).

@@ -438,8 +438,8 @@ func (c *Client) HealthzCtx(ctx context.Context) (*HealthzResponse, error) {
 // DriftCtx fetches the drift monitor's state and the calibration
 // generation registry. The daemon answers 404 when drift monitoring is not
 // enabled.
-func (c *Client) DriftCtx(ctx context.Context) (*DriftResponse, error) {
-	return callJSON[DriftResponse](ctx, c, http.MethodGet, "/v1/drift", nil, true)
+func (c *Client) DriftCtx(ctx context.Context) (*DriftReport, error) {
+	return callJSON[DriftReport](ctx, c, http.MethodGet, "/v1/drift", nil, true)
 }
 
 // RegisterCtx uploads an EIL source file and returns the registered

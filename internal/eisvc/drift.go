@@ -16,7 +16,8 @@ import (
 // admission control as client evaluations, so background refitting
 // competes for a worker slot instead of oversubscribing the device while
 // it is serving. The registry of calibration generations is served at
-// GET /v1/drift; /v1/healthz and /v1/stats report the loop's state.
+// GET /v1/drift with the loop's counters; /v1/healthz says whether a
+// recalibration is running.
 
 // AttachDrift connects a continuous-calibration controller. Attach before
 // starting RunDriftLoop; attaching replaces any previous controller.
@@ -126,53 +127,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleDrift serves the drift monitor's state and the calibration
-// generation registry.
+// handleDrift serves the controller's status and generation registry with
+// the loop's counters.
 func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 	ctl := s.DriftController()
 	if ctl == nil {
 		WriteError(w, http.StatusNotFound, "drift monitoring not enabled")
 		return
 	}
-	st := ctl.Status()
-	resp := DriftResponse{
-		State:          st.Monitor.State.String(),
-		Samples:        st.Monitor.Samples,
-		Baseline:       st.Monitor.Baseline,
-		EWMA:           st.Monitor.EWMA,
-		Shift:          st.Monitor.Shift,
-		PHUp:           st.Monitor.PHUp,
-		PHDown:         st.Monitor.PHDown,
-		Lambda:         st.Monitor.Lambda,
-		DetectedAt:     st.Monitor.DetectedAt,
-		Offending:      st.Monitor.Offending,
-		Detections:     st.Detections,
-		EnergyBugs:     st.EnergyBugs,
-		Recalibrating:  st.Recalibrating,
-		CurrentVersion: st.CurrentVersion,
-		Steps:          s.driftSteps.Load(),
-		StepErrors:     s.driftErrors.Load(),
-	}
-	for _, c := range st.Monitor.Classes {
-		resp.Classes = append(resp.Classes, DriftClassWire{
-			Input: c.Input, Samples: c.Samples, Residual: c.Residual,
-		})
-	}
-	for _, g := range ctl.Generations() {
-		resp.Generations = append(resp.Generations, GenerationWire{
-			Index:      g.Index,
-			Version:    g.Version,
-			Reason:     g.Reason,
-			Device:     g.Coef.Device,
-			InstrJ:     float64(g.Coef.Instr),
-			L1J:        float64(g.Coef.L1),
-			L2J:        float64(g.Coef.L2),
-			VRAMJ:      float64(g.Coef.VRAM),
-			StaticW:    float64(g.Coef.Static),
-			DetectedAt: g.DetectedAt,
-			Residual:   g.Residual,
-			Time:       g.Time,
-		})
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, DriftReport{
+		ControllerStatus: ctl.Status(),
+		Generations:      ctl.Generations(),
+		Steps:            s.driftSteps.Load(),
+		StepErrors:       s.driftErrors.Load(),
+		Recalibrations:   s.recalibrations.Load(),
+	})
 }

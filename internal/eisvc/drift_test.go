@@ -2,8 +2,12 @@ package eisvc
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -143,7 +147,7 @@ func TestDriftStepDetectsAndRecalibrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dr.State != "stable" || dr.Detections != 0 || len(dr.Generations) != 1 {
+	if dr.Monitor.State != drift.StateStable || dr.Detections != 0 || dr.Steps != 10 || len(dr.Generations) != 1 {
 		t.Fatalf("healthy drift status = %+v", dr)
 	}
 	if dr.Generations[0].Reason != "seed" {
@@ -197,18 +201,31 @@ func TestDriftStepDetectsAndRecalibrates(t *testing.T) {
 		}
 	}
 	dr = mustDrift(t, c)
-	if dr.State != "stable" || dr.Detections != 1 {
+	if dr.Monitor.State != drift.StateStable || dr.Detections != 1 || dr.EnergyBugs != 0 ||
+		dr.ControllerStatus.Generations != 2 || len(dr.Generations) != 2 ||
+		dr.Recalibrations != 1 || dr.StepErrors != 0 || dr.Steps < 20 {
 		t.Fatalf("post-recal drift status = %+v", dr)
 	}
 
-	// Stats mirrors the drift surfaces.
-	stats, err := c.StatsCtx(context.Background())
+	// /v1/drift is the one report of calibration state: /v1/stats carries
+	// none of it.
+	resp, err := http.Get(c.Base() + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.DriftEnabled || stats.DriftState != "stable" ||
-		stats.DriftDetections != 1 || stats.Recalibrations != 1 || stats.DriftGeneration != 2 {
-		t.Fatalf("stats drift fields = %+v", stats)
+	defer resp.Body.Close()
+	var raw map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	for k := range raw {
+		if strings.HasPrefix(k, "drift_") || strings.HasPrefix(k, "recal") {
+			t.Errorf("/v1/stats restates calibration state in %q", k)
+		}
+	}
+	stats, err := c.StatsCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Each install invalidates the layer cache via the version bump.
 	if stats.LayerInvalidations == 0 {
@@ -223,7 +240,7 @@ func TestDriftStepDetectsAndRecalibrates(t *testing.T) {
 	}
 }
 
-func mustDrift(t *testing.T, c *Client) *DriftResponse {
+func mustDrift(t *testing.T, c *Client) *DriftReport {
 	t.Helper()
 	dr, err := c.DriftCtx(context.Background())
 	if err != nil {
@@ -244,7 +261,7 @@ func TestDriftLoopRunsInBackground(t *testing.T) {
 	// Let the monitor learn its baseline from the healthy device before
 	// injecting drift — otherwise warmup absorbs the shift as the norm.
 	deadline := time.Now().Add(10 * time.Second)
-	for mustDrift(t, c).State != "stable" {
+	for mustDrift(t, c).Monitor.State != drift.StateStable {
 		if time.Now().After(deadline) {
 			t.Fatalf("monitor never stabilized: %+v", mustDrift(t, c))
 		}
@@ -252,7 +269,7 @@ func TestDriftLoopRunsInBackground(t *testing.T) {
 	}
 
 	rig.setTruth(2.3) // 15% drift from the seeded calibration
-	for rig.srv.recalibrations.Load() == 0 {
+	for mustDrift(t, c).Recalibrations == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("loop never recalibrated; drift = %+v", mustDrift(t, c))
 		}
@@ -263,8 +280,41 @@ func TestDriftLoopRunsInBackground(t *testing.T) {
 		t.Fatalf("loop exit = %v, want context.Canceled", err)
 	}
 	dr := mustDrift(t, c)
-	if dr.Steps == 0 || len(dr.Generations) < 2 {
+	if dr.Steps == 0 || dr.Detections == 0 || dr.Recalibrations == 0 ||
+		len(dr.Generations) < 2 || len(dr.Generations) != dr.ControllerStatus.Generations {
 		t.Fatalf("loop left no trace: %+v", dr)
+	}
+}
+
+// TestDriftDocExamples: docs/DRIFT.md's /v1/drift and /v1/healthz
+// examples decode strictly into the types the daemon serves, so a field
+// renamed or dropped on either side fails here.
+func TestDriftDocExamples(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "DRIFT.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range []struct {
+		heading string
+		into    any
+	}{
+		{"### `GET /v1/drift`\n", &DriftReport{}},
+		{"### `GET /v1/healthz`\n", &HealthzResponse{}},
+	} {
+		_, section, ok := strings.Cut(string(doc), ex.heading)
+		if end := strings.Index(section, "\n#"); end >= 0 {
+			section = section[:end]
+		}
+		_, example, found := strings.Cut(section, "```json\n")
+		example, _, closed := strings.Cut(example, "```")
+		if !ok || !found || !closed {
+			t.Fatalf("docs/DRIFT.md: no JSON example under %q", ex.heading)
+		}
+		dec := json.NewDecoder(strings.NewReader(example))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(ex.into); err != nil {
+			t.Errorf("docs/DRIFT.md's example under %q: %v", ex.heading, err)
+		}
 	}
 }
 

@@ -126,7 +126,7 @@ type Server struct {
 	shedDraining atomic.Uint64
 
 	// Continuous calibration (see drift.go): the attached controller plus
-	// loop counters surfaced at /v1/drift and /v1/stats.
+	// the loop counters /v1/drift reports.
 	driftCtl       atomic.Pointer[drift.Controller]
 	driftSteps     atomic.Uint64
 	driftErrors    atomic.Uint64
@@ -964,19 +964,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.RetriedRequests = s.retriedRequests.Load()
 	resp.RetryAttempts = s.retryAttempts.Load()
 	resp.HedgedRequests = s.hedgedRequests.Load()
-	if ctl := s.DriftController(); ctl != nil {
-		dst := ctl.Status()
-		resp.DriftEnabled = true
-		resp.DriftState = dst.Monitor.State.String()
-		resp.DriftSamples = dst.Monitor.Samples
-		resp.DriftDetections = dst.Detections
-		resp.DriftEnergyBugs = dst.EnergyBugs
-		resp.DriftGeneration = dst.Generations
-		resp.RecalInProgress = dst.Recalibrating
-		resp.Recalibrations = s.recalibrations.Load()
-		resp.DriftSteps = s.driftSteps.Load()
-		resp.DriftStepErrors = s.driftErrors.Load()
-	}
 	if s.layer != nil {
 		ls := s.layer.Stats()
 		resp.LayerEnabled = true

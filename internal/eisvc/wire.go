@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"energyclarity/internal/core"
+	"energyclarity/internal/drift"
 	"energyclarity/internal/energy"
 )
 
@@ -291,19 +292,6 @@ type StatsResponse struct {
 	RetryAttempts   uint64 `json:"retry_attempts" fold:"sum"` // extra attempts beyond the first
 	HedgedRequests  uint64 `json:"hedged_requests" fold:"sum"`
 
-	// Continuous calibration (populated when a drift controller is
-	// attached; see GET /v1/drift for the full registry).
-	DriftEnabled    bool   `json:"drift_enabled" fold:"node"`
-	DriftState      string `json:"drift_state,omitempty" fold:"node"`
-	DriftSamples    int    `json:"drift_samples,omitempty" fold:"node"`
-	DriftDetections int    `json:"drift_detections,omitempty" fold:"node"`
-	DriftEnergyBugs int    `json:"drift_energy_bugs,omitempty" fold:"node"`
-	DriftGeneration int    `json:"drift_generation,omitempty" fold:"node"` // installed generations
-	RecalInProgress bool   `json:"recal_in_progress,omitempty" fold:"node"`
-	Recalibrations  uint64 `json:"recalibrations,omitempty" fold:"node"` // completed by the loop
-	DriftSteps      uint64 `json:"drift_steps,omitempty" fold:"node"`
-	DriftStepErrors uint64 `json:"drift_step_errors,omitempty" fold:"node"`
-
 	Latency LatencyStats `json:"latency" fold:"fields"`
 
 	Clients    map[string]LedgerEntry `json:"clients" fold:"perkey"`
@@ -399,54 +387,15 @@ type HealthzResponse struct {
 	Generation    int  `json:"generation,omitempty"`
 }
 
-// DriftClassWire is one input class's residual statistics on the wire.
-type DriftClassWire struct {
-	Input    string  `json:"input"`
-	Samples  int     `json:"samples"`
-	Residual float64 `json:"residual"` // class residual EWMA (signed)
-}
-
-// GenerationWire is one calibration generation in the /v1/drift registry:
-// the fitted coefficients, the interface version that serves them, and the
-// detection/installation metadata.
-type GenerationWire struct {
-	Index      int     `json:"index"`
-	Version    uint64  `json:"version"`
-	Reason     string  `json:"reason"`
-	Device     string  `json:"device"`
-	InstrJ     float64 `json:"instr_j"`
-	L1J        float64 `json:"l1_j"`
-	L2J        float64 `json:"l2_j"`
-	VRAMJ      float64 `json:"vram_j"`
-	StaticW    float64 `json:"static_w"`
-	DetectedAt int     `json:"detected_at,omitempty"` // monitor sample of the alarm
-	Residual   float64 `json:"residual"`              // post-install verification residual
-	Time       float64 `json:"time,omitempty"`        // device-clock seconds at install
-}
-
-// DriftResponse is the GET /v1/drift payload: detector state, per-class
-// statistics, loop counters, and the calibration generation registry.
-type DriftResponse struct {
-	State      string  `json:"state"` // warmup | stable | drifting | energy_bug
-	Samples    int     `json:"samples"`
-	Baseline   float64 `json:"baseline"`
-	EWMA       float64 `json:"ewma"`
-	Shift      float64 `json:"shift"`
-	PHUp       float64 `json:"ph_up"`
-	PHDown     float64 `json:"ph_down"`
-	Lambda     float64 `json:"lambda"`
-	DetectedAt int     `json:"detected_at,omitempty"`
-	Offending  string  `json:"offending,omitempty"` // input class, energy-bug verdicts
-
-	Detections     int    `json:"detections"`
-	EnergyBugs     int    `json:"energy_bugs"`
-	Recalibrating  bool   `json:"recalibrating"`
-	CurrentVersion uint64 `json:"current_version"`
-	Steps          uint64 `json:"steps"`       // DriftStep invocations
-	StepErrors     uint64 `json:"step_errors"` // probe/recal failures (loop survived)
-
-	Classes     []DriftClassWire `json:"classes,omitempty"`
-	Generations []GenerationWire `json:"generations,omitempty"`
+// DriftReport is the GET /v1/drift payload: the controller's own status
+// (monitor state, per-class residuals, detection counts) and generation
+// registry, plus the daemon loop's counters.
+type DriftReport struct {
+	drift.ControllerStatus
+	Generations    []drift.Generation `json:"generations,omitempty"`
+	Steps          uint64             `json:"steps"`          // DriftStep invocations
+	StepErrors     uint64             `json:"step_errors"`    // probe/recal failures (loop survived)
+	Recalibrations uint64             `json:"recalibrations"` // completed by the loop
 }
 
 // ErrorResponse is the body of every non-2xx answer.

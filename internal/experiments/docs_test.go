@@ -275,8 +275,8 @@ func holdsGo(dir string, tree bool) bool {
 	return false
 }
 
-// TestDocCommands: every command the documents quote names something that
-// exists. A document of three bad commands among good ones fails on
+// TestDocCommands: every command the documents quote, and every make
+// target CI runs, names something that exists. A document of three bad commands among good ones fails on
 // exactly those three lines first, so the check is known to bite.
 func TestDocCommands(t *testing.T) {
 	root := filepath.Join("..", "..")
@@ -303,6 +303,20 @@ func TestDocCommands(t *testing.T) {
 	if len(errs) != 3 || !strings.HasPrefix(errs[0], "DOC.md:2: ") ||
 		!strings.HasPrefix(errs[1], "DOC.md:3: ") || !strings.HasPrefix(errs[2], "DOC.md:7: ") {
 		t.Fatalf("bad commands reported as %q, want one each at DOC.md:2, :3 and :7", errs)
+	}
+
+	// CI names its steps' commands in `run:` lines; every make target
+	// there must exist too.
+	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(ci), "\n") {
+		if cmd, ok := strings.CutPrefix(strings.TrimLeft(strings.TrimSpace(line), "- "), "run:"); ok {
+			for _, e := range commandErrors(root, targets, snippet{fmt.Sprintf(".github/workflows/ci.yml:%d", i+1), cmd}) {
+				t.Error(e)
+			}
+		}
 	}
 
 	for _, pattern := range commandDocs {

@@ -5,6 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -446,5 +451,51 @@ func TestFleetMutationReplication(t *testing.T) {
 		if after.Mean() <= before.Mean() {
 			t.Errorf("%s: mean %v after doubling the accelerator price, want > %v", n.ID, after.Mean(), before.Mean())
 		}
+	}
+}
+
+// TestStatsDocNamesEveryField: docs/EID.md's `GET /v1/stats` section
+// names, in code, every JSON field of a node's /v1/stats and of the
+// router's, so a counter cannot be added, or renamed, without its line in
+// the docs.
+func TestStatsDocNamesEveryField(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "EID.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "### `GET /v1/stats`\n")
+	if !ok {
+		t.Fatal("docs/EID.md has no `GET /v1/stats` section")
+	}
+	if end := strings.Index(section, "\n#"); end >= 0 {
+		section = section[:end]
+	}
+	named := map[string]bool{}
+	for i, span := range strings.Split(section, "`") {
+		if i%2 == 1 {
+			for _, w := range regexp.MustCompile(`[a-z][a-z0-9_]*`).FindAllString(span, -1) {
+				named[w] = true
+			}
+		}
+	}
+	var missing []string
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			switch {
+			case f.Anonymous && name == "":
+				walk(f.Type)
+			case f.IsExported() && name != "-" && !named[name]:
+				missing = append(missing, typ.Name()+"."+name)
+			}
+		}
+	}
+	for _, v := range []any{eisvc.StatsResponse{}, eisvc.LatencyStats{}, eisvc.LedgerEntry{}, FleetStats{}} {
+		walk(reflect.TypeOf(v))
+	}
+	if len(missing) > 0 {
+		t.Errorf("docs/EID.md's `GET /v1/stats` section does not name %v", missing)
 	}
 }

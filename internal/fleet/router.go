@@ -31,7 +31,7 @@ type Router struct {
 	routed       atomic.Uint64 // evaluation requests routed
 	failovers    atomic.Uint64 // candidates skipped after a failure
 	exhausted    atomic.Uint64 // requests no candidate could serve
-	affinityHits atomic.Uint64 // evals steered to their last-serving node
+	affinityHits atomic.Uint64 // evals steered ahead of ring order to their last-serving node
 }
 
 // NewRouter returns a router over the fleet.
@@ -166,14 +166,16 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	cands := rt.f.ordered(rt.f.OwnersOf(stack), spread, (*Node).Live) // then every other live node
 	affKey := eisvc.Hash64(stack) ^ spread
 	affID, affKnown := rt.aff.get(affKey)
-	if i := slices.IndexFunc(cands, func(n *Node) bool { return affKnown && n.ID == affID }); i > 0 {
+	// i > 0: affinity moves its node ahead of the ring's choice.
+	i := slices.IndexFunc(cands, func(n *Node) bool { return affKnown && n.ID == affID })
+	if i > 0 {
 		n := cands[i]
 		copy(cands[1:i+1], cands[:i])
 		cands[0] = n
 	}
 	ok := rt.tryCandidates(r, eisvc.Forwarded(r), body.Bytes(), cands, func(n *Node, resp *http.Response) bool {
 		if resp.StatusCode/100 == 2 {
-			if affKnown && n.ID == affID {
+			if i > 0 && n.ID == affID {
 				rt.affinityHits.Add(1)
 			}
 			rt.aff.put(affKey, n.ID)

@@ -43,8 +43,43 @@ func TestFleetBinaryRoutingAndAffinity(t *testing.T) {
 			t.Errorf("class %d: binary repeat served by %s, want %s (affinity)", k, bresp.Node, jresp.Node)
 		}
 	}
-	if c := rt.Counters(); c.AffinityHits < 4 {
-		t.Errorf("affinity hits = %d, want >= 4", c.AffinityHits)
+	// Every repeat above went where the ring sends it anyway: affinity
+	// steered none of them.
+	if c := rt.Counters(); c.AffinityHits != 0 {
+		t.Errorf("affinity hits = %d before any failover, want 0", c.AffinityHits)
+	}
+
+	// Affinity steers a repeat after a failover: with class 0's preferred
+	// owner partitioned, the other owner serves it; once healed, the ring
+	// prefers the first owner again, but the repeat must go to the node
+	// that holds the answer and be served from its memo.
+	_, first, err := jsonC.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), traceOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.PartitionNode(first.Node, true); err != nil {
+		t.Fatal(err)
+	}
+	_, failover, err := jsonC.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), traceOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.PartitionNode(first.Node, false); err != nil {
+		t.Fatal(err)
+	}
+	if failover.Node == first.Node {
+		t.Fatalf("partitioned %s still served", first.Node)
+	}
+	d, repeat, err := jsonC.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), traceOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitIdentical(t, "steered repeat", d, want[0])
+	if repeat.Node != failover.Node || !repeat.Cached {
+		t.Errorf("repeat after the heal served by %s (cached %v), want %s from its memo", repeat.Node, repeat.Cached, failover.Node)
+	}
+	if c := rt.Counters(); c.AffinityHits != 1 {
+		t.Errorf("affinity hits = %d after one steered repeat, want 1", c.AffinityHits)
 	}
 
 	// Batches through the binary codec answer bit-identically too.

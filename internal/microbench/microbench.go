@@ -26,18 +26,19 @@ import (
 	"energyclarity/internal/energy"
 	"energyclarity/internal/gpusim"
 	"energyclarity/internal/nvml"
+	"energyclarity/internal/profile"
 )
 
 // Coefficients is a calibrated hardware energy model: joules per event and
 // static watts. It is the "hardware energy interface" of §3's bottom layer,
 // in numeric form.
 type Coefficients struct {
-	Device string
-	Instr  energy.Joules
-	L1     energy.Joules
-	L2     energy.Joules
-	VRAM   energy.Joules
-	Static energy.Watts
+	Device string        `json:"device"`
+	Instr  energy.Joules `json:"instr_j"`
+	L1     energy.Joules `json:"l1_j"`
+	L2     energy.Joules `json:"l2_j"`
+	VRAM   energy.Joules `json:"vram_j"`
+	Static energy.Watts  `json:"static_w"`
 }
 
 // staticIdleSeconds is how long the calibrator idles the device to measure
@@ -101,7 +102,7 @@ func CalibrateSpec(g *gpusim.GPU, repeats int, spec gpusim.Spec) (Coefficients, 
 		g.Idle(0.05)
 	}
 
-	coef, err := leastSquares(xs, ys)
+	coef, err := profile.LeastSquares(xs, ys)
 	if err != nil {
 		return Coefficients{}, fmt.Errorf("microbench: %s: %w", spec.Name, err)
 	}
@@ -252,79 +253,4 @@ func (c Coefficients) DeviceInterface(spec gpusim.Spec) *core.Interface {
 		},
 	})
 	return iface
-}
-
-// leastSquares solves min ||X b - y||² via the normal equations and
-// Gauss-Jordan elimination with partial pivoting. Columns are scaled to
-// unit max-norm first (raw event counts differ by orders of magnitude).
-// Degenerate systems return an error.
-func leastSquares(xs [][]float64, ys []float64) ([]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("design matrix and observations disagree (%d vs %d)", len(xs), len(ys))
-	}
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("no observations")
-	}
-	k := len(xs[0])
-	if len(xs) < k {
-		return nil, fmt.Errorf("need at least %d observations, have %d", k, len(xs))
-	}
-	scale := make([]float64, k)
-	for _, x := range xs {
-		if len(x) != k {
-			return nil, fmt.Errorf("ragged design matrix")
-		}
-		for i := 0; i < k; i++ {
-			if a := math.Abs(x[i]); a > scale[i] {
-				scale[i] = a
-			}
-		}
-	}
-	for i := range scale {
-		if scale[i] == 0 {
-			return nil, fmt.Errorf("singular normal equations (column %d never excited)", i)
-		}
-	}
-	// Augmented normal matrix [X'X | X'y], column-scaled.
-	m := make([][]float64, k)
-	for i := range m {
-		m[i] = make([]float64, k+1)
-	}
-	for r, x := range xs {
-		for i := 0; i < k; i++ {
-			m[i][k] += x[i] / scale[i] * ys[r]
-			for j := 0; j < k; j++ {
-				m[i][j] += x[i] / scale[i] * x[j] / scale[j]
-			}
-		}
-	}
-	for col := 0; col < k; col++ {
-		pivot := col
-		for r := col + 1; r < k; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-30 {
-			return nil, fmt.Errorf("singular normal equations (column %d)", col)
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		for r := 0; r < k; r++ {
-			if r == col {
-				continue
-			}
-			f := m[r][col] / m[col][col]
-			for c := col; c <= k; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	b := make([]float64, k)
-	for i := 0; i < k; i++ {
-		b[i] = m[i][k] / m[i][i] / scale[i]
-		if math.IsNaN(b[i]) || math.IsInf(b[i], 0) {
-			return nil, fmt.Errorf("non-finite solution")
-		}
-	}
-	return b, nil
 }

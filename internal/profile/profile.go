@@ -52,7 +52,7 @@ func Fit(features [][]float64, ys []float64) (*Model, error) {
 		row[k] = 1
 		xs[i] = row
 	}
-	coef, err := solveNormal(xs, ys, n)
+	coef, err := LeastSquares(xs, ys)
 	if err != nil {
 		return nil, err
 	}
@@ -110,61 +110,78 @@ func (m *Model) R2(features [][]float64, ys []float64) (float64, error) {
 	return 1 - ssRes/ssTot, nil
 }
 
-// solveNormal solves the normal equations for n coefficients with column
-// scaling and Gauss-Jordan elimination.
-func solveNormal(xs [][]float64, ys []float64, n int) ([]float64, error) {
-	scale := make([]float64, n)
+// LeastSquares solves min ||X b - y||² via the normal equations and
+// Gauss-Jordan elimination with partial pivoting. Columns are scaled to
+// unit max-norm first (raw event counts differ by orders of magnitude).
+// Degenerate systems return an error. It is the one solver of the repo:
+// Fit's profiling baseline and microbench's calibration both call it.
+func LeastSquares(xs [][]float64, ys []float64) ([]float64, error) {
+	if len(xs) != len(ys) {
+		return nil, fmt.Errorf("profile: design matrix and observations disagree (%d vs %d)", len(xs), len(ys))
+	}
+	if len(xs) == 0 {
+		return nil, fmt.Errorf("profile: no observations")
+	}
+	k := len(xs[0])
+	if len(xs) < k {
+		return nil, fmt.Errorf("profile: need at least %d observations, have %d", k, len(xs))
+	}
+	scale := make([]float64, k)
 	for _, x := range xs {
-		for i := 0; i < n; i++ {
+		if len(x) != k {
+			return nil, fmt.Errorf("profile: ragged design matrix")
+		}
+		for i := 0; i < k; i++ {
 			if a := math.Abs(x[i]); a > scale[i] {
 				scale[i] = a
 			}
 		}
 	}
-	for i, s := range scale {
-		if s == 0 {
-			return nil, fmt.Errorf("profile: feature %d constant at zero", i)
+	for i := range scale {
+		if scale[i] == 0 {
+			return nil, fmt.Errorf("profile: singular normal equations (column %d never excited)", i)
 		}
 	}
-	m := make([][]float64, n)
+	// Augmented normal matrix [X'X | X'y], column-scaled.
+	m := make([][]float64, k)
 	for i := range m {
-		m[i] = make([]float64, n+1)
+		m[i] = make([]float64, k+1)
 	}
 	for r, x := range xs {
-		for i := 0; i < n; i++ {
-			m[i][n] += x[i] / scale[i] * ys[r]
-			for j := 0; j < n; j++ {
+		for i := 0; i < k; i++ {
+			m[i][k] += x[i] / scale[i] * ys[r]
+			for j := 0; j < k; j++ {
 				m[i][j] += x[i] / scale[i] * x[j] / scale[j]
 			}
 		}
 	}
-	for col := 0; col < n; col++ {
+	for col := 0; col < k; col++ {
 		pivot := col
-		for r := col + 1; r < n; r++ {
+		for r := col + 1; r < k; r++ {
 			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
 				pivot = r
 			}
 		}
 		if math.Abs(m[pivot][col]) < 1e-24 {
-			return nil, fmt.Errorf("profile: collinear features (column %d)", col)
+			return nil, fmt.Errorf("profile: singular normal equations (column %d collinear)", col)
 		}
 		m[col], m[pivot] = m[pivot], m[col]
-		for r := 0; r < n; r++ {
+		for r := 0; r < k; r++ {
 			if r == col {
 				continue
 			}
 			f := m[r][col] / m[col][col]
-			for c := col; c <= n; c++ {
+			for c := col; c <= k; c++ {
 				m[r][c] -= f * m[col][c]
 			}
 		}
 	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = m[i][n] / m[i][i] / scale[i]
-		if math.IsNaN(out[i]) || math.IsInf(out[i], 0) {
+	b := make([]float64, k)
+	for i := 0; i < k; i++ {
+		b[i] = m[i][k] / m[i][i] / scale[i]
+		if math.IsNaN(b[i]) || math.IsInf(b[i], 0) {
 			return nil, fmt.Errorf("profile: non-finite solution")
 		}
 	}
-	return out, nil
+	return b, nil
 }

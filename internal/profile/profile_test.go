@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"energyclarity/internal/gpusim"
@@ -129,5 +130,92 @@ func TestExtrapolationFailureOnGPT2(t *testing.T) {
 	pred := m.Predict([]float64{600})
 	if pred >= out*0.97 {
 		t.Fatalf("expected extrapolation shortfall: predicted %v vs measured %v", pred, out)
+	}
+}
+
+func TestLeastSquaresExactSystem(t *testing.T) {
+	// Synthetic exact data must be recovered to machine precision.
+	truth := []float64{2, 3, 5, 7, 11}
+	var xs [][]float64
+	var ys []float64
+	rows := [][]float64{
+		{1, 0, 0, 0, 0}, {0, 1, 0, 0, 0}, {0, 0, 1, 0, 0}, {0, 0, 0, 1, 0},
+		{0, 0, 0, 0, 1}, {1, 1, 1, 1, 1}, {2, 1, 0, 1, 3}, {5, 4, 3, 2, 1},
+	}
+	for _, r := range rows {
+		y := 0.0
+		for i := 0; i < 5; i++ {
+			y += r[i] * truth[i]
+		}
+		xs = append(xs, r)
+		ys = append(ys, y)
+	}
+	got, err := LeastSquares(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if math.Abs(got[i]-truth[i]) > 1e-9 {
+			t.Fatalf("coef %d = %v, want %v", i, got[i], truth[i])
+		}
+	}
+}
+
+func TestLeastSquaresBadlyScaledColumns(t *testing.T) {
+	// Columns differing by 12 orders of magnitude must still solve exactly
+	// (this is the real calibration regime: event counts vs durations).
+	truth := []float64{1e-12, 5}
+	var xs [][]float64
+	var ys []float64
+	for i := 1; i <= 6; i++ {
+		x := []float64{float64(i) * 1e9, float64(i*i) * 1e-3}
+		xs = append(xs, x)
+		ys = append(ys, x[0]*truth[0]+x[1]*truth[1])
+	}
+	got, err := LeastSquares(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range truth {
+		if math.Abs(got[i]-truth[i]) > 1e-6*math.Abs(truth[i]) {
+			t.Fatalf("coef %d = %v, want %v", i, got[i], truth[i])
+		}
+	}
+}
+
+func TestLeastSquaresErrors(t *testing.T) {
+	if _, err := LeastSquares([][]float64{{1, 0, 0, 0, 0}}, []float64{1}); err == nil ||
+		!strings.Contains(err.Error(), "at least 5") {
+		t.Errorf("underdetermined system accepted: %v", err)
+	}
+	if _, err := LeastSquares([][]float64{{1, 0, 0, 0, 0}}, []float64{1, 2}); err == nil {
+		t.Error("length mismatch accepted")
+	}
+	if _, err := LeastSquares(nil, nil); err == nil {
+		t.Error("empty system accepted")
+	}
+	if _, err := LeastSquares([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
+		t.Error("ragged matrix accepted")
+	}
+	// Singular: a column never excited.
+	var xs [][]float64
+	var ys []float64
+	for i := 0; i < 6; i++ {
+		xs = append(xs, []float64{float64(i + 1), float64(i), 0, float64(i % 2), 1})
+		ys = append(ys, float64(i))
+	}
+	if _, err := LeastSquares(xs, ys); err == nil ||
+		!strings.Contains(err.Error(), "singular") {
+		t.Errorf("singular system accepted: %v", err)
+	}
+	// Perfectly collinear columns.
+	xs = nil
+	ys = nil
+	for i := 1; i <= 6; i++ {
+		xs = append(xs, []float64{float64(i), 2 * float64(i), 0, 0, 0})
+		ys = append(ys, float64(i))
+	}
+	if _, err := LeastSquares(xs, ys); err == nil {
+		t.Error("collinear system accepted")
 	}
 }
