@@ -54,6 +54,7 @@ func TestProcessServesAndWarmRestarts(t *testing.T) {
 
 	p, base := proctest.Start(t, "serving on", args...)
 	c := eisvc.NewClient(base)
+	c.Binary = false // the JSON arm; bc below speaks binary
 	if hz, err := c.HealthzCtx(ctx); err != nil || !hz.Ready || hz.Draining {
 		t.Fatalf("fresh daemon healthz = %+v, %v; want ready", hz, err)
 	}
@@ -68,7 +69,6 @@ func TestProcessServesAndWarmRestarts(t *testing.T) {
 		t.Fatalf("repeat Monte Carlo eval: %+v, %v; want a memo hit", resp, err)
 	}
 	bc := eisvc.NewClient(base)
-	bc.Binary = true
 	if got, resp, err := bc.EvalCtx(ctx, "ml_webservice", "handle", req, mc); err != nil || !resp.Cached || !sameBits(got, want) {
 		t.Fatalf("binary repeat: %+v, %v; want a memo hit bit-identical to the JSON answer", resp, err)
 	}

@@ -144,11 +144,11 @@ type Client struct {
 	// delay for idempotent calls still in flight — the classic
 	// tail-latency hedge. The first answer wins; the loser is cancelled.
 	Hedge time.Duration
-	// Binary switches the endpoint-table calls (EvalCtx, EvalBatchCtx,
-	// CacheLookupCtx) to the length-prefixed binary codec: the
-	// request body is sent as BinaryContentType and the same is offered in
-	// Accept. Requires a daemon that speaks the codec; everything else
-	// (register, stats, drift, ...) stays on the JSON debug path regardless.
+	// Binary selects the codec of the endpoint-table calls (EvalCtx,
+	// EvalBatchCtx, CacheLookupCtx): true, NewClient's default, sends and
+	// asks for BinaryContentType, the wire every node, router and fleet
+	// client speaks; false is JSON, the debug and interop choice. Every
+	// other call (register, stats, drift, ...) is JSON either way.
 	Binary bool
 
 	retries   atomic.Uint64
@@ -158,9 +158,9 @@ type Client struct {
 }
 
 // NewClient returns a client for the daemon at base (e.g.
-// "http://127.0.0.1:7757").
+// "http://127.0.0.1:7757") that speaks the binary codec.
 func NewClient(base string) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), rt: defaultTransport}
+	return &Client{base: strings.TrimRight(base, "/"), rt: defaultTransport, Binary: true}
 }
 
 // defaultTransport is http.DefaultTransport's configuration, gzip off.

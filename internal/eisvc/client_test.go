@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"energyclarity/internal/core"
 )
 
 // TestClientBoundsAnswers: no daemon or router can make a client allocate
@@ -198,5 +200,55 @@ func TestEvalBatchLeavesRequestsAlone(t *testing.T) {
 	}
 	if got := []int{reqs[0].DeadlineMs, reqs[1].DeadlineMs, reqs[2].DeadlineMs}; !slices.Equal(got, []int{NoDeadline, 0, 40}) {
 		t.Errorf("caller's deadlines became %v", got)
+	}
+}
+
+// TestNewClientSpeaksBinary pins the client's default codec: a NewClient
+// client sends and asks for BinaryContentType on every endpoint-table call
+// and JSON on the rest; with Binary false, every route is JSON.
+func TestNewClientSpeaksBinary(t *testing.T) {
+	srv := NewServer(Config{})
+	type sent struct{ contentType, accept string }
+	var mu sync.Mutex
+	seen := map[string]sent{}
+	c := NewClient("http://loopback")
+	c.SetTransport(NewLoopbackTransport(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.URL.Path] = sent{r.Header.Get("Content-Type"), r.Header.Get("Accept")}
+		mu.Unlock()
+		srv.ServeHTTP(w, r)
+	})))
+	ctx := context.Background()
+	args := []core.Value{reqArg()}
+	for _, binary := range []bool{true, false} {
+		if !binary { // the first pass keeps NewClient's default
+			c.Binary = false
+		}
+		clear(seen)
+		if _, err := c.RegisterCtx(ctx, testEIL); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.EvalCtx(ctx, "ml_webservice", "handle", args, core.Expected()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.EvalBatchCtx(ctx, []EvalRequest{c.EvalRequestFor("ml_webservice", "handle", args, core.Expected())}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.CacheLookupCtx(ctx, []string{"no such key"}, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.StatsCtx(ctx); err != nil {
+			t.Fatal(err)
+		}
+		bin, js := sent{BinaryContentType, BinaryContentType}, sent{jsonContentType, ""}
+		want := map[string]sent{"/v1/register": js, "/v1/eval": js, "/v1/evalbatch": js, "/v1/cachelookup": js, "/v1/stats": {}}
+		if binary {
+			want["/v1/eval"], want["/v1/evalbatch"], want["/v1/cachelookup"] = bin, bin, bin
+		}
+		for path, w := range want {
+			if got, ok := seen[path]; !ok || got != w {
+				t.Errorf("Binary %v: %s sent Content-Type %q, Accept %q; want %q, %q", binary, path, got.contentType, got.accept, w.contentType, w.accept)
+			}
+		}
 	}
 }

@@ -296,7 +296,6 @@ func TestWarmBatchAllocs(t *testing.T) {
 	}
 	c := NewClient("http://loopback")
 	c.SetTransport(NewLoopbackTransport(srv))
-	c.Binary = true
 	reqs := make([]EvalRequest, items)
 	for i := range reqs {
 		arg := core.Record(map[string]core.Value{"pixels": core.Num(float64(1024 + i%distinct)), "zeros": core.Num(0)})
@@ -336,7 +335,6 @@ func TestBatchRetainsOnlyColdKeys(t *testing.T) {
 	peer.ApplyRegistrySnapshot(node.Registry().Snapshot())
 	pc := NewClient("http://peer")
 	pc.SetTransport(NewLoopbackTransport(peer))
-	pc.Binary = true
 	node.SetPeerLookup(func(ctx context.Context, keys []string) []PeerAnswer {
 		answers, _, err := pc.CacheLookupCtx(ctx, keys, false)
 		if err != nil {
@@ -347,7 +345,6 @@ func TestBatchRetainsOnlyColdKeys(t *testing.T) {
 	})
 	c := NewClient("http://node")
 	c.SetTransport(NewLoopbackTransport(node))
-	c.Binary = true
 	req := func(pixels int) EvalRequest {
 		arg := core.Record(map[string]core.Value{"pixels": core.Num(float64(pixels)), "zeros": core.Num(0)})
 		return c.EvalRequestFor("ml_webservice", "handle", []core.Value{arg}, core.Expected())

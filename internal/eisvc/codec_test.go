@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"energyclarity/internal/core"
@@ -366,24 +369,84 @@ func reencodes[T any](c *Codec[T]) func([]byte) error {
 	}
 }
 
+// framesJSON is FuzzCodecRoundTrip's property for the JSON side of a
+// request codec, the side the router transcodes: bytes strict JSON
+// decoding refuses are fine; what it takes, Frame turns into a frame that
+// reencodes accepts, and that frame decoded, encoded as JSON and framed
+// again is the same bytes.
+func framesJSON[T any](c *Codec[T]) func([]byte) error {
+	return func(data []byte) error {
+		var scratch, js, again bytes.Buffer
+		frame, err := c.Frame(&scratch, jsonContentType, data)
+		if err != nil {
+			return nil
+		}
+		v, err := c.Decode(BinaryContentType, frame)
+		if err != nil {
+			return fmt.Errorf("kind %d: the frame of JSON %q does not decode: %v", c.kind, data, err)
+		}
+		if err := reencodes(c)(frame); err != nil {
+			return err
+		}
+		if err := c.Encode(&js, jsonContentType, v); err != nil {
+			return fmt.Errorf("kind %d: the frame of JSON %q does not encode as JSON: %v", c.kind, data, err)
+		}
+		twice, err := c.Frame(&again, jsonContentType, js.Bytes())
+		if err != nil {
+			return fmt.Errorf("kind %d: JSON %q re-encoded as %q is refused: %v", c.kind, data, js.Bytes(), err)
+		}
+		if !bytes.Equal(frame, twice) {
+			return fmt.Errorf("kind %d: JSON %q re-encoded as %q frames differently:\n once  %x\n twice %x", c.kind, data, js.Bytes(), frame, twice)
+		}
+		return nil
+	}
+}
+
+// addJSONSeeds gives a fuzz target docs/EID.md's `POST /v1/eval` request
+// example, alone and as a batch's one item, and a memo probe.
+func addJSONSeeds(f *testing.F) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "EID.md"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, after, _ := strings.Cut(string(doc), "### `POST /v1/eval`\n\n```json\n")
+	example, _, ok := strings.Cut(after, "```")
+	if !ok {
+		f.Fatal("docs/EID.md has no `POST /v1/eval` JSON example")
+	}
+	if _, err := EvalEndpoint.Request.Decode(jsonContentType, []byte(example)); err != nil {
+		f.Fatalf("docs/EID.md's `POST /v1/eval` example does not decode: %v", err)
+	}
+	f.Add([]byte(example))
+	f.Add([]byte(`{"requests": [` + example + `]}`))
+	f.Add([]byte(`{"keys": ["k1", "k2"], "summary": true}`))
+}
+
 // FuzzCodecRoundTrip drives every binary codec — each endpoint's request
 // and response, and the snapshot file — with arbitrary bytes: a decoder
 // refuses them or takes them, never panics, and what it takes re-encodes
 // canonically (reencodes), the property the router's verbatim
-// passthrough relies on.
+// passthrough relies on. The same bytes go to each endpoint's request
+// codec as JSON (framesJSON), the router's transcoding.
 func FuzzCodecRoundTrip(f *testing.F) {
 	addCodecSeeds(f)
-	byPath := map[string][]func([]byte) error{
+	addJSONSeeds(f)
+	binary := map[string][]func([]byte) error{
 		EvalEndpoint.Path:        {reencodes(&EvalEndpoint.Request), reencodes(&EvalEndpoint.Response)},
 		EvalBatchEndpoint.Path:   {reencodes(&EvalBatchEndpoint.Request), reencodes(&EvalBatchEndpoint.Response)},
 		CacheLookupEndpoint.Path: {reencodes(&CacheLookupEndpoint.Request), reencodes(&CacheLookupEndpoint.Response)},
 	}
+	asJSON := map[string]func([]byte) error{
+		EvalEndpoint.Path:        framesJSON(&EvalEndpoint.Request),
+		EvalBatchEndpoint.Path:   framesJSON(&EvalBatchEndpoint.Request),
+		CacheLookupEndpoint.Path: framesJSON(&CacheLookupEndpoint.Request),
+	}
 	checks := []func([]byte) error{reencodes(&snapshotCodec)}
 	for _, path := range Endpoints {
-		if byPath[path] == nil {
-			f.Fatalf("%s is in the endpoint table but not fuzzed", path)
+		if binary[path] == nil || asJSON[path] == nil {
+			f.Fatalf("%s is in the endpoint table but not fuzzed in both codecs", path)
 		}
-		checks = append(checks, byPath[path]...)
+		checks = append(append(checks, binary[path]...), asJSON[path])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, check := range checks {

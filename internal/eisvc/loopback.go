@@ -19,7 +19,6 @@ import (
 //
 //	c := eisvc.NewClient("http://loopback")
 //	c.SetTransport(eisvc.NewLoopbackTransport(srv))
-//	c.Binary = true
 //
 // The host part of the base URL is ignored; only the path routes.
 type LoopbackTransport struct {

@@ -266,7 +266,6 @@ func TestLedgerClientCap(t *testing.T) {
 	}
 	c := NewClient("http://loopback")
 	c.SetTransport(NewLoopbackTransport(srv))
-	c.Binary = true
 	args := []core.Value{reqArg()}
 	for i := 0; i < ids; i++ {
 		c.ID = fmt.Sprintf("tenant-%04d", i)
@@ -342,7 +341,6 @@ func TestSnapshotWrittenByParent(t *testing.T) {
 
 	c := NewClient("http://loopback")
 	c.SetTransport(NewLoopbackTransport(srv))
-	c.Binary = true
 	arg := func(px float64) []core.Value {
 		return []core.Value{core.Record(map[string]core.Value{"pixels": core.Num(px), "zeros": core.Num(16)})}
 	}

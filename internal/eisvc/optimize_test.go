@@ -109,17 +109,17 @@ func TestOptimizeServedSweep(t *testing.T) {
 		t.Fatalf("repeat sweep memo-served %d of %d evals", again.MemoServed, again.Evals)
 	}
 
-	// The binary codec answers the same sweep bit-identically.
-	c.Binary = true
-	bin, err := optSweep(context.Background(), c, optSpec(), "opt_stack", core.Expected())
+	// The JSON codec answers the same sweep bit-identically.
+	c.Binary = false
+	js, err := optSweep(context.Background(), c, optSpec(), "opt_stack", core.Expected())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bin.Digest != first.Digest || len(bin.Frontier) != len(first.Frontier) {
-		t.Fatalf("binary digest %x != JSON digest %x", bin.Digest, first.Digest)
+	if js.Digest != first.Digest || len(js.Frontier) != len(first.Frontier) {
+		t.Fatalf("JSON digest %x != binary digest %x", js.Digest, first.Digest)
 	}
-	if bin.MemoServed != bin.Evals {
-		t.Fatalf("binary sweep memo-served %d of %d evals", bin.MemoServed, bin.Evals)
+	if js.MemoServed != js.Evals {
+		t.Fatalf("JSON sweep memo-served %d of %d evals", js.MemoServed, js.Evals)
 	}
 
 	st, err := c.StatsCtx(context.Background())

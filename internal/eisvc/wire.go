@@ -2,6 +2,7 @@ package eisvc
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sort"
 
@@ -425,17 +426,15 @@ func (a Args) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON reads a JSON array of arguments.
 func (a *Args) UnmarshalJSON(data []byte) error {
 	var raw []any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
+	err := json.Unmarshal(data, &raw)
 	*a = nil
 	if len(raw) > 0 {
 		*a = make(Args, len(raw))
 	}
-	for i, r := range raw {
-		(*a)[i] = valueFromJSON(r)
+	for i := 0; err == nil && i < len(raw); i++ {
+		(*a)[i], err = valueFromJSON(raw[i], 0)
 	}
-	return nil
+	return err
 }
 
 // MarshalJSON writes the pinned ECVs as a JSON object.
@@ -450,17 +449,17 @@ func (f Fixed) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON reads a JSON object of pinned ECVs.
 func (f *Fixed) UnmarshalJSON(data []byte) error {
 	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
+	err := json.Unmarshal(data, &raw)
 	*f = nil
 	if len(raw) > 0 {
 		*f = make(Fixed, len(raw))
 	}
 	for k, r := range raw {
-		(*f)[k] = valueFromJSON(r)
+		if (*f)[k], err = valueFromJSON(r, 0); err != nil {
+			break
+		}
 	}
-	return nil
+	return err
 }
 
 // valueToJSON maps a core.Value onto the plain JSON data model: records
@@ -495,29 +494,35 @@ func valueToJSON(v core.Value) any {
 }
 
 // valueFromJSON maps a value encoding/json decoded into an any onto a
-// core.Value; the decoder produces nothing outside the cases below.
-func valueFromJSON(r any) core.Value {
+// core.Value; the decoder produces nothing outside the cases below. Like
+// the binary codec (value), it refuses nesting past maxValueDepth.
+func valueFromJSON(r any, depth int) (v core.Value, err error) {
+	if depth > maxValueDepth {
+		return v, fmt.Errorf("eisvc: value nesting exceeds %d", maxValueDepth)
+	}
 	switch x := r.(type) {
 	case bool:
-		return core.Bool(x)
+		v = core.Bool(x)
 	case float64:
-		return core.Num(x)
+		v = core.Num(x)
 	case string:
-		return core.Str(x)
+		v = core.Str(x)
 	case []any:
 		items := make([]core.Value, len(x))
-		for i, e := range x {
-			items[i] = valueFromJSON(e)
+		for i := 0; err == nil && i < len(x); i++ {
+			items[i], err = valueFromJSON(x[i], depth+1)
 		}
-		return core.List(items...)
+		v = core.List(items...)
 	case map[string]any:
 		fields := make(map[string]core.Value, len(x))
 		for k, e := range x {
-			fields[k] = valueFromJSON(e)
+			if fields[k], err = valueFromJSON(e, depth+1); err != nil {
+				break
+			}
 		}
-		return core.Record(fields)
+		v = core.Record(fields)
 	}
-	return core.Nil()
+	return v, err
 }
 
 // Options converts the request into core.EvalOptions. The mode string is

@@ -46,6 +46,33 @@ func TestValueJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValueDepthOneBound: the JSON and binary codecs refuse the same
+// argument nesting, so a JSON request the router frames is a frame a node
+// decodes. An argument or pinned ECV nested maxValueDepth deep is taken by
+// both; one level deeper is refused by both.
+func TestValueDepthOneBound(t *testing.T) {
+	nest := func(levels int) core.Value {
+		v := core.Num(1)
+		for range levels {
+			v = core.List(v)
+		}
+		return v
+	}
+	for _, levels := range []int{maxValueDepth, maxValueDepth + 1} {
+		for _, req := range []*EvalRequest{{Args: Args{nest(levels)}}, {Fixed: Fixed{"ecv": nest(levels)}}} {
+			text, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, jerr := EvalEndpoint.Request.Decode(jsonContentType, text)
+			_, berr := EvalEndpoint.Request.Decode(BinaryContentType, binaryFrame(&EvalEndpoint.Request, req))
+			if want := levels <= maxValueDepth; (jerr == nil) != want || (berr == nil) != want {
+				t.Errorf("%d levels: JSON decode %v, binary decode %v; want both to succeed = %v", levels, jerr, berr, want)
+			}
+		}
+	}
+}
+
 func TestMemoKeyCanonicalization(t *testing.T) {
 	args := []core.Value{core.Record(map[string]core.Value{"n": core.Num(5)})}
 

@@ -79,7 +79,6 @@ func E19Autoopt() (*E19Result, error) {
 	defer stop()
 
 	client := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-	client.Binary = true
 	client.ID = "autoopt-e19"
 	// The cold sweep's 120 items fit one batch, whose exact enumerations
 	// can outlive the default per-attempt timeout on a slow or loaded

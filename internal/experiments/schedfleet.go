@@ -132,7 +132,6 @@ func E18SchedFleet() (*E18Result, error) {
 	defer stop()
 
 	client := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-	client.Binary = true
 	client.ID = "schedsvc-e18"
 	sched, err := schedsvc.New(cfg, client)
 	if err != nil {

@@ -160,14 +160,12 @@ func E17Wire() (*E17Result, error) {
 		return nil, err
 	}
 	jsonC := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-	jsonC.ID = "e17-json"
+	jsonC.ID, jsonC.Binary = "e17-json", false
 	binC := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
 	binC.ID = "e17-bin"
-	binC.Binary = true
 	loopC := eisvc.NewClient("http://loopback")
 	loopC.SetTransport(eisvc.NewLoopbackTransport(srv))
 	loopC.ID = "e17-loop"
-	loopC.Binary = true
 
 	// Warm the memo, then time each path against the same entry.
 	ref, _, err := e17Ask(context.Background(), jsonC, 0)
@@ -233,7 +231,6 @@ func (r *E17Result) restartPhase() error {
 		client: func(int) *eisvc.Client {
 			c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
 			c.ID = "e17-restart"
-			c.Binary = true
 			return c
 		},
 		ask: func(ctx context.Context, c *eisvc.Client, k int) (energy.Dist, *eisvc.EvalResponse, error) {

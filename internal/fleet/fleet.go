@@ -150,11 +150,7 @@ func (f *Fleet) startNode(id string) (*Node, error) {
 		ln:     fl,
 	}
 	n.peer = eisvc.NewClient(n.URL).TuneTransport(eisvc.TransportTuning{})
-	n.peer.ID = "fleet-peer"
-	n.peer.Timeout = DefaultPeerTimeout
-	// Peer probes ride the binary codec: both ends are the same build, and
-	// a probe is pure hot path — nothing to debug, everything to shave.
-	n.peer.Binary = true
+	n.peer.ID, n.peer.Timeout = "fleet-peer", DefaultPeerTimeout
 	srv.SetPeerLookup(f.peerLookupFor(n))
 	if path := f.snapshotPath(id); path != "" {
 		// Load errors (missing file, corruption) mean a cold start; the

@@ -186,7 +186,6 @@ func TestRoutedBatchAllocs(t *testing.T) {
 	const warm, cold, runs, bound = 231, 25, 20, 1000
 	f := startFleet(t, Config{Nodes: 3})
 	_, c := startTestRouter(t, f)
-	c.Binary = true
 	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,12 @@ import (
 func TestFleetBinaryRoutingAndAffinity(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	rt, jsonC := startTestRouter(t, f)
+	jsonC.Binary = false
 	if _, err := jsonC.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
 	binC := eisvc.NewClient(jsonC.Base()).TuneTransport(eisvc.TransportTuning{})
 	binC.ID = "fleet-bin"
-	binC.Binary = true
 
 	want := refDists(t, 4)
 	for k := 0; k < 4; k++ {

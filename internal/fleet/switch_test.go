@@ -420,11 +420,12 @@ func batchItemsBy(rt *Router) map[string]uint64 {
 func TestOnePlacementAloneOrBatched(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	rt, jsonC := startTestRouter(t, f)
+	jsonC.Binary = false
 	if _, err := jsonC.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}
 	binC := eisvc.NewClient(jsonC.Base()).TuneTransport(eisvc.TransportTuning{})
-	binC.ID, binC.Binary = "fleet-bin", true
+	binC.ID = "fleet-bin"
 
 	const n = 48
 	reqs := probeReqs(binC, 5000, n)
@@ -475,7 +476,6 @@ func TestOnePlacementAloneOrBatched(t *testing.T) {
 func TestBatchFailsOverLikeASingle(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	rt, c := startTestRouter(t, f)
-	c.Binary = true
 	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,6 @@ func TestBatchFailsOverLikeASingle(t *testing.T) {
 func TestBatchesSurviveKillMidFlight(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
 	_, c := startTestRouter(t, f)
-	c.Binary = true
 	c.Retry = eisvc.DefaultRetryPolicy()
 	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)

@@ -122,7 +122,6 @@ func startTestFleet(t *testing.T, cfg Config) *Scheduler {
 	}
 	t.Cleanup(stop)
 	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-	c.Binary = true
 	s, err := New(cfg, c)
 	if err != nil {
 		t.Fatal(err)
