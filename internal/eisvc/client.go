@@ -259,7 +259,7 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 	}
 	defer resp.Body.Close()
 	buf := GetBuffer()
-	err = readBounded(buf, resp)
+	err = ReadBounded(buf, resp)
 	if resp.StatusCode/100 != 2 {
 		apiErr := &APIError{Status: resp.StatusCode, Message: resp.Status}
 		var wire ErrorResponse
@@ -285,14 +285,14 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 	return buf, resp.Header.Get("Content-Type"), nil
 }
 
-// readBounded drains an answer into buf under the rule the fleet router
+// ReadBounded drains an answer into buf under the rule the fleet router
 // applies to node answers, so a direct client accepts exactly what a
 // routed one does: a declared length past MaxBodyBytes is refused before
 // anything is read, and any other body is read up to the cap and refused
 // past it (net/http ends a declared body at its length). The loop reads
 // into buf's own tail: an io.LimitedReader would cost an allocation an
 // answer.
-func readBounded(buf *bytes.Buffer, resp *http.Response) error {
+func ReadBounded(buf *bytes.Buffer, resp *http.Response) error {
 	if n := resp.ContentLength; n > MaxBodyBytes {
 		return fmt.Errorf("eisvc: answer of %d bytes exceeds %d", n, MaxBodyBytes)
 	}
@@ -506,7 +506,10 @@ func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.V
 
 // EvalBatchCtx submits a slice of wire-level eval requests in one round
 // trip and returns the per-item results (Results[i] answers Requests[i]).
-// Identical items are deduplicated server-side. Per-item failures land in
+// Identical items are deduplicated server-side. In binary, an item that
+// encodes to the same bytes as an earlier one is sent as a ref to it, and
+// the items answered by one evaluation come back as refs too: they share
+// one *WireDist, which is read-only. Per-item failures land in
 // the item's Error/Status, not in the returned error. Items with
 // DeadlineMs == 0 are stamped with the client's Deadline; DeadlineMs ==
 // NoDeadline (any negative value) means the caller explicitly wants no

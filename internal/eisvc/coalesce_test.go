@@ -270,10 +270,11 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 
 // TestWarmBatchAllocs pins the all-hit batch path as a count. 256 items
 // over 64 distinct warm keys, binary, through the loopback transport
-// (client encode and decode included). Measured 827 allocations, 3.2 an
-// item; the bound leaves 3% for toolchain drift. What the figure
-// holds in place, each of which alone breaks it: the handler reads each
-// distinct key's memo entry inline and starts no goroutine (8,896 →
+// (client encode and decode included). Measured 249 allocations, 1.0 an
+// item, with the GC on or off; the bound leaves 3% for toolchain drift.
+// What the figure holds in place, each of which alone breaks it: the
+// handler reads each distinct key's memo entry inline and starts no
+// goroutine (8,896 →
 // 8,763); memo keys are appended into one buffer and become a string
 // once per distinct key, and both batch decoders share the interface,
 // method, mode and record-key strings the items repeat (8,763 → 3,975);
@@ -285,11 +286,13 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 // decodes an answer's two vectors into one allocation (1,928 → 1,158;
 // 1,145 by the time hops were built once); and the node decodes every
 // item's arguments into one array and makes one string of its distinct
-// memo keys (1,145 → 827). What is left per item, by profile: the
-// answer's vectors on the client, and the record's map (two allocations,
-// in core.Record) on the server.
+// memo keys (1,145 → 827); and the 192 items that repeat an earlier one
+// cross as refs both ways, so the node neither decodes nor keys them and
+// the client decodes no answer for them (827 → 249). What is left per
+// distinct item, by profile: the answer's vectors on the client, and the
+// record's map (two allocations, in core.Record) on the server.
 func TestWarmBatchAllocs(t *testing.T) {
-	const items, distinct, bound = 256, 64, 852
+	const items, distinct, bound = 256, 64, 256
 	srv := NewServer(Config{})
 	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"math"
 	"slices"
 	"strings"
@@ -139,7 +140,16 @@ type coder struct {
 	batch bool
 	names map[string]string
 	vals  []core.Value
+	// refs, reading a batch, is what each item read so far stands for: the
+	// index of the earlier item it repeats, or its own (see itemRef). seen,
+	// encoding a batch request, finds the earlier item one repeats (see
+	// repeat).
+	refs []int
+	seen map[uint64]span
 }
+
+// span is an encoded batch item: its index and its bytes' range.
+type span struct{ item, off, end int }
 
 var coderPool = sync.Pool{New: func() any { return &coder{names: map[string]string{}} }}
 
@@ -163,11 +173,12 @@ func (c *coder) release() error {
 	}
 	clear(c.names)
 	clear(c.vals)
-	vals := c.vals[:0]
+	clear(c.seen)
+	vals, refs := c.vals[:0], c.refs[:0]
 	if cap(vals) > maxPooledVals {
 		vals = nil
 	}
-	*c = coder{names: c.names, vals: vals}
+	*c = coder{names: c.names, vals: vals, refs: refs, seen: c.seen}
 	coderPool.Put(c)
 	return err
 }
@@ -419,14 +430,13 @@ func optional[T any](c *coder, p **T) *T {
 // against the bytes left at these prices, by the decoders and the walkers
 // alike. TestCountBoundsAreMinimalElements holds each to its layout.
 const (
-	minRequestItem = 3*4 + 5*8 + 2*4 // three strings, five integers, two counts
-	minAnswerItem  = 4*4 + 8 + 4 + 1 // four strings, version, status, flags
-	minKey         = 4               // a length prefix
-	minResult      = 1               // a flag byte
-	minFingerprint = 4               // a uint32
-	minMemoEntry   = 3 * 4           // a key, two vectors
-	minLayerEntry  = 4 + 8           // a key, joules
-	minValue       = 1               // a tag
+	minBatchItem   = refSize // a ref, in either kind of batch (see batchItems)
+	minKey         = 4       // a length prefix
+	minResult      = 1       // a flag byte
+	minFingerprint = 4       // a uint32
+	minMemoEntry   = 3 * 4   // a key, two vectors
+	minLayerEntry  = 4 + 8   // a key, joules
+	minValue       = 1       // a tag
 	// minField bounds a record field or pinned ECV. The least one is 5
 	// bytes (an empty name, a nil); 2 is looser, and raising it would
 	// change which error some malformed frames fail with.
@@ -655,24 +665,123 @@ func (c *coder) evalResponse(r *EvalResponse) {
 	c.wireDist(&r.Dist)
 }
 
+// --- ref items ---
+//
+// A batch item of either kind may be a ref, "the same as item j of this
+// frame": refMarker, then j as a uint32. j must be an earlier full item.
+// No full item begins with the marker: it would be the length of the
+// interface name both kinds begin with, 4 GiB. The encoder writes a
+// request item as a ref when an earlier one encoded to the same bytes
+// (repeat); a node answers with refs only a request that carried one
+// (BatchEvalResponse.refs).
+const (
+	refMarker = math.MaxUint32
+	refSize   = 8
+)
+
+// AppendBatchRef appends to b the ref item that repeats item j of a batch
+// frame of either kind.
+func AppendBatchRef(b []byte, j int) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(b, refMarker), uint32(j))
+}
+
+// itemRef lays out item i of a batch if it is a ref, and returns the item
+// it stands for: j for a ref to item j, i for a full item, whose layout the
+// caller runs next. Encoding, to is that index. Reading, c.refs records
+// what each item stood for.
+func (c *coder) itemRef(i, to int) int {
+	if c.mode == encoding {
+		if to != i {
+			c.buf.Write(AppendBatchRef(c.buf.AvailableBuffer(), to))
+		}
+		return to
+	}
+	to = i
+	if rest := c.data[c.off:]; len(rest) >= refSize && binary.LittleEndian.Uint32(rest) == refMarker {
+		c.off += refSize
+		switch j := int(binary.LittleEndian.Uint32(rest[4:])); {
+		case j >= i:
+			c.fail("item %d refers to item %d, not an earlier one", i, j)
+		case c.refs[j] != j:
+			c.fail("item %d refers to item %d, itself a ref", i, j)
+		default:
+			to = j
+		}
+	}
+	c.refs = append(c.refs, to)
+	return to
+}
+
+// repeat ends the encoding of request item i, begun at start: when an
+// earlier full item encoded to the same bytes — found by hash, then
+// compared — the item is cut off again and written as a ref to it.
+func (c *coder) repeat(i, start int) {
+	b := c.buf.Bytes()
+	item := b[start:]
+	h := maphash.Bytes(keySeed, item)
+	if s, ok := c.seen[h]; ok {
+		if bytes.Equal(item, b[s.off:s.end]) {
+			c.buf.Truncate(start)
+			c.buf.Write(AppendBatchRef(c.buf.AvailableBuffer(), s.item))
+		}
+		return
+	}
+	if c.seen == nil {
+		c.seen = map[uint64]span{}
+	}
+	c.seen[h] = span{i, start, len(b)}
+}
+
+// batchItems is seq for a batch's items. Either kind can be a ref, so the
+// count is checked at refSize bytes an item — and capped at maxBatch, since
+// at that size the bytes alone would let a frame claim two million.
+func batchItems[T any](c *coder, s *[]T) []T {
+	n := len(*s)
+	c.count(&n, minBatchItem)
+	if c.mode != encoding && n > maxBatch {
+		c.fail("batch of %d items exceeds %d", n, maxBatch)
+		n = 0
+	}
+	if c.mode != encoding && n > 0 {
+		*s = make([]T, n)
+	}
+	return *s
+}
+
 // batchRequest decodes every item's arguments into one allocation sized
 // by their total: each item's Args is its window of it, capped so that an
-// append cannot run into the next item's.
+// append cannot run into the next item's. A ref item is a copy of the item
+// it repeats, sharing its arguments.
 func (c *coder) batchRequest(r *BatchEvalRequest) {
 	c.batch = true
-	reqs := seq(c, &r.Requests, minRequestItem)
+	reqs := batchItems(c, &r.Requests)
+	repeats := false
 	for i := range reqs {
-		c.evalRequest(&reqs[i])
+		switch {
+		case c.mode == encoding:
+			start := c.buf.Len()
+			c.evalRequest(&reqs[i])
+			c.repeat(i, start)
+		case c.itemRef(i, i) == i:
+			c.evalRequest(&reqs[i])
+		default:
+			repeats = true
+		}
 	}
-	if c.mode != decoding || len(c.vals) == 0 {
+	if c.mode != decoding {
 		return
 	}
 	all := make(Args, len(c.vals))
 	copy(all, c.vals)
 	for i := range reqs {
-		if n := len(reqs[i].Args); n > 0 {
+		if j := c.refs[i]; j != i {
+			reqs[i] = reqs[j]
+		} else if n := len(reqs[i].Args); n > 0 {
 			reqs[i].Args, all = all[:n:n], all[n:]
 		}
+	}
+	if repeats {
+		r.refs = slices.Clone(c.refs)
 	}
 }
 
@@ -700,14 +809,28 @@ func (c *coder) batchItem(it *BatchEvalItem, dist *WireDist) (hasDist bool) {
 // batch. The float vectors are not pooled the same way — one backing
 // array would let a single kept answer pin every vector of its batch
 // (≈ 450 KB for 256 items) — so each answer's pair is its own allocation.
+//
+// An answer ref decodes to a copy of the item it repeats, flagged Deduped,
+// whose Dist is the same pointer.
 func (c *coder) batchResponse(r *BatchEvalResponse) {
 	c.batch = true
-	items := seq(c, &r.Results, minAnswerItem)
+	items := batchItems(c, &r.Results)
 	var dists []WireDist
 	if c.mode == decoding {
 		dists = make([]WireDist, len(items))
 	}
 	for i := range items {
+		to := i
+		if r.refs != nil {
+			to = r.refs[i]
+		}
+		if j := c.itemRef(i, to); j != i {
+			if c.mode == decoding {
+				items[i] = items[j]
+				items[i].Deduped = true
+			}
+			continue
+		}
 		dist := items[i].Dist
 		if dists != nil {
 			dist = &dists[i]
@@ -856,8 +979,9 @@ func DecodeBatchEvalResponse(data []byte) (*BatchEvalResponse, error) {
 }
 
 // BeginBatchEvalRequest appends the part of a batch-request frame that
-// precedes its n items. Items carry no cross-item state, so the frame is
-// this followed by the items' encodings, whoever wrote them.
+// precedes its n items. A full item carries no cross-item state, so the
+// frame is this followed by the items' encodings, whoever wrote them, and
+// the refs (AppendBatchRef) to the earlier ones that repeat.
 func BeginBatchEvalRequest(buf *bytes.Buffer, n int) { beginBatch(buf, kindBatchRequest, n) }
 
 // BeginBatchEvalResponse is BeginBatchEvalRequest for the answer frame.
@@ -915,6 +1039,9 @@ type FrameItem struct {
 	// is canonical, so requests that decode alike fingerprint alike in
 	// either codec, alone or inside a batch.
 	Spread uint64
+	// Ref is, for a ref item, one more than the index of the item it
+	// repeats, whose Interface and Spread it carries; 0 for a full item.
+	Ref int
 }
 
 const (
@@ -993,16 +1120,17 @@ func (c *coder) walkAnswer() FrameItem {
 }
 
 // walkBatch walks a frame of the given batch kind.
-func walkBatch(frame []byte, kind byte, minItem int, item func(*coder) FrameItem) ([]FrameItem, error) {
+func walkBatch(frame []byte, kind byte, item func(*coder) FrameItem) ([]FrameItem, error) {
 	c := newCoder(walking, nil, frame)
 	c.header(kind)
-	n := 0
-	c.count(&n, minItem)
 	var items []FrameItem
-	if n > 0 {
-		items = make([]FrameItem, n)
-	}
-	for i := 0; i < n && !c.failed(); i++ {
+	batchItems(c, &items)
+	for i := 0; i < len(items) && !c.failed(); i++ {
+		off := c.off
+		if j := c.itemRef(i, i); j != i {
+			items[i] = FrameItem{Off: off, End: c.off, Interface: items[j].Interface, Spread: items[j].Spread, Ref: j + 1}
+			continue
+		}
 		items[i] = item(c)
 	}
 	c.done()
@@ -1024,13 +1152,15 @@ func WalkEvalRequest(frame []byte) (FrameItem, error) {
 // WalkBatchEvalRequest walks a binary batch-request frame: one FrameItem
 // per request, in order. The ranges tile the frame after its
 // BatchHeaderLen-byte head, and any of them, concatenated in any order
-// after BeginBatchEvalRequest, are the frame of that batch.
+// after BeginBatchEvalRequest, are the frame of that batch — with each
+// ref rewritten (AppendBatchRef) to where its item now sits, which must be
+// before it.
 func WalkBatchEvalRequest(frame []byte) ([]FrameItem, error) {
-	return walkBatch(frame, kindBatchRequest, minRequestItem, (*coder).walkRequest)
+	return walkBatch(frame, kindBatchRequest, (*coder).walkRequest)
 }
 
 // WalkBatchEvalResponse is WalkBatchEvalRequest for the answer frame
 // (Begin with BeginBatchEvalResponse; Spread is zero).
 func WalkBatchEvalResponse(frame []byte) ([]FrameItem, error) {
-	return walkBatch(frame, kindBatchResponse, minAnswerItem, (*coder).walkAnswer)
+	return walkBatch(frame, kindBatchResponse, (*coder).walkAnswer)
 }

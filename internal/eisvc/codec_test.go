@@ -319,6 +319,9 @@ func addCodecSeeds(f *testing.F) {
 	f.Add(binaryFrame(&EvalBatchEndpoint.Request, &BatchEvalRequest{Requests: []EvalRequest{*testEvalRequest()}}))
 	w := WireDist{Support: []float64{math.Inf(-1), 0}, Probs: []float64{0.5, 0.5}}
 	f.Add(binaryFrame(&EvalBatchEndpoint.Response, &BatchEvalResponse{Results: []BatchEvalItem{{Status: 200, Dist: &w}}}))
+	// Ref items of both kinds (FuzzFrameWalk takes these seeds too).
+	f.Add(binaryFrame(&EvalBatchEndpoint.Request, refBatchRequests()))
+	f.Add(binaryFrame(&EvalBatchEndpoint.Response, refBatchResults()))
 	w0 := WireDist{Support: []float64{math.Copysign(0, -1)}, Probs: []float64{1}}
 	f.Add(binaryFrame(&CacheLookupEndpoint.Response, &CacheLookupResponse{
 		Results: []CacheLookupResult{{Found: true, Dist: &w0}, {}, {Found: true, Dist: &w0}}, Node: "node-1"}))

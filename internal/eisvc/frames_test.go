@@ -122,6 +122,8 @@ var pinnedFrames = map[string]uint64{
 	"cache lookup response":    0x236763994c6f19b7,
 	"snapshot":                 0x4457bfe10de1876c,
 	"batch refusal":            0x5cd92190489ef14c,
+	"ref batch request":        0x25bdc14786ea061b,
+	"ref batch response":       0x3ea033bf97c1a923,
 	"wide batch request walk":  0x331169210564cb00,
 	"wide batch response walk": 0xbf2d57ebde8f8300,
 }
@@ -163,6 +165,9 @@ func TestFramesUnchanged(t *testing.T) {
 	if err != nil || len(respItems) != 256 {
 		t.Fatalf("wide answer batch: %d items, err %v", len(respItems), err)
 	}
+	// Frames with ref items, as a client sends and a node answers them.
+	digest("ref batch request", func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, refBatchRequests()) })
+	digest("ref batch response", func(b *bytes.Buffer) error { return EncodeBatchEvalResponse(b, refBatchResults()) })
 	got["wide batch request walk"] = walkDigest(reqItems)
 	got["wide batch response walk"] = walkDigest(respItems)
 	for name, sum := range got {
@@ -238,7 +243,8 @@ func TestFrameAllocs(t *testing.T) {
 // element of its sequence encodes to, measured through the layouts as what
 // one zero element adds to a payload. A layout that gains a field without
 // its bound fails here. The name-value pairs of records and pinned ECVs
-// keep a looser bound than their 5 bytes (minField).
+// keep a looser bound than their 5 bytes (minField). The least batch item
+// of either kind is a ref: what a second zero item adds to the first.
 func TestCountBoundsAreMinimalElements(t *testing.T) {
 	size := func(lay func(*coder, int), n int) int {
 		var buf bytes.Buffer
@@ -260,11 +266,11 @@ func TestCountBoundsAreMinimalElements(t *testing.T) {
 		loose bool              // the bound may be below the least element
 		lay   func(*coder, int) // lays out a payload holding n zero elements
 	}{
-		{"request item", minRequestItem, false, func(c *coder, n int) {
-			c.batchRequest(&BatchEvalRequest{Requests: make([]EvalRequest, n)})
+		{"request item", minBatchItem, false, func(c *coder, n int) {
+			c.batchRequest(&BatchEvalRequest{Requests: make([]EvalRequest, n+1)})
 		}},
-		{"answer item", minAnswerItem, false, func(c *coder, n int) {
-			c.batchResponse(&BatchEvalResponse{Results: make([]BatchEvalItem, n)})
+		{"answer item", minBatchItem, false, func(c *coder, n int) {
+			c.batchResponse(&BatchEvalResponse{Results: make([]BatchEvalItem, n+1), refs: make([]int, n+1)})
 		}},
 		{"key", minKey, false, func(c *coder, n int) { c.cacheLookupRequest(&CacheLookupRequest{Keys: make([]string, n)}) }},
 		{"result", minResult, false, func(c *coder, n int) {

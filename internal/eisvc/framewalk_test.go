@@ -53,14 +53,32 @@ func tiles(t *testing.T, what string, frame []byte, items []FrameItem) {
 }
 
 // spliced is the batch frame of the chosen items of a walked frame: a
-// fresh head and the items' own bytes.
+// fresh head and the items' own bytes, each ref renumbered to where the
+// item it repeats now sits — or nil when that is not before it.
 func spliced(begin func(*bytes.Buffer, int), frame []byte, items []FrameItem, pick []int) []byte {
 	var buf bytes.Buffer
 	begin(&buf, len(pick))
-	for _, i := range pick {
-		buf.Write(frame[items[i].Off:items[i].End])
+	at := map[int]int{}
+	for n, i := range pick {
+		if j := items[i].Ref - 1; j < 0 {
+			buf.Write(frame[items[i].Off:items[i].End])
+		} else if k, ok := at[j]; ok {
+			buf.Write(AppendBatchRef(nil, k))
+		} else {
+			return nil
+		}
+		at[i] = n
 	}
 	return buf.Bytes()
+}
+
+// refersTo is the item a walked item stands for: the one it repeats, or
+// itself.
+func refersTo(items []FrameItem, i int) int {
+	if items[i].Ref > 0 {
+		return items[i].Ref - 1
+	}
+	return i
 }
 
 // subsets of n items a splice must survive: all, none of the odd ones,
@@ -89,10 +107,18 @@ func checkRequestWalk(t *testing.T, frame []byte, items []FrameItem, dec *BatchE
 		if string(items[i].Interface) != req.Interface {
 			t.Fatalf("item %d: walker read interface %q, decoder %q", i, items[i].Interface, req.Interface)
 		}
-		// No cross-item state: the item's bytes under a single-request head
-		// are that request's frame, and fingerprint as they did in the batch
-		// — a request goes to the same replica alone or batched.
-		raw := frame[items[i].Off:items[i].End]
+		k, decoded := refersTo(items, i), i
+		if dec.refs != nil {
+			decoded = dec.refs[i]
+		}
+		if k != decoded {
+			t.Fatalf("item %d: walker read it as item %d, decoder as %d", i, k, decoded)
+		}
+		// No cross-item state: a full item's bytes under a single-request
+		// head are that request's frame, and fingerprint as they did in the
+		// batch — a request goes to the same replica alone or batched. A
+		// ref's are those of the item it repeats.
+		raw := frame[items[k].Off:items[k].End]
 		alone := append(append(append([]byte{}, binMagic[:]...), kindEvalRequest), raw...)
 		single, err := WalkEvalRequest(alone)
 		if err != nil {
@@ -124,7 +150,7 @@ func checkRequestWalk(t *testing.T, frame []byte, items []FrameItem, dec *BatchE
 		}
 		var refusal bytes.Buffer
 		BeginBatchEvalResponse(&refusal, 1)
-		AppendBatchEvalError(&refusal, frame[items[i].Off:items[i].End], http.StatusServiceUnavailable, "down")
+		AppendBatchEvalError(&refusal, raw, http.StatusServiceUnavailable, "down")
 		got, err := DecodeBatchEvalResponse(refusal.Bytes())
 		if err != nil || len(got.Results) != 1 {
 			t.Fatalf("item %d: refusal does not decode: %v", i, err)
@@ -134,7 +160,11 @@ func checkRequestWalk(t *testing.T, frame []byte, items []FrameItem, dec *BatchE
 		}
 	}
 	for _, pick := range subsets(len(items)) {
-		got, err := DecodeBatchEvalRequest(spliced(BeginBatchEvalRequest, frame, items, pick))
+		splice := spliced(BeginBatchEvalRequest, frame, items, pick)
+		if splice == nil {
+			continue
+		}
+		got, err := DecodeBatchEvalRequest(splice)
 		if err != nil {
 			t.Fatalf("splice of items %v does not decode: %v", pick, err)
 		}
@@ -157,12 +187,21 @@ func checkResponseWalk(t *testing.T, frame []byte, items []FrameItem, dec *Batch
 	}
 	tiles(t, "batch response", frame, items)
 	for i := range items {
-		if string(items[i].Interface) != dec.Results[i].Interface {
-			t.Fatalf("answer %d: walker read interface %q, decoder %q", i, items[i].Interface, dec.Results[i].Interface)
+		it := &dec.Results[i]
+		if string(items[i].Interface) != it.Interface {
+			t.Fatalf("answer %d: walker read interface %q, decoder %q", i, items[i].Interface, it.Interface)
+		}
+		// A ref decodes to the item it repeats, flagged, sharing its Dist.
+		if k := refersTo(items, i); k != i && (!it.Deduped || it.Dist != dec.Results[k].Dist) {
+			t.Fatalf("answer %d: a ref to %d decodes to %+v, not a deduped copy of %+v", i, k, *it, dec.Results[k])
 		}
 	}
 	for _, pick := range subsets(len(items)) {
-		got, err := DecodeBatchEvalResponse(spliced(BeginBatchEvalResponse, frame, items, pick))
+		splice := spliced(BeginBatchEvalResponse, frame, items, pick)
+		if splice == nil {
+			continue
+		}
+		got, err := DecodeBatchEvalResponse(splice)
 		if err != nil {
 			t.Fatalf("stitch of answers %v does not decode: %v", pick, err)
 		}

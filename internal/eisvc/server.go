@@ -714,6 +714,10 @@ var keySeed = maphash.MakeSeed()
 // per-item: a bad or shed item does not fail the batch.
 // The distinct keys are one string and its substrings; only a key the
 // memo missed is cloned, because only it outlives the batch (DESIGN §7).
+// A ref item (see itemRef) shares its referent's decoded request, key and
+// result without being checked or keyed again, and a request that carried
+// refs is answered with them: every item that rides on an earlier item's
+// entry answers as a ref to that item.
 func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*BatchEvalResponse, error) {
 	if len(req.Requests) == 0 {
 		return nil, reject(http.StatusBadRequest, "empty batch")
@@ -730,6 +734,7 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 	// missed needs to evaluate; coldKeys[j] is cold[j]'s key.
 	type keyResult struct {
 		end   int             // where its key ends in the batch's keys
+		first int             // the item that first named it
 		iface *core.Interface // what it evaluates on
 		out   evalOutcome
 		err   error
@@ -754,6 +759,12 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 	// same bytes, cut off again: the buffer holds each distinct key once.
 	keyBuf := keyBufs.Get().(*bytes.Buffer)
 	for i := range req.Requests {
+		if req.refs != nil && req.refs[i] != i {
+			j := req.refs[i]
+			items[i], shared[i] = items[j], shared[j]
+			items[i].Deduped = shared[j] >= 0
+			continue
+		}
 		it := &req.Requests[i]
 		items[i] = BatchEvalItem{Interface: it.Interface, Method: it.Method}
 		shared[i] = -1
@@ -776,7 +787,7 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		}
 		byHash[h] = len(results)
 		shared[i] = len(results)
-		results = append(results, keyResult{end: keyBuf.Len(), iface: iface})
+		results = append(results, keyResult{end: keyBuf.Len(), first: i, iface: iface})
 	}
 	keys := string(keyBuf.Bytes())
 	if keyBuf.Cap() <= maxPooledBuf {
@@ -872,7 +883,16 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		s.ledger.record(who, items[i].Interface, w.Mean, w.P99, w.Max,
 			kr.out.memoHit || kr.out.coalesced || items[i].Deduped)
 	}
-	return &BatchEvalResponse{Results: items}, nil
+	if req.refs == nil {
+		return &BatchEvalResponse{Results: items}, nil
+	}
+	for i, k := range shared { // now the item each answer item repeats, or its own
+		shared[i] = i
+		if k >= 0 {
+			shared[i] = results[k].first
+		}
+	}
+	return &BatchEvalResponse{Results: items, refs: shared}, nil
 }
 
 // handleCacheLookup answers a fleet peer's memo probe. It is a pure read

@@ -142,6 +142,8 @@ type EvalResponse struct {
 // under the daemon's normal admission discipline.
 type BatchEvalRequest struct {
 	Requests []EvalRequest `json:"requests"`
+	// refs is set when the frame carried refs: the item each repeats, or its own index.
+	refs []int
 }
 
 // BatchEvalItem is the per-item answer in a batch. Exactly one of Dist or
@@ -168,6 +170,8 @@ type BatchEvalItem struct {
 // Requests[i].
 type BatchEvalResponse struct {
 	Results []BatchEvalItem `json:"results"`
+	// refs, when set, has the frame carry Results[i] as a ref to Results[refs[i]] ≠ i.
+	refs []int
 }
 
 // LatencyStats summarizes request latencies (memo hits included).

@@ -50,7 +50,8 @@ func (h *headerRecorder) last() (string, string) {
 // bookkeeping and header clone, one Header.Set per header per request and
 // per answer, the User-Agent and Accept-Encoding lines and their parsing,
 // and the router's membership copy, sort and seen-map on every routed
-// request. The bounds are those counts plus 3%.
+// request. The bounds are those counts plus 3%. Routed is 191 since the
+// router relays the node's Content-Length and writes the answer at once.
 //
 // It also pins what each hop sends, read off the wire by the server: the
 // codecs, the client's identity, the resilience headers only when set,

@@ -178,7 +178,10 @@ func TestBatchProbesAreCountedPerPeer(t *testing.T) {
 // router — 231 warm items and 25 new keys on a 3-node fleet, client
 // included — counted. No probe leaves: every node holds its peers'
 // summaries, which rule the new keys out. It was 2,224 when each new key
-// was probed at both peers, and is 980 (2 vCPU Xeon, go1.24).
+// was probed at both peers, and is 980 (2 vCPU Xeon, go1.24); 970 with
+// GOGC=off, where the count is exact. No item repeats, so no ref crosses:
+// the router's per-item placement table is the one allocation refs add
+// (969 → 970).
 func TestRoutedBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")

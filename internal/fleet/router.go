@@ -80,16 +80,26 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // relay copies a node's response to the client verbatim (plus the
 // X-Eisvc-Node attribution the node stamped). The node's header values
-// are assigned, not Set, so relaying them allocates nothing.
+// are assigned, not Set, so relaying them allocates nothing. Its
+// Content-Length goes along, or net/http would send the body chunked; so
+// the body is read whole and written at once, because io.Copy would hand
+// a body of declared length to the connection's ReadFrom, which allocates
+// 32 KB to copy it.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	for _, k := range [...]string{"Content-Type", "X-Eisvc-Node", "Retry-After"} {
+	buf := eisvc.GetBuffer()
+	defer eisvc.PutBuffer(buf)
+	if err := eisvc.ReadBounded(buf, resp); err != nil {
+		eisvc.WriteError(w, http.StatusBadGateway, "fleet: node answer: %v", err)
+		return
+	}
+	for _, k := range [...]string{"Content-Type", "Content-Length", "X-Eisvc-Node", "Retry-After"} {
 		if v := resp.Header[k]; len(v) > 0 {
 			w.Header()[k] = v
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // tryCandidates forwards body as hop to each candidate in order until
@@ -192,12 +202,15 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 // once, cuts each preferred node's sub-batch out of it as header + count
 // + the items' own bytes, forwards the sub-batches concurrently, and
 // stitches the nodes' answer items back in request order the same way.
-// No item is decoded in either direction. A sub-batch whose preferred
-// node fails retries on the shared candidate list, so a mid-batch node
-// kill surfaces as latency, not errors. JSON lives at the edge only: a
-// JSON batch is transcoded to the frame on the way in, a JSON Accept gets
-// the stitched frame decoded on the way out, and the hop to the nodes is
-// always binary.
+// No item is decoded in either direction. A ref item (eisvc.AppendBatchRef)
+// goes to the node of the item it repeats, renumbered to that item's index
+// in the sub-batch; a node's answer refs are renumbered back to batch
+// indices. A sub-batch whose preferred node fails retries on the shared
+// candidate list, so a mid-batch node kill surfaces as latency, not
+// errors. JSON lives at the edge only: a JSON batch is transcoded to the
+// frame on the way in, a JSON Accept gets the stitched frame decoded (its
+// refs expanded) on the way out, and the hop to the nodes is always
+// binary.
 func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	rt.routed.Add(1)
 	ep := eisvc.EvalBatchEndpoint
@@ -224,26 +237,37 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Group item indices by preferred node ID, asking the ring once per
 	// distinct stack. Items for unknown stacks, an empty ring or no live
-	// owner fall into the "" group and ride with any live node.
+	// owner fall into the "" group and ride with any live node. A ref item
+	// rides with the item it repeats: place[i] is item i's group and its
+	// index there.
 	type subBatch struct {
 		idxs []int
 		size int // bytes of the items
 	}
 	owners := map[string][]string{}
 	groups := map[string]*subBatch{}
+	place := make([]struct {
+		g  *subBatch
+		at int
+	}, len(items))
 	for i := range items {
-		own, seen := owners[string(items[i].Interface)]
-		if !seen {
-			stack := string(items[i].Interface)
-			own = rt.f.OwnersOf(stack)
-			owners[stack] = own
+		var g *subBatch
+		if j := items[i].Ref - 1; j >= 0 {
+			g = place[j].g
+		} else {
+			own, seen := owners[string(items[i].Interface)]
+			if !seen {
+				stack := string(items[i].Interface)
+				own = rt.f.OwnersOf(stack)
+				owners[stack] = own
+			}
+			pref := rt.f.preferred(own, items[i].Spread)
+			if g = groups[pref]; g == nil {
+				g = &subBatch{}
+				groups[pref] = g
+			}
 		}
-		pref := rt.f.preferred(own, items[i].Spread)
-		g := groups[pref]
-		if g == nil {
-			g = &subBatch{}
-			groups[pref] = g
-		}
+		place[i].g, place[i].at = g, len(g.idxs)
 		g.idxs = append(g.idxs, i)
 		g.size += items[i].End - items[i].Off
 	}
@@ -262,7 +286,11 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			body := bytes.NewBuffer(make([]byte, 0, eisvc.BatchHeaderLen+g.size))
 			eisvc.BeginBatchEvalRequest(body, len(g.idxs))
 			for _, i := range g.idxs {
-				body.Write(frame[items[i].Off:items[i].End])
+				if j := items[i].Ref - 1; j >= 0 {
+					body.Write(eisvc.AppendBatchRef(body.AvailableBuffer(), place[j].at))
+				} else {
+					body.Write(frame[items[i].Off:items[i].End])
+				}
 			}
 			// The preferred node first, then every other live node; a node
 			// whose answer is not a well-formed frame of one item per
@@ -277,7 +305,11 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 					return false
 				}
 				for j, i := range g.idxs {
-					answers[i] = data[got[j].Off:got[j].End]
+					a := data[got[j].Off:got[j].End]
+					if k := got[j].Ref - 1; k >= 0 { // renumbered in place: data is this batch's own
+						eisvc.AppendBatchRef(a[:0], g.idxs[k])
+					}
+					answers[i] = a
 				}
 				return true
 			})
@@ -289,14 +321,19 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	// An item nobody answered is a 503 of its own, so callers can retry
-	// item by item; these are the only items the router ever encodes.
+	// item by item; these are the only items the router ever encodes, a
+	// ref's from the bytes of the item it repeats (unanswered with it).
 	eisvc.BeginBatchEvalResponse(out, len(items))
 	for i, a := range answers {
 		if a != nil {
 			out.Write(a)
 			continue
 		}
-		eisvc.AppendBatchEvalError(out, frame[items[i].Off:items[i].End],
+		it := items[i]
+		if it.Ref > 0 {
+			it = items[it.Ref-1]
+		}
+		eisvc.AppendBatchEvalError(out, frame[it.Off:it.End],
 			http.StatusServiceUnavailable, "fleet: no node could serve batch")
 	}
 	ep.WriteFrame(w, r, out)

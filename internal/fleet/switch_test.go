@@ -384,7 +384,7 @@ func TestRouterBatchEdges(t *testing.T) {
 
 	var empty bytes.Buffer
 	eisvc.BeginBatchEvalRequest(&empty, 0)
-	for _, c := range []struct {
+	bad := []struct {
 		what, contentType string
 		body              []byte
 	}{
@@ -392,7 +392,18 @@ func TestRouterBatchEdges(t *testing.T) {
 		{"empty JSON batch", "application/json", []byte(`{"requests":[]}`)},
 		{"cut binary batch", eisvc.BinaryContentType, fx.frame[:len(fx.frame)-3]},
 		{"JSON batch with an unknown field", "application/json", []byte(`{"requests":[{"interface":"svc_0","methd":"price"}]}`)},
-	} {
+	}
+	items, err := eisvc.WalkBatchEvalRequest(fx.frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, frame := range badRefFrames(fx.frame[items[0].Off:items[0].End]) {
+		bad = append(bad, struct {
+			what, contentType string
+			body              []byte
+		}{"binary batch with " + what, eisvc.BinaryContentType, frame})
+	}
+	for _, c := range bad {
 		served := fx.stubs[fx.f.Nodes()[0].ID].served.Load()
 		if rec := fx.post(c.contentType, "", c.body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want the router's 400", c.what, rec.Code)
