@@ -126,6 +126,9 @@ func (h Hop) header() http.Header {
 // context, and every request carries a per-attempt HTTP timeout as well,
 // so a stalled daemon surfaces as an error instead of a hang.
 type Client struct {
+	// First, to be 64-bit aligned for the atomic functions on any platform.
+	counts Counters
+
 	base string
 	rt   http.RoundTripper
 	// ID names this client in the daemon's energy ledger (the
@@ -150,11 +153,6 @@ type Client struct {
 	// client speaks; false is JSON, the debug and interop choice. Every
 	// other call (register, stats, drift, ...) is JSON either way.
 	Binary bool
-
-	retries   atomic.Uint64
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
-	shed      atomic.Uint64
 }
 
 // NewClient returns a client for the daemon at base (e.g.
@@ -220,7 +218,7 @@ func (c *Client) TuneTransport(t TransportTuning) *Client {
 	return c
 }
 
-// Counters is a snapshot of the client's resilience counters.
+// Counters are the client's resilience counters (a counterSet).
 type Counters struct {
 	Retries   uint64 // re-sent attempts (attempt >= 2)
 	Hedges    uint64 // hedge requests launched
@@ -228,14 +226,10 @@ type Counters struct {
 	Shed      uint64 // 429/503 answers observed (before any retry succeeded)
 }
 
-// Counters returns the client's resilience counters.
-func (c *Client) Counters() Counters {
-	return Counters{
-		Retries:   c.retries.Load(),
-		Hedges:    c.hedges.Load(),
-		HedgeWins: c.hedgeWins.Load(),
-		Shed:      c.shed.Load(),
-	}
+// Counters returns a snapshot of the client's resilience counters.
+func (c *Client) Counters() (snap Counters) {
+	addCounters(&snap, &c.counts)
+	return snap
 }
 
 // exchange performs exactly one HTTP round trip and returns the response
@@ -274,7 +268,7 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 			}
 		}
 		if apiErr.Shed() {
-			c.shed.Add(1)
+			atomic.AddUint64(&c.counts.Shed, 1)
 		}
 		return nil, "", apiErr
 	}
@@ -346,14 +340,14 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 		select {
 		case <-timer.C:
 			hedged, hop.Hedge = true, "1"
-			c.hedges.Add(1)
+			atomic.AddUint64(&c.counts.Hedges, 1)
 			run(hop)
 			inflight++
 		case r := <-ch:
 			inflight--
 			if r.err == nil {
 				if r.hedge {
-					c.hedgeWins.Add(1)
+					atomic.AddUint64(&c.counts.HedgeWins, 1)
 				}
 				// A losing sibling still in flight delivers to the buffered
 				// channel and its buffer is simply collected by the GC; only
@@ -400,7 +394,7 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, ho
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
-			c.retries.Add(1)
+			atomic.AddUint64(&c.counts.Retries, 1)
 			delay := c.Retry.delay(attempt-1, retryAfterOf(lastErr))
 			select {
 			case <-time.After(delay):

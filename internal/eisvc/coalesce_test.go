@@ -263,7 +263,7 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 		t.Errorf("%d of %d items answered, %d shed on a full queue, %d on the deadline; want every item answered",
 			answered, items, queueFull, deadline)
 	}
-	if n := srv.evaluations.Load(); n != items {
+	if n := atomic.LoadUint64(&srv.counts.Evaluations); n != items {
 		t.Errorf("%d evaluations, want %d", n, items)
 	}
 }
@@ -307,14 +307,14 @@ func TestWarmBatchAllocs(t *testing.T) {
 	if _, err := c.EvalBatchCtx(context.Background(), reqs); err != nil { // warm every key
 		t.Fatal(err)
 	}
-	before := srv.evaluations.Load()
+	before := atomic.LoadUint64(&srv.counts.Evaluations)
 	allocs := testing.AllocsPerRun(20, func() {
 		got, err := c.EvalBatchCtx(context.Background(), reqs)
 		if err != nil || len(got) != items || !got[items-1].Cached {
 			t.Fatalf("warm batch: %d items, err %v", len(got), err)
 		}
 	})
-	if srv.evaluations.Load() != before {
+	if atomic.LoadUint64(&srv.counts.Evaluations) != before {
 		t.Fatal("warm batch evaluated")
 	}
 	t.Logf("warm %d-item batch over %d keys: %.0f allocs", items, distinct, allocs)

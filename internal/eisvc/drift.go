@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"energyclarity/internal/core"
@@ -40,24 +41,24 @@ func (s *Server) DriftStep(ctx context.Context) error {
 	if ctl == nil {
 		return fmt.Errorf("eisvc: no drift controller attached")
 	}
-	s.driftSteps.Add(1)
+	atomic.AddUint64(&s.driftCounts.Steps, 1)
 	if _, err := ctl.Observe(); err != nil {
-		s.driftErrors.Add(1)
+		atomic.AddUint64(&s.driftCounts.StepErrors, 1)
 		return err
 	}
 	if !ctl.NeedsRecal() {
 		return nil
 	}
 	if err := s.adm.acquire(ctx); err != nil {
-		s.driftErrors.Add(1)
+		atomic.AddUint64(&s.driftCounts.StepErrors, 1)
 		return fmt.Errorf("eisvc: recalibration admission: %w", err)
 	}
 	defer s.adm.release()
 	if _, err := ctl.Recalibrate("drift"); err != nil {
-		s.driftErrors.Add(1)
+		atomic.AddUint64(&s.driftCounts.StepErrors, 1)
 		return err
 	}
-	s.recalibrations.Add(1)
+	atomic.AddUint64(&s.driftCounts.Recalibrations, 1)
 	return nil
 }
 
@@ -82,7 +83,7 @@ func (s *Server) RunDriftLoop(ctx context.Context, interval time.Duration) error
 			if s.Draining() {
 				continue
 			}
-			_ = s.DriftStep(ctx) // counted in driftErrors; the loop survives
+			_ = s.DriftStep(ctx) // counted in StepErrors; the loop survives
 		}
 	}
 }
@@ -135,11 +136,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 		WriteError(w, http.StatusNotFound, "drift monitoring not enabled")
 		return
 	}
-	WriteJSON(w, http.StatusOK, DriftReport{
-		ControllerStatus: ctl.Status(),
-		Generations:      ctl.Generations(),
-		Steps:            s.driftSteps.Load(),
-		StepErrors:       s.driftErrors.Load(),
-		Recalibrations:   s.recalibrations.Load(),
-	})
+	rep := DriftReport{ControllerStatus: ctl.Status(), Generations: ctl.Generations()}
+	addCounters(&rep.driftCounters, &s.driftCounts)
+	WriteJSON(w, http.StatusOK, rep)
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,7 +158,7 @@ func TestDriftStepDetectsAndRecalibrates(t *testing.T) {
 	// The device ages 8%; steps must detect and then recalibrate.
 	rig.setTruth(2.16)
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.recalibrations.Load() == 0 {
+	for atomic.LoadUint64(&srv.driftCounts.Recalibrations) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no recalibration; drift = %+v", mustDrift(t, c))
 		}

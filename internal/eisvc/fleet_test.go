@@ -3,6 +3,7 @@ package eisvc
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -125,6 +126,102 @@ func TestSnapshotDuringRebindRace(t *testing.T) {
 	if _, v, _ := r.Get("ml_webservice"); v != final {
 		t.Fatalf("replayed snapshots moved version %d -> %d", final, v)
 	}
+}
+
+// FuzzRegistrySnapshot checks the replication merge against delivery
+// order. The bytes script a primary: each byte may give one of four names
+// a fresh version (a tree of its own, as a register or rebind would) and
+// then emits a snapshot of the names its high bits pick, so a (name,
+// version) pair always means the same tree — the primary's contract. Two
+// replicas receive every snapshot, one in emission order and one in a
+// shuffled order with repeats; the merge must never lower an entry's
+// version, the replicas must converge on the newest version of every name
+// delivered, a re-delivered snapshot must install nothing, and NextVersion
+// must be the largest one delivered.
+func FuzzRegistrySnapshot(f *testing.F) {
+	f.Add([]byte{0xf4, 0x15, 0x3e, 0xff})
+	f.Add([]byte{0x14, 0x14, 0x0c, 0xf7, 0x25, 0x81})
+	f.Add([]byte{0x00, 0xf0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		names := [4]string{"a", "b", "c", "d"}
+		var (
+			trees   = map[uint64]*core.Interface{} // version -> the one tree it names
+			current = map[string]uint64{}
+			next    uint64
+			snaps   []RegistrySnapshot
+			order   []int // the second replica's deliveries
+		)
+		for i, op := range script {
+			if op&4 != 0 {
+				next++
+				current[names[op&3]] = next
+				trees[next] = core.New(names[op&3])
+			}
+			snap := RegistrySnapshot{NextVersion: next}
+			for k, name := range names {
+				if v, ok := current[name]; ok && op&(0x10<<k) != 0 {
+					snap.Entries = append(snap.Entries, RegistryEntry{
+						Name: name, Iface: trees[v], Source: "v" + strconv.FormatUint(v, 10), Version: v, Native: v%2 == 0,
+					})
+				}
+			}
+			snaps = append(snaps, snap)
+			order = append(order, i)
+			if op&8 != 0 {
+				order = append(order, i)
+			}
+		}
+		seed := int64(len(script))
+		for _, op := range script {
+			seed = seed*31 + int64(op)
+		}
+		rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+
+		var want RegistrySnapshot
+		newest := map[string]RegistryEntry{}
+		for _, snap := range snaps {
+			want.NextVersion = max(want.NextVersion, snap.NextVersion)
+			for _, e := range snap.Entries {
+				if e.Version > newest[e.Name].Version {
+					newest[e.Name] = e
+				}
+			}
+		}
+		for _, name := range names {
+			if e, ok := newest[name]; ok {
+				want.Entries = append(want.Entries, e)
+			}
+		}
+
+		replay := func(order []int) *Registry {
+			r := NewRegistry()
+			seen := map[string]uint64{}
+			for _, i := range order {
+				r.ApplySnapshot(snaps[i])
+				for _, e := range r.Snapshot().Entries {
+					if e.Version < seen[e.Name] {
+						t.Fatalf("snapshot %d lowered %s from version %d to %d", i, e.Name, seen[e.Name], e.Version)
+					}
+					seen[e.Name] = e.Version
+				}
+			}
+			return r
+		}
+		inOrder := make([]int, len(snaps))
+		for i := range inOrder {
+			inOrder[i] = i
+		}
+		for _, r := range []*Registry{replay(inOrder), replay(order)} {
+			if got := r.Snapshot(); got.NextVersion != want.NextVersion || !slices.Equal(got.Entries, want.Entries) {
+				t.Fatalf("replica converged to %+v, want %+v", got, want)
+			}
+			for i, snap := range snaps {
+				if n := r.ApplySnapshot(snap); n != 0 {
+					t.Fatalf("re-delivering snapshot %d installed %d entries", i, n)
+				}
+			}
+		}
+	})
 }
 
 // TestCacheLookupEndpoint: /v1/cachelookup returns warm memo entries

@@ -90,6 +90,22 @@ func (l *Ledger) Snapshot() (clients, ifaces map[string]LedgerEntry) {
 	return copyOf(l.byClient), copyOf(l.byIface)
 }
 
+// attributed sums the client rows' mean and p99 joules in client-id
+// order. Float addition is not associative, so a sum in map order could
+// differ between two reads of the same rows.
+func attributed(clients map[string]LedgerEntry) (meanJ, p99J float64) {
+	ids := make([]string, 0, len(clients))
+	for id := range clients {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		meanJ += clients[id].MeanJ
+		p99J += clients[id].P99J
+	}
+	return meanJ, p99J
+}
+
 // latencies tracks request latency: exact count/mean/max over the
 // lifetime, and p50/p99 over a sliding window of the most recent
 // observations (a fixed ring, so memory stays bounded).

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"energyclarity/internal/core"
@@ -248,7 +249,7 @@ func TestMemoSharesWireForm(t *testing.T) {
 			}
 		}
 	}
-	if n := srv.evaluations.Load(); n != 0 {
+	if n := atomic.LoadUint64(&srv.counts.Evaluations); n != 0 {
 		t.Fatalf("%d evaluations on an all-warm test", n)
 	}
 }
@@ -362,7 +363,7 @@ func TestSnapshotWrittenByParent(t *testing.T) {
 		ask(arg(float64(2000+i)), core.WorstCase())
 	}
 	ask(arg(4096), core.MonteCarlo(512, 7))
-	if n := srv.evaluations.Load(); n != 0 {
+	if n := atomic.LoadUint64(&srv.counts.Evaluations); n != 0 {
 		t.Fatalf("%d evaluations: the restored entries did not serve", n)
 	}
 }

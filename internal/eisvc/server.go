@@ -83,6 +83,10 @@ func defaultTo[T int | time.Duration](knob *T, def T) {
 // Construct with NewServer, seed the registry (wire registrations and/or
 // Registry.RegisterInterface for native stacks), and serve.
 type Server struct {
+	// First, to be 64-bit aligned for the atomic functions on any platform.
+	counts      nodeCounters
+	driftCounts driftCounters
+
 	cfg    Config
 	reg    *Registry
 	memo   *Memo
@@ -94,43 +98,19 @@ type Server struct {
 	mux    *http.ServeMux
 	node   []string // X-Eisvc-Node's value, shared by every answer
 
-	evalRequests  atomic.Uint64
-	evaluations   atomic.Uint64
-	coalesced     atomic.Uint64
-	batchRequests atomic.Uint64
-	batchItems    atomic.Uint64
-
-	// Peer cache forwarding (see SetPeerLookup): outbound lookups this
-	// node issued on memo misses, and inbound /v1/cachelookup traffic it
-	// answered for other nodes.
-	peerLookup     atomic.Pointer[PeerLookup]
-	peerHits       atomic.Uint64
-	peerMisses     atomic.Uint64
-	peerSkipped    atomic.Uint64
-	peerServed     atomic.Uint64
-	peerServedHits atomic.Uint64
-
-	// Fleet-resilience counters, aggregated from the client-reported
-	// X-Eisvc-Attempt / X-Eisvc-Hedge headers.
-	retriedRequests atomic.Uint64
-	retryAttempts   atomic.Uint64
-	hedgedRequests  atomic.Uint64
+	// The fleet peer-cache hook (see SetPeerLookup).
+	peerLookup atomic.Pointer[PeerLookup]
 
 	// Drain state: once draining, evaluation endpoints shed with 503 and
 	// idle is closed when the last in-flight evaluation finishes.
-	drainMu      sync.Mutex
-	draining     bool
-	inflight     int
-	idle         chan struct{}
-	idleOnce     sync.Once
-	shedDraining atomic.Uint64
+	drainMu  sync.Mutex
+	draining bool
+	inflight int
+	idle     chan struct{}
+	idleOnce sync.Once
 
-	// Continuous calibration (see drift.go): the attached controller plus
-	// the loop counters /v1/drift reports.
-	driftCtl       atomic.Pointer[drift.Controller]
-	driftSteps     atomic.Uint64
-	driftErrors    atomic.Uint64
-	recalibrations atomic.Uint64
+	// The continuous-calibration controller (see drift.go).
+	driftCtl atomic.Pointer[drift.Controller]
 }
 
 // NewServer returns a daemon with the given configuration.
@@ -157,8 +137,8 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/interfaces/{name}", s.handleDescribe)
 	s.mux.HandleFunc("GET /v1/interfaces/{name}/source", s.handleSource)
 	s.mux.HandleFunc("POST /v1/rebind", s.handleRebind)
-	serve(s, EvalEndpoint, &s.evalRequests, s.handleEval)
-	serve(s, EvalBatchEndpoint, &s.batchRequests, s.handleEvalBatch)
+	serve(s, EvalEndpoint, &s.counts.EvalRequests, s.handleEval)
+	serve(s, EvalBatchEndpoint, &s.counts.BatchRequests, s.handleEvalBatch)
 	// A memo probe is not evaluation work: it is uncounted here, takes no
 	// part in drain accounting, and so keeps answering while the node
 	// drains (see handleCacheLookup).
@@ -291,7 +271,7 @@ func (s *Server) InFlight() int {
 
 // shedForDrain answers an evaluation request arriving after BeginDrain.
 func (s *Server) shedForDrain(w http.ResponseWriter) {
-	s.shedDraining.Add(1)
+	atomic.AddUint64(&s.counts.ShedDraining, 1)
 	w.Header().Set("Retry-After", "1")
 	WriteError(w, http.StatusServiceUnavailable, "eisvc: draining — not admitting new evaluations")
 }
@@ -301,12 +281,12 @@ func (s *Server) shedForDrain(w http.ResponseWriter) {
 func (s *Server) noteResilience(r *http.Request) {
 	if v := r.Header.Get("X-Eisvc-Attempt"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 1 {
-			s.retriedRequests.Add(1)
-			s.retryAttempts.Add(uint64(n - 1))
+			atomic.AddUint64(&s.counts.RetriedRequests, 1)
+			atomic.AddUint64(&s.counts.RetryAttempts, uint64(n-1))
 		}
 	}
 	if r.Header.Get("X-Eisvc-Hedge") == "1" {
-		s.hedgedRequests.Add(1)
+		atomic.AddUint64(&s.counts.HedgedRequests, 1)
 	}
 }
 
@@ -324,11 +304,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // evaluation route and adds what all of those share: count the request,
 // note its resilience headers, pass the drain gate (503 once draining),
 // and record the latency of every answered request.
-func serve[Req, Resp any](s *Server, ep *Endpoint[Req, Resp], counter *atomic.Uint64, handle func(*http.Request, *Req) (*Resp, error)) {
+func serve[Req, Resp any](s *Server, ep *Endpoint[Req, Resp], counter *uint64, handle func(*http.Request, *Req) (*Resp, error)) {
 	s.mux.HandleFunc("POST "+ep.Path, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if counter != nil {
-			counter.Add(1)
+			atomic.AddUint64(counter, 1)
 			s.noteResilience(r)
 			if !s.beginEval() {
 				s.shedForDrain(w)
@@ -496,9 +476,9 @@ func (s *Server) probePeers(ctx context.Context, lookup PeerLookup, keys []strin
 			skipped++
 		}
 	}
-	s.peerHits.Add(uint64(hits))
-	s.peerSkipped.Add(uint64(skipped))
-	s.peerMisses.Add(uint64(len(keys) - hits - skipped))
+	atomic.AddUint64(&s.counts.PeerHits, uint64(hits))
+	atomic.AddUint64(&s.counts.PeerSkipped, uint64(skipped))
+	atomic.AddUint64(&s.counts.PeerMisses, uint64(len(keys)-hits-skipped))
 	return found
 }
 
@@ -543,7 +523,7 @@ func (s *Server) evalMiss(ctx, waitCtx context.Context, key string, iface *core.
 		}
 		defer s.adm.release()
 		opts.Layer = s.layer // nil (disabled) is valid
-		s.evaluations.Add(1)
+		atomic.AddUint64(&s.counts.Evaluations, 1)
 		d, evalErr := iface.EvalCtx(ctx, method, args, opts)
 		if evalErr != nil {
 			if errors.Is(evalErr, context.Canceled) || errors.Is(evalErr, context.DeadlineExceeded) {
@@ -554,7 +534,7 @@ func (s *Server) evalMiss(ctx, waitCtx context.Context, key string, iface *core.
 		return evalOutcome{wire: s.memo.put(key, d)}, nil
 	})
 	if coalesced {
-		s.coalesced.Add(1)
+		atomic.AddUint64(&s.counts.Coalesced, 1)
 	}
 	out.coalesced = coalesced
 	return out, err
@@ -725,7 +705,7 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 	if len(req.Requests) > maxBatch {
 		return nil, reject(http.StatusBadRequest, "batch of %d exceeds server cap %d", len(req.Requests), maxBatch)
 	}
-	s.batchItems.Add(uint64(len(req.Requests)))
+	atomic.AddUint64(&s.counts.BatchItems, uint64(len(req.Requests)))
 
 	// results holds one entry per distinct key, in the order of the items
 	// that first name them; shared[i] is the index of the entry item i
@@ -936,54 +916,34 @@ func (s *Server) handleCacheLookup(_ *http.Request, req *CacheLookupRequest) (*C
 			resp.Summary = sum
 		}
 	}
-	s.peerServed.Add(uint64(len(req.Keys)))
-	s.peerServedHits.Add(uint64(hits))
+	atomic.AddUint64(&s.counts.PeerServed, uint64(len(req.Keys)))
+	atomic.AddUint64(&s.counts.PeerServedHits, uint64(hits))
 	return resp, nil
 }
 
+// handleStats answers /v1/stats: a snapshot of the node's counters, and
+// the readings of the parts that keep their own.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	hits, misses, evictions, size := s.memo.Stats()
-	queueFull, deadline := s.adm.sheds()
-	depth, peak := s.adm.depth()
-	clients, ifaces := s.ledger.Snapshot()
 	resp := StatsResponse{
-		Interfaces:    s.reg.Len(),
-		EvalRequests:  s.evalRequests.Load(),
-		Evaluations:   s.evaluations.Load(),
-		MemoHits:      hits,
-		MemoMisses:    misses,
-		MemoEvictions: evictions,
-		MemoLen:       size,
-		ShedQueueFull: queueFull,
-		ShedDeadline:  deadline,
-		QueueDepth:    depth,
-		PeakQueue:     peak,
-		Workers:       s.cfg.Workers,
-		QueueLimit:    s.cfg.QueueLimit,
-		Latency:       s.lat.snapshot(),
-		Clients:       clients,
-		ByIface:       ifaces,
+		NodeID:     s.cfg.NodeID,
+		Interfaces: s.reg.Len(),
+		Workers:    s.cfg.Workers,
+		QueueLimit: s.cfg.QueueLimit,
+		Draining:   s.Draining(),
+		InFlight:   s.InFlight(),
+		Latency:    s.lat.snapshot(),
 	}
-	resp.NodeID = s.cfg.NodeID
-	resp.Coalesced = s.coalesced.Load()
-	resp.BatchRequests = s.batchRequests.Load()
-	resp.BatchItems = s.batchItems.Load()
-	resp.PeerHits = s.peerHits.Load()
-	resp.PeerMisses = s.peerMisses.Load()
-	resp.PeerSkipped = s.peerSkipped.Load()
-	resp.PeerServed = s.peerServed.Load()
-	resp.PeerServedHits = s.peerServedHits.Load()
+	addCounters(&resp.nodeCounters, &s.counts)
+	resp.MemoHits, resp.MemoMisses, resp.MemoEvictions, resp.MemoLen = s.memo.Stats()
+	resp.ShedQueueFull, resp.ShedDeadline = s.adm.sheds()
+	resp.QueueDepth, resp.PeakQueue = s.adm.depth()
+	resp.Clients, resp.ByIface = s.ledger.Snapshot()
+	resp.AttribJ, resp.AttribP99J = attributed(resp.Clients)
 	ps := core.ReadProgramStats()
 	resp.CompiledPrograms = ps.CompiledPrograms
 	resp.CompileFallbacks = ps.CompileFallbacks
 	resp.CompiledEvals = ps.CompiledEvals
 	resp.Specializations = ps.Specializations
-	resp.Draining = s.Draining()
-	resp.InFlight = s.InFlight()
-	resp.ShedDraining = s.shedDraining.Load()
-	resp.RetriedRequests = s.retriedRequests.Load()
-	resp.RetryAttempts = s.retryAttempts.Load()
-	resp.HedgedRequests = s.hedgedRequests.Load()
 	if s.layer != nil {
 		ls := s.layer.Stats()
 		resp.LayerEnabled = true
@@ -994,9 +954,5 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.LayerInvalidations = ls.Invalidations
 	}
 	resp.deriveHitRates()
-	for _, e := range clients {
-		resp.AttribJ += e.MeanJ
-		resp.AttribP99J += e.P99J
-	}
 	WriteJSON(w, http.StatusOK, resp)
 }

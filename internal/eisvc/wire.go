@@ -3,8 +3,9 @@ package eisvc
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"sort"
+	"sync/atomic"
+	"unsafe"
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/drift"
@@ -176,22 +177,22 @@ type BatchEvalResponse struct {
 
 // LatencyStats summarizes request latencies (memo hits included).
 type LatencyStats struct {
-	Count  uint64  `json:"count" fold:"sum"`
-	MeanMs float64 `json:"mean_ms" fold:"derived"`
-	P50Ms  float64 `json:"p50_ms" fold:"max"`
-	P99Ms  float64 `json:"p99_ms" fold:"max"`
-	MaxMs  float64 `json:"max_ms" fold:"max"`
+	Count  uint64  `json:"count"`
+	MeanMs float64 `json:"mean_ms"`
+	P50Ms  float64 `json:"p50_ms"`
+	P99Ms  float64 `json:"p99_ms"`
+	MaxMs  float64 `json:"max_ms"`
 }
 
 // LedgerEntry aggregates the energy a client (or an interface) had
 // evaluated on its behalf: sums over the returned distributions' mean,
 // p99, and worst-case joules.
 type LedgerEntry struct {
-	Requests uint64  `json:"requests" fold:"sum"`
-	MemoHits uint64  `json:"memo_hits" fold:"sum"`
-	MeanJ    float64 `json:"mean_j" fold:"sum"`
-	P99J     float64 `json:"p99_j" fold:"sum"`
-	WorstJ   float64 `json:"worst_j" fold:"sum"`
+	Requests uint64  `json:"requests"`
+	MemoHits uint64  `json:"memo_hits"`
+	MeanJ    float64 `json:"mean_j"`
+	P99J     float64 `json:"p99_j"`
+	WorstJ   float64 `json:"worst_j"`
 }
 
 // CacheLookupRequest is a fleet peer's memo probe (POST /v1/cachelookup):
@@ -222,49 +223,31 @@ type CacheLookupResponse struct {
 	Summary []uint32            `json:"summary"`        // null when absent, [] when empty
 }
 
-// StatsResponse is the /v1/stats payload. Each field's fold tag says how
-// the fleet aggregate combines it across nodes (see Fold), so a new
-// counter brings its fold rule with it and the router needs no edit.
+// StatsResponse is the /v1/stats payload: the node's own counters, then
+// readings of its parts. Fold says how a fleet aggregate combines them.
 type StatsResponse struct {
 	// NodeID names this daemon in a fleet ("" standalone).
-	NodeID string `json:"node_id,omitempty" fold:"node"`
+	NodeID string `json:"node_id,omitempty"`
 
-	Interfaces int `json:"interfaces" fold:"max"`
+	Interfaces int `json:"interfaces"`
 
-	EvalRequests  uint64  `json:"eval_requests" fold:"sum"`
-	Evaluations   uint64  `json:"evaluations" fold:"sum"` // actual Interface.Eval runs
-	MemoHits      uint64  `json:"memo_hits" fold:"sum"`
-	MemoMisses    uint64  `json:"memo_misses" fold:"sum"`
-	MemoEvictions uint64  `json:"memo_evictions" fold:"sum"`
-	MemoLen       int     `json:"memo_len" fold:"sum"`
-	MemoHitRate   float64 `json:"memo_hit_rate" fold:"derived"`
+	nodeCounters
+
+	MemoHits      uint64  `json:"memo_hits"`
+	MemoMisses    uint64  `json:"memo_misses"`
+	MemoEvictions uint64  `json:"memo_evictions"`
+	MemoLen       int     `json:"memo_len"`
+	MemoHitRate   float64 `json:"memo_hit_rate"`
 
 	// Compositional layer cache (per-sub-interface results shared across
 	// evaluations; see core.LayerCache).
-	LayerEnabled       bool    `json:"layer_enabled" fold:"or"`
-	LayerHits          uint64  `json:"layer_hits" fold:"sum"`
-	LayerMisses        uint64  `json:"layer_misses" fold:"sum"`
-	LayerEvictions     uint64  `json:"layer_evictions" fold:"sum"`
-	LayerLen           int     `json:"layer_len" fold:"sum"`
-	LayerInvalidations uint64  `json:"layer_invalidations" fold:"sum"`
-	LayerHitRate       float64 `json:"layer_hit_rate" fold:"derived"`
-
-	// Coalesced counts requests that joined an identical in-flight
-	// evaluation; BatchRequests/BatchItems count /v1/evalbatch traffic.
-	Coalesced     uint64 `json:"coalesced" fold:"sum"`
-	BatchRequests uint64 `json:"batch_requests" fold:"sum"`
-	BatchItems    uint64 `json:"batch_items" fold:"sum"`
-
-	// Peer cache forwarding: lookups this node issued to the fleet on memo
-	// misses (hits/misses), and /v1/cachelookup probes it answered for
-	// other nodes (served, of which served_hits found a warm entry);
-	// skipped misses went to no peer, as no reachable peer's summary
-	// could hold them. All count keys, not requests: a probe carries many.
-	PeerHits       uint64 `json:"peer_hits,omitempty" fold:"sum"`
-	PeerMisses     uint64 `json:"peer_misses,omitempty" fold:"sum"`
-	PeerSkipped    uint64 `json:"peer_skipped,omitempty" fold:"sum"`
-	PeerServed     uint64 `json:"peer_served,omitempty" fold:"sum"`
-	PeerServedHits uint64 `json:"peer_served_hits,omitempty" fold:"sum"`
+	LayerEnabled       bool    `json:"layer_enabled"`
+	LayerHits          uint64  `json:"layer_hits"`
+	LayerMisses        uint64  `json:"layer_misses"`
+	LayerEvictions     uint64  `json:"layer_evictions"`
+	LayerLen           int     `json:"layer_len"`
+	LayerInvalidations uint64  `json:"layer_invalidations"`
+	LayerHitRate       float64 `json:"layer_hit_rate"`
 
 	// Optimizing EIL compiler (internal/opt), process-wide counters from
 	// core.ReadProgramStats: methods compiled to flat instruction
@@ -276,54 +259,142 @@ type StatsResponse struct {
 	// describe a process, not a node — nodes sharing a process each report
 	// the process's count — so none of them is folded into a fleet
 	// aggregate; read them per node.
-	CompiledPrograms uint64 `json:"compiled_programs" fold:"node"`
-	CompileFallbacks uint64 `json:"compile_fallbacks" fold:"node"`
-	CompiledEvals    uint64 `json:"compiled_evals" fold:"node"`
-	Specializations  uint64 `json:"specializations" fold:"node"`
+	CompiledPrograms uint64 `json:"compiled_programs"`
+	CompileFallbacks uint64 `json:"compile_fallbacks"`
+	CompiledEvals    uint64 `json:"compiled_evals"`
+	Specializations  uint64 `json:"specializations"`
 
-	ShedQueueFull uint64 `json:"shed_queue_full" fold:"sum"` // rejected with 429
-	ShedDeadline  uint64 `json:"shed_deadline" fold:"sum"`   // rejected with 503
-	QueueDepth    int    `json:"queue_depth" fold:"sum"`
-	PeakQueue     int    `json:"peak_queue" fold:"max"`
-	Workers       int    `json:"workers" fold:"sum"`
-	QueueLimit    int    `json:"queue_limit" fold:"sum"`
+	ShedQueueFull uint64 `json:"shed_queue_full"` // rejected with 429
+	ShedDeadline  uint64 `json:"shed_deadline"`   // rejected with 503
+	QueueDepth    int    `json:"queue_depth"`
+	PeakQueue     int    `json:"peak_queue"`
+	Workers       int    `json:"workers"`
+	QueueLimit    int    `json:"queue_limit"`
 
-	// Resilience: drain state plus fleet retry/hedge behavior as reported
-	// by clients through the X-Eisvc-Attempt / X-Eisvc-Hedge headers.
-	Draining        bool   `json:"draining" fold:"node"`
-	InFlight        int    `json:"in_flight" fold:"sum"`
-	ShedDraining    uint64 `json:"shed_draining" fold:"sum"` // rejected with 503 while draining
-	RetriedRequests uint64 `json:"retried_requests" fold:"sum"`
-	RetryAttempts   uint64 `json:"retry_attempts" fold:"sum"` // extra attempts beyond the first
-	HedgedRequests  uint64 `json:"hedged_requests" fold:"sum"`
+	// Drain state: once draining, evaluations shed with 503.
+	Draining bool `json:"draining"`
+	InFlight int  `json:"in_flight"`
 
-	Latency LatencyStats `json:"latency" fold:"fields"`
+	Latency LatencyStats `json:"latency"`
 
-	Clients    map[string]LedgerEntry `json:"clients" fold:"perkey"`
-	ByIface    map[string]LedgerEntry `json:"by_interface" fold:"perkey"`
-	AttribJ    float64                `json:"attributed_mean_j" fold:"sum"` // sum over clients
-	AttribP99J float64                `json:"attributed_p99_j" fold:"sum"`
+	Clients    map[string]LedgerEntry `json:"clients"`
+	ByIface    map[string]LedgerEntry `json:"by_interface"`
+	AttribJ    float64                `json:"attributed_mean_j"` // sum over clients, in client-id order
+	AttribP99J float64                `json:"attributed_p99_j"`
 
 	// latWeightedMs is Fold's running Σ mean·count behind the aggregate's
 	// count-weighted Latency.MeanMs; it never travels.
 	latWeightedMs float64
 }
 
-// Fold adds one node's stats into the fleet aggregate a, field by field
-// per the fold tags: "sum" and "max" combine numbers, "or" booleans,
-// "fields" recurses into a nested struct, "perkey" merges a ledger map
-// by folding the entries under each key, "node" marks a fact about one
-// node or process that has no fleet-wide reading (it stays zero in the
-// aggregate; read it from per_node), and "derived" fields are recomputed
-// below from the folded ones. The latency percentiles merge as a max
-// over nodes — an upper bound, not a percentile of the union.
-func (a *StatsResponse) Fold(st *StatsResponse) {
-	foldFields(reflect.ValueOf(a).Elem(), reflect.ValueOf(st).Elem())
-	a.latWeightedMs += st.Latency.MeanMs * float64(st.Latency.Count)
-	if a.Latency.Count > 0 {
-		a.Latency.MeanMs = a.latWeightedMs / float64(a.Latency.Count)
+// nodeCounters are the counters a Server keeps (a counterSet).
+type nodeCounters struct {
+	EvalRequests uint64 `json:"eval_requests"`
+	Evaluations  uint64 `json:"evaluations"` // actual Interface.Eval runs
+
+	// Coalesced counts requests that joined an identical in-flight
+	// evaluation; BatchRequests/BatchItems count /v1/evalbatch traffic.
+	Coalesced     uint64 `json:"coalesced"`
+	BatchRequests uint64 `json:"batch_requests"`
+	BatchItems    uint64 `json:"batch_items"`
+
+	// Peer cache forwarding: lookups this node issued to the fleet on memo
+	// misses (hits/misses), and /v1/cachelookup probes it answered for
+	// other nodes (served, of which served_hits found a warm entry);
+	// skipped misses went to no peer, as no reachable peer's summary
+	// could hold them. All count keys, not requests: a probe carries many.
+	PeerHits       uint64 `json:"peer_hits,omitempty"`
+	PeerMisses     uint64 `json:"peer_misses,omitempty"`
+	PeerSkipped    uint64 `json:"peer_skipped,omitempty"`
+	PeerServed     uint64 `json:"peer_served,omitempty"`
+	PeerServedHits uint64 `json:"peer_served_hits,omitempty"`
+
+	// Resilience: evaluations shed while draining, plus fleet retry/hedge
+	// behavior as reported by clients through the X-Eisvc-Attempt /
+	// X-Eisvc-Hedge headers.
+	ShedDraining    uint64 `json:"shed_draining"` // rejected with 503 while draining
+	RetriedRequests uint64 `json:"retried_requests"`
+	RetryAttempts   uint64 `json:"retry_attempts"` // extra attempts beyond the first
+	HedgedRequests  uint64 `json:"hedged_requests"`
+}
+
+// counterSet is a struct of uint64 counters and nothing else, which is
+// also the form they are reported in: its owner bumps the fields of its
+// live copy with atomic.AddUint64 and reads them only through addCounters.
+type counterSet interface {
+	nodeCounters | driftCounters | Counters
+}
+
+// addCounters adds every counter of src, read atomically, into dst: into
+// a zero dst, a snapshot of a live src. It views both as their uint64
+// fields in order, a layout TestCounterSetsAreWords holds them to.
+func addCounters[T counterSet](dst, src *T) {
+	words := func(c *T) []uint64 { return unsafe.Slice((*uint64)(unsafe.Pointer(c)), unsafe.Sizeof(*c)/8) }
+	d, s := words(dst), words(src)
+	for i := range d {
+		d[i] += atomic.LoadUint64(&s[i])
 	}
+}
+
+// Fold adds one node's stats into the fleet aggregate a: every field is
+// summed but for these. Interfaces, peak_queue and the latency max_ms,
+// p50_ms and p99_ms take the max over nodes (for the percentiles an upper
+// bound, not a percentile of the union); layer_enabled is or-ed; latency
+// mean_ms is weighted by count; the ledgers merge row by row; the hit
+// rates are derived. node_id, draining and the four compiler counters
+// describe one node or process: they stay zero (read them per node).
+func (a *StatsResponse) Fold(st *StatsResponse) {
+	addCounters(&a.nodeCounters, &st.nodeCounters)
+	a.Interfaces = max(a.Interfaces, st.Interfaces)
+	a.MemoHits += st.MemoHits
+	a.MemoMisses += st.MemoMisses
+	a.MemoEvictions += st.MemoEvictions
+	a.MemoLen += st.MemoLen
+	a.LayerEnabled = a.LayerEnabled || st.LayerEnabled
+	a.LayerHits += st.LayerHits
+	a.LayerMisses += st.LayerMisses
+	a.LayerEvictions += st.LayerEvictions
+	a.LayerLen += st.LayerLen
+	a.LayerInvalidations += st.LayerInvalidations
+	a.ShedQueueFull += st.ShedQueueFull
+	a.ShedDeadline += st.ShedDeadline
+	a.QueueDepth += st.QueueDepth
+	a.PeakQueue = max(a.PeakQueue, st.PeakQueue)
+	a.Workers += st.Workers
+	a.QueueLimit += st.QueueLimit
+	a.InFlight += st.InFlight
+
+	lat, l := &a.Latency, st.Latency
+	a.latWeightedMs += l.MeanMs * float64(l.Count)
+	lat.Count += l.Count
+	if lat.Count > 0 {
+		lat.MeanMs = a.latWeightedMs / float64(lat.Count)
+	}
+	lat.P50Ms, lat.P99Ms, lat.MaxMs = max(lat.P50Ms, l.P50Ms), max(lat.P99Ms, l.P99Ms), max(lat.MaxMs, l.MaxMs)
+
+	a.Clients = mergeLedger(a.Clients, st.Clients)
+	a.ByIface = mergeLedger(a.ByIface, st.ByIface)
+	a.AttribJ += st.AttribJ
+	a.AttribP99J += st.AttribP99J
 	a.deriveHitRates()
+}
+
+// mergeLedger adds src's rows into dst's under the same keys and returns
+// dst, made if nil: an aggregate never shares a node's map.
+func mergeLedger(dst, src map[string]LedgerEntry) map[string]LedgerEntry {
+	if dst == nil {
+		dst = make(map[string]LedgerEntry, len(src))
+	}
+	for k, e := range src {
+		row := dst[k]
+		row.Requests += e.Requests
+		row.MemoHits += e.MemoHits
+		row.MeanJ += e.MeanJ
+		row.P99J += e.P99J
+		row.WorstJ += e.WorstJ
+		dst[k] = row
+	}
+	return dst
 }
 
 // deriveHitRates recomputes the hit-rate fields from the hit and miss
@@ -334,46 +405,6 @@ func (a *StatsResponse) deriveHitRates() {
 	}
 	if total := a.LayerHits + a.LayerMisses; total > 0 {
 		a.LayerHitRate = float64(a.LayerHits) / float64(total)
-	}
-}
-
-func sumOrMax[T int64 | uint64 | float64](rule string, a, b T) T {
-	if rule == "max" {
-		return max(a, b)
-	}
-	return a + b
-}
-
-func foldFields(dst, src reflect.Value) {
-	for i := 0; i < dst.NumField(); i++ {
-		d, s := dst.Field(i), src.Field(i)
-		switch rule := dst.Type().Field(i).Tag.Get("fold"); rule {
-		case "sum", "max":
-			switch d.Kind() {
-			case reflect.Int:
-				d.SetInt(sumOrMax(rule, d.Int(), s.Int()))
-			case reflect.Uint64:
-				d.SetUint(sumOrMax(rule, d.Uint(), s.Uint()))
-			case reflect.Float64:
-				d.SetFloat(sumOrMax(rule, d.Float(), s.Float()))
-			}
-		case "or":
-			d.SetBool(d.Bool() || s.Bool())
-		case "fields":
-			foldFields(d, s)
-		case "perkey":
-			if d.IsNil() {
-				d.Set(reflect.MakeMap(d.Type()))
-			}
-			for it := s.MapRange(); it.Next(); {
-				entry := reflect.New(d.Type().Elem()).Elem()
-				if cur := d.MapIndex(it.Key()); cur.IsValid() {
-					entry.Set(cur)
-				}
-				foldFields(entry, it.Value())
-				d.SetMapIndex(it.Key(), entry)
-			}
-		}
 	}
 }
 
@@ -397,10 +428,15 @@ type HealthzResponse struct {
 // registry, plus the daemon loop's counters.
 type DriftReport struct {
 	drift.ControllerStatus
-	Generations    []drift.Generation `json:"generations,omitempty"`
-	Steps          uint64             `json:"steps"`          // DriftStep invocations
-	StepErrors     uint64             `json:"step_errors"`    // probe/recal failures (loop survived)
-	Recalibrations uint64             `json:"recalibrations"` // completed by the loop
+	Generations []drift.Generation `json:"generations,omitempty"`
+	driftCounters
+}
+
+// driftCounters are the drift loop's counters (a counterSet).
+type driftCounters struct {
+	Steps          uint64 `json:"steps"`          // DriftStep invocations
+	StepErrors     uint64 `json:"step_errors"`    // probe/recal failures (loop survived)
+	Recalibrations uint64 `json:"recalibrations"` // completed by the loop
 }
 
 // ErrorResponse is the body of every non-2xx answer.
