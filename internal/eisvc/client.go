@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"slices"
@@ -15,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"energyclarity/internal/cache"
 	"energyclarity/internal/core"
 	"energyclarity/internal/energy"
 )
@@ -128,6 +130,8 @@ func (h Hop) header() http.Header {
 type Client struct {
 	// First, to be 64-bit aligned for the atomic functions on any platform.
 	counts Counters
+	heldMu sync.Mutex
+	held   *cache.Store[uint64, *heldAnswer] // batch answers held, by request item hash; under heldMu
 
 	base string
 	rt   http.RoundTripper
@@ -158,7 +162,8 @@ type Client struct {
 // NewClient returns a client for the daemon at base (e.g.
 // "http://127.0.0.1:7757") that speaks the binary codec.
 func NewClient(base string) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), rt: defaultTransport, Binary: true}
+	return &Client{base: strings.TrimRight(base, "/"), rt: defaultTransport, Binary: true,
+		held: cache.NewStore[uint64, *heldAnswer](maxBatch)} // as many distinct items as a batch carries
 }
 
 // defaultTransport is http.DefaultTransport's configuration, gzip off.
@@ -218,12 +223,13 @@ func (c *Client) TuneTransport(t TransportTuning) *Client {
 	return c
 }
 
-// Counters are the client's resilience counters (a counterSet).
+// Counters are the client's resilience and held-answer counters (a counterSet).
 type Counters struct {
 	Retries   uint64 // re-sent attempts (attempt >= 2)
 	Hedges    uint64 // hedge requests launched
 	HedgeWins uint64 // hedges that answered before the primary
 	Shed      uint64 // 429/503 answers observed (before any retry succeeded)
+	Held      uint64 // batch answers that came back held (see EvalBatchCtx)
 }
 
 // Counters returns a snapshot of the client's resilience counters.
@@ -503,7 +509,9 @@ func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.V
 // Identical items are deduplicated server-side. In binary, an item that
 // encodes to the same bytes as an earlier one is sent as a ref to it, and
 // the items answered by one evaluation come back as refs too: they share
-// one *WireDist, which is read-only. Per-item failures land in
+// one *WireDist. An item whose answer the client holds goes held and, if
+// the answer stands, comes back without its vectors, as the *WireDist held,
+// shared across calls. Every Dist is read-only. Per-item failures land in
 // the item's Error/Status, not in the returned error. Items with
 // DeadlineMs == 0 are stamped with the client's Deadline; DeadlineMs ==
 // NoDeadline (any negative value) means the caller explicitly wants no
@@ -524,14 +532,72 @@ func (c *Client) EvalBatchCtx(ctx context.Context, reqs []EvalRequest) ([]BatchE
 			sent[i].DeadlineMs = d
 		}
 	}
-	resp, err := EvalBatchEndpoint.call(ctx, c, &BatchEvalRequest{Requests: sent})
+	holds := &batchHolds{c, make([]*heldAnswer, len(sent)), make([][]byte, len(sent))} // JSON holds none
+	resp, err := EvalBatchEndpoint.call(ctx, c, &BatchEvalRequest{Requests: sent, holds: holds})
 	if err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(reqs) {
 		return nil, fmt.Errorf("eisvc: batch returned %d results for %d requests", len(resp.Results), len(reqs))
 	}
+	if err := holds.settle(resp); err != nil {
+		return nil, err
+	}
 	return resp.Results, nil
+}
+
+// heldAnswer is an answer held for the request item item; never changed.
+type heldAnswer struct {
+	item string
+	tag  uint64 // DistTag(&dist)
+	dist WireDist
+}
+
+// batchHolds is what the request items of one batch call went out as:
+// held against an answer, or else as their bytes; neither for a ref.
+type batchHolds struct {
+	c     *Client
+	held  []*heldAnswer
+	bytes [][]byte
+}
+
+// find returns the tag held for request item i (bytes item, hash h), or 0.
+func (b *batchHolds) find(i int, h uint64, item []byte) uint64 {
+	b.c.heldMu.Lock()
+	defer b.c.heldMu.Unlock()
+	if a, ok := b.c.held.Get(h); ok && a.item == string(item) {
+		b.held[i] = a
+		return a.tag
+	}
+	b.bytes[i] = item // only here: a held item moves up for its prefix
+	return 0
+}
+
+// settle gives each held answer the Dist held for its item (or the item a
+// ref copies), and holds a 200 served without an evaluation and any full
+// answer to a held item, in place of what was.
+func (b *batchHolds) settle(resp *BatchEvalResponse) error {
+	b.c.heldMu.Lock()
+	defer b.c.heldMu.Unlock()
+	for i, was := range b.held {
+		switch it := &resp.Results[i]; {
+		case it.held && b.held[resp.refs[i]] == nil: // refs: the decoder keeps them with a held item
+			return fmt.Errorf("eisvc: answer item %d came back held, but its request item was not sent held", i)
+		case it.held:
+			it.Dist, it.held = &b.held[resp.refs[i]].dist, false
+			if was != nil { // not a ref: Counters.Held counts what was sent held
+				atomic.AddUint64(&b.c.counts.Held, 1)
+			}
+		case was == nil && b.bytes[i] == nil || it.Status != http.StatusOK || it.Dist == nil:
+		case was != nil || it.Cached || it.Peer:
+			a := &heldAnswer{item: string(b.bytes[i]), tag: DistTag(it.Dist), dist: *it.Dist}
+			if was != nil {
+				a.item = was.item
+			}
+			b.c.held.Put(maphash.String(keySeed, a.item), a)
+		}
+	}
+	return nil
 }
 
 // EvalRequestFor builds the wire request EvalCtx would send, for use with

@@ -270,7 +270,7 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 
 // TestWarmBatchAllocs pins the all-hit batch path as a count. 256 items
 // over 64 distinct warm keys, binary, through the loopback transport
-// (client encode and decode included). Measured 249 allocations, 1.0 an
+// (client encode and decode included). Measured 190 allocations, 0.74 an
 // item, with the GC on or off; the bound leaves 3% for toolchain drift.
 // What the figure holds in place, each of which alone breaks it: the
 // handler reads each distinct key's memo entry inline and starts no
@@ -288,11 +288,22 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 // item's arguments into one array and makes one string of its distinct
 // memo keys (1,145 → 827); and the 192 items that repeat an earlier one
 // cross as refs both ways, so the node neither decodes nor keys them and
-// the client decodes no answer for them (827 → 249). What is left per
-// distinct item, by profile: the answer's vectors on the client, and the
-// record's map (two allocations, in core.Record) on the server.
+// the client decodes no answer for them (827 → 249); and the 64 distinct
+// items go held, so the node sends and the client decodes no vectors for
+// them: the client answers them with the *WireDist it holds (249 → 189;
+// 190 since an answer with held items keeps its frame's refs, one slice,
+// for the client to resolve a ref to a held item). What is left per
+// distinct item, by profile: the record's map (two allocations, in
+// core.Record) on the server.
+//
+// The test then counts the full-answer path too, which JSON clients and
+// the first warm repeat of each item still take: the same batch from a
+// client whose held answers are dropped before each run. It measured 380:
+// the 249 of the path before held answers, plus two allocations for each
+// of the 64 answers the client then holds (its heldAnswer and the item's
+// bytes), plus 3. The bound leaves 3%.
 func TestWarmBatchAllocs(t *testing.T) {
-	const items, distinct, bound = 256, 64, 256
+	const items, distinct, bound, fullBound = 256, 64, 194, 391
 	srv := NewServer(Config{})
 	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
 		t.Fatal(err)
@@ -317,9 +328,30 @@ func TestWarmBatchAllocs(t *testing.T) {
 	if atomic.LoadUint64(&srv.counts.Evaluations) != before {
 		t.Fatal("warm batch evaluated")
 	}
+	// AllocsPerRun's warm-up run made the answers held; every run after it
+	// got its distinct items back held.
+	if held := c.Counters().Held; held != 20*distinct {
+		t.Errorf("%d answers came back held, want %d", held, 20*distinct)
+	}
 	t.Logf("warm %d-item batch over %d keys: %.0f allocs", items, distinct, allocs)
 	if allocs > bound && !raceEnabled {
 		t.Errorf("warm batch made %.0f allocations, want <= %d", allocs, bound)
+	}
+
+	// The same batch from a client that holds nothing — its store emptied
+	// before each run — gets every distinct answer in full and holds it.
+	full := testing.AllocsPerRun(20, func() {
+		c.held.Purge()
+		if got, err := c.EvalBatchCtx(context.Background(), reqs); err != nil || got[0].Dist == nil {
+			t.Fatalf("warm batch in full: err %v", err)
+		}
+	})
+	if held := c.Counters().Held; held != 20*distinct {
+		t.Errorf("%d answers came back held to a client holding nothing", held-20*distinct)
+	}
+	t.Logf("the same, answered in full: %.0f allocs", full)
+	if full > fullBound && !raceEnabled {
+		t.Errorf("warm batch answered in full made %.0f allocations, want <= %d", full, fullBound)
 	}
 }
 

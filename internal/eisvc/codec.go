@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"hash/maphash"
 	"math"
+	"net/http"
 	"slices"
 	"strings"
 	"sync"
@@ -143,7 +144,7 @@ type coder struct {
 	// refs, reading a batch, is what each item read so far stands for: the
 	// index of the earlier item it repeats, or its own (see itemRef). seen,
 	// encoding a batch request, finds the earlier item one repeats (see
-	// repeat).
+	// endItem).
 	refs []int
 	seen map[uint64]span
 }
@@ -672,7 +673,7 @@ func (c *coder) evalResponse(r *EvalResponse) {
 // No full item begins with the marker: it would be the length of the
 // interface name both kinds begin with, 4 GiB. The encoder writes a
 // request item as a ref when an earlier one encoded to the same bytes
-// (repeat); a node answers with refs only a request that carried one
+// (endItem); a node answers with refs only a request that carried one
 // (BatchEvalResponse.refs).
 const (
 	refMarker = math.MaxUint32
@@ -712,24 +713,78 @@ func (c *coder) itemRef(i, to int) int {
 	return to
 }
 
-// repeat ends the encoding of request item i, begun at start: when an
+// endItem ends the encoding of request item i, begun at start: when an
 // earlier full item encoded to the same bytes — found by hash, then
 // compared — the item is cut off again and written as a ref to it.
-func (c *coder) repeat(i, start int) {
+// Otherwise it stays, held if r.held[i] or r.holds.find names a tag for it.
+func (c *coder) endItem(r *BatchEvalRequest, i, start int) {
 	b := c.buf.Bytes()
 	item := b[start:]
 	h := maphash.Bytes(keySeed, item)
-	if s, ok := c.seen[h]; ok {
-		if bytes.Equal(item, b[s.off:s.end]) {
-			c.buf.Truncate(start)
-			c.buf.Write(AppendBatchRef(c.buf.AvailableBuffer(), s.item))
-		}
+	if s, ok := c.seen[h]; ok && bytes.Equal(item, b[s.off:s.end]) {
+		c.buf.Truncate(start)
+		c.buf.Write(AppendBatchRef(c.buf.AvailableBuffer(), s.item))
 		return
+	}
+	var tag uint64
+	if r.held != nil {
+		tag = r.held[i]
+	} else if r.holds != nil {
+		tag = r.holds.find(i, h, item)
+	}
+	if tag != 0 { // the item moves up to make room for its prefix
+		c.buf.Write(make([]byte, HeldPrefixLen))
+		b = c.buf.Bytes()
+		copy(b[start+HeldPrefixLen:], b[start:])
+		AppendHeldPrefix(b[start:start], tag)
+		start += HeldPrefixLen
 	}
 	if c.seen == nil {
 		c.seen = map[uint64]span{}
 	}
-	c.seen[h] = span{i, start, len(b)}
+	c.seen[h] = span{i, start, c.buf.Len()}
+}
+
+// A batch request item may go behind a held prefix: heldMarker, then the
+// DistTag of the answer its sender holds for exactly the item's bytes. A
+// node whose answer is a 200 with that distribution sends it with the held
+// bit and no distribution (batchItem), and the client fills in the one it
+// holds (batchHolds). No item begins with the marker. JSON has neither.
+const (
+	heldMarker    = refMarker - 1
+	HeldPrefixLen = 4 + 8 // the marker and a tag
+)
+
+// AppendHeldPrefix appends to b the held prefix that names tag.
+func AppendHeldPrefix(b []byte, tag uint64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(b, heldMarker), tag)
+}
+
+// heldPrefix reads the held prefix of the item that starts here and returns
+// its tag, or 0 for none. A ref or prefix after it fails as a 4 GiB name.
+func (c *coder) heldPrefix() (tag uint64) {
+	if rest := c.data[c.off:]; len(rest) < 4 || binary.LittleEndian.Uint32(rest) != heldMarker {
+		return 0
+	}
+	if b := c.take(HeldPrefixLen); b != nil {
+		if tag = binary.LittleEndian.Uint64(b[4:]); tag == 0 {
+			c.fail("held prefix names tag 0")
+		}
+	}
+	return tag
+}
+
+// DistTag names w by its content, never 0: CRC-32C and CRC-32 of its
+// layout. A version would not do, as a registry counts them anew in each
+// process: a node restarted without its snapshot may reuse one.
+func DistTag(w *WireDist) uint64 {
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	c := newCoder(encoding, buf, nil)
+	c.wireDist(w)
+	c.release()
+	b := buf.Bytes()
+	return uint64(crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))<<32 | uint64(crc32.ChecksumIEEE(b)) | 1
 }
 
 // batchItems is seq for a batch's items. Either kind can be a ref, so the
@@ -761,8 +816,14 @@ func (c *coder) batchRequest(r *BatchEvalRequest) {
 		case c.mode == encoding:
 			start := c.buf.Len()
 			c.evalRequest(&reqs[i])
-			c.repeat(i, start)
+			c.endItem(r, i, start)
 		case c.itemRef(i, i) == i:
+			if tag := c.heldPrefix(); tag != 0 {
+				if r.held == nil {
+					r.held = make([]uint64, len(reqs))
+				}
+				r.held[i] = tag
+			}
 			c.evalRequest(&reqs[i])
 		default:
 			repeats = true
@@ -790,14 +851,17 @@ func (c *coder) batchRequest(r *BatchEvalRequest) {
 // it had one: the caller attaches it, so a walker's scratch dist is never
 // stored anywhere (which would move it to the heap).
 func (c *coder) batchItem(it *BatchEvalItem, dist *WireDist) (hasDist bool) {
-	hasDist = it.Dist != nil
+	hasDist = it.Dist != nil && !it.held
 	c.name(&it.Interface)
 	c.u64(&it.Version)
 	c.name(&it.Method)
 	c.name(&it.Mode)
 	c.count(&it.Status, 0) // a plain uint32
 	c.str(&it.Error)
-	c.flags(&it.Cached, &it.Coalesced, &it.Peer, &it.Deduped, &hasDist)
+	c.flags(&it.Cached, &it.Coalesced, &it.Peer, &it.Deduped, &hasDist, &it.held)
+	if it.held && (hasDist || it.Status != http.StatusOK) {
+		c.fail("held answer item with status %d or a distribution", it.Status)
+	}
 	if hasDist {
 		c.wireDist(dist)
 	}
@@ -811,7 +875,8 @@ func (c *coder) batchItem(it *BatchEvalItem, dist *WireDist) (hasDist bool) {
 // (≈ 450 KB for 256 items) — so each answer's pair is its own allocation.
 //
 // An answer ref decodes to a copy of the item it repeats, flagged Deduped,
-// whose Dist is the same pointer.
+// whose Dist is the same pointer. A held item has no Dist; r.refs then
+// keeps what each item copies, for the client's batchHolds.settle.
 func (c *coder) batchResponse(r *BatchEvalResponse) {
 	c.batch = true
 	items := batchItems(c, &r.Results)
@@ -838,6 +903,9 @@ func (c *coder) batchResponse(r *BatchEvalResponse) {
 		if c.batchItem(&items[i], dist) && dists != nil {
 			items[i].Dist = dist
 		}
+	}
+	if dists != nil && slices.ContainsFunc(items, func(it BatchEvalItem) bool { return it.held }) {
+		r.refs = slices.Clone(c.refs)
 	}
 }
 
@@ -998,11 +1066,12 @@ func beginBatch(buf *bytes.Buffer, kind byte, n int) {
 const BatchHeaderLen = len(binMagic) + 1 + 4
 
 // AppendBatchEvalError appends to an answer frame the item that refuses
-// one request item (a range WalkBatchEvalRequest yielded) with status and
-// msg, naming the interface and method the request named.
+// one request item (a range WalkBatchEvalRequest yielded, held or not)
+// with status and msg, naming the interface and method the request named.
 func AppendBatchEvalError(buf *bytes.Buffer, reqItem []byte, status int, msg string) {
 	var req EvalRequest
 	c := newCoder(decoding, nil, reqItem)
+	c.heldPrefix()
 	c.evalRequest(&req)
 	c.release()
 	it := BatchEvalItem{Interface: req.Interface, Method: req.Method, Status: status, Error: msg}
@@ -1042,6 +1111,8 @@ type FrameItem struct {
 	// Ref is, for a ref item, one more than the index of the item it
 	// repeats, whose Interface and Spread it carries; 0 for a full item.
 	Ref int
+	// Held: the item's first HeldPrefixLen bytes are a held prefix, which Interface and Spread skip.
+	Held bool
 }
 
 const (
@@ -1131,7 +1202,9 @@ func walkBatch(frame []byte, kind byte, item func(*coder) FrameItem) ([]FrameIte
 			items[i] = FrameItem{Off: off, End: c.off, Interface: items[j].Interface, Spread: items[j].Spread, Ref: j + 1}
 			continue
 		}
+		held := kind == kindBatchRequest && c.heldPrefix() != 0
 		items[i] = item(c)
+		items[i].Off, items[i].Held = off, held // a held item's range takes in its prefix
 	}
 	c.done()
 	if err := c.release(); err != nil {

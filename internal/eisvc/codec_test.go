@@ -322,6 +322,14 @@ func addCodecSeeds(f *testing.F) {
 	// Ref items of both kinds (FuzzFrameWalk takes these seeds too).
 	f.Add(binaryFrame(&EvalBatchEndpoint.Request, refBatchRequests()))
 	f.Add(binaryFrame(&EvalBatchEndpoint.Response, refBatchResults()))
+	// And held items, with refs to them.
+	held := refBatchRequests()
+	held.held = []uint64{3, 0, 5, 0, 0, 0}
+	f.Add(binaryFrame(&EvalBatchEndpoint.Request, held))
+	f.Add(binaryFrame(&EvalBatchEndpoint.Response, heldBatchResults()))
+	heldRefs := refBatchResults()
+	heldRefs.Results[0].held = true
+	f.Add(binaryFrame(&EvalBatchEndpoint.Response, heldRefs))
 	w0 := WireDist{Support: []float64{math.Copysign(0, -1)}, Probs: []float64{1}}
 	f.Add(binaryFrame(&CacheLookupEndpoint.Response, &CacheLookupResponse{
 		Results: []CacheLookupResult{{Found: true, Dist: &w0}, {}, {Found: true, Dist: &w0}}, Node: "node-1"}))

@@ -124,6 +124,8 @@ var pinnedFrames = map[string]uint64{
 	"batch refusal":            0x5cd92190489ef14c,
 	"ref batch request":        0x25bdc14786ea061b,
 	"ref batch response":       0x3ea033bf97c1a923,
+	"held batch request":       0x10269927ee152716,
+	"held batch response":      0xbd0b73dc74752c6c,
 	"wide batch request walk":  0x331169210564cb00,
 	"wide batch response walk": 0xbf2d57ebde8f8300,
 }
@@ -168,6 +170,9 @@ func TestFramesUnchanged(t *testing.T) {
 	// Frames with ref items, as a client sends and a node answers them.
 	digest("ref batch request", func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, refBatchRequests()) })
 	digest("ref batch response", func(b *bytes.Buffer) error { return EncodeBatchEvalResponse(b, refBatchResults()) })
+	// And with held items.
+	digest("held batch request", func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, heldBatchRequests()) })
+	digest("held batch response", func(b *bytes.Buffer) error { return EncodeBatchEvalResponse(b, heldBatchResults()) })
 	got["wide batch request walk"] = walkDigest(reqItems)
 	got["wide batch response walk"] = walkDigest(respItems)
 	for name, sum := range got {

@@ -114,11 +114,18 @@ func checkRequestWalk(t *testing.T, frame []byte, items []FrameItem, dec *BatchE
 		if k != decoded {
 			t.Fatalf("item %d: walker read it as item %d, decoder as %d", i, k, decoded)
 		}
+		if items[i].Held != (heldAt(dec, i) != 0) {
+			t.Fatalf("item %d: walker read it as held %v, decoder at version %d", i, items[i].Held, heldAt(dec, i))
+		}
 		// No cross-item state: a full item's bytes under a single-request
 		// head are that request's frame, and fingerprint as they did in the
 		// batch — a request goes to the same replica alone or batched. A
-		// ref's are those of the item it repeats.
+		// ref's are those of the item it repeats, a held item's those
+		// behind its prefix.
 		raw := frame[items[k].Off:items[k].End]
+		if items[k].Held {
+			raw = raw[HeldPrefixLen:]
+		}
 		alone := append(append(append([]byte{}, binMagic[:]...), kindEvalRequest), raw...)
 		single, err := WalkEvalRequest(alone)
 		if err != nil {
@@ -171,6 +178,7 @@ func checkRequestWalk(t *testing.T, frame []byte, items []FrameItem, dec *BatchE
 		want := &BatchEvalRequest{}
 		for _, i := range pick {
 			want.Requests = append(want.Requests, dec.Requests[i])
+			want.held = append(want.held, heldAt(dec, i))
 		}
 		if !bytes.Equal(
 			mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, got) }),
@@ -178,6 +186,15 @@ func checkRequestWalk(t *testing.T, frame []byte, items []FrameItem, dec *BatchE
 			t.Fatalf("splice of items %v decodes to other requests", pick)
 		}
 	}
+}
+
+// heldAt is the version item i of a decoded request was held at, 0 for
+// none.
+func heldAt(r *BatchEvalRequest, i int) uint64 {
+	if r.held == nil {
+		return 0
+	}
+	return r.held[i]
 }
 
 func checkResponseWalk(t *testing.T, frame []byte, items []FrameItem, dec *BatchEvalResponse) {
@@ -209,6 +226,7 @@ func checkResponseWalk(t *testing.T, frame []byte, items []FrameItem, dec *Batch
 		for _, i := range pick {
 			want.Results = append(want.Results, dec.Results[i])
 		}
+		got.refs = nil // kept when an item came back held; the items are compared, in full
 		if !bytes.Equal(
 			mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalResponse(b, got) }),
 			mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalResponse(b, want) })) {
@@ -229,6 +247,7 @@ func FuzzFrameWalk(f *testing.F) {
 	for _, enc := range []func(*bytes.Buffer) error{
 		func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, walkBatchRequests()) },
 		func(b *bytes.Buffer) error { return EncodeBatchEvalResponse(b, walkBatchResults()) },
+		func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, heldBatchRequests()) },
 		func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, &BatchEvalRequest{}) },
 		func(b *bytes.Buffer) error { return EncodeBatchEvalResponse(b, &BatchEvalResponse{}) },
 	} {

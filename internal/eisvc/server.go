@@ -697,7 +697,8 @@ var keySeed = maphash.MakeSeed()
 // A ref item (see itemRef) shares its referent's decoded request, key and
 // result without being checked or keyed again, and a request that carried
 // refs is answered with them: every item that rides on an earlier item's
-// entry answers as a ref to that item.
+// entry answers as a ref to that item. A held item (see heldPrefix) whose
+// answer is the 200 it was held against answers held, to a binary caller.
 func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*BatchEvalResponse, error) {
 	if len(req.Requests) == 0 {
 		return nil, reject(http.StatusBadRequest, "empty batch")
@@ -844,7 +845,7 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 	evalCold()
 	wg.Wait()
 
-	who := clientID(r)
+	who, binary := clientID(r), AcceptsBinary(r)
 	for i := range items {
 		if shared[i] < 0 {
 			continue
@@ -860,6 +861,7 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		items[i].Cached = kr.out.memoHit
 		items[i].Coalesced = kr.out.coalesced
 		items[i].Peer = kr.out.peer
+		items[i].held = binary && req.held != nil && req.held[i] != 0 && DistTag(items[i].Dist) == req.held[i]
 		s.ledger.record(who, items[i].Interface, w.Mean, w.P99, w.Max,
 			kr.out.memoHit || kr.out.coalesced || items[i].Deduped)
 	}

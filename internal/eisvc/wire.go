@@ -145,6 +145,9 @@ type BatchEvalRequest struct {
 	Requests []EvalRequest `json:"requests"`
 	// refs is set when the frame carried refs: the item each repeats, or its own index.
 	refs []int
+	// held is set when the frame carried held prefixes: the tag each named, or 0.
+	held  []uint64
+	holds *batchHolds // a client's, which finds the answers it holds as it encodes
 }
 
 // BatchEvalItem is the per-item answer in a batch. Exactly one of Dist or
@@ -165,13 +168,15 @@ type BatchEvalItem struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 	Deduped   bool `json:"deduped,omitempty"`
 	Peer      bool `json:"peer,omitempty"`
+	held      bool // answered as held (binary only), without the distribution
 }
 
 // BatchEvalResponse answers a BatchEvalRequest; Results[i] corresponds to
 // Requests[i].
 type BatchEvalResponse struct {
 	Results []BatchEvalItem `json:"results"`
-	// refs, when set, has the frame carry Results[i] as a ref to Results[refs[i]] ≠ i.
+	// refs, when set, has the frame carry Results[i] as a ref to Results[refs[i]] ≠ i;
+	// decoded, it is set when an item came back held (see batchResponse).
 	refs []int
 }
 

@@ -178,17 +178,28 @@ func TestBatchProbesAreCountedPerPeer(t *testing.T) {
 // router — 231 warm items and 25 new keys on a 3-node fleet, client
 // included — counted. No probe leaves: every node holds its peers'
 // summaries, which rule the new keys out. It was 2,224 when each new key
-// was probed at both peers, and is 980 (2 vCPU Xeon, go1.24); 970 with
-// GOGC=off, where the count is exact. No item repeats, so no ref crosses:
+// was probed at both peers, and 980 (2 vCPU Xeon, go1.24; 970 with
+// GOGC=off, where the count is exact). No item repeats, so no ref crosses:
 // the router's per-item placement table is the one allocation refs add
-// (969 → 970).
+// (969 → 970). The 231 warm items go held — the client holds the answers
+// AllocsPerRun's warm-up run brought — so their vectors are neither in
+// the nodes' answers the router reads nor decoded by the client: 752–757,
+// 744–746 with GOGC=off. The same batch then goes out once a run from a
+// new client that holds nothing, sharing the first one's transport, so
+// that the path of full answers — the router's answer buffer with the
+// vectors in it, the client's vector decode — stays counted too: 1,461
+// with GOGC=off, 1,469 with it on (the 970 before held answers, plus two
+// allocations for each of the 231 answers the new client holds, plus
+// the client and its store); bound 1,500.
 func TestRoutedBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
 	}
-	const warm, cold, runs, bound = 231, 25, 20, 1000
+	const warm, cold, runs, bound, fullBound = 231, 25, 20, 780, 1500
 	f := startFleet(t, Config{Nodes: 3})
 	_, c := startTestRouter(t, f)
+	tr := eisvc.NewTransport(eisvc.TransportTuning{}) // shared with the clients holding nothing below
+	c.SetTransport(tr)
 	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +207,7 @@ func TestRoutedBatchAllocs(t *testing.T) {
 	if _, err := c.EvalBatchCtx(context.Background(), warmReqs); err != nil {
 		t.Fatal(err)
 	}
-	batches := make([][]eisvc.EvalRequest, runs+1) // AllocsPerRun's warm-up run, then runs
+	batches := make([][]eisvc.EvalRequest, 2*(runs+1)) // each count's AllocsPerRun warm-up run, then runs
 	for i := range batches {
 		batches[i] = append(warmReqs[:warm:warm], probeReqs(c, 100_000*(i+1), cold)...)
 	}
@@ -214,9 +225,29 @@ func TestRoutedBatchAllocs(t *testing.T) {
 			t.Errorf("%s was probed %d times, want 0", id, n)
 		}
 	}
+	if held := c.Counters().Held; held != runs*warm {
+		t.Errorf("%d answers came back held, want %d", held, runs*warm)
+	}
 	t.Logf("routed %d-item batch (%d new keys): %.0f allocs", warm+cold, cold, allocs)
 	if allocs > bound {
 		t.Errorf("routed batch made %.0f allocations, want <= %d", allocs, bound)
+	}
+
+	// The same from a new client each run, which holds nothing: the warm
+	// answers come back in full, and it holds them.
+	full := testing.AllocsPerRun(runs, func() {
+		fresh := eisvc.NewClient(c.Base())
+		fresh.SetTransport(tr)
+		fresh.ID = c.ID
+		items, err := fresh.EvalBatchCtx(context.Background(), batches[next])
+		next++
+		if err != nil || len(items) != warm+cold || items[0].Dist == nil || fresh.Counters().Held != 0 {
+			t.Fatalf("batch in full: %d items, err %v", len(items), err)
+		}
+	})
+	t.Logf("the same, answered in full: %.0f allocs", full)
+	if full > fullBound {
+		t.Errorf("routed batch answered in full made %.0f allocations, want <= %d", full, fullBound)
 	}
 }
 

@@ -205,12 +205,13 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 // No item is decoded in either direction. A ref item (eisvc.AppendBatchRef)
 // goes to the node of the item it repeats, renumbered to that item's index
 // in the sub-batch; a node's answer refs are renumbered back to batch
-// indices. A sub-batch whose preferred node fails retries on the shared
+// indices; a held item goes as it came, placed by the item after its
+// prefix. A sub-batch whose preferred node fails retries on the shared
 // candidate list, so a mid-batch node kill surfaces as latency, not
 // errors. JSON lives at the edge only: a JSON batch is transcoded to the
 // frame on the way in, a JSON Accept gets the stitched frame decoded (its
-// refs expanded) on the way out, and the hop to the nodes is always
-// binary.
+// refs expanded, its items sent without held prefixes) on the way out, and
+// the hop to the nodes is always binary.
 func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	rt.routed.Add(1)
 	ep := eisvc.EvalBatchEndpoint
@@ -275,6 +276,7 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	// answers[i] is item i's answer, a range of the frame its node sent;
 	// nil while no node has answered for it.
 	answers := make([][]byte, len(items))
+	binary := eisvc.AcceptsBinary(r)
 	hop := eisvc.Forwarded(r) // the caller's identity; binary both ways
 	hop.ContentType, hop.Accept = eisvc.BinaryContentType, eisvc.BinaryContentType
 	var wg sync.WaitGroup
@@ -288,6 +290,8 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			for _, i := range g.idxs {
 				if j := items[i].Ref - 1; j >= 0 {
 					body.Write(eisvc.AppendBatchRef(body.AvailableBuffer(), place[j].at))
+				} else if items[i].Held && !binary { // JSON has no held answers
+					body.Write(frame[items[i].Off+eisvc.HeldPrefixLen : items[i].End])
 				} else {
 					body.Write(frame[items[i].Off:items[i].End])
 				}

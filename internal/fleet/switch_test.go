@@ -403,6 +403,12 @@ func TestRouterBatchEdges(t *testing.T) {
 			body              []byte
 		}{"binary batch with " + what, eisvc.BinaryContentType, frame})
 	}
+	for what, frame := range badHeldFrames(fx.frame[items[0].Off:items[0].End]) {
+		bad = append(bad, struct {
+			what, contentType string
+			body              []byte
+		}{"binary batch with " + what, eisvc.BinaryContentType, frame})
+	}
 	for _, c := range bad {
 		served := fx.stubs[fx.f.Nodes()[0].ID].served.Load()
 		if rec := fx.post(c.contentType, "", c.body); rec.Code != http.StatusBadRequest {
