@@ -19,8 +19,9 @@ vet:
 	cd bench && GOTOOLCHAIN=local GOWORK=off $(GO) vet ./...
 
 # The deletion ledger's measurement (ROADMAP aim 2): `cat | wc -l` of
-# non-test and test Go per internal/ package, the eisvc + fleet pair, cmd/,
-# and the whole tree, bench/ excluded.
+# non-test and test Go per internal/ package, the ledger's two package
+# groups (eisvc + fleet, core + opt + energy), cmd/, and the whole tree,
+# bench/ excluded.
 loc:
 	@count() { if [ -n "$$1" ]; then cat $$1 | wc -l; else echo 0; fi; }; \
 	printf '%-24s %8s %8s\n' package non-test test; \
@@ -29,9 +30,12 @@ loc:
 			"$$(count "$$(find $$d -name '*.go' ! -name '*_test.go')")" \
 			"$$(count "$$(find $$d -name '*_test.go')")"; \
 	done; \
-	printf '%-24s %8d %8d\n' 'internal/eisvc+fleet' \
-		"$$(count "$$(find internal/eisvc internal/fleet -name '*.go' ! -name '*_test.go')")" \
-		"$$(count "$$(find internal/eisvc internal/fleet -name '*_test.go')")"; \
+	for pair in 'eisvc+fleet:eisvc fleet' 'core+opt+energy:core opt energy'; do \
+		dirs=""; for p in $${pair#*:}; do dirs="$$dirs internal/$$p"; done; \
+		printf '%-24s %8d %8d\n' "internal/$${pair%%:*}" \
+			"$$(count "$$(find $$dirs -name '*.go' ! -name '*_test.go')")" \
+			"$$(count "$$(find $$dirs -name '*_test.go')")"; \
+	done; \
 	printf '%-24s %8d %8d\n' 'cmd' \
 		"$$(count "$$(find cmd -name '*.go' ! -name '*_test.go')")" \
 		"$$(count "$$(find cmd -name '*_test.go')")"; \

@@ -32,22 +32,16 @@ func CoreEvaluator(iface *core.Interface, energyMethod, latencyMethod string, op
 	}
 }
 
-// DefaultSweepBatch chunks FleetEvaluator's /v1/evalbatch queries.
-const DefaultSweepBatch = 256
-
 // FleetEvaluator sweeps an interface registered on a daemon or behind a
 // fleet router: the Pareto math stays local and only the evaluations are
 // bought, as canonicalized /v1/evalbatch items — a fleet client, like
 // internal/schedsvc's cost model. Each configuration costs one
-// energyMethod and one latencyMethod item; chunks of batchSize items (0 =
-// DefaultSweepBatch) go out per round trip, each retried and hedged per
-// c's policy like any batch. Per-item failures are fatal to the sweep —
-// an exact frontier cannot be fit over partial samples. Items a cache
-// answered (memo, batch dedup, coalesced, or peer) count as memo-served.
-func FleetEvaluator(c *eisvc.Client, name, energyMethod, latencyMethod string, opts core.EvalOptions, batchSize int) Evaluator {
-	if batchSize <= 0 {
-		batchSize = DefaultSweepBatch
-	}
+// energyMethod and one latencyMethod item, and the sweep goes as one
+// EvalBatchCtx call, retried and hedged per c's policy like any batch.
+// Per-item failures are fatal to the sweep — an exact frontier cannot be
+// fit over partial samples. Items a cache answered (memo, batch dedup,
+// coalesced, or peer) count as memo-served.
+func FleetEvaluator(c *eisvc.Client, name, energyMethod, latencyMethod string, opts core.EvalOptions) Evaluator {
 	return func(ctx context.Context, _ Space, grid [][]float64) ([]Sample, error) {
 		out := make([]Sample, len(grid))
 		reqs := make([]eisvc.EvalRequest, 0, 2*len(grid))
@@ -57,35 +51,31 @@ func FleetEvaluator(c *eisvc.Client, name, energyMethod, latencyMethod string, o
 				c.EvalRequestFor(name, energyMethod, args, opts),
 				c.EvalRequestFor(name, latencyMethod, args, opts))
 		}
-		for off := 0; off < len(reqs); off += batchSize {
-			end := min(off+batchSize, len(reqs))
-			items, err := c.EvalBatchCtx(ctx, reqs[off:end])
-			if err != nil {
-				return nil, err
+		items, err := c.EvalBatchCtx(ctx, reqs)
+		if err != nil {
+			return nil, err
+		}
+		for idx := range items {
+			it := &items[idx]
+			if it.Error != "" {
+				return nil, fmt.Errorf("autoopt: sweep item %s.%s: %d %s", it.Interface, it.Method, it.Status, it.Error)
 			}
-			for k := range items {
-				it := &items[k]
-				idx := off + k
-				if it.Error != "" {
-					return nil, fmt.Errorf("autoopt: sweep item %s.%s: %d %s", it.Interface, it.Method, it.Status, it.Error)
-				}
-				if it.Dist == nil {
-					return nil, fmt.Errorf("autoopt: sweep item %s.%s: no distribution", it.Interface, it.Method)
-				}
-				d, err := it.Dist.Dist()
-				if err != nil {
-					return nil, fmt.Errorf("autoopt: malformed distribution from daemon: %w", err)
-				}
-				s := &out[idx/2]
-				s.Evals++
-				if it.Cached || it.Deduped || it.Coalesced || it.Peer {
-					s.MemoServed++
-				}
-				if idx%2 == 0 {
-					s.EnergyJ = d.Mean()
-				} else {
-					s.LatencyMs = d.Quantile(0.99)
-				}
+			if it.Dist == nil {
+				return nil, fmt.Errorf("autoopt: sweep item %s.%s: no distribution", it.Interface, it.Method)
+			}
+			d, err := it.Dist.Dist()
+			if err != nil {
+				return nil, fmt.Errorf("autoopt: malformed distribution from daemon: %w", err)
+			}
+			s := &out[idx/2]
+			s.Evals++
+			if it.Cached || it.Deduped || it.Coalesced || it.Peer {
+				s.MemoServed++
+			}
+			if idx%2 == 0 {
+				s.EnergyJ = d.Mean()
+			} else {
+				s.LatencyMs = d.Quantile(0.99)
 			}
 		}
 		return out, nil

@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"energyclarity/internal/counters"
 )
 
 // This file is the runtime side of the EIL optimizing compiler
@@ -85,43 +87,34 @@ func RegisterCompiler(c MethodCompiler) {
 // CompilerRegistered reports whether a method compiler is installed.
 func CompilerRegistered() bool { return methodCompiler.Load() != nil }
 
-// ProgramStats are process-wide compiled-evaluation counters, exported by
-// the daemon as /v1/stats compiled_* fields.
+// ProgramStats are process-wide compiled-evaluation counters (a counters
+// set), exported by the daemon as its /v1/stats compiled_* fields.
 type ProgramStats struct {
 	// CompiledPrograms counts successful method compilations.
-	CompiledPrograms uint64
+	CompiledPrograms uint64 `json:"compiled_programs"`
 	// CompileFallbacks counts interpreter fallbacks: methods the compiler
 	// declined plus specializations the compiled program declined.
-	CompileFallbacks uint64
+	CompileFallbacks uint64 `json:"compile_fallbacks"`
 	// CompiledEvals counts Evals served through a compiled program.
-	CompiledEvals uint64
+	CompiledEvals uint64 `json:"compiled_evals"`
 	// Specializations counts the times a compiled program emitted code
 	// for a new specialization. It moves with distinct (control-argument,
 	// pinned-ECV) shapes, not with Evals: on a warm node it should be
 	// flat, and one that climbs with CompiledEvals is churning its
 	// specialization caches.
-	Specializations uint64
+	Specializations uint64 `json:"specializations"`
 }
 
-var progStats struct {
-	compiled  atomic.Uint64
-	fallbacks atomic.Uint64
-	evals     atomic.Uint64
-	specs     atomic.Uint64
-}
+var progStats ProgramStats
 
 // CountSpecialization records one code emission; the registered compiler
 // calls it.
-func CountSpecialization() { progStats.specs.Add(1) }
+func CountSpecialization() { atomic.AddUint64(&progStats.Specializations, 1) }
 
 // ReadProgramStats returns a snapshot of the compiled-evaluation counters.
-func ReadProgramStats() ProgramStats {
-	return ProgramStats{
-		CompiledPrograms: progStats.compiled.Load(),
-		CompileFallbacks: progStats.fallbacks.Load(),
-		CompiledEvals:    progStats.evals.Load(),
-		Specializations:  progStats.specs.Load(),
-	}
+func ReadProgramStats() (snap ProgramStats) {
+	counters.Add(&snap, &progStats)
+	return snap
 }
 
 // subtreeFold folds the version of every node in the binding tree into one
@@ -179,10 +172,10 @@ func (i *Interface) compiledFor(method string, fold uint64) CompiledProgram {
 	ent.once.Do(func() {
 		prog, err := (*cp)(i, method)
 		if err != nil || prog == nil {
-			progStats.fallbacks.Add(1)
+			atomic.AddUint64(&progStats.CompileFallbacks, 1)
 			return
 		}
-		progStats.compiled.Add(1)
+		atomic.AddUint64(&progStats.CompiledPrograms, 1)
 		ent.prog = prog
 	})
 	return ent.prog
@@ -202,9 +195,9 @@ func (i *Interface) specializeFor(method string, fold uint64, opts EvalOptions, 
 	}
 	spec, ok := prog.Specialize(args, base, free)
 	if !ok || spec == nil {
-		progStats.fallbacks.Add(1)
+		atomic.AddUint64(&progStats.CompileFallbacks, 1)
 		return nil
 	}
-	progStats.evals.Add(1)
+	atomic.AddUint64(&progStats.CompiledEvals, 1)
 	return spec
 }

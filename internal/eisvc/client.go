@@ -18,6 +18,7 @@ import (
 
 	"energyclarity/internal/cache"
 	"energyclarity/internal/core"
+	"energyclarity/internal/counters"
 	"energyclarity/internal/energy"
 )
 
@@ -51,12 +52,6 @@ func ShedStatus(status int) bool {
 // DefaultTimeout bounds one HTTP attempt when Client.Timeout is zero: a
 // hung daemon must never block a caller forever.
 const DefaultTimeout = 30 * time.Second
-
-// NoDeadline is the explicit "do not stamp a queue-wait deadline on this
-// request" sentinel for EvalRequest.DeadlineMs: a negative value tells the
-// client to leave the item alone (the server default applies) instead of
-// overwriting it with Client.Deadline, which is what DeadlineMs == 0 gets.
-const NoDeadline = -1
 
 // Resilience headers: clients report their retry attempt number and hedge
 // status so the daemon's /v1/stats can aggregate fleet-wide retry/hedge
@@ -166,8 +161,8 @@ func NewClient(base string) *Client {
 		held: cache.NewStore[uint64, *heldAnswer](maxBatch)} // as many distinct items as a batch carries
 }
 
-// defaultTransport is http.DefaultTransport's configuration, gzip off.
-var defaultTransport = NewTransport(TransportTuning{MaxIdleConnsPerHost: -1})
+// defaultTransport is the one connection pool of every NewClient client.
+var defaultTransport = NewTransport(TransportTuning{})
 
 // SetTransport replaces the underlying HTTP transport — the hook the
 // fault-injection harness (internal/faultsim) uses to wrap the client.
@@ -179,51 +174,29 @@ func (c *Client) SetTransport(rt http.RoundTripper) { c.rt = rt }
 func (c *Client) Base() string { return c.base }
 
 // DefaultMaxIdleConnsPerHost sizes the per-daemon idle connection pool of
-// a tuned transport. The stock http.DefaultTransport keeps only 2 idle
-// conns per host, so fleet fan-out (a router or peer-forwarding node
+// a NewTransport transport. The stock http.DefaultTransport keeps only 2
+// idle conns per host, so fleet fan-out (a router or peer-forwarding node
 // talking to the same daemon from tens of goroutines) would dial a fresh
 // TCP connection on nearly every burst; 64 keeps the whole burst warm.
 const DefaultMaxIdleConnsPerHost = 64
 
-// TransportTuning sizes a client's HTTP connection pool for fleet
-// fan-out. The zero value picks the fleet defaults.
-type TransportTuning struct {
-	// MaxIdleConnsPerHost bounds idle conns kept per daemon (default
-	// DefaultMaxIdleConnsPerHost; negative means the transport default).
-	MaxIdleConnsPerHost int
-}
+// TransportTuning is NewTransport's argument; every transport is tuned alike.
+type TransportTuning struct{}
 
-// NewTransport builds an *http.Transport tuned per t, cloned from
-// http.DefaultTransport so proxy/dialer defaults are preserved, with gzip
-// off (see Hop).
-func NewTransport(t TransportTuning) *http.Transport {
+// NewTransport builds the fleet's *http.Transport, cloned from
+// http.DefaultTransport so proxy/dialer defaults are preserved:
+// DefaultMaxIdleConnsPerHost idle conns per daemon, room for 16 daemons'
+// worth before global eviction (the stock global limit of 100 would cap a
+// router talking to N nodes), and gzip off (see Hop).
+func NewTransport(TransportTuning) *http.Transport {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.DisableCompression = true
-	switch {
-	case t.MaxIdleConnsPerHost > 0:
-		tr.MaxIdleConnsPerHost = t.MaxIdleConnsPerHost
-	case t.MaxIdleConnsPerHost == 0:
-		tr.MaxIdleConnsPerHost = DefaultMaxIdleConnsPerHost
-	}
-	if tr.MaxIdleConnsPerHost > tr.MaxIdleConns/4 {
-		// Room for ~16 hosts' worth of warm conns before global eviction,
-		// so a router talking to N nodes is not capped by the stock
-		// global limit of 100.
-		tr.MaxIdleConns = 16 * tr.MaxIdleConnsPerHost
-	}
+	tr.MaxIdleConnsPerHost = DefaultMaxIdleConnsPerHost
+	tr.MaxIdleConns = 16 * DefaultMaxIdleConnsPerHost
 	return tr
 }
 
-// TuneTransport installs a tuned transport (see TransportTuning) and
-// returns the client, so construction chains:
-//
-//	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-func (c *Client) TuneTransport(t TransportTuning) *Client {
-	c.rt = NewTransport(t)
-	return c
-}
-
-// Counters are the client's resilience and held-answer counters (a counterSet).
+// Counters are the client's resilience and held-answer counters (a counters set).
 type Counters struct {
 	Retries   uint64 // re-sent attempts (attempt >= 2)
 	Hedges    uint64 // hedge requests launched
@@ -234,7 +207,7 @@ type Counters struct {
 
 // Counters returns a snapshot of the client's resilience counters.
 func (c *Client) Counters() (snap Counters) {
-	addCounters(&snap, &c.counts)
+	counters.Add(&snap, &c.counts)
 	return snap
 }
 
@@ -504,36 +477,50 @@ func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.V
 	return d, resp, nil
 }
 
-// EvalBatchCtx submits a slice of wire-level eval requests in one round
-// trip and returns the per-item results (Results[i] answers Requests[i]).
-// Identical items are deduplicated server-side. In binary, an item that
-// encodes to the same bytes as an earlier one is sent as a ref to it, and
-// the items answered by one evaluation come back as refs too: they share
-// one *WireDist. An item whose answer the client holds goes held and, if
-// the answer stands, comes back without its vectors, as the *WireDist held,
-// shared across calls. Every Dist is read-only. Per-item failures land in
-// the item's Error/Status, not in the returned error. Items with
-// DeadlineMs == 0 are stamped with the client's Deadline; DeadlineMs ==
-// NoDeadline (any negative value) means the caller explicitly wants no
-// client-side stamp — the item is sent with no deadline and the server
-// default applies. reqs itself is left as it is: the stamped items go out
-// in a copy, made only when some item needs one.
+// EvalBatchCtx submits a slice of wire-level eval requests and returns the
+// per-item results (Results[i] answers Requests[i]). They go in order, in
+// one round trip per maxBatch (1,024) items, the most a node or the router
+// takes in one frame; a failed round trip fails the call. Identical items
+// in one frame are deduplicated server-side. In binary, an item that
+// encodes to the same bytes as an earlier one of its frame is sent as a ref
+// to it, and the items answered by one evaluation come back as refs too:
+// they share one *WireDist. An item whose answer the client holds goes held
+// and, if the answer stands, comes back without its vectors, as the
+// *WireDist held, shared across calls. Every Dist is read-only. Per-item
+// failures land in the item's Error/Status, not in the returned error.
+// Items with DeadlineMs == 0 are stamped with the client's Deadline; any
+// other value goes as it is (one <= 0 is the server default). reqs itself
+// is left as it is: the stamped items go out in a copy, made only when
+// some item needs one.
 func (c *Client) EvalBatchCtx(ctx context.Context, reqs []EvalRequest) ([]BatchEvalItem, error) {
-	sent, copied := reqs, false
-	for i := range reqs {
-		d := reqs[i].DeadlineMs
-		if d == 0 {
-			d = int(c.Deadline / time.Millisecond)
-		}
-		if d = max(d, 0); d != reqs[i].DeadlineMs { // NoDeadline goes as 0
-			if !copied {
-				sent, copied = slices.Clone(reqs), true
+	sent := reqs
+	unset := func(r EvalRequest) bool { return r.DeadlineMs == 0 }
+	if d := int(c.Deadline / time.Millisecond); d != 0 && slices.ContainsFunc(reqs, unset) {
+		sent = slices.Clone(reqs)
+		for i := range sent {
+			if unset(sent[i]) {
+				sent[i].DeadlineMs = d
 			}
-			sent[i].DeadlineMs = d
 		}
 	}
-	holds := &batchHolds{c, make([]*heldAnswer, len(sent)), make([][]byte, len(sent))} // JSON holds none
-	resp, err := EvalBatchEndpoint.call(ctx, c, &BatchEvalRequest{Requests: sent, holds: holds})
+	if len(sent) <= maxBatch {
+		return c.evalFrame(ctx, sent)
+	}
+	out := make([]BatchEvalItem, 0, len(sent))
+	for off := 0; off < len(sent); off += maxBatch {
+		items, err := c.evalFrame(ctx, sent[off:min(off+maxBatch, len(sent))])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, items...)
+	}
+	return out, nil
+}
+
+// evalFrame is one round trip of EvalBatchCtx: reqs in one frame.
+func (c *Client) evalFrame(ctx context.Context, reqs []EvalRequest) ([]BatchEvalItem, error) {
+	holds := &batchHolds{c, make([]*heldAnswer, len(reqs)), make([][]byte, len(reqs))} // JSON holds none
+	resp, err := EvalBatchEndpoint.call(ctx, c, &BatchEvalRequest{Requests: reqs, holds: holds})
 	if err != nil {
 		return nil, err
 	}
@@ -546,10 +533,10 @@ func (c *Client) EvalBatchCtx(ctx context.Context, reqs []EvalRequest) ([]BatchE
 	return resp.Results, nil
 }
 
-// heldAnswer is an answer held for the request item item; never changed.
+// heldAnswer is an answer held for the request item item, its dist tagged
+// (see DistTag); never changed.
 type heldAnswer struct {
 	item string
-	tag  uint64 // DistTag(&dist)
 	dist WireDist
 }
 
@@ -567,7 +554,7 @@ func (b *batchHolds) find(i int, h uint64, item []byte) uint64 {
 	defer b.c.heldMu.Unlock()
 	if a, ok := b.c.held.Get(h); ok && a.item == string(item) {
 		b.held[i] = a
-		return a.tag
+		return a.dist.tag
 	}
 	b.bytes[i] = item // only here: a held item moves up for its prefix
 	return 0
@@ -590,7 +577,8 @@ func (b *batchHolds) settle(resp *BatchEvalResponse) error {
 			}
 		case was == nil && b.bytes[i] == nil || it.Status != http.StatusOK || it.Dist == nil:
 		case was != nil || it.Cached || it.Peer:
-			a := &heldAnswer{item: string(b.bytes[i]), tag: DistTag(it.Dist), dist: *it.Dist}
+			a := &heldAnswer{item: string(b.bytes[i]), dist: *it.Dist}
+			a.dist.tag = DistTag(it.Dist)
 			if was != nil {
 				a.item = was.item
 			}

@@ -149,8 +149,8 @@ func TestClientContextError(t *testing.T) {
 
 // TestEvalBatchLeavesRequestsAlone: EvalBatchCtx stamps deadlines on what
 // it sends, not on the caller's slice. Sent twice, the same slice carries
-// the same deadlines both times — 0 for the NoDeadline item, the client's
-// stamp for the unset one, its own for the set one — and is unchanged
+// the same deadlines both times — the client's stamp for the unset item,
+// its own for the set ones, a negative one too — and is unchanged
 // afterwards; two goroutines may send one slice at once (run under -race).
 func TestEvalBatchLeavesRequestsAlone(t *testing.T) {
 	var mu sync.Mutex
@@ -172,8 +172,8 @@ func TestEvalBatchLeavesRequestsAlone(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL)
 	c.Deadline = 250 * time.Millisecond
-	reqs := []EvalRequest{{DeadlineMs: NoDeadline}, {}, {DeadlineMs: 40}}
-	want := []int{0, 250, 40}
+	reqs := []EvalRequest{{DeadlineMs: -1}, {}, {DeadlineMs: 40}}
+	want := []int{-1, 250, 40}
 	send := func() {
 		if _, err := c.EvalBatchCtx(context.Background(), reqs); err != nil {
 			t.Error(err)
@@ -198,7 +198,7 @@ func TestEvalBatchLeavesRequestsAlone(t *testing.T) {
 			t.Errorf("batch %d sent deadlines %v, want %v", i, got, want)
 		}
 	}
-	if got := []int{reqs[0].DeadlineMs, reqs[1].DeadlineMs, reqs[2].DeadlineMs}; !slices.Equal(got, []int{NoDeadline, 0, 40}) {
+	if got := []int{reqs[0].DeadlineMs, reqs[1].DeadlineMs, reqs[2].DeadlineMs}; !slices.Equal(got, []int{-1, 0, 40}) {
 		t.Errorf("caller's deadlines became %v", got)
 	}
 }
@@ -250,5 +250,119 @@ func TestNewClientSpeaksBinary(t *testing.T) {
 				t.Errorf("Binary %v: %s sent Content-Type %q, Accept %q; want %q, %q", binary, path, got.contentType, got.accept, w.contentType, w.accept)
 			}
 		}
+	}
+}
+
+// frameCounter is a transport that walks every batch frame it carries and
+// keeps its items, and answers the frame numbered fail (from 1) with a 500
+// of its own instead of sending it on.
+type frameCounter struct {
+	inner  http.RoundTripper
+	fail   int
+	frames [][]FrameItem
+}
+
+func (f *frameCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return nil, err
+	}
+	items, err := WalkBatchEvalRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	if f.frames = append(f.frames, items); len(f.frames) == f.fail {
+		return &http.Response{StatusCode: http.StatusInternalServerError, Status: "500 Internal Server Error",
+			Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(nil)), Request: r}, nil
+	}
+	r = r.Clone(r.Context())
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	return f.inner.RoundTrip(r)
+}
+
+// TestEvalBatchSplitsFrames: a call of more than maxBatch items goes in
+// order as frames of at most maxBatch items, and its answers come back in
+// order, each bit for bit the answer a single eval gets. 2,500 items over
+// 100 distinct requests make 3 frames of 1,024, 1,024 and 452 items, and
+// refs and held prefixes work within each: every frame carries each of its
+// distinct items once and repeats as refs; the first frame's items are
+// evaluated, the second's answered from the memo and so held, and the
+// third's go held and come back held. A frame that fails fails the call.
+func TestEvalBatchSplitsFrames(t *testing.T) {
+	const n, distinct = 2500, 100
+	srv := NewServer(Config{})
+	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
+		t.Fatal(err)
+	}
+	fc := &frameCounter{inner: NewLoopbackTransport(srv)}
+	c := NewClient("http://loopback")
+	c.SetTransport(fc)
+	args := make([][]core.Value, distinct)
+	reqs := make([]EvalRequest, n)
+	for i := range reqs {
+		if i < distinct {
+			args[i] = []core.Value{core.Record(map[string]core.Value{"pixels": core.Num(float64(1024 + i)), "zeros": core.Num(0)})}
+		}
+		reqs[i] = c.EvalRequestFor("ml_webservice", "handle", args[i%distinct], core.Expected())
+	}
+	got, err := c.EvalBatchCtx(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if len(fc.frames) != 3 {
+		t.Fatalf("%d items went as %d frames, want 3", n, len(fc.frames))
+	}
+	for k, items := range fc.frames {
+		full, held := 0, 0
+		for _, it := range items {
+			if it.Ref == 0 {
+				full++
+			}
+			if it.Held {
+				held++
+			}
+		}
+		wantHeld := 0
+		if k == 2 {
+			wantHeld = distinct
+		}
+		if want := min(maxBatch, n-k*maxBatch); len(items) != want || full != distinct || held != wantHeld {
+			t.Errorf("frame %d: %d items, %d of them full and %d held; want %d, %d and %d", k+1, len(items), full, held, want, distinct, wantHeld)
+		}
+	}
+	if h := c.Counters().Held; h != distinct {
+		t.Errorf("%d answers came back held, want the third frame's %d", h, distinct)
+	}
+
+	single := NewClient("http://twin")
+	twin := NewServer(Config{})
+	if _, err := twin.Registry().RegisterSource(testEIL); err != nil {
+		t.Fatal(err)
+	}
+	single.SetTransport(NewLoopbackTransport(twin))
+	want := make([]*WireDist, distinct)
+	for i := range want {
+		_, resp, err := single.EvalCtx(context.Background(), "ml_webservice", "handle", args[i], core.Expected())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = &resp.Dist
+	}
+	if len(got) != n {
+		t.Fatalf("%d answers for %d items", len(got), n)
+	}
+	for i := range got {
+		if got[i].Status != http.StatusOK || !sameWire(got[i].Dist, want[i%distinct]) {
+			t.Fatalf("item %d: status %d, %+v; a single eval answers %+v", i, got[i].Status, got[i].Dist, want[i%distinct])
+		}
+	}
+
+	fc.frames, fc.fail = nil, 2
+	if got, err := c.EvalBatchCtx(context.Background(), reqs); err == nil || got != nil {
+		t.Fatalf("a failed second frame: %d answers, err %v; want none and an error", len(got), err)
+	}
+	if len(fc.frames) != 2 {
+		t.Errorf("the call went on after its second frame failed: %d frames", len(fc.frames))
 	}
 }

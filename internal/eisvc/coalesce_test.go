@@ -1,7 +1,9 @@
 package eisvc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"runtime"
 	"sync"
@@ -215,19 +217,32 @@ func TestEvalBatch(t *testing.T) {
 	}
 }
 
-// TestEvalBatchCaps: oversized and empty batches are rejected whole.
+// TestEvalBatchCaps: an empty batch is refused, and so is a frame of more
+// than maxBatch items, in either codec: the node's 400. A client never
+// sends one (TestEvalBatchSplitsFrames), so that frame goes raw.
 func TestEvalBatchCaps(t *testing.T) {
 	_, client, stop := newTestDaemon(t, Config{})
 	defer stop()
 	if _, err := client.EvalBatchCtx(context.Background(), nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	reqs := make([]EvalRequest, maxBatch+1)
-	for i := range reqs {
-		reqs[i] = EvalRequest{Interface: "x", Method: "m", Mode: "expected"}
+	req := &BatchEvalRequest{Requests: make([]EvalRequest, maxBatch+1)}
+	for i := range req.Requests {
+		req.Requests[i] = EvalRequest{Interface: "x", Method: "m", Mode: "expected"}
 	}
-	if _, err := client.EvalBatchCtx(context.Background(), reqs); err == nil {
-		t.Fatal("oversized batch accepted")
+	js, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ctype, body := range map[string][]byte{jsonContentType: js, BinaryContentType: binaryFrame(&EvalBatchEndpoint.Request, req)} {
+		resp, err := http.Post(client.Base()+EvalBatchEndpoint.Path, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: a frame of %d items answered %d, want 400", ctype, len(req.Requests), resp.StatusCode)
+		}
 	}
 }
 

@@ -869,7 +869,7 @@ func (c *coder) batchItem(it *BatchEvalItem, dist *WireDist) (hasDist bool) {
 }
 
 // batchResponse decodes the items' WireDist structs into one array: a
-// caller that keeps one item's Dist pointer keeps 88 bytes an item of the
+// caller that keeps one item's Dist pointer keeps 96 bytes an item of the
 // batch. The float vectors are not pooled the same way — one backing
 // array would let a single kept answer pin every vector of its batch
 // (≈ 450 KB for 256 items) — so each answer's pair is its own allocation.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"energyclarity/internal/core"
+	"energyclarity/internal/counters"
 	"energyclarity/internal/drift"
 )
 
@@ -137,6 +138,6 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	rep := DriftReport{ControllerStatus: ctl.Status(), Generations: ctl.Generations()}
-	addCounters(&rep.driftCounters, &s.driftCounts)
+	counters.Add(&rep.driftCounters, &s.driftCounts)
 	WriteJSON(w, http.StatusOK, rep)
 }

@@ -5,6 +5,11 @@ package eisvc
 // with the in-package ones.
 const TestEIL = testEIL
 
+type (
+	NodeCounters  = nodeCounters
+	DriftCounters = driftCounters
+)
+
 var (
 	MemoKey = memoKey
 	ReqArg  = reqArg

@@ -454,20 +454,19 @@ func TestNodeHeader(t *testing.T) {
 	}
 }
 
-// TestTransportTuning: the tuned transport lifts the per-host idle-conn
-// cap that throttles fleet fan-out, and an explicit per-host cap sticks.
+// TestTransportTuning: every client NewClient makes shares one transport,
+// tuned the fleet's way: the per-host idle-conn cap that throttles fleet
+// fan-out lifted, room for 16 daemons' worth of idle conns, and gzip off.
 func TestTransportTuning(t *testing.T) {
-	tr := NewTransport(TransportTuning{})
-	if tr.MaxIdleConnsPerHost != DefaultMaxIdleConnsPerHost {
-		t.Errorf("default MaxIdleConnsPerHost = %d, want %d", tr.MaxIdleConnsPerHost, DefaultMaxIdleConnsPerHost)
+	a, b := NewClient("http://127.0.0.1:1"), NewClient("http://127.0.0.1:2")
+	tr, ok := a.rt.(*http.Transport)
+	if !ok || b.rt != a.rt || tr != defaultTransport {
+		t.Fatalf("NewClient installed %T, %T; want the one shared *http.Transport", a.rt, b.rt)
 	}
-	if tr.MaxIdleConns < 16*DefaultMaxIdleConnsPerHost {
-		t.Errorf("default MaxIdleConns = %d, want >= %d", tr.MaxIdleConns, 16*DefaultMaxIdleConnsPerHost)
-	}
-
-	c := NewClient("http://127.0.0.1:1").TuneTransport(TransportTuning{MaxIdleConnsPerHost: 4})
-	got, ok := c.rt.(*http.Transport)
-	if !ok || got.MaxIdleConnsPerHost != 4 {
-		t.Errorf("TuneTransport installed %T (per-host %d), want *http.Transport with 4", c.rt, got.MaxIdleConnsPerHost)
+	for _, tr := range []*http.Transport{tr, NewTransport(TransportTuning{})} {
+		if tr.MaxIdleConnsPerHost != DefaultMaxIdleConnsPerHost || tr.MaxIdleConns != 16*DefaultMaxIdleConnsPerHost || !tr.DisableCompression {
+			t.Errorf("transport: %d idle conns per host, %d in all, gzip off %v; want %d, %d, true",
+				tr.MaxIdleConnsPerHost, tr.MaxIdleConns, tr.DisableCompression, DefaultMaxIdleConnsPerHost, 16*DefaultMaxIdleConnsPerHost)
+		}
 	}
 }

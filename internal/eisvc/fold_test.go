@@ -8,30 +8,9 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-)
 
-// TestCounterSetsAreWords holds every counterSet to the layout
-// counterWords reads it as: uint64 fields and nothing else.
-func TestCounterSetsAreWords(t *testing.T) {
-	for _, v := range []any{nodeCounters{}, driftCounters{}, Counters{}} {
-		typ := reflect.TypeOf(v)
-		for i := 0; i < typ.NumField(); i++ {
-			if f := typ.Field(i); f.Type.Kind() != reflect.Uint64 {
-				t.Errorf("%s.%s is a %s; a counter set holds uint64 counters only", typ.Name(), f.Name, f.Type)
-			}
-		}
-		if typ.Size() != uintptr(8*typ.NumField()) {
-			t.Errorf("%s: %d bytes for %d counters", typ.Name(), typ.Size(), typ.NumField())
-		}
-	}
-	live := nodeCounters{Evaluations: 3, HedgedRequests: 5}
-	var sum nodeCounters
-	addCounters(&sum, &live)
-	addCounters(&sum, &live)
-	if got := sum; got != (nodeCounters{Evaluations: 6, HedgedRequests: 10}) {
-		t.Errorf("two folds of %+v = %+v", live, got)
-	}
-}
+	"energyclarity/internal/core"
+)
 
 // perNodeStats are the StatsResponse fields Fold leaves zero, as its doc
 // lists them: facts about one node or process with no fleet-wide reading.
@@ -121,7 +100,7 @@ func TestStatsFold(t *testing.T) {
 		},
 		MemoHits: 6, MemoMisses: 4, MemoEvictions: 1, MemoLen: 5, MemoHitRate: 0.6,
 		LayerHits: 1, LayerMisses: 3, LayerEvictions: 2, LayerLen: 4, LayerInvalidations: 1, LayerHitRate: 0.25,
-		CompiledPrograms: 2, CompileFallbacks: 1, CompiledEvals: 30, Specializations: 2,
+		ProgramStats:  core.ProgramStats{CompiledPrograms: 2, CompileFallbacks: 1, CompiledEvals: 30, Specializations: 2},
 		ShedQueueFull: 1, ShedDeadline: 2, QueueDepth: 3, PeakQueue: 7, Workers: 2, QueueLimit: 64,
 		Draining: true, InFlight: 1,
 		Latency: LatencyStats{Count: 4, MeanMs: 2, P50Ms: 1.5, P99Ms: 9, MaxMs: 12},
@@ -138,7 +117,7 @@ func TestStatsFold(t *testing.T) {
 		},
 		MemoHits: 2, MemoMisses: 8, MemoEvictions: 3, MemoLen: 6, MemoHitRate: 0.2,
 		LayerEnabled: true, LayerHits: 3, LayerMisses: 1, LayerEvictions: 1, LayerLen: 2, LayerInvalidations: 2, LayerHitRate: 0.75,
-		CompiledPrograms: 2, CompileFallbacks: 1, CompiledEvals: 30, Specializations: 2,
+		ProgramStats:  core.ProgramStats{CompiledPrograms: 2, CompileFallbacks: 1, CompiledEvals: 30, Specializations: 2},
 		ShedQueueFull: 2, ShedDeadline: 1, QueueDepth: 1, PeakQueue: 4, Workers: 3, QueueLimit: 32,
 		InFlight: 2,
 		Latency:  LatencyStats{Count: 12, MeanMs: 1, P50Ms: 2.5, P99Ms: 6, MaxMs: 20},

@@ -216,7 +216,7 @@ func TestHeldAcrossRestart(t *testing.T) {
 		}
 		got := send(phase.name, phase.held)
 		for i := range got {
-			if !reflect.DeepEqual(got[i].Dist, want[i].Dist) || reflect.DeepEqual(got[i].Dist, old[i].Dist) {
+			if !sameWire(got[i].Dist, want[i].Dist) || sameWire(got[i].Dist, old[i].Dist) {
 				t.Errorf("%s: item %d is %+v, the restarted node answers %+v", phase.name, i, got[i].Dist, want[i].Dist)
 			}
 		}
@@ -366,5 +366,42 @@ func TestBadHeldRefused(t *testing.T) {
 	}
 	if n := c.Counters().Held; n != 0 {
 		t.Errorf("%d answers counted held", n)
+	}
+}
+
+// TestMemoEntriesCarryTheirTag: a memo entry's wire form carries the
+// DistTag of itself from the moment the entry is made, however it came to
+// be: evaluated, installed from a peer's answer, or restored from a
+// snapshot. A node checks held prefixes against that tag.
+func TestMemoEntriesCarryTheirTag(t *testing.T) {
+	srv := NewServer(Config{})
+	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
+		t.Fatal(err)
+	}
+	_, version, _ := srv.Registry().Get("ml_webservice")
+	c := NewClient("http://loopback")
+	c.SetTransport(NewLoopbackTransport(srv))
+	args := []core.Value{reqArg()}
+	if _, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", args, core.Expected()); err != nil {
+		t.Fatal(err)
+	}
+	d := wideDist(t)
+	srv.probePeers(context.Background(), func(_ context.Context, keys []string) []PeerAnswer {
+		return []PeerAnswer{{Dist: d, Found: true}}
+	}, []string{"peer"})
+	srv.memo.Restore([]MemoEntry{{Key: "snapshot", Support: d.Support(), Probs: d.Probs()}})
+
+	for kind, key := range map[string]string{
+		"evaluated": memoKey("ml_webservice", version, "handle", args, core.Expected()),
+		"peer":      "peer",
+		"restored":  "snapshot",
+	} {
+		w := srv.memo.wire(key)
+		if w == nil {
+			t.Fatalf("%s: no memo entry", kind)
+		}
+		if want := DistTag(w); w.tag != want {
+			t.Errorf("%s entry: tag %x, DistTag of its wire form %x", kind, w.tag, want)
+		}
 	}
 }

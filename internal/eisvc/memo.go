@@ -34,6 +34,7 @@ type memoEntry struct {
 func newMemoEntry(d energy.Dist) memoEntry {
 	w := &WireDist{Mean: d.Mean(), Std: d.Std(), Min: d.Min(), Max: d.Max(), P99: d.Quantile(0.99)}
 	w.Support, w.Probs = d.View()
+	w.tag = DistTag(w)
 	return memoEntry{dist: d, wire: w}
 }
 

@@ -57,10 +57,9 @@ func optDaemon(t *testing.T, handler func(*eisvc.Server) http.Handler) *eisvc.Cl
 	return eisvc.NewClient(ts.URL)
 }
 
-// optSweep sweeps optSpec over c in batches of six items, so one sweep
-// takes several round trips.
+// optSweep sweeps spec over c: one batch of 2 items a configuration.
 func optSweep(ctx context.Context, c *eisvc.Client, spec autoopt.Spec, iface string, opts core.EvalOptions) (*autoopt.Result, error) {
-	return autoopt.Sweep(ctx, spec, autoopt.FleetEvaluator(c, iface, "energy", "latency", opts, 6))
+	return autoopt.Sweep(ctx, spec, autoopt.FleetEvaluator(c, iface, "energy", "latency", opts))
 }
 
 // TestOptimizeServedSweep drives the sweep against a daemon over both
@@ -68,7 +67,7 @@ func optSweep(ctx context.Context, c *eisvc.Client, spec autoopt.Spec, iface str
 // non-trivial and strictly ordered, the SLO pick must beat max-perf, the
 // two codecs must agree bit for bit, a repeat must be entirely
 // memo-served, and /v1/stats must count only the cold sweep's
-// evaluations.
+// evaluations and one round trip a sweep.
 func TestOptimizeServedSweep(t *testing.T) {
 	c := optDaemon(t, nil)
 	first, err := optSweep(context.Background(), c, optSpec(), "opt_stack", core.Expected())
@@ -128,6 +127,9 @@ func TestOptimizeServedSweep(t *testing.T) {
 	}
 	if st.Evaluations != uint64(first.Evals) {
 		t.Fatalf("%d evaluations for three sweeps, want the cold one's %d", st.Evaluations, first.Evals)
+	}
+	if st.BatchRequests != 3 || st.BatchItems != 3*uint64(first.Evals) {
+		t.Fatalf("three sweeps of %d items took %d round trips for %d items, want 3", first.Evals, st.BatchRequests, st.BatchItems)
 	}
 }
 
@@ -225,7 +227,7 @@ func TestOptimizeValidation(t *testing.T) {
 	wantStatus("unknown interface", "nope", core.Expected(), "404")
 	wantStatus("samples over cap", "opt_stack", core.MonteCarlo(1<<21, 1), "400")
 	_, err := autoopt.Sweep(context.Background(), optSpec(),
-		autoopt.FleetEvaluator(c, "opt_stack", "no_such_method", "latency", core.Expected(), 0))
+		autoopt.FleetEvaluator(c, "opt_stack", "no_such_method", "latency", core.Expected()))
 	if err == nil || !strings.Contains(err.Error(), ": 422 ") {
 		t.Fatalf("unknown method: err = %v, want an item failing with 422", err)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"energyclarity/internal/cache"
 	"energyclarity/internal/core"
+	"energyclarity/internal/counters"
 	"energyclarity/internal/drift"
 	"energyclarity/internal/energy"
 
@@ -150,9 +151,6 @@ func NewServer(cfg Config) *Server {
 // Registry exposes the daemon's registry so embedding code (cmd/eid, the
 // experiments rig) can seed native interfaces before serving.
 func (s *Server) Registry() *Registry { return s.reg }
-
-// NodeID returns the configured fleet node name ("" standalone).
-func (s *Server) NodeID() string { return s.cfg.NodeID }
 
 // ApplyRegistrySnapshot merges a replication snapshot into this node's
 // registry (see Registry.ApplySnapshot) and, when anything new was
@@ -626,9 +624,8 @@ func evalOptions(req *EvalRequest) (core.EvalOptions, error) {
 }
 
 // deadlineFor returns the queue-wait bound for a request. DeadlineMs <= 0
-// (including the client-side NoDeadline sentinel, which well-behaved
-// clients normalize to 0 before sending) means the server default. One too
-// long for a time.Duration saturates rather than wrap negative (expired).
+// means the server default. One too long for a time.Duration saturates
+// rather than wrap negative (expired).
 func (s *Server) deadlineFor(req *EvalRequest) time.Duration {
 	if ms := time.Duration(req.DeadlineMs); ms > math.MaxInt64/time.Millisecond {
 		return math.MaxInt64
@@ -861,7 +858,7 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		items[i].Cached = kr.out.memoHit
 		items[i].Coalesced = kr.out.coalesced
 		items[i].Peer = kr.out.peer
-		items[i].held = binary && req.held != nil && req.held[i] != 0 && DistTag(items[i].Dist) == req.held[i]
+		items[i].held = binary && req.held != nil && req.held[i] != 0 && w.tag == req.held[i]
 		s.ledger.record(who, items[i].Interface, w.Mean, w.P99, w.Max,
 			kr.out.memoHit || kr.out.coalesced || items[i].Deduped)
 	}
@@ -935,17 +932,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		InFlight:   s.InFlight(),
 		Latency:    s.lat.snapshot(),
 	}
-	addCounters(&resp.nodeCounters, &s.counts)
+	counters.Add(&resp.nodeCounters, &s.counts)
+	resp.ProgramStats = core.ReadProgramStats()
 	resp.MemoHits, resp.MemoMisses, resp.MemoEvictions, resp.MemoLen = s.memo.Stats()
 	resp.ShedQueueFull, resp.ShedDeadline = s.adm.sheds()
 	resp.QueueDepth, resp.PeakQueue = s.adm.depth()
 	resp.Clients, resp.ByIface = s.ledger.Snapshot()
 	resp.AttribJ, resp.AttribP99J = attributed(resp.Clients)
-	ps := core.ReadProgramStats()
-	resp.CompiledPrograms = ps.CompiledPrograms
-	resp.CompileFallbacks = ps.CompileFallbacks
-	resp.CompiledEvals = ps.CompiledEvals
-	resp.Specializations = ps.Specializations
 	if s.layer != nil {
 		ls := s.layer.Stats()
 		resp.LayerEnabled = true

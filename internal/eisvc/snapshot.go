@@ -22,10 +22,11 @@ import (
 // (IEEE) of everything before it. Loading verifies magic, version, and
 // checksum before touching either cache; any mismatch — truncation, a
 // stale format, bit rot — fails the load and the node simply starts
-// cold. Staleness needs no checking at all: memo keys embed interface
-// versions and layer keys embed subtree version folds, so entries from
-// before a re-register/rebind are unreachable garbage that ages out of
-// the LRU, never wrong answers.
+// cold. Staleness is not checked. Memo keys embed interface versions and
+// layer keys subtree version folds, so entries from before a re-register
+// or rebind in the same process are unreachable. Across processes that
+// fails: versions restart at 1 in each, so a process that registered a
+// changed source under the same name answers from the snapshot's old tree.
 
 // LayerEntry re-exports the layer cache's persisted entry type so wire
 // users need not import core.

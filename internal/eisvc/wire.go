@@ -4,10 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync/atomic"
-	"unsafe"
 
 	"energyclarity/internal/core"
+	"energyclarity/internal/counters"
 	"energyclarity/internal/drift"
 	"energyclarity/internal/energy"
 )
@@ -78,10 +77,7 @@ type EvalRequest struct {
 	Parallelism int    `json:"parallelism,omitempty"`
 	Fixed       Fixed  `json:"fixed,omitempty"`
 	// DeadlineMs bounds how long the request may wait for a worker slot
-	// before the daemon sheds it with 503; 0 uses the server default. A
-	// negative value is the client-side NoDeadline sentinel — Client
-	// methods treat it as "do not stamp a deadline" and normalize it to 0
-	// on the wire; the server likewise treats negatives as the default.
+	// before the daemon sheds it with 503; <= 0 uses the server default.
 	DeadlineMs int `json:"deadline_ms,omitempty"`
 }
 
@@ -96,6 +92,10 @@ type WireDist struct {
 	Min     float64   `json:"min"`
 	Max     float64   `json:"max"`
 	P99     float64   `json:"p99"`
+
+	// tag is DistTag's, set where one is made to be checked against held
+	// prefixes: in a memo entry's form and in a client's held answer.
+	tag uint64
 }
 
 // ToWire converts a distribution for transport. The result is the
@@ -254,20 +254,11 @@ type StatsResponse struct {
 	LayerInvalidations uint64  `json:"layer_invalidations"`
 	LayerHitRate       float64 `json:"layer_hit_rate"`
 
-	// Optimizing EIL compiler (internal/opt), process-wide counters from
-	// core.ReadProgramStats: methods compiled to flat instruction
-	// programs, interpreter fallbacks (declined methods/specializations),
-	// evaluations served through compiled programs, and the times a
-	// program emitted code for a new specialization. On a warm node
-	// specializations is flat while compiled_evals climbs; if the two climb
-	// together the node is churning its specialization caches. All four
-	// describe a process, not a node — nodes sharing a process each report
-	// the process's count — so none of them is folded into a fleet
+	// Optimizing EIL compiler (internal/opt): core.ReadProgramStats. All
+	// four describe a process, not a node — nodes sharing a process each
+	// report the process's count — so none of them is folded into a fleet
 	// aggregate; read them per node.
-	CompiledPrograms uint64 `json:"compiled_programs"`
-	CompileFallbacks uint64 `json:"compile_fallbacks"`
-	CompiledEvals    uint64 `json:"compiled_evals"`
-	Specializations  uint64 `json:"specializations"`
+	core.ProgramStats
 
 	ShedQueueFull uint64 `json:"shed_queue_full"` // rejected with 429
 	ShedDeadline  uint64 `json:"shed_deadline"`   // rejected with 503
@@ -292,7 +283,7 @@ type StatsResponse struct {
 	latWeightedMs float64
 }
 
-// nodeCounters are the counters a Server keeps (a counterSet).
+// nodeCounters are the counters a Server keeps (a counters set).
 type nodeCounters struct {
 	EvalRequests uint64 `json:"eval_requests"`
 	Evaluations  uint64 `json:"evaluations"` // actual Interface.Eval runs
@@ -323,24 +314,6 @@ type nodeCounters struct {
 	HedgedRequests  uint64 `json:"hedged_requests"`
 }
 
-// counterSet is a struct of uint64 counters and nothing else, which is
-// also the form they are reported in: its owner bumps the fields of its
-// live copy with atomic.AddUint64 and reads them only through addCounters.
-type counterSet interface {
-	nodeCounters | driftCounters | Counters
-}
-
-// addCounters adds every counter of src, read atomically, into dst: into
-// a zero dst, a snapshot of a live src. It views both as their uint64
-// fields in order, a layout TestCounterSetsAreWords holds them to.
-func addCounters[T counterSet](dst, src *T) {
-	words := func(c *T) []uint64 { return unsafe.Slice((*uint64)(unsafe.Pointer(c)), unsafe.Sizeof(*c)/8) }
-	d, s := words(dst), words(src)
-	for i := range d {
-		d[i] += atomic.LoadUint64(&s[i])
-	}
-}
-
 // Fold adds one node's stats into the fleet aggregate a: every field is
 // summed but for these. Interfaces, peak_queue and the latency max_ms,
 // p50_ms and p99_ms take the max over nodes (for the percentiles an upper
@@ -349,7 +322,7 @@ func addCounters[T counterSet](dst, src *T) {
 // rates are derived. node_id, draining and the four compiler counters
 // describe one node or process: they stay zero (read them per node).
 func (a *StatsResponse) Fold(st *StatsResponse) {
-	addCounters(&a.nodeCounters, &st.nodeCounters)
+	counters.Add(&a.nodeCounters, &st.nodeCounters)
 	a.Interfaces = max(a.Interfaces, st.Interfaces)
 	a.MemoHits += st.MemoHits
 	a.MemoMisses += st.MemoMisses
@@ -437,7 +410,7 @@ type DriftReport struct {
 	driftCounters
 }
 
-// driftCounters are the drift loop's counters (a counterSet).
+// driftCounters are the drift loop's counters (a counters set).
 type driftCounters struct {
 	Steps          uint64 `json:"steps"`          // DriftStep invocations
 	StepErrors     uint64 `json:"step_errors"`    // probe/recal failures (loop survived)

@@ -78,7 +78,7 @@ func E19Autoopt() (*E19Result, error) {
 	}
 	defer stop()
 
-	client := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+	client := eisvc.NewClient(base)
 	client.ID = "autoopt-e19"
 	// The cold sweep's 120 items fit one batch, whose exact enumerations
 	// can outlive the default per-attempt timeout on a slow or loaded
@@ -89,7 +89,7 @@ func E19Autoopt() (*E19Result, error) {
 	}
 	sweep := func(parallelism int) (*autoopt.Result, error) {
 		return autoopt.Sweep(context.Background(), e19Spec,
-			autoopt.FleetEvaluator(client, "moe_stack", "energy", "latency", e19Options(parallelism), 0))
+			autoopt.FleetEvaluator(client, "moe_stack", "energy", "latency", e19Options(parallelism)))
 	}
 
 	cold, err := sweep(1)

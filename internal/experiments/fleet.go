@@ -154,7 +154,7 @@ func e16Ask(ctx context.Context, c *eisvc.Client, k int) (energy.Dist, *eisvc.Ev
 // e16Client builds a fleet client named prefix-cl.
 func e16Client(base, prefix string) func(cl int) *eisvc.Client {
 	return func(cl int) *eisvc.Client {
-		c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+		c := eisvc.NewClient(base)
 		c.ID = fmt.Sprintf("%s-%d", prefix, cl)
 		return c
 	}
@@ -276,7 +276,7 @@ func (r *E16Result) batchAndRebalance() error {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+			c := eisvc.NewClient(base)
 			c.ID = fmt.Sprintf("batch-%d", g)
 			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(7000+g))),
 				1.2, 1, uint64(e16Classes-1))

@@ -131,7 +131,7 @@ func E18SchedFleet() (*E18Result, error) {
 	}
 	defer stop()
 
-	client := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+	client := eisvc.NewClient(base)
 	client.ID = "schedsvc-e18"
 	sched, err := schedsvc.New(cfg, client)
 	if err != nil {

@@ -159,9 +159,9 @@ func E17Wire() (*E17Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	jsonC := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+	jsonC := eisvc.NewClient(base)
 	jsonC.ID, jsonC.Binary = "e17-json", false
-	binC := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+	binC := eisvc.NewClient(base)
 	binC.ID = "e17-bin"
 	loopC := eisvc.NewClient("http://loopback")
 	loopC.SetTransport(eisvc.NewLoopbackTransport(srv))
@@ -229,7 +229,7 @@ func (r *E17Result) restartPhase() error {
 	var victim string
 	sweep := traceSpec{clients: 1, classes: e17Distinct, sweep: true,
 		client: func(int) *eisvc.Client {
-			c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+			c := eisvc.NewClient(base)
 			c.ID = "e17-restart"
 			return c
 		},

@@ -32,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"energyclarity/internal/counters"
 )
 
 // ErrInjectedReset is the transport error surfaced by injected resets.
@@ -65,7 +67,7 @@ type Plan struct {
 	RetryAfter time.Duration
 }
 
-// Counters reports how many faults the transport injected.
+// Counters are how many faults the transport injected (a counters set).
 type Counters struct {
 	Requests  uint64 // requests seen
 	Latencies uint64
@@ -78,20 +80,15 @@ type Counters struct {
 
 // Transport injects Plan faults around an inner http.RoundTripper.
 type Transport struct {
+	// First, to be 64-bit aligned for the atomic functions on any platform.
+	counts Counters
+
 	plan  Plan
 	inner http.RoundTripper
 
 	mu        sync.Mutex
 	rng       *rand.Rand
 	burstLeft int
-
-	requests  atomic.Uint64
-	latencies atomic.Uint64
-	resetsPre atomic.Uint64
-	resetsPos atomic.Uint64
-	hangs     atomic.Uint64
-	synth5xx  atomic.Uint64
-	forwarded atomic.Uint64
 }
 
 // NewTransport wraps inner (nil means http.DefaultTransport) with the
@@ -108,16 +105,9 @@ func NewTransport(plan Plan, inner http.RoundTripper) *Transport {
 }
 
 // Counters returns a snapshot of the injected-fault counts.
-func (t *Transport) Counters() Counters {
-	return Counters{
-		Requests:  t.requests.Load(),
-		Latencies: t.latencies.Load(),
-		ResetsPre: t.resetsPre.Load(),
-		ResetsPos: t.resetsPos.Load(),
-		Hangs:     t.hangs.Load(),
-		Synth5xx:  t.synth5xx.Load(),
-		Forwarded: t.forwarded.Load(),
-	}
+func (t *Transport) Counters() (snap Counters) {
+	counters.Add(&snap, &t.counts)
+	return snap
 }
 
 // roll draws the fate of one request under the RNG lock, so concurrent
@@ -179,19 +169,19 @@ func (t *Transport) synthetic503(req *http.Request) *http.Response {
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	t.requests.Add(1)
+	atomic.AddUint64(&t.counts.Requests, 1)
 	f := t.roll()
 	if f.synth {
-		t.synth5xx.Add(1)
+		atomic.AddUint64(&t.counts.Synth5xx, 1)
 		return t.synthetic503(req), nil
 	}
 	if f.hang {
-		t.hangs.Add(1)
+		atomic.AddUint64(&t.counts.Hangs, 1)
 		<-req.Context().Done()
 		return nil, req.Context().Err()
 	}
 	if f.latency {
-		t.latencies.Add(1)
+		atomic.AddUint64(&t.counts.Latencies, 1)
 		select {
 		case <-time.After(t.plan.Latency):
 		case <-req.Context().Done():
@@ -199,17 +189,17 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 	if f.resetPre {
-		t.resetsPre.Add(1)
+		atomic.AddUint64(&t.counts.ResetsPre, 1)
 		return nil, fmt.Errorf("faultsim: %s %s (pre-forward): %w", req.Method, req.URL.Path, ErrInjectedReset)
 	}
-	t.forwarded.Add(1)
+	atomic.AddUint64(&t.counts.Forwarded, 1)
 	resp, err := t.inner.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
 	if f.resetPos {
 		// The server did the work; the answer is lost on the way back.
-		t.resetsPos.Add(1)
+		atomic.AddUint64(&t.counts.ResetsPos, 1)
 		resp.Body.Close()
 		return nil, fmt.Errorf("faultsim: %s %s (post-forward): %w", req.Method, req.URL.Path, ErrInjectedReset)
 	}

@@ -149,7 +149,7 @@ func (f *Fleet) startNode(id string) (*Node, error) {
 		URL:    "http://" + ln.Addr().String(),
 		ln:     fl,
 	}
-	n.peer = eisvc.NewClient(n.URL).TuneTransport(eisvc.TransportTuning{})
+	n.peer = eisvc.NewClient(n.URL)
 	n.peer.ID, n.peer.Timeout = "fleet-peer", DefaultPeerTimeout
 	srv.SetPeerLookup(f.peerLookupFor(n))
 	if path := f.snapshotPath(id); path != "" {
@@ -250,7 +250,7 @@ func (f *Fleet) AddNode() (*Node, error) {
 // neighbors immediately) and gracefully drains it: in-flight evaluations
 // finish, new evaluation work is shed, but the process stays up and
 // keeps answering /v1/cachelookup — donating its warm memo to the nodes
-// that inherited its shards until RemoveNode tears it down.
+// that inherited its shards.
 func (f *Fleet) DrainNode(ctx context.Context, id string) error {
 	n, err := f.mustNode(id)
 	if err != nil {
@@ -287,28 +287,6 @@ func (f *Fleet) KillNode(id string) error {
 	n.stop()
 	f.epoch.Add(1)
 	return nil
-}
-
-// RemoveNode drains the node (bounded by ctx) and then stops it and
-// takes it off the ring entirely: the graceful decommission path.
-func (f *Fleet) RemoveNode(ctx context.Context, id string) error {
-	drainErr := f.DrainNode(ctx, id)
-	f.mu.Lock()
-	n, ok := f.nodes[id]
-	delete(f.nodes, id)
-	f.ring.Remove(id)
-	f.snapshotMembers()
-	f.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("fleet: no node %s", id)
-	}
-	n.state.Store(stateDead)
-	n.stop()
-	f.epoch.Add(1)
-	for _, m := range f.Nodes() {
-		m.sums.Delete(id)
-	}
-	return drainErr
 }
 
 // PartitionNode cuts (or heals) the network in front of a node without

@@ -65,7 +65,7 @@ func startTestRouter(t testing.TB, f *Fleet) (*Router, *eisvc.Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(shutdown)
-	c := eisvc.NewClient(url).TuneTransport(eisvc.TransportTuning{})
+	c := eisvc.NewClient(url)
 	c.ID = "fleet-test"
 	return rt, c
 }

@@ -91,7 +91,7 @@ func TestHopAllocs(t *testing.T) {
 		name, base string
 		seen       []*headerRecorder
 	}{{"direct", nodeURL, []*headerRecorder{node}}, {"routed", routerURL, []*headerRecorder{router, node}}} {
-		c := eisvc.NewClient(hop.base).TuneTransport(eisvc.TransportTuning{})
+		c := eisvc.NewClient(hop.base)
 		c.ID = "hop-test"
 		if _, _, err := c.EvalCtx(ctx, "ml_webservice", "handle", traceArgs(0), traceOpts); err != nil {
 			t.Fatalf("%s: %v", hop.name, err)

@@ -38,12 +38,11 @@ var fleetOptSpec = autoopt.Spec{
 	SLOMs: 9,
 }
 
-// fleetOptSweep sweeps fleetOptSpec through c. Batches of eight items keep
-// the cold sweep in flight long enough that a mid-sweep kill lands while
-// it is genuinely running.
+// fleetOptSweep sweeps fleetOptSpec through c: one batch of 128 items,
+// which the router splits across the nodes.
 func fleetOptSweep(c *eisvc.Client) (*autoopt.Result, error) {
 	return autoopt.Sweep(context.Background(), fleetOptSpec,
-		autoopt.FleetEvaluator(c, "opt_service", "energy", "latency", core.Expected(), 8))
+		autoopt.FleetEvaluator(c, "opt_service", "energy", "latency", core.Expected()))
 }
 
 // TestFleetOptimizeKillMidSweep is the resilience gate for the

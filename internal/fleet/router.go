@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"energyclarity/internal/counters"
 	"energyclarity/internal/eisvc"
 )
 
@@ -24,14 +25,12 @@ import (
 // decides where caches get warm. Registry mutations serialize through
 // the fleet primary and replicate before the response returns.
 type Router struct {
+	// First, to be 64-bit aligned for the atomic functions on any platform.
+	counts RouterCounters
+
 	f   *Fleet
 	tr  http.RoundTripper // every forward's; one pooled transport for all nodes
 	aff *affinity
-
-	routed       atomic.Uint64 // evaluation requests routed
-	failovers    atomic.Uint64 // candidates skipped after a failure
-	exhausted    atomic.Uint64 // requests no candidate could serve
-	affinityHits atomic.Uint64 // evals steered ahead of ring order to their last-serving node
 }
 
 // NewRouter returns a router over the fleet.
@@ -39,22 +38,18 @@ func NewRouter(f *Fleet) *Router {
 	return &Router{f: f, tr: eisvc.NewTransport(eisvc.TransportTuning{}), aff: newAffinity()}
 }
 
-// RouterCounters is a snapshot of the router's routing counters.
+// RouterCounters are the router's routing counters (a counters set).
 type RouterCounters struct {
-	Routed       uint64 `json:"routed"`
-	Failovers    uint64 `json:"failovers"`
-	Exhausted    uint64 `json:"exhausted"`
-	AffinityHits uint64 `json:"affinity_hits"`
+	Routed       uint64 `json:"routed"`        // evaluation requests routed
+	Failovers    uint64 `json:"failovers"`     // candidates skipped after a failure
+	Exhausted    uint64 `json:"exhausted"`     // requests no candidate could serve
+	AffinityHits uint64 `json:"affinity_hits"` // evals steered ahead of ring order to their last-serving node
 }
 
-// Counters returns the router's routing counters.
-func (rt *Router) Counters() RouterCounters {
-	return RouterCounters{
-		Routed:       rt.routed.Load(),
-		Failovers:    rt.failovers.Load(),
-		Exhausted:    rt.exhausted.Load(),
-		AffinityHits: rt.affinityHits.Load(),
-	}
+// Counters returns a snapshot of the router's routing counters.
+func (rt *Router) Counters() (snap RouterCounters) {
+	counters.Add(&snap, &rt.counts)
+	return snap
 }
 
 // ServeHTTP implements http.Handler.
@@ -111,7 +106,7 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 func (rt *Router) tryCandidates(r *http.Request, hop eisvc.Hop, body []byte, candidates []*Node, answer func(n *Node, resp *http.Response) bool) bool {
 	for i, n := range candidates {
 		if i > 0 {
-			rt.failovers.Add(1)
+			atomic.AddUint64(&rt.counts.Failovers, 1)
 		}
 		resp, err := hop.Send(r.Context(), rt.tr, r.Method, n.URL+r.URL.Path, body)
 		if err != nil {
@@ -133,7 +128,7 @@ func (rt *Router) tryCandidates(r *http.Request, hop eisvc.Hop, body []byte, can
 // instead of a server-imposed full-second sleep, which matters when the
 // fleet is healing (a kill's replacement replica warms in milliseconds).
 func (rt *Router) writeExhausted(w http.ResponseWriter, what string) {
-	rt.exhausted.Add(1)
+	atomic.AddUint64(&rt.counts.Exhausted, 1)
 	eisvc.WriteError(w, http.StatusServiceUnavailable, "fleet: no node could serve %s", what)
 }
 
@@ -153,7 +148,7 @@ func (rt *Router) writeExhausted(w http.ResponseWriter, what string) {
 // memo is warm — goes first regardless of ring order. Failover follows
 // the usual candidate walk.
 func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
-	rt.routed.Add(1)
+	atomic.AddUint64(&rt.counts.Routed, 1)
 	// Not pooled: an abandoned forward's transport goroutine may still be
 	// reading these bytes after the walk has moved on.
 	var body bytes.Buffer
@@ -186,7 +181,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	ok := rt.tryCandidates(r, eisvc.Forwarded(r), body.Bytes(), cands, func(n *Node, resp *http.Response) bool {
 		if resp.StatusCode/100 == 2 {
 			if i > 0 && n.ID == affID {
-				rt.affinityHits.Add(1)
+				atomic.AddUint64(&rt.counts.AffinityHits, 1)
 			}
 			rt.aff.put(affKey, n.ID)
 		}
@@ -213,7 +208,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 // refs expanded, its items sent without held prefixes) on the way out, and
 // the hop to the nodes is always binary.
 func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
-	rt.routed.Add(1)
+	atomic.AddUint64(&rt.counts.Routed, 1)
 	ep := eisvc.EvalBatchEndpoint
 	in, scratch, out := eisvc.GetBuffer(), eisvc.GetBuffer(), eisvc.GetBuffer()
 	defer eisvc.PutBuffer(in)
@@ -318,7 +313,7 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 				return true
 			})
 			if !ok {
-				rt.exhausted.Add(1)
+				atomic.AddUint64(&rt.counts.Exhausted, 1)
 			}
 		}()
 	}

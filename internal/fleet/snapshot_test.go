@@ -19,7 +19,7 @@ func TestFleetBinaryRoutingAndAffinity(t *testing.T) {
 	if _, err := jsonC.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
 	}
-	binC := eisvc.NewClient(jsonC.Base()).TuneTransport(eisvc.TransportTuning{})
+	binC := eisvc.NewClient(jsonC.Base())
 	binC.ID = "fleet-bin"
 
 	want := refDists(t, 4)

@@ -441,7 +441,7 @@ func TestOnePlacementAloneOrBatched(t *testing.T) {
 	if _, err := jsonC.RegisterCtx(context.Background(), probeEIL()); err != nil {
 		t.Fatal(err)
 	}
-	binC := eisvc.NewClient(jsonC.Base()).TuneTransport(eisvc.TransportTuning{})
+	binC := eisvc.NewClient(jsonC.Base())
 	binC.ID = "fleet-bin"
 
 	const n = 48

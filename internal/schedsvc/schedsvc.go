@@ -110,9 +110,6 @@ type TaskGroup struct {
 // generated node interfaces (joules per round = watts × roundSeconds).
 const roundSeconds = 1.0
 
-// batchSize caps items per /v1/evalbatch call.
-const batchSize = 1024
-
 // Config describes the cluster and workload a Scheduler manages.
 type Config struct {
 	Nodes  []NodeClass
@@ -231,7 +228,7 @@ func (p Policy) UsesFleet() bool { return p != PolicyUtilization }
 
 // FleetStats aggregates what the scheduler's queries cost the fleet.
 type FleetStats struct {
-	Batches     int // evalbatch round trips
+	Batches     int // evalbatch calls (a round trip per 1,024 items)
 	Items       int // items sent
 	CacheServed int // items answered by memo, in-batch dedup, peer, or coalescing
 	Errors      int // per-item failures (always fatal: surfaced as Run errors)
@@ -352,34 +349,27 @@ func (s *Scheduler) DemandRequests(q int) []eisvc.EvalRequest {
 	return reqs
 }
 
-// evalBatch sends requests in batchSize chunks and returns the means, in
+// evalBatch prices requests in one batch call and returns the means, in
 // request order. Any per-item failure is fatal: a scheduler that cannot
 // price a placement must say so, not place blind (the sched.Plan lesson).
 func (s *Scheduler) evalBatch(ctx context.Context, reqs []eisvc.EvalRequest, st *FleetStats) ([]float64, error) {
-	out := make([]float64, 0, len(reqs))
-	for len(reqs) > 0 {
-		n := len(reqs)
-		if n > batchSize {
-			n = batchSize
+	items, err := s.client.EvalBatchCtx(ctx, reqs)
+	if err != nil {
+		return nil, fmt.Errorf("schedsvc: evalbatch: %w", err)
+	}
+	st.Batches++
+	st.Items += len(reqs)
+	out := make([]float64, len(reqs))
+	for i, it := range items {
+		if it.Status != 200 || it.Dist == nil {
+			st.Errors++
+			return nil, fmt.Errorf("schedsvc: %s.%s: status %d: %s",
+				reqs[i].Interface, reqs[i].Method, it.Status, it.Error)
 		}
-		items, err := s.client.EvalBatchCtx(ctx, reqs[:n])
-		if err != nil {
-			return nil, fmt.Errorf("schedsvc: evalbatch: %w", err)
+		if it.Cached || it.Deduped || it.Coalesced || it.Peer {
+			st.CacheServed++
 		}
-		st.Batches++
-		st.Items += n
-		for i, it := range items {
-			if it.Status != 200 || it.Dist == nil {
-				st.Errors++
-				return nil, fmt.Errorf("schedsvc: %s.%s: status %d: %s",
-					reqs[i].Interface, reqs[i].Method, it.Status, it.Error)
-			}
-			if it.Cached || it.Deduped || it.Coalesced || it.Peer {
-				st.CacheServed++
-			}
-			out = append(out, it.Dist.Mean)
-		}
-		reqs = reqs[n:]
+		out[i] = it.Dist.Mean
 	}
 	return out, nil
 }

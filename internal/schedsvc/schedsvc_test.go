@@ -121,7 +121,7 @@ func startTestFleet(t *testing.T, cfg Config) *Scheduler {
 		t.Fatal(err)
 	}
 	t.Cleanup(stop)
-	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+	c := eisvc.NewClient(base)
 	s, err := New(cfg, c)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestRunSurfacesFleetErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(stop)
-	c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+	c := eisvc.NewClient(base)
 	s, err := New(testConfig(), c)
 	if err != nil {
 		t.Fatal(err)
