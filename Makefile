@@ -99,6 +99,7 @@ test-repeat:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=10s ./internal/eisvc
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameWalk$$' -fuzztime=10s ./internal/eisvc
+	$(GO) test -run '^$$' -fuzz '^FuzzMemoKey$$' -fuzztime=10s ./internal/eisvc
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistrySnapshot$$' -fuzztime=10s ./internal/eisvc
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/eil
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime=10s ./internal/eil

@@ -19,7 +19,9 @@ type Flight[V any] struct {
 }
 
 type flightCall[V any] struct {
-	done chan struct{} // closed when val/err are final
+	// done, made by the first follower under the Flight's lock, is closed
+	// when val/err are final; an uncontended call never makes it.
+	done chan struct{}
 	val  V
 	err  error
 }
@@ -37,25 +39,34 @@ func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v
 		f.calls = make(map[string]*flightCall[V])
 	}
 	if c, ok := f.calls[key]; ok {
+		if c.done == nil {
+			c.done = make(chan struct{})
+		}
+		done := c.done
 		f.mu.Unlock()
 		select {
-		case <-c.done:
+		case <-done:
 			return c.val, true, c.err
 		case <-ctx.Done():
 			var zero V
 			return zero, true, ctx.Err()
 		}
 	}
-	c := &flightCall[V]{done: make(chan struct{})}
+	c := &flightCall[V]{}
 	f.calls[key] = c
 	f.mu.Unlock()
 
 	c.val, c.err = fn()
 
+	// Once the call is out of the map no follower can find it, so done is
+	// final here: nil if none came.
 	f.mu.Lock()
 	delete(f.calls, key)
+	done := c.done
 	f.mu.Unlock()
-	close(c.done)
+	if done != nil {
+		close(done)
+	}
 	return c.val, false, c.err
 }
 

@@ -131,3 +131,20 @@ func TestFlightFollowerDeadline(t *testing.T) {
 	close(gate)
 	<-leaderDone
 }
+
+// TestFlightUncontendedAllocs: a Do that no follower joins allocates its
+// call record and nothing else — the channel a follower waits on is made
+// only when one arrives.
+func TestFlightUncontendedAllocs(t *testing.T) {
+	var f Flight[int]
+	fn := func() (int, error) { return 1, nil }
+	ctx := context.Background()
+	f.Do(ctx, "k", fn) // the map
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, shared, err := f.Do(ctx, "k", fn); v != 1 || shared || err != nil {
+			t.Fatalf("Do = %d, %v, %v", v, shared, err)
+		}
+	}); allocs > 1 {
+		t.Errorf("uncontended Do made %v allocations, want 1", allocs)
+	}
+}

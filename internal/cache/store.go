@@ -40,7 +40,20 @@ func (s *Store[K, V]) Len() int { return len(s.entries) - 1 }
 
 // Get returns the value for key, updating recency and hit/miss counters.
 func (s *Store[K, V]) Get(key K) (V, bool) {
-	if i, ok := s.items[key]; ok {
+	i, ok := s.items[key]
+	return s.got(i, ok)
+}
+
+// Lookup is Get on a string-keyed store for a key held as a string or as
+// bytes, of which it makes no string.
+func Lookup[V any, K string | []byte](s *Store[string, V], key K) (V, bool) {
+	i, ok := s.items[string(key)]
+	return s.got(i, ok)
+}
+
+// got ends a Get that found entry i, if ok.
+func (s *Store[K, V]) got(i int, ok bool) (V, bool) {
+	if ok {
 		s.unlink(i)
 		s.pushFront(i)
 		s.hits++

@@ -198,6 +198,15 @@ func (i *Interface) Methods() []string {
 	return out
 }
 
+// MethodName returns the name b spells: the interface's own copy if it
+// has a method by that name, so that a lookup copies nothing.
+func (i *Interface) MethodName(b []byte) string {
+	if m, ok := i.methods[string(b)]; ok {
+		return m.Name
+	}
+	return string(b)
+}
+
 // Bind attaches the energy interface of a lower-level resource under a
 // local name; method bodies reach it via Call.E(localName, method, ...).
 // Binding the same name twice replaces the binding (this is how rebinding

@@ -215,7 +215,11 @@ func (v Value) Key() string {
 }
 
 // AppendKey appends Key's bytes to dst and returns the extended slice, for
-// callers composing a larger key in a buffer of their own.
+// callers composing a larger key in a buffer of their own. A string's key
+// is AppendStrKey's, and a container's is its elements' keys between the
+// texts below; a caller that keys a value held in another form (eisvc
+// keys a request off its wire bytes) writes them the same way, so the
+// format is stated once.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNil:
@@ -229,24 +233,42 @@ func (v Value) AppendKey(dst []byte) []byte {
 	case KindNum:
 		dst = strconv.AppendFloat(append(dst, 'N'), v.n, 'g', -1, 64)
 	case KindStr:
-		dst = strconv.AppendInt(append(dst, 'S'), int64(len(v.s)), 10)
-		dst = append(append(dst, ':'), v.s...)
+		dst = AppendStrKey(dst, v.s)
 	case KindRecord:
-		dst = append(dst, "R{"...)
+		dst = append(dst, KeyRecordOpen...)
 		var names [8]string
 		for _, k := range v.AppendFieldNames(names[:0]) {
-			dst = append(append(dst, k...), '=')
-			dst = append(v.rec[k].AppendKey(dst), ';')
+			dst = append(append(dst, k...), KeyFieldName...)
+			dst = append(v.rec[k].AppendKey(dst), KeyItemEnd...)
 		}
-		dst = append(dst, '}')
+		dst = append(dst, KeyRecordClose...)
 	case KindList:
-		dst = append(dst, "L["...)
+		dst = append(dst, KeyListOpen...)
 		for _, e := range v.list {
-			dst = append(e.AppendKey(dst), ';')
+			dst = append(e.AppendKey(dst), KeyItemEnd...)
 		}
-		dst = append(dst, ']')
+		dst = append(dst, KeyListClose...)
 	}
 	return dst
+}
+
+// The texts of a container's key: a record's is KeyRecordOpen, then for
+// each field in name order its name, KeyFieldName, its value's key and
+// KeyItemEnd, then KeyRecordClose; a list's is the same with the List
+// texts and no names.
+const (
+	KeyRecordOpen  = "R{"
+	KeyRecordClose = "}"
+	KeyListOpen    = "L["
+	KeyListClose   = "]"
+	KeyFieldName   = "="
+	KeyItemEnd     = ";"
+)
+
+// AppendStrKey appends the key of the string s.
+func AppendStrKey[S string | []byte](dst []byte, s S) []byte {
+	dst = strconv.AppendInt(append(dst, 'S'), int64(len(s)), 10)
+	return append(append(dst, ':'), s...)
 }
 
 // String renders the value for diagnostics.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+
+	"energyclarity/internal/counters"
 )
 
 // Shedding errors; the HTTP layer maps them to 429 and 503.
@@ -24,16 +26,21 @@ var (
 // shed immediately. This keeps the daemon responsive — a memo hit or a
 // /v1/stats scrape never sits behind a convoy of heavy evaluations.
 type admission struct {
+	counts     admissionCounters // first, to be 64-bit aligned
 	slots      chan struct{}
 	queueLimit int
 
 	mu     sync.Mutex
 	queued int
 	peak   int
+}
 
-	shedQueueFull atomic.Uint64
-	shedDeadline  atomic.Uint64
-	granted       atomic.Uint64
+// admissionCounters are the gate's counters (a counters set): every
+// acquire is exactly one of them.
+type admissionCounters struct {
+	ShedQueueFull uint64
+	ShedDeadline  uint64
+	Granted       uint64
 }
 
 func newAdmission(workers, queueLimit int) *admission {
@@ -50,7 +57,7 @@ func (a *admission) acquire(ctx context.Context) error {
 	a.mu.Lock()
 	if a.queued >= a.queueLimit {
 		a.mu.Unlock()
-		a.shedQueueFull.Add(1)
+		atomic.AddUint64(&a.counts.ShedQueueFull, 1)
 		return ErrQueueFull
 	}
 	a.queued++
@@ -71,20 +78,20 @@ func (a *admission) acquire(ctx context.Context) error {
 	// before entering the select, and re-check after winning (the context
 	// may have expired while both cases were ready).
 	if ctx.Err() != nil {
-		a.shedDeadline.Add(1)
+		atomic.AddUint64(&a.counts.ShedDeadline, 1)
 		return ErrDeadline
 	}
 	select {
 	case a.slots <- struct{}{}:
 		if ctx.Err() != nil {
 			<-a.slots
-			a.shedDeadline.Add(1)
+			atomic.AddUint64(&a.counts.ShedDeadline, 1)
 			return ErrDeadline
 		}
-		a.granted.Add(1)
+		atomic.AddUint64(&a.counts.Granted, 1)
 		return nil
 	case <-ctx.Done():
-		a.shedDeadline.Add(1)
+		atomic.AddUint64(&a.counts.ShedDeadline, 1)
 		return ErrDeadline
 	}
 }
@@ -100,11 +107,8 @@ func (a *admission) depth() (current, peak int) {
 	return a.queued, a.peak
 }
 
-func (a *admission) sheds() (queueFull, deadline uint64) {
-	return a.shedQueueFull.Load(), a.shedDeadline.Load()
+// read returns a snapshot of the gate's counters.
+func (a *admission) read() (snap admissionCounters) {
+	counters.Add(&snap, &a.counts)
+	return snap
 }
-
-// grants returns the number of worker slots ever granted. Together with
-// sheds it balances against the total acquire calls: every acquire either
-// granted, shed on a full queue, or shed on a deadline.
-func (a *admission) grants() uint64 { return a.granted.Load() }

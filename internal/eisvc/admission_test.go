@@ -27,10 +27,10 @@ func TestAdmissionExpiredNeverGranted(t *testing.T) {
 			t.Fatalf("iteration %d: err = %v, want ErrDeadline", i, err)
 		}
 	}
-	if got := a.grants(); got != 0 {
+	if got := a.read().Granted; got != 0 {
 		t.Errorf("grants = %d, want 0", got)
 	}
-	if _, deadline := a.sheds(); deadline != 500 {
+	if deadline := a.read().ShedDeadline; deadline != 500 {
 		t.Errorf("deadline sheds = %d, want 500", deadline)
 	}
 }
@@ -65,11 +65,12 @@ func TestAdmissionCountersBalance(t *testing.T) {
 	}
 	wg.Wait()
 
-	queueFull, deadline := a.sheds()
-	total := a.grants() + queueFull + deadline
+	n := a.read()
+	queueFull, deadline := n.ShedQueueFull, n.ShedDeadline
+	total := n.Granted + queueFull + deadline
 	if want := uint64(clients * perEach); total != want {
 		t.Errorf("granted %d + shed %d/%d = %d, want %d",
-			a.grants(), queueFull, deadline, total, want)
+			n.Granted, queueFull, deadline, total, want)
 	}
 	if depth, _ := a.depth(); depth != 0 {
 		t.Errorf("gate did not drain: depth = %d", depth)

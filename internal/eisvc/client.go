@@ -519,7 +519,7 @@ func (c *Client) EvalBatchCtx(ctx context.Context, reqs []EvalRequest) ([]BatchE
 
 // evalFrame is one round trip of EvalBatchCtx: reqs in one frame.
 func (c *Client) evalFrame(ctx context.Context, reqs []EvalRequest) ([]BatchEvalItem, error) {
-	holds := &batchHolds{c, make([]*heldAnswer, len(reqs)), make([][]byte, len(reqs))} // JSON holds none
+	holds := &batchHolds{c: c, held: make([]*heldAnswer, len(reqs)), spans: make([]span, len(reqs))} // JSON holds none
 	resp, err := EvalBatchEndpoint.call(ctx, c, &BatchEvalRequest{Requests: reqs, holds: holds})
 	if err != nil {
 		return nil, err
@@ -541,22 +541,25 @@ type heldAnswer struct {
 }
 
 // batchHolds is what the request items of one batch call went out as:
-// held against an answer, or else as their bytes; neither for a ref.
+// held against an answer, or else as their bytes, frame[spans[i]] of the
+// request as sent (Endpoint.call); neither for a ref.
 type batchHolds struct {
 	c     *Client
 	held  []*heldAnswer
-	bytes [][]byte
+	spans []span
+	frame []byte
 }
 
-// find returns the tag held for request item i (bytes item, hash h), or 0.
-func (b *batchHolds) find(i int, h uint64, item []byte) uint64 {
+// find returns the tag held for request item i (bytes item, hash h, at
+// start in the frame), or 0.
+func (b *batchHolds) find(i int, h uint64, item []byte, start int) uint64 {
 	b.c.heldMu.Lock()
 	defer b.c.heldMu.Unlock()
 	if a, ok := b.c.held.Get(h); ok && a.item == string(item) {
 		b.held[i] = a
 		return a.dist.tag
 	}
-	b.bytes[i] = item // only here: a held item moves up for its prefix
+	b.spans[i] = span{i, start, start + len(item)} // only here: a held item moves up for its prefix
 	return 0
 }
 
@@ -575,9 +578,10 @@ func (b *batchHolds) settle(resp *BatchEvalResponse) error {
 			if was != nil { // not a ref: Counters.Held counts what was sent held
 				atomic.AddUint64(&b.c.counts.Held, 1)
 			}
-		case was == nil && b.bytes[i] == nil || it.Status != http.StatusOK || it.Dist == nil:
+		case was == nil && b.spans[i].end == 0 || it.Status != http.StatusOK || it.Dist == nil:
 		case was != nil || it.Cached || it.Peer:
-			a := &heldAnswer{item: string(b.bytes[i]), dist: *it.Dist}
+			s := b.spans[i]
+			a := &heldAnswer{item: string(b.frame[s.off:s.end]), dist: *it.Dist}
 			a.dist.tag = DistTag(it.Dist)
 			if was != nil {
 				a.item = was.item

@@ -156,8 +156,13 @@ func TestEvalBatchLeavesRequestsAlone(t *testing.T) {
 	var mu sync.Mutex
 	var sent [][]int
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		req := EvalBatchEndpoint.Read(w, r)
-		if req == nil {
+		var body bytes.Buffer
+		if !ReadBody(w, r, &body) {
+			return
+		}
+		req, err := EvalBatchEndpoint.Request.Decode(r.Header.Get("Content-Type"), body.Bytes())
+		if err != nil {
+			t.Error(err)
 			return
 		}
 		var got []int

@@ -273,7 +273,8 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 			answered++
 		}
 	}
-	queueFull, deadline := srv.adm.sheds()
+	adm := srv.adm.read()
+	queueFull, deadline := adm.ShedQueueFull, adm.ShedDeadline
 	if answered != items || queueFull != 0 || deadline != 0 {
 		t.Errorf("%d of %d items answered, %d shed on a full queue, %d on the deadline; want every item answered",
 			answered, items, queueFull, deadline)
@@ -285,8 +286,9 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 
 // TestWarmBatchAllocs pins the all-hit batch path as a count. 256 items
 // over 64 distinct warm keys, binary, through the loopback transport
-// (client encode and decode included). Measured 190 allocations, 0.74 an
-// item, with the GC on or off; the bound leaves 3% for toolchain drift.
+// (client encode and decode included). Measured 44 allocations, 0.17 an
+// item (43 with the GC off); the bound leaves 3% and one for toolchain
+// drift.
 // What the figure holds in place, each of which alone breaks it: the
 // handler reads each distinct key's memo entry inline and starts no
 // goroutine (8,896 →
@@ -307,18 +309,22 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 // items go held, so the node sends and the client decodes no vectors for
 // them: the client answers them with the *WireDist it holds (249 → 189;
 // 190 since an answer with held items keeps its frame's refs, one slice,
-// for the client to resolve a ref to a held item). What is left per
-// distinct item, by profile: the record's map (two allocations, in
-// core.Record) on the server.
+// for the client to resolve a ref to a held item); and the node keys each
+// distinct item off its bytes, answering it from the memo without
+// decoding it — the record's map, two allocations an item, was most of
+// what was left (190 → 52); and the client encodes its request into a
+// pooled buffer and sends one exactly sized copy, where the frame used to
+// grow by doubling (52 → 44). Nothing is left per distinct item.
 //
 // The test then counts the full-answer path too, which JSON clients and
 // the first warm repeat of each item still take: the same batch from a
 // client whose held answers are dropped before each run. It measured 380:
 // the 249 of the path before held answers, plus two allocations for each
 // of the 64 answers the client then holds (its heldAnswer and the item's
-// bytes), plus 3. The bound leaves 3%.
+// bytes), plus 3; then 233, by the same two cuts as the held path. The
+// bound leaves 3%.
 func TestWarmBatchAllocs(t *testing.T) {
-	const items, distinct, bound, fullBound = 256, 64, 194, 391
+	const items, distinct, bound, fullBound = 256, 64, 46, 240
 	srv := NewServer(Config{})
 	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
 		t.Fatal(err)

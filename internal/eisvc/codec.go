@@ -110,6 +110,9 @@ const (
 	// the fixed-width ones, and allocates nothing: it is how the fleet
 	// router learns where a frame's items lie without decoding them.
 	walking
+	// keying walks, appending to key the memo-key text of the arguments
+	// and pins it walks (evalBody): how a node answers a warm item (keyItem).
+	keying
 )
 
 // coder lays out one frame. A layout is a coder method that visits a
@@ -147,6 +150,8 @@ type coder struct {
 	// endItem).
 	refs []int
 	seen map[uint64]span
+	// key, keying, is where the memo key is appended; the caller owns it.
+	key []byte
 }
 
 // span is an encoded batch item: its index and its bytes' range.
@@ -496,16 +501,19 @@ func (c *coder) value(v core.Value, depth int) core.Value {
 	c.u8(&tag)
 	switch tag {
 	case tagNil:
-		return core.Nil()
+		return c.scalar(core.Nil())
 	case tagFalse, tagTrue:
-		return core.Bool(tag == tagTrue)
+		return c.scalar(core.Bool(tag == tagTrue))
 	case tagNum:
 		n, _ := v.AsNum()
 		c.f64(&n)
-		return core.Num(n)
+		return c.scalar(core.Num(n))
 	case tagStr:
 		s, _ := v.AsStr()
-		c.str(&s)
+		off := c.off
+		if c.str(&s); c.mode == keying && !c.failed() {
+			c.key = core.AppendStrKey(c.key, c.data[off+4:c.off])
+		}
 		return core.Str(s)
 	case tagList:
 		return c.list(v, depth)
@@ -514,6 +522,21 @@ func (c *coder) value(v core.Value, depth int) core.Value {
 	}
 	c.fail("unknown value tag %d", tag)
 	return core.Nil()
+}
+
+// scalar returns v, keying after appending its key.
+func (c *coder) scalar(v core.Value) core.Value {
+	if c.mode == keying {
+		c.key = v.AppendKey(c.key)
+	}
+	return v
+}
+
+// keyText appends text to the memo key when keying.
+func (c *coder) keyText(text string) {
+	if c.mode == keying {
+		c.key = append(c.key, text...)
+	}
 }
 
 // list and record are value's two containers, out of line so that the
@@ -525,12 +548,15 @@ func (c *coder) list(v core.Value, depth int) core.Value {
 	if c.mode == decoding {
 		items = make([]core.Value, n)
 	}
+	c.keyText(core.KeyListOpen)
 	for i := 0; i < n; i++ {
 		item, _ := v.Index(i)
 		if item = c.value(item, depth+1); items != nil {
 			items[i] = item
 		}
+		c.keyText(core.KeyItemEnd)
 	}
+	c.keyText(core.KeyListClose)
 	if items != nil {
 		return core.List(items...)
 	}
@@ -546,21 +572,44 @@ func (c *coder) record(v core.Value, depth int) core.Value {
 	if c.mode == decoding {
 		fields = make(map[string]core.Value, n)
 	}
+	c.keyText(core.KeyRecordOpen)
+	var prev []byte
 	for i := 0; i < n; i++ {
 		var k string
 		if c.mode == encoding {
 			k = names[i]
 		}
-		c.name(&k)
+		prev = c.field(&k, prev, i)
 		f, _ := v.Field(k)
 		if f = c.value(f, depth+1); fields != nil {
 			fields[k] = f
 		}
+		c.keyText(core.KeyItemEnd)
 	}
+	c.keyText(core.KeyRecordClose)
 	if fields != nil {
 		return core.Record(fields)
 	}
 	return v
+}
+
+// field lays out the name of a record's field i, or of pinned ECV i, and
+// returns it read, for the next one's check: names are strictly ascending,
+// as the encoder sorts them, so byte-equal items are equal values.
+func (c *coder) field(k *string, prev []byte, i int) []byte {
+	off := c.off
+	c.name(k)
+	if c.mode == encoding || c.failed() {
+		return nil
+	}
+	b := c.data[off+4 : c.off]
+	if i > 0 && bytes.Compare(b, prev) <= 0 {
+		c.fail("field names not strictly ascending at %d", i)
+	}
+	if c.mode == keying {
+		c.key = append(append(c.key, b...), core.KeyFieldName...)
+	}
+	return b
 }
 
 // --- layouts ---
@@ -589,8 +638,14 @@ func (c *coder) wireDist(w *WireDist) {
 	c.f64(&w.P99)
 }
 
-// evalRequest is one request, alone or as a batch item.
+// evalRequest is one request, alone or as a batch item: its head, then its
+// body, the values it asks about.
 func (c *coder) evalRequest(r *EvalRequest) {
+	c.evalHead(r)
+	c.evalBody(r)
+}
+
+func (c *coder) evalHead(r *EvalRequest) {
 	c.name(&r.Interface)
 	c.name(&r.Method)
 	c.name(&r.Mode)
@@ -599,8 +654,16 @@ func (c *coder) evalRequest(r *EvalRequest) {
 	c.int(&r.EnumLimit)
 	c.int(&r.Parallelism)
 	c.int(&r.DeadlineMs)
+}
+
+// evalBody is the arguments and the pinned ECVs; keying, it appends their
+// part of the memo key, "|A[" args "]|F{" pins "}", each ";"-terminated.
+func (c *coder) evalBody(r *EvalRequest) {
+	c.keyText("|A[")
 	c.args(&r.Args)
+	c.keyText("]|F{")
 	c.fixed(&r.Fixed)
+	c.keyText("}")
 }
 
 // args: a count, then each value. A walker keeps no values, so each passes
@@ -619,6 +682,7 @@ func (c *coder) args(a *Args) {
 			v = (*a)[i]
 		}
 		v = c.value(v, 0)
+		c.keyText(";")
 		if batched {
 			c.vals = append(c.vals, v)
 		} else if c.mode == decoding {
@@ -643,16 +707,18 @@ func (c *coder) fixed(f *Fixed) {
 	} else if c.mode == decoding && n > 0 {
 		*f = make(Fixed, n)
 	}
+	var prev []byte
 	for i := 0; i < n; i++ {
 		var k string
 		var v core.Value
 		if c.mode == encoding {
 			k, v = names[i], (*f)[names[i]]
 		}
-		c.name(&k)
+		prev = c.field(&k, prev, i)
 		if v = c.value(v, 0); c.mode == decoding {
 			(*f)[k] = v
 		}
+		c.keyText(";")
 	}
 }
 
@@ -730,7 +796,7 @@ func (c *coder) endItem(r *BatchEvalRequest, i, start int) {
 	if r.held != nil {
 		tag = r.held[i]
 	} else if r.holds != nil {
-		tag = r.holds.find(i, h, item)
+		tag = r.holds.find(i, h, item, start)
 	}
 	if tag != 0 { // the item moves up to make room for its prefix
 		c.buf.Write(make([]byte, HeldPrefixLen))
@@ -1069,13 +1135,12 @@ const BatchHeaderLen = len(binMagic) + 1 + 4
 // one request item (a range WalkBatchEvalRequest yielded, held or not)
 // with status and msg, naming the interface and method the request named.
 func AppendBatchEvalError(buf *bytes.Buffer, reqItem []byte, status int, msg string) {
-	var req EvalRequest
-	c := newCoder(decoding, nil, reqItem)
-	c.heldPrefix()
-	c.evalRequest(&req)
-	c.release()
-	it := BatchEvalItem{Interface: req.Interface, Method: req.Method, Status: status, Error: msg}
-	c = newCoder(encoding, buf, nil)
+	if binary.LittleEndian.Uint32(reqItem) == heldMarker {
+		reqItem = reqItem[HeldPrefixLen:]
+	}
+	iface, method, _ := headNames(reqItem)
+	it := BatchEvalItem{Interface: string(iface), Method: string(method), Status: status, Error: msg}
+	c := newCoder(encoding, buf, nil)
 	c.batchItem(&it, nil)
 	c.release()
 }
@@ -1152,6 +1217,17 @@ func (c *coder) item(off int) FrameItem {
 		it.Interface = c.data[off+4 : off+4+n]
 	}
 	return it
+}
+
+// headNames returns the names a walked request head begins with.
+func headNames(head []byte) (iface, method, mode []byte) {
+	next := func() []byte {
+		n := binary.LittleEndian.Uint32(head)
+		name := head[4 : 4+n]
+		head = head[4+n:]
+		return name
+	}
+	return next(), next(), next()
 }
 
 // walkRequest is evalRequest in walk mode, restated because the

@@ -15,7 +15,7 @@ import (
 // layout counters.Add reads it as: uint64 fields and nothing else. It is
 // an external test so that it can name the router's set.
 func TestCounterSetsAreWords(t *testing.T) {
-	for _, v := range []any{eisvc.NodeCounters{}, eisvc.DriftCounters{}, eisvc.Counters{},
+	for _, v := range []any{eisvc.NodeCounters{}, eisvc.DriftCounters{}, eisvc.AdmissionCounters{}, eisvc.Counters{},
 		fleet.RouterCounters{}, faultsim.Counters{}, core.ProgramStats{}} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {

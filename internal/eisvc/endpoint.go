@@ -155,22 +155,6 @@ func ReadBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
 	return false
 }
 
-// Read drains and decodes one request through a pooled buffer. A nil
-// return means the rejection (413 or 400) is already written.
-func (e *Endpoint[Req, Resp]) Read(w http.ResponseWriter, r *http.Request) *Req {
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	if !ReadBody(w, r, buf) {
-		return nil
-	}
-	req, err := e.Request.Decode(r.Header.Get("Content-Type"), buf.Bytes())
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return nil
-	}
-	return req
-}
-
 // Write answers 200 in the codec the caller's Accept asks for: binary
 // only when it names BinaryContentType — a substring match, so a
 // multi-valued Accept ("application/x-eisvc-bin, application/json")
@@ -236,21 +220,27 @@ var jsonContentTypes, binaryContentTypes = []string{jsonContentType}, []string{B
 // (binary when Client.Binary, offering the same in Accept), run the
 // retry/hedge engine, decode whatever codec came back. Evaluations and
 // memo probes are deterministic and touch nothing but caches, so every
-// entry retries and hedges. The payload buffer is deliberately NOT
-// pooled: an abandoned hedge or retry attempt's transport goroutine can
-// still be reading the request body after do returns, so recycling its
-// backing array would hand racing bytes to the next request. The GC
+// entry retries and hedges. The request goes as an exactly sized copy of a
+// pooled encoding, deliberately NOT pooled: an abandoned hedge or retry
+// attempt's transport goroutine can still be reading it after do returns,
+// and a batch's holds read the items they may hold out of it. The GC
 // collects it once the last reference drops.
 func (e *Endpoint[Req, Resp]) call(ctx context.Context, c *Client, req *Req) (*Resp, error) {
 	hop := Hop{ContentType: jsonContentType, Client: c.ID}
 	if c.Binary {
 		hop.ContentType, hop.Accept = BinaryContentType, BinaryContentType
 	}
-	var payload bytes.Buffer
-	if err := e.Request.Encode(&payload, hop.ContentType, req); err != nil {
+	scratch := GetBuffer()
+	err := e.Request.Encode(scratch, hop.ContentType, req)
+	payload := bytes.Clone(scratch.Bytes())
+	PutBuffer(scratch)
+	if b, ok := any(req).(*BatchEvalRequest); ok && b.holds != nil {
+		b.holds.frame = payload
+	}
+	if err != nil {
 		return nil, err
 	}
-	buf, answered, err := c.do(ctx, http.MethodPost, e.Path, payload.Bytes(), hop, true)
+	buf, answered, err := c.do(ctx, http.MethodPost, e.Path, payload, hop, true)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,9 @@ package eisvc
 const TestEIL = testEIL
 
 type (
-	NodeCounters  = nodeCounters
-	DriftCounters = driftCounters
+	NodeCounters      = nodeCounters
+	DriftCounters     = driftCounters
+	AdmissionCounters = admissionCounters
 )
 
 var (

@@ -309,7 +309,7 @@ func TestCacheLookupBounds(t *testing.T) {
 		}
 		srv := NewServer(Config{})
 		srv.memo.Put("big", d)
-		resp, err := srv.handleCacheLookup(nil, &CacheLookupRequest{Keys: []string{"big"}, Summary: true})
+		resp, err := srv.handleCacheLookup(nil, binaryFrame(&CacheLookupEndpoint.Request, &CacheLookupRequest{Keys: []string{"big"}, Summary: true}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -396,12 +396,57 @@ func TestMemoEntriesCarryTheirTag(t *testing.T) {
 		"peer":      "peer",
 		"restored":  "snapshot",
 	} {
-		w := srv.memo.wire(key)
+		w := wireOf(srv.memo, key)
 		if w == nil {
 			t.Fatalf("%s: no memo entry", kind)
 		}
 		if want := DistTag(w); w.tag != want {
 			t.Errorf("%s entry: tag %x, DistTag of its wire form %x", kind, w.tag, want)
 		}
+	}
+}
+
+// poolScribbler overwrites every buffer it can take from the codec's pool
+// once it has forwarded a request: what the pool's other users may do to a
+// buffer while the request is in flight.
+type poolScribbler struct{ next http.RoundTripper }
+
+func (p poolScribbler) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := p.next.RoundTrip(r)
+	var taken []*bytes.Buffer
+	for range 8 {
+		b := GetBuffer()
+		b.Write(bytes.Repeat([]byte{0xff}, 1<<16))
+		taken = append(taken, b)
+	}
+	for _, b := range taken {
+		PutBuffer(b)
+	}
+	return resp, err
+}
+
+// TestHeldSurvivesPoolReuse: the client encodes a batch into a pooled
+// buffer and sends a copy; what its holds keep of the items it sent is
+// read from that copy, so a pooled buffer reused while the batch is in
+// flight changes nothing: the second send of a warm batch comes back held.
+func TestHeldSurvivesPoolReuse(t *testing.T) {
+	srv := NewServer(Config{})
+	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient("http://loopback")
+	c.SetTransport(poolScribbler{NewLoopbackTransport(srv)})
+	reqs := make([]EvalRequest, 8)
+	for i := range reqs {
+		arg := core.Record(map[string]core.Value{"pixels": core.Num(float64(2048 + i)), "zeros": core.Num(0)})
+		reqs[i] = c.EvalRequestFor("ml_webservice", "handle", []core.Value{arg}, core.Expected())
+	}
+	for range 3 { // cold, warm (the answers are held), held
+		if _, err := c.EvalBatchCtx(context.Background(), reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held := c.Counters().Held; held != uint64(len(reqs)) {
+		t.Errorf("%d answers came back held, want %d", held, len(reqs))
 	}
 }

@@ -2,7 +2,6 @@ package eisvc
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,12 +51,12 @@ func (m *Memo) Get(key string) (energy.Dist, bool) {
 	return e.dist, ok
 }
 
-// wire returns the cached answer for key in its shared wire form (nil on a
-// miss): read-only, valid for as long as the caller holds it.
-func (m *Memo) wire(key string) *WireDist {
+// wireOf returns m's cached answer for key, a string or bytes, in its
+// shared wire form (nil on a miss): read-only, valid while the caller holds it.
+func wireOf[K string | []byte](m *Memo, key K) *WireDist {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, _ := m.store.Get(key)
+	e, _ := cache.Lookup(m.store, key)
 	return e.wire
 }
 
@@ -155,69 +154,33 @@ func KeyStack(key string) string {
 	return key
 }
 
-// memoKey canonicalizes one evaluation request. Two requests map to the
-// same key exactly when Interface.Eval is guaranteed to return the same
-// distribution for both:
-//
-//   - the interface version is part of the key, so re-registering or
-//     rebinding invalidates every older entry;
-//   - arguments and pinned ECVs canonicalize through core.Value.Key
-//     (pinned ECVs in sorted name order);
-//   - EnumLimit and Samples are normalized to their defaults first, so an
-//     explicit DefaultSamples and an omitted samples field collide;
-//   - Parallelism is NOT part of the key: the evaluation engine produces
-//     bit-identical distributions at every parallelism level, so answers
-//     are shared across clients that ask with different worker counts;
-//   - mode-irrelevant knobs are dropped (ModeFixed ignores seed, samples,
-//     and the enumeration limit; ModeMonteCarlo ignores the enumeration
-//     limit). The seed stays in the key for the enumeration modes because
-//     they fall back to Monte Carlo beyond EnumLimit.
-func memoKey(name string, version uint64, method string, args []core.Value, opts core.EvalOptions) string {
-	var buf [192]byte
-	return string(appendMemoKey(buf[:0], name, version, method, args, opts))
-}
-
-// appendMemoKey appends memoKey's bytes to dst, for a caller that builds
-// many keys in one buffer (a batch). Peers exchange these keys and
-// snapshots persist them: their bytes are a wire format.
-func appendMemoKey(dst []byte, name string, version uint64, method string, args []core.Value, opts core.EvalOptions) []byte {
-	samples := opts.Samples
+// appendKeyHead appends the head of a request's memo key, before what
+// evalBody keys. Two requests share a key exactly when Interface.Eval is
+// sure to return the same distribution for both; peers exchange keys and
+// snapshots persist them, so their bytes are a wire format. The version is
+// in it, so a mutation invalidates older entries; samples and the
+// enumeration limit normalise to their defaults; parallelism is left out
+// (answers are bit-identical at any value); knobs a mode ignores are
+// zeroed (fixed: seed, samples, limit; Monte Carlo: limit). The
+// enumeration modes keep the seed: past the limit they sample.
+func appendKeyHead(dst []byte, name string, version uint64, method []byte, mode core.Mode, samples, enumLimit int, seed int64) []byte {
 	if samples <= 0 {
 		samples = core.DefaultSamples
 	}
-	enumLimit := opts.EnumLimit
 	if enumLimit <= 0 {
 		enumLimit = core.DefaultEnumLimit
 	}
-	seed := opts.Seed
-	switch opts.Mode {
+	switch mode {
 	case core.ModeFixed:
 		samples, enumLimit, seed = 0, 0, 0
 	case core.ModeMonteCarlo:
 		enumLimit = 0
 	}
-
 	dst = append(append(dst, name...), '@')
 	dst = append(strconv.AppendUint(dst, version, 10), '|')
 	dst = append(append(dst, method...), "|m"...)
-	dst = append(strconv.AppendInt(dst, int64(opts.Mode), 10), "|s"...)
+	dst = append(strconv.AppendInt(dst, int64(mode), 10), "|s"...)
 	dst = append(strconv.AppendInt(dst, int64(samples), 10), "|l"...)
 	dst = append(strconv.AppendInt(dst, int64(enumLimit), 10), "|r"...)
-	dst = append(strconv.AppendInt(dst, seed, 10), "|A["...)
-	for _, a := range args {
-		dst = append(a.AppendKey(dst), ';')
-	}
-	dst = append(dst, "]|F{"...)
-	if len(opts.Fixed) > 0 {
-		names := make([]string, 0, len(opts.Fixed))
-		for qn := range opts.Fixed {
-			names = append(names, qn)
-		}
-		sort.Strings(names)
-		for _, qn := range names {
-			dst = append(append(dst, qn...), '=')
-			dst = append(opts.Fixed[qn].AppendKey(dst), ';')
-		}
-	}
-	return append(dst, '}')
+	return strconv.AppendInt(dst, seed, 10)
 }

@@ -122,17 +122,17 @@ func TestToWireIsACopyTheMemoIsNot(t *testing.T) {
 	}
 	m := NewMemo(4)
 	m.Put("k", d)
-	shared := m.wire("k")
+	shared := wireOf(m, "k")
 	if &shared.Support[0] != &xs[0] || &shared.Probs[0] != &ps[0] {
 		t.Fatal("the memo's wire form copied the vectors")
 	}
-	if again := m.wire("k"); again != shared {
+	if again := wireOf(m, "k"); again != shared {
 		t.Fatal("two hits on one entry got two wire forms")
 	}
 	if !sameWire(shared, &w) {
 		t.Fatalf("the memo's wire form %+v differs from ToWire's %+v", shared, w)
 	}
-	if m.wire("absent") != nil {
+	if wireOf(m, "absent") != nil {
 		t.Fatal("a miss returned a wire form")
 	}
 }

@@ -25,7 +25,9 @@ type Registry struct {
 	nextVer uint64
 }
 
+// regEntry is one registered interface; a mutation installs a new one.
 type regEntry struct {
+	name    string // as the registry holds it, for answers to share
 	iface   *core.Interface
 	source  string // EIL source; "" for native interfaces
 	version uint64
@@ -51,7 +53,7 @@ func (r *Registry) RegisterInterface(name string, iface *core.Interface) (uint64
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextVer++
-	r.entries[name] = &regEntry{iface: iface, version: r.nextVer, native: true}
+	r.entries[name] = &regEntry{name: name, iface: iface, version: r.nextVer, native: true}
 	return r.nextVer, nil
 }
 
@@ -103,6 +105,7 @@ func (r *Registry) RegisterSource(src string) ([]string, error) {
 	for _, id := range f.Interfaces {
 		r.nextVer++
 		r.entries[id.Name] = &regEntry{
+			name:    id.Name,
 			iface:   compiled[id.Name],
 			source:  src,
 			version: r.nextVer,
@@ -121,6 +124,13 @@ func (r *Registry) Get(name string) (*core.Interface, uint64, bool) {
 		return nil, 0, false
 	}
 	return e.iface, e.version, true
+}
+
+// lookup is Get for a name held as bytes, which it makes no string of.
+func (r *Registry) lookup(name []byte) *regEntry {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.entries[string(name)]
 }
 
 // Source returns the EIL source the named interface was registered from;
@@ -157,6 +167,7 @@ func (r *Registry) Rebind(name, path, target string) (uint64, error) {
 	}
 	r.nextVer++
 	r.entries[name] = &regEntry{
+		name:    name,
 		iface:   rebound,
 		source:  e.source,
 		version: r.nextVer,
@@ -231,6 +242,7 @@ func (r *Registry) ApplySnapshot(snap RegistrySnapshot) int {
 			continue
 		}
 		r.entries[e.Name] = &regEntry{
+			name:    e.Name,
 			iface:   e.Iface,
 			source:  e.Source,
 			version: e.Version,

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -296,13 +295,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// serve registers one endpoint-table entry on the mux: read (bounded,
-// decoded by Content-Type) → handle → write (encoded per Accept), a
-// handler error going out through evalStatus. A non-nil counter marks an
-// evaluation route and adds what all of those share: count the request,
-// note its resilience headers, pass the drain gate (503 once draining),
-// and record the latency of every answered request.
-func serve[Req, Resp any](s *Server, ep *Endpoint[Req, Resp], counter *uint64, handle func(*http.Request, *Req) (*Resp, error)) {
+// serve registers one endpoint-table entry on the mux: read (bounded, and
+// made a binary frame by Codec.Frame, re-encoding a JSON body; the frame
+// is pooled, so no answer may alias it) → handle → write (encoded per
+// Accept), an error going out through evalStatus. A non-nil counter marks
+// an evaluation route and adds what all of those share: count the
+// request, note its resilience headers, pass the drain gate (503 once
+// draining), and record the latency of every answered request.
+func serve[Req, Resp any](s *Server, ep *Endpoint[Req, Resp], counter *uint64, handle func(*http.Request, []byte) (*Resp, error)) {
 	s.mux.HandleFunc("POST "+ep.Path, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if counter != nil {
@@ -314,11 +314,17 @@ func serve[Req, Resp any](s *Server, ep *Endpoint[Req, Resp], counter *uint64, h
 			}
 			defer s.settle(-1)
 		}
-		req := ep.Read(w, r)
-		if req == nil {
+		body, scratch := GetBuffer(), GetBuffer()
+		defer func() { PutBuffer(body); PutBuffer(scratch) }()
+		if !ReadBody(w, r, body) {
 			return
 		}
-		resp, err := handle(r, req)
+		frame, err := ep.Request.Frame(scratch, r.Header.Get("Content-Type"), body.Bytes())
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		resp, err := handle(r, frame)
 		if err != nil {
 			writeEvalError(w, err)
 			return
@@ -501,7 +507,7 @@ func (s *Server) probePeers(ctx context.Context, lookup PeerLookup, keys []strin
 // followers too (they see context.Canceled as a 503 and may retry).
 func (s *Server) evalMiss(ctx, waitCtx context.Context, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions, probe *PeerLookup) (evalOutcome, error) {
 	out, coalesced, err := s.flight.Do(waitCtx, key, func() (evalOutcome, error) {
-		if w := s.memo.wire(key); w != nil {
+		if w := wireOf(s.memo, key); w != nil {
 			return evalOutcome{wire: w, memoHit: true}, nil
 		}
 		// Fleet peer forwarding: before paying for a local evaluation, ask
@@ -588,46 +594,94 @@ func writeEvalError(w http.ResponseWriter, err error) {
 	WriteError(w, evalStatus(err), "%v", err)
 }
 
-// checkEvalRequest validates caps, parses the mode and resolves the
-// interface; it returns those pieces or the rejection to answer with. The
-// arguments need nothing: req.Args is what the engine takes.
-func (s *Server) checkEvalRequest(req *EvalRequest) (iface *core.Interface, version uint64, opts core.EvalOptions, rej *rejection) {
-	if req.Samples > s.cfg.MaxSamples {
-		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest,
-			"samples %d exceeds server cap %d", req.Samples, s.cfg.MaxSamples)
-	}
-	if req.EnumLimit > maxEnumLimit {
-		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest,
-			"enum_limit %d exceeds server cap %d", req.EnumLimit, maxEnumLimit)
-	}
-	opts, err := evalOptions(req)
-	if err != nil {
-		return nil, 0, core.EvalOptions{}, reject(http.StatusBadRequest, "%v", err)
-	}
-	iface, version, ok := s.reg.Get(req.Interface)
-	if !ok {
-		return nil, 0, core.EvalOptions{}, reject(http.StatusNotFound, "no interface %q", req.Interface)
-	}
-	return iface, version, opts, nil
+// keyedItem is a request item as keyItem leaves it; a miss decodes its
+// body into args and opts.Fixed.
+type keyedItem struct {
+	name, method string // the registry's and the interface's own strings, unless rejected
+	rej          *rejection
+	entry        *regEntry
+	opts         core.EvalOptions
+	args         Args
+	deadlineMs   int
+	body         int // where its body starts in the frame
 }
 
-// evalOptions is req.Options with its parallelism clamped. Parallelism is
-// remote input that sizes a goroutine fan-out, and it is not in the memo
-// key: answers are bit-identical at any value. So an explicit one is
-// clamped to what 0 means, one worker per CPU.
-func evalOptions(req *EvalRequest) (core.EvalOptions, error) {
-	opts, err := req.Options()
-	if opts.Parallelism > 0 {
-		opts.Parallelism = min(opts.Parallelism, runtime.GOMAXPROCS(0))
+// keyItem walks the request item at c.off, keying, and checks its head on
+// the way: the samples and enumeration caps, the mode, and the stack,
+// looked up by its bytes. An item that passes has its memo key appended
+// to c.key; one that does not has k.rej set (and text that is no key).
+func (s *Server) keyItem(c *coder, k *keyedItem) {
+	var r EvalRequest // the head's fixed-width fields
+	head := c.off
+	if c.evalHead(&r); c.failed() {
+		return
 	}
-	return opts, err
+	iface, method, mode := headNames(c.data[head:c.off])
+	k.body, k.deadlineMs = c.off, r.DeadlineMs
+	m, err := parseMode(mode)
+	e := s.reg.lookup(iface)
+	switch {
+	case r.Samples > s.cfg.MaxSamples:
+		k.rej = reject(http.StatusBadRequest, "samples %d exceeds server cap %d", r.Samples, s.cfg.MaxSamples)
+	case r.EnumLimit > maxEnumLimit:
+		k.rej = reject(http.StatusBadRequest, "enum_limit %d exceeds server cap %d", r.EnumLimit, maxEnumLimit)
+	case err != nil:
+		k.rej = reject(http.StatusBadRequest, "%v", err)
+	case e == nil:
+		k.rej = reject(http.StatusNotFound, "no interface %q", iface)
+	default:
+		k.entry, k.name, k.method = e, e.name, e.iface.MethodName(method)
+		// Parallelism is remote input that sizes a goroutine fan-out, and it
+		// is not in the memo key: answers are bit-identical at any value. So
+		// an explicit one is clamped to what 0 means, one worker per CPU.
+		k.opts = core.EvalOptions{Mode: m, EnumLimit: r.EnumLimit, Samples: r.Samples, Seed: r.Seed, Parallelism: r.Parallelism}
+		if k.opts.Parallelism > 0 {
+			k.opts.Parallelism = min(k.opts.Parallelism, runtime.GOMAXPROCS(0))
+		}
+		c.key = appendKeyHead(c.key, e.name, e.version, method, m, r.Samples, r.EnumLimit, r.Seed)
+	}
+	if k.rej != nil {
+		k.name, k.method = string(iface), string(method)
+	}
+	c.evalBody(&r)
+}
+
+// parseMode is core.ParseMode for bytes; a canonical spelling is free.
+func parseMode(b []byte) (core.Mode, error) {
+	for _, m := range core.Modes {
+		if string(b) == m.String() {
+			return m, nil
+		}
+	}
+	return core.ParseMode(string(b))
+}
+
+// decodeBodies decodes the bodies of n keyed items of frame, item(j)'s,
+// the one decode a miss pays: as a batch decoder does, into one Args.
+func decodeBodies(frame []byte, n int, item func(int) *keyedItem) {
+	c := newCoder(decoding, nil, frame)
+	c.batch = true
+	for j := range n {
+		k, r := item(j), EvalRequest{}
+		c.off = k.body
+		c.evalBody(&r)
+		k.args, k.opts.Fixed = r.Args, r.Fixed
+	}
+	all := make(Args, len(c.vals))
+	copy(all, c.vals)
+	for j := range n {
+		if k := item(j); len(k.args) > 0 {
+			k.args, all = all[:len(k.args):len(k.args)], all[len(k.args):]
+		}
+	}
+	c.release()
 }
 
 // deadlineFor returns the queue-wait bound for a request. DeadlineMs <= 0
 // means the server default. One too long for a time.Duration saturates
 // rather than wrap negative (expired).
-func (s *Server) deadlineFor(req *EvalRequest) time.Duration {
-	if ms := time.Duration(req.DeadlineMs); ms > math.MaxInt64/time.Millisecond {
+func (s *Server) deadlineFor(deadlineMs int) time.Duration {
+	if ms := time.Duration(deadlineMs); ms > math.MaxInt64/time.Millisecond {
 		return math.MaxInt64
 	} else if ms > 0 {
 		return ms * time.Millisecond
@@ -635,35 +689,58 @@ func (s *Server) deadlineFor(req *EvalRequest) time.Duration {
 	return s.cfg.DefaultDeadline
 }
 
-func (s *Server) handleEval(r *http.Request, req *EvalRequest) (*EvalResponse, error) {
-	iface, version, opts, rej := s.checkEvalRequest(req)
-	if rej != nil {
-		return nil, rej
+// keyBufs holds the buffers requests build their memo keys in, apart from
+// bufPool's, which converge on the largest frame the process moves.
+// putKeys returns one, grown to key.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func putKeys(p *[]byte, key []byte) {
+	if cap(key) <= maxPooledBuf {
+		*p = key[:0]
+		keyBufs.Put(p)
 	}
-	key := memoKey(req.Interface, version, req.Method, req.Args, opts)
-	// The memo, and on a miss evalMiss with peer probing on, waiting at most
-	// the request's deadline for a flight or a worker slot. (A batch reads
-	// the memo and probes the fleet for all of its keys at once, and then
-	// enters at evalMiss.)
+}
+
+// handleEval keys the request off its bytes and answers a memo hit without
+// decoding it; a miss decodes its body and goes to evalMiss with peer
+// probing on, waiting at most the request's deadline for a flight or a
+// worker slot. (A batch probes for all of its misses at once.)
+func (s *Server) handleEval(r *http.Request, frame []byte) (*EvalResponse, error) {
+	keys := keyBufs.Get().(*[]byte)
+	c := newCoder(keying, nil, frame)
+	c.key = *keys
+	c.header(kindEvalRequest)
+	var k keyedItem
+	s.keyItem(c, &k)
+	c.done()
+	key := c.key
+	err := c.release()
+	defer putKeys(keys, key)
+	switch {
+	case err != nil:
+		return nil, reject(http.StatusBadRequest, "bad request body: %v", err)
+	case k.rej != nil:
+		return nil, k.rej
+	}
 	var out evalOutcome
-	if w := s.memo.wire(key); w != nil {
+	if w := wireOf(s.memo, key); w != nil {
 		out = evalOutcome{wire: w, memoHit: true}
 	} else {
-		waitCtx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req))
-		var err error
-		out, err = s.evalMiss(r.Context(), waitCtx, key, iface, req.Method, req.Args, opts, s.peerLookup.Load())
+		decodeBodies(frame, 1, func(int) *keyedItem { return &k })
+		waitCtx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(k.deadlineMs))
+		out, err = s.evalMiss(r.Context(), waitCtx, string(key), k.entry.iface, k.method, k.args, k.opts, s.peerLookup.Load())
 		cancel()
 		if err != nil {
 			return nil, err
 		}
 	}
 	w := out.wire
-	s.ledger.record(clientID(r), req.Interface, w.Mean, w.P99, w.Max, out.memoHit || out.coalesced)
+	s.ledger.record(clientID(r), k.name, w.Mean, w.P99, w.Max, out.memoHit || out.coalesced)
 	return &EvalResponse{
-		Interface: req.Interface,
-		Version:   version,
-		Method:    req.Method,
-		Mode:      opts.Mode.String(),
+		Interface: k.name,
+		Version:   k.entry.version,
+		Method:    k.method,
+		Mode:      k.opts.Mode.String(),
 		Dist:      *w, // the vectors stay the memo entry's: read-only
 		Cached:    out.memoHit,
 		Coalesced: out.coalesced,
@@ -672,124 +749,113 @@ func (s *Server) handleEval(r *http.Request, req *EvalRequest) (*EvalResponse, e
 	}, nil
 }
 
-// keyBufs holds the buffers batches build their memo keys in, apart from
-// bufPool's, which converge on the largest frame the process moves.
-var keyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // keySeed seeds the hashes a batch finds its duplicate keys by.
 var keySeed = maphash.MakeSeed()
 
 // handleEvalBatch evaluates a slice of requests in one round trip, in
-// three phases. (1) Every item is canonicalized, and items that
-// canonicalize to the same key are deduplicated — one answer serves all
-// of them — and the memo is read once per distinct key. (2) The keys the
-// memo did not hold go to the fleet hook together, once. (3) What neither
-// the memo nor a peer held evaluates on at most Workers goroutines, each
-// key under the normal singleflight and admission discipline (so a batch
-// cannot bypass the worker-slot and queue bounds, nor fill the queue and
-// shed itself; it can only stop paying for duplicates). Item failures are
-// per-item: a bad or shed item does not fail the batch.
-// The distinct keys are one string and its substrings; only a key the
-// memo missed is cloned, because only it outlives the batch (DESIGN §7).
-// A ref item (see itemRef) shares its referent's decoded request, key and
-// result without being checked or keyed again, and a request that carried
-// refs is answered with them: every item that rides on an earlier item's
-// entry answers as a ref to that item. A held item (see heldPrefix) whose
+// three phases. (1) Every item is keyed off its bytes (keyItem) into one
+// buffer, items with the same key are deduplicated, and the memo is read
+// once per distinct key; only its misses are decoded, and only their keys
+// become strings, as only they outlive the batch (DESIGN §7). (2) The
+// misses go to the fleet hook together, once. (3) What neither the memo
+// nor a peer held evaluates on at most Workers goroutines, each key under
+// the normal singleflight and admission discipline (so a batch can only
+// stop paying for duplicates). Item failures are per-item. A ref item (see
+// itemRef) shares its referent's key and result, and a request that
+// carried refs is answered with them; a held item (see heldPrefix) whose
 // answer is the 200 it was held against answers held, to a binary caller.
-func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*BatchEvalResponse, error) {
-	if len(req.Requests) == 0 {
-		return nil, reject(http.StatusBadRequest, "empty batch")
-	}
-	if len(req.Requests) > maxBatch {
-		return nil, reject(http.StatusBadRequest, "batch of %d exceeds server cap %d", len(req.Requests), maxBatch)
-	}
-	atomic.AddUint64(&s.counts.BatchItems, uint64(len(req.Requests)))
-
+func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalResponse, error) {
 	// results holds one entry per distinct key, in the order of the items
 	// that first name them; shared[i] is the index of the entry item i
 	// rides on — its own, or for a duplicate the one the key's first item
-	// made — and -1 for a rejected item. cold is what an entry the memo
-	// missed needs to evaluate; coldKeys[j] is cold[j]'s key.
+	// made — and -1 for a rejected item. cold lists the entries the memo
+	// missed; coldKeys[j] is cold[j]'s key.
 	type keyResult struct {
-		end   int             // where its key ends in the batch's keys
-		first int             // the item that first named it
-		iface *core.Interface // what it evaluates on
-		out   evalOutcome
-		err   error
+		start, end int // its key's range in the batch's keys
+		first      int // the item that first named it
+		k          keyedItem
+		out        evalOutcome
+		err        error
 	}
 	type coldKey struct {
 		result int
 		key    string
-		it     *EvalRequest
 		wait   context.Context // bounds its wait for a flight or a worker slot
 	}
-	items := make([]BatchEvalItem, len(req.Requests))
-	shared := make([]int, len(req.Requests))
-	results := make([]keyResult, 0, len(req.Requests))
-	byHash := make(map[uint64]int, len(req.Requests))
-	start := func(k int) int { // where entry k's key starts
-		if k == 0 {
-			return 0
-		}
-		return results[k-1].end
-	}
-	// A key is appended to keyBuf and, when an earlier item's key has the
-	// same bytes, cut off again: the buffer holds each distinct key once.
-	keyBuf := keyBufs.Get().(*bytes.Buffer)
-	for i := range req.Requests {
-		if req.refs != nil && req.refs[i] != i {
-			j := req.refs[i]
+	keyBuf := keyBufs.Get().(*[]byte)
+	c := newCoder(keying, nil, frame)
+	c.key = *keyBuf
+	c.header(kindBatchRequest)
+	var items []BatchEvalItem
+	batchItems(c, &items)
+	shared := make([]int, len(items))
+	results := make([]keyResult, 0, len(items))
+	byHash := make(map[uint64]int, len(items))
+	var held []uint64 // the tag each item's held prefix named, or 0; nil for none
+	refs := false
+	for i := 0; i < len(items) && !c.failed(); i++ {
+		if j := c.itemRef(i, i); j != i {
 			items[i], shared[i] = items[j], shared[j]
 			items[i].Deduped = shared[j] >= 0
+			refs = true
 			continue
 		}
-		it := &req.Requests[i]
-		items[i] = BatchEvalItem{Interface: it.Interface, Method: it.Method}
+		if tag := c.heldPrefix(); tag != 0 {
+			if held == nil {
+				held = make([]uint64, len(items))
+			}
+			held[i] = tag
+		}
+		var k keyedItem
+		start := len(c.key)
+		if s.keyItem(c, &k); c.failed() {
+			break
+		}
+		items[i] = BatchEvalItem{Interface: k.name, Method: k.method}
 		shared[i] = -1
-		iface, version, opts, rej := s.checkEvalRequest(it)
-		if rej != nil {
-			items[i].Status, items[i].Error = rej.status, rej.msg
+		if k.rej != nil {
+			items[i].Status, items[i].Error = k.rej.status, k.rej.msg
 			continue
 		}
-		items[i].Version = version
-		items[i].Mode = opts.Mode.String()
-		n := keyBuf.Len()
-		keyBuf.Write(appendMemoKey(keyBuf.AvailableBuffer(), it.Interface, version, it.Method, it.Args, opts))
-		key := keyBuf.Bytes()[n:]
+		items[i].Version = k.entry.version
+		items[i].Mode = k.opts.Mode.String()
+		key := c.key[start:]
 		h := maphash.Bytes(keySeed, key)
-		if k, ok := byHash[h]; ok && bytes.Equal(key, keyBuf.Bytes()[start(k):results[k].end]) {
-			keyBuf.Truncate(n)
+		if j, ok := byHash[h]; ok && bytes.Equal(key, c.key[results[j].start:results[j].end]) {
+			c.key = c.key[:start]
 			items[i].Deduped = true
-			shared[i] = k
+			shared[i] = j
 			continue
 		}
 		byHash[h] = len(results)
 		shared[i] = len(results)
-		results = append(results, keyResult{end: keyBuf.Len(), first: i, iface: iface})
+		results = append(results, keyResult{start: start, end: len(c.key), first: i, k: k})
 	}
-	keys := string(keyBuf.Bytes())
-	if keyBuf.Cap() <= maxPooledBuf {
-		keyBuf.Reset()
-		keyBufs.Put(keyBuf)
+	c.done()
+	keys := c.key
+	err := c.release()
+	defer putKeys(keyBuf, keys)
+	switch {
+	case err != nil:
+		return nil, reject(http.StatusBadRequest, "bad request body: %v", err)
+	case len(items) == 0:
+		return nil, reject(http.StatusBadRequest, "empty batch")
 	}
+	atomic.AddUint64(&s.counts.BatchItems, uint64(len(items)))
 
 	var cold []coldKey
 	var coldKeys []string
-	first := 0 // the entry whose first item comes next
-	for i, k := range shared {
-		if k != first {
-			continue // rejected, or a duplicate
-		}
-		first++
-		key := keys[start(k):results[k].end]
-		if w := s.memo.wire(key); w != nil {
-			results[k].out = evalOutcome{wire: w, memoHit: true}
+	for k := range results {
+		kr := &results[k]
+		if w := wireOf(s.memo, keys[kr.start:kr.end]); w != nil {
+			kr.out = evalOutcome{wire: w, memoHit: true}
 		} else {
-			key = strings.Clone(key)
-			cold = append(cold, coldKey{result: k, key: key, it: &req.Requests[i]})
+			key := string(keys[kr.start:kr.end])
+			cold = append(cold, coldKey{result: k, key: key})
 			coldKeys = append(coldKeys, key)
 		}
 	}
+	decodeBodies(frame, len(cold), func(j int) *keyedItem { return &results[cold[j].result].k })
 
 	var found []*WireDist // nil standalone: every cold key evaluates
 	if lookup := s.peerLookup.Load(); lookup != nil && len(cold) > 0 {
@@ -806,7 +872,7 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 			results[c.result].out = evalOutcome{wire: found[j], memoHit: true, peer: true}
 			continue
 		}
-		wait := s.deadlineFor(c.it)
+		wait := s.deadlineFor(results[c.result].k.deadlineMs)
 		if c.wait = waits[wait]; c.wait == nil {
 			var cancel context.CancelFunc
 			c.wait, cancel = context.WithTimeout(r.Context(), wait)
@@ -827,8 +893,7 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		for n := int(next.Add(1) - 1); n < len(todo); n = int(next.Add(1) - 1) {
 			c := &todo[n]
 			kr := &results[c.result]
-			opts, _ := evalOptions(c.it) // checked in phase (1)
-			kr.out, kr.err = s.evalMiss(r.Context(), c.wait, c.key, kr.iface, c.it.Method, c.it.Args, opts, nil)
+			kr.out, kr.err = s.evalMiss(r.Context(), c.wait, c.key, kr.k.entry.iface, kr.k.method, kr.k.args, kr.k.opts, nil)
 		}
 	}
 	var wg sync.WaitGroup
@@ -858,11 +923,11 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 		items[i].Cached = kr.out.memoHit
 		items[i].Coalesced = kr.out.coalesced
 		items[i].Peer = kr.out.peer
-		items[i].held = binary && req.held != nil && req.held[i] != 0 && w.tag == req.held[i]
+		items[i].held = binary && held != nil && held[i] != 0 && w.tag == held[i]
 		s.ledger.record(who, items[i].Interface, w.Mean, w.P99, w.Max,
 			kr.out.memoHit || kr.out.coalesced || items[i].Deduped)
 	}
-	if req.refs == nil {
+	if !refs {
 		return &BatchEvalResponse{Results: items}, nil
 	}
 	for i, k := range shared { // now the item each answer item repeats, or its own
@@ -884,11 +949,14 @@ func (s *Server) handleEvalBatch(r *http.Request, req *BatchEvalRequest) (*Batch
 // binary frame would pass MaxBodyBytes — the keys past that point answer
 // as misses, which is always a safe answer (the asker evaluates), and so
 // does the memo summary a probe may ask for (the asker probes again).
-func (s *Server) handleCacheLookup(_ *http.Request, req *CacheLookupRequest) (*CacheLookupResponse, error) {
-	if len(req.Keys) == 0 {
+func (s *Server) handleCacheLookup(_ *http.Request, frame []byte) (*CacheLookupResponse, error) {
+	req, err := CacheLookupEndpoint.Request.Decode(BinaryContentType, frame)
+	switch {
+	case err != nil:
+		return nil, reject(http.StatusBadRequest, "bad request body: %v", err)
+	case len(req.Keys) == 0:
 		return nil, reject(http.StatusBadRequest, "empty key list")
-	}
-	if len(req.Keys) > maxBatch {
+	case len(req.Keys) > maxBatch:
 		return nil, reject(http.StatusBadRequest, "probe of %d keys exceeds server cap %d", len(req.Keys), maxBatch)
 	}
 	for _, key := range req.Keys {
@@ -900,7 +968,7 @@ func (s *Server) handleCacheLookup(_ *http.Request, req *CacheLookupRequest) (*C
 	// Frame overhead: header, node, result count, a flag byte per key.
 	budget, hits := MaxBodyBytes-(13+len(s.cfg.NodeID)+len(req.Keys)), 0
 	for i, key := range req.Keys {
-		w := s.memo.wire(key)
+		w := wireOf(s.memo, key)
 		if w == nil {
 			continue
 		}
@@ -935,7 +1003,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	counters.Add(&resp.nodeCounters, &s.counts)
 	resp.ProgramStats = core.ReadProgramStats()
 	resp.MemoHits, resp.MemoMisses, resp.MemoEvictions, resp.MemoLen = s.memo.Stats()
-	resp.ShedQueueFull, resp.ShedDeadline = s.adm.sheds()
+	adm := s.adm.read()
+	resp.ShedQueueFull, resp.ShedDeadline = adm.ShedQueueFull, adm.ShedDeadline
 	resp.QueueDepth, resp.PeakQueue = s.adm.depth()
 	resp.Clients, resp.ByIface = s.ledger.Snapshot()
 	resp.AttribJ, resp.AttribP99J = attributed(resp.Clients)

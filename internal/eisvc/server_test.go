@@ -515,12 +515,15 @@ func TestParallelismClamped(t *testing.T) {
 	mc := core.MonteCarlo(1<<16, 3)
 	mc.Parallelism = 1 << 20
 	req := c.EvalRequestFor("ml_webservice", "handle", []core.Value{reqArg()}, mc)
-	_, _, opts, rej := srv.checkEvalRequest(&req)
-	if rej != nil {
-		t.Fatal(rej)
+	kc := newCoder(keying, nil, binaryFrame(&EvalEndpoint.Request, &req))
+	kc.header(kindEvalRequest)
+	var k keyedItem
+	srv.keyItem(kc, &k)
+	if err := kc.release(); err != nil || k.rej != nil {
+		t.Fatal(err, k.rej)
 	}
-	if opts.Parallelism != runtime.GOMAXPROCS(0) {
-		t.Fatalf("parallelism %d came back as %d, want GOMAXPROCS %d", mc.Parallelism, opts.Parallelism, runtime.GOMAXPROCS(0))
+	if opts := k.opts; opts.Parallelism != runtime.GOMAXPROCS(0) {
+		t.Fatalf("parallelism %d came back as %d, want GOMAXPROCS %d", mc.Parallelism, k.opts.Parallelism, runtime.GOMAXPROCS(0))
 	}
 
 	_, huge, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", []core.Value{reqArg()}, mc)

@@ -543,24 +543,6 @@ func valueFromJSON(r any, depth int) (v core.Value, err error) {
 	return v, err
 }
 
-// Options converts the request into core.EvalOptions. The mode string is
-// parsed with core.ParseMode, so the wire accepts exactly the spellings
-// Mode.String emits.
-func (req *EvalRequest) Options() (core.EvalOptions, error) {
-	mode, err := core.ParseMode(req.Mode)
-	if err != nil {
-		return core.EvalOptions{}, err
-	}
-	return core.EvalOptions{
-		Mode:        mode,
-		Fixed:       req.Fixed,
-		EnumLimit:   req.EnumLimit,
-		Samples:     req.Samples,
-		Seed:        req.Seed,
-		Parallelism: req.Parallelism,
-	}, nil
-}
-
 // infoFor builds the listing entry for a bound interface.
 func infoFor(name string, version uint64, iface *core.Interface, native bool) InterfaceInfo {
 	info := InterfaceInfo{

@@ -327,15 +327,27 @@ func (r *E13Result) drainProbe() error {
 	heavyOpts.Parallelism = 1
 
 	inflight := make(chan error, 1)
-	go func() {
+	send := func() {
 		c := eisvc.NewClient(base)
 		c.ID = "drain-inflight"
 		c.Timeout = -1 // must complete however slow the machine; the probe waits
 		_, _, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", e11Request(0), heavyOpts)
 		inflight <- err
-	}()
-	for srv.InFlight() == 0 { // the evaluation is admitted
-		time.Sleep(time.Millisecond)
+	}
+	go send()
+	// Wait until the evaluation is admitted. It can be admitted and done
+	// between two polls (at GOMAXPROCS=1 the poller may not run until it
+	// ends), and then it is sent again: the drain needs work in flight.
+	for srv.InFlight() == 0 {
+		select {
+		case err := <-inflight:
+			if err != nil {
+				return fmt.Errorf("drain probe: evaluation failed before the drain: %w", err)
+			}
+			go send()
+		default:
+			time.Sleep(time.Millisecond)
+		}
 	}
 	srv.BeginDrain()
 
