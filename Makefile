@@ -64,7 +64,9 @@ race:
 # ordering, kill and partition
 # traces, TestHopAllocs: the exact allocations of one warm hop, direct
 # and routed, and TestRoutedBatchAllocs: those of one routed 256-item
-# batch whose new keys every peer's summary rules out), and the eisvc
+# batch whose new keys every peer's summary rules out, and
+# TestRoutedBatchRetainsNothing: a heap that 400 routed batches must not
+# grow by more than their new keys), and the eisvc
 # tests that depend on the runtime's mood —
 # exact allocation counts (a warm batch, every frame kind, a batch's
 # arguments at 64 and 256 items), a heap that 400 batches must not grow
@@ -75,19 +77,22 @@ race:
 # store's insert allocates nothing), the allocations of a cold evaluation,
 # and the tests that run eid and efleet as child processes (ports, signals
 # and snapshot files are where process flakes live). A flake shows up
-# here as a red step, not as one red run in six. The two counted batch
-# tests run once more with the GC off, where their counts are exact or
-# within one (a warm batch whose repeats cross as refs and whose
-# distinct items come back held, and a routed batch with no refs whose
-# warm items come back held; each also sent from a client that holds
-# nothing, answered in full).
+# here as a red step, not as one red run in six. The byte pins run once
+# more with the GC off from the process's start: the two counted batch
+# tests, which count each batch's allocations and bytes allocated
+# (runtime.MemStats.TotalAlloc) with the GC off in any case, so their
+# counts are exact or within one (a warm batch whose repeats cross as
+# refs and whose distinct items come back held, and a routed batch with
+# no refs whose warm items come back held; each also sent from a client
+# that holds nothing, answered in full), and the bytes a client
+# allocates to send a 20 KB body through NewTransport (no copy buffer).
 test-repeat:
 	$(GO) test -count=10 -run 'TestExperiments/^E1[1-7]$$' ./internal/experiments
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'TestExperiments/^(E11|E12|E13|E17)$$' ./internal/experiments
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestExperiments/^E16$$' ./internal/experiments
 	$(GO) test -count=5 ./internal/fleet
 	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestBatchArgsDecodeOnce|TestBatchRetainsOnlyColdKeys|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged|TestBatchDoesNotShedItself|TestClientContextError' ./internal/eisvc
-	GOGC=off $(GO) test -count=3 -run 'TestWarmBatchAllocs|TestRoutedBatchAllocs' ./internal/eisvc ./internal/fleet
+	GOGC=off $(GO) test -count=3 -run 'TestWarmBatchAllocs|TestRoutedBatchAllocs|TestTransportCopiesNoBody' ./internal/eisvc ./internal/fleet
 	$(GO) test -count=5 ./internal/cache
 	$(GO) test -count=5 -run TestColdEvalAllocs .
 	$(GO) test -count=3 -run 'Process|Recal' ./cmd/eid ./cmd/efleet

@@ -183,16 +183,23 @@ const DefaultMaxIdleConnsPerHost = 64
 // TransportTuning is NewTransport's argument; every transport is tuned alike.
 type TransportTuning struct{}
 
+// writeBufferSize is each connection's write buffer, which a batch frame
+// goes out of: past net/http's 4 KiB default, a body of known length went
+// to the connection's ReadFrom, which allocates a copy buffer per request.
+const writeBufferSize = 64 << 10
+
 // NewTransport builds the fleet's *http.Transport, cloned from
 // http.DefaultTransport so proxy/dialer defaults are preserved:
 // DefaultMaxIdleConnsPerHost idle conns per daemon, room for 16 daemons'
 // worth before global eviction (the stock global limit of 100 would cap a
-// router talking to N nodes), and gzip off (see Hop).
+// router talking to N nodes), gzip off (see Hop), and a write buffer that
+// holds a batch frame (writeBufferSize).
 func NewTransport(TransportTuning) *http.Transport {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.DisableCompression = true
 	tr.MaxIdleConnsPerHost = DefaultMaxIdleConnsPerHost
 	tr.MaxIdleConns = 16 * DefaultMaxIdleConnsPerHost
+	tr.WriteBufferSize = writeBufferSize
 	return tr
 }
 

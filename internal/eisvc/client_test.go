@@ -272,7 +272,7 @@ func (f *frameCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	items, err := WalkBatchEvalRequest(body)
+	items, err := WalkBatchEvalRequest(nil, body)
 	if err != nil {
 		return nil, err
 	}

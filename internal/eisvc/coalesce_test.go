@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -284,10 +285,28 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 	}
 }
 
-// TestWarmBatchAllocs pins the all-hit batch path as a count. 256 items
-// over 64 distinct warm keys, binary, through the loopback transport
-// (client encode and decode included). Measured 44 allocations, 0.17 an
-// item (43 with the GC off); the bound leaves 3% and one for toolchain
+// countPerRun is testing.AllocsPerRun that counts bytes too, with the GC
+// off: the mean allocations and bytes (runtime.MemStats.TotalAlloc) of runs
+// calls of f after one warm-up call. No pool is emptied mid-count, so both
+// figures are exact.
+func countPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestWarmBatchAllocs pins the all-hit batch path as a count, of
+// allocations and of bytes, with the GC off (countPerRun). 256 items over
+// 64 distinct warm keys, binary, through the loopback transport (client
+// encode and decode included). Measured 39 allocations, 0.15 an item, and
+// 104,048 bytes; the bounds leave 3%, and one allocation for toolchain
 // drift.
 // What the figure holds in place, each of which alone breaks it: the
 // handler reads each distinct key's memo entry inline and starts no
@@ -314,17 +333,23 @@ func TestBatchDoesNotShedItself(t *testing.T) {
 // decoding it — the record's map, two allocations an item, was most of
 // what was left (190 → 52); and the client encodes its request into a
 // pooled buffer and sends one exactly sized copy, where the frame used to
-// grow by doubling (52 → 44). Nothing is left per distinct item.
+// grow by doubling (52 → 44; 43 with the GC off, which every figure from
+// here on is); and the node finds its duplicate keys in a pooled map and
+// keeps per distinct key only its key's range, first item and outcome,
+// while the client keeps a WireDist slot only for an answer that carries
+// a distribution — none, here (43 → 39, 181,784 → 104,048 bytes). Nothing
+// is left per distinct item.
 //
 // The test then counts the full-answer path too, which JSON clients and
 // the first warm repeat of each item still take: the same batch from a
 // client whose held answers are dropped before each run. It measured 380:
 // the 249 of the path before held answers, plus two allocations for each
 // of the 64 answers the client then holds (its heldAnswer and the item's
-// bytes), plus 3; then 233, by the same two cuts as the held path. The
-// bound leaves 3%.
+// bytes), plus 3; then 233, by the same two cuts as the held path, and
+// 230 (203,416 → 132,208 bytes) by the last. The bounds leave 3%.
 func TestWarmBatchAllocs(t *testing.T) {
-	const items, distinct, bound, fullBound = 256, 64, 46, 240
+	const items, distinct, bound, fullBound = 256, 64, 41, 237
+	const byteBound, fullByteBound = 107_200, 136_200
 	srv := NewServer(Config{})
 	if _, err := srv.Registry().RegisterSource(testEIL); err != nil {
 		t.Fatal(err)
@@ -340,7 +365,7 @@ func TestWarmBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := atomic.LoadUint64(&srv.counts.Evaluations)
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs, bytes := countPerRun(20, func() {
 		got, err := c.EvalBatchCtx(context.Background(), reqs)
 		if err != nil || len(got) != items || !got[items-1].Cached {
 			t.Fatalf("warm batch: %d items, err %v", len(got), err)
@@ -354,14 +379,14 @@ func TestWarmBatchAllocs(t *testing.T) {
 	if held := c.Counters().Held; held != 20*distinct {
 		t.Errorf("%d answers came back held, want %d", held, 20*distinct)
 	}
-	t.Logf("warm %d-item batch over %d keys: %.0f allocs", items, distinct, allocs)
-	if allocs > bound && !raceEnabled {
-		t.Errorf("warm batch made %.0f allocations, want <= %d", allocs, bound)
+	t.Logf("warm %d-item batch over %d keys: %.0f allocs, %.0f bytes", items, distinct, allocs, bytes)
+	if (allocs > bound || bytes > byteBound) && !raceEnabled {
+		t.Errorf("warm batch made %.0f allocations of %.0f bytes, want <= %d and %d", allocs, bytes, bound, byteBound)
 	}
 
 	// The same batch from a client that holds nothing — its store emptied
 	// before each run — gets every distinct answer in full and holds it.
-	full := testing.AllocsPerRun(20, func() {
+	full, fullBytes := countPerRun(20, func() {
 		c.held.Purge()
 		if got, err := c.EvalBatchCtx(context.Background(), reqs); err != nil || got[0].Dist == nil {
 			t.Fatalf("warm batch in full: err %v", err)
@@ -370,9 +395,9 @@ func TestWarmBatchAllocs(t *testing.T) {
 	if held := c.Counters().Held; held != 20*distinct {
 		t.Errorf("%d answers came back held to a client holding nothing", held-20*distinct)
 	}
-	t.Logf("the same, answered in full: %.0f allocs", full)
-	if full > fullBound && !raceEnabled {
-		t.Errorf("warm batch answered in full made %.0f allocations, want <= %d", full, fullBound)
+	t.Logf("the same, answered in full: %.0f allocs, %.0f bytes", full, fullBytes)
+	if (full > fullBound || fullBytes > fullByteBound) && !raceEnabled {
+		t.Errorf("warm batch answered in full made %.0f allocations of %.0f bytes, want <= %d and %d", full, fullBytes, fullBound, fullByteBound)
 	}
 }
 

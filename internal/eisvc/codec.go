@@ -150,6 +150,8 @@ type coder struct {
 	// endItem).
 	refs []int
 	seen map[uint64]span
+	// dists holds a batch answer's distributions until their count is known.
+	dists []WireDist
 	// key, keying, is where the memo key is appended; the caller owns it.
 	key []byte
 }
@@ -180,11 +182,12 @@ func (c *coder) release() error {
 	clear(c.names)
 	clear(c.vals)
 	clear(c.seen)
-	vals, refs := c.vals[:0], c.refs[:0]
+	clear(c.dists)
+	vals, refs, dists := c.vals[:0], c.refs[:0], c.dists[:0]
 	if cap(vals) > maxPooledVals {
 		vals = nil
 	}
-	*c = coder{names: c.names, vals: vals, refs: refs, seen: c.seen}
+	*c = coder{names: c.names, vals: vals, refs: refs, seen: c.seen, dists: dists}
 	coderPool.Put(c)
 	return err
 }
@@ -863,8 +866,8 @@ func batchItems[T any](c *coder, s *[]T) []T {
 		c.fail("batch of %d items exceeds %d", n, maxBatch)
 		n = 0
 	}
-	if c.mode != encoding && n > 0 {
-		*s = make([]T, n)
+	if c.mode != encoding {
+		*s = slices.Grow((*s)[:0], n)[:n] // a walker's destination may have room
 	}
 	return *s
 }
@@ -934,11 +937,14 @@ func (c *coder) batchItem(it *BatchEvalItem, dist *WireDist) (hasDist bool) {
 	return hasDist
 }
 
-// batchResponse decodes the items' WireDist structs into one array: a
-// caller that keeps one item's Dist pointer keeps 96 bytes an item of the
-// batch. The float vectors are not pooled the same way — one backing
-// array would let a single kept answer pin every vector of its batch
-// (≈ 450 KB for 256 items) — so each answer's pair is its own allocation.
+// batchResponse decodes the WireDist structs of the items that carry one
+// into one exactly sized array, a ref or held item taking no slot: a
+// caller that keeps one item's Dist pointer keeps 96 bytes for each
+// answer of the batch that carried a distribution. They are decoded into
+// the coder's scratch first, as their count is known only at the end. The
+// float vectors are not pooled the same way — one backing array would let
+// a single kept answer pin every vector of its batch (≈ 450 KB for 256
+// items) — so each answer's pair is its own allocation.
 //
 // An answer ref decodes to a copy of the item it repeats, flagged Deduped,
 // whose Dist is the same pointer. A held item has no Dist; r.refs then
@@ -946,10 +952,7 @@ func (c *coder) batchItem(it *BatchEvalItem, dist *WireDist) (hasDist bool) {
 func (c *coder) batchResponse(r *BatchEvalResponse) {
 	c.batch = true
 	items := batchItems(c, &r.Results)
-	var dists []WireDist
-	if c.mode == decoding {
-		dists = make([]WireDist, len(items))
-	}
+	var dist WireDist
 	for i := range items {
 		to := i
 		if r.refs != nil {
@@ -962,15 +965,25 @@ func (c *coder) batchResponse(r *BatchEvalResponse) {
 			}
 			continue
 		}
-		dist := items[i].Dist
-		if dists != nil {
-			dist = &dists[i]
-		}
-		if c.batchItem(&items[i], dist) && dists != nil {
-			items[i].Dist = dist
+		if c.mode != decoding {
+			c.batchItem(&items[i], items[i].Dist)
+		} else if c.batchItem(&items[i], &dist) {
+			c.dists = append(c.dists, dist)
+			items[i].Dist, dist = &c.dists[len(c.dists)-1], WireDist{} // set only to say it has one
 		}
 	}
-	if dists != nil && slices.ContainsFunc(items, func(it BatchEvalItem) bool { return it.held }) {
+	if c.mode != decoding {
+		return
+	}
+	dists := slices.Clone(c.dists)
+	for i := range items {
+		if j := c.refs[i]; j != i {
+			items[i].Dist = items[j].Dist
+		} else if items[i].Dist != nil {
+			items[i].Dist, dists = &dists[0], dists[1:]
+		}
+	}
+	if slices.ContainsFunc(items, func(it BatchEvalItem) bool { return it.held }) {
 		r.refs = slices.Clone(c.refs)
 	}
 }
@@ -1266,11 +1279,11 @@ func (c *coder) walkAnswer() FrameItem {
 	return c.item(off)
 }
 
-// walkBatch walks a frame of the given batch kind.
-func walkBatch(frame []byte, kind byte, item func(*coder) FrameItem) ([]FrameItem, error) {
+// walkBatch walks a frame of the given batch kind into items, reusing its
+// array if it has room.
+func walkBatch(items []FrameItem, frame []byte, kind byte, item func(*coder) FrameItem) ([]FrameItem, error) {
 	c := newCoder(walking, nil, frame)
 	c.header(kind)
-	var items []FrameItem
 	batchItems(c, &items)
 	for i := 0; i < len(items) && !c.failed(); i++ {
 		off := c.off
@@ -1298,18 +1311,19 @@ func WalkEvalRequest(frame []byte) (FrameItem, error) {
 	return it, c.release()
 }
 
-// WalkBatchEvalRequest walks a binary batch-request frame: one FrameItem
-// per request, in order. The ranges tile the frame after its
+// WalkBatchEvalRequest walks a binary batch-request frame into items (nil,
+// or an array to reuse): one FrameItem per request, in order. The ranges
+// tile the frame after its
 // BatchHeaderLen-byte head, and any of them, concatenated in any order
 // after BeginBatchEvalRequest, are the frame of that batch — with each
 // ref rewritten (AppendBatchRef) to where its item now sits, which must be
 // before it.
-func WalkBatchEvalRequest(frame []byte) ([]FrameItem, error) {
-	return walkBatch(frame, kindBatchRequest, (*coder).walkRequest)
+func WalkBatchEvalRequest(items []FrameItem, frame []byte) ([]FrameItem, error) {
+	return walkBatch(items, frame, kindBatchRequest, (*coder).walkRequest)
 }
 
 // WalkBatchEvalResponse is WalkBatchEvalRequest for the answer frame
 // (Begin with BeginBatchEvalResponse; Spread is zero).
-func WalkBatchEvalResponse(frame []byte) ([]FrameItem, error) {
-	return walkBatch(frame, kindBatchResponse, (*coder).walkAnswer)
+func WalkBatchEvalResponse(items []FrameItem, frame []byte) ([]FrameItem, error) {
+	return walkBatch(items, frame, kindBatchResponse, (*coder).walkAnswer)
 }

@@ -1,9 +1,11 @@
 package eisvc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -456,7 +458,8 @@ func TestNodeHeader(t *testing.T) {
 
 // TestTransportTuning: every client NewClient makes shares one transport,
 // tuned the fleet's way: the per-host idle-conn cap that throttles fleet
-// fan-out lifted, room for 16 daemons' worth of idle conns, and gzip off.
+// fan-out lifted, room for 16 daemons' worth of idle conns, gzip off, and
+// a write buffer a batch frame fits in.
 func TestTransportTuning(t *testing.T) {
 	a, b := NewClient("http://127.0.0.1:1"), NewClient("http://127.0.0.1:2")
 	tr, ok := a.rt.(*http.Transport)
@@ -464,9 +467,76 @@ func TestTransportTuning(t *testing.T) {
 		t.Fatalf("NewClient installed %T, %T; want the one shared *http.Transport", a.rt, b.rt)
 	}
 	for _, tr := range []*http.Transport{tr, NewTransport(TransportTuning{})} {
-		if tr.MaxIdleConnsPerHost != DefaultMaxIdleConnsPerHost || tr.MaxIdleConns != 16*DefaultMaxIdleConnsPerHost || !tr.DisableCompression {
-			t.Errorf("transport: %d idle conns per host, %d in all, gzip off %v; want %d, %d, true",
-				tr.MaxIdleConnsPerHost, tr.MaxIdleConns, tr.DisableCompression, DefaultMaxIdleConnsPerHost, 16*DefaultMaxIdleConnsPerHost)
+		if tr.MaxIdleConnsPerHost != DefaultMaxIdleConnsPerHost || tr.MaxIdleConns != 16*DefaultMaxIdleConnsPerHost || !tr.DisableCompression || tr.WriteBufferSize != writeBufferSize {
+			t.Errorf("transport: %d idle conns per host, %d in all, gzip off %v, a %d-byte write buffer; want %d, %d, true, %d",
+				tr.MaxIdleConnsPerHost, tr.MaxIdleConns, tr.DisableCompression, tr.WriteBufferSize, DefaultMaxIdleConnsPerHost, 16*DefaultMaxIdleConnsPerHost, writeBufferSize)
 		}
+	}
+}
+
+// TestTransportCopiesNoBody: a request body of a sub-batch's size goes out
+// of the connection's write buffer, not through a copy buffer. With
+// net/http's 4 KiB default, a body of known length past it went to the
+// connection's ReadFrom once the first 4 KiB were flushed, which allocates
+// a buffer of what is left (here ≈ 16 KiB) for each request: 21 KB a
+// round trip in all, 3 KB without it. The server is a bare loopback
+// listener that answers every request with a canned 200 out of one
+// buffer, allocating nothing per request, so the bytes counted are the
+// client's; they must stay under half the body's size.
+func TestTransportCopiesNoBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const size = 20 << 10
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go answerCanned(conn, size)
+		}
+	}()
+	tr := NewTransport(TransportTuning{})
+	defer tr.CloseIdleConnections()
+	body, url := bytes.Repeat([]byte{'x'}, size), "http://"+ln.Addr().String()+"/"
+	_, perTrip := countPerRun(50, func() {
+		resp, err := Hop{}.Send(context.Background(), tr, http.MethodPost, url, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	})
+	t.Logf("a %d-byte body: the client allocated %.0f bytes a round trip", size, perTrip)
+	if perTrip >= size/2 {
+		t.Errorf("the client allocated %.0f bytes a round trip, want < %d, half the body's size", perTrip, size/2)
+	}
+}
+
+// answerCanned reads requests of a size-byte body off conn and answers each
+// with an empty 200, until conn closes.
+func answerCanned(conn net.Conn, size int) {
+	defer conn.Close()
+	buf, n := make([]byte, 4*size), 0
+	ok := []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+	for {
+		head := bytes.Index(buf[:n], []byte("\r\n\r\n"))
+		if end := head + 4 + size; head >= 0 && n >= end {
+			if _, err := conn.Write(ok); err != nil {
+				return
+			}
+			n = copy(buf, buf[end:n])
+			continue
+		}
+		m, err := conn.Read(buf[n:])
+		if err != nil {
+			return
+		}
+		n += m
 	}
 }

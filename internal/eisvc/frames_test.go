@@ -44,8 +44,8 @@ func frameKinds() []frameKind {
 		Memo:   []MemoEntry{{Key: "k", Support: oddFloats[3:], Probs: []float64{1, 0, 0, 0}}},
 		Layer:  []LayerEntry{{Key: "lk", Joules: math.Inf(1)}},
 	}
-	walker := func(walk func([]byte) ([]FrameItem, error)) func([]byte) error {
-		return func(frame []byte) error { _, err := walk(frame); return err }
+	walker := func(walk func([]FrameItem, []byte) ([]FrameItem, error)) func([]byte) error {
+		return func(frame []byte) error { _, err := walk(nil, frame); return err }
 	}
 	kinds := []frameKind{
 		codecKind("eval request", &EvalEndpoint.Request, testEvalRequest()),
@@ -146,7 +146,7 @@ func TestFramesUnchanged(t *testing.T) {
 	}
 	// The answer item the router appends for a request nobody answered.
 	batch := binaryFrame(&EvalBatchEndpoint.Request, walkBatchRequests())
-	items, err := WalkBatchEvalRequest(batch)
+	items, err := WalkBatchEvalRequest(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestFramesUnchanged(t *testing.T) {
 	breq, bresp := wideBatch()
 	reqFrame := mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, breq) })
 	respFrame := mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalResponse(b, bresp) })
-	reqItems, err := WalkBatchEvalRequest(reqFrame)
+	reqItems, err := WalkBatchEvalRequest(nil, reqFrame)
 	if err != nil || len(reqItems) != 256 {
 		t.Fatalf("wide request batch: %d items, err %v", len(reqItems), err)
 	}
-	respItems, err := WalkBatchEvalResponse(respFrame)
+	respItems, err := WalkBatchEvalResponse(nil, respFrame)
 	if err != nil || len(respItems) != 256 {
 		t.Fatalf("wide answer batch: %d items, err %v", len(respItems), err)
 	}

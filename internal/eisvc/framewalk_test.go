@@ -262,7 +262,7 @@ func FuzzFrameWalk(f *testing.F) {
 		if decErr == nil {
 			// One item under a batch head is the one-item batch.
 			batch := spliced(BeginBatchEvalRequest, data, []FrameItem{it}, []int{0})
-			items, err := WalkBatchEvalRequest(batch)
+			items, err := WalkBatchEvalRequest(nil, batch)
 			if err != nil {
 				t.Fatalf("eval request under a batch head does not walk: %v", err)
 			}
@@ -270,7 +270,7 @@ func FuzzFrameWalk(f *testing.F) {
 		}
 
 		breq, decErr := DecodeBatchEvalRequest(data)
-		items, walkErr := WalkBatchEvalRequest(data)
+		items, walkErr := WalkBatchEvalRequest(nil, data)
 		if (decErr == nil) != (walkErr == nil) {
 			t.Fatalf("batch request: decoder says %v, walker says %v", decErr, walkErr)
 		}
@@ -279,7 +279,7 @@ func FuzzFrameWalk(f *testing.F) {
 		}
 
 		bresp, decErr := DecodeBatchEvalResponse(data)
-		items, walkErr = WalkBatchEvalResponse(data)
+		items, walkErr = WalkBatchEvalResponse(nil, data)
 		if (decErr == nil) != (walkErr == nil) {
 			t.Fatalf("batch response: decoder says %v, walker says %v", decErr, walkErr)
 		}
@@ -296,12 +296,12 @@ func TestFrameWalkTruncation(t *testing.T) {
 	reqFrame := mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, walkBatchRequests()) })
 	respFrame := mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalResponse(b, walkBatchResults()) })
 	for n := 0; n < len(reqFrame); n++ {
-		if _, err := WalkBatchEvalRequest(reqFrame[:n:n]); err == nil {
+		if _, err := WalkBatchEvalRequest(nil, reqFrame[:n:n]); err == nil {
 			t.Fatalf("request frame cut to %d/%d bytes walked without error", n, len(reqFrame))
 		}
 	}
 	for n := 0; n < len(respFrame); n++ {
-		if _, err := WalkBatchEvalResponse(respFrame[:n:n]); err == nil {
+		if _, err := WalkBatchEvalResponse(nil, respFrame[:n:n]); err == nil {
 			t.Fatalf("answer frame cut to %d/%d bytes walked without error", n, len(respFrame))
 		}
 	}
@@ -309,13 +309,13 @@ func TestFrameWalkTruncation(t *testing.T) {
 		append(append([]byte{}, reqFrame...), 0), // trailing byte
 		respFrame,                                // the other kind
 	} {
-		if _, err := WalkBatchEvalRequest(bad); err == nil {
+		if _, err := WalkBatchEvalRequest(nil, bad); err == nil {
 			t.Fatal("malformed request frame walked without error")
 		}
 	}
 	// A count the frame cannot hold is refused before anything is sized by it.
 	huge := mustEncode(t, func(b *bytes.Buffer) error { BeginBatchEvalRequest(b, math.MaxUint32); return nil })
-	if _, err := WalkBatchEvalRequest(huge); err == nil {
+	if _, err := WalkBatchEvalRequest(nil, huge); err == nil {
 		t.Fatal("a 4-billion-item count over an empty frame walked without error")
 	}
 	// Nesting is bounded where the decoder bounds it.
@@ -339,7 +339,7 @@ func TestFrameWalkTruncation(t *testing.T) {
 func TestFrameWalkMatchesDecoder(t *testing.T) {
 	breq := walkBatchRequests()
 	frame := mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalRequest(b, breq) })
-	items, err := WalkBatchEvalRequest(frame)
+	items, err := WalkBatchEvalRequest(nil, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestFrameWalkMatchesDecoder(t *testing.T) {
 
 	bresp := walkBatchResults()
 	frame = mustEncode(t, func(b *bytes.Buffer) error { return EncodeBatchEvalResponse(b, bresp) })
-	answers, err := WalkBatchEvalResponse(frame)
+	answers, err := WalkBatchEvalResponse(nil, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestFrameWalkMatchesDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromJSON, err := WalkBatchEvalRequest(framed)
+	fromJSON, err := WalkBatchEvalRequest(nil, framed)
 	if err != nil || len(fromJSON) != len(items) {
 		t.Fatalf("framed JSON batch: %d items, err %v", len(fromJSON), err)
 	}

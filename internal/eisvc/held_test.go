@@ -36,11 +36,11 @@ func TestHeldItems(t *testing.T) {
 	req := heldBatchRequests()
 	frame := binaryFrame(&EvalBatchEndpoint.Request, req)
 	plain := binaryFrame(&EvalBatchEndpoint.Request, walkBatchRequests())
-	items, err := WalkBatchEvalRequest(frame)
+	items, err := WalkBatchEvalRequest(nil, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainItems, _ := WalkBatchEvalRequest(plain)
+	plainItems, _ := WalkBatchEvalRequest(nil, plain)
 	var stripped []byte
 	for i, it := range items {
 		if it.Held != (req.held[i] != 0) {
@@ -304,7 +304,7 @@ func TestBadHeldRefused(t *testing.T) {
 		if _, err := DecodeBatchEvalRequest(frame); err == nil {
 			t.Errorf("request with %s decodes", what)
 		}
-		if _, err := WalkBatchEvalRequest(frame); err == nil {
+		if _, err := WalkBatchEvalRequest(nil, frame); err == nil {
 			t.Errorf("request with %s walks", what)
 		}
 		r := httptest.NewRequest(http.MethodPost, EvalBatchEndpoint.Path, bytes.NewReader(frame))
@@ -345,7 +345,7 @@ func TestBadHeldRefused(t *testing.T) {
 		if _, err := DecodeBatchEvalResponse(frame); err == nil {
 			t.Errorf("answer with %s decodes", what)
 		}
-		if _, err := WalkBatchEvalResponse(frame); err == nil {
+		if _, err := WalkBatchEvalResponse(nil, frame); err == nil {
 			t.Errorf("answer with %s walks", what)
 		}
 	}

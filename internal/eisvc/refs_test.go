@@ -34,9 +34,9 @@ func refBatchResults() *BatchEvalResponse {
 
 // frameRefs walks frame and says what each item is: 0 for a full item,
 // 1 + the index of the item a ref repeats.
-func frameRefs(t *testing.T, walk func([]byte) ([]FrameItem, error), frame []byte) []int {
+func frameRefs(t *testing.T, walk func([]FrameItem, []byte) ([]FrameItem, error), frame []byte) []int {
 	t.Helper()
-	items, err := walk(frame)
+	items, err := walk(nil, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestBadRefsRefused(t *testing.T) {
 		if _, err := DecodeBatchEvalRequest(frame); err == nil {
 			t.Errorf("request with %s decodes", what)
 		}
-		if _, err := WalkBatchEvalRequest(frame); err == nil {
+		if _, err := WalkBatchEvalRequest(nil, frame); err == nil {
 			t.Errorf("request with %s walks", what)
 		}
 		r := httptest.NewRequest(http.MethodPost, EvalBatchEndpoint.Path, bytes.NewReader(frame))
@@ -159,7 +159,7 @@ func TestBadRefsRefused(t *testing.T) {
 		if _, err := DecodeBatchEvalResponse(frame); err == nil {
 			t.Errorf("answer with %s decodes", what)
 		}
-		if _, err := WalkBatchEvalResponse(frame); err == nil {
+		if _, err := WalkBatchEvalResponse(nil, frame); err == nil {
 			t.Errorf("answer with %s walks", what)
 		}
 	}

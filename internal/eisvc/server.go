@@ -752,16 +752,42 @@ func (s *Server) handleEval(r *http.Request, frame []byte) (*EvalResponse, error
 // keySeed seeds the hashes a batch finds its duplicate keys by.
 var keySeed = maphash.MakeSeed()
 
+// batchScratch is where a batch finds its duplicate keys (by hash) and
+// lists its memo misses (see handleEvalBatch): pooled, and emptied before
+// it goes back, so that it keeps nothing of a batch alive.
+type batchScratch struct {
+	byHash map[uint64]int
+	cold   []coldKey
+}
+
+// coldKey is a distinct key the memo missed, with what only a miss needs:
+// its keyed item (decoded, to evaluate) and its key as a string.
+type coldKey struct {
+	result int // its entry in the batch's results
+	k      keyedItem
+	key    string
+	wait   context.Context // bounds its wait for a flight or a worker slot
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{byHash: map[uint64]int{}} }}
+
+func (b *batchScratch) release() {
+	clear(b.byHash)
+	clear(b.cold)
+	b.cold = b.cold[:0]
+	batchScratchPool.Put(b)
+}
+
 // handleEvalBatch evaluates a slice of requests in one round trip, in
 // three phases. (1) Every item is keyed off its bytes (keyItem) into one
 // buffer, items with the same key are deduplicated, and the memo is read
-// once per distinct key; only its misses are decoded, and only their keys
-// become strings, as only they outlive the batch (DESIGN §7). (2) The
-// misses go to the fleet hook together, once. (3) What neither the memo
-// nor a peer held evaluates on at most Workers goroutines, each key under
-// the normal singleflight and admission discipline (so a batch can only
-// stop paying for duplicates). Item failures are per-item. A ref item (see
-// itemRef) shares its referent's key and result, and a request that
+// as each distinct key is found; only its misses are decoded, and only
+// their keys become strings, as only they outlive the batch (DESIGN §7).
+// (2) The misses go to the fleet hook together, once. (3) What neither the
+// memo nor a peer held evaluates on at most Workers goroutines, each key
+// under the normal singleflight and admission discipline (so a batch can
+// only stop paying for duplicates). Item failures are per-item. A ref item
+// (see itemRef) shares its referent's key and result, and a request that
 // carried refs is answered with them; a held item (see heldPrefix) whose
 // answer is the 200 it was held against answers held, to a binary caller.
 func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalResponse, error) {
@@ -769,18 +795,12 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 	// that first name them; shared[i] is the index of the entry item i
 	// rides on — its own, or for a duplicate the one the key's first item
 	// made — and -1 for a rejected item. cold lists the entries the memo
-	// missed; coldKeys[j] is cold[j]'s key.
+	// missed.
 	type keyResult struct {
 		start, end int // its key's range in the batch's keys
 		first      int // the item that first named it
-		k          keyedItem
 		out        evalOutcome
 		err        error
-	}
-	type coldKey struct {
-		result int
-		key    string
-		wait   context.Context // bounds its wait for a flight or a worker slot
 	}
 	keyBuf := keyBufs.Get().(*[]byte)
 	c := newCoder(keying, nil, frame)
@@ -790,7 +810,9 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 	batchItems(c, &items)
 	shared := make([]int, len(items))
 	results := make([]keyResult, 0, len(items))
-	byHash := make(map[uint64]int, len(items))
+	scratch := batchScratchPool.Get().(*batchScratch)
+	defer scratch.release()
+	byHash, cold := scratch.byHash, scratch.cold
 	var held []uint64 // the tag each item's held prefix named, or 0; nil for none
 	refs := false
 	for i := 0; i < len(items) && !c.failed(); i++ {
@@ -829,8 +851,15 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 		}
 		byHash[h] = len(results)
 		shared[i] = len(results)
-		results = append(results, keyResult{start: start, end: len(c.key), first: i, k: k})
+		kr := keyResult{start: start, end: len(c.key), first: i}
+		if w := wireOf(s.memo, key); w != nil {
+			kr.out = evalOutcome{wire: w, memoHit: true}
+		} else {
+			cold = append(cold, coldKey{result: len(results), k: k, key: string(key)})
+		}
+		results = append(results, kr)
 	}
+	scratch.cold = cold
 	c.done()
 	keys := c.key
 	err := c.release()
@@ -843,19 +872,11 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 	}
 	atomic.AddUint64(&s.counts.BatchItems, uint64(len(items)))
 
-	var cold []coldKey
-	var coldKeys []string
-	for k := range results {
-		kr := &results[k]
-		if w := wireOf(s.memo, keys[kr.start:kr.end]); w != nil {
-			kr.out = evalOutcome{wire: w, memoHit: true}
-		} else {
-			key := string(keys[kr.start:kr.end])
-			cold = append(cold, coldKey{result: k, key: key})
-			coldKeys = append(coldKeys, key)
-		}
+	coldKeys := make([]string, len(cold))
+	for j := range cold {
+		coldKeys[j] = cold[j].key
 	}
-	decodeBodies(frame, len(cold), func(j int) *keyedItem { return &results[cold[j].result].k })
+	decodeBodies(frame, len(cold), func(j int) *keyedItem { return &cold[j].k })
 
 	var found []*WireDist // nil standalone: every cold key evaluates
 	if lookup := s.peerLookup.Load(); lookup != nil && len(cold) > 0 {
@@ -872,7 +893,7 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 			results[c.result].out = evalOutcome{wire: found[j], memoHit: true, peer: true}
 			continue
 		}
-		wait := s.deadlineFor(results[c.result].k.deadlineMs)
+		wait := s.deadlineFor(c.k.deadlineMs)
 		if c.wait = waits[wait]; c.wait == nil {
 			var cancel context.CancelFunc
 			c.wait, cancel = context.WithTimeout(r.Context(), wait)
@@ -893,7 +914,7 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 		for n := int(next.Add(1) - 1); n < len(todo); n = int(next.Add(1) - 1) {
 			c := &todo[n]
 			kr := &results[c.result]
-			kr.out, kr.err = s.evalMiss(r.Context(), c.wait, c.key, kr.k.entry.iface, kr.k.method, kr.k.args, kr.k.opts, nil)
+			kr.out, kr.err = s.evalMiss(r.Context(), c.wait, c.key, c.k.entry.iface, c.k.method, c.k.args, c.k.opts, nil)
 		}
 	}
 	var wg sync.WaitGroup

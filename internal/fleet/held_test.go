@@ -165,7 +165,7 @@ func TestRouterHeldEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := fullFrame(t, reqs)
-	items, err := eisvc.WalkBatchEvalRequest(full)
+	items, err := eisvc.WalkBatchEvalRequest(nil, full)
 	if err != nil {
 		t.Fatal(err)
 	}

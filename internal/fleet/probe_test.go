@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -174,6 +176,23 @@ func TestBatchProbesAreCountedPerPeer(t *testing.T) {
 	}
 }
 
+// countPerRun is testing.AllocsPerRun that counts bytes too, with the GC
+// off: the mean allocations and bytes (runtime.MemStats.TotalAlloc) of runs
+// calls of f after one warm-up call. No pool is emptied mid-count, so both
+// figures are exact.
+func countPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestRoutedBatchAllocs: the allocations of one 256-item batch through the
 // router — 231 warm items and 25 new keys on a 3-node fleet, client
 // included — counted. No probe leaves: every node holds its peers'
@@ -194,12 +213,21 @@ func TestBatchProbesAreCountedPerPeer(t *testing.T) {
 // and decoded only the 25 new ones, the client's request went out as one
 // exactly sized copy of a pooled encoding, and a singleflight that no
 // follower joins stopped making its channel: 673 with GOGC=off, 677–678
-// with it on; in full 1,387 and 1,394–1,397. The bounds leave 3%.
+// with it on; in full 1,387 and 1,394–1,397. The count now also takes
+// bytes, and always with the GC off (countPerRun). Then a batch paid for
+// its items once: the nodes keep per distinct key only its key's range,
+// first item and outcome and find duplicates in a pooled map, the client
+// keeps a WireDist slot only for an answer that carries a distribution,
+// the router walks both frames into pooled arrays, and a sub-batch goes
+// out of its connection's write buffer, not through a copy buffer per hop
+// (eisvc.NewTransport): 673 → 621–622 allocations and 373–376 KB → 223–230
+// KB; in full 1,388 → 1,336 and 466 KB → 348–350 KB. The bounds leave 3%.
 func TestRoutedBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
 	}
-	const warm, cold, runs, bound, fullBound = 231, 25, 20, 698, 1439
+	const warm, cold, runs, bound, fullBound = 231, 25, 20, 640, 1376
+	const byteBound, fullByteBound = 237_000, 360_000
 	f := startFleet(t, Config{Nodes: 3})
 	_, c := startTestRouter(t, f)
 	tr := eisvc.NewTransport(eisvc.TransportTuning{}) // shared with the clients holding nothing below
@@ -217,7 +245,7 @@ func TestRoutedBatchAllocs(t *testing.T) {
 	}
 	counters := countProbes(f)
 	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
+	allocs, bytes := countPerRun(runs, func() {
 		items, err := c.EvalBatchCtx(context.Background(), batches[next])
 		next++
 		if err != nil || len(items) != warm+cold || items[warm].Cached {
@@ -232,14 +260,14 @@ func TestRoutedBatchAllocs(t *testing.T) {
 	if held := c.Counters().Held; held != runs*warm {
 		t.Errorf("%d answers came back held, want %d", held, runs*warm)
 	}
-	t.Logf("routed %d-item batch (%d new keys): %.0f allocs", warm+cold, cold, allocs)
-	if allocs > bound {
-		t.Errorf("routed batch made %.0f allocations, want <= %d", allocs, bound)
+	t.Logf("routed %d-item batch (%d new keys): %.0f allocs, %.0f bytes", warm+cold, cold, allocs, bytes)
+	if allocs > bound || bytes > byteBound {
+		t.Errorf("routed batch made %.0f allocations of %.0f bytes, want <= %d and %d", allocs, bytes, bound, byteBound)
 	}
 
 	// The same from a new client each run, which holds nothing: the warm
 	// answers come back in full, and it holds them.
-	full := testing.AllocsPerRun(runs, func() {
+	full, fullBytes := countPerRun(runs, func() {
 		fresh := eisvc.NewClient(c.Base())
 		fresh.SetTransport(tr)
 		fresh.ID = c.ID
@@ -249,9 +277,55 @@ func TestRoutedBatchAllocs(t *testing.T) {
 			t.Fatalf("batch in full: %d items, err %v", len(items), err)
 		}
 	})
-	t.Logf("the same, answered in full: %.0f allocs", full)
-	if full > fullBound {
-		t.Errorf("routed batch answered in full made %.0f allocations, want <= %d", full, fullBound)
+	t.Logf("the same, answered in full: %.0f allocs, %.0f bytes", full, fullBytes)
+	if full > fullBound || fullBytes > fullByteBound {
+		t.Errorf("routed batch answered in full made %.0f allocations of %.0f bytes, want <= %d and %d", full, fullBytes, fullBound, fullByteBound)
+	}
+}
+
+// TestRoutedBatchRetainsNothing: the router's pooled walk arrays and the
+// nodes' pooled dedup maps and miss lists keep no frame, key or answer of
+// a batch alive once it is answered. 400 batches of 255 warm items and one
+// new key go through the router of a 3-node fleet; every new key stays in
+// a memo. A walk array that kept its items would pin a frame each time it
+// came back from the pool, and a miss list that kept its entries would
+// grow by one per batch; the heap may grow by 1 MiB.
+func TestRoutedBatchRetainsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory grows the heap")
+	}
+	const batches, warm, maxGrowth = 400, 255, 1 << 20
+	f := startFleet(t, Config{Nodes: 3})
+	_, c := startTestRouter(t, f)
+	if _, err := c.RegisterCtx(context.Background(), probeEIL()); err != nil {
+		t.Fatal(err)
+	}
+	reqs := probeReqs(c, 0, warm+1)
+	send := func(b int) {
+		reqs[warm] = probeReqs(c, 1_000_000+b, 1)[0] // the new key
+		items, err := c.EvalBatchCtx(context.Background(), reqs)
+		if err != nil || len(items) != warm+1 || items[warm].Cached || b >= 0 && !items[0].Cached {
+			t.Fatalf("batch %d: %d items, err %v", b, len(items), err)
+		}
+	}
+	for b := range 10 { // warm the memos and every pool
+		send(-1 - b)
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for b := range batches {
+		send(b)
+	}
+	after := heap()
+	t.Logf("%d routed batches, %d new keys kept: heap %+d bytes", batches, batches, int64(after)-int64(before))
+	if after > before+maxGrowth {
+		t.Errorf("heap grew %d bytes over %d routed batches, want <= %d", after-before, batches, maxGrowth)
 	}
 }
 

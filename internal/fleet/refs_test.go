@@ -66,7 +66,7 @@ func (rc *refCounter) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.URL.Path == eisvc.EvalBatchEndpoint.Path {
 		body, _ := req.GetBody()
 		frame, _ := io.ReadAll(body)
-		items, err := eisvc.WalkBatchEvalRequest(frame)
+		items, err := eisvc.WalkBatchEvalRequest(nil, frame)
 		if err != nil {
 			return nil, fmt.Errorf("sub-batch frame: %w", err)
 		}

@@ -218,9 +218,12 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	frame, err := ep.Request.Frame(scratch, r.Header.Get("Content-Type"), in.Bytes())
+	walked := frameItems.Get().(*[]eisvc.FrameItem)
+	defer putFrameItems(walked)
 	var items []eisvc.FrameItem
 	if err == nil {
-		items, err = eisvc.WalkBatchEvalRequest(frame)
+		items, err = eisvc.WalkBatchEvalRequest(*walked, frame)
+		*walked = items // nil if the walk failed: its array, part written, is dropped
 	}
 	if err != nil {
 		eisvc.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -294,12 +297,15 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			// The preferred node first, then every other live node; a node
 			// whose answer is not a well-formed frame of one item per
 			// request is skipped like a dead one.
+			walked := frameItems.Get().(*[]eisvc.FrameItem)
+			defer putFrameItems(walked)
 			ok := rt.tryCandidates(r, hop, body.Bytes(), rt.f.ordered([]string{pref}, 0, (*Node).Live), func(_ *Node, resp *http.Response) bool {
 				data, err := readAnswer(resp)
 				if err != nil {
 					return false
 				}
-				got, err := eisvc.WalkBatchEvalResponse(data)
+				got, err := eisvc.WalkBatchEvalResponse(*walked, data)
+				*walked = got
 				if err != nil || len(got) != len(g.idxs) {
 					return false
 				}
@@ -336,6 +342,16 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			http.StatusServiceUnavailable, "fleet: no node could serve batch")
 	}
 	ep.WriteFrame(w, r, out)
+}
+
+// frameItems holds the arrays a batch's frames are walked into. Each goes
+// back cleared, as its items alias the frame they were walked from.
+var frameItems = sync.Pool{New: func() any { return new([]eisvc.FrameItem) }}
+
+func putFrameItems(p *[]eisvc.FrameItem) {
+	clear(*p)
+	*p = (*p)[:0]
+	frameItems.Put(p)
 }
 
 // readAnswer reads a node's 2xx answer into one exactly-sized slice (every

@@ -60,7 +60,7 @@ func (s *stubNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(frame)
 		return
 	}
-	items, err := eisvc.WalkBatchEvalRequest(frame)
+	items, err := eisvc.WalkBatchEvalRequest(nil, frame)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -140,7 +140,7 @@ func newSwitchFixture(t *testing.T) *switchFixture {
 		t.Fatal(err)
 	}
 	fx.frame = frame.Bytes()
-	items, err := eisvc.WalkBatchEvalRequest(fx.frame)
+	items, err := eisvc.WalkBatchEvalRequest(nil, fx.frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestRouterFailedGroupIs503PerItem(t *testing.T) {
 		all = append(all, id)
 	}
 	fx.setFault(faultDoomed, all...)
-	items, err := eisvc.WalkBatchEvalRequest(fx.frame)
+	items, err := eisvc.WalkBatchEvalRequest(nil, fx.frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestRouterBatchEdges(t *testing.T) {
 		{"cut binary batch", eisvc.BinaryContentType, fx.frame[:len(fx.frame)-3]},
 		{"JSON batch with an unknown field", "application/json", []byte(`{"requests":[{"interface":"svc_0","methd":"price"}]}`)},
 	}
-	items, err := eisvc.WalkBatchEvalRequest(fx.frame)
+	items, err := eisvc.WalkBatchEvalRequest(nil, fx.frame)
 	if err != nil {
 		t.Fatal(err)
 	}
