@@ -63,7 +63,7 @@ race:
 # its clients speak binary), the fleet package (probe
 # ordering, kill and partition
 # traces, TestHopAllocs: the exact allocations of one warm hop, direct
-# and routed, and TestRoutedBatchAllocs: those of one routed 256-item
+# and routed, and of a unique-argument direct eval, and TestRoutedBatchAllocs: those of one routed 256-item
 # batch whose new keys every peer's summary rules out, and
 # TestRoutedBatchRetainsNothing: a heap that 400 routed batches must not
 # grow by more than their new keys), and the eisvc
@@ -74,7 +74,8 @@ race:
 # responses encoding from one shared memo entry at once, a cold batch
 # that must not shed its own items, a cancellation raced against a hedge —
 # plus the frame pins, the cache package (TestStorePutAllocs: a full
-# store's insert allocates nothing), the allocations of a cold evaluation,
+# store's insert allocates nothing), the allocations of a cold evaluation
+# (worst and best cases among its shapes),
 # and the tests that run eid and efleet as child processes (ports, signals
 # and snapshot files are where process flakes live). A flake shows up
 # here as a red step, not as one red run in six. The byte pins run once
@@ -109,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/eil
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime=10s ./internal/eil
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileDifferential$$' -fuzztime=10s ./internal/opt
+	$(GO) test -run '^$$' -fuzz '^FuzzBounds$$' -fuzztime=10s ./internal/energy
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -55,9 +55,11 @@ func coldShape(iface *core.Interface, method string, opts core.EvalOptions, rest
 // does not grow with the number of questions asked — and allocate only
 // their answer: the ECV plan is the tree version's, the observed layout
 // the specialization's, and every scratch buffer goes back to its pool.
-// Two shapes the served five do not cover are counted beside them: a
-// compiled Monte Carlo eval, which also draws and counts, and a pinned
-// one, which splits the plan for itself.
+// Shapes the served five do not cover are counted beside them: the worst
+// and best cases of both MoE methods, which scan the joint space for its
+// bound instead of building its distribution (1: the Point); a compiled
+// Monte Carlo eval, which also draws and counts; and a pinned one, which
+// splits the plan for itself.
 func TestColdEvalAllocs(t *testing.T) {
 	const evals, retained = 1000, 64 << 10
 	type shape struct {
@@ -73,6 +75,12 @@ func TestColdEvalAllocs(t *testing.T) {
 	pinned.Fixed = map[string]core.Value{"dev.thermal_throttle": core.Bool(false), "kv_spill": core.Bool(true)}
 	// AllocsPerRun runs at GOMAXPROCS 1, so the default parallelism counts
 	// the sequential path on any machine.
+	for _, method := range []string{"energy", "latency"} {
+		for _, opts := range []core.EvalOptions{core.WorstCase(), core.BestCase()} {
+			name := "moe_stack." + method + " " + opts.Mode.String()
+			shapes[name] = shape{coldShape(moe, method, opts, core.Int(2), core.Int(4)), 1}
+		}
+	}
 	shapes["moe_stack.energy monte-carlo"] = shape{coldShape(moe, "energy", core.MonteCarlo(4096, 7), core.Int(2), core.Int(4)), 12}
 	shapes["moe_stack.energy pinned"] = shape{coldShape(moe, "energy", pinned, core.Int(2), core.Int(4)), 24}
 	for name, s := range shapes {

@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // Flight coalesces concurrent duplicate work: when several goroutines call
@@ -28,12 +29,13 @@ type flightCall[V any] struct {
 
 // Do runs fn for key, coalescing with any in-flight call for the same key.
 // It returns fn's result and shared=false on the leader, or the leader's
-// result and shared=true on a follower. A follower whose ctx expires
-// before the leader finishes returns ctx.Err() (the leader keeps running;
-// its result still reaches the other waiters). Errors are returned to
-// every waiter and never retained: the next Do after completion starts a
-// fresh flight.
-func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (val V, shared bool, err error) {
+// result and shared=true on a follower. A follower whose ctx is done, or
+// whose deadline passes (the zero deadline: ctx alone), before the leader
+// finishes returns that context error (the leader keeps running; its
+// result still reaches the other waiters). Only a follower makes a timer
+// for the deadline. Errors are returned to every waiter and never
+// retained: the next Do after completion starts a fresh flight.
+func (f *Flight[V]) Do(ctx context.Context, deadline time.Time, key string, fn func() (V, error)) (val V, shared bool, err error) {
 	f.mu.Lock()
 	if f.calls == nil {
 		f.calls = make(map[string]*flightCall[V])
@@ -44,6 +46,8 @@ func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v
 		}
 		done := c.done
 		f.mu.Unlock()
+		ctx, cancel := Until(ctx, deadline)
+		defer cancel()
 		select {
 		case <-done:
 			return c.val, true, c.err
@@ -76,4 +80,15 @@ func (f *Flight[V]) InFlight() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.calls)
+}
+
+// Until bounds ctx by deadline as well, for a waiter about to block; the
+// zero deadline leaves ctx as it is. A deadline travels as a value and
+// only a waiter that blocks turns it into a timer here, so a caller that
+// never waits pays for none.
+func Until(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
+	if deadline.IsZero() {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, deadline)
 }

@@ -23,7 +23,7 @@ func TestFlightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := f.Do(context.Background(), "k", func() (int, error) {
+			v, shared, err := f.Do(context.Background(), time.Time{}, "k", func() (int, error) {
 				runs.Add(1)
 				<-gate
 				return 42, nil
@@ -67,7 +67,7 @@ func TestFlightDistinctKeys(t *testing.T) {
 		wg.Add(1)
 		go func(k string) {
 			defer wg.Done()
-			v, _, err := f.Do(context.Background(), k, func() (string, error) {
+			v, _, err := f.Do(context.Background(), time.Time{}, k, func() (string, error) {
 				runs.Add(1)
 				return k, nil
 			})
@@ -87,24 +87,25 @@ func TestFlightDistinctKeys(t *testing.T) {
 func TestFlightErrorNotRetained(t *testing.T) {
 	var f Flight[int]
 	boom := errors.New("boom")
-	if _, _, err := f.Do(context.Background(), "k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := f.Do(context.Background(), time.Time{}, "k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	v, shared, err := f.Do(context.Background(), "k", func() (int, error) { return 7, nil })
+	v, shared, err := f.Do(context.Background(), time.Time{}, "k", func() (int, error) { return 7, nil })
 	if err != nil || shared || v != 7 {
 		t.Fatalf("second Do = %d, %v, %v", v, shared, err)
 	}
 }
 
-// TestFlightFollowerDeadline: a follower whose context expires while the
-// leader is still running gets ctx.Err(); the leader is unaffected.
+// TestFlightFollowerDeadline: a follower whose context expires, or whose
+// deadline passes, while the leader is still running gets
+// context.DeadlineExceeded; the leader is unaffected.
 func TestFlightFollowerDeadline(t *testing.T) {
 	var f Flight[int]
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, _, err := f.Do(context.Background(), "k", func() (int, error) {
+		v, _, err := f.Do(context.Background(), time.Time{}, "k", func() (int, error) {
 			<-gate
 			return 9, nil
 		})
@@ -118,7 +119,7 @@ func TestFlightFollowerDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, shared, err := f.Do(ctx, "k", func() (int, error) {
+	_, shared, err := f.Do(ctx, time.Time{}, "k", func() (int, error) {
 		t.Error("follower ran fn")
 		return 0, nil
 	})
@@ -128,20 +129,27 @@ func TestFlightFollowerDeadline(t *testing.T) {
 	if !shared {
 		t.Fatal("expired follower did not report shared")
 	}
+	_, shared, err = f.Do(context.Background(), time.Now().Add(10*time.Millisecond), "k", func() (int, error) {
+		t.Error("follower ran fn")
+		return 0, nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || !shared {
+		t.Fatalf("follower past its deadline: err = %v, shared = %v; want deadline exceeded, shared", err, shared)
+	}
 	close(gate)
 	<-leaderDone
 }
 
 // TestFlightUncontendedAllocs: a Do that no follower joins allocates its
-// call record and nothing else — the channel a follower waits on is made
-// only when one arrives.
+// call record and nothing else — the channel a follower waits on, and the
+// timer for its deadline, are made only when one arrives.
 func TestFlightUncontendedAllocs(t *testing.T) {
 	var f Flight[int]
 	fn := func() (int, error) { return 1, nil }
-	ctx := context.Background()
-	f.Do(ctx, "k", fn) // the map
+	ctx, deadline := context.Background(), time.Now().Add(time.Minute)
+	f.Do(ctx, deadline, "k", fn) // the map
 	if allocs := testing.AllocsPerRun(100, func() {
-		if v, shared, err := f.Do(ctx, "k", fn); v != 1 || shared || err != nil {
+		if v, shared, err := f.Do(ctx, deadline, "k", fn); v != 1 || shared || err != nil {
 			t.Fatalf("Do = %d, %v, %v", v, shared, err)
 		}
 	}); allocs > 1 {

@@ -740,14 +740,15 @@ func (i *Interface) evalEnumerate(ctx context.Context, m *Method, args []Value, 
 		return energy.Dist{}, err
 	}
 
-	d := energy.Categorical(values, probs)
+	// A bound reads one end of the distribution, so it scans for it
+	// instead of building the whole (DESIGN §6).
 	switch opts.Mode {
 	case ModeWorstCase:
-		return energy.Point(d.Max()), nil
+		return energy.Point(energy.CategoricalMax(values, probs)), nil
 	case ModeBestCase:
-		return energy.Point(d.Min()), nil
+		return energy.Point(energy.CategoricalMin(values, probs)), nil
 	default:
-		return d, nil
+		return energy.Categorical(values, probs), nil
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"energyclarity/internal/cache"
 	"energyclarity/internal/counters"
 )
 
@@ -53,7 +55,12 @@ func newAdmission(workers, queueLimit int) *admission {
 // acquire claims a worker slot, which release frees, waiting until ctx is
 // done at most: ErrQueueFull if the queue was at its limit, ErrDeadline if
 // ctx expired while waiting.
-func (a *admission) acquire(ctx context.Context) error {
+func (a *admission) acquire(ctx context.Context) error { return a.admit(ctx, time.Time{}) }
+
+// admit is acquire bounded by deadline as well (the zero deadline: ctx
+// alone). A request that finds a slot free takes it without a timer; only
+// one that must wait behind a full gate makes one (cache.Until).
+func (a *admission) admit(ctx context.Context, deadline time.Time) error {
 	a.mu.Lock()
 	if a.queued >= a.queueLimit {
 		a.mu.Unlock()
@@ -75,12 +82,20 @@ func (a *admission) acquire(ctx context.Context) error {
 	// An already-expired request must never win a slot: when ctx is done
 	// AND a slot is free, select picks a case at random, so without these
 	// checks an expired request could still be granted and run. Check
-	// before entering the select, and re-check after winning (the context
-	// may have expired while both cases were ready).
-	if ctx.Err() != nil {
+	// before trying for a slot, and re-check after waiting for one (the
+	// context may have expired while both cases were ready).
+	if ctx.Err() != nil || !deadline.IsZero() && !time.Now().Before(deadline) {
 		atomic.AddUint64(&a.counts.ShedDeadline, 1)
 		return ErrDeadline
 	}
+	select {
+	case a.slots <- struct{}{}:
+		atomic.AddUint64(&a.counts.Granted, 1)
+		return nil
+	default:
+	}
+	ctx, cancel := cache.Until(ctx, deadline)
+	defer cancel()
 	select {
 	case a.slots <- struct{}{}:
 		if ctx.Err() != nil {

@@ -416,7 +416,7 @@ func TestBatchRetainsOnlyColdKeys(t *testing.T) {
 	peer.ApplyRegistrySnapshot(node.Registry().Snapshot())
 	pc := NewClient("http://peer")
 	pc.SetTransport(NewLoopbackTransport(peer))
-	node.SetPeerLookup(func(ctx context.Context, keys []string) []PeerAnswer {
+	node.SetPeerLookup(func(ctx context.Context, _ time.Time, keys []string) []PeerAnswer {
 		answers, _, err := pc.CacheLookupCtx(ctx, keys, false)
 		if err != nil {
 			t.Error(err)

@@ -187,6 +187,9 @@ func (c *coder) release() error {
 	if cap(vals) > maxPooledVals {
 		vals = nil
 	}
+	if cap(dists) > maxPooledDists {
+		dists = nil
+	}
 	*c = coder{names: c.names, vals: vals, refs: refs, seen: c.seen, dists: dists}
 	coderPool.Put(c)
 	return err
@@ -327,11 +330,13 @@ func (c *coder) str(p *string) {
 // Bounds of a batch decode's intern table: a hostile frame can pin at
 // most maxInternEntries * maxInternLen bytes through it, for the life of
 // one decode. A pooled coder keeps at most maxPooledVals values (64 bytes
-// each) of argument scratch: a one-off giant batch must not pin it.
+// each) of argument scratch and maxPooledDists distributions (96 bytes
+// each) of answer scratch: a one-off giant batch must not pin either.
 const (
 	maxInternEntries = 64
 	maxInternLen     = 64
 	maxPooledVals    = 1 << 11
+	maxPooledDists   = 1 << 9
 )
 
 // name is str for the strings the items of a batch repeat — interface,

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"energyclarity/internal/core"
 	"energyclarity/internal/energy"
@@ -383,7 +384,7 @@ func TestPeerLookupServesFleet(t *testing.T) {
 	if applied := srvB.ApplyRegistrySnapshot(srvA.Registry().Snapshot()); applied != 2 {
 		t.Fatalf("replicated %d entries, want 2", applied)
 	}
-	srvB.SetPeerLookup(func(ctx context.Context, keys []string) []PeerAnswer {
+	srvB.SetPeerLookup(func(ctx context.Context, _ time.Time, keys []string) []PeerAnswer {
 		answers, _, err := cA.CacheLookupCtx(ctx, keys, false)
 		if err != nil {
 			return make([]PeerAnswer, len(keys))

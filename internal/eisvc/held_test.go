@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"energyclarity/internal/core"
 )
@@ -386,7 +387,7 @@ func TestMemoEntriesCarryTheirTag(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := wideDist(t)
-	srv.probePeers(context.Background(), func(_ context.Context, keys []string) []PeerAnswer {
+	srv.probePeers(context.Background(), time.Time{}, func(context.Context, time.Time, []string) []PeerAnswer {
 		return []PeerAnswer{{Dist: d, Found: true}}
 	}, []string{"peer"})
 	srv.memo.Restore([]MemoEntry{{Key: "snapshot", Support: d.Support(), Probs: d.Probs()}})

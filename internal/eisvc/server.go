@@ -188,8 +188,10 @@ type PeerAnswer struct {
 // order, Found only on an exact hit; errors and misses are both "not
 // found". Implementations should bound their own time (the fleet uses a
 // short per-request timeout): the caller evaluates nothing until the
-// lookup returns.
-type PeerLookup func(ctx context.Context, keys []string) []PeerAnswer
+// lookup returns. A single eval's miss also passes its queue deadline (a
+// batch the zero time): a lookup that sends a request bounds it by
+// cache.Until(ctx, deadline), so one that asks nobody makes no timer.
+type PeerLookup func(ctx context.Context, deadline time.Time, keys []string) []PeerAnswer
 
 // SetPeerLookup installs the fleet peer-cache hook: a memo miss then
 // consults peers before paying for a local evaluation; a peer hit is
@@ -469,10 +471,10 @@ type evalOutcome struct {
 // call, installs what the fleet held in the local memo (so each key
 // crosses the fleet at most once per node) and counts hits, misses and
 // skipped keys. It returns one answer per key, nil where no peer held it.
-func (s *Server) probePeers(ctx context.Context, lookup PeerLookup, keys []string) []*WireDist {
+func (s *Server) probePeers(ctx context.Context, deadline time.Time, lookup PeerLookup, keys []string) []*WireDist {
 	found := make([]*WireDist, len(keys))
 	hits, skipped := 0, 0
-	for i, a := range lookup(ctx, keys) {
+	for i, a := range lookup(ctx, deadline, keys) {
 		if a.Found {
 			found[i] = s.memo.put(keys[i], a.Dist)
 			hits++
@@ -498,15 +500,18 @@ func (s *Server) probePeers(ctx context.Context, lookup PeerLookup, keys []strin
 //
 // ctx is the request's own context; it cancels the running evaluation
 // when the client disconnects, so an abandoned request frees its worker
-// slot within one shard chunk instead of burning it to completion. waitCtx
-// — ctx plus the request's queue deadline — additionally bounds the flight
-// and queue waits only: once running, an evaluation is bounded by the
-// samples/enum caps (and by ctx), not by the queue deadline. The caller
-// makes and cancels waitCtx, so the cold keys of one batch wait under one
-// timer instead of one each. A cancelled coalesced leader fails its
-// followers too (they see context.Canceled as a 503 and may retry).
-func (s *Server) evalMiss(ctx, waitCtx context.Context, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions, probe *PeerLookup) (evalOutcome, error) {
-	out, coalesced, err := s.flight.Do(waitCtx, key, func() (evalOutcome, error) {
+// slot within one shard chunk instead of burning it to completion. The
+// miss's queue deadline additionally bounds the flight, peer and queue
+// waits only: once running, an evaluation is bounded by the samples/enum
+// caps (and by ctx), not by the queue deadline. The deadline is a value:
+// only a waiter that blocks — a flight follower, a peer probe that sends
+// a request, a request behind a full gate — makes a timer of it
+// (cache.Until), so a miss that finds a worker slot free pays for none.
+// A cancelled coalesced leader fails its followers too (they see
+// context.Canceled as a 503 and may retry).
+func (s *Server) evalMiss(ctx context.Context, m *miss, probe *PeerLookup) (evalOutcome, error) {
+	key := m.key
+	out, coalesced, err := s.flight.Do(ctx, m.deadline, key, func() (evalOutcome, error) {
 		if w := wireOf(s.memo, key); w != nil {
 			return evalOutcome{wire: w, memoHit: true}, nil
 		}
@@ -518,17 +523,18 @@ func (s *Server) evalMiss(ctx, waitCtx context.Context, key string, iface *core.
 		// round-trips through energy.FromSorted), so a peer answer is
 		// indistinguishable from a local one.
 		if probe != nil {
-			if w := s.probePeers(waitCtx, *probe, []string{key})[0]; w != nil {
+			if w := s.probePeers(ctx, m.deadline, *probe, []string{key})[0]; w != nil {
 				return evalOutcome{wire: w, memoHit: true, peer: true}, nil
 			}
 		}
-		if err := s.adm.acquire(waitCtx); err != nil {
+		if err := s.adm.admit(ctx, m.deadline); err != nil {
 			return evalOutcome{}, err
 		}
 		defer s.adm.release()
+		opts := m.k.opts
 		opts.Layer = s.layer // nil (disabled) is valid
 		atomic.AddUint64(&s.counts.Evaluations, 1)
-		d, evalErr := iface.EvalCtx(ctx, method, args, opts)
+		d, evalErr := m.k.entry.iface.EvalCtx(ctx, m.k.method, m.k.args, opts)
 		if evalErr != nil {
 			if errors.Is(evalErr, context.Canceled) || errors.Is(evalErr, context.DeadlineExceeded) {
 				return evalOutcome{}, evalErr
@@ -656,37 +662,50 @@ func parseMode(b []byte) (core.Mode, error) {
 	return core.ParseMode(string(b))
 }
 
-// decodeBodies decodes the bodies of n keyed items of frame, item(j)'s,
-// the one decode a miss pays: as a batch decoder does, into one Args.
-func decodeBodies(frame []byte, n int, item func(int) *keyedItem) {
+// miss is a request item the memo missed, with what only a miss needs:
+// its keyed item (decoded, to evaluate), its key as a string and the
+// deadline of its queue waits.
+type miss struct {
+	result   int // a batch's: its entry in the batch's results
+	k        keyedItem
+	key      string
+	deadline time.Time
+}
+
+// decodeBodies decodes the bodies of the misses' items of frame, the one
+// decode a miss pays: as a batch decoder does, into one Args. It takes
+// the misses themselves, not a function that finds their items, so that
+// a single eval's miss stays on its stack.
+func decodeBodies(frame []byte, misses []miss) {
 	c := newCoder(decoding, nil, frame)
 	c.batch = true
-	for j := range n {
-		k, r := item(j), EvalRequest{}
+	for j := range misses {
+		k, r := &misses[j].k, EvalRequest{}
 		c.off = k.body
 		c.evalBody(&r)
 		k.args, k.opts.Fixed = r.Args, r.Fixed
 	}
 	all := make(Args, len(c.vals))
 	copy(all, c.vals)
-	for j := range n {
-		if k := item(j); len(k.args) > 0 {
+	for j := range misses {
+		if k := &misses[j].k; len(k.args) > 0 {
 			k.args, all = all[:len(k.args):len(k.args)], all[len(k.args):]
 		}
 	}
 	c.release()
 }
 
-// deadlineFor returns the queue-wait bound for a request. DeadlineMs <= 0
-// means the server default. One too long for a time.Duration saturates
-// rather than wrap negative (expired).
-func (s *Server) deadlineFor(deadlineMs int) time.Duration {
+// deadlineFor returns the end of a request's queue waits, counted from
+// now. DeadlineMs <= 0 means the server default. One too long for a
+// time.Duration saturates rather than wrap negative (expired).
+func (s *Server) deadlineFor(deadlineMs int) time.Time {
+	wait := s.cfg.DefaultDeadline
 	if ms := time.Duration(deadlineMs); ms > math.MaxInt64/time.Millisecond {
-		return math.MaxInt64
+		wait = math.MaxInt64
 	} else if ms > 0 {
-		return ms * time.Millisecond
+		wait = ms * time.Millisecond
 	}
-	return s.cfg.DefaultDeadline
+	return time.Now().Add(wait)
 }
 
 // keyBufs holds the buffers requests build their memo keys in, apart from
@@ -710,8 +729,10 @@ func (s *Server) handleEval(r *http.Request, frame []byte) (*EvalResponse, error
 	c := newCoder(keying, nil, frame)
 	c.key = *keys
 	c.header(kindEvalRequest)
-	var k keyedItem
-	s.keyItem(c, &k)
+	var one [1]miss
+	m := &one[0]
+	k := &m.k
+	s.keyItem(c, k)
 	c.done()
 	key := c.key
 	err := c.release()
@@ -726,11 +747,9 @@ func (s *Server) handleEval(r *http.Request, frame []byte) (*EvalResponse, error
 	if w := wireOf(s.memo, key); w != nil {
 		out = evalOutcome{wire: w, memoHit: true}
 	} else {
-		decodeBodies(frame, 1, func(int) *keyedItem { return &k })
-		waitCtx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(k.deadlineMs))
-		out, err = s.evalMiss(r.Context(), waitCtx, string(key), k.entry.iface, k.method, k.args, k.opts, s.peerLookup.Load())
-		cancel()
-		if err != nil {
+		decodeBodies(frame, one[:])
+		m.key, m.deadline = string(key), s.deadlineFor(k.deadlineMs)
+		if out, err = s.evalMiss(r.Context(), m, s.peerLookup.Load()); err != nil {
 			return nil, err
 		}
 	}
@@ -757,16 +776,7 @@ var keySeed = maphash.MakeSeed()
 // it goes back, so that it keeps nothing of a batch alive.
 type batchScratch struct {
 	byHash map[uint64]int
-	cold   []coldKey
-}
-
-// coldKey is a distinct key the memo missed, with what only a miss needs:
-// its keyed item (decoded, to evaluate) and its key as a string.
-type coldKey struct {
-	result int // its entry in the batch's results
-	k      keyedItem
-	key    string
-	wait   context.Context // bounds its wait for a flight or a worker slot
+	cold   []miss
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{byHash: map[uint64]int{}} }}
@@ -855,7 +865,7 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 		if w := wireOf(s.memo, key); w != nil {
 			kr.out = evalOutcome{wire: w, memoHit: true}
 		} else {
-			cold = append(cold, coldKey{result: len(results), k: k, key: string(key)})
+			cold = append(cold, miss{result: len(results), k: k, key: string(key)})
 		}
 		results = append(results, kr)
 	}
@@ -876,16 +886,14 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 	for j := range cold {
 		coldKeys[j] = cold[j].key
 	}
-	decodeBodies(frame, len(cold), func(j int) *keyedItem { return &cold[j].k })
+	decodeBodies(frame, cold)
 
 	var found []*WireDist // nil standalone: every cold key evaluates
 	if lookup := s.peerLookup.Load(); lookup != nil && len(cold) > 0 {
-		found = s.probePeers(r.Context(), *lookup, coldKeys)
+		found = s.probePeers(r.Context(), time.Time{}, *lookup, coldKeys)
 	}
-	// The cold keys wait for a flight or a worker slot under one context per
-	// distinct queue deadline — one, unless items carry their own — made
-	// before any key waits, so the deadline bounds the batch.
-	var waits map[time.Duration]context.Context
+	// The cold keys' deadlines are set before any key waits, so the
+	// deadline bounds the batch.
 	todo := cold[:0] // the keys no peer held, in batch order
 	for j := range cold {
 		c := cold[j]
@@ -893,16 +901,7 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 			results[c.result].out = evalOutcome{wire: found[j], memoHit: true, peer: true}
 			continue
 		}
-		wait := s.deadlineFor(c.k.deadlineMs)
-		if c.wait = waits[wait]; c.wait == nil {
-			var cancel context.CancelFunc
-			c.wait, cancel = context.WithTimeout(r.Context(), wait)
-			defer cancel()
-			if waits == nil {
-				waits = map[time.Duration]context.Context{}
-			}
-			waits[wait] = c.wait
-		}
+		c.deadline = s.deadlineFor(c.k.deadlineMs)
 		todo = append(todo, c)
 	}
 	// They evaluate, through evalMiss, on at most Workers goroutines (this
@@ -912,9 +911,8 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 	var next atomic.Int64
 	evalCold := func() {
 		for n := int(next.Add(1) - 1); n < len(todo); n = int(next.Add(1) - 1) {
-			c := &todo[n]
-			kr := &results[c.result]
-			kr.out, kr.err = s.evalMiss(r.Context(), c.wait, c.key, c.k.entry.iface, c.k.method, c.k.args, c.k.opts, nil)
+			kr := &results[todo[n].result]
+			kr.out, kr.err = s.evalMiss(r.Context(), &todo[n], nil)
 		}
 	}
 	var wg sync.WaitGroup

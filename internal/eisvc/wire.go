@@ -113,9 +113,12 @@ func ToWire(d energy.Dist) WireDist {
 	}
 }
 
-// Dist reconstructs the exact distribution.
+// Dist reconstructs the exact distribution, checked as energy.FromSorted
+// checks it. The Dist shares w's vectors rather than copying them: both
+// are read-only from here on (a client's decoded answer is its own, so
+// nothing else writes to them).
 func (w WireDist) Dist() (energy.Dist, error) {
-	return energy.FromSorted(w.Support, w.Probs)
+	return energy.AdoptSorted(w.Support, w.Probs)
 }
 
 // EvalResponse is the daemon's answer to an EvalRequest.

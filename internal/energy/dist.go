@@ -107,6 +107,49 @@ func Categorical(values, probs []float64) Dist {
 	return d
 }
 
+// CategoricalMax is Categorical(values, probs).Max() without the
+// distribution: the largest value with p > 0, found in one scan that
+// allocates nothing. Where Categorical would panic (mismatched lengths,
+// no support, a NaN or negative p, a NaN value with p > 0) it panics the
+// same way, and where both zeros tie for the extremum it asks Categorical
+// too: the two merge into one point whose sign is whichever the sort put
+// first. CategoricalMin is the same for Min.
+func CategoricalMax(values, probs []float64) float64 { return categoricalBound(values, probs, 1) }
+
+// CategoricalMin is Categorical(values, probs).Min() without the
+// distribution; see CategoricalMax.
+func CategoricalMin(values, probs []float64) float64 { return categoricalBound(values, probs, -1) }
+
+// categoricalBound scans for the value that orders last by sign·cmpValue
+// among those with p > 0, and falls back to Categorical where that value
+// is not its answer bit for bit, or where Categorical panics.
+func categoricalBound(values, probs []float64, sign int) float64 {
+	best, found, mixed := 0.0, false, false
+	if len(values) == len(probs) {
+		for i, p := range probs {
+			if math.IsNaN(p) || p < 0 || p > 0 && math.IsNaN(values[i]) {
+				found = false
+				break
+			}
+			switch v := values[i]; {
+			case p == 0:
+			case !found || cmpValue(v, best) == sign:
+				best, found, mixed = v, true, false
+			case v == best && math.Signbit(v) != math.Signbit(best):
+				mixed = true
+			}
+		}
+	}
+	if found && !mixed {
+		return best
+	}
+	d := Categorical(values, probs)
+	if sign > 0 {
+		return d.Max()
+	}
+	return d.Min()
+}
+
 // wp and vc are the points Categorical and Empirical sort, in buffers
 // pooled across calls: a constructor allocates only the Dist it returns.
 type (
@@ -223,6 +266,20 @@ func UniformOver(values ...float64) Dist {
 // serialized over a wire and rebuilt here is identical to the original.
 // The slices are copied.
 func FromSorted(values, probs []float64) (Dist, error) {
+	d, err := AdoptSorted(values, probs)
+	if err != nil {
+		return Dist{}, err
+	}
+	d = Dist{xs: make([]float64, len(values)), ps: make([]float64, len(probs))}
+	copy(d.xs, values)
+	copy(d.ps, probs)
+	return d, nil
+}
+
+// AdoptSorted is FromSorted, every check included, without the copy: the
+// Dist keeps values and probs as its own vectors. A Dist is immutable, so
+// the caller hands them over — it must not write to them afterwards.
+func AdoptSorted(values, probs []float64) (Dist, error) {
 	if len(values) != len(probs) {
 		return Dist{}, fmt.Errorf("energy: FromSorted values/probs length mismatch (%d vs %d)", len(values), len(probs))
 	}
@@ -246,10 +303,7 @@ func FromSorted(values, probs []float64) (Dist, error) {
 	if math.Abs(total-1) > 1e-6 {
 		return Dist{}, fmt.Errorf("energy: FromSorted probabilities sum to %v, want ~1", total)
 	}
-	d := Dist{xs: make([]float64, len(values)), ps: make([]float64, len(probs))}
-	copy(d.xs, values)
-	copy(d.ps, probs)
-	return d, nil
+	return Dist{xs: values, ps: probs}, nil
 }
 
 // IsZero reports whether d is the zero (unconstructed) Dist.

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"energyclarity/internal/cache"
 	"energyclarity/internal/core"
 	"energyclarity/internal/eisvc"
 	"energyclarity/internal/faultsim"
@@ -472,9 +473,11 @@ func (f *Fleet) Close() {
 // Skipped. The probes leave in rounds: round r sends every key still
 // missing to its next target, one request per distinct target, each
 // bounded by DefaultPeerTimeout; a failed one is a miss for the keys it
-// carried, so a dead or partitioned peer costs a batch one timeout.
+// carried, so a dead or partitioned peer costs a batch one timeout. The
+// first round bounds them all by the caller's deadline too, so a lookup
+// every summary rules out makes no timer.
 func (f *Fleet) peerLookupFor(self *Node) eisvc.PeerLookup {
-	return func(ctx context.Context, keys []string) []eisvc.PeerAnswer {
+	return func(ctx context.Context, deadline time.Time, keys []string) []eisvc.PeerAnswer {
 		epoch := f.epoch.Load()
 		answers := make([]eisvc.PeerAnswer, len(keys))
 		mayAsk := func(n *Node, fp uint32) bool {
@@ -500,7 +503,7 @@ func (f *Fleet) peerLookupFor(self *Node) eisvc.PeerLookup {
 			}
 			order[i] = targets
 		}
-		for {
+		for round := 0; ; round++ {
 			var targets []*Node
 			missing := map[*Node][]int{} // target -> indexes into keys
 			for i := range keys {
@@ -519,6 +522,11 @@ func (f *Fleet) peerLookupFor(self *Node) eisvc.PeerLookup {
 			}
 			if len(targets) == 0 {
 				return answers
+			}
+			if round == 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = cache.Until(ctx, deadline)
+				defer cancel()
 			}
 			for _, n := range targets {
 				f.probe(ctx, self, n, epoch, keys, missing[n], answers)
