@@ -1187,9 +1187,10 @@ type FrameItem struct {
 	// strings with their length prefixes, the 8 seed bytes, and everything
 	// from the argument count to the item's end (the args and fixed
 	// sections). samples, enum_limit, parallelism and deadline_ms are left
-	// out: they do not change which memo entry answers. EncodeEvalRequest
-	// is canonical, so requests that decode alike fingerprint alike in
-	// either codec, alone or inside a batch.
+	// out, so requests differing only in those share a replica (samples
+	// and enum_limit still key memo entries apart, see appendKeyHead).
+	// EncodeEvalRequest is canonical, so requests that decode alike
+	// fingerprint alike in either codec, alone or inside a batch.
 	Spread uint64
 	// Ref is, for a ref item, one more than the index of the item it
 	// repeats, whose Interface and Spread it carries; 0 for a full item.

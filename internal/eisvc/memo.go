@@ -144,9 +144,10 @@ func (m *Memo) Restore(entries []MemoEntry) int {
 }
 
 // KeyStack returns the interface-stack name embedded in a canonical memo
-// key (the prefix before the '@' that introduces the version). The fleet
-// router uses it to aim peer cache probes at the stack's shard owners
-// first — they are where the key is most likely warm.
+// key (the prefix before the '@' that introduces the version). A fleet
+// node's peer lookup (fleet.peerLookupFor) uses it to aim peer cache
+// probes at the stack's shard owners first — they are where the key is
+// most likely warm.
 func KeyStack(key string) string {
 	if i := strings.IndexByte(key, '@'); i >= 0 {
 		return key[:i]

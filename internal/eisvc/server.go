@@ -186,11 +186,12 @@ type PeerAnswer struct {
 // canonical memo keys — every key a batch missed locally in one call, a
 // single eval's miss as a list of one. It returns one answer per key, in
 // order, Found only on an exact hit; errors and misses are both "not
-// found". Implementations should bound their own time (the fleet uses a
-// short per-request timeout): the caller evaluates nothing until the
-// lookup returns. A single eval's miss also passes its queue deadline (a
-// batch the zero time): a lookup that sends a request bounds it by
-// cache.Until(ctx, deadline), so one that asks nobody makes no timer.
+// found". A nil result means every key was skipped. Implementations
+// should bound their own time (the fleet uses a short per-request
+// timeout): the caller evaluates nothing until the lookup returns. A
+// single eval's miss also passes its queue deadline (a batch the zero
+// time): a lookup that sends a request bounds it by cache.Until(ctx,
+// deadline), so one that asks nobody makes no timer.
 type PeerLookup func(ctx context.Context, deadline time.Time, keys []string) []PeerAnswer
 
 // SetPeerLookup installs the fleet peer-cache hook: a memo miss then
@@ -470,16 +471,20 @@ type evalOutcome struct {
 // probePeers hands keys — local memo misses — to the fleet hook in one
 // call, installs what the fleet held in the local memo (so each key
 // crosses the fleet at most once per node) and counts hits, misses and
-// skipped keys. It returns one answer per key, nil where no peer held it.
+// skipped keys. It returns one answer per key, nil where no peer held it,
+// or nil when the hook skipped every key.
 func (s *Server) probePeers(ctx context.Context, deadline time.Time, lookup PeerLookup, keys []string) []*WireDist {
-	found := make([]*WireDist, len(keys))
-	hits, skipped := 0, 0
-	for i, a := range lookup(ctx, deadline, keys) {
-		if a.Found {
-			found[i] = s.memo.put(keys[i], a.Dist)
-			hits++
-		} else if a.Skipped {
-			skipped++
+	var found []*WireDist
+	hits, skipped := 0, len(keys)
+	if answers := lookup(ctx, deadline, keys); answers != nil {
+		found, skipped = make([]*WireDist, len(keys)), 0
+		for i, a := range answers {
+			if a.Found {
+				found[i] = s.memo.put(keys[i], a.Dist)
+				hits++
+			} else if a.Skipped {
+				skipped++
+			}
 		}
 	}
 	atomic.AddUint64(&s.counts.PeerHits, uint64(hits))
@@ -523,8 +528,8 @@ func (s *Server) evalMiss(ctx context.Context, m *miss, probe *PeerLookup) (eval
 		// round-trips through energy.FromSorted), so a peer answer is
 		// indistinguishable from a local one.
 		if probe != nil {
-			if w := s.probePeers(ctx, m.deadline, *probe, []string{key})[0]; w != nil {
-				return evalOutcome{wire: w, memoHit: true, peer: true}, nil
+			if found := s.probePeers(ctx, m.deadline, *probe, []string{key}); found != nil && found[0] != nil {
+				return evalOutcome{wire: found[0], memoHit: true, peer: true}, nil
 			}
 		}
 		if err := s.adm.admit(ctx, m.deadline); err != nil {
@@ -888,7 +893,7 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 	}
 	decodeBodies(frame, cold)
 
-	var found []*WireDist // nil standalone: every cold key evaluates
+	var found []*WireDist // nil standalone or with no peer to ask: every cold key evaluates
 	if lookup := s.peerLookup.Load(); lookup != nil && len(cold) > 0 {
 		found = s.probePeers(r.Context(), time.Time{}, *lookup, coldKeys)
 	}

@@ -559,8 +559,10 @@ var checks = map[string]func(*testing.T, Result){
 		if res.RebalanceEvalDelta != 0 {
 			t.Errorf("rebalance re-evaluated %d times, want 0 (peer cache re-homing)", res.RebalanceEvalDelta)
 		}
-		if res.RebalancePeerHits != 26 {
-			t.Errorf("rebalance re-homed %d shards from peer caches, want 26", res.RebalancePeerHits)
+		// Every repeat goes where the ring sends it, so each class that
+		// moved in the join and the drain is re-homed by a peer probe.
+		if res.RebalancePeerHits != 60 {
+			t.Errorf("rebalance re-homed %d shards from peer caches, want 60", res.RebalancePeerHits)
 		}
 		if res.RebalanceMismatches != 0 {
 			t.Errorf("%d rebalanced answers changed", res.RebalanceMismatches)

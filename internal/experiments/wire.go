@@ -101,7 +101,7 @@ func (r *E17Result) Table() *Table {
 		fmt.Sprintf("allocations per memo hit, client and server together: ≈ %.0f JSON / TCP, ≈ %.0f binary / TCP (each within one of that between runs), %.0f binary / loopback",
 			r.JSONAllocs, r.BinAllocs, r.LoopAllocs),
 		fmt.Sprintf("restart: killed and restarted %s; its snapshot restored %d memo entries", r.Restarted, r.SnapshotMemo),
-		"the replay after restart re-evaluated nothing: every answer came from the restored memo, a peer cache, or the router's memo affinity")
+		"the replay after restart re-evaluated nothing: every answer came from the restored memo or a peer cache")
 	return t
 }
 

@@ -475,9 +475,13 @@ func (f *Fleet) Close() {
 // bounded by DefaultPeerTimeout; a failed one is a miss for the keys it
 // carried, so a dead or partitioned peer costs a batch one timeout. The
 // first round bounds them all by the caller's deadline too, so a lookup
-// every summary rules out makes no timer.
+// every summary rules out makes no timer. With no other node reachable it
+// returns nil, every key skipped, before allocating anything.
 func (f *Fleet) peerLookupFor(self *Node) eisvc.PeerLookup {
 	return func(ctx context.Context, deadline time.Time, keys []string) []eisvc.PeerAnswer {
+		if !slices.ContainsFunc(f.Nodes(), func(n *Node) bool { return n != self && n.reachable() }) {
+			return nil
+		}
 		epoch := f.epoch.Load()
 		answers := make([]eisvc.PeerAnswer, len(keys))
 		mayAsk := func(n *Node, fp uint32) bool {

@@ -62,8 +62,9 @@ func (h *headerRecorder) last() (string, string) {
 // instead of copying them. A third row counts a unique-argument direct
 // eval, a memo miss that evaluates in an exact mode with a worker slot
 // free: 221 → 210 when its queue deadline became a value, which makes no
-// timer unless a wait blocks (and the two cuts above). The bounds are
-// those counts plus 3%.
+// timer unless a wait blocks (and the two cuts above), then 210 → 206
+// when a node with no peer to ask stopped building the peer lookup's
+// per-call state. The bounds are those counts plus 3%.
 //
 // It also pins what each hop sends, read off the wire by the server: the
 // codecs, the client's identity, the resilience headers only when set,
@@ -166,7 +167,7 @@ func TestHopAllocs(t *testing.T) {
 	}{
 		{"direct, warm", "direct", func(int) []core.Value { return warm }, traceOpts, 97},
 		{"routed, warm", "routed", func(int) []core.Value { return warm }, traceOpts, 181},
-		{"direct, unique arguments", "direct", func(i int) []core.Value { return unique[i] }, core.Expected(), 216},
+		{"direct, unique arguments", "direct", func(i int) []core.Value { return unique[i] }, core.Expected(), 212},
 	} {
 		c, i := clients[row.client], 0
 		allocs := testing.AllocsPerRun(runs, func() {

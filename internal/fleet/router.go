@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,14 +27,13 @@ type Router struct {
 	// First, to be 64-bit aligned for the atomic functions on any platform.
 	counts RouterCounters
 
-	f   *Fleet
-	tr  http.RoundTripper // every forward's; one pooled transport for all nodes
-	aff *affinity
+	f  *Fleet
+	tr http.RoundTripper // every forward's; one pooled transport for all nodes
 }
 
 // NewRouter returns a router over the fleet.
 func NewRouter(f *Fleet) *Router {
-	return &Router{f: f, tr: eisvc.NewTransport(eisvc.TransportTuning{}), aff: newAffinity()}
+	return &Router{f: f, tr: eisvc.NewTransport(eisvc.TransportTuning{})}
 }
 
 // RouterCounters are the router's routing counters (a counters set).
@@ -43,7 +41,7 @@ type RouterCounters struct {
 	Routed       uint64 `json:"routed"`        // evaluation requests routed
 	Failovers    uint64 `json:"failovers"`     // candidates skipped after a failure
 	Exhausted    uint64 `json:"exhausted"`     // requests no candidate could serve
-	AffinityHits uint64 `json:"affinity_hits"` // evals steered ahead of ring order to their last-serving node
+	AffinityHits uint64 `json:"affinity_hits"` // always 0: the router steers nothing; kept for readers of the field
 }
 
 // Counters returns a snapshot of the router's routing counters.
@@ -103,7 +101,7 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 // from the last candidate — there the shed is the best answer the fleet
 // has. A false return means every candidate was dead, shedding, or
 // declined.
-func (rt *Router) tryCandidates(r *http.Request, hop eisvc.Hop, body []byte, candidates []*Node, answer func(n *Node, resp *http.Response) bool) bool {
+func (rt *Router) tryCandidates(r *http.Request, hop eisvc.Hop, body []byte, candidates []*Node, answer func(resp *http.Response) bool) bool {
 	for i, n := range candidates {
 		if i > 0 {
 			atomic.AddUint64(&rt.counts.Failovers, 1)
@@ -116,7 +114,7 @@ func (rt *Router) tryCandidates(r *http.Request, hop eisvc.Hop, body []byte, can
 			resp.Body.Close()
 			continue
 		}
-		if answer(n, resp) {
+		if answer(resp) {
 			return true
 		}
 	}
@@ -144,9 +142,9 @@ func (rt *Router) writeExhausted(w http.ResponseWriter, what string) {
 // population still lands identical requests on the same replica.
 //
 // The candidates are the stack's ring owners rotated by the fingerprint,
-// except that the node which last served this exact fingerprint — its
-// memo is warm — goes first regardless of ring order. Failover follows
-// the usual candidate walk.
+// then every other live node: a function of the frame and the membership
+// alone. A repeat whose answer is warm elsewhere after a failover is
+// found by its node's peer probe, not steered here.
 func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	atomic.AddUint64(&rt.counts.Routed, 1)
 	// Not pooled: an abandoned forward's transport goroutine may still be
@@ -167,28 +165,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 		eisvc.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-
-	cands := rt.f.ordered(rt.f.OwnersOf(stack), spread, (*Node).Live) // then every other live node
-	affKey := eisvc.Hash64(stack) ^ spread
-	affID, affKnown := rt.aff.get(affKey)
-	// i > 0: affinity moves its node ahead of the ring's choice.
-	i := slices.IndexFunc(cands, func(n *Node) bool { return affKnown && n.ID == affID })
-	if i > 0 {
-		n := cands[i]
-		copy(cands[1:i+1], cands[:i])
-		cands[0] = n
-	}
-	ok := rt.tryCandidates(r, eisvc.Forwarded(r), body.Bytes(), cands, func(n *Node, resp *http.Response) bool {
-		if resp.StatusCode/100 == 2 {
-			if i > 0 && n.ID == affID {
-				atomic.AddUint64(&rt.counts.AffinityHits, 1)
-			}
-			rt.aff.put(affKey, n.ID)
-		}
-		relay(w, resp)
-		return true
-	})
-	if !ok {
+	if !rt.forward(w, r, body.Bytes(), rt.f.ordered(rt.f.OwnersOf(stack), spread, (*Node).Live)) {
 		rt.writeExhausted(w, "eval of "+stack)
 	}
 }
@@ -299,7 +276,7 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			// request is skipped like a dead one.
 			walked := frameItems.Get().(*[]eisvc.FrameItem)
 			defer putFrameItems(walked)
-			ok := rt.tryCandidates(r, hop, body.Bytes(), rt.f.ordered([]string{pref}, 0, (*Node).Live), func(_ *Node, resp *http.Response) bool {
+			ok := rt.tryCandidates(r, hop, body.Bytes(), rt.f.ordered([]string{pref}, 0, (*Node).Live), func(resp *http.Response) bool {
 				data, err := readAnswer(resp)
 				if err != nil {
 					return false
@@ -408,13 +385,17 @@ func (rt *Router) forwardToAnyLive(w http.ResponseWriter, r *http.Request) {
 	if !eisvc.ReadBody(w, r, &body) {
 		return
 	}
-	ok := rt.tryCandidates(r, eisvc.Forwarded(r), body.Bytes(), rt.f.LiveNodes(), func(_ *Node, resp *http.Response) bool {
+	if !rt.forward(w, r, body.Bytes(), rt.f.LiveNodes()) {
+		rt.writeExhausted(w, r.URL.Path)
+	}
+}
+
+// forward relays the first answer a candidate gives; false if none could.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, candidates []*Node) bool {
+	return rt.tryCandidates(r, eisvc.Forwarded(r), body, candidates, func(resp *http.Response) bool {
 		relay(w, resp)
 		return true
 	})
-	if !ok {
-		rt.writeExhausted(w, r.URL.Path)
-	}
 }
 
 // --- fleet stats ---

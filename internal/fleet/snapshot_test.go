@@ -8,13 +8,12 @@ import (
 	"energyclarity/internal/eisvc"
 )
 
-// TestFleetBinaryRoutingAndAffinity: a binary client's requests route
-// through the fleet byte-for-byte identically to a JSON client's, and
-// repeating a request steers it back to the node that served it last
-// (the memo-affinity hint), so the repeat is a memo hit.
-func TestFleetBinaryRoutingAndAffinity(t *testing.T) {
+// TestFleetBinaryRouting: a binary client's requests route through the
+// fleet byte-for-byte identically to a JSON client's, so the binary
+// repeat of a JSON request lands on the same node and is a memo hit.
+func TestFleetBinaryRouting(t *testing.T) {
 	f := startFleet(t, Config{Nodes: 3})
-	rt, jsonC := startTestRouter(t, f)
+	_, jsonC := startTestRouter(t, f)
 	jsonC.Binary = false
 	if _, err := jsonC.RegisterCtx(context.Background(), fleetEIL); err != nil {
 		t.Fatal(err)
@@ -34,52 +33,12 @@ func TestFleetBinaryRoutingAndAffinity(t *testing.T) {
 			t.Fatal(err)
 		}
 		bitIdentical(t, fmt.Sprintf("binary class %d", k), bd, want[k])
-		// The binary repeat of the JSON request must land on the same node
-		// (affinity) and be served from its memo, not re-evaluated.
 		if !bresp.Cached {
 			t.Errorf("class %d: binary repeat was not cache-served", k)
 		}
 		if bresp.Node != jresp.Node {
-			t.Errorf("class %d: binary repeat served by %s, want %s (affinity)", k, bresp.Node, jresp.Node)
+			t.Errorf("class %d: binary repeat served by %s, want %s", k, bresp.Node, jresp.Node)
 		}
-	}
-	// Every repeat above went where the ring sends it anyway: affinity
-	// steered none of them.
-	if c := rt.Counters(); c.AffinityHits != 0 {
-		t.Errorf("affinity hits = %d before any failover, want 0", c.AffinityHits)
-	}
-
-	// Affinity steers a repeat after a failover: with class 0's preferred
-	// owner partitioned, the other owner serves it; once healed, the ring
-	// prefers the first owner again, but the repeat must go to the node
-	// that holds the answer and be served from its memo.
-	_, first, err := jsonC.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), traceOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.PartitionNode(first.Node, true); err != nil {
-		t.Fatal(err)
-	}
-	_, failover, err := jsonC.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), traceOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.PartitionNode(first.Node, false); err != nil {
-		t.Fatal(err)
-	}
-	if failover.Node == first.Node {
-		t.Fatalf("partitioned %s still served", first.Node)
-	}
-	d, repeat, err := jsonC.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(0), traceOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitIdentical(t, "steered repeat", d, want[0])
-	if repeat.Node != failover.Node || !repeat.Cached {
-		t.Errorf("repeat after the heal served by %s (cached %v), want %s from its memo", repeat.Node, repeat.Cached, failover.Node)
-	}
-	if c := rt.Counters(); c.AffinityHits != 1 {
-		t.Errorf("affinity hits = %d after one steered repeat, want 1", c.AffinityHits)
 	}
 
 	// Batches through the binary codec answer bit-identically too.
@@ -100,6 +59,66 @@ func TestFleetBinaryRoutingAndAffinity(t *testing.T) {
 			t.Fatal(err)
 		}
 		bitIdentical(t, fmt.Sprintf("binary batch %d", k), d, want[k])
+	}
+}
+
+// TestPlacementIgnoresHistory: where the router sends an eval is a
+// function of the frame and the membership alone. A router that has served
+// a partition and its heal places every repeat where a fresh router over
+// the same fleet places it; a repeat whose answer the partition left on a
+// stand-in is re-homed by its node's peer probe, and no repeat evaluates.
+func TestPlacementIgnoresHistory(t *testing.T) {
+	f := startFleet(t, Config{Nodes: 3})
+	_, c := startTestRouter(t, f)
+	_, fresh := startTestRouter(t, f)
+	if _, err := c.RegisterCtx(context.Background(), fleetEIL); err != nil {
+		t.Fatal(err)
+	}
+	const distinct = 8
+	want := refDists(t, distinct)
+	eval := func(c *eisvc.Client, k int) *eisvc.EvalResponse {
+		t.Helper()
+		d, resp, err := c.EvalCtx(context.Background(), "ml_webservice", "handle", traceArgs(k), traceOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitIdentical(t, fmt.Sprintf("class %d", k), d, want[k])
+		return resp
+	}
+
+	// Class 0 warms its node; with that node cut off, every class is
+	// served (class 0 re-evaluated) by the nodes left.
+	cut := eval(c, 0).Node
+	if err := f.PartitionNode(cut, true); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < distinct; k++ {
+		if n := eval(c, k).Node; n == cut {
+			t.Fatalf("class %d: partitioned %s still served", k, cut)
+		}
+	}
+	if err := f.PartitionNode(cut, false); err != nil {
+		t.Fatal(err)
+	}
+
+	before, peer := totalEvaluations(t, f), 0
+	for k := 0; k < distinct; k++ {
+		repeat, placed := eval(c, k), eval(fresh, k)
+		if repeat.Node != placed.Node {
+			t.Errorf("class %d: the router with a history sent it to %s, a fresh one to %s", k, repeat.Node, placed.Node)
+		}
+		if !repeat.Cached && !repeat.Peer {
+			t.Errorf("class %d: the repeat after the heal was evaluated on %s", k, repeat.Node)
+		}
+		if repeat.Peer {
+			peer++
+		}
+	}
+	if after := totalEvaluations(t, f); after != before {
+		t.Errorf("repeats after the heal evaluated: %d -> %d evaluations", before, after)
+	}
+	if peer == 0 {
+		t.Errorf("no repeat was re-homed by a peer probe: the test no longer reaches one")
 	}
 }
 
