@@ -73,7 +73,7 @@ race:
 # by more than their cold keys (TestBatchRetainsOnlyColdKeys), 32
 # responses encoding from one shared memo entry at once, a cold batch
 # that must not shed its own items, a cancellation raced against a hedge —
-# plus the frame pins, the cache package (TestStorePutAllocs: a full
+# plus the frame and answer pins, the cache package (TestStorePutAllocs: a full
 # store's insert allocates nothing), the allocations of a cold evaluation
 # (worst and best cases among its shapes),
 # and the tests that run eid and efleet as child processes (ports, signals
@@ -85,15 +85,19 @@ race:
 # counts are exact or within one (a warm batch whose repeats cross as
 # refs and whose distinct items come back held, and a routed batch with
 # no refs whose warm items come back held; each also sent from a client
-# that holds nothing, answered in full), and the bytes a client
+# that holds nothing, answered in full), TestHopAllocs' rows (one warm
+# binary eval direct and routed, whose answer names the client decodes
+# without a copy; a unique-argument direct eval on a one-node fleet; and
+# one on a 2-node fleet whose peer's summary rules the key out, so the
+# peer lookup returns before allocating), and the bytes a client
 # allocates to send a 20 KB body through NewTransport (no copy buffer).
 test-repeat:
 	$(GO) test -count=10 -run 'TestExperiments/^E1[1-7]$$' ./internal/experiments
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'TestExperiments/^(E11|E12|E13|E17)$$' ./internal/experiments
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestExperiments/^E16$$' ./internal/experiments
 	$(GO) test -count=5 ./internal/fleet
-	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestBatchArgsDecodeOnce|TestBatchRetainsOnlyColdKeys|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged|TestBatchDoesNotShedItself|TestClientContextError' ./internal/eisvc
-	GOGC=off $(GO) test -count=3 -run 'TestWarmBatchAllocs|TestRoutedBatchAllocs|TestTransportCopiesNoBody' ./internal/eisvc ./internal/fleet
+	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestBatchArgsDecodeOnce|TestBatchRetainsOnlyColdKeys|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged|TestAnswersUnchanged|TestBatchDoesNotShedItself|TestClientContextError' ./internal/eisvc
+	GOGC=off $(GO) test -count=3 -run 'TestWarmBatchAllocs|TestRoutedBatchAllocs|TestHopAllocs|TestTransportCopiesNoBody' ./internal/eisvc ./internal/fleet
 	$(GO) test -count=5 ./internal/cache
 	$(GO) test -count=5 -run TestColdEvalAllocs .
 	$(GO) test -count=3 -run 'Process|Recal' ./cmd/eid ./cmd/efleet

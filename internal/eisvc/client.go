@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"maps"
 	"net/http"
 	"slices"
 	"strconv"
@@ -127,6 +128,9 @@ type Client struct {
 	counts Counters
 	heldMu sync.Mutex
 	held   *cache.Store[uint64, *heldAnswer] // batch answers held, by request item hash; under heldMu
+	// nodes maps each node ID an eval's answer has carried to the one copy
+	// the client keeps (see EvalCtx); replaced, never changed.
+	nodes atomic.Value // map[string]string
 
 	base string
 	rt   http.RoundTripper
@@ -470,12 +474,22 @@ func (c *Client) RebindCtx(ctx context.Context, name, path, target string) (uint
 // request — the daemon observes the disconnect and cancels the
 // evaluation, freeing its worker slot. Evaluations are deterministic and
 // idempotent, so they retry (and hedge) per the client's policy.
+// The answer's names are the request's own strings, its mode's core.Mode
+// name and a node ID the client keeps, so decoding them copies none.
 func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.Value, opts core.EvalOptions) (energy.Dist, *EvalResponse, error) {
 	req := c.EvalRequestFor(name, method, args, opts)
 	req.DeadlineMs = int(c.Deadline / time.Millisecond)
-	resp, err := EvalEndpoint.call(ctx, c, &req)
-	if err != nil {
+	known, _ := c.nodes.Load().(map[string]string)
+	resp := &EvalResponse{Interface: req.Interface, Method: req.Method, Mode: req.Mode}
+	if err := EvalEndpoint.call(ctx, c, &req, resp, known); err != nil {
 		return energy.Dist{}, nil, err
+	}
+	// A node ID is the daemon's to choose, so the table stops at
+	// maxInternEntries. Two racing adds may lose one: a later answer adds it.
+	if _, ok := known[resp.Node]; !ok && len(known) < maxInternEntries {
+		m := map[string]string{resp.Node: resp.Node}
+		maps.Copy(m, known)
+		c.nodes.Store(m)
 	}
 	d, err := resp.Dist.Dist()
 	if err != nil {
@@ -526,9 +540,13 @@ func (c *Client) EvalBatchCtx(ctx context.Context, reqs []EvalRequest) ([]BatchE
 
 // evalFrame is one round trip of EvalBatchCtx: reqs in one frame.
 func (c *Client) evalFrame(ctx context.Context, reqs []EvalRequest) ([]BatchEvalItem, error) {
-	holds := &batchHolds{c: c, held: make([]*heldAnswer, len(reqs)), spans: make([]span, len(reqs))} // JSON holds none
-	resp, err := EvalBatchEndpoint.call(ctx, c, &BatchEvalRequest{Requests: reqs, holds: holds})
-	if err != nil {
+	holds := holdsPool.Get().(*batchHolds) // JSON holds none
+	defer holds.release()
+	holds.c = c
+	holds.held = slices.Grow(holds.held, len(reqs))[:len(reqs)]
+	holds.spans = slices.Grow(holds.spans, len(reqs))[:len(reqs)]
+	resp := new(BatchEvalResponse)
+	if err := EvalBatchEndpoint.call(ctx, c, &BatchEvalRequest{Requests: reqs, holds: holds}, resp, nil); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(reqs) {
@@ -549,12 +567,22 @@ type heldAnswer struct {
 
 // batchHolds is what the request items of one batch call went out as:
 // held against an answer, or else as their bytes, frame[spans[i]] of the
-// request as sent (Endpoint.call); neither for a ref.
+// request as sent (Endpoint.call); neither for a ref. It is pooled, and
+// emptied before it goes back; maxBatch caps its slices.
 type batchHolds struct {
 	c     *Client
 	held  []*heldAnswer
 	spans []span
 	frame []byte
+}
+
+var holdsPool = sync.Pool{New: func() any { return new(batchHolds) }}
+
+func (b *batchHolds) release() {
+	clear(b.held)
+	clear(b.spans)
+	*b = batchHolds{held: b.held[:0], spans: b.spans[:0]}
+	holdsPool.Put(b)
 }
 
 // find returns the tag held for request item i (bytes item, hash h, at
@@ -624,8 +652,8 @@ func (c *Client) EvalRequestFor(name, method string, args []core.Value, opts cor
 // callers typically use a dedicated client with a short Timeout and no
 // retry policy — a slow peer must cost less than evaluating locally.
 func (c *Client) CacheLookupCtx(ctx context.Context, keys []string, summary bool) ([]PeerAnswer, []uint32, error) {
-	resp, err := CacheLookupEndpoint.call(ctx, c, &CacheLookupRequest{Keys: keys, Summary: summary})
-	if err != nil {
+	resp := new(CacheLookupResponse)
+	if err := CacheLookupEndpoint.call(ctx, c, &CacheLookupRequest{Keys: keys, Summary: summary}, resp, nil); err != nil {
 		return nil, nil, err
 	}
 	if len(resp.Results) != len(keys) {

@@ -172,7 +172,7 @@ func TestEvalBatchLeavesRequestsAlone(t *testing.T) {
 		mu.Lock()
 		sent = append(sent, got)
 		mu.Unlock()
-		EvalBatchEndpoint.Write(w, r, &BatchEvalResponse{Results: make([]BatchEvalItem, len(req.Requests))})
+		writeAnswer(t, EvalBatchEndpoint, w, r, &BatchEvalResponse{Results: make([]BatchEvalItem, len(req.Requests))})
 	}))
 	defer ts.Close()
 	c := NewClient(ts.URL)

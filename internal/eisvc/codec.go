@@ -154,6 +154,8 @@ type coder struct {
 	dists []WireDist
 	// key, keying, is where the memo key is appended; the caller owns it.
 	key []byte
+	// known, decoding, maps strings to copies the reader keeps (see str).
+	known map[string]string
 }
 
 // span is an encoded batch item: its index and its bytes' range.
@@ -315,6 +317,9 @@ func (c *coder) raw(size int) []byte {
 	return c.take(size * int(binary.LittleEndian.Uint32(b)))
 }
 
+// str lays out a string. Decoding, bytes equal to *p leave it and bytes
+// c.known maps take that string: a client decodes the names its answers
+// repeat into the copies it keeps (see Client.EvalCtx).
 func (c *coder) str(p *string) {
 	if c.mode == encoding {
 		n := len(*p)
@@ -322,7 +327,13 @@ func (c *coder) str(p *string) {
 		c.buf.WriteString(*p)
 		return
 	}
-	if b := c.raw(1); c.mode == decoding {
+	b := c.raw(1)
+	if c.mode != decoding || string(b) == *p {
+		return
+	}
+	if s, ok := c.known[string(b)]; ok {
+		*p = s
+	} else {
 		*p = string(b) // a copy: the frame's buffer is pooled
 	}
 }

@@ -84,23 +84,28 @@ func (c *Codec[T]) Encode(buf *bytes.Buffer, contentType string, v *T) error {
 // in the result aliases body. A binary body must be exactly one frame.
 func (c *Codec[T]) Decode(contentType string, body []byte) (*T, error) {
 	v := new(T)
-	var err error
-	switch {
-	case IsBinaryContentType(contentType):
-		k := newCoder(decoding, nil, body)
-		k.header(c.kind)
-		c.layout(k, v)
-		k.done()
-		err = k.release()
-	case c.strict:
-		err = decodeStrictJSON(body, v)
-	default:
-		err = json.Unmarshal(body, v)
-	}
-	if err != nil {
+	if err := c.decodeInto(contentType, body, v, nil); err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+// decodeInto is Decode into v. Binary, a string v holds or known maps is
+// kept where the frame repeats it (see coder.str); JSON empties v first.
+func (c *Codec[T]) decodeInto(contentType string, body []byte, v *T, known map[string]string) error {
+	if IsBinaryContentType(contentType) {
+		k := newCoder(decoding, nil, body)
+		k.known = known
+		k.header(c.kind)
+		c.layout(k, v)
+		k.done()
+		return k.release()
+	}
+	*v = *new(T)
+	if c.strict {
+		return decodeStrictJSON(body, v)
+	}
+	return json.Unmarshal(body, v)
 }
 
 // Frame returns body as a binary frame, for a caller that switches frames
@@ -155,26 +160,6 @@ func ReadBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
 	return false
 }
 
-// Write answers 200 in the codec the caller's Accept asks for: binary
-// only when it names BinaryContentType — a substring match, so a
-// multi-valued Accept ("application/x-eisvc-bin, application/json")
-// negotiates correctly. Errors never come through here: they are always
-// JSON (WriteError), so the debug path stays readable exactly when
-// something went wrong.
-func (e *Endpoint[Req, Resp]) Write(w http.ResponseWriter, r *http.Request, resp *Resp) {
-	contentType := jsonContentType
-	if AcceptsBinary(r) {
-		contentType = BinaryContentType
-	}
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	if err := e.Response.Encode(buf, contentType, resp); err != nil {
-		WriteError(w, http.StatusInternalServerError, "encode response: %v", err)
-		return
-	}
-	writeBody(w, http.StatusOK, contentType, buf)
-}
-
 // AcceptsBinary reports whether the caller's Accept asks for the binary
 // codec.
 func AcceptsBinary(r *http.Request) bool {
@@ -182,8 +167,12 @@ func AcceptsBinary(r *http.Request) bool {
 }
 
 // WriteFrame answers 200 with an answer already in its binary frame: as
-// it is to a caller that accepts binary, decoded and written as JSON to
-// one that does not.
+// it is to a caller whose Accept names BinaryContentType — a substring
+// match, so a multi-valued Accept ("application/x-eisvc-bin,
+// application/json") negotiates correctly — and decoded and written as
+// JSON to any other. Errors never come through here: they are always JSON
+// (WriteError), so the debug path stays readable exactly when something
+// went wrong.
 func (e *Endpoint[Req, Resp]) WriteFrame(w http.ResponseWriter, r *http.Request, frame *bytes.Buffer) {
 	if AcceptsBinary(r) {
 		writeBody(w, http.StatusOK, BinaryContentType, frame)
@@ -194,7 +183,7 @@ func (e *Endpoint[Req, Resp]) WriteFrame(w http.ResponseWriter, r *http.Request,
 		WriteError(w, http.StatusInternalServerError, "decode response: %v", err)
 		return
 	}
-	e.Write(w, r, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeBody sends an encoded body with an exact Content-Length. Values
@@ -218,14 +207,15 @@ var jsonContentTypes, binaryContentTypes = []string{jsonContentType}, []string{B
 
 // call is the client side of the entry: encode req in the client's codec
 // (binary when Client.Binary, offering the same in Accept), run the
-// retry/hedge engine, decode whatever codec came back. Evaluations and
-// memo probes are deterministic and touch nothing but caches, so every
-// entry retries and hedges. The request goes as an exactly sized copy of a
-// pooled encoding, deliberately NOT pooled: an abandoned hedge or retry
-// attempt's transport goroutine can still be reading it after do returns,
-// and a batch's holds read the items they may hold out of it. The GC
-// collects it once the last reference drops.
-func (e *Endpoint[Req, Resp]) call(ctx context.Context, c *Client, req *Req) (*Resp, error) {
+// retry/hedge engine, decode whatever codec came back into resp (see
+// decodeInto for known). Evaluations and memo probes are deterministic and
+// touch nothing but caches, so every entry retries and hedges. The request
+// goes as an exactly sized copy of a pooled encoding, deliberately NOT
+// pooled: an abandoned hedge or retry attempt's transport goroutine can
+// still be reading it after do returns, and a batch's holds read the items
+// they may hold out of it. The GC collects it once the last reference
+// drops.
+func (e *Endpoint[Req, Resp]) call(ctx context.Context, c *Client, req *Req, resp *Resp, known map[string]string) error {
 	hop := Hop{ContentType: jsonContentType, Client: c.ID}
 	if c.Binary {
 		hop.ContentType, hop.Accept = BinaryContentType, BinaryContentType
@@ -238,16 +228,16 @@ func (e *Endpoint[Req, Resp]) call(ctx context.Context, c *Client, req *Req) (*R
 		b.holds.frame = payload
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	buf, answered, err := c.do(ctx, http.MethodPost, e.Path, payload, hop, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer PutBuffer(buf)
 	// answered is the codec the server chose: binary when our Accept was
 	// honored, JSON from a daemon that pre-dates the codec.
-	return e.Response.Decode(answered, buf.Bytes())
+	return e.Response.decodeInto(answered, buf.Bytes(), resp, known)
 }
 
 // callJSON serves the routes that never negotiate (register, rebind,

@@ -312,7 +312,11 @@ func TestCacheLookupBounds(t *testing.T) {
 		}
 		srv := NewServer(Config{})
 		srv.memo.Put("big", d)
-		resp, err := srv.handleCacheLookup(nil, binaryFrame(&CacheLookupEndpoint.Request, &CacheLookupRequest{Keys: []string{"big"}, Summary: true}))
+		var answer bytes.Buffer
+		if err := srv.handleCacheLookup(nil, binaryFrame(&CacheLookupEndpoint.Request, &CacheLookupRequest{Keys: []string{"big"}, Summary: true}), &answer); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := CacheLookupEndpoint.Response.Decode(BinaryContentType, answer.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +351,7 @@ func TestCacheLookupBounds(t *testing.T) {
 	}
 
 	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		CacheLookupEndpoint.Write(w, r, &CacheLookupResponse{Results: make([]CacheLookupResult, 1)})
+		writeAnswer(t, CacheLookupEndpoint, w, r, &CacheLookupResponse{Results: make([]CacheLookupResult, 1)})
 	}))
 	defer short.Close()
 	// A JSON answer's summary is checked by the client, a binary one's by

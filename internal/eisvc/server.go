@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -300,12 +301,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // serve registers one endpoint-table entry on the mux: read (bounded, and
 // made a binary frame by Codec.Frame, re-encoding a JSON body; the frame
-// is pooled, so no answer may alias it) → handle → write (encoded per
-// Accept), an error going out through evalStatus. A non-nil counter marks
-// an evaluation route and adds what all of those share: count the
-// request, note its resilience headers, pass the drain gate (503 once
-// draining), and record the latency of every answered request.
-func serve[Req, Resp any](s *Server, ep *Endpoint[Req, Resp], counter *uint64, handle func(*http.Request, []byte) (*Resp, error)) {
+// is pooled, so no answer may alias it) → handle, which lays its answer
+// frame out in a pooled buffer → WriteFrame (transcoded per Accept), an
+// error going out through evalStatus. A non-nil counter marks an
+// evaluation route and adds what all of those share: count the request,
+// note its resilience headers, pass the drain gate (503 once draining),
+// and record the latency of every answered request.
+func serve[Req, Resp any](s *Server, ep *Endpoint[Req, Resp], counter *uint64, handle func(r *http.Request, frame []byte, out *bytes.Buffer) error) {
 	s.mux.HandleFunc("POST "+ep.Path, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if counter != nil {
@@ -327,15 +329,19 @@ func serve[Req, Resp any](s *Server, ep *Endpoint[Req, Resp], counter *uint64, h
 			WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
-		resp, err := handle(r, frame)
-		if err != nil {
+		out := scratch // a binary request's frame is its body, and scratch is free
+		if scratch.Len() > 0 {
+			out = GetBuffer()
+			defer PutBuffer(out)
+		}
+		if err := handle(r, frame, out); err != nil {
 			writeEvalError(w, err)
 			return
 		}
 		if counter != nil {
 			s.lat.observe(float64(time.Since(start)) / float64(time.Millisecond))
 		}
-		ep.Write(w, r, resp)
+		ep.WriteFrame(w, r, out)
 	})
 }
 
@@ -729,7 +735,7 @@ func putKeys(p *[]byte, key []byte) {
 // decoding it; a miss decodes its body and goes to evalMiss with peer
 // probing on, waiting at most the request's deadline for a flight or a
 // worker slot. (A batch probes for all of its misses at once.)
-func (s *Server) handleEval(r *http.Request, frame []byte) (*EvalResponse, error) {
+func (s *Server) handleEval(r *http.Request, frame []byte, out *bytes.Buffer) error {
 	keys := keyBufs.Get().(*[]byte)
 	c := newCoder(keying, nil, frame)
 	c.key = *keys
@@ -744,44 +750,64 @@ func (s *Server) handleEval(r *http.Request, frame []byte) (*EvalResponse, error
 	defer putKeys(keys, key)
 	switch {
 	case err != nil:
-		return nil, reject(http.StatusBadRequest, "bad request body: %v", err)
+		return reject(http.StatusBadRequest, "bad request body: %v", err)
 	case k.rej != nil:
-		return nil, k.rej
+		return k.rej
 	}
-	var out evalOutcome
+	var got evalOutcome
 	if w := wireOf(s.memo, key); w != nil {
-		out = evalOutcome{wire: w, memoHit: true}
+		got = evalOutcome{wire: w, memoHit: true}
 	} else {
 		decodeBodies(frame, one[:])
 		m.key, m.deadline = string(key), s.deadlineFor(k.deadlineMs)
-		if out, err = s.evalMiss(r.Context(), m, s.peerLookup.Load()); err != nil {
-			return nil, err
+		if got, err = s.evalMiss(r.Context(), m, s.peerLookup.Load()); err != nil {
+			return err
 		}
 	}
-	w := out.wire
-	s.ledger.record(clientID(r), k.name, w.Mean, w.P99, w.Max, out.memoHit || out.coalesced)
-	return &EvalResponse{
+	w := got.wire
+	s.ledger.record(clientID(r), k.name, w.Mean, w.P99, w.Max, got.memoHit || got.coalesced)
+	// Laid out by a direct call, not Codec.Encode's func value, so that the
+	// answer stays on the stack.
+	c = newCoder(encoding, out, nil)
+	c.header(kindEvalResponse)
+	c.evalResponse(&EvalResponse{
 		Interface: k.name,
 		Version:   k.entry.version,
 		Method:    k.method,
 		Mode:      k.opts.Mode.String(),
 		Dist:      *w, // the vectors stay the memo entry's: read-only
-		Cached:    out.memoHit,
-		Coalesced: out.coalesced,
-		Peer:      out.peer,
+		Cached:    got.memoHit,
+		Coalesced: got.coalesced,
+		Peer:      got.peer,
 		Node:      s.cfg.NodeID,
-	}, nil
+	})
+	return c.release()
 }
 
 // keySeed seeds the hashes a batch finds its duplicate keys by.
 var keySeed = maphash.MakeSeed()
 
-// batchScratch is where a batch finds its duplicate keys (by hash) and
-// lists its memo misses (see handleEvalBatch): pooled, and emptied before
-// it goes back, so that it keeps nothing of a batch alive.
+// keyResult is what a batch answers every item that shares one key with:
+// the key's range in the batch's keys, the item that first named it, the
+// head its answer items carry and the outcome. A rejected item has one of
+// its own, never shared, with no mode and the rejection for err.
+type keyResult struct {
+	start, end, first  int
+	name, method, mode string
+	version            uint64
+	out                evalOutcome
+	err                error
+}
+
+// batchScratch is a batch's per-item and per-key state (see
+// handleEvalBatch): pooled, and emptied before it goes back, so that it
+// keeps nothing of a batch alive. maxBatch caps its slices.
 type batchScratch struct {
-	byHash map[uint64]int
-	cold   []miss
+	byHash  map[uint64]int // a distinct key's hash → its entry in results
+	cold    []miss
+	shared  []int    // item i rides on results[shared[i]]
+	held    []uint64 // the tag each item's held prefix named, or 0; empty for none
+	results []keyResult
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{byHash: map[uint64]int{}} }}
@@ -789,7 +815,9 @@ var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{byHash: 
 func (b *batchScratch) release() {
 	clear(b.byHash)
 	clear(b.cold)
-	b.cold = b.cold[:0]
+	clear(b.held)
+	clear(b.results)
+	b.cold, b.shared, b.held, b.results = b.cold[:0], b.shared[:0], b.held[:0], b.results[:0]
 	batchScratchPool.Put(b)
 }
 
@@ -805,41 +833,27 @@ func (b *batchScratch) release() {
 // (see itemRef) shares its referent's key and result, and a request that
 // carried refs is answered with them; a held item (see heldPrefix) whose
 // answer is the 200 it was held against answers held, to a binary caller.
-func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalResponse, error) {
-	// results holds one entry per distinct key, in the order of the items
-	// that first name them; shared[i] is the index of the entry item i
-	// rides on — its own, or for a duplicate the one the key's first item
-	// made — and -1 for a rejected item. cold lists the entries the memo
-	// missed.
-	type keyResult struct {
-		start, end int // its key's range in the batch's keys
-		first      int // the item that first named it
-		out        evalOutcome
-		err        error
-	}
+// The answer frame is written item by item from the keys' results: no
+// answer item is built for more than the time it takes to lay it out.
+func (s *Server) handleEvalBatch(r *http.Request, frame []byte, out *bytes.Buffer) error {
 	keyBuf := keyBufs.Get().(*[]byte)
 	c := newCoder(keying, nil, frame)
 	c.key = *keyBuf
 	c.header(kindBatchRequest)
-	var items []BatchEvalItem
-	batchItems(c, &items)
-	shared := make([]int, len(items))
-	results := make([]keyResult, 0, len(items))
 	scratch := batchScratchPool.Get().(*batchScratch)
 	defer scratch.release()
-	byHash, cold := scratch.byHash, scratch.cold
-	var held []uint64 // the tag each item's held prefix named, or 0; nil for none
+	shared := batchItems(c, &scratch.shared)
+	byHash, cold, results, held := scratch.byHash, scratch.cold, scratch.results, scratch.held
 	refs := false
-	for i := 0; i < len(items) && !c.failed(); i++ {
+	for i := 0; i < len(shared) && !c.failed(); i++ {
 		if j := c.itemRef(i, i); j != i {
-			items[i], shared[i] = items[j], shared[j]
-			items[i].Deduped = shared[j] >= 0
+			shared[i] = shared[j]
 			refs = true
 			continue
 		}
 		if tag := c.heldPrefix(); tag != 0 {
-			if held == nil {
-				held = make([]uint64, len(items))
+			if len(held) == 0 {
+				held = slices.Grow(held, len(shared))[:len(shared)]
 			}
 			held[i] = tag
 		}
@@ -848,25 +862,22 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 		if s.keyItem(c, &k); c.failed() {
 			break
 		}
-		items[i] = BatchEvalItem{Interface: k.name, Method: k.method}
-		shared[i] = -1
+		shared[i] = len(results)
+		kr := keyResult{start: start, end: len(c.key), first: i, name: k.name, method: k.method}
 		if k.rej != nil {
-			items[i].Status, items[i].Error = k.rej.status, k.rej.msg
+			kr.err = k.rej
+			results = append(results, kr)
 			continue
 		}
-		items[i].Version = k.entry.version
-		items[i].Mode = k.opts.Mode.String()
+		kr.version, kr.mode = k.entry.version, k.opts.Mode.String()
 		key := c.key[start:]
 		h := maphash.Bytes(keySeed, key)
 		if j, ok := byHash[h]; ok && bytes.Equal(key, c.key[results[j].start:results[j].end]) {
 			c.key = c.key[:start]
-			items[i].Deduped = true
 			shared[i] = j
 			continue
 		}
 		byHash[h] = len(results)
-		shared[i] = len(results)
-		kr := keyResult{start: start, end: len(c.key), first: i}
 		if w := wireOf(s.memo, key); w != nil {
 			kr.out = evalOutcome{wire: w, memoHit: true}
 		} else {
@@ -874,18 +885,18 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 		}
 		results = append(results, kr)
 	}
-	scratch.cold = cold
+	scratch.cold, scratch.results, scratch.held = cold, results, held
 	c.done()
 	keys := c.key
 	err := c.release()
 	defer putKeys(keyBuf, keys)
 	switch {
 	case err != nil:
-		return nil, reject(http.StatusBadRequest, "bad request body: %v", err)
-	case len(items) == 0:
-		return nil, reject(http.StatusBadRequest, "empty batch")
+		return reject(http.StatusBadRequest, "bad request body: %v", err)
+	case len(shared) == 0:
+		return reject(http.StatusBadRequest, "empty batch")
 	}
-	atomic.AddUint64(&s.counts.BatchItems, uint64(len(items)))
+	atomic.AddUint64(&s.counts.BatchItems, uint64(len(shared)))
 
 	coldKeys := make([]string, len(cold))
 	for j := range cold {
@@ -931,36 +942,34 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 	evalCold()
 	wg.Wait()
 
+	// Item i answers as its key's result. A duplicate — an item whose key
+	// an earlier one named first, or a ref to such an item — is deduped,
+	// and goes as a ref to that first item when the request carried refs.
 	who, binary := clientID(r), AcceptsBinary(r)
-	for i := range items {
-		if shared[i] < 0 {
-			continue
-		}
-		kr := &results[shared[i]]
+	c = newCoder(encoding, out, nil)
+	c.header(kindBatchResponse)
+	n := len(shared)
+	c.count(&n, 0)
+	for i, j := range shared {
+		kr := &results[j]
+		it := BatchEvalItem{Interface: kr.name, Version: kr.version, Method: kr.method, Mode: kr.mode,
+			Deduped: kr.first != i && kr.mode != ""}
 		if kr.err != nil {
-			items[i].Status, items[i].Error = evalStatus(kr.err), kr.err.Error()
-			continue
+			it.Status, it.Error = evalStatus(kr.err), kr.err.Error()
+		} else {
+			w := kr.out.wire
+			it.Status, it.Dist = http.StatusOK, w
+			it.Cached, it.Coalesced, it.Peer = kr.out.memoHit, kr.out.coalesced, kr.out.peer
+			it.held = binary && len(held) > 0 && held[i] != 0 && w.tag == held[i]
+			s.ledger.record(who, kr.name, w.Mean, w.P99, w.Max, kr.out.memoHit || kr.out.coalesced || it.Deduped)
 		}
-		w := kr.out.wire
-		items[i].Status = http.StatusOK
-		items[i].Dist = w
-		items[i].Cached = kr.out.memoHit
-		items[i].Coalesced = kr.out.coalesced
-		items[i].Peer = kr.out.peer
-		items[i].held = binary && held != nil && held[i] != 0 && w.tag == held[i]
-		s.ledger.record(who, items[i].Interface, w.Mean, w.P99, w.Max,
-			kr.out.memoHit || kr.out.coalesced || items[i].Deduped)
-	}
-	if !refs {
-		return &BatchEvalResponse{Results: items}, nil
-	}
-	for i, k := range shared { // now the item each answer item repeats, or its own
-		shared[i] = i
-		if k >= 0 {
-			shared[i] = results[k].first
+		if refs && it.Deduped {
+			c.itemRef(i, kr.first)
+		} else {
+			c.batchItem(&it, it.Dist)
 		}
 	}
-	return &BatchEvalResponse{Results: items, refs: shared}, nil
+	return c.release()
 }
 
 // handleCacheLookup answers a fleet peer's memo probe. It is a pure read
@@ -973,19 +982,19 @@ func (s *Server) handleEvalBatch(r *http.Request, frame []byte) (*BatchEvalRespo
 // binary frame would pass MaxBodyBytes — the keys past that point answer
 // as misses, which is always a safe answer (the asker evaluates), and so
 // does the memo summary a probe may ask for (the asker probes again).
-func (s *Server) handleCacheLookup(_ *http.Request, frame []byte) (*CacheLookupResponse, error) {
+func (s *Server) handleCacheLookup(_ *http.Request, frame []byte, out *bytes.Buffer) error {
 	req, err := CacheLookupEndpoint.Request.Decode(BinaryContentType, frame)
 	switch {
 	case err != nil:
-		return nil, reject(http.StatusBadRequest, "bad request body: %v", err)
+		return reject(http.StatusBadRequest, "bad request body: %v", err)
 	case len(req.Keys) == 0:
-		return nil, reject(http.StatusBadRequest, "empty key list")
+		return reject(http.StatusBadRequest, "empty key list")
 	case len(req.Keys) > maxBatch:
-		return nil, reject(http.StatusBadRequest, "probe of %d keys exceeds server cap %d", len(req.Keys), maxBatch)
+		return reject(http.StatusBadRequest, "probe of %d keys exceeds server cap %d", len(req.Keys), maxBatch)
 	}
 	for _, key := range req.Keys {
 		if key == "" {
-			return nil, reject(http.StatusBadRequest, "empty key")
+			return reject(http.StatusBadRequest, "empty key")
 		}
 	}
 	resp := &CacheLookupResponse{Results: make([]CacheLookupResult, len(req.Keys)), Node: s.cfg.NodeID}
@@ -1009,7 +1018,7 @@ func (s *Server) handleCacheLookup(_ *http.Request, frame []byte) (*CacheLookupR
 	}
 	atomic.AddUint64(&s.counts.PeerServed, uint64(len(req.Keys)))
 	atomic.AddUint64(&s.counts.PeerServedHits, uint64(hits))
-	return resp, nil
+	return CacheLookupEndpoint.Response.Encode(out, BinaryContentType, resp)
 }
 
 // handleStats answers /v1/stats: a snapshot of the node's counters, and

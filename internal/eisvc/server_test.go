@@ -491,7 +491,7 @@ func TestLongDeadlineServed(t *testing.T) {
 	const deadlineMs = 1e13 // > math.MaxInt64 ns
 	req := c.EvalRequestFor("ml_webservice", "handle", []core.Value{reqArg()}, core.Expected())
 	req.DeadlineMs = deadlineMs
-	if _, err := EvalEndpoint.call(context.Background(), c, &req); err != nil {
+	if err := EvalEndpoint.call(context.Background(), c, &req, new(EvalResponse), nil); err != nil {
 		t.Errorf("eval with deadline_ms %d: %v", req.DeadlineMs, err)
 	}
 	items, err := c.EvalBatchCtx(context.Background(), []EvalRequest{req})

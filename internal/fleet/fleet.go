@@ -475,27 +475,31 @@ func (f *Fleet) Close() {
 // bounded by DefaultPeerTimeout; a failed one is a miss for the keys it
 // carried, so a dead or partitioned peer costs a batch one timeout. The
 // first round bounds them all by the caller's deadline too, so a lookup
-// every summary rules out makes no timer. With no other node reachable it
-// returns nil, every key skipped, before allocating anything.
+// every summary rules out makes no timer. When every key is skipped — no
+// other node is reachable, or every reachable peer's summary rules every
+// key out — it returns nil before allocating anything.
 func (f *Fleet) peerLookupFor(self *Node) eisvc.PeerLookup {
 	return func(ctx context.Context, deadline time.Time, keys []string) []eisvc.PeerAnswer {
-		if !slices.ContainsFunc(f.Nodes(), func(n *Node) bool { return n != self && n.reachable() }) {
-			return nil
-		}
 		epoch := f.epoch.Load()
-		answers := make([]eisvc.PeerAnswer, len(keys))
 		mayAsk := func(n *Node, fp uint32) bool {
 			sum := self.summaryOf(n, epoch)
 			_, held := slices.BinarySearch(sum, fp)
 			return n != self && n.reachable() && (sum == nil || held)
 		}
+		askable := func(fp uint32) bool {
+			return slices.ContainsFunc(f.Nodes(), func(n *Node) bool { return mayAsk(n, fp) })
+		}
+		if !slices.ContainsFunc(keys, func(key string) bool { return askable(eisvc.Fingerprint(key)) }) {
+			return nil
+		}
+		answers := make([]eisvc.PeerAnswer, len(keys))
 		// A key's probe order is a function of its stack alone.
 		byStack := map[string][]*Node{}
 		order := make([][]*Node, len(keys))
 		fps := make([]uint32, len(keys))
 		for i, key := range keys {
 			fps[i] = eisvc.Fingerprint(key)
-			if !slices.ContainsFunc(f.Nodes(), func(n *Node) bool { return mayAsk(n, fps[i]) }) {
+			if !askable(fps[i]) {
 				answers[i].Skipped = true
 				continue
 			}

@@ -64,7 +64,15 @@ func (h *headerRecorder) last() (string, string) {
 // free: 221 → 210 when its queue deadline became a value, which makes no
 // timer unless a wait blocks (and the two cuts above), then 210 → 206
 // when a node with no peer to ask stopped building the peer lookup's
-// per-call state. The bounds are those counts plus 3%.
+// per-call state. Then the node came to lay its answer frame out itself
+// (no EvalResponse on the heap, no second encode buffer) and the client
+// to decode the answer's names without copying them (its request's
+// interface, method and mode, a node ID from a per-Client table): 94 →
+// 89, 176 → 171, 206 → 201. A fourth row counts a unique-argument direct
+// eval on a 2-node fleet whose first node holds its peer's summary, which
+// rules every unique key out: 207 while the peer lookup built its
+// per-call state before it found every key ruled out, 198 since it looks
+// first. The bounds are 3% over the highest of 30 runs.
 //
 // It also pins what each hop sends, read off the wire by the server: the
 // codecs, the client's identity, the resilience headers only when set,
@@ -97,6 +105,13 @@ func TestHopAllocs(t *testing.T) {
 	}
 	t.Cleanup(stopRouter)
 
+	// A 2-node fleet whose first node holds its peer's summary, once its
+	// first miss has fetched it: a unique key is then ruled out unasked.
+	pair := startFleet(t, Config{Nodes: 2})
+	if _, err := pair.RegisterSource(fleetEIL); err != nil {
+		t.Fatal(err)
+	}
+
 	ctx := context.Background()
 	const plain = "Accept Content-Length Content-Type X-Eisvc-Client"
 	clients := map[string]*eisvc.Client{}
@@ -116,6 +131,7 @@ func TestHopAllocs(t *testing.T) {
 		}
 		clients[hop.name] = c
 	}
+	clients["pair"] = eisvc.NewClient(pair.Nodes()[0].URL)
 
 	// A retried hedge through the router: both hops carry all five.
 	var frame bytes.Buffer
@@ -165,9 +181,10 @@ func TestHopAllocs(t *testing.T) {
 		opts         core.EvalOptions
 		bound        float64
 	}{
-		{"direct, warm", "direct", func(int) []core.Value { return warm }, traceOpts, 97},
-		{"routed, warm", "routed", func(int) []core.Value { return warm }, traceOpts, 181},
-		{"direct, unique arguments", "direct", func(i int) []core.Value { return unique[i] }, core.Expected(), 212},
+		{"direct, warm", "direct", func(int) []core.Value { return warm }, traceOpts, 92},
+		{"routed, warm", "routed", func(int) []core.Value { return warm }, traceOpts, 177},
+		{"direct, unique arguments", "direct", func(i int) []core.Value { return unique[i] }, core.Expected(), 208},
+		{"direct, unique arguments, peer ruled out", "pair", func(i int) []core.Value { return unique[i] }, core.Expected(), 204},
 	} {
 		c, i := clients[row.client], 0
 		allocs := testing.AllocsPerRun(runs, func() {

@@ -221,13 +221,20 @@ func countPerRun(runs int, f func()) (allocs, bytes float64) {
 // the router walks both frames into pooled arrays, and a sub-batch goes
 // out of its connection's write buffer, not through a copy buffer per hop
 // (eisvc.NewTransport): 673 → 621–622 allocations and 373–376 KB → 223–230
-// KB; in full 1,388 → 1,336 and 466 KB → 348–350 KB. The bounds leave 3%.
+// KB; in full 1,388 → 1,336 and 466 KB → 348–350 KB. Then a batch's
+// answer was laid out once per hop: the nodes write their answer frames
+// item by item with no answer item array and pool their per-item and
+// per-key arrays, the router reads node answers into pooled buffers and
+// places items in one pooled array, and the client pools its holds:
+// 533–534 allocations and 133–139 KB; in full 1,250–1,251 and 244–248
+// KB (30 runs, each its own process). The bounds are 3% over the highest
+// of those runs.
 func TestRoutedBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
 	}
-	const warm, cold, runs, bound, fullBound = 231, 25, 20, 640, 1376
-	const byteBound, fullByteBound = 237_000, 360_000
+	const warm, cold, runs, bound, fullBound = 231, 25, 20, 551, 1289
+	const byteBound, fullByteBound = 143_000, 256_000
 	f := startFleet(t, Config{Nodes: 3})
 	_, c := startTestRouter(t, f)
 	tr := eisvc.NewTransport(eisvc.TransportTuning{}) // shared with the clients holding nothing below

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -196,7 +196,7 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	frame, err := ep.Request.Frame(scratch, r.Header.Get("Content-Type"), in.Bytes())
 	walked := frameItems.Get().(*[]eisvc.FrameItem)
-	defer putFrameItems(walked)
+	defer putCleared(&frameItems, walked)
 	var items []eisvc.FrameItem
 	if err == nil {
 		items, err = eisvc.WalkBatchEvalRequest(*walked, frame)
@@ -211,25 +211,20 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Group item indices by preferred node ID, asking the ring once per
-	// distinct stack. Items for unknown stacks, an empty ring or no live
-	// owner fall into the "" group and ride with any live node. A ref item
-	// rides with the item it repeats: place[i] is item i's group and its
-	// index there.
-	type subBatch struct {
-		idxs []int
-		size int // bytes of the items
-	}
+	// Group items by preferred node ID, asking the ring once per distinct
+	// stack. Items for unknown stacks, an empty ring or no live owner fall
+	// into the "" group and ride with any live node. A ref item rides with
+	// the item it repeats.
 	owners := map[string][]string{}
 	groups := map[string]*subBatch{}
-	place := make([]struct {
-		g  *subBatch
-		at int
-	}, len(items))
+	placed := slotArrays.Get().(*[]slot)
+	defer putCleared(&slotArrays, placed)
+	slots := slices.Grow(*placed, len(items))[:len(items)]
+	*placed = slots
 	for i := range items {
 		var g *subBatch
 		if j := items[i].Ref - 1; j >= 0 {
-			g = place[j].g
+			g = slots[j].g
 		} else {
 			own, seen := owners[string(items[i].Interface)]
 			if !seen {
@@ -243,14 +238,18 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 				groups[pref] = g
 			}
 		}
-		place[i].g, place[i].at = g, len(g.idxs)
-		g.idxs = append(g.idxs, i)
+		slots[i].g, slots[i].at = g, g.n
+		g.n++
 		g.size += items[i].End - items[i].Off
 	}
+	next := 0
+	for _, g := range groups {
+		g.first, next = next, next+g.n
+	}
+	for i := range slots {
+		slots[slots[i].g.first+slots[i].at].member = i
+	}
 
-	// answers[i] is item i's answer, a range of the frame its node sent;
-	// nil while no node has answered for it.
-	answers := make([][]byte, len(items))
 	binary := eisvc.AcceptsBinary(r)
 	hop := eisvc.Forwarded(r) // the caller's identity; binary both ways
 	hop.ContentType, hop.Accept = eisvc.BinaryContentType, eisvc.BinaryContentType
@@ -259,39 +258,43 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			members := slots[g.first : g.first+g.n]
 			// Unpooled, like handleEval's, and exactly sized.
 			body := bytes.NewBuffer(make([]byte, 0, eisvc.BatchHeaderLen+g.size))
-			eisvc.BeginBatchEvalRequest(body, len(g.idxs))
-			for _, i := range g.idxs {
-				if j := items[i].Ref - 1; j >= 0 {
-					body.Write(eisvc.AppendBatchRef(body.AvailableBuffer(), place[j].at))
-				} else if items[i].Held && !binary { // JSON has no held answers
-					body.Write(frame[items[i].Off+eisvc.HeldPrefixLen : items[i].End])
+			eisvc.BeginBatchEvalRequest(body, g.n)
+			for k := range members { // member fields only: other sub-batches set answers
+				it := items[members[k].member]
+				if j := it.Ref - 1; j >= 0 {
+					body.Write(eisvc.AppendBatchRef(body.AvailableBuffer(), slots[j].at))
+				} else if it.Held && !binary { // JSON has no held answers
+					body.Write(frame[it.Off+eisvc.HeldPrefixLen : it.End])
 				} else {
-					body.Write(frame[items[i].Off:items[i].End])
+					body.Write(frame[it.Off:it.End])
 				}
 			}
 			// The preferred node first, then every other live node; a node
 			// whose answer is not a well-formed frame of one item per
 			// request is skipped like a dead one.
 			walked := frameItems.Get().(*[]eisvc.FrameItem)
-			defer putFrameItems(walked)
+			defer putCleared(&frameItems, walked)
+			g.answer = answerBufs.Get().(*bytes.Buffer)
 			ok := rt.tryCandidates(r, hop, body.Bytes(), rt.f.ordered([]string{pref}, 0, (*Node).Live), func(resp *http.Response) bool {
-				data, err := readAnswer(resp)
-				if err != nil {
+				g.answer.Reset()
+				if readAnswer(resp, g.answer) != nil {
 					return false
 				}
+				data := g.answer.Bytes()
 				got, err := eisvc.WalkBatchEvalResponse(*walked, data)
 				*walked = got
-				if err != nil || len(got) != len(g.idxs) {
+				if err != nil || len(got) != g.n {
 					return false
 				}
-				for j, i := range g.idxs {
+				for j := range members {
 					a := data[got[j].Off:got[j].End]
 					if k := got[j].Ref - 1; k >= 0 { // renumbered in place: data is this batch's own
-						eisvc.AppendBatchRef(a[:0], g.idxs[k])
+						eisvc.AppendBatchRef(a[:0], members[k].member)
 					}
-					answers[i] = a
+					slots[members[j].member].answer = a
 				}
 				return true
 			})
@@ -306,8 +309,8 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	// item by item; these are the only items the router ever encodes, a
 	// ref's from the bytes of the item it repeats (unanswered with it).
 	eisvc.BeginBatchEvalResponse(out, len(items))
-	for i, a := range answers {
-		if a != nil {
+	for i := range slots {
+		if a := slots[i].answer; a != nil {
 			out.Write(a)
 			continue
 		}
@@ -318,37 +321,71 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		eisvc.AppendBatchEvalError(out, frame[it.Off:it.End],
 			http.StatusServiceUnavailable, "fleet: no node could serve batch")
 	}
+	for _, g := range groups {
+		putAnswer(g.answer)
+	}
 	ep.WriteFrame(w, r, out)
 }
 
-// frameItems holds the arrays a batch's frames are walked into. Each goes
-// back cleared, as its items alias the frame they were walked from.
-var frameItems = sync.Pool{New: func() any { return new([]eisvc.FrameItem) }}
-
-func putFrameItems(p *[]eisvc.FrameItem) {
-	clear(*p)
-	*p = (*p)[:0]
-	frameItems.Put(p)
+// subBatch is the items of a batch that go to one node, whose batch
+// indices are the member fields of slots[first:first+n]; size is their
+// bytes, and answer the node's answer frame.
+type subBatch struct {
+	first, n, size int
+	answer         *bytes.Buffer
 }
 
-// readAnswer reads a node's 2xx answer into one exactly-sized slice (every
-// node answer carries a Content-Length), up to MaxBodyBytes and no
-// further. Deliberately not a pooled buffer: every buffer in the shared
-// pool would grow to the largest answer that ever passed through it, and
-// a few dozen are in circulation (ROADMAP direction 1 has the numbers).
-func readAnswer(resp *http.Response) ([]byte, error) {
+// slot is one item of a routed batch: its sub-batch, its index there, and
+// its answer, a range of that sub-batch's; member lists a sub-batch's items.
+type slot struct {
+	g          *subBatch
+	at, member int
+	answer     []byte
+}
+
+// frameItems and slotArrays hold the arrays a batch's frames are walked
+// into and its items placed in. Each goes back cleared (putCleared), as
+// what it holds aliases frames and sub-batches.
+var (
+	frameItems = sync.Pool{New: func() any { return new([]eisvc.FrameItem) }}
+	slotArrays = sync.Pool{New: func() any { return new([]slot) }}
+)
+
+func putCleared[T any](pool *sync.Pool, p *[]T) {
+	clear(*p)
+	*p = (*p)[:0]
+	pool.Put(p)
+}
+
+// readAnswer reads a node's 2xx answer into buf, up to MaxBodyBytes and no
+// further. buf is answerBufs', not the shared bufPool's: every buffer there
+// converges on the largest frame the process moves (a batch request, a JSON
+// answer; ROADMAP direction 1 has the numbers), while a node's answer to a
+// sub-batch, its warm items held and its repeats refs, is a few KB, and a
+// buffer past maxPooledAnswer is dropped, not pooled.
+func readAnswer(resp *http.Response, buf *bytes.Buffer) error {
 	defer resp.Body.Close()
-	switch n := resp.ContentLength; {
-	case resp.StatusCode/100 != 2 || n > eisvc.MaxBodyBytes:
-		return nil, fmt.Errorf("fleet: node answered %d with %d bytes", resp.StatusCode, n)
-	case n >= 0:
-		data := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, data)
-		return data, err
-	default:
-		// No length: read to the cap. A longer answer is cut there, and a
-		// cut frame fails the walk.
-		return io.ReadAll(io.LimitReader(resp.Body, eisvc.MaxBodyBytes))
+	n := resp.ContentLength
+	if resp.StatusCode/100 != 2 {
+		return fmt.Errorf("fleet: node answered %d", resp.StatusCode)
+	}
+	if n > 0 && n <= eisvc.MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // once, with room for the read that sees EOF
+	}
+	if err := eisvc.ReadBounded(buf, resp); err != nil || n < 0 || int64(buf.Len()) == n {
+		return err
+	}
+	return fmt.Errorf("fleet: node answered %d of %d bytes", buf.Len(), n)
+}
+
+var answerBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledAnswer = 128 << 10 // sixteen 256-item sub-batches' warm answers
+
+func putAnswer(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledAnswer {
+		b.Reset()
+		answerBufs.Put(b)
 	}
 }
 

@@ -672,8 +672,9 @@ func TestReadAnswerBounds(t *testing.T) {
 		{"declared past the cap", answer(200, eisvc.MaxBodyBytes+1, "frame"), "", false},
 		{"not a 2xx", answer(503, 5, "frame"), "", false},
 	} {
-		got, err := readAnswer(c.resp)
-		if (err == nil) != c.ok || (c.ok && string(got) != c.want) {
+		var got bytes.Buffer
+		err := readAnswer(c.resp, &got)
+		if (err == nil) != c.ok || (c.ok && got.String() != c.want) {
 			t.Errorf("%s: read %q, err %v", c.what, got, err)
 		}
 	}
