@@ -75,7 +75,9 @@ race:
 # that must not shed its own items, a cancellation raced against a hedge —
 # plus the frame and answer pins, the cache package (TestStorePutAllocs: a full
 # store's insert allocates nothing), the allocations of a cold evaluation
-# (worst and best cases among its shapes),
+# (worst and best cases among its shapes) and of a warm 4,096-sample Monte
+# Carlo evaluation of both mc_sample shapes, sequential and parallel (1:
+# the answer, TestMonteCarloAllocsPerSample),
 # and the tests that run eid and efleet as child processes (ports, signals
 # and snapshot files are where process flakes live). A flake shows up
 # here as a red step, not as one red run in six. The byte pins run once
@@ -89,17 +91,19 @@ race:
 # binary eval direct and routed, whose answer names the client decodes
 # without a copy; a unique-argument direct eval on a one-node fleet; and
 # one on a 2-node fleet whose peer's summary rules the key out, so the
-# peer lookup returns before allocating), and the bytes a client
-# allocates to send a 20 KB body through NewTransport (no copy buffer).
+# peer lookup returns before allocating), the bytes a client
+# allocates to send a 20 KB body through NewTransport (no copy buffer), and
+# the Monte Carlo evaluation's one allocation, which a GC emptying the
+# pools it runs on mid-count would raise.
 test-repeat:
 	$(GO) test -count=10 -run 'TestExperiments/^E1[1-7]$$' ./internal/experiments
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'TestExperiments/^(E11|E12|E13|E17)$$' ./internal/experiments
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestExperiments/^E16$$' ./internal/experiments
 	$(GO) test -count=5 ./internal/fleet
 	$(GO) test -count=5 -run 'TestWarmBatchAllocs|TestBatchArgsDecodeOnce|TestBatchRetainsOnlyColdKeys|TestMemoSharesWireForm|TestFrameAllocs|TestFramesUnchanged|TestAnswersUnchanged|TestBatchDoesNotShedItself|TestClientContextError' ./internal/eisvc
-	GOGC=off $(GO) test -count=3 -run 'TestWarmBatchAllocs|TestRoutedBatchAllocs|TestHopAllocs|TestTransportCopiesNoBody' ./internal/eisvc ./internal/fleet
+	GOGC=off $(GO) test -count=3 -run 'TestWarmBatchAllocs|TestRoutedBatchAllocs|TestHopAllocs|TestTransportCopiesNoBody|TestMonteCarloAllocsPerSample' . ./internal/eisvc ./internal/fleet
 	$(GO) test -count=5 ./internal/cache
-	$(GO) test -count=5 -run TestColdEvalAllocs .
+	$(GO) test -count=5 -run 'TestColdEvalAllocs|TestMonteCarloAllocsPerSample' .
 	$(GO) test -count=3 -run 'Process|Recal' ./cmd/eid ./cmd/efleet
 
 # `go test` only replays a fuzz target's seed corpus; this gives each one

@@ -58,8 +58,8 @@ func coldShape(iface *core.Interface, method string, opts core.EvalOptions, rest
 // Shapes the served five do not cover are counted beside them: the worst
 // and best cases of both MoE methods, which scan the joint space for its
 // bound instead of building its distribution (1: the Point); a compiled
-// Monte Carlo eval, which also draws and counts; and a pinned one, which
-// splits the plan for itself.
+// Monte Carlo eval, which also draws and counts (1: the Dist); and a
+// pinned one, which splits the plan for itself.
 func TestColdEvalAllocs(t *testing.T) {
 	const evals, retained = 1000, 64 << 10
 	type shape struct {
@@ -81,7 +81,7 @@ func TestColdEvalAllocs(t *testing.T) {
 			shapes[name] = shape{coldShape(moe, method, opts, core.Int(2), core.Int(4)), 1}
 		}
 	}
-	shapes["moe_stack.energy monte-carlo"] = shape{coldShape(moe, "energy", core.MonteCarlo(4096, 7), core.Int(2), core.Int(4)), 12}
+	shapes["moe_stack.energy monte-carlo"] = shape{coldShape(moe, "energy", core.MonteCarlo(4096, 7), core.Int(2), core.Int(4)), 1}
 	shapes["moe_stack.energy pinned"] = shape{coldShape(moe, "energy", pinned, core.Int(2), core.Int(4)), 24}
 	for name, s := range shapes {
 		asked := 0.0

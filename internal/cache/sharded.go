@@ -38,7 +38,7 @@ func NewSharded[V any](capacity int) *Sharded[V] {
 }
 
 // fnv1a hashes key with 64-bit FNV-1a; allocation-free.
-func fnv1a(key string) uint64 {
+func fnv1a[K string | []byte](key K) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -58,6 +58,14 @@ func (s *Sharded[V]) Get(key string) (V, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.store.Get(key)
+}
+
+// Lookup is Get for a key held as bytes, of which it makes no string.
+func (s *Sharded[V]) Lookup(key []byte) (V, bool) {
+	sh := &s.shards[fnv1a(key)&(shardCount-1)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return Lookup(sh.store, key)
 }
 
 // Put inserts (or refreshes) key in its shard, evicting that shard's

@@ -22,9 +22,17 @@ func TestShardedBasic(t *testing.T) {
 	if n := s.Len(); n != 2 {
 		t.Fatalf("Len = %d, want 2", n)
 	}
+	// Lookup finds the same entry by bytes, in the same shard, copying none.
+	key := []byte("b")
+	if v, ok := s.Lookup(key); !ok || v != 2 {
+		t.Fatalf("Lookup(b) = %v, %v", v, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Lookup(key) }); allocs != 0 {
+		t.Fatalf("Lookup allocated %.0f times", allocs)
+	}
 	h, m, _ := s.Stats()
-	if h != 2 || m != 1 {
-		t.Fatalf("stats = %d hits %d misses, want 2/1", h, m)
+	if h != 104 || m != 1 { // 2 Gets, 1 Lookup and AllocsPerRun's 101
+		t.Fatalf("stats = %d hits %d misses, want 104/1", h, m)
 	}
 	s.Purge()
 	if n := s.Len(); n != 0 {

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"energyclarity/internal/energy"
 )
@@ -311,33 +313,41 @@ func (c *Call) run(iface *Interface, path string, m *Method, args []Value) energ
 		depth:  c.depth + 1,
 		ev:     c.ev,
 	}
+	return sub.invoke()
+}
+
+// invoke runs the Call's method body, through the layer cache when one is
+// attached: the descriptor for the Call's binding path carries the subtree
+// version and the ECV names whose values the body can observe. The key is
+// built in a stack buffer for the lookup; only a put makes it a string.
+func (c *Call) invoke() energy.Joules {
 	if c.ev == nil {
-		return m.Body(sub)
+		return c.method.Body(c)
 	}
-	// Layer-cache path: the descriptor for this binding path carries the
-	// subtree version and the ECV names whose values the body can observe.
-	d, ok := c.ev.descs[path]
+	d, ok := c.ev.descs[c.path]
 	if !ok {
-		return m.Body(sub)
+		return c.method.Body(c)
 	}
-	key := d.key(m.Name, args, c.assign)
-	if v, hit := c.ev.cache.get(key); hit {
+	var buf [256]byte
+	key := d.appendKey(buf[:0], c.method.Name, c.args, c.assign)
+	if v, hit := c.ev.cache.store.Lookup(key); hit {
 		return energy.Joules(v)
 	}
-	j := m.Body(sub)
-	c.ev.cache.put(key, float64(j))
+	j := c.method.Body(c)
+	c.ev.cache.put(string(key), float64(j))
 	return j
 }
 
-// evalOnce runs one method evaluation under a complete assignment,
-// converting Body panics to errors. With a layer cache attached (ev !=
-// nil), the whole-tree result under this assignment is itself memoized, so
-// the work is shared with every other Eval — any mode, seed or stack —
-// whose assignments coincide. Within one Eval no assignment repeats:
-// enumeration visits each once, and Monte Carlo over a space that fits
-// EnumLimit runs each assignment it drew once, so the layer sees a handful
-// of lookups per Eval there, not one per sample.
-func (i *Interface) evalOnce(m *Method, args []Value, assign map[string]Value, ev *layerEval) (j energy.Joules, err error) {
+// evalOnce runs the method of a root-level Call (path "", depth 0) under
+// its complete assignment, converting Body panics to errors. With a layer
+// cache attached, the whole-tree result under this assignment is itself
+// memoized, so the work is shared with every other Eval — any mode, seed
+// or stack — whose assignments coincide. Within one Eval no assignment
+// repeats: enumeration visits each once, and Monte Carlo over a space that
+// fits EnumLimit runs each assignment it drew once, so the layer sees a
+// handful of lookups per Eval there, not one per sample. The body does not
+// change c, so a worker reuses one Call for all its runs.
+func evalOnce(c *Call) (j energy.Joules, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ep, ok := r.(evalPanic)
@@ -347,22 +357,10 @@ func (i *Interface) evalOnce(m *Method, args []Value, assign map[string]Value, e
 			err = ep.err
 		}
 	}()
-	c := &Call{iface: i, path: "", method: m, args: args, assign: assign, ev: ev}
-	if len(m.Params) != 0 && len(args) != len(m.Params) {
-		return 0, fmt.Errorf("core: %s.%s: %d args, want %d", i.name, m.Name, len(args), len(m.Params))
+	if m := c.method; len(m.Params) != 0 && len(c.args) != len(m.Params) {
+		return 0, fmt.Errorf("core: %s.%s: %d args, want %d", c.iface.name, m.Name, len(c.args), len(m.Params))
 	}
-	if ev != nil {
-		if d, ok := ev.descs[""]; ok {
-			key := d.key(m.Name, args, assign)
-			if v, hit := ev.cache.get(key); hit {
-				return energy.Joules(v), nil
-			}
-			j := m.Body(c)
-			ev.cache.put(key, float64(j))
-			return j, nil
-		}
-	}
-	return m.Body(c), nil
+	return c.invoke(), nil
 }
 
 // Eval evaluates the named energy method on args and returns the resulting
@@ -399,7 +397,8 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 	// The tree version keys both the compiled program and the ECV plan; an
 	// Eval that pins ECVs splits the plan for itself.
 	fold := i.subtreeFold()
-	plan, base, err := i.planFor(fold).pin(i.name, opts.Fixed)
+	whole := i.planFor(fold)
+	plan, base, err := whole.pin(i.name, opts.Fixed)
 	if err != nil {
 		return energy.Dist{}, err
 	}
@@ -412,11 +411,11 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 	if spec != nil {
 		defer spec.Release()
 	}
-	// Only the interpreter reads the layer cache, so only it pays for the
-	// descriptor table (a walk of the whole tree).
+	// Only the interpreter reads the layer cache, so only it needs the
+	// descriptor table (a walk of the whole tree, once per tree version).
 	var ev *layerEval
 	if spec == nil && opts.Layer != nil {
-		ev = opts.Layer.evalContext(i)
+		ev = whole.layerFor(i, opts.Layer)
 	}
 
 	if opts.Mode == ModeFixed {
@@ -431,7 +430,7 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 			}
 			return energy.Point(v), nil
 		}
-		j, err := i.evalOnce(m, args, base, ev)
+		j, err := evalOnce(&Call{iface: i, method: m, args: args, assign: base, ev: ev})
 		if err != nil {
 			return energy.Dist{}, err
 		}
@@ -450,14 +449,84 @@ func (i *Interface) EvalCtx(ctx context.Context, method string, args []Value, op
 		}
 	}
 
+	r := runPool.Get().(*evalRun)
+	defer func() { *r = evalRun{}; runPool.Put(r) }()
+	*r = evalRun{ctx: ctx, i: i, m: m, args: args, base: base, plan: plan, opts: opts, ev: ev, spec: spec}
 	switch {
 	case exceeded:
-		return i.evalMonteCarlo(ctx, m, args, base, plan, opts, ev, spec)
+		return r.monteCarlo()
 	case opts.Mode == ModeMonteCarlo:
-		return i.evalMonteCarloDistinct(ctx, m, args, base, plan, opts, ev, spec)
+		return r.monteCarloDistinct()
 	default:
-		return i.evalEnumerate(ctx, m, args, base, plan, opts, ev, spec)
+		return r.enumerate()
 	}
+}
+
+// evalRun is the state of one enumeration or Monte Carlo Eval. It is
+// pooled, and the work units the Eval fans out over runUnits are methods
+// on it (pointUnits, drawUnits, sampleUnits) rather than closures, so the
+// fan-out allocates nothing.
+type evalRun struct {
+	ctx  context.Context
+	i    *Interface
+	m    *Method
+	args []Value
+	base map[string]Value
+	plan *ecvPlan
+	opts EvalOptions
+	ev   *layerEval
+	spec SpecializedProgram
+	// The units' operands: evalPoints' dimensions, points and results,
+	// and the Monte Carlo draws' strides and per-sample points.
+	dims                 []freeDim
+	idxs, strides, drawn []int
+	out                  []float64
+}
+
+var runPool = sync.Pool{New: func() any { return new(evalRun) }}
+
+// worker is one work unit's scratch, pooled and reused across the unit's
+// body runs: the free-ECV vector a compiled program runs on, or the
+// root-level Call the interpreter runs the body through.
+type worker struct {
+	vals []Value
+	call Call
+}
+
+var workerPool = sync.Pool{New: func() any { return &worker{call: Call{assign: map[string]Value{}}} }}
+
+// borrowWorker returns a worker ready for r: vals cleared, or the Call
+// set to r's method with r's pinned values assigned. Hand it back with
+// workerPool.Put.
+func (r *evalRun) borrowWorker() *worker {
+	w := workerPool.Get().(*worker)
+	if r.spec != nil {
+		w.vals = slices.Grow(w.vals[:0], len(r.plan.ecvs))[:len(r.plan.ecvs)]
+		clear(w.vals)
+		return w
+	}
+	clear(w.call.assign)
+	maps.Copy(w.call.assign, r.base)
+	w.call = Call{iface: r.i, method: r.m, args: r.args, assign: w.call.assign, ev: r.ev}
+	return w
+}
+
+// set assigns v to free ECV k, named qn.
+func (w *worker) set(spec SpecializedProgram, k int, qn string, v Value) {
+	if spec != nil {
+		w.vals[k] = v
+	} else {
+		w.call.assign[qn] = v
+	}
+}
+
+// run evaluates the method under the worker's assignment.
+func (w *worker) run(spec SpecializedProgram) (float64, error) {
+	if spec != nil {
+		return spec.Run(w.vals)
+	}
+	j, err := evalOnce(&w.call)
+	return float64(j), err
 }
 
 // ecvPlan is what evaluation needs to know of a tree's ECVs. It depends on
@@ -475,6 +544,7 @@ type ecvPlan struct {
 	// observed); nil for a split plan, whose pinned set is one request's.
 	mu      sync.Mutex
 	layouts map[layoutKey]*layout
+	layer   atomic.Pointer[layerEval] // see layerFor
 }
 
 // layout is one observed assignment space: the free ECVs a body run can
@@ -545,6 +615,18 @@ func (i *Interface) planFor(fold uint64) *ecvPlan {
 	p.fold, p.layouts = fold, map[layoutKey]*layout{}
 	i.plan.Store(p)
 	return p
+}
+
+// layerFor returns layer cache l's view of the tree version p describes,
+// root's: built by the first Eval that asks and kept for the version, as
+// the plan is (a tree evaluated against another cache gets a view of it).
+func (p *ecvPlan) layerFor(root *Interface, l *LayerCache) *layerEval {
+	if ev := p.layer.Load(); ev != nil && ev.cache == l {
+		return ev
+	}
+	ev := l.evalContext(root)
+	p.layer.Store(ev)
+	return ev
 }
 
 // pin splits the plan for a request that pins ECVs: the pinned values by
@@ -649,65 +731,44 @@ func setStrides(dims []freeDim) int {
 // Deps), through the interpreter and the layer cache otherwise. Chunks of
 // points fan out over runUnits, so the first error wins and a cancelled
 // ctx stops the workers between two body runs.
-func (i *Interface) evalPoints(ctx context.Context, m *Method, args []Value, base map[string]Value, nFree int,
-	dims []freeDim, idxs []int, out []float64, opts EvalOptions, ev *layerEval, spec SpecializedProgram) error {
-
-	n := len(out)
-	nChunks := (n + enumChunkSize - 1) / enumChunkSize
-	return runUnits(ctx, nChunks, opts.parallelism(), func(chunk int, g *evalGroup) error {
-		var vals []Value
-		var assign map[string]Value
-		if spec != nil {
-			valsP := borrowVals(nFree)
-			defer valsPool.Put(valsP)
-			vals = *valsP
-		} else {
-			assign = make(map[string]Value, len(base)+len(dims))
-			for k, v := range base {
-				assign[k] = v
-			}
-		}
-		lo := chunk * enumChunkSize
-		hi := min(lo+enumChunkSize, n)
-		for p := lo; p < hi; p++ {
-			if g.cancelled() {
-				return nil
-			}
-			idx := p
-			if idxs != nil {
-				idx = idxs[p]
-			}
-			for d := range dims {
-				dim := &dims[d]
-				v := dim.ws[(idx/dim.stride)%len(dim.ws)].V
-				if spec != nil {
-					vals[dim.k] = v
-				} else {
-					assign[dim.qn] = v
-				}
-			}
-			var err error
-			if spec != nil {
-				out[p], err = spec.Run(vals)
-			} else {
-				var j energy.Joules
-				j, err = i.evalOnce(m, args, assign, ev)
-				out[p] = float64(j)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+func (r *evalRun) evalPoints(dims []freeDim, idxs []int, out []float64) error {
+	r.dims, r.idxs, r.out = dims, idxs, out
+	nChunks := (len(out) + enumChunkSize - 1) / enumChunkSize
+	return runUnits(r.ctx, nChunks, r.opts.parallelism(), (*pointUnits)(r))
 }
 
-func (i *Interface) evalEnumerate(ctx context.Context, m *Method, args []Value, base map[string]Value,
-	plan *ecvPlan, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
+// pointUnits is evalPoints' work: unit k is the k-th chunk of points.
+type pointUnits evalRun
 
+func (r *pointUnits) runUnit(chunk int, g *evalGroup) error {
+	w := (*evalRun)(r).borrowWorker()
+	defer workerPool.Put(w)
+	lo := chunk * enumChunkSize
+	hi := min(lo+enumChunkSize, len(r.out))
+	for p := lo; p < hi; p++ {
+		if g.cancelled() {
+			return nil
+		}
+		idx := p
+		if r.idxs != nil {
+			idx = r.idxs[p]
+		}
+		for d := range r.dims {
+			dim := &r.dims[d]
+			w.set(r.spec, dim.k, dim.qn, dim.ws[(idx/dim.stride)%len(dim.ws)].V)
+		}
+		var err error
+		if r.out[p], err = w.run(r.spec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *evalRun) enumerate() (energy.Dist, error) {
 	// The joint space: every free ECV with its zero-probability support
 	// points dropped, the first ECV the most significant digit.
-	full := plan.enum
+	full := r.plan.enum
 	valuesP, probsP := energy.BorrowScratch(full.size), energy.BorrowScratch(full.size)
 	defer energy.ReturnScratch(valuesP)
 	defer energy.ReturnScratch(probsP)
@@ -716,33 +777,33 @@ func (i *Interface) evalEnumerate(ctx context.Context, m *Method, args []Value, 
 	// One body run per point of the observed space. The interpreter observes
 	// the whole space, so its results land in values directly; a compiled
 	// program's table is replicated over the dimensions it cannot see.
-	obs, table := plan.observed(spec, false), values
+	obs, table := r.plan.observed(r.spec, false), values
 	filled := false
-	if spec != nil {
+	if r.spec != nil {
 		tableP := energy.BorrowScratch(obs.size)
 		defer energy.ReturnScratch(tableP)
 		table = *tableP
 		var err error
-		if filled, err = spec.FillTable(obs.vals, table); err != nil {
+		if filled, err = r.spec.FillTable(obs.vals, table); err != nil {
 			return energy.Dist{}, err
 		}
 	}
 	if !filled {
-		if err := i.evalPoints(ctx, m, args, base, len(plan.ecvs), obs.obs, nil, table, opts, ev, spec); err != nil {
+		if err := r.evalPoints(obs.obs, nil, table); err != nil {
 			return energy.Dist{}, err
 		}
 	}
 
-	if spec == nil {
+	if r.spec == nil {
 		table = nil // values is already the full space
 	}
-	if err := fillJoint(ctx, full.obs, obs.obs, table, values, probs); err != nil {
+	if err := fillJoint(r.ctx, full.obs, obs.obs, table, values, probs); err != nil {
 		return energy.Dist{}, err
 	}
 
 	// A bound reads one end of the distribution, so it scans for it
 	// instead of building the whole (DESIGN §6).
-	switch opts.Mode {
+	switch r.opts.Mode {
 	case ModeWorstCase:
 		return energy.Point(energy.CategoricalMax(values, probs)), nil
 	case ModeBestCase:
@@ -841,15 +902,10 @@ const mcShardSize = 64
 // is a pure function of (args, assignment), so one run per point that was
 // drawn, weighted by its hit count, is the same sample multiset and
 // energy.Empirical turns it into the same Dist, bit for bit.
-func (i *Interface) evalMonteCarloDistinct(ctx context.Context, m *Method, args []Value, base map[string]Value,
-	plan *ecvPlan, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
-
-	dims, obs := plan.draw.obs, plan.observed(spec, true)
-	// strides[k] is free ECV k's stride in the observed space, 0 when the
-	// body cannot see it: its draw is consumed and changes no index.
-	strides, size := obs.strides, obs.size
-
-	samples := opts.Samples
+func (r *evalRun) monteCarloDistinct() (energy.Dist, error) {
+	obs := r.plan.observed(r.spec, true)
+	size := obs.size
+	samples := r.opts.Samples
 	distinct := min(samples, size)
 	intsP := energy.BorrowInts(samples + size + 2*distinct)
 	defer energy.ReturnInts(intsP)
@@ -858,23 +914,12 @@ func (i *Interface) evalMonteCarloDistinct(ctx context.Context, m *Method, args 
 	seen := ints[samples : samples+size]       // per point: 1 + its position in points, 0 = not drawn
 	points := ints[samples+size:][:0:distinct] // the points drawn, in first-drawn order
 	counts := ints[samples+size+distinct:][:0:distinct]
+	// strides[k] is free ECV k's stride in the observed space, 0 when the
+	// body cannot see it: its draw is consumed and changes no index.
+	r.strides, r.drawn = obs.strides, drawn
 
 	nShards := (samples + mcShardSize - 1) / mcShardSize
-	err := runUnits(ctx, nShards, opts.parallelism(), func(shard int, g *evalGroup) error {
-		rng := borrowRNG(shardSeed(opts.Seed, shard))
-		defer rngPool.Put(rng)
-		lo := shard * mcShardSize
-		hi := min(lo+mcShardSize, samples)
-		for s := lo; s < hi; s++ {
-			idx := 0
-			for k := range dims {
-				idx += drawPoint(dims[k].ws, rng) * strides[k]
-			}
-			drawn[s] = idx
-		}
-		return nil
-	})
-	if err != nil {
+	if err := runUnits(r.ctx, nShards, r.opts.parallelism(), (*drawUnits)(r)); err != nil {
 		return energy.Dist{}, err
 	}
 
@@ -893,20 +938,37 @@ func (i *Interface) evalMonteCarloDistinct(ctx context.Context, m *Method, args 
 	valuesP := energy.BorrowScratch(len(points))
 	defer energy.ReturnScratch(valuesP)
 	values := *valuesP
-	if err := i.evalPoints(ctx, m, args, base, len(plan.ecvs), obs.obs, points, values, opts, ev, spec); err != nil {
+	if err := r.evalPoints(obs.obs, points, values); err != nil {
 		return energy.Dist{}, err
 	}
 	return energy.Empirical(values, counts), nil
+}
+
+// drawUnits is monteCarloDistinct's drawing: unit k is RNG shard k.
+type drawUnits evalRun
+
+func (r *drawUnits) runUnit(shard int, g *evalGroup) error {
+	rng := borrowRNG(shardSeed(r.opts.Seed, shard))
+	defer rngPool.Put(rng)
+	dims := r.plan.draw.obs
+	lo := shard * mcShardSize
+	hi := min(lo+mcShardSize, r.opts.Samples)
+	for s := lo; s < hi; s++ {
+		idx := 0
+		for k := range dims {
+			idx += drawPoint(dims[k].ws, rng) * r.strides[k]
+		}
+		r.drawn[s] = idx
+	}
+	return nil
 }
 
 // evalMonteCarlo runs the body once per sample. It serves joint spaces
 // beyond EnumLimit, where too few samples coincide for a table of distinct
 // assignments to pay: ModeMonteCarlo there, and the estimates the exact
 // modes fall back to.
-func (i *Interface) evalMonteCarlo(ctx context.Context, m *Method, args []Value, base map[string]Value,
-	plan *ecvPlan, opts EvalOptions, ev *layerEval, spec SpecializedProgram) (energy.Dist, error) {
-
-	samples := opts.Samples
+func (r *evalRun) monteCarlo() (energy.Dist, error) {
+	samples := r.opts.Samples
 	valuesP, probsP := energy.BorrowScratch(samples), energy.BorrowScratch(samples)
 	defer energy.ReturnScratch(valuesP)
 	defer energy.ReturnScratch(probsP)
@@ -916,56 +978,12 @@ func (i *Interface) evalMonteCarlo(ctx context.Context, m *Method, args []Value,
 		probs[s] = p
 	}
 
+	r.out = values
 	nShards := (samples + mcShardSize - 1) / mcShardSize
-	err := runUnits(ctx, nShards, opts.parallelism(), func(shard int, g *evalGroup) error {
-		rng := borrowRNG(shardSeed(opts.Seed, shard))
-		defer rngPool.Put(rng)
-		lo := shard * mcShardSize
-		hi := min(lo+mcShardSize, samples)
-		if spec != nil {
-			// Compiled path: identical per-ECV draw order, so the sample
-			// multiset — and the resulting Dist — matches the interpreter.
-			valsP := borrowVals(len(plan.ecvs))
-			defer valsPool.Put(valsP)
-			vals := *valsP
-			for s := lo; s < hi; s++ {
-				if g.cancelled() {
-					return nil
-				}
-				for k, q := range plan.ecvs {
-					vals[k] = q.ECV.sample(rng)
-				}
-				v, err := spec.Run(vals)
-				if err != nil {
-					return err
-				}
-				values[s] = v
-			}
-			return nil
-		}
-		assign := make(map[string]Value, len(base)+len(plan.ecvs))
-		for k, v := range base {
-			assign[k] = v
-		}
-		for s := lo; s < hi; s++ {
-			if g.cancelled() {
-				return nil
-			}
-			for k, q := range plan.ecvs {
-				assign[plan.names[k]] = q.ECV.sample(rng)
-			}
-			j, err := i.evalOnce(m, args, assign, ev)
-			if err != nil {
-				return err
-			}
-			values[s] = float64(j)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := runUnits(r.ctx, nShards, r.opts.parallelism(), (*sampleUnits)(r)); err != nil {
 		return energy.Dist{}, err
 	}
-	switch opts.Mode {
+	switch r.opts.Mode {
 	case ModeWorstCase:
 		worst := values[0]
 		for _, v := range values[1:] {
@@ -985,6 +1003,33 @@ func (i *Interface) evalMonteCarlo(ctx context.Context, m *Method, args []Value,
 	default:
 		return energy.Categorical(values, probs), nil
 	}
+}
+
+// sampleUnits is monteCarlo's work: unit k draws and runs RNG shard k.
+type sampleUnits evalRun
+
+func (r *sampleUnits) runUnit(shard int, g *evalGroup) error {
+	rng := borrowRNG(shardSeed(r.opts.Seed, shard))
+	defer rngPool.Put(rng)
+	w := (*evalRun)(r).borrowWorker()
+	defer workerPool.Put(w)
+	lo := shard * mcShardSize
+	hi := min(lo+mcShardSize, r.opts.Samples)
+	for s := lo; s < hi; s++ {
+		if g.cancelled() {
+			return nil
+		}
+		// One draw per free ECV, in order, compiled or not, so the sample
+		// multiset — and the resulting Dist — is the interpreter's.
+		for k, q := range r.plan.ecvs {
+			w.set(r.spec, k, r.plan.names[k], q.ECV.sample(rng))
+		}
+		var err error
+		if r.out[s], err = w.run(r.spec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ExpectedJoules is a convenience: the mean of Eval in ModeExpected.

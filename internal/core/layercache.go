@@ -124,12 +124,11 @@ func (l *LayerCache) Restore(entries []LayerEntry) int {
 	return len(entries)
 }
 
-func (l *LayerCache) get(key string) (float64, bool) { return l.store.Get(key) }
-func (l *LayerCache) put(key string, v float64)      { l.store.Put(key, v) }
+func (l *LayerCache) put(key string, v float64) { l.store.Put(key, v) }
 
-// layerEval is the per-Eval view of a LayerCache: the shared store plus a
-// descriptor for every binding path in the tree under evaluation, built
-// once per Eval and shared read-only by all workers.
+// layerEval is a LayerCache's view of one tree version: the shared store
+// plus a descriptor for every binding path in the tree, built once per
+// version (ecvPlan.layerFor) and shared read-only by its Evals' workers.
 type layerEval struct {
 	cache *LayerCache
 	descs map[string]*layerDesc
@@ -150,10 +149,10 @@ type layerDesc struct {
 	ecvs []string
 }
 
-// key renders the cache key for invoking method with args under assign.
-func (d *layerDesc) key(method string, args []Value, assign map[string]Value) string {
-	var buf [256]byte
-	b := append(append(buf[:0], d.prefix...), '|')
+// appendKey appends the cache key for invoking method with args under
+// assign to dst.
+func (d *layerDesc) appendKey(dst []byte, method string, args []Value, assign map[string]Value) []byte {
+	b := append(append(dst, d.prefix...), '|')
 	b = append(append(b, method...), "|A"...)
 	for _, a := range args {
 		b = append(a.AppendKey(b), ';')
@@ -162,10 +161,10 @@ func (d *layerDesc) key(method string, args []Value, assign map[string]Value) st
 	for _, qn := range d.ecvs {
 		b = append(assign[qn].AppendKey(b), ';')
 	}
-	return string(b)
+	return b
 }
 
-// evalContext builds the per-Eval descriptor table for the tree rooted at
+// evalContext builds the descriptor table for the tree rooted at
 // root. Shared nodes (the same *Interface bound under several paths) get
 // one descriptor per path, but identical prefixes — their cache entries
 // coincide, which is exactly the cross-stack sharing the cache exists for.

@@ -74,7 +74,7 @@ func referenceMonteCarlo(i *Interface, method string, args []Value, opts EvalOpt
 			values[s] = v
 			continue
 		}
-		j, err := i.evalOnce(m, args, assign, ev)
+		j, err := evalOnce(&Call{iface: i, method: m, args: args, assign: assign, ev: ev})
 		if err != nil {
 			return energy.Dist{}, err
 		}
@@ -176,7 +176,7 @@ func (s *fakeSpec) Run(vals []Value) (float64, error) {
 	for _, d := range s.deps {
 		assign[s.free[d].QualifiedName()] = vals[d]
 	}
-	j, err := s.iface.evalOnce(s.iface.methods[s.method], s.args, assign, nil)
+	j, err := evalOnce(&Call{iface: s.iface, method: s.iface.methods[s.method], args: s.args, assign: assign})
 	return float64(j), err
 }
 

@@ -56,51 +56,78 @@ func (g *evalGroup) fail(err error) {
 	g.stop.Store(true)
 }
 
-// runUnits runs fn(unit, g) for every unit in [0, n) across at most par
-// goroutines. Units are handed out through an atomic counter (dynamic
-// load balancing); fn must write its results keyed by unit index so the
-// schedule cannot affect the outcome. par <= 1 runs everything inline on
-// the calling goroutine — the sequential reference path, with no pool.
-// The first error returned by fn cancels the remaining units; runUnits
+// units is the work of one runUnits call: runUnit runs one unit and writes
+// its results keyed by the unit's index, so the schedule cannot affect the
+// outcome. Implementations are methods on pooled per-Eval state (evalRun),
+// so handing one to runUnits allocates nothing.
+type units interface {
+	runUnit(unit int, g *evalGroup) error
+}
+
+// unitJob is the state one runUnits call shares with its helpers: the
+// group, the counter units are handed out through, and the helpers' wait.
+// Jobs are pooled, so a call allocates nothing of its own.
+type unitJob struct {
+	evalGroup
+	units units
+	n     int
+	next  atomic.Int64
+	wg    sync.WaitGroup
+}
+
+var jobPool = sync.Pool{New: func() any { return new(unitJob) }}
+
+// helperJobs hands each helper runUnits starts a job: whichever is first in
+// line, and every job sent has a helper started for it, so no call waits on
+// a busy helper. The buffer lets a caller go to work without waiting for
+// its helpers to be scheduled; 64 holds every helper of an Eval at up to
+// 65 workers, and past it a send waits only for helpers already started.
+var helperJobs = make(chan *unitJob, 64)
+
+// helper is a static function, so starting one allocates nothing.
+func helper() {
+	j := <-helperJobs
+	j.work()
+	j.wg.Done()
+}
+
+// work runs units until they run out or the group stops.
+func (j *unitJob) work() {
+	for {
+		u := int(j.next.Add(1) - 1)
+		if u >= j.n || j.cancelled() {
+			return
+		}
+		if err := j.units.runUnit(u, &j.evalGroup); err != nil {
+			j.fail(err)
+			return
+		}
+	}
+}
+
+// runUnits runs every unit in [0, n) of fn across at most par goroutines:
+// the caller and up to par-1 helpers it starts. Units are handed out
+// through an atomic counter (dynamic load balancing). par <= 1 runs
+// everything on the calling goroutine — the sequential reference path.
+// The first error returned by a unit cancels the remaining units; runUnits
 // returns that error. Cancelling ctx likewise stops the remaining units
 // promptly (workers poll between samples) and returns ctx.Err().
-func runUnits(ctx context.Context, n, par int, fn func(unit int, g *evalGroup) error) error {
-	g := &evalGroup{done: ctx.Done()}
-	if par > n {
-		par = n
+func runUnits(ctx context.Context, n, par int, fn units) error {
+	j := jobPool.Get().(*unitJob)
+	j.stop.Store(false)
+	j.done, j.err, j.units, j.n = ctx.Done(), nil, fn, n
+	j.next.Store(0)
+	for w := 1; w < min(par, n); w++ {
+		j.wg.Add(1)
+		helperJobs <- j
+		go helper()
 	}
-	if par <= 1 {
-		for u := 0; u < n; u++ {
-			if g.cancelled() {
-				break
-			}
-			if err := fn(u, g); err != nil {
-				g.fail(err)
-				break
-			}
-		}
-		return g.errOr(ctx)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				u := int(next.Add(1) - 1)
-				if u >= n || g.cancelled() {
-					return
-				}
-				if err := fn(u, g); err != nil {
-					g.fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return g.errOr(ctx)
+	j.work()
+	j.wg.Wait()
+	err := j.errOr(ctx)
+	j.units, j.done, j.err = nil, nil, nil
+	jobPool.Put(j)
+	return err
 }
 
 // errOr resolves the group outcome: a worker error wins (it caused the
@@ -135,20 +162,6 @@ func shardSeed(seed int64, shard int) int64 {
 // rngPool recycles the per-shard generators: a rand.Rand carries a 4.9 KB
 // source, and an evaluation seeds one per 64 samples.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
-// valsPool recycles the free-ECV vectors compiled programs run on, one per
-// chunk of points or shard. borrowVals returns one cleared, of length n.
-var valsPool = sync.Pool{New: func() any { return new([]Value) }}
-
-func borrowVals(n int) *[]Value {
-	p := valsPool.Get().(*[]Value)
-	if cap(*p) < n {
-		*p = make([]Value, n)
-	}
-	*p = (*p)[:n]
-	clear(*p)
-	return p
-}
 
 // borrowRNG returns a generator positioned at the start of seed's stream —
 // the stream rand.New(rand.NewSource(seed)) yields, since Seed resets the

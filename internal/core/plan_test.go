@@ -50,8 +50,9 @@ func planTree(dev *Interface) *Interface {
 
 // planModes are the evaluations the plan serves: enumeration, its point
 // modes, both Monte Carlo paths, and a pinned request that splits the plan
-// — each interpreted and through a compiled program.
-func planModes() map[string]EvalOptions {
+// — each through a compiled program, interpreted, and interpreted with
+// layer attached, whose descriptor table the plan keeps.
+func planModes(layer *LayerCache) map[string]EvalOptions {
 	modes := map[string]EvalOptions{
 		"expected":         Expected(),
 		"worst-case":       WorstCase(),
@@ -59,9 +60,16 @@ func planModes() map[string]EvalOptions {
 		"monte-carlo/wide": {Mode: ModeMonteCarlo, Samples: 300, Seed: 9, EnumLimit: 2},
 		"pinned":           {Mode: ModeExpected, Fixed: map[string]Value{"miss": Bool(true), "dev.hot": Bool(false)}},
 	}
-	for name, opts := range modes {
+	names := make([]string, 0, len(modes))
+	for name := range modes {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		opts := modes[name]
 		opts.Interpret = true
 		modes[name+"/interpreted"] = opts
+		opts.Layer = layer
+		modes[name+"/layered"] = opts
 	}
 	return modes
 }
@@ -71,7 +79,9 @@ func planModes() map[string]EvalOptions {
 // new one (Bind) or rebinding a copy (Rebind) between evaluations gives
 // the bits a freshly built tree of the same shape gives, in every mode,
 // with evaluations running concurrently on each version; the tree Rebind
-// copied answers as before. Every scratch buffer comes back each time.
+// copied answers as before. One layer cache serves every step, so a
+// descriptor table kept past its version would answer from stale entries.
+// Every scratch buffer comes back each time.
 func TestPlanFollowsTreeVersion(t *testing.T) {
 	// A compiler that compiles any tree, observing every ECV it has at the
 	// version it compiles: deps, and so the layouts, change with the tree.
@@ -83,10 +93,11 @@ func TestPlanFollowsTreeVersion(t *testing.T) {
 		return &fakeProgram{iface: root, method: method, observes: observes, bulk: true}, nil
 	})
 	t.Cleanup(func() { RegisterCompiler(nil) })
+	layer := NewLayerCache(0)
 
 	check := func(step string, got, fresh *Interface) {
 		t.Helper()
-		modes := planModes()
+		modes := planModes(layer)
 		want := map[string]energy.Dist{}
 		for name, opts := range modes {
 			d, err := fresh.Eval("run", []Value{Num(7)}, opts)

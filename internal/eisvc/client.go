@@ -133,6 +133,7 @@ type Client struct {
 	nodes atomic.Value // map[string]string
 
 	base string
+	urls map[string]string // base joined with each table endpoint's path
 	rt   http.RoundTripper
 	// ID names this client in the daemon's energy ledger (the
 	// X-Eisvc-Client header); empty means "anonymous".
@@ -161,7 +162,8 @@ type Client struct {
 // NewClient returns a client for the daemon at base (e.g.
 // "http://127.0.0.1:7757") that speaks the binary codec.
 func NewClient(base string) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), rt: defaultTransport, Binary: true,
+	base = strings.TrimRight(base, "/")
+	return &Client{base: base, urls: EndpointURLs(base), rt: defaultTransport, Binary: true,
 		held: cache.NewStore[uint64, *heldAnswer](maxBatch)} // as many distinct items as a batch carries
 }
 
@@ -237,7 +239,11 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	resp, err := hop.Send(ctx, c.rt, method, c.base+path, payload)
+	url, ok := c.urls[path]
+	if !ok {
+		url = c.base + path
+	}
+	resp, err := hop.Send(ctx, c.rt, method, url, payload)
 	if err != nil {
 		return nil, "", err
 	}
@@ -481,7 +487,25 @@ func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.V
 	req.DeadlineMs = int(c.Deadline / time.Millisecond)
 	known, _ := c.nodes.Load().(map[string]string)
 	resp := &EvalResponse{Interface: req.Interface, Method: req.Method, Mode: req.Mode}
-	if err := EvalEndpoint.call(ctx, c, &req, resp, known); err != nil {
+	hop, scratch := c.hop(), GetBuffer()
+	var err error
+	if c.Binary {
+		// Laid out by a direct call, not Codec.Encode's func value, so
+		// that the request stays on the stack.
+		k := newCoder(encoding, scratch, nil)
+		k.header(kindEvalRequest)
+		k.evalRequest(&req)
+		err = k.release()
+	} else {
+		jsonReq := req // what encoding/json is handed goes to the heap
+		err = EvalEndpoint.Request.Encode(scratch, hop.ContentType, &jsonReq)
+	}
+	payload := bytes.Clone(scratch.Bytes()) // unpooled, for call's reason
+	PutBuffer(scratch)
+	if err == nil {
+		err = EvalEndpoint.send(ctx, c, hop, payload, resp, known)
+	}
+	if err != nil {
 		return energy.Dist{}, nil, err
 	}
 	// A node ID is the daemon's to choose, so the table stops at

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Endpoint is one codec-negotiated route: its path and the codecs of its
@@ -36,6 +37,32 @@ type Codec[T any] struct {
 // Endpoints lists the path of every table entry, so a gate that must hold
 // for all of them (the interop test, the codec fuzzer) ranges over it.
 var Endpoints []string
+
+// EndpointURLs joins base with the path of every table entry, for a
+// sender to look up instead of joining them on every request. Each base's
+// table is built once and then shared read-only; a base is the caller's
+// to choose, so the tables are dropped when they reach 256.
+func EndpointURLs(base string) map[string]string {
+	endpointURLs.Lock()
+	defer endpointURLs.Unlock()
+	if urls, ok := endpointURLs.m[base]; ok {
+		return urls
+	}
+	urls := make(map[string]string, len(Endpoints))
+	for _, p := range Endpoints {
+		urls[p] = base + p
+	}
+	if len(endpointURLs.m) == 256 {
+		clear(endpointURLs.m)
+	}
+	endpointURLs.m[base] = urls
+	return urls
+}
+
+var endpointURLs = struct {
+	sync.Mutex
+	m map[string]map[string]string
+}{m: map[string]map[string]string{}}
 
 // entry builds a table entry from the frame kind and layout of its
 // request and of its response.
@@ -216,11 +243,7 @@ var jsonContentTypes, binaryContentTypes = []string{jsonContentType}, []string{B
 // they may hold out of it. The GC collects it once the last reference
 // drops.
 func (e *Endpoint[Req, Resp]) call(ctx context.Context, c *Client, req *Req, resp *Resp, known map[string]string) error {
-	hop := Hop{ContentType: jsonContentType, Client: c.ID}
-	if c.Binary {
-		hop.ContentType, hop.Accept = BinaryContentType, BinaryContentType
-	}
-	scratch := GetBuffer()
+	hop, scratch := c.hop(), GetBuffer()
 	err := e.Request.Encode(scratch, hop.ContentType, req)
 	payload := bytes.Clone(scratch.Bytes())
 	PutBuffer(scratch)
@@ -230,6 +253,20 @@ func (e *Endpoint[Req, Resp]) call(ctx context.Context, c *Client, req *Req, res
 	if err != nil {
 		return err
 	}
+	return e.send(ctx, c, hop, payload, resp, known)
+}
+
+// hop is the hop of the client's endpoint-table calls.
+func (c *Client) hop() Hop {
+	if c.Binary {
+		return Hop{ContentType: BinaryContentType, Accept: BinaryContentType, Client: c.ID}
+	}
+	return Hop{ContentType: jsonContentType, Client: c.ID}
+}
+
+// send is call past the encoding: payload, the request in hop's codec,
+// through the retry/hedge engine, and the answer decoded into resp.
+func (e *Endpoint[Req, Resp]) send(ctx context.Context, c *Client, hop Hop, payload []byte, resp *Resp, known map[string]string) error {
 	buf, answered, err := c.do(ctx, http.MethodPost, e.Path, payload, hop, true)
 	if err != nil {
 		return err

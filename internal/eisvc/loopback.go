@@ -56,7 +56,8 @@ func (r *loopbackRecorder) WriteHeader(status int) {
 
 // RoundTrip invokes the handler synchronously and packages its output as
 // an *http.Response. The request context is honored by the handler the
-// same way a served request's would be.
+// same way a served request's would be. The request body is closed once
+// the handler returns, as the RoundTripper contract asks.
 func (t *LoopbackTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	rec := &loopbackRecorder{hdr: make(http.Header)}
 	// A shallow copy: a handler does not modify its request, so the
@@ -67,6 +68,9 @@ func (t *LoopbackTransport) RoundTrip(req *http.Request) (*http.Response, error)
 	}
 	inner.RequestURI = inner.URL.RequestURI()
 	t.handler.ServeHTTP(rec, &inner)
+	if req.Body != nil {
+		req.Body.Close()
+	}
 	if rec.status == 0 {
 		rec.status = http.StatusOK
 	}

@@ -192,7 +192,8 @@ type PeerAnswer struct {
 // timeout): the caller evaluates nothing until the lookup returns. A
 // single eval's miss also passes its queue deadline (a batch the zero
 // time): a lookup that sends a request bounds it by cache.Until(ctx,
-// deadline), so one that asks nobody makes no timer.
+// deadline), so one that asks nobody makes no timer. keys is the
+// caller's to reuse once the lookup returns; a lookup keeps none of it.
 type PeerLookup func(ctx context.Context, deadline time.Time, keys []string) []PeerAnswer
 
 // SetPeerLookup installs the fleet peer-cache hook: a memo miss then
@@ -499,6 +500,11 @@ func (s *Server) probePeers(ctx context.Context, deadline time.Time, lookup Peer
 	return found
 }
 
+// oneKeys holds the one-key lists a single eval's miss asks its peers
+// with: a list on the stack would move to the heap, since the compiler
+// cannot see that a PeerLookup keeps none of it.
+var oneKeys = sync.Pool{New: func() any { return new([1]string) }}
+
 // evalMiss resolves a key the memo did not hold. Every evaluation path
 // funnels through here, so the discipline is uniform: a singleflight
 // keyed by the memo key — N concurrent identical misses run exactly one
@@ -534,7 +540,12 @@ func (s *Server) evalMiss(ctx context.Context, m *miss, probe *PeerLookup) (eval
 		// round-trips through energy.FromSorted), so a peer answer is
 		// indistinguishable from a local one.
 		if probe != nil {
-			if found := s.probePeers(ctx, m.deadline, *probe, []string{key}); found != nil && found[0] != nil {
+			one := oneKeys.Get().(*[1]string)
+			one[0] = key
+			found := s.probePeers(ctx, m.deadline, *probe, one[:])
+			one[0] = ""
+			oneKeys.Put(one)
+			if found != nil && found[0] != nil {
 				return evalOutcome{wire: found[0], memoHit: true, peer: true}, nil
 			}
 		}

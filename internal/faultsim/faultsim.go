@@ -167,16 +167,20 @@ func (t *Transport) synthetic503(req *http.Request) *http.Response {
 	return resp
 }
 
-// RoundTrip implements http.RoundTripper.
+// RoundTrip implements http.RoundTripper. As the contract asks, it closes
+// the request body on every path: the inner transport does once forwarded,
+// closeBody on the paths a fault ends before that.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	atomic.AddUint64(&t.counts.Requests, 1)
 	f := t.roll()
 	if f.synth {
 		atomic.AddUint64(&t.counts.Synth5xx, 1)
+		closeBody(req)
 		return t.synthetic503(req), nil
 	}
 	if f.hang {
 		atomic.AddUint64(&t.counts.Hangs, 1)
+		closeBody(req)
 		<-req.Context().Done()
 		return nil, req.Context().Err()
 	}
@@ -185,11 +189,13 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		select {
 		case <-time.After(t.plan.Latency):
 		case <-req.Context().Done():
+			closeBody(req)
 			return nil, req.Context().Err()
 		}
 	}
 	if f.resetPre {
 		atomic.AddUint64(&t.counts.ResetsPre, 1)
+		closeBody(req)
 		return nil, fmt.Errorf("faultsim: %s %s (pre-forward): %w", req.Method, req.URL.Path, ErrInjectedReset)
 	}
 	atomic.AddUint64(&t.counts.Forwarded, 1)
@@ -204,6 +210,12 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, fmt.Errorf("faultsim: %s %s (post-forward): %w", req.Method, req.URL.Path, ErrInjectedReset)
 	}
 	return resp, nil
+}
+
+func closeBody(req *http.Request) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
 }
 
 // FlakyListener wraps a net.Listener to model a network partition — the

@@ -75,12 +75,21 @@ type Node struct {
 	Server *eisvc.Server
 	URL    string
 
+	urls map[string]string // URL joined with each table endpoint's path
 	ln   *faultsim.FlakyListener
 	stop func()        // closes the listener and connections, waits for the serve loop
 	peer *eisvc.Client // short-timeout, no-retry client for cache probes
 	sums sync.Map      // peer ID -> summary: what this node knows of its peers' memos
 
 	state atomic.Int32 // a nodeState
+}
+
+// url returns the node's URL for path.
+func (n *Node) url(path string) string {
+	if u, ok := n.urls[path]; ok {
+		return u
+	}
+	return n.URL + path
 }
 
 // Live reports whether the node is accepting evaluation work.
@@ -150,6 +159,7 @@ func (f *Fleet) startNode(id string) (*Node, error) {
 		URL:    "http://" + ln.Addr().String(),
 		ln:     fl,
 	}
+	n.urls = eisvc.EndpointURLs(n.URL)
 	n.peer = eisvc.NewClient(n.URL)
 	n.peer.ID, n.peer.Timeout = "fleet-peer", DefaultPeerTimeout
 	srv.SetPeerLookup(f.peerLookupFor(n))

@@ -106,7 +106,7 @@ func (rt *Router) tryCandidates(r *http.Request, hop eisvc.Hop, body []byte, can
 		if i > 0 {
 			atomic.AddUint64(&rt.counts.Failovers, 1)
 		}
-		resp, err := hop.Send(r.Context(), rt.tr, r.Method, n.URL+r.URL.Path, body)
+		resp, err := hop.Send(r.Context(), rt.tr, r.Method, n.url(r.URL.Path), body)
 		if err != nil {
 			continue // dead or partitioned node: next candidate
 		}
